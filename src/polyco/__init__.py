@@ -30,10 +30,10 @@ from .decreasing import (DecreasingDiagram, MeasureError, SearchExhausted,
                          check_strict, complete_branching_strictly,
                          contexts_up_to, find_decreasing, peiffer_variants)
 from .loops import (Loop, LoopClass, LoopEnumeration, NotALoop,
-                    canonical_rotation, enumerate_elementary_loops,
-                    is_context_minimal, is_elementary,
-                    is_minimal_for_composition, rotate_conjugators,
-                    strip_whiskers)
+                    OrbitCapHit, canonical_rotation,
+                    enumerate_elementary_loops, is_context_minimal,
+                    is_elementary, is_minimal_for_composition,
+                    rotate_conjugators, strip_whiskers)
 from .expressions import (Atom, CONFLUENCE, LOOP, MissingLoopClass,
                           ThreeCell, ThreeCellExpression, check_boundary,
                           concat, conjugate, contract_loop,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import Word, word_str
 from .engine import (IllComposed, Path, ZigzagPath, normalize_zigzag,
                      zigzags_equal)
-from .loops import (Loop, canonical_rotation, loop_class_key,
+from .loops import (Loop, OrbitCapHit, canonical_rotation, loop_class_key,
                     reorder_to_expose_subloop, rotate_conjugators,
                     strip_whiskers)
 
@@ -167,7 +167,10 @@ def contract_loop(cells, classes, f: Path) -> ThreeCellExpression:
         raise ValueError("not a loop")
     if not f.steps:
         return identity_expression(f.zigzag())
-    reordered = reorder_to_expose_subloop(f.steps)
+    try:
+        reordered = reorder_to_expose_subloop(f.steps)
+    except OrbitCapHit as e:
+        raise MissingLoopClass(str(e)) from e
     if reordered is not None and _inner_repeat_span(reordered) is not None:
         i, j = _inner_repeat_span(reordered)
         whole = Path(reordered[0].source, reordered)

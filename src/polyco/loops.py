@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
+from itertools import product
 
 from .core import Word, word_str
 from .engine import (Path, ReductionGraph, RewriteStep, TruncatedRegion,
-                     ZigzagPath, exchange_swap)
+                     exchange_swap)
 
 
 class NotALoop(ValueError):
@@ -47,16 +46,13 @@ class Loop:
         return str(self.path)
 
 
-def rotations(steps: tuple[RewriteStep, ...]):
-    for i in range(len(steps)):
-        yield steps[i:] + steps[:i]
-
-
 def canonical_rotation(steps: tuple[RewriteStep, ...]
                        ) -> tuple[RewriteStep, ...]:
     """The rotation with the least serialization: the class representative
     is deterministic."""
-    return min(rotations(steps), key=lambda r: [str(s) for s in r])
+    names = [str(s) for s in steps]
+    i = min(range(len(steps)), key=lambda i: names[i:] + names[:i])
+    return steps[i:] + steps[:i]
 
 
 def loop_class_key(loop: Loop) -> tuple[str, ...]:
@@ -98,122 +94,191 @@ def strip_whiskers(steps: tuple[RewriteStep, ...]
 
 
 def is_context_minimal(loop: Loop) -> bool:
-    u, _, v = strip_whiskers(loop.steps)
-    return not u and not v
+    """True when no letter is a common left or right whisker of all the
+    loop's steps: the whiskers strip_whiskers would remove are empty."""
+    steps = loop.steps
+    first = steps[0].left[:1]
+    last = steps[0].right[-1:]
+    return (not (first and all(s.left[:1] == first for s in steps))
+            and not (last and all(s.right[-1:] == last for s in steps)))
 
 
-def _word_sequence(steps) -> list[Word]:
-    words = [steps[0].source]
-    for s in steps:
-        words.append(s.target)
-    return words
+def _word_sequence(steps) -> tuple[Word, ...]:
+    return (steps[0].source,) + tuple(s.target for s in steps)
 
 
-def _has_inner_repeat(steps) -> bool:
-    words = _word_sequence(steps)
-    seen: dict[Word, int] = {}
-    for i, w in enumerate(words):
-        if w in seen and not (seen[w] == 0 and i == len(words) - 1):
-            return True
-        if w not in seen:
-            seen[w] = i
-    return False
-
-
-def is_minimal_for_composition(loop: Loop, cap: int = 4000) -> bool:
-    """True when no reordering of the loop through exchanges of disjoint
-    redexes revisits an intermediate word.  A revisit in any reordering
-    exhibits the loop as a composite through a smaller loop."""
-    start = loop.steps
-    seen = {tuple(map(str, start))}
-    queue = deque([start])
-    while queue:
-        steps = queue.popleft()
-        if _has_inner_repeat(steps):
-            return False
-        for i in range(len(steps) - 1):
-            swapped = exchange_swap(steps[i], steps[i + 1])
-            if swapped is None:
-                continue
-            nxt = steps[:i] + swapped + steps[i + 2:]
-            key = tuple(map(str, nxt))
-            if key not in seen:
-                seen.add(key)
-                queue.append(nxt)
-                if len(seen) > cap:
-                    return True  # orbit too large; keep the loop
-    return True
+class OrbitCapHit(Exception):
+    """The exchange orbit of a loop passed its cap before the search could
+    tell whether the loop is minimal for composition."""
 
 
 def reorder_to_expose_subloop(steps: tuple[RewriteStep, ...],
                               cap: int = 4000):
-    """An exchange-reordering of the steps that revisits a word, or None
-    when the loop is minimal for composition."""
-    seen = {tuple(map(str, steps))}
-    queue = deque([steps])
+    """The first exchange-reordering of the steps of a loop, in
+    breadth-first order, that revisits a word; None when no reordering
+    does, that is when the loop is minimal for composition.  Raises
+    OrbitCapHit when the orbit has more than ``cap`` elements and none of
+    them revisits a word.
+
+    A swap of steps i and i+1 changes only the word between them, so each
+    reordering is tested for a revisit in O(1) when it is generated."""
+    start = tuple(steps)
+    words = _word_sequence(start)
+    if len(set(words)) < len(start):
+        return start
+    seen = {start}
+    queue = deque([(start, words)])
     while queue:
-        cur = queue.popleft()
-        if _has_inner_repeat(cur):
-            return cur
+        cur, words = queue.popleft()
+        present = set(words)
         for i in range(len(cur) - 1):
             swapped = exchange_swap(cur[i], cur[i + 1])
             if swapped is None:
                 continue
             nxt = cur[:i] + swapped + cur[i + 2:]
-            key = tuple(map(str, nxt))
-            if key not in seen:
-                seen.add(key)
-                queue.append(nxt)
-                if len(seen) > cap:
-                    return None
+            mid = swapped[0].target
+            if mid != words[i + 1] and mid in present:
+                return nxt
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            if len(seen) > cap:
+                raise OrbitCapHit(
+                    f"the exchange orbit of ({Path(start[0].source, start)}) "
+                    f"has more than {cap} reorderings")
+            queue.append((nxt, words[:i + 1] + (mid,) + words[i + 2:]))
     return None
+
+
+def is_minimal_for_composition(loop: Loop, cap: int = 4000) -> bool:
+    """True when no reordering of the loop through exchanges of disjoint
+    redexes revisits an intermediate word.  A revisit in any reordering
+    exhibits the loop as a composite through a smaller loop.  Raises
+    OrbitCapHit when the orbit is too large to tell."""
+    return reorder_to_expose_subloop(loop.steps, cap) is None
 
 
 def is_elementary(loop: Loop) -> bool:
     return is_context_minimal(loop) and is_minimal_for_composition(loop)
 
 
+def _cyclic_sccs(g: ReductionGraph) -> list[list[Word]]:
+    """The strongly connected components that carry a cycle, each with its
+    members in exploration order; ordered by shortest word, then by first
+    explored member."""
+    order = g.vertices
+    out = []
+    for members in g.scc_members:
+        w = members[0]
+        if len(members) > 1 or any(s.target == w for s in g.out.get(w, ())):
+            out.append(sorted(members, key=order.__getitem__))
+    out.sort(key=lambda m: (min(map(len, m)), order[m[0]]))
+    return out
+
+
+def _circuits(succ: list[list[int]]):
+    """Johnson's circuit search (SIAM J. Comput. 4(1), 1975) inside one
+    strongly connected component whose members are numbered 0..n-1 and
+    whose distinct internal successors are ``succ``: every simple cycle
+    once, as the list of its members starting at its least one.
+
+    Circuits through ``s`` are searched among members ``s`` and up.  A
+    member stays ``blocked`` until a circuit is found through it or
+    through a member it waits on (``blockers``, Johnson's B lists);
+    ``closed`` records for each member of the path whether a circuit was
+    found below it."""
+    n = len(succ)
+    for s in range(n):
+        sub = [[w for w in succ[v] if w >= s] for v in range(n)]
+        path = [s]
+        blocked = [False] * n
+        blocked[s] = True
+        blockers: list[set[int]] = [set() for _ in range(n)]
+        stack = [iter(sub[s])]
+        closed = [False]
+        while stack:
+            for w in stack[-1]:
+                if w == s:
+                    yield list(path)
+                    closed[-1] = True
+                elif not blocked[w]:
+                    path.append(w)
+                    blocked[w] = True
+                    stack.append(iter(sub[w]))
+                    closed.append(False)
+                    break
+            else:
+                stack.pop()
+                v = path.pop()
+                if closed.pop():
+                    if closed:
+                        closed[-1] = True
+                    todo = [v]
+                    while todo:
+                        u = todo.pop()
+                        if blocked[u]:
+                            blocked[u] = False
+                            todo.extend(blockers[u])
+                            blockers[u].clear()
+                else:
+                    for w in sub[v]:
+                        blockers[w].add(v)
+
+
+def _vertex_cycles(g: ReductionGraph, sccs: list[list[Word]]):
+    """Every simple cycle of the vertex graph once, as the list of the
+    parallel steps along each of its edges."""
+    for members in sccs:
+        index = {w: i for i, w in enumerate(members)}
+        parallel: dict[tuple[int, int], list[RewriteStep]] = {}
+        succ: list[list[int]] = []
+        for i, u in enumerate(members):
+            succ.append([])
+            for s in g.out[u]:
+                j = index.get(s.target)
+                if j is not None:
+                    edge = parallel.setdefault((i, j), [])
+                    if not edge:
+                        succ[i].append(j)
+                    edge.append(s)
+        for cycle in _circuits(succ):
+            yield [parallel[e] for e in zip(cycle, cycle[1:] + cycle[:1])]
+
+
 def enumerate_elementary_loops(g: ReductionGraph, cap: int = 10000
                                ) -> LoopEnumeration:
     """Equivalence classes (up to circular permutation) of elementary loops
-    visible in the explored graph.  Simple cycles are enumerated on the
-    vertex graph and expanded over parallel steps; the cap bounds the
-    number of cycles considered and exceeding it is reported as an
-    incomplete enumeration."""
-    dg = nx.DiGraph()
-    dg.add_nodes_from(g.vertices)
-    parallel: dict[tuple[Word, Word], list[RewriteStep]] = {}
-    for u in g.vertices:
-        for s in g.out.get(u, ()):
-            dg.add_edge(u, s.target)
-            parallel.setdefault((u, s.target), []).append(s)
-    complete = True
-    classes: dict[tuple, LoopClass] = {}
-    count = 0
-    for cycle in nx.simple_cycles(dg):
-        count += 1
-        if count > cap:
-            complete = False
-            break
-        for w in cycle:
+    visible in the explored graph.  Simple cycles of the vertex graph are
+    found by Johnson's search inside each strongly connected component that
+    carries a cycle, in a fixed order, and expanded over parallel steps.
+    The cap bounds the number of cycles considered; exceeding it, or an
+    exchange orbit too large to decide, is reported as an incomplete
+    enumeration.  Raises TruncatedRegion when a component that carries a
+    cycle holds an incomplete word."""
+    sccs = _cyclic_sccs(g)
+    for members in sccs:
+        for w in members:
             if w not in g.complete:
                 raise TruncatedRegion(
                     f"a cycle touches the incomplete word {word_str(w)}")
-        edges = [(cycle[i], cycle[(i + 1) % len(cycle)])
-                 for i in range(len(cycle))]
-        choices: list[list[RewriteStep]] = [parallel[e] for e in edges]
-        stack = [[]]
-        for options in choices:
-            stack = [acc + [s] for acc in stack for s in options]
-        for steps in stack:
-            loop = Loop(Path(steps[0].source, tuple(steps)))
-            if not is_elementary(loop):
+    complete = True
+    classes: dict[tuple, LoopClass] = {}
+    for count, choices in enumerate(_vertex_cycles(g, sccs), 1):
+        if count > cap:
+            complete = False
+            break
+        for steps in product(*choices):
+            loop = Loop(Path(steps[0].source, steps))
+            try:
+                if not is_elementary(loop):
+                    continue
+            except OrbitCapHit:
+                complete = False
                 continue
             key = loop_class_key(loop)
             if key not in classes:
-                rep = Loop(Path(canonical_rotation(loop.steps)[0].source,
-                                canonical_rotation(loop.steps)))
-                classes[key] = LoopClass(rep, key)
+                rep = canonical_rotation(steps)
+                classes[key] = LoopClass(Loop(Path(rep[0].source, rep)), key)
     ordered = sorted(classes.values(), key=lambda c: (len(c.key), c.key))
     return LoopEnumeration(ordered, complete)
 
