@@ -7,9 +7,8 @@ from .core import (EMPTY, ParseError, Polygraph, Rule, Word, all_words,
 from .engine import (ExplorationBudget, IllComposed, Path, ReductionGraph,
                      RewriteStep, TerminationReport, TruncatedRegion,
                      Unreachable, ZigzagPath, classify_termination,
-                     distance, enumerate_steps, exchange_swap, explore,
-                     format_step, normal_forms, normalize_zigzag,
-                     parse_step, quasi_normal_forms, support, zigzag,
+                     enumerate_steps, exchange_swap, explore,
+                     normalize_zigzag, parse_step, support, zigzag,
                      zigzags_equal, INCONCLUSIVE, NOT_QUASI_TERMINATING,
                      QUASI_TERMINATING_NOT_TERMINATING, TERMINATING)
 from .branchings import (ASPHERICAL, CRITICAL, OVERLAPPING, PEIFFER,
@@ -27,8 +26,8 @@ from .decreasing import (DecreasingDiagram, MeasureError, SearchExhausted,
                          StrictDiagram, Violation, check_context_closability,
                          check_context_compatibility, check_decreasing,
                          check_peiffer_decreasing, check_star0_compatibility,
-                         check_strict, complete_branching_strictly,
-                         contexts_up_to, find_decreasing, peiffer_variants)
+                         check_strict, contexts_up_to, find_decreasing,
+                         peiffer_variants)
 from .loops import (Loop, LoopClass, LoopEnumeration, NotALoop,
                     OrbitCapHit, canonical_rotation,
                     enumerate_elementary_loops, is_context_minimal,

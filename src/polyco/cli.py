@@ -21,15 +21,13 @@ from .labelling import (Labelling, LabellingError, parse_label_table,
                         parse_qnf_map, validate_qnf_map)
 from .decreasing import (MeasureError, SearchExhausted,
                          check_context_compatibility,
-                         check_peiffer_decreasing, check_strict,
-                         find_decreasing, StrictDiagram, _branching_of,
-                         _diagram_completions)
+                         check_peiffer_decreasing, find_decreasing)
 from .loops import enumerate_elementary_loops
 from .expressions import check_boundary
 from .completion import (CERTIFIED, build_completion, fill_parallel_sphere,
                          fill_zigzag_sphere, format_extension,
                          format_zigzag, parse_extension, parse_sphere)
-from .homology import abelianize, finiteness_report, homology
+from .homology import abelianize, homology
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -89,14 +87,20 @@ def _setup(args):
 
 
 def _derived_qnf_map(g):
+    """Each word's least quasi-normal form, found once per strongly
+    connected component: its members reach the same words."""
+    least = {}
     qm = {}
     for w in g.vertices:
-        try:
-            qs = g.quasi_normal_forms(w)
-        except TruncatedRegion:
-            continue
-        if qs:
-            qm[w] = min(qs, key=lambda x: (len(x), x))
+        i = g.scc_of[w]
+        if i not in least:
+            try:
+                qs = g.quasi_normal_forms(w)
+            except TruncatedRegion:
+                qs = ()
+            least[i] = min(qs, key=lambda x: (len(x), x)) if qs else None
+        if least[i] is not None:
+            qm[w] = least[i]
     return qm
 
 

@@ -16,13 +16,12 @@ zigzags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import ParseError, Polygraph, Word, word_str
-from .branchings import (ASPHERICAL, CRITICAL, OVERLAPPING, PEIFFER,
-                         Branching, LocalBranching, classify_branching,
-                         critical_branchings, match_critical)
-from . import decreasing as _dec
+from .branchings import (PEIFFER, Branching, LocalBranching,
+                         classify_branching, critical_branchings,
+                         match_critical)
 from .decreasing import (MeasureError, SearchExhausted,
                          StrictDiagram, _branching_of, _diagram_completions,
                          _greedy_normalize, check_context_closability,
@@ -30,12 +29,12 @@ from .decreasing import (MeasureError, SearchExhausted,
                          find_decreasing, peiffer_variants)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
                      TruncatedRegion, Unreachable, ZigzagPath,
-                     exchange_swap, normalize_zigzag, parse_step, zigzag)
-from .expressions import (Atom, MissingLoopClass, ThreeCell,
-                          ThreeCellExpression, check_boundary, concat,
+                     exchange_swap, parse_step, zigzag)
+from .expressions import (Atom, ThreeCell, ThreeCellExpression, concat,
                           conjugate, contract_loop, identity_expression,
                           invert, CONFLUENCE, LOOP)
-from .labelling import (Labelling, NF, QNF, measure_branching, multiset_less)
+from .labelling import (Labelling, LabellingError, NF, QNF,
+                        measure_branching, multiset_less)
 from .loops import enumerate_elementary_loops
 
 
@@ -176,7 +175,7 @@ def _overlap_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
                                      Path(h1.source, (h1,))), c_f, c_h)
         try:
             strict, _ = check_strict(lab, g, sd)
-        except Exception:
+        except (LabellingError, TruncatedRegion):
             strict = False
     src = zigzag(f1.source, f1, c_f)
     atom = Atom(ZigzagPath(f1.source), wl, rec.name, sign, wr,
@@ -197,7 +196,7 @@ def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
         sd = StrictDiagram(_branching_of(b), c_f, c_h)
         try:
             ok, _ = check_strict(lab, g, sd)
-        except Exception:
+        except (LabellingError, TruncatedRegion):
             ok = False
         if ok:
             chosen = (name, c_f, c_h)
@@ -291,7 +290,7 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
     hbar = g.geodesic(w, hat)
     left_b = _residual_pair(f2.compose(k), c_f.compose(hbar))
     right_b = _residual_pair(c_h.compose(hbar), h2.compose(k))
-    if lab is not None and strict and _dec.CHECK_MEASURES:
+    if lab is not None and strict:
         outer = measure_branching(lab, g, f, h)
         for inner in (left_b, right_b):
             m = measure_branching(lab, g, inner[0], inner[1])

@@ -11,17 +11,15 @@ f' and g', each label strictly below everything on the other side.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
-from .core import EMPTY, Polygraph, Word, all_words, word_str
+from .core import Polygraph, Word, all_words, word_str
 from .branchings import (ASPHERICAL, PEIFFER, LocalBranching, Branching,
                          classify_branching, local_branchings)
-from .engine import (Path, ReductionGraph, RewriteStep, TruncatedRegion,
-                     Unreachable, enumerate_steps)
-from .labelling import (Labelling, LabelMultiset, LabellingError,
-                        MissingLabel, NF, QNF, label_path, label_step,
-                        measure_branching, multiset_less)
+from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
+                     TruncatedRegion, Unreachable)
+from .labelling import (Labelling, LabellingError, MissingLabel, NF, QNF,
+                        label_path, label_step)
 
 
 class SearchExhausted(Exception):
@@ -95,7 +93,7 @@ def check_strict(lab: Labelling, g: ReductionGraph,
             violations.append(Violation(
                 "boundary", "the two sides end on different words"))
             return False, violations
-    except Exception as e:  # ill composed
+    except IllComposed as e:
         return False, [Violation("boundary", str(e))]
     lf = label_path(lab, g, d.branching.left)
     lg = label_path(lab, g, d.branching.right)
@@ -123,7 +121,7 @@ def check_decreasing(lab: Labelling, g: ReductionGraph, d,
             violations.append(Violation(
                 "boundary", "the two sides end on different words"))
             return False, violations
-    except Exception as e:
+    except IllComposed as e:
         return False, [Violation("boundary", str(e))]
     f, h = d.branching.first, d.branching.second
     psi_f = label_step(lab, g, f)
@@ -209,12 +207,11 @@ def _strict_candidates(lab: Labelling, g: ReductionGraph, tf: Word, tg: Word):
         except (TruncatedRegion, SearchExhausted):
             pass
     try:
-        common = g.reachable(tf) & g.reachable(tg)
+        from_f, from_g = g.reachable(tf), g.reachable(tg)
     except TruncatedRegion:
         return
-    ranked = sorted(common,
-                    key=lambda w: (g.distance(tf, w) + g.distance(tg, w),
-                                   len(w), w))
+    ranked = sorted(from_f.keys() & from_g.keys(),
+                    key=lambda w: (from_f[w] + from_g[w], len(w), w))
     for w in ranked[:16]:
         try:
             yield g.geodesic(tf, w), g.geodesic(tg, w)
@@ -242,31 +239,54 @@ def _paths_from(g: ReductionGraph, u: Word, depth: int, cap: int
     return out
 
 
-def _try_splits(lab, g, b: LocalBranching, p1: Path, p2: Path):
-    """Try to read the completion pair as the parts of a decreasing
-    diagram; return the first assignment that passes."""
-    n1, n2 = len(p1), len(p2)
-    src1, src2 = p1.source, p2.source
-    for i1 in range(n1 + 1):
-        for j1 in (0, 1):
-            if i1 + j1 > n1:
-                continue
-            f_prime = Path(src1, p1.steps[:i1])
-            g_dprime = Path(f_prime.target, p1.steps[i1:i1 + j1])
-            h1 = Path(g_dprime.target, p1.steps[i1 + j1:])
-            for i2 in range(n2 + 1):
-                for j2 in (0, 1):
-                    if i2 + j2 > n2:
-                        continue
-                    g_prime = Path(src2, p2.steps[:i2])
-                    f_dprime = Path(g_prime.target, p2.steps[i2:i2 + j2])
-                    h2 = Path(f_dprime.target, p2.steps[i2 + j2:])
-                    d = DecreasingDiagram(b, f_prime, g_dprime, h1,
-                                          g_prime, f_dprime, h2)
-                    ok, _ = check_decreasing(lab, g, d)
-                    if ok:
-                        return d
+def _first_split(labels, top, other, order):
+    """The first (i, j) reading labels[:i] as a path below ``top``, the
+    next j <= 1 labels as one step labelled ``other``, and the rest as
+    below one of the two; None when there is none."""
+    n = len(labels)
+    rest_ok = [True] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        k = labels[i]
+        rest_ok[i] = rest_ok[i + 1] and (order.less(k, top)
+                                         or order.less(k, other))
+    for i in range(n + 1):
+        if i and not order.less(labels[i - 1], top):
+            return None
+        if rest_ok[i]:
+            return i, 0
+        if i < n and labels[i] == other and rest_ok[i + 1]:
+            return i, 1
     return None
+
+
+def _try_splits(lab, g, b: LocalBranching, p1: Path, p2: Path):
+    """Read the completion pair as the parts of a decreasing diagram:
+    p1 as f' . g'' . h1 and p2 as g' . f'' . h2.  The conditions on each
+    side depend only on that side's split, so the first split of each that
+    passes gives the first diagram that passes check_decreasing, which
+    tries the splits of p1 in the outer loop; None when there is none."""
+    f, h = b.first, b.second
+    if (p1.source != f.target or p2.source != h.target
+            or p1.target != p2.target):
+        return None
+    psi_f = label_step(lab, g, f)
+    psi_g = label_step(lab, g, h)
+    l1 = label_path(lab, g, p1)
+    l2 = label_path(lab, g, p2)
+    split1 = _first_split(l1, psi_f, psi_g, lab.order)
+    split2 = split1 and _first_split(l2, psi_g, psi_f, lab.order)
+    if split2 is None:
+        return None
+    (i1, j1), (i2, j2) = split1, split2
+    s1, s2 = p1.steps, p2.steps
+    f_prime = Path(p1.source, s1[:i1])
+    g_dprime = Path(f_prime.target, s1[i1:i1 + j1])
+    g_prime = Path(p2.source, s2[:i2])
+    f_dprime = Path(g_prime.target, s2[i2:i2 + j2])
+    return DecreasingDiagram(b, f_prime, g_dprime,
+                             Path(g_dprime.target, s1[i1 + j1:]),
+                             g_prime, f_dprime,
+                             Path(f_dprime.target, s2[i2 + j2:]))
 
 
 def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
@@ -309,58 +329,6 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
         if d is not None:
             return d
     return None
-
-
-# ---------------------------------------------------------------------------
-# strict completion of arbitrary branchings
-
-CHECK_MEASURES = True
-
-
-def _assert_smaller(lab, g, inner: Branching, outer: Branching):
-    if not CHECK_MEASURES:
-        return
-    m_in = measure_branching(lab, g, inner.left, inner.right)
-    m_out = measure_branching(lab, g, outer.left, outer.right)
-    if not multiset_less(m_in, m_out, lab.order):
-        raise MeasureError(
-            f"recursive branching measure {m_in!r} is not strictly below "
-            f"{m_out!r}")
-
-
-def complete_branching_strictly(lab: Labelling, g: ReductionGraph,
-                                b: Branching, depth: int = 64
-                                ) -> StrictDiagram:
-    """Close an arbitrary branching of forward paths by a strict diagram,
-    peeling one local branching at a time.  Each recursive call works on a
-    branching of strictly smaller measure (checked at runtime)."""
-    if depth < 0:
-        raise SearchExhausted("strict completion recursion depth exhausted")
-    f, h = b.left, b.right
-    if not f.steps:
-        return StrictDiagram(b, Path(f.target, h.steps), Path(h.target))
-    if not h.steps:
-        return StrictDiagram(b, Path(f.target), Path(h.target, f.steps))
-    f1 = Path(f.source, f.steps[:1])
-    f2 = Path(f1.target, f.steps[1:])
-    h1 = Path(h.source, h.steps[:1])
-    h2 = Path(h1.target, h.steps[1:])
-    local = LocalBranching(f.steps[0], h.steps[0])
-    sd = find_decreasing(lab, g, local, strict=True)
-    if sd is None:
-        raise SearchExhausted(
-            f"no strict closure of the local branching at "
-            f"{word_str(local.source)}", frontier=local)
-    a, bb = sd.f_prime, sd.g_prime
-    inner1 = Branching(f2, a)
-    _assert_smaller(lab, g, inner1, b)
-    s1 = complete_branching_strictly(lab, g, inner1, depth - 1)
-    k1, k2 = s1.f_prime, s1.g_prime
-    inner2 = Branching(bb.compose(k2), h2)
-    _assert_smaller(lab, g, inner2, b)
-    s2 = complete_branching_strictly(lab, g, inner2, depth - 1)
-    l1, l2 = s2.f_prime, s2.g_prime
-    return StrictDiagram(b, k1.compose(l1), l2)
 
 
 # ---------------------------------------------------------------------------

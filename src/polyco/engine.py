@@ -9,10 +9,11 @@ on unexplored regions raise TruncatedRegion.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import EMPTY, Polygraph, Rule, Word, word_str
+from .core import Polygraph, Rule, Word, word_str
 
 
 class TruncatedRegion(Exception):
@@ -23,7 +24,7 @@ class Unreachable(Exception):
     """No rewriting path between the two words in the explored graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteStep:
     """One application of a rule in a context, forward or inverse.
 
@@ -61,10 +62,6 @@ class RewriteStep:
         mark = "" if self.forward else "-"
         return (f"{word_str(self.left)}|{self.rule.name}|"
                 f"{word_str(self.right)}{mark}")
-
-
-def format_step(s: RewriteStep) -> str:
-    return str(s)
 
 
 def parse_step(p: Polygraph, text: str, line: int | None = None) -> RewriteStep:
@@ -296,6 +293,12 @@ class ReductionGraph:
     Vertices are words; edges are forward steps.  A vertex is complete when
     every step out of it was kept; budget refusals mark the vertex
     incomplete and set the truncated flag.
+
+    ``distance`` and ``geodesic`` read one backward breadth-first search
+    from their target, cached per target over a predecessor index built on
+    the first such query.  ``reachable`` searches forward from its source
+    and caches nothing; callers that repeat it (``ReachabilityOrder``) keep
+    their own cache.
     """
 
     def __init__(self, polygraph: Polygraph, budget: ExplorationBudget):
@@ -308,11 +311,14 @@ class ReductionGraph:
         self.scc_of: dict[Word, int] = {}
         self.scc_members: list[tuple[Word, ...]] = []
         self.scc_sinks: set[int] = set()
-        self._dist: dict[Word, dict[Word, int]] = {}
+        self._pred: tuple[list[Word], array, array] | None = None
+        self._dist_to: dict[Word, dict[Word, int]] = {}
 
     # -- exploration -------------------------------------------------
 
     def _explore(self, seeds) -> None:
+        self._pred = None
+        self._dist_to = {}
         budget = self.budget
         queue: deque[tuple[Word, int]] = deque()
         for w in seeds:
@@ -437,67 +443,100 @@ class ReductionGraph:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
         return self.out.get(u, ())
 
-    def reachable(self, u: Word, require_complete: bool = False) -> set[Word]:
-        if u not in self.vertices:
-            raise TruncatedRegion(f"{word_str(u)} was not explored")
-        seen = {u}
-        queue = deque([u])
-        while queue:
-            v = queue.popleft()
-            if require_complete and v not in self.complete:
-                raise TruncatedRegion(
-                    f"{word_str(v)} is incomplete in the explored graph")
-            for s in self.out.get(v, ()):
-                if s.target not in seen:
-                    seen.add(s.target)
-                    queue.append(s.target)
-        return seen
-
-    def _distances_from(self, u: Word) -> dict[Word, int]:
-        cached = self._dist.get(u)
-        if cached is not None:
-            return cached
+    def reachable(self, u: Word, require_complete: bool = False
+                  ) -> dict[Word, int]:
+        """Every word reachable from u, mapped to its distance from u."""
         if u not in self.vertices:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
         dist = {u: 0}
         queue = deque([u])
         while queue:
             v = queue.popleft()
+            if require_complete and v not in self.complete:
+                raise TruncatedRegion(
+                    f"{word_str(v)} is incomplete in the explored graph")
+            d = dist[v] + 1
             for s in self.out.get(v, ()):
-                if s.target not in dist:
-                    dist[s.target] = dist[v] + 1
-                    queue.append(s.target)
-        self._dist[u] = dist
+                t = s.target
+                if t not in dist:
+                    dist[t] = d
+                    queue.append(t)
+        return dist
+
+    def _predecessors(self) -> tuple[list[Word], array, array]:
+        """Words by id, and the sources of the edges into each id in
+        compressed rows: those of id i are ``pred[start[i]:start[i + 1]]``."""
+        if self._pred is None:
+            ids = self.vertices
+            words = list(ids)
+            start = array("i", [0]) * (len(words) + 1)
+            for steps in self.out.values():
+                for s in steps:
+                    start[ids[s.target] + 1] += 1
+            for i in range(len(words)):
+                start[i + 1] += start[i]
+            pred = array("i", [0]) * start[-1]
+            fill = start[:-1]
+            for u, steps in self.out.items():
+                uid = ids[u]
+                for s in steps:
+                    t = ids[s.target]
+                    pred[fill[t]] = uid
+                    fill[t] += 1
+            self._pred = words, start, pred
+        return self._pred
+
+    def _distances_to(self, v: Word) -> dict[Word, int]:
+        """Every word that reaches v, mapped to its distance to v."""
+        if v not in self.vertices:
+            return {}
+        dist = self._dist_to.get(v)
+        if dist is None:
+            words, start, pred = self._predecessors()
+            dist = {v: 0}
+            frontier = [self.vertices[v]]
+            d = 0
+            while frontier:
+                d += 1
+                nxt = []
+                for x in frontier:
+                    for y in pred[start[x]:start[x + 1]]:
+                        w = words[y]
+                        if w not in dist:
+                            dist[w] = d
+                            nxt.append(y)
+                frontier = nxt
+            self._dist_to[v] = dist
         return dist
 
     def distance(self, u: Word, v: Word) -> int:
         """Length of a shortest rewriting path from u to v."""
-        dist = self._distances_from(u)
-        if v not in dist:
+        if u not in self.vertices:
+            raise TruncatedRegion(f"{word_str(u)} was not explored")
+        d = self._distances_to(v).get(u)
+        if d is None:
             raise Unreachable(
                 f"{word_str(v)} is not reachable from {word_str(u)}")
-        return dist[v]
+        return d
 
     def geodesic(self, u: Word, v: Word) -> Path:
-        """A shortest path from u to v, deterministic in step order."""
-        dist_to = self._distances_from(u)
-        if v not in dist_to:
+        """A shortest path from u to v: from each word, the first step out
+        of it that gets one step closer to v."""
+        if u not in self.vertices:
+            raise TruncatedRegion(f"{word_str(u)} was not explored")
+        dist = self._distances_to(v)
+        d = dist.get(u)
+        if d is None:
             raise Unreachable(
                 f"{word_str(v)} is not reachable from {word_str(u)}")
         steps = []
         at = u
-        while at != v:
-            d = self.distance(at, v)
-            for s in self.out.get(at, ()):
-                try:
-                    if self.distance(s.target, v) == d - 1:
-                        steps.append(s)
-                        at = s.target
-                        break
-                except Unreachable:
-                    continue
-            else:
-                raise Unreachable("geodesic construction failed")
+        while d:
+            d -= 1
+            # the search reached ``at`` through a step out of it
+            s = next(s for s in self.out[at] if dist.get(s.target) == d)
+            steps.append(s)
+            at = s.target
         return Path(u, tuple(steps))
 
     def quasi_normal_forms(self, u: Word) -> set[Word]:
@@ -528,22 +567,6 @@ class ReductionGraph:
                     seen.add(w)
                     queue.append(w)
         return seen
-
-    def dump(self) -> str:
-        """Edge list plus a strongly connected component summary."""
-        lines = []
-        for u in self.vertices:
-            for s in self.out.get(u, ()):
-                lines.append(f"{word_str(u)} -> {word_str(s.target)} "
-                             f"via {s.rule.name} @ {s.position}")
-        lines.append(f"# vertices: {len(self.vertices)}  "
-                     f"complete: {len(self.complete)}  "
-                     f"truncated: {self.truncated}")
-        for i, members in enumerate(self.scc_members):
-            tag = " (sink)" if i in self.scc_sinks else ""
-            lines.append(f"# scc {i}{tag}: "
-                         + ", ".join(word_str(w) for w in members))
-        return "\n".join(lines) + "\n"
 
 
 def explore(p: Polygraph, seeds, budget: ExplorationBudget | None = None
@@ -582,15 +605,3 @@ def classify_termination(g: ReductionGraph) -> TerminationReport:
     else:
         cls = INCONCLUSIVE
     return TerminationReport(cls, not cyclic, g.truncated, cyclic)
-
-
-def quasi_normal_forms(g: ReductionGraph, u: Word) -> set[Word]:
-    return g.quasi_normal_forms(u)
-
-
-def normal_forms(g: ReductionGraph, u: Word) -> set[Word]:
-    return g.normal_forms(u)
-
-
-def distance(g: ReductionGraph, u: Word, v: Word) -> int:
-    return g.distance(u, v)

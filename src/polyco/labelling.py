@@ -14,10 +14,10 @@ set.  Four kinds are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import ParseError, Polygraph, Word, parse_word, word_str
-from .engine import (Path, ReductionGraph, RewriteStep, TruncatedRegion,
+from .engine import (ReductionGraph, RewriteStep, TruncatedRegion,
                      Unreachable, parse_step)
 
 
@@ -80,21 +80,26 @@ class FinitePosetOrder(LabelOrder):
 
 class ReachabilityOrder(LabelOrder):
     """Words ordered by the rewriting relation of an explored graph:
-    a is below b when b rewrites to a in at least one step."""
+    a is below b when b rewrites to a in at least one step.  The words
+    below b come from one forward search from b, kept per b."""
 
     kind = "reachability"
 
     def __init__(self, graph: ReductionGraph):
         self.graph = graph
+        self._below: dict[Word, dict[Word, int]] = {}
 
     def less(self, a, b) -> bool:
         if a == b:
             return False
-        try:
-            self.graph.distance(b, a)
-            return True
-        except (Unreachable, TruncatedRegion):
-            return False
+        below = self._below.get(b)
+        if below is None:
+            try:
+                below = self.graph.reachable(b)
+            except TruncatedRegion:
+                return False
+            self._below[b] = below
+        return a in below
 
 
 # ---------------------------------------------------------------------------

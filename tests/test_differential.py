@@ -1,0 +1,238 @@
+"""The fast paths of the engine, the diagram search and the CLI against
+plain reference implementations kept here."""
+
+import random
+from collections import deque
+
+import pytest
+
+from polyco.branchings import PEIFFER, critical_branchings, local_branchings
+from polyco.cli import _derived_qnf_map
+from polyco.core import Polygraph, Rule, all_words
+from polyco.decreasing import (DecreasingDiagram, _paths_from, _try_splits,
+                               check_decreasing)
+from polyco.completion import _overlap_closure, _peiffer_closure
+from polyco.engine import (ExplorationBudget, Path, TruncatedRegion,
+                           Unreachable, explore)
+from polyco.fixtures import braid
+from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
+                              LabellingError, QNF, step_key)
+
+
+# ---------------------------------------------------------------------------
+# distances and geodesics against a forward search from each source
+
+
+def _forward(g, u):
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        v = queue.popleft()
+        for s in g.out[v]:
+            if s.target not in dist:
+                dist[s.target] = dist[v] + 1
+                queue.append(s.target)
+    return dist
+
+
+def _reference_geodesic(g, ref, u, v):
+    """From each word, the first step out of it that gets one step closer
+    to v, measured by forward searches."""
+    steps = []
+    at = u
+    while at != v:
+        d = ref[at][v]
+        s = next(s for s in g.out[at] if ref[s.target].get(v) == d - 1)
+        steps.append(s)
+        at = s.target
+    return Path(u, tuple(steps))
+
+
+def _grow_g():
+    p = Polygraph("grow", ("a", "b"), (Rule("dup", ("a",), ("a", "a")),
+                                       Rule("ab", ("a", "b"), ("b",))))
+    return explore(p, all_words(p, 2),
+                   budget=ExplorationBudget(max_word_len=4, max_states=100,
+                                            max_depth=20))
+
+
+@pytest.mark.parametrize("name", ["braid_g", "ab_g", "upsilon_g",
+                                  "lafont_g", "states_g", "grow"])
+def test_distance_and_geodesic_match_forward_search(name, request):
+    g = _grow_g() if name == "grow" else request.getfixturevalue(name)
+    ref = {u: _forward(g, u) for u in g.vertices}
+    for u in g.vertices:
+        unreachable = None
+        for v in g.vertices:
+            want = ref[u].get(v)
+            assert g._distances_to(v).get(u) == want, (u, v)
+            if want is None:
+                if unreachable is None:
+                    unreachable = v
+                continue
+            assert g.distance(u, v) == want
+            assert g.geodesic(u, v) == _reference_geodesic(g, ref, u, v)
+        if unreachable is not None:
+            with pytest.raises(Unreachable):
+                g.distance(u, unreachable)
+            with pytest.raises(Unreachable):
+                g.geodesic(u, unreachable)
+    if name == "grow":
+        assert g.truncated and len(g.complete) < len(g.vertices)
+    explored = next(iter(g.vertices))
+    missing = ("z",) * 9
+    for u, v in ((missing, explored), (missing, missing)):
+        with pytest.raises(TruncatedRegion):
+            g.distance(u, v)
+        with pytest.raises(TruncatedRegion):
+            g.geodesic(u, v)
+    with pytest.raises(Unreachable):
+        g.distance(explored, missing)
+    with pytest.raises(Unreachable):
+        g.geodesic(explored, missing)
+
+
+def test_reachable_maps_words_to_their_distance(upsilon_g):
+    for u in list(upsilon_g.vertices)[::7]:
+        assert upsilon_g.reachable(u) == _forward(upsilon_g, u)
+
+
+# ---------------------------------------------------------------------------
+# splits of a completion pair against the exhaustive loop
+
+
+def _reference_splits(lab, g, b, p1, p2):
+    """Every split of the pair, p1's in the outer loop, each one built and
+    passed to check_decreasing."""
+    n1, n2 = len(p1), len(p2)
+    src1, src2 = p1.source, p2.source
+    for i1 in range(n1 + 1):
+        for j1 in (0, 1):
+            if i1 + j1 > n1:
+                continue
+            f_prime = Path(src1, p1.steps[:i1])
+            g_dprime = Path(f_prime.target, p1.steps[i1:i1 + j1])
+            h1 = Path(g_dprime.target, p1.steps[i1 + j1:])
+            for i2 in range(n2 + 1):
+                for j2 in (0, 1):
+                    if i2 + j2 > n2:
+                        continue
+                    g_prime = Path(src2, p2.steps[:i2])
+                    f_dprime = Path(g_prime.target, p2.steps[i2:i2 + j2])
+                    h2 = Path(f_dprime.target, p2.steps[i2 + j2:])
+                    d = DecreasingDiagram(b, f_prime, g_dprime, h1,
+                                          g_prime, f_dprime, h2)
+                    ok, _ = check_decreasing(lab, g, d)
+                    if ok:
+                        return d
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LabellingError as e:
+        return type(e), str(e)
+
+
+def _random_labelling(rng, g, labels, missing):
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+             if rng.random() < 0.5]
+    table = {step_key(s): rng.choice(labels)
+             for steps in g.out.values() for s in steps
+             if rng.random() >= missing}
+    return Labelling.from_table(table, FinitePosetOrder(labels, pairs))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_try_splits_matches_exhaustive_check(seed, braid_p, braid_g,
+                                             ab_p, ab_g):
+    rng = random.Random(seed)
+    p, g = (braid_p, braid_g) if seed % 2 else (ab_p, ab_g)
+    lab = _random_labelling(rng, g, list("abcd"[:2 + seed % 3]),
+                            missing=0.1 if seed % 3 == 0 else 0.0)
+    words = [w for w in g.vertices if 2 <= len(w) <= 6]
+    branchings = list(critical_branchings(p))
+    for w in rng.sample(words, 4):
+        branchings += local_branchings(p, w, include_aspherical=False)
+    outcomes = []
+    for b in branchings:
+        lefts = _paths_from(g, b.first.target, 3, 30)
+        rights = _paths_from(g, b.second.target, 3, 30)
+        meeting = [(x, y) for x in lefts for y in rights
+                   if x.target == y.target]
+        pairs = rng.sample(meeting, min(len(meeting), 8))
+        pairs += [(rng.choice(lefts), rng.choice(rights)) for _ in range(2)]
+        pairs.append((rights[0], lefts[0]))
+        for p1, p2 in pairs:
+            want = _outcome(_reference_splits, lab, g, b, p1, p2)
+            assert _outcome(_try_splits, lab, g, b, p1, p2) == want
+            outcomes.append(type(want))
+    assert DecreasingDiagram in outcomes and type(None) in outcomes
+    if seed % 3 == 0:
+        assert tuple in outcomes
+
+
+# ---------------------------------------------------------------------------
+# the derived quasi-normal-form map, one query per component
+
+
+def _reference_qnf_map(g):
+    qm = {}
+    for w in g.vertices:
+        try:
+            qs = g.quasi_normal_forms(w)
+        except TruncatedRegion:
+            continue
+        if qs:
+            qm[w] = min(qs, key=lambda x: (len(x), x))
+    return qm
+
+
+@pytest.mark.parametrize("name", ["braid_g", "ab_g", "lafont_g",
+                                  "truncated_braid"])
+def test_derived_qnf_map_per_component_matches_per_word(name, request):
+    if name == "truncated_braid":
+        p = braid()
+        g = explore(p, all_words(p, 7),
+                    budget=ExplorationBudget(max_word_len=7, max_states=120,
+                                             max_depth=50))
+        assert g.truncated
+    else:
+        g = request.getfixturevalue(name)
+    want = _reference_qnf_map(g)
+    got = _derived_qnf_map(g)
+    assert list(got.items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# narrow exception handlers
+
+
+class _BrokenOrder(LabelOrder):
+    def less(self, a, b):
+        raise RuntimeError("broken order")
+
+
+def test_ill_composed_diagram_is_a_boundary_violation(braid_p, braid_g,
+                                                      braid_lab):
+    b = critical_branchings(braid_p)[0]
+    p1 = Path(b.second.target)
+    d = DecreasingDiagram(b, p1, p1, p1, p1, p1, p1)
+    ok, violations = check_decreasing(braid_lab, braid_g, d)
+    assert not ok and violations[0].condition == "boundary"
+
+
+def test_label_order_error_propagates_from_closures(braid_p, braid_g,
+                                                    braid_lab,
+                                                    braid_completion):
+    lab = Labelling(QNF, _BrokenOrder(), qnf_map=braid_lab.qnf_map)
+    w = ("s", "t", "s", "t", "s", "t")
+    b = next(b for b in local_branchings(braid_p, w, include_aspherical=False)
+             if b.kind == PEIFFER)
+    with pytest.raises(RuntimeError, match="broken order"):
+        _peiffer_closure(braid_completion, lab, braid_g, b.first, b.second)
+    crit = braid_completion.confluences[0].branching
+    f1, h1 = crit.first.whisker(("t",), ()), crit.second.whisker(("t",), ())
+    with pytest.raises(RuntimeError, match="broken order"):
+        _overlap_closure(braid_completion, lab, braid_g, f1, h1)

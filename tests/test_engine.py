@@ -3,7 +3,7 @@ import pytest
 from polyco.core import all_words, Polygraph, Rule
 from polyco.engine import (ExplorationBudget, IllComposed, Path, RewriteStep,
                            ZigzagPath, classify_termination, enumerate_steps,
-                           exchange_swap, explore, format_step,
+                           exchange_swap, explore,
                            normalize_zigzag, parse_step, support, zigzag,
                            zigzags_equal, INCONCLUSIVE,
                            QUASI_TERMINATING_NOT_TERMINATING, TERMINATING)
@@ -13,10 +13,10 @@ def test_step_roundtrip(braid_p):
     s = parse_step(braid_p, "s|alpha|t")
     assert s.source == ("s", "s", "t", "s", "t")
     assert s.target == ("s", "t", "s", "t", "t")
-    assert format_step(s) == "s|alpha|t"
+    assert str(s) == "s|alpha|t"
     inv = s.inverse()
     assert inv.source == s.target and inv.target == s.source
-    assert format_step(inv) == "s|alpha|t-"
+    assert str(inv) == "s|alpha|t-"
     assert inv.inverse() == s
 
 
