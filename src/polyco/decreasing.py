@@ -273,11 +273,11 @@ def _try_splits(lab, g, b: LocalBranching, p1: Path, p2: Path):
     psi_g = label_step(lab, g, h)
     l1 = label_path(lab, g, p1)
     l2 = label_path(lab, g, p2)
-    split1 = _first_split(l1, psi_f, psi_g, lab.order)
-    split2 = split1 and _first_split(l2, psi_g, psi_f, lab.order)
-    if split2 is None:
+    splits = (_first_split(l1, psi_f, psi_g, lab.order),
+              _first_split(l2, psi_g, psi_f, lab.order))
+    if None in splits:
         return None
-    (i1, j1), (i2, j2) = split1, split2
+    (i1, j1), (i2, j2) = splits
     s1, s2 = p1.steps, p2.steps
     f_prime = Path(p1.source, s1[:i1])
     g_dprime = Path(f_prime.target, s1[i1:i1 + j1])

@@ -317,8 +317,6 @@ class ReductionGraph:
     # -- exploration -------------------------------------------------
 
     def _explore(self, seeds) -> None:
-        self._pred = None
-        self._dist_to = {}
         budget = self.budget
         queue: deque[tuple[Word, int]] = deque()
         for w in seeds:

@@ -42,7 +42,11 @@ CASES = {
     "complete_no_fdt_5":
         ("complete", "no_fdt", "--max-word-len", "5"),
 }
-FORMATS = ("json", "text")
+# text output of `complete` repeats what its json holds; that of
+# `check-decreasing` prints the first context violation, which json omits
+RUNS = ([(case, "json") for case in CASES]
+        + [(case, "text") for case in CASES
+           if case.startswith("check_decreasing")])
 
 
 def _run(workdir: Path, case: str, fmt: str) -> bytes:
@@ -60,8 +64,7 @@ def _golden(case: str, fmt: str) -> Path:
     return GOLDEN / f"{case}.{fmt}.gz"
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case,fmt", RUNS)
 def test_output_matches_golden(case, fmt, tmp_path):
     got = _run(tmp_path, case, fmt)
     want = gzip.decompress(_golden(case, fmt).read_bytes())
@@ -79,11 +82,10 @@ def test_output_matches_golden(case, fmt, tmp_path):
 def write_goldens() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
-            for fmt in FORMATS:
-                data = gzip.compress(_run(Path(tmp), case, fmt), mtime=0)
-                _golden(case, fmt).write_bytes(data)
-                print(f"wrote {_golden(case, fmt)}", file=sys.stderr)
+        for case, fmt in RUNS:
+            data = gzip.compress(_run(Path(tmp), case, fmt), mtime=0)
+            _golden(case, fmt).write_bytes(data)
+            print(f"wrote {_golden(case, fmt)}", file=sys.stderr)
 
 
 if __name__ == "__main__":
