@@ -40,8 +40,7 @@ from .expressions import (Atom, CONFLUENCE, LOOP, MissingLoopClass,
 from .completion import (CERTIFIED, CoherentPresentation, ConfluenceRecord,
                          PARTIAL, build_completion, fill_parallel_sphere,
                          fill_zigzag_sphere, format_extension,
-                         format_zigzag, parse_extension, parse_sphere,
-                         parse_zigzag)
+                         parse_extension, parse_sphere, parse_zigzag)
 from .homology import (ChainComplexZ, HomologyGroup, HomologyResult,
                        abelianize, finiteness_report, homology,
                        letter_counts, rule_occurrences, smith_normal_form)

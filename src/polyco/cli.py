@@ -19,14 +19,14 @@ from .engine import (ExplorationBudget, IllComposed, TruncatedRegion,
 from .branchings import critical_branchings
 from .labelling import (Labelling, LabellingError, parse_label_table,
                         parse_qnf_map, validate_qnf_map)
-from .decreasing import (MeasureError, SearchExhausted,
+from .decreasing import (MeasureError, SearchExhausted, StrictDiagram,
                          check_context_compatibility,
                          check_peiffer_decreasing, find_decreasing)
 from .loops import enumerate_elementary_loops
 from .expressions import check_boundary
 from .completion import (CERTIFIED, build_completion, fill_parallel_sphere,
                          fill_zigzag_sphere, format_extension,
-                         format_zigzag, parse_extension, parse_sphere)
+                         parse_extension, parse_sphere)
 from .homology import abelianize, homology
 
 EXIT_OK = 0
@@ -187,8 +187,8 @@ def cmd_complete(args) -> int:
     ctx = c.audits["context"]
     data = {
         "cells": {name: {"kind": cell.kind,
-                         "source": format_zigzag(cell.source),
-                         "target": format_zigzag(cell.target)}
+                         "source": str(cell.source),
+                         "target": str(cell.target)}
                   for name, cell in c.cells.items()},
         "verdict": c.verdict,
         "audits": {
@@ -226,10 +226,7 @@ def cmd_check_decreasing(args) -> int:
     diagrams = []
     missing = 0
     for b in crits:
-        d = find_decreasing(lab, g, b, strict=True)
-        strict = d is not None
-        if d is None:
-            d = find_decreasing(lab, g, b, strict=False)
+        d = find_decreasing(lab, g, b)
         if d is None:
             missing += 1
             rows.append({"source": word_str(b.first.source),
@@ -237,7 +234,8 @@ def cmd_check_decreasing(args) -> int:
             continue
         diagrams.append(d)
         rows.append({"source": word_str(b.first.source),
-                     "status": "strict" if strict else "decreasing"})
+                     "status": ("strict" if isinstance(d, StrictDiagram)
+                                else "decreasing")})
     ctx = check_context_compatibility(lab, g, diagrams, args.ctx_bound)
     peiffer = check_peiffer_decreasing(lab, g, p, args.peiffer_len_bound)
     peiffer_ok = all(r.status == "PASS" for r in peiffer)
@@ -281,7 +279,7 @@ def cmd_fill_sphere(args) -> int:
         expr = fill_zigzag_sphere(c, lab, g, f, h)
     src, tgt = check_boundary(expr, c.cells)
     data = {"atoms": [str(a) for a in expr.atoms],
-            "source": format_zigzag(f), "target": format_zigzag(h),
+            "source": str(f), "target": str(h),
             "boundary_ok": True, "budget": _budget_dict(args)}
     text = "\n".join(str(a) for a in expr.atoms) or "(identity)"
     _emit(args, data, text)

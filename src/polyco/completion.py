@@ -74,17 +74,14 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
     criticals = critical_branchings(p)
     cells: dict[str, ThreeCell] = {}
     records: list[ConfluenceRecord] = []
-    diagrams = []
     failures = []
     for i, cb in enumerate(criticals):
-        d = find_decreasing(lab, g, cb, depth=depth, strict=True)
-        strict = d is not None
-        if d is None:
-            d = find_decreasing(lab, g, cb, depth=depth, strict=False)
+        d = find_decreasing(lab, g, cb, depth=depth)
         if d is None:
             raise SearchExhausted(
                 f"no decreasing diagram for the critical branching at "
                 f"{word_str(cb.source)}", frontier=cb)
+        strict = isinstance(d, StrictDiagram)
         c1, c2 = _diagram_completions(d)
         name = f"D{i + 1}"
         cell = ThreeCell(name,
@@ -93,7 +90,6 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
                          CONFLUENCE)
         cells[name] = cell
         records.append(ConfluenceRecord(name, cb, c1, c2, strict))
-        diagrams.append(d)
         if not strict:
             failures.append(name)
 
@@ -288,8 +284,8 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
     hat = _canonical_target(lab, g, f.target)
     k = g.geodesic(f.target, hat)
     hbar = g.geodesic(w, hat)
-    left_b = _residual_pair(f2.compose(k), c_f.compose(hbar))
-    right_b = _residual_pair(c_h.compose(hbar), h2.compose(k))
+    left_b = f2.compose(k), c_f.compose(hbar)
+    right_b = c_h.compose(hbar), h2.compose(k)
     if lab is not None and strict:
         outer = measure_branching(lab, g, f, h)
         for inner in (left_b, right_b):
@@ -306,12 +302,6 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
     e3 = conjugate(cexp, pre=zigzag(h.source, h1), post=k_inv)
     out = concat(e1, e2, e3)
     return ThreeCellExpression(f.zigzag(), out.atoms)
-
-
-def _residual_pair(a: Path, b: Path) -> tuple[Path, Path]:
-    if a.source != b.source:
-        raise IllComposed("residual sphere sides do not share a source")
-    return (a, b)
 
 
 def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
@@ -378,15 +368,10 @@ def parse_zigzag(p: Polygraph, text: str, line: int | None = None
     return z
 
 
-def format_zigzag(z: ZigzagPath) -> str:
-    return str(z)
-
-
 def format_extension(c: CoherentPresentation) -> str:
     lines = [f"# completion of {c.polygraph.name}: verdict {c.verdict}"]
     for name, cell in c.cells.items():
-        lines.append(f"cell {name} : {format_zigzag(cell.source)} => "
-                     f"{format_zigzag(cell.target)}")
+        lines.append(f"cell {name} : {cell.source} => {cell.target}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,10 @@ strictly below the label of f, those of g' below the label of g, f'' and
 g'' are at most one step carrying exactly the opposite label, and every
 label of h1, h2 sits below one of the two.  A strict diagram only has
 f' and g', each label strictly below everything on the other side.
+
+The audits share two routines: ``_close`` reads one completion pair as a
+strict diagram, else as a decreasing one, and ``_context_audit`` is the one
+loop over contexts, in which each audit is a predicate on a whiskered item.
 """
 
 from __future__ import annotations
@@ -85,16 +89,22 @@ def _below_all(order, k, labels) -> bool:
     return all(order.less(k, target) for target in labels)
 
 
+def _boundary_violation(d) -> Violation | None:
+    """Why the two sides of a diagram do not close, None when they do."""
+    try:
+        if d.left_side.target == d.right_side.target:
+            return None
+        return Violation("boundary", "the two sides end on different words")
+    except IllComposed as e:
+        return Violation("boundary", str(e))
+
+
 def check_strict(lab: Labelling, g: ReductionGraph,
                  d: StrictDiagram) -> tuple[bool, list[Violation]]:
+    v = _boundary_violation(d)
+    if v is not None:
+        return False, [v]
     violations = []
-    try:
-        if d.left_side.target != d.right_side.target:
-            violations.append(Violation(
-                "boundary", "the two sides end on different words"))
-            return False, violations
-    except IllComposed as e:
-        return False, [Violation("boundary", str(e))]
     lf = label_path(lab, g, d.branching.left)
     lg = label_path(lab, g, d.branching.right)
     for k in label_path(lab, g, d.f_prime):
@@ -108,21 +118,16 @@ def check_strict(lab: Labelling, g: ReductionGraph,
     return not violations, violations
 
 
-def check_decreasing(lab: Labelling, g: ReductionGraph, d,
-                     strict: bool = False) -> tuple[bool, list[Violation]]:
+def check_decreasing(lab: Labelling, g: ReductionGraph, d
+                     ) -> tuple[bool, list[Violation]]:
     """Check the decreasingness conditions of a diagram.  Accepts either a
-    StrictDiagram or a full DecreasingDiagram; with ``strict`` the side
-    cells f'', g'', h1, h2 must be empty."""
+    StrictDiagram or a full DecreasingDiagram."""
     if isinstance(d, StrictDiagram):
         return check_strict(lab, g, d)
+    v = _boundary_violation(d)
+    if v is not None:
+        return False, [v]
     violations = []
-    try:
-        if d.left_side.target != d.right_side.target:
-            violations.append(Violation(
-                "boundary", "the two sides end on different words"))
-            return False, violations
-    except IllComposed as e:
-        return False, [Violation("boundary", str(e))]
     f, h = d.branching.first, d.branching.second
     psi_f = label_step(lab, g, f)
     psi_g = label_step(lab, g, h)
@@ -154,12 +159,6 @@ def check_decreasing(lab: Labelling, g: ReductionGraph, d,
             violations.append(Violation(
                 "v", f"residual label {k!r} below neither "
                      f"{psi_f!r} nor {psi_g!r}"))
-    if strict:
-        for name, part in (("f''", d.f_dprime), ("g''", d.g_dprime),
-                           ("h1", d.h1), ("h2", d.h2)):
-            if len(part):
-                violations.append(Violation(
-                    "strict", f"{name} must be empty in a strict diagram"))
     return not violations, violations
 
 
@@ -287,6 +286,16 @@ def _try_splits(lab, g, b: LocalBranching, p1: Path, p2: Path):
                              Path(g_dprime.target, s1[i1 + j1:]),
                              g_prime, f_dprime,
                              Path(f_dprime.target, s2[i2 + j2:]))
+
+
+def _close(lab, g, b: LocalBranching, c1: Path, c2: Path):
+    """The completion pair read as a strict diagram when check_strict passes,
+    else as a decreasing one (_try_splits); None when neither reading
+    holds.  Raises what labelling the steps raises."""
+    sd = StrictDiagram(_branching_of(b), c1, c2)
+    if check_strict(lab, g, sd)[0]:
+        return sd
+    return _try_splits(lab, g, b, c1, c2)
 
 
 def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
@@ -429,27 +438,22 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
         report = PeifferReport(b, "UNDECIDED")
         for name, cf, ch, witnesses in peiffer_variants(p, b):
             try:
-                sd = StrictDiagram(_branching_of(b), cf, ch)
-                strict_ok, _ = check_strict(lab, g, sd)
-                if strict_ok:
-                    report = PeifferReport(b, "PASS", name, True, sd,
-                                           witnesses, report.attempts)
-                    break
-                d = _try_splits(lab, g, b, cf, ch)
+                d = _close(lab, g, b, cf, ch)
             except (LabellingError, TruncatedRegion) as e:
                 report.attempts.append(
                     {"variant": name, "ok": False, "error": str(e)})
                 continue
+            if d is not None:
+                report = PeifferReport(b, "PASS", name,
+                                       isinstance(d, StrictDiagram), d,
+                                       witnesses, report.attempts)
+                break
             labels = {
                 "sides": [label_step(lab, g, b.first),
                           label_step(lab, g, b.second)],
                 "completions": [list(label_path(lab, g, cf)),
                                 list(label_path(lab, g, ch))],
             }
-            if d is not None:
-                report = PeifferReport(b, "PASS", name, False, d,
-                                       witnesses, report.attempts)
-                break
             report.attempts.append(
                 {"variant": name, "ok": False, "labels": labels})
         reports.append(report)
@@ -460,21 +464,6 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
 # compatibility with contexts
 
 
-def _whisker_diagram(d, u1: Word, u2: Word):
-    if isinstance(d, StrictDiagram):
-        b = d.branching
-        return StrictDiagram(Branching(b.left.whisker(u1, u2),
-                                       b.right.whisker(u1, u2)),
-                             d.f_prime.whisker(u1, u2),
-                             d.g_prime.whisker(u1, u2))
-    b = d.branching
-    return DecreasingDiagram(
-        LocalBranching(b.first.whisker(u1, u2), b.second.whisker(u1, u2)),
-        d.f_prime.whisker(u1, u2), d.g_dprime.whisker(u1, u2),
-        d.h1.whisker(u1, u2), d.g_prime.whisker(u1, u2),
-        d.f_dprime.whisker(u1, u2), d.h2.whisker(u1, u2))
-
-
 def _diagram_completions(d) -> tuple[Path, Path]:
     if isinstance(d, StrictDiagram):
         return d.f_prime, d.g_prime
@@ -483,8 +472,7 @@ def _diagram_completions(d) -> tuple[Path, Path]:
     return left, right
 
 
-def _local_of(d) -> LocalBranching:
-    b = d.branching
+def _local_of(b) -> LocalBranching:
     if isinstance(b, LocalBranching):
         return b
     if len(b.left) != 1 or len(b.right) != 1:
@@ -515,38 +503,49 @@ class ContextReport:
         return self.violations[0] if self.violations else None
 
 
+def _context_audit(p: Polygraph, items, ctx_bound: int, fails
+                   ) -> ContextReport:
+    """Run ``fails(item, u1, u2)`` for each (head, item) of ``items`` in
+    every context up to the bound.  It returns None when the item holds in
+    the context, else the extra entries of the violation record; a context
+    where it raises LabellingError or TruncatedRegion is unverified.  Each
+    record starts with ``head`` and the context."""
+    checked = 0
+    violations = []
+    unverified = []
+    for head, item in items:
+        for u1, u2 in contexts_up_to(p, ctx_bound):
+            checked += 1
+            record = {**head, "context": (u1, u2)}
+            try:
+                extra = fails(item, u1, u2)
+            except (LabellingError, TruncatedRegion) as e:
+                unverified.append({**record, "error": str(e)})
+                continue
+            if extra is not None:
+                violations.append({**record, **extra})
+    return ContextReport(not violations and not unverified,
+                         checked, violations, unverified)
+
+
 def check_context_compatibility(lab: Labelling, g: ReductionGraph,
                                 diagrams, ctx_bound: int = 2
                                 ) -> ContextReport:
     """Re-check each diagram whiskered by every context of total length up
     to the bound.  A context under which no decreasing reading of the
     whiskered completions exists is a violation."""
-    p = g.polygraph
-    checked = 0
-    violations = []
-    unverified = []
-    for idx, d in enumerate(diagrams):
-        local = _local_of(d)
-        c1, c2 = _diagram_completions(d)
-        for u1, u2 in contexts_up_to(p, ctx_bound):
-            wb = LocalBranching(local.first.whisker(u1, u2),
-                                local.second.whisker(u1, u2))
-            wc1, wc2 = c1.whisker(u1, u2), c2.whisker(u1, u2)
-            checked += 1
-            try:
-                sd = StrictDiagram(_branching_of(wb), wc1, wc2)
-                ok, _ = check_strict(lab, g, sd)
-                if ok:
-                    continue
-                if _try_splits(lab, g, wb, wc1, wc2) is not None:
-                    continue
-            except (LabellingError, TruncatedRegion) as e:
-                unverified.append({"diagram": idx, "context": (u1, u2),
-                                   "error": str(e)})
-                continue
-            violations.append({"diagram": idx, "context": (u1, u2)})
-    return ContextReport(not violations and not unverified,
-                         checked, violations, unverified)
+
+    def fails(item, u1, u2):
+        local, c1, c2 = item
+        wb = LocalBranching(local.first.whisker(u1, u2),
+                            local.second.whisker(u1, u2))
+        d = _close(lab, g, wb, c1.whisker(u1, u2), c2.whisker(u1, u2))
+        return {} if d is None else None
+
+    items = (({"diagram": idx},
+              (_local_of(d.branching), *_diagram_completions(d)))
+             for idx, d in enumerate(diagrams))
+    return _context_audit(g.polygraph, items, ctx_bound, fails)
 
 
 def check_context_closability(lab: Labelling, g: ReductionGraph,
@@ -559,26 +558,16 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
     check_context_compatibility): the completion may be chosen anew for
     each context, which is exactly what the sphere-filling procedure does
     when it closes a whiskered critical branching."""
-    p = g.polygraph
-    checked = 0
-    violations = []
-    unverified = []
-    for idx, b in enumerate(branchings):
-        local = b if isinstance(b, LocalBranching) else _local_of(b)
-        for u1, u2 in contexts_up_to(p, ctx_bound):
-            wb = LocalBranching(local.first.whisker(u1, u2),
-                                local.second.whisker(u1, u2))
-            checked += 1
-            try:
-                d = find_decreasing(lab, g, wb, depth=depth, strict=True)
-            except (LabellingError, TruncatedRegion) as e:
-                unverified.append({"branching": idx, "context": (u1, u2),
-                                   "error": str(e)})
-                continue
-            if d is None:
-                violations.append({"branching": idx, "context": (u1, u2)})
-    return ContextReport(not violations and not unverified,
-                         checked, violations, unverified)
+
+    def fails(local, u1, u2):
+        wb = LocalBranching(local.first.whisker(u1, u2),
+                            local.second.whisker(u1, u2))
+        d = find_decreasing(lab, g, wb, depth=depth, strict=True)
+        return {} if d is None else None
+
+    items = (({"branching": idx}, _local_of(b))
+             for idx, b in enumerate(branchings))
+    return _context_audit(g.polygraph, items, ctx_bound, fails)
 
 
 def check_star0_compatibility(lab: Labelling, g: ReductionGraph,
@@ -587,7 +576,6 @@ def check_star0_compatibility(lab: Labelling, g: ReductionGraph,
     """Check that whiskering preserves strict label comparisons: whenever
     the label of f sits below the label of g, the same holds in every
     context up to the bound."""
-    p = g.polygraph
     if pairs is None:
         steps = [s for u in g.vertices for s in g.out.get(u, ())]
         pairs = []
@@ -603,22 +591,12 @@ def check_star0_compatibility(lab: Labelling, g: ReductionGraph,
                     break
             if len(pairs) >= cap:
                 break
-    checked = 0
-    violations = []
-    unverified = []
-    for f, h in pairs:
-        for u1, u2 in contexts_up_to(p, ctx_bound):
-            checked += 1
-            try:
-                kf = label_step(lab, g, f.whisker(u1, u2))
-                kh = label_step(lab, g, h.whisker(u1, u2))
-            except (LabellingError, TruncatedRegion) as e:
-                unverified.append({"pair": (str(f), str(h)),
-                                   "context": (u1, u2), "error": str(e)})
-                continue
-            if not lab.order.less(kf, kh):
-                violations.append({"pair": (str(f), str(h)),
-                                   "context": (u1, u2),
-                                   "labels": (kf, kh)})
-    return ContextReport(not violations and not unverified,
-                         checked, violations, unverified)
+
+    def fails(pair, u1, u2):
+        f, h = pair
+        kf = label_step(lab, g, f.whisker(u1, u2))
+        kh = label_step(lab, g, h.whisker(u1, u2))
+        return None if lab.order.less(kf, kh) else {"labels": (kf, kh)}
+
+    items = (({"pair": (str(f), str(h))}, (f, h)) for f, h in pairs)
+    return _context_audit(g.polygraph, items, ctx_bound, fails)

@@ -542,24 +542,19 @@ class ReductionGraph:
         reach = self.reachable(u, require_complete=True)
         return {w for w in reach if self.scc_of[w] in self.scc_sinks}
 
-    def normal_forms(self, u: Word) -> set[Word]:
-        reach = self.reachable(u, require_complete=True)
-        return {w for w in reach if not self.out.get(w, ())}
-
     def component(self, u: Word) -> set[Word]:
         """Undirected component of u: the explored part of its congruence
         class."""
         if u not in self.vertices:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
-        back: dict[Word, list[Word]] = {}
-        for v, steps in self.out.items():
-            for s in steps:
-                back.setdefault(s.target, []).append(v)
+        words, start, pred = self._predecessors()
         seen = {u}
         queue = deque([u])
         while queue:
             v = queue.popleft()
-            nbrs = [s.target for s in self.out.get(v, ())] + back.get(v, [])
+            i = self.vertices[v]
+            nbrs = [s.target for s in self.out.get(v, ())] + [
+                words[y] for y in pred[start[i]:start[i + 1]]]
             for w in nbrs:
                 if w not in seen:
                     seen.add(w)

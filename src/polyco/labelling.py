@@ -39,15 +39,11 @@ class MissingLabel(LabellingError, KeyError):
 
 
 class LabelOrder:
-    kind = "abstract"
-
     def less(self, a, b) -> bool:
         raise NotImplementedError
 
 
 class NaturalsOrder(LabelOrder):
-    kind = "naturals"
-
     def less(self, a, b) -> bool:
         return a < b
 
@@ -55,8 +51,6 @@ class NaturalsOrder(LabelOrder):
 class FinitePosetOrder(LabelOrder):
     """A finite strict order given by its covering (or any generating)
     pairs; the transitive closure is taken and checked for irreflexivity."""
-
-    kind = "finite_poset"
 
     def __init__(self, elements, pairs):
         self.elements = tuple(elements)
@@ -82,8 +76,6 @@ class ReachabilityOrder(LabelOrder):
     """Words ordered by the rewriting relation of an explored graph:
     a is below b when b rewrites to a in at least one step.  The words
     below b come from one forward search from b, kept per b."""
-
-    kind = "reachability"
 
     def __init__(self, graph: ReductionGraph):
         self.graph = graph

@@ -2,12 +2,15 @@ import pytest
 
 from polyco.branchings import (PEIFFER, critical_branchings,
                                local_branchings)
+from polyco.core import all_words
 from polyco.decreasing import (check_context_closability,
                                check_context_compatibility,
                                check_decreasing, check_peiffer_decreasing,
                                check_star0_compatibility, check_strict,
                                find_decreasing, StrictDiagram)
-from polyco.labelling import label_path
+from polyco.engine import ExplorationBudget, explore, parse_step
+from polyco.fixtures import braid_qnf_map
+from polyco.labelling import Labelling, label_path
 
 
 def _peiffer_on(p, word):
@@ -114,3 +117,41 @@ def test_strictness_does_not_survive_whiskering(braid_p, braid_g,
     assert ok
     ok_w, violations = check_strict(braid_lab, braid_g, whiskered)
     assert not ok_w and violations
+
+
+@pytest.fixture(scope="module")
+def braid6(braid_p):
+    """Braid explored to length 6 with the qnf map of the same length: the
+    whiskered completions of the critical diagrams leave both."""
+    budget = ExplorationBudget(max_word_len=6, max_states=100000,
+                               max_depth=200)
+    g = explore(braid_p, all_words(braid_p, 6), budget=budget)
+    return g, Labelling.qnf(braid_qnf_map(max_len=6))
+
+
+def test_context_compatibility_reports_truncation_as_unverified(braid_p,
+                                                                braid6):
+    g, lab = braid6
+    diagrams = [find_decreasing(lab, g, b)
+                for b in critical_branchings(braid_p)]
+    rep = check_context_compatibility(lab, g, diagrams, ctx_bound=2)
+    assert not rep.ok
+    assert rep.checked == 68
+    assert len(rep.violations) == 1 and len(rep.unverified) == 24
+    first = rep.unverified[0]
+    assert set(first) == {"diagram", "context", "error"}
+    assert first["diagram"] == 0 and first["context"] == (("s", "s"), ())
+    assert "s s t s t t s" in first["error"]
+
+
+def test_star0_reports_unlabelled_contexts_as_unverified(braid_p, braid6):
+    g, lab = braid6
+    pair = (parse_step(braid_p, "s s s|alpha|1"),
+            parse_step(braid_p, "s s s|beta|1"))
+    rep = check_star0_compatibility(lab, g, ctx_bound=1, pairs=[pair])
+    assert not rep.ok and not rep.violations
+    assert rep.checked == 5 and len(rep.unverified) == 4
+    for entry in rep.unverified:
+        assert set(entry) == {"pair", "context", "error"}
+        assert entry["pair"] == ("s s s|alpha|1", "s s s|beta|1")
+        assert sum(len(u) for u in entry["context"]) == 1

@@ -97,6 +97,27 @@ def test_reachable_maps_words_to_their_distance(upsilon_g):
         assert upsilon_g.reachable(u) == _forward(upsilon_g, u)
 
 
+@pytest.mark.parametrize("name", ["braid_g", "ab_g", "upsilon_g",
+                                  "lafont_g", "states_g", "grow"])
+def test_component_matches_union_find(name, request):
+    g = _grow_g() if name == "grow" else request.getfixturevalue(name)
+    root = {u: u for u in g.vertices}
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for u, steps in g.out.items():
+        for s in steps:
+            root[find(s.target)] = find(u)
+    classes = {}
+    for u in g.vertices:
+        classes.setdefault(find(u), set()).add(u)
+    for u in g.vertices:
+        assert g.component(u) == classes[find(u)], u
+
+
 # ---------------------------------------------------------------------------
 # splits of a completion pair against the exhaustive loop
 
