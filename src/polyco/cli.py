@@ -42,7 +42,6 @@ def _add_common(sp):
     sp.add_argument("--max-depth", type=int, default=200)
     sp.add_argument("--ctx-bound", type=int, default=2)
     sp.add_argument("--peiffer-len-bound", type=int, default=6)
-    sp.add_argument("--loop-cap", type=int, default=10000)
     sp.add_argument("--label", choices=["qnf", "nf", "singleton", "table"],
                     default="qnf")
     sp.add_argument("--qnf-map", metavar="FILE")
@@ -136,7 +135,7 @@ def _budget_dict(args):
             "max_states": args.max_states, "max_depth": args.max_depth,
             "ctx_bound": args.ctx_bound,
             "peiffer_len_bound": args.peiffer_len_bound,
-            "loop_cap": args.loop_cap, "seed": args.seed}
+            "seed": args.seed}
 
 
 def cmd_analyze(args) -> int:
@@ -144,7 +143,7 @@ def cmd_analyze(args) -> int:
     report = classify_termination(g)
     crits = critical_branchings(p)
     try:
-        loops = enumerate_elementary_loops(g, cap=args.loop_cap)
+        loops = enumerate_elementary_loops(g)
         loop_count, loops_complete = len(loops.classes), loops.complete
     except TruncatedRegion:
         loop_count, loops_complete = None, False
@@ -182,8 +181,7 @@ def cmd_complete(args) -> int:
     p, g, budget = _setup(args)
     lab = _labelling(args, p, g)
     c = build_completion(p, lab, g, ctx_bound=args.ctx_bound,
-                         peiffer_len_bound=args.peiffer_len_bound,
-                         loop_cap=args.loop_cap)
+                         peiffer_len_bound=args.peiffer_len_bound)
     ctx = c.audits["context"]
     data = {
         "cells": {name: {"kind": cell.kind,
@@ -264,8 +262,7 @@ def cmd_fill_sphere(args) -> int:
     p, g, budget = _setup(args)
     lab = _labelling(args, p, g)
     c = build_completion(p, lab, g, ctx_bound=args.ctx_bound,
-                         peiffer_len_bound=args.peiffer_len_bound,
-                         loop_cap=args.loop_cap)
+                         peiffer_len_bound=args.peiffer_len_bound)
     if args.cells:
         parsed = parse_extension(p, _read(args.cells))
         for name, cell in parsed.items():

@@ -67,8 +67,7 @@ PARTIAL = "PARTIAL"
 
 def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
                      depth: int = 8, ctx_bound: int = 2,
-                     peiffer_len_bound: int = 6,
-                     loop_cap: int = 10000) -> CoherentPresentation:
+                     peiffer_len_bound: int = 6) -> CoherentPresentation:
     """One confluence cell per critical branching plus one extension cell
     per elementary loop class, with audits."""
     criticals = critical_branchings(p)
@@ -97,7 +96,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
     loops_complete = True
     loops_error = None
     try:
-        enum = enumerate_elementary_loops(g, cap=loop_cap)
+        enum = enumerate_elementary_loops(g)
         loops_complete = enum.complete
         for j, cls in enumerate(enum.classes):
             name = f"E{j + 1}"

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from .core import Word, word_str
 from .engine import (IllComposed, Path, ZigzagPath, normalize_zigzag,
                      zigzags_equal)
-from .loops import (Loop, OrbitCapHit, canonical_rotation, loop_class_key,
+from .loops import (Loop, OrbitCapHit, canonical_rotation, class_reordering,
+                    inner_repeat_span, loop_class_key,
                     reorder_to_expose_subloop, rotate_conjugators,
-                    strip_whiskers)
+                    strip_whiskers, word_sequence)
 
 CONFLUENCE = "confluence"
 LOOP = "loop"
@@ -171,8 +172,10 @@ def contract_loop(cells, classes, f: Path) -> ThreeCellExpression:
         reordered = reorder_to_expose_subloop(f.steps)
     except OrbitCapHit as e:
         raise MissingLoopClass(str(e)) from e
-    if reordered is not None and _inner_repeat_span(reordered) is not None:
-        i, j = _inner_repeat_span(reordered)
+    span = None if reordered is None else inner_repeat_span(
+        word_sequence(reordered))
+    if span is not None:
+        i, j = span
         whole = Path(reordered[0].source, reordered)
         inner = Path(reordered[i].source, reordered[i:j])
         prefix = Path(whole.source, reordered[:i])
@@ -186,12 +189,18 @@ def contract_loop(cells, classes, f: Path) -> ThreeCellExpression:
         out = concat(first, rest)
         return ThreeCellExpression(f.zigzag(), out.atoms)
     u, core_steps, v = strip_whiskers(f.steps)
-    core = Loop(Path(core_steps[0].source, core_steps))
-    key = loop_class_key(core)
-    if key not in classes:
+    # the class may be carried by a reordering of the core through
+    # exchanges, which equals the core up to exchange
+    try:
+        found = class_reordering(core_steps, classes)
+    except OrbitCapHit as e:
+        raise MissingLoopClass(str(e)) from e
+    if found is None:
         raise MissingLoopClass(
-            f"no extension cell for the loop class of ({core})")
-    cell_name = classes[key]
+            f"no extension cell for the loop class of "
+            f"({Path(core_steps[0].source, core_steps)})")
+    core = Loop(Path(found[0].source, found))
+    cell_name = classes[loop_class_key(core)]
     rep_steps = canonical_rotation(core.steps)
     rep = Loop(Path(rep_steps[0].source, rep_steps))
     hk = rotate_conjugators(core, rep)
@@ -202,19 +211,3 @@ def contract_loop(cells, classes, f: Path) -> ThreeCellExpression:
                 k.zigzag().whisker(u, v))
     return ThreeCellExpression(f.zigzag(), (atom,))
 
-
-def _inner_repeat_span(steps):
-    """Earliest (i, j) with the same word before step i and before step j,
-    excluding the full loop itself."""
-    words = [steps[0].source]
-    for s in steps:
-        words.append(s.target)
-    seen: dict[Word, int] = {}
-    for pos, w in enumerate(words):
-        if w in seen:
-            i, j = seen[w], pos
-            if not (i == 0 and j == len(words) - 1):
-                return i, j
-        else:
-            seen[w] = pos
-    return None

@@ -6,13 +6,19 @@ elementary when it is minimal in two senses: no reordering of its steps
 through exchanges of disjoint redexes revisits a word (so it does not
 factor through a smaller loop), and no common whisker can be stripped
 from all its steps.
+
+The classes are found from fundamental cycles, not by enumerating every
+cycle: in each strongly connected component, every step off a
+breadth-first spanning tree closes one loop through the tree and a
+geodesic back to its root.  These |E| - |V| + 1 loops generate all loops
+of the component up to conjugation (Squier's finite homotopy basis), so
+once each of them contracts onto the classes, every loop does.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 
 from .core import Word, word_str
 from .engine import (Path, ReductionGraph, RewriteStep, TruncatedRegion,
@@ -55,8 +61,12 @@ def canonical_rotation(steps: tuple[RewriteStep, ...]
     return steps[i:] + steps[:i]
 
 
+def _class_key(steps: tuple[RewriteStep, ...]) -> tuple[str, ...]:
+    return tuple(str(s) for s in canonical_rotation(steps))
+
+
 def loop_class_key(loop: Loop) -> tuple[str, ...]:
-    return tuple(str(s) for s in canonical_rotation(loop.steps))
+    return _class_key(loop.steps)
 
 
 @dataclass(frozen=True)
@@ -103,8 +113,12 @@ def is_context_minimal(loop: Loop) -> bool:
             and not (last and all(s.right[-1:] == last for s in steps)))
 
 
-def _word_sequence(steps) -> tuple[Word, ...]:
+def word_sequence(steps) -> tuple[Word, ...]:
     return (steps[0].source,) + tuple(s.target for s in steps)
+
+
+def _target(s: RewriteStep) -> Word:
+    return s.target
 
 
 class OrbitCapHit(Exception):
@@ -112,45 +126,90 @@ class OrbitCapHit(Exception):
     tell whether the loop is minimal for composition."""
 
 
-def reorder_to_expose_subloop(steps: tuple[RewriteStep, ...],
-                              cap: int = 4000):
-    """The first exchange-reordering of the steps of a loop, in
-    breadth-first order, that revisits a word; None when no reordering
-    does, that is when the loop is minimal for composition.  Raises
-    OrbitCapHit when the orbit has more than ``cap`` elements and none of
-    them revisits a word.
+# Reorderings searched per loop before OrbitCapHit; read at call time.
+ORBIT_CAP = 4000
+
+
+def _orbit(start: tuple, words: tuple, swap, target, cap: int):
+    """Breadth-first walk of the exchange orbit of the loop ``start``,
+    itself first: yields (reordering, revisits a word), and stops after
+    the first reordering that does.  Steps are opaque here: ``words`` is
+    the loop's word sequence, ``swap(a, b)`` the exchanged pair or None and
+    ``target(a)`` the word a step reaches.
 
     A swap of steps i and i+1 changes only the word between them, so each
     reordering is tested for a revisit in O(1) when it is generated."""
-    start = tuple(steps)
-    words = _word_sequence(start)
     if len(set(words)) < len(start):
-        return start
+        yield start, True
+        return
+    yield start, False
     seen = {start}
     queue = deque([(start, words)])
     while queue:
         cur, words = queue.popleft()
         present = set(words)
         for i in range(len(cur) - 1):
-            swapped = exchange_swap(cur[i], cur[i + 1])
+            swapped = swap(cur[i], cur[i + 1])
             if swapped is None:
                 continue
             nxt = cur[:i] + swapped + cur[i + 2:]
-            mid = swapped[0].target
+            mid = target(swapped[0])
             if mid != words[i + 1] and mid in present:
-                return nxt
+                yield nxt, True
+                return
             if nxt in seen:
                 continue
             seen.add(nxt)
             if len(seen) > cap:
-                raise OrbitCapHit(
-                    f"the exchange orbit of ({Path(start[0].source, start)}) "
-                    f"has more than {cap} reorderings")
+                raise OrbitCapHit(f"has more than {cap} reorderings")
+            yield nxt, False
             queue.append((nxt, words[:i + 1] + (mid,) + words[i + 2:]))
+
+
+def _step_orbit(steps: tuple[RewriteStep, ...], cap: int | None = None):
+    start = tuple(steps)
+    try:
+        yield from _orbit(start, word_sequence(start), exchange_swap,
+                          _target, ORBIT_CAP if cap is None else cap)
+    except OrbitCapHit as e:
+        raise OrbitCapHit(f"the exchange orbit of "
+                          f"({Path(start[0].source, start)}) {e}") from None
+
+
+def reorder_to_expose_subloop(steps: tuple[RewriteStep, ...],
+                              cap: int | None = None):
+    """The first exchange-reordering of the steps of a loop, in
+    breadth-first order, that revisits a word; None when no reordering
+    does, that is when the loop is minimal for composition.  Raises
+    OrbitCapHit when the orbit has more than ``cap`` (default ORBIT_CAP)
+    elements and none of them revisits a word."""
+    return next((r for r, revisits in _step_orbit(steps, cap) if revisits),
+                None)
+
+
+def class_reordering(steps: tuple[RewriteStep, ...], classes):
+    """The first exchange-reordering of the steps of an elementary loop, in
+    breadth-first order and the steps themselves first, whose class key is
+    in ``classes``; None when there is none.  Raises OrbitCapHit."""
+    return next((r for r, _ in _step_orbit(steps)
+                 if _class_key(r) in classes), None)
+
+
+def inner_repeat_span(words) -> tuple[int, int] | None:
+    """Earliest (i, j) with words[i] == words[j], excluding the first and
+    last position together (the full loop itself)."""
+    seen: dict = {}
+    for pos, w in enumerate(words):
+        if w in seen:
+            i = seen[w]
+            if not (i == 0 and pos == len(words) - 1):
+                return i, pos
+        else:
+            seen[w] = pos
     return None
 
 
-def is_minimal_for_composition(loop: Loop, cap: int = 4000) -> bool:
+def is_minimal_for_composition(loop: Loop, cap: int | None = None) -> bool:
     """True when no reordering of the loop through exchanges of disjoint
     redexes revisits an intermediate word.  A revisit in any reordering
     exhibits the loop as a composite through a smaller loop.  Raises
@@ -176,85 +235,128 @@ def _cyclic_sccs(g: ReductionGraph) -> list[list[Word]]:
     return out
 
 
-def _circuits(succ: list[list[int]]):
-    """Johnson's circuit search (SIAM J. Comput. 4(1), 1975) inside one
-    strongly connected component whose members are numbered 0..n-1 and
-    whose distinct internal successors are ``succ``: every simple cycle
-    once, as the list of its members starting at its least one.
+class _Component:
+    """One cyclic strongly connected component on integer ids: members
+    0..n-1 in exploration order, and its internal steps numbered by source,
+    then in the order of ``g.out``.  Loops are tuples of step ids."""
 
-    Circuits through ``s`` are searched among members ``s`` and up.  A
-    member stays ``blocked`` until a circuit is found through it or
-    through a member it waits on (``blockers``, Johnson's B lists);
-    ``closed`` records for each member of the path whether a circuit was
-    found below it."""
-    n = len(succ)
-    for s in range(n):
-        sub = [[w for w in succ[v] if w >= s] for v in range(n)]
-        path = [s]
-        blocked = [False] * n
-        blocked[s] = True
-        blockers: list[set[int]] = [set() for _ in range(n)]
-        stack = [iter(sub[s])]
-        closed = [False]
-        while stack:
-            for w in stack[-1]:
-                if w == s:
-                    yield list(path)
-                    closed[-1] = True
-                elif not blocked[w]:
-                    path.append(w)
-                    blocked[w] = True
-                    stack.append(iter(sub[w]))
-                    closed.append(False)
-                    break
-            else:
-                stack.pop()
-                v = path.pop()
-                if closed.pop():
-                    if closed:
-                        closed[-1] = True
-                    todo = [v]
-                    while todo:
-                        u = todo.pop()
-                        if blocked[u]:
-                            blocked[u] = False
-                            todo.extend(blockers[u])
-                            blockers[u].clear()
-                else:
-                    for w in sub[v]:
-                        blockers[w].add(v)
-
-
-def _vertex_cycles(g: ReductionGraph, sccs: list[list[Word]]):
-    """Every simple cycle of the vertex graph once, as the list of the
-    parallel steps along each of its edges."""
-    for members in sccs:
+    def __init__(self, g: ReductionGraph, members: list[Word]):
         index = {w: i for i, w in enumerate(members)}
-        parallel: dict[tuple[int, int], list[RewriteStep]] = {}
-        succ: list[list[int]] = []
+        self.members = members
+        self.steps: list[RewriteStep] = []
+        self.src: list[int] = []
+        self.tgt: list[int] = []
+        self.out: list[list[int]] = []
         for i, u in enumerate(members):
-            succ.append([])
+            row = []
             for s in g.out[u]:
                 j = index.get(s.target)
                 if j is not None:
-                    edge = parallel.setdefault((i, j), [])
-                    if not edge:
-                        succ[i].append(j)
-                    edge.append(s)
-        for cycle in _circuits(succ):
-            yield [parallel[e] for e in zip(cycle, cycle[1:] + cycle[:1])]
+                    row.append(len(self.steps))
+                    self.steps.append(s)
+                    self.src.append(i)
+                    self.tgt.append(j)
+            self.out.append(row)
+        self._ids = {s: i for i, s in enumerate(self.steps)}
+        self._swaps: dict[tuple[int, int], tuple[int, int] | None] = {}
+        self._leaves: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+
+    def whiskered_copy(self, g: ReductionGraph) -> bool:
+        """True when no internal step touches the first letter (or none the
+        last), and the members with that letter stripped are explored
+        completely: every loop here is then a whiskered loop there."""
+        for touches, strip in ((lambda s: not s.left, lambda w: w[1:]),
+                               (lambda s: not s.right, lambda w: w[:-1])):
+            if (not any(map(touches, self.steps))
+                    and all(strip(w) in g.complete for w in self.members)):
+                return True
+        return False
+
+    def fundamental_loops(self):
+        """For each step s: u -> t off a breadth-first tree from member 0,
+        the loop tree(u); s; geodesic(t -> member 0).  Together they
+        generate every loop of the component up to conjugation."""
+        n = len(self.members)
+        parent = [-1] * n
+        order = [0]
+        for u in order:
+            for s in self.out[u]:
+                t = self.tgt[s]
+                if t and parent[t] < 0:
+                    parent[t] = s
+                    order.append(t)
+        into: list[list[int]] = [[] for _ in range(n)]
+        for s, t in enumerate(self.tgt):
+            into[t].append(self.src[s])
+        dist = [-1] * n
+        dist[0] = 0
+        frontier = [0]
+        back = [()] * n
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for v in into[x]:
+                    if dist[v] < 0:
+                        dist[v] = dist[x] + 1
+                        nxt.append(v)
+            for v in nxt:
+                # the first step out of v that gets one step closer
+                s = next(s for s in self.out[v]
+                         if dist[self.tgt[s]] == dist[v] - 1)
+                back[v] = (s,) + back[self.tgt[s]]
+            frontier = nxt
+        down = [()] * n
+        for t in order[1:]:
+            s = parent[t]
+            down[t] = down[self.src[s]] + (s,)
+        for u in order:
+            for s in self.out[u]:
+                if s != parent[self.tgt[s]]:
+                    yield down[u] + (s,) + back[self.tgt[s]]
+
+    def _swap(self, a: int, b: int) -> tuple[int, int] | None:
+        key = (a, b)
+        if key not in self._swaps:
+            pair = exchange_swap(self.steps[a], self.steps[b])
+            if pair is not None:
+                pair = (self._ids[pair[0]], self._ids[pair[1]])
+            self._swaps[key] = pair
+        return self._swaps[key]
+
+    def elementary_parts(self, loop: tuple[int, ...]
+                         ) -> tuple[tuple[int, ...], ...]:
+        """The loops that contract_loop's peeling leaves of ``loop``, before
+        their whiskers are stripped, memoised.  Raises OrbitCapHit."""
+        parts = self._leaves.get(loop)
+        if parts is None:
+            words = (self.src[loop[0]],) + tuple(self.tgt[s] for s in loop)
+            r = next((r for r, revisits in _orbit(
+                loop, words, self._swap, self.tgt.__getitem__, ORBIT_CAP)
+                if revisits), None)
+            if r is None:
+                parts = (loop,)
+            else:
+                i, j = inner_repeat_span(
+                    (self.src[r[0]],) + tuple(self.tgt[s] for s in r))
+                parts = (self.elementary_parts(r[i:j])
+                         + self.elementary_parts(r[:i] + r[j:]))
+            self._leaves[loop] = parts
+        return parts
 
 
-def enumerate_elementary_loops(g: ReductionGraph, cap: int = 10000
-                               ) -> LoopEnumeration:
+def enumerate_elementary_loops(g: ReductionGraph) -> LoopEnumeration:
     """Equivalence classes (up to circular permutation) of elementary loops
-    visible in the explored graph.  Simple cycles of the vertex graph are
-    found by Johnson's search inside each strongly connected component that
-    carries a cycle, in a fixed order, and expanded over parallel steps.
-    The cap bounds the number of cycles considered; exceeding it, or an
-    exchange orbit too large to decide, is reported as an incomplete
-    enumeration.  Raises TruncatedRegion when a component that carries a
-    cycle holds an incomplete word."""
+    that cover every loop of the explored graph.
+
+    In each strongly connected component that carries a cycle, every
+    fundamental loop (see ``_Component.fundamental_loops``) is peeled as
+    ``contract_loop`` peels it, and each elementary core left over that
+    has no class yet gets one.  The fundamental loops number |E| - |V| + 1
+    per component, so no cap is needed: the exploration budget bounds
+    them.  A component that is a whiskered copy of an explored one is
+    skipped.  An exchange orbit too large to decide is reported as an
+    incomplete enumeration.  Raises TruncatedRegion when a component that
+    carries a cycle holds an incomplete word."""
     sccs = _cyclic_sccs(g)
     for members in sccs:
         for w in members:
@@ -263,22 +365,27 @@ def enumerate_elementary_loops(g: ReductionGraph, cap: int = 10000
                     f"a cycle touches the incomplete word {word_str(w)}")
     complete = True
     classes: dict[tuple, LoopClass] = {}
-    for count, choices in enumerate(_vertex_cycles(g, sccs), 1):
-        if count > cap:
-            complete = False
-            break
-        for steps in product(*choices):
-            loop = Loop(Path(steps[0].source, steps))
+    for members in sccs:
+        comp = _Component(g, members)
+        if comp.whiskered_copy(g):
+            continue
+        seen: set[tuple[int, ...]] = set()
+        for loop in comp.fundamental_loops():
             try:
-                if not is_elementary(loop):
-                    continue
+                parts = comp.elementary_parts(loop)
+                for part in parts:
+                    if part in seen:
+                        continue
+                    seen.add(part)
+                    _, core, _ = strip_whiskers(
+                        tuple(comp.steps[s] for s in part))
+                    if class_reordering(core, classes) is None:
+                        rep = canonical_rotation(core)
+                        key = _class_key(rep)
+                        classes[key] = LoopClass(
+                            Loop(Path(rep[0].source, rep)), key)
             except OrbitCapHit:
                 complete = False
-                continue
-            key = loop_class_key(loop)
-            if key not in classes:
-                rep = canonical_rotation(steps)
-                classes[key] = LoopClass(Loop(Path(rep[0].source, rep)), key)
     ordered = sorted(classes.values(), key=lambda c: (len(c.key), c.key))
     return LoopEnumeration(ordered, complete)
 

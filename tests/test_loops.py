@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -10,9 +11,10 @@ import polyco
 import polyco.expressions as expressions_module
 import polyco.loops as loops_module
 from polyco.core import Polygraph, Rule, all_words, parse_polygraph
-from polyco.engine import (ExplorationBudget, Path, explore, parse_step,
-                           support, zigzags_equal)
-from polyco.expressions import MissingLoopClass, contract_loop
+from polyco.engine import (ExplorationBudget, Path, ZigzagPath, explore,
+                           parse_step, support, zigzags_equal)
+from polyco.expressions import (LOOP, MissingLoopClass, ThreeCell,
+                                check_boundary, contract_loop)
 from polyco.loops import (Loop, OrbitCapHit, canonical_rotation,
                           enumerate_elementary_loops, is_context_minimal,
                           is_elementary, is_minimal_for_composition,
@@ -88,7 +90,14 @@ def test_rotate_conjugators_rejects_non_rotation(braid_p):
     assert rotate_conjugators(f, other) is None
 
 
-# -- cycle search, orbit cap and determinism --------------------------------
+# -- loop coverage, orbit cap and determinism --------------------------------
+
+BRAID = """\
+polygraph braid
+gens s t
+rule alpha : s t s => t s t
+rule beta : t s t => s t s
+"""
 
 A3 = """\
 polygraph A3
@@ -102,34 +111,51 @@ rule r6 : c a => a c
 """
 
 
-def _brute_force_cycles(n, mult):
-    """Simple cycles of a digraph on 0..n-1 with edge multiplicities
-    ``mult[(u, v)]``: vertex sequences with their least vertex first, each
-    weighted by the number of ways to pick parallel edges."""
-    vertex_cycles = loops = 0
-
-    def extend(path, weight):
-        nonlocal vertex_cycles, loops
-        last = path[-1]
-        for v in range(path[0], n):
-            m = mult.get((last, v), 0)
-            if not m:
-                continue
-            if v == path[0]:
-                vertex_cycles += 1
-                loops += weight * m
-            elif v not in path:
-                extend(path + [v], weight * m)
-
-    for s in range(n):
-        extend([s], 1)
-    return vertex_cycles, loops
+def _cyclic_components(n, mult):
+    """Strongly connected components of a digraph on 0..n-1 with edge
+    multiplicities ``mult[(u, v)]`` that carry a cycle, each as (number of
+    members, number of internal edges counted with multiplicity)."""
+    reach = [{u} for u in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for (u, v) in mult:
+            new = reach[v] - reach[u]
+            if new:
+                reach[u] |= new
+                changed = True
+    out = []
+    for c in {frozenset(v for v in reach[u] if u in reach[v])
+              for u in range(n)}:
+        edges = sum(m for (u, v), m in mult.items() if u in c and v in c)
+        if edges:
+            out.append((len(c), edges))
+    return out
 
 
-def test_cycle_search_matches_brute_force():
+def _rank(rows):
+    """Rank over the rationals, by Gaussian elimination on Fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_classes_form_a_cycle_space_basis():
     # A digraph on one-letter words: every rewriting step is a whole-word
-    # edge, so every simple cycle, expanded over parallel steps, is an
-    # elementary loop of its own class.
+    # edge, so the loops carry no exchanges and no whiskers, and the
+    # classes must be a basis of the cycle space: one per fundamental
+    # cycle, |E| - |V| + 1 per cyclic component, linearly independent.
     rng = random.Random(20161229)
     letters = "abcdefgh"
     for _ in range(300):
@@ -144,14 +170,13 @@ def test_cycle_search_matches_brute_force():
                  for (u, v), m in mult.items() for k in range(m)]
         p = Polygraph("digraph", tuple(letters[:n]), tuple(rules))
         g = explore(p, all_words(p, 1), ExplorationBudget(max_word_len=1))
-        vertex_cycles, expanded = _brute_force_cycles(n, mult)
+        betti = sum(e - v + 1 for v, e in _cyclic_components(n, mult))
         enum = enumerate_elementary_loops(g)
         assert enum.complete
-        assert len(enum.classes) == expanded
-        if vertex_cycles:
-            capped = enumerate_elementary_loops(g, cap=vertex_cycles - 1)
-            assert not capped.complete
-            assert enumerate_elementary_loops(g, cap=vertex_cycles).complete
+        assert len(enum.classes) == betti
+        vectors = [[sum(s.rule is r for s in c.representative.steps)
+                    for r in rules] for c in enum.classes]
+        assert _rank(vectors) == betti
 
 
 def test_parallel_steps_expand_into_separate_loops():
@@ -180,6 +205,25 @@ def _half_twist_loop(p):
                  "a b c|r2|1", "a b|r6|b a")
 
 
+def _loop_cells(enum):
+    """The loop cells of a completion with these classes, and the map from
+    class keys to cell names that contract_loop reads."""
+    cells, names = {}, {}
+    for j, cls in enumerate(enum.classes):
+        name = f"E{j + 1}"
+        rep = cls.representative
+        cells[name] = ThreeCell(name, rep.path.zigzag(),
+                                ZigzagPath(rep.base), LOOP)
+        names[cls.key] = name
+    return cells, names
+
+
+def _assert_contracts(cells, names, path):
+    src, tgt = check_boundary(contract_loop(cells, names, path), cells)
+    assert zigzags_equal(src, path.zigzag())
+    assert tgt == ZigzagPath(path.source)
+
+
 def test_orbit_cap_hit_is_reported(monkeypatch):
     p = parse_polygraph(A3)
     loop = _half_twist_loop(p)
@@ -191,14 +235,10 @@ def test_orbit_cap_hit_is_reported(monkeypatch):
 
     g = explore(p, [loop.base], ExplorationBudget(max_word_len=6))
     enum = enumerate_elementary_loops(g)
-    assert enum.complete and loop_class_key(loop) in {
-        c.key for c in enum.classes}
-    orbit = loops_module.is_minimal_for_composition
-    monkeypatch.setattr(loops_module, "is_minimal_for_composition",
-                        lambda lp: orbit(lp, cap=1))
-    capped = enumerate_elementary_loops(g)
-    assert not capped.complete
-    assert loop_class_key(loop) not in {c.key for c in capped.classes}
+    assert enum.complete
+    _assert_contracts(*_loop_cells(enum), loop.path)
+    monkeypatch.setattr(loops_module, "ORBIT_CAP", 1)
+    assert not enumerate_elementary_loops(g).complete
 
 
 def test_contract_loop_names_the_orbit_cap(monkeypatch):
@@ -233,21 +273,54 @@ def _complete_json(path, hash_seed):
          "--max-word-len", "9", "--format", "json"],
         env=_env(PYTHONHASHSEED=str(hash_seed)), capture_output=True,
         text=True, check=False)
-    assert out.returncode == 3, out.stderr
+    assert out.returncode == 0, out.stderr
     return out.stdout
 
 
-def test_capped_enumeration_does_not_depend_on_hash_seed(tmp_path):
+def test_braid_9_is_certified_under_any_hash_seed(tmp_path):
     path = tmp_path / "braid.poly"
-    path.write_text("polygraph braid\ngens s t\n"
-                    "rule alpha : s t s => t s t\n"
-                    "rule beta : t s t => s t s\n")
+    path.write_text(BRAID)
     first = _complete_json(path, 0)
     assert _complete_json(path, 7) == first
     data = json.loads(first)
-    assert data["verdict"] == "PARTIAL"
-    assert data["audits"]["loops"]["complete"] is False
-    assert data["cells"]["E1"]["source"] == "1|alpha|1 ; 1|beta|1"
+    assert data["verdict"] == "CERTIFIED"
+    assert data["audits"]["loops"]["complete"] is True
+    loops = [c for c in data["cells"].values() if c["kind"] == "loop"]
+    assert loops == [{"kind": "loop", "source": "1|alpha|1 ; 1|beta|1",
+                      "target": "id s t s"}]
+
+
+def _simple_cycles(g):
+    """Every simple cycle of the explored graph once, as a path from its
+    first explored word, expanded over parallel steps."""
+    order = g.vertices
+    for start in g.vertices:
+        def extend(path, seen):
+            for s in g.out[path[-1].target if path else start]:
+                t = s.target
+                if t == start:
+                    yield Path(start, tuple(path) + (s,))
+                elif t not in seen and order[t] > order[start]:
+                    seen.add(t)
+                    yield from extend(path + [s], seen)
+                    seen.discard(t)
+        yield from extend([], {start})
+
+
+@pytest.mark.parametrize("text,length,cycles",
+                         [(BRAID, 8, 591), (A3, 5, 250)],
+                         ids=["braid-8", "a3-5"])
+def test_every_simple_cycle_contracts_onto_the_classes(text, length, cycles):
+    p = parse_polygraph(text)
+    g = explore(p, all_words(p, length), ExplorationBudget(length))
+    enum = enumerate_elementary_loops(g)
+    assert enum.complete
+    cells, names = _loop_cells(enum)
+    count = 0
+    for path in _simple_cycles(g):
+        _assert_contracts(cells, names, path)
+        count += 1
+    assert count == cycles
 
 
 def test_import_does_not_load_networkx():
