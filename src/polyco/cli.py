@@ -48,7 +48,6 @@ def _add_common(sp):
     sp.add_argument("--label-table", metavar="FILE")
     sp.add_argument("--cells", metavar="FILE")
     sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,8 +133,7 @@ def _budget_dict(args):
     return {"max_word_len": args.max_word_len,
             "max_states": args.max_states, "max_depth": args.max_depth,
             "ctx_bound": args.ctx_bound,
-            "peiffer_len_bound": args.peiffer_len_bound,
-            "seed": args.seed}
+            "peiffer_len_bound": args.peiffer_len_bound}
 
 
 def cmd_analyze(args) -> int:
