@@ -46,5 +46,50 @@ from .homology import (ChainComplexZ, HomologyGroup, HomologyResult,
                        letter_counts, rule_occurrences, smith_normal_form)
 from . import fixtures
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # core
+    "EMPTY", "ParseError", "Polygraph", "Rule", "Word", "all_words",
+    "parse_polygraph", "parse_word", "serialize_polygraph", "word_str",
+    # engine
+    "ExplorationBudget", "IllComposed", "Path", "ReductionGraph",
+    "RewriteStep", "TerminationReport", "TruncatedRegion", "Unreachable",
+    "ZigzagPath", "classify_termination", "enumerate_steps", "exchange_swap",
+    "explore", "normalize_zigzag", "parse_step", "support", "zigzag",
+    "zigzags_equal", "INCONCLUSIVE", "NOT_QUASI_TERMINATING",
+    "QUASI_TERMINATING_NOT_TERMINATING", "TERMINATING",
+    # branchings
+    "ASPHERICAL", "CRITICAL", "OVERLAPPING", "PEIFFER", "Branching",
+    "LocalBranching", "classify_branching", "critical_branchings",
+    "local_branchings", "match_critical",
+    # labelling
+    "FinitePosetOrder", "LabelMultiset", "Labelling", "LabellingError",
+    "MissingLabel", "NaturalsOrder", "NotQuasiNormalForm", "ReachabilityOrder",
+    "filter_word", "format_qnf_map", "label_path", "label_step",
+    "measure_branching", "measure_path", "measure_word", "multiset_less",
+    "parse_label_table", "parse_qnf_map", "validate_qnf_map",
+    # decreasing
+    "DecreasingDiagram", "MeasureError", "SearchExhausted", "StrictDiagram",
+    "Violation", "check_context_closability", "check_context_compatibility",
+    "check_decreasing", "check_peiffer_decreasing",
+    "check_star0_compatibility", "check_strict", "contexts_up_to",
+    "find_decreasing", "peiffer_variants",
+    # loops
+    "Loop", "LoopClass", "LoopEnumeration", "NotALoop", "OrbitCapHit",
+    "canonical_rotation", "enumerate_elementary_loops", "is_context_minimal",
+    "is_elementary", "is_minimal_for_composition", "rotate_conjugators",
+    "strip_whiskers",
+    # expressions
+    "Atom", "CONFLUENCE", "LOOP", "MissingLoopClass", "ThreeCell",
+    "ThreeCellExpression", "check_boundary", "concat", "conjugate",
+    "contract_loop", "identity_expression", "invert",
+    # completion
+    "CERTIFIED", "CoherentPresentation", "ConfluenceRecord", "PARTIAL",
+    "build_completion", "fill_parallel_sphere", "fill_zigzag_sphere",
+    "format_extension", "parse_extension", "parse_sphere", "parse_zigzag",
+    # homology
+    "ChainComplexZ", "HomologyGroup", "HomologyResult", "abelianize",
+    "finiteness_report", "homology", "letter_counts", "rule_occurrences",
+    "smith_normal_form",
+    "fixtures",
+]
 __version__ = "0.1.0"
