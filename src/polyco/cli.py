@@ -34,6 +34,9 @@ EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_SEARCH = 4
 
+SKELETON_NOTE = ("homology of the 2-skeleton without 3-cells; "
+                 "give the completion's cells with --cells")
+
 
 def _add_common(sp):
     sp.add_argument("polygraph", help="presentation file (.poly)")
@@ -291,6 +294,10 @@ def cmd_homology(args) -> int:
     data = {"H0": str(h.h0), "H1": str(h.h1), "H2": str(h.h2),
             "cells3": len(cells), "budget": _budget_dict(args)}
     text = f"H0 = {h.h0}\nH1 = {h.h1}\nH2 = {h.h2}"
+    if not cells:
+        # without 3-cells, H2 is that of the 2-skeleton, not of the monoid
+        data["note"] = SKELETON_NOTE
+        text += f"\n({SKELETON_NOTE})"
     _emit(args, data, text)
     return EXIT_OK
 

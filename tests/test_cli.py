@@ -98,6 +98,14 @@ def test_homology_reduced(braid_file, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["H0"] == "Z" and data["H1"] == "Z" and data["H2"] == "Z"
+    assert "2-skeleton without 3-cells" in data["note"]
+
+
+def test_homology_says_it_omits_3_cells(braid_file, capsys):
+    assert main(["homology", braid_file]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:3] == ["H0 = Z", "H1 = Z", "H2 = Z"]
+    assert "2-skeleton without 3-cells" in out
 
 
 def test_homology_with_cells_file(braid_file, tmp_path, capsys,
@@ -110,6 +118,7 @@ def test_homology_with_cells_file(braid_file, tmp_path, capsys,
     data = json.loads(capsys.readouterr().out)
     assert code == 0
     assert data["H2"] == "0" and data["cells3"] == 5
+    assert "note" not in data
 
 
 def test_missing_file_is_input_error(capsys):
