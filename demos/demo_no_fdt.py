@@ -3,6 +3,9 @@
 The rules ab => a, ac => da, da => d'a, d'a => ac produce the 3-cycle
 ac => da => d'a => ac.  Every other loop in the graph is a whiskered or
 repeated copy of it, so the loop extension needs a single cell.  The
+enumeration finds it from the fundamental loops of each strongly
+connected component (one per step off a breadth-first spanning tree),
+and skips the components that are whiskered copies of shorter ones.  The
 certificate stays PARTIAL here: some Peiffer squares resist every
 decreasing closure within the length bound, which is honest output, not a
 failure of the search.
