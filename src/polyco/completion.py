@@ -55,10 +55,16 @@ class CoherentPresentation:
     loop_classes: dict[tuple, str]
     audits: dict
     verdict: str
+    # the explored graph the loop classes cover; contract_loop reads its
+    # fundamental loops
+    graph: ReductionGraph | None = None
 
     @property
     def cell_list(self) -> list[ThreeCell]:
         return list(self.cells.values())
+
+    def contract(self, loop: Path) -> ThreeCellExpression:
+        return contract_loop(self.cells, self.loop_classes, loop, self.graph)
 
 
 CERTIFIED = "CERTIFIED"
@@ -124,7 +130,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
     verdict = CERTIFIED if (not failures and ctx.ok and peiffer_ok
                             and loops_complete) else PARTIAL
     return CoherentPresentation(p, cells, records, loop_classes,
-                                audits, verdict)
+                                audits, verdict, g)
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +213,8 @@ def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
     if name == "reverse_both":
         loop_f = Path(f1.source, (f1,) + c_f.steps)
         loop_h = Path(h1.source, (h1,) + c_h.steps)
-        a = contract_loop(c.cells, c.loop_classes, loop_f)
-        bexp = invert(contract_loop(c.cells, c.loop_classes, loop_h),
-                      c.cells)
-        expr = concat(a, bexp)
+        expr = concat(c.contract(loop_f),
+                      invert(c.contract(loop_h), c.cells))
         return c_f, c_h, ThreeCellExpression(src, expr.atoms), strict
     if name in ("around_left", "around_right"):
         # one side detours through the Peiffer target and undoes a rule,
@@ -223,8 +227,7 @@ def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
                 raise SearchExhausted("unexpected Peiffer detour geometry")
             shifted = sw[1]
             loop = Path(h1.target, (shifted, y))
-            expr = conjugate(contract_loop(c.cells, c.loop_classes, loop),
-                             pre=zigzag(h1.source, h1))
+            expr = conjugate(c.contract(loop), pre=zigzag(h1.source, h1))
             return c_f, c_h, ThreeCellExpression(src, expr.atoms), strict
         if c_h.steps and not c_f.steps:
             x, y = c_h.steps
@@ -233,9 +236,8 @@ def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
                 raise SearchExhausted("unexpected Peiffer detour geometry")
             shifted = sw[1]
             loop = Path(f1.target, (shifted, y))
-            expr = invert(conjugate(
-                contract_loop(c.cells, c.loop_classes, loop),
-                pre=zigzag(f1.source, f1)), c.cells)
+            expr = invert(conjugate(c.contract(loop),
+                                    pre=zigzag(f1.source, f1)), c.cells)
             return c_f, c_h, ThreeCellExpression(src, expr.atoms), strict
         raise SearchExhausted("unexpected Peiffer detour geometry")
     raise SearchExhausted(f"unknown Peiffer variant {name!r}")
@@ -268,9 +270,9 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
     if f.steps == h.steps:
         return identity_expression(f.zigzag())
     if not h.steps:
-        return contract_loop(c.cells, c.loop_classes, f)
+        return c.contract(f)
     if not f.steps:
-        return invert(contract_loop(c.cells, c.loop_classes, h), c.cells)
+        return invert(c.contract(h), c.cells)
     f1, h1 = f.steps[0], h.steps[0]
     f2 = Path(f1.target, f.steps[1:])
     h2 = Path(h1.target, h.steps[1:])

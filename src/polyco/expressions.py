@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Word, word_str
-from .engine import (IllComposed, Path, ZigzagPath, normalize_zigzag,
-                     zigzags_equal)
+from .engine import (IllComposed, Path, ReductionGraph, ZigzagPath,
+                     normalize_zigzag, zigzags_equal)
 from .loops import (Loop, OrbitCapHit, canonical_rotation, class_reordering,
-                    inner_repeat_span, loop_class_key,
+                    fundamental_factors, inner_repeat_span, loop_class_key,
                     reorder_to_expose_subloop, rotate_conjugators,
                     strip_whiskers, word_sequence)
 
@@ -155,14 +155,18 @@ def check_boundary(e: ThreeCellExpression, cells
 # contracting loops through extension cells
 
 
-def contract_loop(cells, classes, f: Path) -> ThreeCellExpression:
+def contract_loop(cells, classes, f: Path, g: ReductionGraph | None = None
+                  ) -> ThreeCellExpression:
     """An expression from a forward loop to the identity on its base,
     built from one extension cell per elementary loop class.
 
     ``cells`` maps cell names to ThreeCells; ``classes`` maps elementary
     class keys to cell names.  The recursion peels off sub-loops exposed by
     exchange reorderings until the remainder is elementary up to whiskers
-    and a rotation of some class representative.
+    and, up to exchange, a rotation of some class representative.  When
+    no class carries the remainder and ``g`` is the graph the classes were
+    enumerated on, the remainder is written through the fundamental loops
+    of its component, each of which peels onto the classes.
     """
     if f.source != f.target:
         raise ValueError("not a loop")
@@ -180,12 +184,12 @@ def contract_loop(cells, classes, f: Path) -> ThreeCellExpression:
         inner = Path(reordered[i].source, reordered[i:j])
         prefix = Path(whole.source, reordered[:i])
         suffix = Path(inner.source, reordered[j:])
-        sub = contract_loop(cells, classes, inner)
+        sub = contract_loop(cells, classes, inner, g)
         # f equals prefix * inner * suffix up to exchange; contract the
         # inner loop in place, then recurse on what remains
         first = conjugate(sub, pre=prefix.zigzag(), post=suffix.zigzag())
         remainder = prefix.compose(suffix)
-        rest = contract_loop(cells, classes, remainder)
+        rest = contract_loop(cells, classes, remainder, g)
         out = concat(first, rest)
         return ThreeCellExpression(f.zigzag(), out.atoms)
     u, core_steps, v = strip_whiskers(f.steps)
@@ -195,10 +199,17 @@ def contract_loop(cells, classes, f: Path) -> ThreeCellExpression:
         found = class_reordering(core_steps, classes)
     except OrbitCapHit as e:
         raise MissingLoopClass(str(e)) from e
-    if found is None:
+    split = None
+    if found is None and g is not None:
+        split = fundamental_factors(g, core_steps)
+    if found is None and split is None:
         raise MissingLoopClass(
             f"no extension cell for the loop class of "
             f"({Path(core_steps[0].source, core_steps)})")
+    if found is None:
+        out = conjugate(_contract_factors(cells, classes, *split),
+                        left_word=u, right_word=v)
+        return ThreeCellExpression(f.zigzag(), out.atoms)
     core = Loop(Path(found[0].source, found))
     cell_name = classes[loop_class_key(core)]
     rep_steps = canonical_rotation(core.steps)
@@ -211,3 +222,25 @@ def contract_loop(cells, classes, f: Path) -> ThreeCellExpression:
                 k.zigzag().whisker(u, v))
     return ThreeCellExpression(f.zigzag(), (atom,))
 
+
+def _contract_factors(cells, classes, pre: Path, factors
+                      ) -> ThreeCellExpression:
+    """Contract P^-1 . F1^e1 ... Fm^em . P one factor at a time, each
+    fundamental loop Fi by peeling alone (see fundamental_factors)."""
+    outer = pre.zigzag()
+    sides = [F.zigzag() if e > 0 else F.zigzag().inverse()
+             for F, e in factors]
+    source = outer.inverse()
+    for z in sides:
+        source = source.compose(z)
+    atoms = []
+    for i, (F, e) in enumerate(factors):
+        sub = contract_loop(cells, classes, F)
+        if e < 0:
+            # F^-1 . F contracts to F^-1; read backwards, F^-1 to identity
+            sub = invert(conjugate(sub, pre=sides[i]), cells)
+        post = outer
+        for z in reversed(sides[i + 1:]):
+            post = z.compose(post)
+        atoms += conjugate(sub, pre=outer.inverse(), post=post).atoms
+    return ThreeCellExpression(source.compose(outer), tuple(atoms))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import Word, word_str
 from .engine import (Path, ReductionGraph, RewriteStep, TruncatedRegion,
@@ -117,10 +118,6 @@ def word_sequence(steps) -> tuple[Word, ...]:
     return (steps[0].source,) + tuple(s.target for s in steps)
 
 
-def _target(s: RewriteStep) -> Word:
-    return s.target
-
-
 class OrbitCapHit(Exception):
     """The exchange orbit of a loop passed its cap before the search could
     tell whether the loop is minimal for composition."""
@@ -170,7 +167,8 @@ def _step_orbit(steps: tuple[RewriteStep, ...], cap: int | None = None):
     start = tuple(steps)
     try:
         yield from _orbit(start, word_sequence(start), exchange_swap,
-                          _target, ORBIT_CAP if cap is None else cap)
+                          attrgetter("target"),
+                          ORBIT_CAP if cap is None else cap)
     except OrbitCapHit as e:
         raise OrbitCapHit(f"the exchange orbit of "
                           f"({Path(start[0].source, start)}) {e}") from None
@@ -272,47 +270,58 @@ class _Component:
                 return True
         return False
 
-    def fundamental_loops(self):
-        """For each step s: u -> t off a breadth-first tree from member 0,
-        the loop tree(u); s; geodesic(t -> member 0).  Together they
-        generate every loop of the component up to conjugation."""
+    def _tree_paths(self):
+        """A breadth-first tree from member 0 and geodesics back to it:
+        down[v] is the tree path from member 0 to v, back[v] a shortest
+        path from v to member 0, and back[v] = (s,) + back[t] for its first
+        step s: v -> t.  Returns (down, back, tree steps)."""
         n = len(self.members)
-        parent = [-1] * n
-        order = [0]
-        for u in order:
+        down: list = [()] + [None] * (n - 1)
+        tree = set()
+        queue = [0]
+        for u in queue:
             for s in self.out[u]:
-                t = self.tgt[s]
-                if t and parent[t] < 0:
-                    parent[t] = s
-                    order.append(t)
+                if down[self.tgt[s]] is None:
+                    down[self.tgt[s]] = down[u] + (s,)
+                    tree.add(s)
+                    queue.append(self.tgt[s])
         into: list[list[int]] = [[] for _ in range(n)]
         for s, t in enumerate(self.tgt):
-            into[t].append(self.src[s])
-        dist = [-1] * n
-        dist[0] = 0
-        frontier = [0]
-        back = [()] * n
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for v in into[x]:
-                    if dist[v] < 0:
-                        dist[v] = dist[x] + 1
-                        nxt.append(v)
-            for v in nxt:
-                # the first step out of v that gets one step closer
-                s = next(s for s in self.out[v]
-                         if dist[self.tgt[s]] == dist[v] - 1)
-                back[v] = (s,) + back[self.tgt[s]]
-            frontier = nxt
-        down = [()] * n
-        for t in order[1:]:
-            s = parent[t]
-            down[t] = down[self.src[s]] + (s,)
-        for u in order:
-            for s in self.out[u]:
-                if s != parent[self.tgt[s]]:
-                    yield down[u] + (s,) + back[self.tgt[s]]
+            into[t].append(s)
+        back: list = [()] + [None] * (n - 1)
+        queue = [0]
+        for t in queue:
+            for s in into[t]:
+                if back[self.src[s]] is None:
+                    back[self.src[s]] = (s,) + back[t]
+                    queue.append(self.src[s])
+        return down, back, tree
+
+    def fundamental_loops(self):
+        """For each step s: u -> t off the tree, the loop down(u); s;
+        back(t).  Together they generate every loop of the component up to
+        conjugation."""
+        down, back, tree = self._tree_paths()
+        for s, (u, t) in enumerate(zip(self.src, self.tgt)):
+            if s not in tree:
+                yield down[u] + (s,) + back[t]
+
+    def factors(self, loop: tuple[int, ...]):
+        """The loop, based at w, equals down(w)^-1 . F1^e1 ... Fm^em .
+        down(w) up to cancellation, where each step s: u -> t off the tree
+        contributes the fundamental loop down(u); s; back(t) with e = 1,
+        then down(t); back(t) with e = -1.  The latter is the fundamental
+        loop of the first step off the tree along back(t), or empty.
+        Returns (down(w), [(F, e), ...]) on step ids."""
+        down, back, tree = self._tree_paths()
+        out = []
+        for s in loop:
+            t = self.tgt[s]
+            if s not in tree:
+                out.append((down[self.src[s]] + (s,) + back[t], 1))
+                if down[t] + back[t]:
+                    out.append((down[t] + back[t], -1))
+        return down[self.src[loop[0]]], out
 
     def _swap(self, a: int, b: int) -> tuple[int, int] | None:
         key = (a, b)
@@ -344,14 +353,38 @@ class _Component:
         return parts
 
 
+def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
+    """A loop of the explored graph written through the fundamental loops
+    that enumerate_elementary_loops covers (see ``_Component.factors``): a
+    path P from the root of the loop's component to its base, and loops
+    F1..Fm at that root with signs e1..em, such that the loop equals
+    P^-1 . F1^e1 ... Fm^em . P up to cancellation.  None when a step of
+    the loop was not explored."""
+    w = steps[0].source
+    if w not in g.scc_of:
+        return None
+    comp = _Component(g, sorted(g.scc_members[g.scc_of[w]],
+                                key=g.vertices.__getitem__))
+    if not all(s in comp._ids for s in steps):
+        return None
+    pre, factors = comp.factors(tuple(comp._ids[s] for s in steps))
+    root = comp.members[0]
+
+    def path(ids):
+        return Path(root, tuple(comp.steps[i] for i in ids))
+    return path(pre), [(path(f), e) for f, e in factors]
+
+
 def enumerate_elementary_loops(g: ReductionGraph) -> LoopEnumeration:
     """Equivalence classes (up to circular permutation) of elementary loops
     that cover every loop of the explored graph.
 
     In each strongly connected component that carries a cycle, every
     fundamental loop (see ``_Component.fundamental_loops``) is peeled as
-    ``contract_loop`` peels it, and each elementary core left over that
-    has no class yet gets one.  The fundamental loops number |E| - |V| + 1
+    ``contract_loop`` peels it, and each elementary core left over gets a
+    class unless some reordering of it through exchanges has one.  Given
+    the graph, contract_loop then contracts every loop of it (see
+    ``fundamental_factors``).  The fundamental loops number |E| - |V| + 1
     per component, so no cap is needed: the exploration budget bounds
     them.  A component that is a whiskered copy of an explored one is
     skipped.  An exchange orbit too large to decide is reported as an

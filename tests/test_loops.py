@@ -1,9 +1,10 @@
+import itertools
 import json
 import os
 import random
-from fractions import Fraction
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,8 +17,9 @@ from polyco.engine import (ExplorationBudget, Path, ZigzagPath, explore,
 from polyco.expressions import (LOOP, MissingLoopClass, ThreeCell,
                                 check_boundary, contract_loop)
 from polyco.loops import (Loop, OrbitCapHit, canonical_rotation,
-                          enumerate_elementary_loops, is_context_minimal,
-                          is_elementary, is_minimal_for_composition,
+                          enumerate_elementary_loops, fundamental_factors,
+                          is_context_minimal, is_elementary,
+                          is_minimal_for_composition,
                           loop_class_key, reorder_to_expose_subloop,
                           rotate_conjugators)
 
@@ -218,8 +220,8 @@ def _loop_cells(enum):
     return cells, names
 
 
-def _assert_contracts(cells, names, path):
-    src, tgt = check_boundary(contract_loop(cells, names, path), cells)
+def _assert_contracts(cells, names, path, g=None):
+    src, tgt = check_boundary(contract_loop(cells, names, path, g), cells)
     assert zigzags_equal(src, path.zigzag())
     assert tgt == ZigzagPath(path.source)
 
@@ -308,8 +310,8 @@ def _simple_cycles(g):
 
 
 @pytest.mark.parametrize("text,length,cycles",
-                         [(BRAID, 8, 591), (A3, 5, 250)],
-                         ids=["braid-8", "a3-5"])
+                         [(BRAID, 8, 591), (A3, 5, 250), (A3, 6, 2043)],
+                         ids=["braid-8", "a3-5", "a3-6"])
 def test_every_simple_cycle_contracts_onto_the_classes(text, length, cycles):
     p = parse_polygraph(text)
     g = explore(p, all_words(p, length), ExplorationBudget(length))
@@ -318,9 +320,24 @@ def test_every_simple_cycle_contracts_onto_the_classes(text, length, cycles):
     cells, names = _loop_cells(enum)
     count = 0
     for path in _simple_cycles(g):
-        _assert_contracts(cells, names, path)
+        _assert_contracts(cells, names, path, g)
         count += 1
     assert count == cycles
+
+
+def test_fundamental_factors_rebuild_the_loop():
+    p = parse_polygraph(A3)
+    g = explore(p, all_words(p, 6), ExplorationBudget(6))
+    cells, names = _loop_cells(enumerate_elementary_loops(g))
+    for path in itertools.islice(_simple_cycles(g), 0, None, 20):
+        pre, factors = fundamental_factors(g, path.steps)
+        z = pre.zigzag().inverse()
+        for loop, sign in factors:
+            # each factor peels onto the classes without the graph
+            _assert_contracts(cells, names, loop)
+            z = z.compose(loop.zigzag() if sign > 0
+                          else loop.zigzag().inverse())
+        assert zigzags_equal(z.compose(pre.zigzag()), path.zigzag())
 
 
 def test_import_does_not_load_networkx():
