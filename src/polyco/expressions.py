@@ -193,20 +193,18 @@ def contract_loop(cells, classes, f: Path, g: ReductionGraph | None = None
         out = concat(first, rest)
         return ThreeCellExpression(f.zigzag(), out.atoms)
     u, core_steps, v = strip_whiskers(f.steps)
-    # the class may be carried by a reordering of the core through
-    # exchanges, which equals the core up to exchange
+    # a reordering through exchanges equals the core as a 2-cell, so its
+    # class serves
     try:
         found = class_reordering(core_steps, classes)
     except OrbitCapHit as e:
         raise MissingLoopClass(str(e)) from e
-    split = None
-    if found is None and g is not None:
-        split = fundamental_factors(g, core_steps)
-    if found is None and split is None:
-        raise MissingLoopClass(
-            f"no extension cell for the loop class of "
-            f"({Path(core_steps[0].source, core_steps)})")
     if found is None:
+        split = None if g is None else fundamental_factors(g, core_steps)
+        if split is None:
+            raise MissingLoopClass(
+                f"no extension cell for the loop class of "
+                f"({Path(core_steps[0].source, core_steps)})")
         out = conjugate(_contract_factors(cells, classes, *split),
                         left_word=u, right_word=v)
         return ThreeCellExpression(f.zigzag(), out.atoms)
