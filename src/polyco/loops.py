@@ -306,23 +306,6 @@ class _Component:
             if s not in tree:
                 yield down[u] + (s,) + back[t]
 
-    def factors(self, loop: tuple[int, ...]):
-        """The loop, based at w, equals down(w)^-1 . F1^e1 ... Fm^em .
-        down(w) up to cancellation, where each step s: u -> t off the tree
-        contributes the fundamental loop down(u); s; back(t) with e = 1,
-        then down(t); back(t) with e = -1.  The latter is the fundamental
-        loop of the first step off the tree along back(t), or empty.
-        Returns (down(w), [(F, e), ...]) on step ids."""
-        down, back, tree = self._tree_paths()
-        out = []
-        for s in loop:
-            t = self.tgt[s]
-            if s not in tree:
-                out.append((down[self.src[s]] + (s,) + back[t], 1))
-                if down[t] + back[t]:
-                    out.append((down[t] + back[t], -1))
-        return down[self.src[loop[0]]], out
-
     def _swap(self, a: int, b: int) -> tuple[int, int] | None:
         key = (a, b)
         if key not in self._swaps:
@@ -355,11 +338,14 @@ class _Component:
 
 def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
     """A loop of the explored graph written through the fundamental loops
-    that enumerate_elementary_loops covers (see ``_Component.factors``): a
-    path P from the root of the loop's component to its base, and loops
-    F1..Fm at that root with signs e1..em, such that the loop equals
-    P^-1 . F1^e1 ... Fm^em . P up to cancellation.  None when a step of
-    the loop was not explored."""
+    that enumerate_elementary_loops covers.  With down and back the tree
+    paths of the loop's component (``_Component._tree_paths``) and w its
+    base, the loop equals down(w)^-1 . F1^e1 ... Fm^em . down(w) up to
+    cancellation: each step s: u -> t off the tree contributes the
+    fundamental loop down(u); s; back(t) with e = 1, then down(t); back(t)
+    with e = -1, which is the fundamental loop of the first step off the
+    tree along back(t), or empty.  Returns (down(w), [(F, e), ...]) as
+    paths; None when a step of the loop was not explored."""
     w = steps[0].source
     if w not in g.scc_of:
         return None
@@ -367,12 +353,19 @@ def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
                                 key=g.vertices.__getitem__))
     if not all(s in comp._ids for s in steps):
         return None
-    pre, factors = comp.factors(tuple(comp._ids[s] for s in steps))
-    root = comp.members[0]
+    down, back, tree = comp._tree_paths()
+    ids = [comp._ids[s] for s in steps]
+    factors = []
+    for s in ids:
+        t = comp.tgt[s]
+        if s not in tree:
+            factors.append((down[comp.src[s]] + (s,) + back[t], 1))
+            if down[t] + back[t]:
+                factors.append((down[t] + back[t], -1))
 
-    def path(ids):
-        return Path(root, tuple(comp.steps[i] for i in ids))
-    return path(pre), [(path(f), e) for f, e in factors]
+    def path(seq):
+        return Path(comp.members[0], tuple(comp.steps[i] for i in seq))
+    return path(down[comp.src[ids[0]]]), [(path(f), e) for f, e in factors]
 
 
 def enumerate_elementary_loops(g: ReductionGraph) -> LoopEnumeration:

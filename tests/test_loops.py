@@ -153,7 +153,7 @@ def _rank(rows):
     return rank
 
 
-def test_classes_form_a_cycle_space_basis():
+def test_cycle_search_matches_brute_force():
     # A digraph on one-letter words: every rewriting step is a whole-word
     # edge, so the loops carry no exchanges and no whiskers, and the
     # classes must be a basis of the cycle space: one per fundamental
