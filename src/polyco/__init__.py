@@ -25,9 +25,8 @@ from .labelling import (FinitePosetOrder, LabelMultiset, Labelling,
 from .decreasing import (DecreasingDiagram, MeasureError, SearchExhausted,
                          StrictDiagram, Violation, check_context_closability,
                          check_context_compatibility, check_decreasing,
-                         check_peiffer_decreasing, check_star0_compatibility,
-                         check_strict, contexts_up_to, find_decreasing,
-                         peiffer_variants)
+                         check_peiffer_decreasing, check_strict,
+                         contexts_up_to, find_decreasing, peiffer_variants)
 from .loops import (Loop, LoopClass, LoopEnumeration, NotALoop,
                     OrbitCapHit, canonical_rotation,
                     enumerate_elementary_loops, is_context_minimal,
@@ -70,9 +69,8 @@ __all__ = [
     # decreasing
     "DecreasingDiagram", "MeasureError", "SearchExhausted", "StrictDiagram",
     "Violation", "check_context_closability", "check_context_compatibility",
-    "check_decreasing", "check_peiffer_decreasing",
-    "check_star0_compatibility", "check_strict", "contexts_up_to",
-    "find_decreasing", "peiffer_variants",
+    "check_decreasing", "check_peiffer_decreasing", "check_strict",
+    "contexts_up_to", "find_decreasing", "peiffer_variants",
     # loops
     "Loop", "LoopClass", "LoopEnumeration", "NotALoop", "OrbitCapHit",
     "canonical_rotation", "enumerate_elementary_loops", "is_context_minimal",

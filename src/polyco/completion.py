@@ -312,7 +312,13 @@ def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
     either side is sent to a common quasi-normal form by a chosen path,
     each zigzag is straightened against those paths segment by segment
     through parallel sphere fillings, and the two straightened sides are
-    glued back to back."""
+    glued back to back.
+
+    Straightening is one pass over the steps of a side, last step first:
+    each step's patch is filled once and conjugated once by the prefix of
+    the side before it.  For a side of k steps that is k parallel fillings
+    of one step each, and Θ(k²) steps stored in the atoms' conjugators,
+    which the ``Atom`` representation needs."""
     if f.source != h.source or f.target != h.target:
         raise IllComposed("the two zigzags are not parallel")
     hat = _canonical_target(lab, g, f.source)
@@ -321,29 +327,28 @@ def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
         return g.geodesic(w, hat)
 
     def straighten(z: ZigzagPath) -> ThreeCellExpression:
-        # an expression from z * down(z.target) to down(z.source)
-        if not z.steps:
-            return identity_expression(down(z.source).zigzag())
-        s = z.steps[0]
-        rest = ZigzagPath(s.target, z.steps[1:])
-        sub = straighten(rest)
-        if s.forward:
-            tail = conjugate(sub, pre=zigzag(s.source, s))
-            patch = fill_parallel_sphere(
-                c, lab, g, Path(s.source, (s,)).compose(down(s.target)),
-                down(s.source), depth)
-            out = concat(tail, patch)
-        else:
-            fwd = s.inverse()
-            tail = conjugate(sub, pre=zigzag(s.source, s))
-            patch = invert(fill_parallel_sphere(
-                c, lab, g, Path(fwd.source, (fwd,)).compose(down(s.source)),
-                down(fwd.source), depth), c.cells)
-            patch = conjugate(patch, pre=zigzag(s.source, s))
-            # s- . (s . down(source)) reduces to down(source)
-            out = concat(tail, patch)
-        src = z.compose(down(z.target).zigzag())
-        return ThreeCellExpression(src, out.atoms)
+        # an expression from z * down(z.target) to down(z.source): the
+        # patch of step i turns s * down(s.target) into down(s.source)
+        # under the prefix of z before s
+        atoms: list[Atom] = []
+        for i in range(len(z) - 1, -1, -1):
+            s = z.steps[i]
+            if s.forward:
+                patch = fill_parallel_sphere(
+                    c, lab, g, Path(s.source, (s,)).compose(down(s.target)),
+                    down(s.source), depth)
+                pre = z.prefix(i)
+            else:
+                fwd = s.inverse()
+                patch = invert(fill_parallel_sphere(
+                    c, lab, g,
+                    Path(fwd.source, (fwd,)).compose(down(s.source)),
+                    down(fwd.source), depth), c.cells)
+                # s- . (s . down(source)) reduces to down(source)
+                pre = z.prefix(i + 1)
+            atoms += conjugate(patch, pre=pre).atoms
+        return ThreeCellExpression(z.compose(down(z.target).zigzag()),
+                                   tuple(atoms))
 
     pf = straighten(f)
     ph = straighten(h)

@@ -569,34 +569,3 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
              for idx, b in enumerate(branchings))
     return _context_audit(g.polygraph, items, ctx_bound, fails)
 
-
-def check_star0_compatibility(lab: Labelling, g: ReductionGraph,
-                              ctx_bound: int = 2, pairs=None,
-                              cap: int = 5000) -> ContextReport:
-    """Check that whiskering preserves strict label comparisons: whenever
-    the label of f sits below the label of g, the same holds in every
-    context up to the bound."""
-    if pairs is None:
-        steps = [s for u in g.vertices for s in g.out.get(u, ())]
-        pairs = []
-        for f in steps:
-            for h in steps:
-                try:
-                    if lab.order.less(label_step(lab, g, f),
-                                      label_step(lab, g, h)):
-                        pairs.append((f, h))
-                except (LabellingError, TruncatedRegion):
-                    continue
-                if len(pairs) >= cap:
-                    break
-            if len(pairs) >= cap:
-                break
-
-    def fails(pair, u1, u2):
-        f, h = pair
-        kf = label_step(lab, g, f.whisker(u1, u2))
-        kh = label_step(lab, g, h.whisker(u1, u2))
-        return None if lab.order.less(kf, kh) else {"labels": (kf, kh)}
-
-    items = (({"pair": (str(f), str(h))}, (f, h)) for f, h in pairs)
-    return _context_audit(g.polygraph, items, ctx_bound, fails)

@@ -121,7 +121,7 @@ class Path:
                     tuple(s.whisker(u, v) for s in self.steps))
 
     def zigzag(self) -> "ZigzagPath":
-        return ZigzagPath(self.source, self.steps)
+        return ZigzagPath._checked(self.source, self.steps)
 
     def __str__(self):
         if not self.steps:
@@ -144,6 +144,16 @@ class ZigzagPath:
                     f"step {s} does not start at {word_str(at)}")
             at = s.target
 
+    @classmethod
+    def _checked(cls, source: Word, steps: tuple[RewriteStep, ...]
+                 ) -> "ZigzagPath":
+        """A zigzag whose steps are known to compose from ``source``: built
+        from parts already checked, so the walk of __post_init__ is
+        skipped."""
+        z = object.__new__(cls)
+        z.__dict__.update(source=source, steps=steps)
+        return z
+
     @property
     def target(self) -> Word:
         return self.steps[-1].target if self.steps else self.source
@@ -151,18 +161,24 @@ class ZigzagPath:
     def __len__(self):
         return len(self.steps)
 
+    def prefix(self, n: int) -> "ZigzagPath":
+        """The first n steps."""
+        return ZigzagPath._checked(self.source, self.steps[:n])
+
     def compose(self, other: "ZigzagPath") -> "ZigzagPath":
         if other.source != self.target:
             raise IllComposed("zigzags do not compose")
-        return ZigzagPath(self.source, self.steps + other.steps)
+        return ZigzagPath._checked(self.source, self.steps + other.steps)
 
     def inverse(self) -> "ZigzagPath":
-        return ZigzagPath(self.target,
-                          tuple(s.inverse() for s in reversed(self.steps)))
+        return ZigzagPath._checked(
+            self.target, tuple(s.inverse() for s in reversed(self.steps)))
 
     def whisker(self, u: Word, v: Word) -> "ZigzagPath":
-        return ZigzagPath(u + self.source + v,
-                          tuple(s.whisker(u, v) for s in self.steps))
+        if not u and not v:
+            return self
+        return ZigzagPath._checked(
+            u + self.source + v, tuple(s.whisker(u, v) for s in self.steps))
 
     def forward_path(self) -> Path:
         return Path(self.source, self.steps)

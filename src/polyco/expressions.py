@@ -135,20 +135,46 @@ def check_boundary(e: ThreeCellExpression, cells
                    ) -> tuple[ZigzagPath, ZigzagPath]:
     """Evaluate the 2-source and 2-target of the expression, verifying that
     consecutive atoms and the declared source agree up to cancellation and
-    exchange.  Returns both boundaries in canonical form."""
+    exchange.  Returns both boundaries in canonical form.
+
+    Each atom's 2-source is compared with the running 2-cell only on the
+    window where their steps differ: a common prefix and a common suffix
+    cancel on both sides of an equation between 2-cells.  The cost is one
+    pass over each atom's boundary plus the normalization of the windows,
+    which stay short when consecutive atoms share their conjugators."""
     declared = normalize_zigzag(e.source)
     if not e.atoms:
         return declared, declared
     current = e.source
     for a in e.atoms:
         asrc, atgt = a.boundary(cells)
-        if not zigzags_equal(asrc, current):
+        if not _equal_between_common_ends(asrc, current):
             raise IllComposed(
                 f"atom {a} does not paste: expected 2-cell "
                 f"({normalize_zigzag(current)}), found "
                 f"({normalize_zigzag(asrc)})")
         current = atgt
     return declared, normalize_zigzag(current)
+
+
+def _equal_between_common_ends(a: ZigzagPath, b: ZigzagPath) -> bool:
+    """zigzags_equal(a, b), compared on the steps between their longest
+    common prefix and suffix."""
+    if a.source != b.source or a.target != b.target:
+        return False
+    x, y = a.steps, b.steps
+    if x == y:
+        return True
+    n = min(len(x), len(y))
+    i = 0
+    while i < n and x[i] == y[i]:
+        i += 1
+    j = 0
+    while j < n - i and x[-1 - j] == y[-1 - j]:
+        j += 1
+    at = x[i - 1].target if i else a.source
+    return zigzags_equal(ZigzagPath._checked(at, x[i:len(x) - j]),
+                         ZigzagPath._checked(at, y[i:len(y) - j]))
 
 
 # ---------------------------------------------------------------------------
@@ -161,38 +187,57 @@ def contract_loop(cells, classes, f: Path, g: ReductionGraph | None = None
     built from one extension cell per elementary loop class.
 
     ``cells`` maps cell names to ThreeCells; ``classes`` maps elementary
-    class keys to cell names.  The recursion peels off sub-loops exposed by
-    exchange reorderings until the remainder is elementary up to whiskers
-    and, up to exchange, a rotation of some class representative.  When
-    no class carries the remainder and ``g`` is the graph the classes were
+    class keys to cell names.  Sub-loops exposed by exchange reorderings
+    are peeled off until each remainder is elementary up to whiskers and,
+    up to exchange, a rotation of some class representative.  When no
+    class carries a remainder and ``g`` is the graph the classes were
     enumerated on, the remainder is written through the fundamental loops
-    of its component, each of which peels onto the classes.
+    of its component, each of which peels onto the classes.  The peeling
+    keeps a worklist of sub-loops, not one frame per sub-loop, so long
+    loops do not exhaust the recursion limit.
     """
     if f.source != f.target:
         raise ValueError("not a loop")
-    if not f.steps:
-        return identity_expression(f.zigzag())
-    try:
-        reordered = reorder_to_expose_subloop(f.steps)
-    except OrbitCapHit as e:
-        raise MissingLoopClass(str(e)) from e
-    span = None if reordered is None else inner_repeat_span(
-        word_sequence(reordered))
-    if span is not None:
-        i, j = span
-        whole = Path(reordered[0].source, reordered)
-        inner = Path(reordered[i].source, reordered[i:j])
-        prefix = Path(whole.source, reordered[:i])
-        suffix = Path(inner.source, reordered[j:])
-        sub = contract_loop(cells, classes, inner, g)
-        # f equals prefix * inner * suffix up to exchange; contract the
-        # inner loop in place, then recurse on what remains
-        first = conjugate(sub, pre=prefix.zigzag(), post=suffix.zigzag())
-        remainder = prefix.compose(suffix)
-        rest = contract_loop(cells, classes, remainder, g)
-        out = concat(first, rest)
-        return ThreeCellExpression(f.zigzag(), out.atoms)
-    u, core_steps, v = strip_whiskers(f.steps)
+    atoms: list[Atom] = []
+    # (loop, its word sequence, conjugating zigzags on either side),
+    # innermost sub-loop last
+    base = ZigzagPath(f.source)
+    work = [(f.steps, word_sequence(f.steps), base, base)] if f.steps else []
+    while work:
+        steps, words, pre, post = work.pop()
+        if not steps:
+            continue
+        # a loop that revisits a word is its own first reordering that
+        # exposes a sub-loop
+        span = inner_repeat_span(words)
+        if span is None:
+            try:
+                reordered = reorder_to_expose_subloop(steps)
+            except OrbitCapHit as e:
+                raise MissingLoopClass(str(e)) from e
+            if reordered is not None:
+                steps, words = reordered, word_sequence(reordered)
+                span = inner_repeat_span(words)
+        if span is not None:
+            # the loop equals prefix * inner * suffix up to exchange;
+            # contract the inner loop in place, then what remains
+            i, j = span
+            prefix = ZigzagPath._checked(words[0], steps[:i])
+            suffix = ZigzagPath._checked(words[j], steps[j:])
+            work.append((steps[:i] + steps[j:], words[:i + 1] + words[j + 1:],
+                         pre, post))
+            work.append((steps[i:j], words[i:j + 1], pre.compose(prefix),
+                         suffix.compose(post)))
+            continue
+        leaf = _contract_elementary(cells, classes, steps, g)
+        atoms += conjugate(leaf, pre=pre, post=post).atoms
+    return ThreeCellExpression(f.zigzag(), tuple(atoms))
+
+
+def _contract_elementary(cells, classes, steps, g) -> ThreeCellExpression:
+    """Contract a loop that no exchange-reordering peels further: through
+    the class of its core, else through the fundamental loops of g."""
+    u, core_steps, v = strip_whiskers(steps)
     # a reordering through exchanges equals the core as a 2-cell, so its
     # class serves
     try:
@@ -205,9 +250,8 @@ def contract_loop(cells, classes, f: Path, g: ReductionGraph | None = None
             raise MissingLoopClass(
                 f"no extension cell for the loop class of "
                 f"({Path(core_steps[0].source, core_steps)})")
-        out = conjugate(_contract_factors(cells, classes, *split),
-                        left_word=u, right_word=v)
-        return ThreeCellExpression(f.zigzag(), out.atoms)
+        return conjugate(_contract_factors(cells, classes, *split),
+                         left_word=u, right_word=v)
     core = Loop(Path(found[0].source, found))
     cell_name = classes[loop_class_key(core)]
     rep_steps = canonical_rotation(core.steps)
@@ -218,7 +262,8 @@ def contract_loop(cells, classes, f: Path, g: ReductionGraph | None = None
     h, k = hk
     atom = Atom(h.whisker(u, v), u, cell_name, +1, v,
                 k.zigzag().whisker(u, v))
-    return ThreeCellExpression(f.zigzag(), (atom,))
+    return ThreeCellExpression(ZigzagPath._checked(steps[0].source, steps),
+                               (atom,))
 
 
 def _contract_factors(cells, classes, pre: Path, factors

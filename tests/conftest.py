@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from polyco.core import all_words
@@ -11,6 +13,15 @@ from polyco.labelling import Labelling
 @pytest.fixture(scope="session")
 def braid_p():
     return braid()
+
+
+@pytest.fixture(scope="session")
+def braid_loop(braid_p):
+    """The loop (alpha;beta)^n at s t s, as a forward path, for a given n."""
+    from polyco.engine import Path, RewriteStep
+    turn = (RewriteStep((), braid_p.rule("alpha"), ()),
+            RewriteStep((), braid_p.rule("beta"), ()))
+    return lambda n: Path(("s", "t", "s"), turn * n)
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +94,12 @@ def states_g():
     budget = ExplorationBudget(max_word_len=2, max_states=1000,
                                max_depth=50)
     return explore(p, all_words(p, 1), budget=budget)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run the test under Python's default recursion limit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)

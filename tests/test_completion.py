@@ -1,13 +1,20 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyco.branchings import critical_branchings
+from polyco.cli import _derived_qnf_map
 from polyco.completion import (CERTIFIED, PARTIAL, build_completion,
                                fill_parallel_sphere, fill_zigzag_sphere,
                                format_extension, parse_extension,
                                parse_sphere, parse_zigzag)
-from polyco.engine import Path, enumerate_steps, parse_step, zigzag, \
-    zigzags_equal
-from polyco.expressions import check_boundary
+from polyco.core import all_words
+from polyco.decreasing import SearchExhausted
+from polyco.engine import (ExplorationBudget, IllComposed, Path,
+                           ZigzagPath, enumerate_steps, explore, parse_step,
+                           zigzag, zigzags_equal)
+from polyco.expressions import ThreeCellExpression, check_boundary
 from polyco.labelling import Labelling
 
 
@@ -98,6 +105,112 @@ def test_fill_zigzag_sphere(braid_p, braid_g, braid_lab, braid_completion):
     src, tgt = check_boundary(e, braid_completion.cells)
     assert zigzags_equal(src, z1)
     assert zigzags_equal(tgt, z2)
+
+
+def test_fill_long_loop_sphere(braid_loop, braid_g, braid_lab,
+                               braid_completion, default_recursion_limit):
+    loop = braid_loop(600).zigzag()
+    ident = ZigzagPath(loop.source)
+    e = fill_zigzag_sphere(braid_completion, braid_lab, braid_g, loop,
+                           ident)
+    src, tgt = check_boundary(e, braid_completion.cells)
+    assert zigzags_equal(src, loop) and zigzags_equal(tgt, ident)
+    # check_boundary compares atoms only where their boundaries differ;
+    # a missing or flipped atom in the middle is still found
+    mid = len(e) // 2
+    for atoms in (e.atoms[:mid] + e.atoms[mid + 1:],
+                  e.atoms[:mid] + (dataclasses.replace(
+                      e.atoms[mid], sign=-e.atoms[mid].sign),)
+                  + e.atoms[mid + 1:]):
+        with pytest.raises(IllComposed):
+            check_boundary(ThreeCellExpression(e.source, atoms),
+                           braid_completion.cells)
+
+
+@pytest.fixture(scope="module")
+def braid8(braid_p):
+    """The braid completion over all words up to length 8, labelled by
+    each word's least quasi-normal form, as the CLI derives it; and its
+    classes of at least two words, that of s t s first."""
+    g = explore(braid_p, all_words(braid_p, 8),
+                ExplorationBudget(8, 100000, 200))
+    lab = Labelling.qnf(_derived_qnf_map(g))
+    c = build_completion(braid_p, lab, g)
+    assert c.verdict == CERTIFIED
+    classes: dict = {}
+    for w in g.vertices:
+        classes.setdefault(lab.qnf_map[w], []).append(w)
+    classes = sorted((m for m in classes.values() if len(m) >= 2),
+                     key=lambda m: STS not in m)
+    return g, lab, c, classes
+
+
+STS = ("s", "t", "s")
+
+
+def _draw_geodesic(data, g, w, hat) -> ZigzagPath:
+    """A shortest path from w to hat, each step drawn among those that get
+    one step closer."""
+    steps = []
+    while w != hat:
+        d = g.distance(w, hat)
+        s = data.draw(st.sampled_from(
+            [s for s in g.out[w] if g.distance(s.target, hat) == d - 1]))
+        steps.append(s)
+        w = s.target
+    return Path(steps[0].source if steps else w, tuple(steps)).zigzag()
+
+
+def _draw_side(data, braid_loop, g, hat, members, u, v) -> ZigzagPath:
+    """A zigzag from u to v: down to hat, detours up to members of the
+    class and back, up to v, with a loop power (alpha;beta)^j spliced in
+    where it passes through s t s."""
+    z = _draw_geodesic(data, g, u, hat)
+    for x in data.draw(st.lists(st.sampled_from(members), max_size=2)):
+        z = z.compose(_draw_geodesic(data, g, x, hat).inverse())
+        z = z.compose(_draw_geodesic(data, g, x, hat))
+    z = z.compose(_draw_geodesic(data, g, v, hat).inverse())
+    at = [i for i, s in enumerate(z.steps) if s.source == STS]
+    if z.target == STS:
+        at.append(len(z))
+    if not at:
+        return z
+    i = data.draw(st.sampled_from(at))
+    loop = braid_loop(data.draw(st.integers(0, 40))).steps
+    return ZigzagPath(z.source, z.steps[:i] + loop + z.steps[i:])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_zigzag_spheres_fill(braid_loop, braid8, data):
+    """Spheres built from geodesics, detours through members of one class
+    and loop powers fill, and the filling's boundary is the sphere."""
+    g, lab, c, classes = braid8
+    members = data.draw(st.one_of(st.just(classes[0]),
+                                  st.sampled_from(classes)))
+    u, v = data.draw(st.sampled_from(members)), data.draw(
+        st.sampled_from(members))
+    hat = lab.qnf_map[u]
+    f = _draw_side(data, braid_loop, g, hat, members, u, v)
+    h = _draw_side(data, braid_loop, g, hat, members, u, v)
+    e = fill_zigzag_sphere(c, lab, g, f, h)
+    src, tgt = check_boundary(e, c.cells)
+    assert zigzags_equal(src, f) and zigzags_equal(tgt, h)
+
+
+@pytest.mark.xfail(raises=SearchExhausted, strict=True,
+                   reason="fill_parallel_sphere exhausts its depth when the "
+                          "two sides differ by a loop (ROADMAP item 3)")
+def test_fill_sphere_with_a_whiskered_loop(braid_p, braid8):
+    """Loop powers spliced in whiskered, not only at s t s, break filling:
+    this is the smallest such sphere, its sides differing by alpha;beta
+    whiskered by t s s."""
+    g, lab, c, _ = braid8
+    f, h = parse_sphere(braid_p, (
+        "sphere : t s s|alpha|1 ; t s|alpha|t ; 1|beta|s t t => "
+        "t s s|alpha|1 ; t s s|beta|1 ; t s s|alpha|1 ; t s|alpha|t ; "
+        "1|beta|s t t"))
+    fill_zigzag_sphere(c, lab, g, f, h)
 
 
 def test_zigzag_file_roundtrip(braid_p):

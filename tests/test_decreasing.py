@@ -6,9 +6,8 @@ from polyco.core import all_words
 from polyco.decreasing import (check_context_closability,
                                check_context_compatibility,
                                check_decreasing, check_peiffer_decreasing,
-                               check_star0_compatibility, check_strict,
-                               find_decreasing, StrictDiagram)
-from polyco.engine import ExplorationBudget, explore, parse_step
+                               check_strict, find_decreasing, StrictDiagram)
+from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid_qnf_map
 from polyco.labelling import Labelling, label_path
 
@@ -83,18 +82,6 @@ def test_braid_criticals_stay_closable_in_context(braid_p, braid_g,
     assert rep.checked > len(critical_branchings(braid_p))
 
 
-def test_braid_qnf_labels_are_not_stable_under_whiskering(braid_g,
-                                                          braid_lab):
-    """A strict label comparison between two steps can flip once both are
-    whiskered: distance to the chosen quasi-normal form is not monotone in
-    the context.  This is why certification re-closes each whiskered
-    branching instead of replaying one fixed completion."""
-    rep = check_star0_compatibility(braid_lab, braid_g, ctx_bound=1,
-                                    cap=300)
-    assert not rep.ok
-    assert rep.violations
-
-
 def test_strictness_does_not_survive_whiskering(braid_p, braid_g,
                                                 braid_lab):
     """A strict closure of the tstst overlap, whiskered by s on the left,
@@ -143,15 +130,3 @@ def test_context_compatibility_reports_truncation_as_unverified(braid_p,
     assert first["diagram"] == 0 and first["context"] == (("s", "s"), ())
     assert "s s t s t t s" in first["error"]
 
-
-def test_star0_reports_unlabelled_contexts_as_unverified(braid_p, braid6):
-    g, lab = braid6
-    pair = (parse_step(braid_p, "s s s|alpha|1"),
-            parse_step(braid_p, "s s s|beta|1"))
-    rep = check_star0_compatibility(lab, g, ctx_bound=1, pairs=[pair])
-    assert not rep.ok and not rep.violations
-    assert rep.checked == 5 and len(rep.unverified) == 4
-    for entry in rep.unverified:
-        assert set(entry) == {"pair", "context", "error"}
-        assert entry["pair"] == ("s s s|alpha|1", "s s s|beta|1")
-        assert sum(len(u) for u in entry["context"]) == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from polyco.engine import (IllComposed, Path, ZigzagPath, parse_step,
@@ -96,3 +98,38 @@ def test_contract_loop_needs_a_class(braid_p, braid_g):
     loop = Path(a.source, (a, b))
     with pytest.raises(MissingLoopClass):
         contract_loop({}, {}, loop)
+
+
+def test_contract_long_loop(braid_loop, braid_completion,
+                            default_recursion_limit):
+    loop = braid_loop(1000)
+    e = braid_completion.contract(loop)
+    assert len(e) == 1000
+    src, tgt = check_boundary(e, braid_completion.cells)
+    assert zigzags_equal(src, loop.zigzag())
+    assert not tgt.steps and tgt.source == loop.source
+
+
+def _broken(e, i, **change):
+    """e with atom i removed, or changed by the given fields."""
+    atoms = list(e.atoms)
+    if change:
+        atoms[i] = dataclasses.replace(atoms[i], **change)
+    else:
+        del atoms[i]
+    return ThreeCellExpression(e.source, tuple(atoms))
+
+
+@pytest.mark.parametrize("n", [30, 600])
+def test_check_boundary_rejects_a_broken_long_loop_expression(
+        braid_loop, braid_completion, n):
+    """Comparing atoms only where their boundaries differ still finds a
+    missing atom or a flipped one in the middle of a long expression."""
+    cells = braid_completion.cells
+    e = braid_completion.contract(braid_loop(n))
+    check_boundary(e, cells)
+    mid = len(e) // 2
+    with pytest.raises(IllComposed):
+        check_boundary(_broken(e, mid), cells)
+    with pytest.raises(IllComposed):
+        check_boundary(_broken(e, mid, sign=-e.atoms[mid].sign), cells)

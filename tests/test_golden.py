@@ -1,4 +1,4 @@
-"""Golden outputs of `check-decreasing` and `complete`.
+"""Golden outputs of `check-decreasing`, `complete` and `fill-sphere`.
 
 Each case runs the CLI in-process on a built-in presentation and compares
 the exit code and stdout, byte for byte, with a gzipped file under
@@ -42,11 +42,32 @@ CASES = {
     "complete_no_fdt_5":
         ("complete", "no_fdt", "--max-word-len", "5"),
 }
+# the sphere file each `fill-sphere` case reads: the spheres of
+# test_fill_parallel_sphere and test_fill_zigzag_sphere, one drawn by
+# test_10c_sphere_filling_boundary_soundness, and the 60-step loop
+# (alpha;beta)^30 at s t s, whose forward side is contracted and whose
+# inverse is straightened
+SPHERES = {
+    "fill_sphere_braid_parallel":
+        "1|alpha|t => s|beta|1 ; s|alpha|1 ; 1|alpha|t",
+    "fill_sphere_braid_zigzag":
+        "1|alpha|t => s|beta|1 ; s|beta|1- ; 1|alpha|t",
+    "fill_sphere_braid_detours":
+        "t t s t|alpha|1 ; t|beta|t s t ; t|beta|t s t- ; t|beta|t s t => "
+        "t t s|beta|s ; t t s|alpha|s ; t t s|alpha|s- ; t t s|alpha|s ; "
+        "t|beta|s t s ; t s t s|alpha|1",
+    "fill_sphere_braid_loop_60":
+        " ; ".join(["1|alpha|1 ; 1|beta|1"] * 30) + " => id s t s",
+    "fill_sphere_braid_loop_60_inverse":
+        "id s t s => " + " ; ".join(["1|beta|1- ; 1|alpha|1-"] * 30),
+}
+CASES.update((case, ("fill-sphere", "braid")) for case in SPHERES)
 # text output of `complete` repeats what its json holds; that of
-# `check-decreasing` prints the first context violation, which json omits
+# `check-decreasing` prints the first context violation, which json omits,
+# and that of `fill-sphere` is the one a reader of a filling sees
 RUNS = ([(case, "json") for case in CASES]
         + [(case, "text") for case in CASES
-           if case.startswith("check_decreasing")])
+           if not case.startswith("complete")])
 
 
 def _run(workdir: Path, case: str, fmt: str) -> bytes:
@@ -54,6 +75,10 @@ def _run(workdir: Path, case: str, fmt: str) -> bytes:
     path = workdir / f"{poly}.poly"
     if not path.exists():
         path.write_text(serialize_polygraph(fixtures.BUILTIN[poly]()))
+    if case in SPHERES:
+        sphere = workdir / f"{case}.sphere"
+        sphere.write_text(f"sphere : {SPHERES[case]}\n")
+        options = [str(sphere), *options]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main([command, str(path), *options, "--format", fmt])
