@@ -9,6 +9,7 @@ names; the empty tuple is the empty word and is written ``1`` in files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 Word = tuple[str, ...]
 
@@ -90,6 +91,15 @@ class Polygraph:
                 if letter not in seen:
                     raise PresentationError(
                         f"rule {r.name}: unknown generator {letter!r}")
+
+    @cached_property
+    def rules_by_first(self) -> dict[str, tuple[Rule, ...]]:
+        """The rules by the first letter of their left-hand side, each group
+        in declaration order; built once per presentation."""
+        groups: dict[str, list[Rule]] = {}
+        for r in self.rules:
+            groups.setdefault(r.lhs[0], []).append(r)
+        return {x: tuple(rs) for x, rs in groups.items()}
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 from .core import Polygraph, Word, all_words, word_str
 from .branchings import (ASPHERICAL, PEIFFER, LocalBranching, Branching,
-                         classify_branching, local_branchings)
+                         classify_branching)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
-                     TruncatedRegion, Unreachable)
+                     TruncatedRegion, Unreachable, enumerate_steps)
 from .labelling import (Labelling, LabellingError, MissingLabel, NF, QNF,
                         label_path, label_step)
 
@@ -168,8 +168,9 @@ def check_decreasing(lab: Labelling, g: ReductionGraph, d
 
 def _branching_of(b) -> Branching:
     if isinstance(b, LocalBranching):
-        return Branching(Path(b.source, (b.first,)),
-                         Path(b.source, (b.second,)))
+        u = b.source
+        return Branching(Path._checked(u, (b.first,)),
+                         Path._checked(u, (b.second,)))
     return b
 
 
@@ -184,7 +185,7 @@ def _greedy_normalize(g: ReductionGraph, u: Word, max_steps: int = 10000
                 f"{word_str(at)} is incomplete in the explored graph")
         out = g.steps_from(at)
         if not out:
-            return Path(u, tuple(steps))
+            return Path._checked(u, tuple(steps))
         steps.append(out[0])
         at = out[0].target
     raise SearchExhausted("normalization did not terminate "
@@ -229,7 +230,7 @@ def _paths_from(g: ReductionGraph, u: Word, depth: int, cap: int
             if path.target not in g.vertices:
                 continue
             for s in g.steps_from(path.target):
-                q = Path(u, path.steps + (s,))
+                q = Path._checked(u, path.steps + (s,))
                 nxt.append(q)
                 out.append(q)
                 if len(out) >= cap:
@@ -258,44 +259,73 @@ def _first_split(labels, top, other, order):
     return None
 
 
-def _try_splits(lab, g, b: LocalBranching, p1: Path, p2: Path):
+def _meets(b: LocalBranching, p1: Path, p2: Path) -> bool:
+    """Whether p1 continues the first step, p2 the second, and both end on
+    one word."""
+    return (p1.source == b.first.target and p2.source == b.second.target
+            and p1.target == p2.target)
+
+
+def _labels(lab, g, b: LocalBranching, p1: Path, p2: Path) -> tuple:
+    """psi(f), psi(h) and the labels of p1 and p2, labelled in this order,
+    the order in which check_strict labels them."""
+    return (label_step(lab, g, b.first), label_step(lab, g, b.second),
+            label_path(lab, g, p1), label_path(lab, g, p2))
+
+
+def _split_diagram(order, b: LocalBranching, p1: Path, p2: Path, labels):
     """Read the completion pair as the parts of a decreasing diagram:
-    p1 as f' . g'' . h1 and p2 as g' . f'' . h2.  The conditions on each
-    side depend only on that side's split, so the first split of each that
-    passes gives the first diagram that passes check_decreasing, which
-    tries the splits of p1 in the outer loop; None when there is none."""
-    f, h = b.first, b.second
-    if (p1.source != f.target or p2.source != h.target
-            or p1.target != p2.target):
-        return None
-    psi_f = label_step(lab, g, f)
-    psi_g = label_step(lab, g, h)
-    l1 = label_path(lab, g, p1)
-    l2 = label_path(lab, g, p2)
-    splits = (_first_split(l1, psi_f, psi_g, lab.order),
-              _first_split(l2, psi_g, psi_f, lab.order))
+    p1 as f' . g'' . h1 and p2 as g' . f'' . h2, from the labels of
+    ``_labels``.  The conditions on each side depend only on that side's
+    split, so the first split of each that passes gives the first diagram
+    that passes check_decreasing, which tries the splits of p1 in the outer
+    loop; None when there is none."""
+    psi_f, psi_g, l1, l2 = labels
+    splits = (_first_split(l1, psi_f, psi_g, order),
+              _first_split(l2, psi_g, psi_f, order))
     if None in splits:
         return None
     (i1, j1), (i2, j2) = splits
     s1, s2 = p1.steps, p2.steps
-    f_prime = Path(p1.source, s1[:i1])
-    g_dprime = Path(f_prime.target, s1[i1:i1 + j1])
-    g_prime = Path(p2.source, s2[:i2])
-    f_dprime = Path(g_prime.target, s2[i2:i2 + j2])
+    f_prime = Path._checked(p1.source, s1[:i1])
+    g_dprime = Path._checked(f_prime.target, s1[i1:i1 + j1])
+    g_prime = Path._checked(p2.source, s2[:i2])
+    f_dprime = Path._checked(g_prime.target, s2[i2:i2 + j2])
     return DecreasingDiagram(b, f_prime, g_dprime,
-                             Path(g_dprime.target, s1[i1 + j1:]),
+                             Path._checked(g_dprime.target, s1[i1 + j1:]),
                              g_prime, f_dprime,
-                             Path(f_dprime.target, s2[i2 + j2:]))
+                             Path._checked(f_dprime.target, s2[i2 + j2:]))
+
+
+def _try_splits(lab, g, b: LocalBranching, p1: Path, p2: Path):
+    """The completion pair read as a decreasing diagram (_split_diagram);
+    None when the paths do not close the branching or no reading holds."""
+    if not _meets(b, p1, p2):
+        return None
+    return _split_diagram(lab.order, b, p1, p2, _labels(lab, g, b, p1, p2))
+
+
+def _read(order, b: LocalBranching, c1: Path, c2: Path, labels):
+    """The completion pair read as a strict diagram when every label of c1
+    is below psi(f) and every label of c2 below psi(h), as check_strict
+    reads it, else as a decreasing one from the same labels; None when
+    neither reading holds."""
+    psi_f, psi_h, l1, l2 = labels
+    less = order.less
+    if (all(less(k, psi_f) for k in l1)
+            and all(less(k, psi_h) for k in l2)):
+        return StrictDiagram(_branching_of(b), c1, c2)
+    return _split_diagram(order, b, c1, c2, labels)
 
 
 def _close(lab, g, b: LocalBranching, c1: Path, c2: Path):
-    """The completion pair read as a strict diagram when check_strict passes,
-    else as a decreasing one (_try_splits); None when neither reading
-    holds.  Raises what labelling the steps raises."""
-    sd = StrictDiagram(_branching_of(b), c1, c2)
-    if check_strict(lab, g, sd)[0]:
-        return sd
-    return _try_splits(lab, g, b, c1, c2)
+    """The completion pair read as a strict diagram, else as a decreasing
+    one (_read), labelling each step once; None when the paths do not close
+    the branching or neither reading holds.  Raises what labelling the
+    steps raises."""
+    if not _meets(b, c1, c2):
+        return None
+    return _read(lab.order, b, c1, c2, _labels(lab, g, b, c1, c2))
 
 
 def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
@@ -364,22 +394,22 @@ def peiffer_variants(p: Polygraph, b: LocalBranching):
     f, h = b.first, b.second
     if classify_branching(f, h) != PEIFFER:
         raise ValueError("not a Peiffer branching")
-    if f.position > h.position:
+    swap = f.position > h.position
+    if swap:
         f, h = h, f
-    delta_f = len(f.rule.rhs) - len(f.rule.lhs)
+    pf, end_f = f.position, f.position + len(f.rule.lhs)
     # the Peiffer confluence: apply the other rule on each side
     u = b.source
-    h_shift = RewriteStep(h.left[:f.position] + f.rule.rhs
-                          + h.left[f.position + len(f.rule.lhs):],
+    h_shift = RewriteStep(h.left[:pf] + f.rule.rhs + h.left[end_f:],
                           h.rule, h.right, True)
     f_keep = RewriteStep(f.left, f.rule,
-                         f.right[:h.position - f.position - len(f.rule.lhs)]
-                         + h.rule.rhs + h.right, True)
-    swap = (b.first.position > b.second.position)
+                         f.right[:h.position - end_f] + h.rule.rhs + h.right,
+                         True)
+    tf, th = f.target, h.target
 
     def orient(cf_steps, ch_steps, witnesses):
-        cf = Path(f.target, tuple(cf_steps))
-        ch = Path(h.target, tuple(ch_steps))
+        cf = Path._checked(tf, tuple(cf_steps))
+        ch = Path._checked(th, tuple(ch_steps))
         return (ch, cf, witnesses) if swap else (cf, ch, witnesses)
 
     yield ("peiffer",) + orient([h_shift], [f_keep], [])
@@ -392,20 +422,19 @@ def peiffer_variants(p: Polygraph, b: LocalBranching):
               if rh is not None else None)
     if f_back is not None and h_back is not None:
         # undo each side, meeting back at the source
-        w1 = Path(u, (f, f_back))
-        w2 = Path(u, (h, h_back))
+        w1 = Path._checked(u, (f, f_back))
+        w2 = Path._checked(u, (h, h_back))
         yield ("reverse_both",) + orient([f_back], [h_back], [w1, w2])
     if f_back is not None:
         # go around through the Peiffer target, then undo the first rule
         around = [h_shift, RewriteStep(f.left, rf, f_keep.right, True)]
-        loop = Path(h.target, (f_keep,
-                               RewriteStep(f.left, rf, f_keep.right, True)))
+        loop = Path._checked(th, (
+            f_keep, RewriteStep(f.left, rf, f_keep.right, True)))
         yield ("around_left",) + orient(around, [], [loop])
     if h_back is not None:
         around = [f_keep, RewriteStep(h_shift.left, rh, h_shift.right, True)]
-        loop = Path(f.target, (h_shift,
-                               RewriteStep(h_shift.left, rh,
-                                           h_shift.right, True)))
+        loop = Path._checked(tf, (
+            h_shift, RewriteStep(h_shift.left, rh, h_shift.right, True)))
         yield ("around_right",) + orient([], around, [loop])
 
 
@@ -420,42 +449,55 @@ class PeifferReport:
     attempts: list = field(default_factory=list)
 
 
+def _peiffer_branchings(p: Polygraph, g: ReductionGraph, len_bound: int
+                        ) -> list[LocalBranching]:
+    """The Peiffer branchings on words up to the length bound, in the order
+    of ``local_branchings`` over ``all_words``.  The steps out of a word
+    that g, explored from p, explored completely are read from g, which
+    keeps them in the order of ``enumerate_steps``; the steps out of other
+    words are enumerated."""
+    out = []
+    for u in all_words(p, len_bound):
+        steps = g.out[u] if u in g.complete else enumerate_steps(p, u)
+        for i, f in enumerate(steps):
+            for h in steps[i + 1:]:
+                if classify_branching(f, h) == PEIFFER:
+                    out.append(LocalBranching(f, h))
+    return out
+
+
 def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
                              p: Polygraph, len_bound: int = 6,
                              branchings=None) -> list[PeifferReport]:
     """Audit every Peiffer branching on words up to the length bound: PASS
     when the Peiffer confluence or one of its reverse-rule rotations is
     decreasing (the rotations are equivalent to the square through loop
-    contractions), UNDECIDED otherwise."""
+    contractions), UNDECIDED otherwise.  The steps of each variant are
+    labelled once; a variant that fails keeps those labels in its
+    ``attempts`` record."""
     if branchings is None:
-        branchings = []
-        for u in all_words(p, len_bound):
-            for b in local_branchings(p, u, include_aspherical=False):
-                if b.kind == PEIFFER:
-                    branchings.append(b)
+        branchings = _peiffer_branchings(p, g, len_bound)
     reports = []
     for b in branchings:
         report = PeifferReport(b, "UNDECIDED")
         for name, cf, ch, witnesses in peiffer_variants(p, b):
             try:
-                d = _close(lab, g, b, cf, ch)
+                labels = _labels(lab, g, b, cf, ch)
             except (LabellingError, TruncatedRegion) as e:
                 report.attempts.append(
                     {"variant": name, "ok": False, "error": str(e)})
                 continue
+            d = _read(lab.order, b, cf, ch, labels)
             if d is not None:
                 report = PeifferReport(b, "PASS", name,
                                        isinstance(d, StrictDiagram), d,
                                        witnesses, report.attempts)
                 break
-            labels = {
-                "sides": [label_step(lab, g, b.first),
-                          label_step(lab, g, b.second)],
-                "completions": [list(label_path(lab, g, cf)),
-                                list(label_path(lab, g, ch))],
-            }
-            report.attempts.append(
-                {"variant": name, "ok": False, "labels": labels})
+            psi_f, psi_h, l1, l2 = labels
+            report.attempts.append({
+                "variant": name, "ok": False,
+                "labels": {"sides": [psi_f, psi_h],
+                           "completions": [list(l1), list(l2)]}})
         reports.append(report)
     return reports
 

@@ -104,6 +104,19 @@ class Path:
                     f"step {s} does not start at {word_str(at)}")
             at = s.target
 
+    @classmethod
+    def _checked(cls, source: Word, steps: tuple[RewriteStep, ...] = ()
+                 ) -> "Path":
+        """A path whose forward steps are known to compose from ``source``:
+        cut, composed or whiskered from parts already checked, or read from
+        the explored graph, so the walk of __post_init__ is skipped."""
+        p = object.__new__(cls)
+        # set as the generated __init__ sets them: writing to p.__dict__
+        # would give each path its own dict, about twice the memory
+        object.__setattr__(p, "source", source)
+        object.__setattr__(p, "steps", steps)
+        return p
+
     @property
     def target(self) -> Word:
         return self.steps[-1].target if self.steps else self.source
@@ -114,11 +127,11 @@ class Path:
     def compose(self, other: "Path") -> "Path":
         if other.source != self.target:
             raise IllComposed("paths do not compose")
-        return Path(self.source, self.steps + other.steps)
+        return Path._checked(self.source, self.steps + other.steps)
 
     def whisker(self, u: Word, v: Word) -> "Path":
-        return Path(u + self.source + v,
-                    tuple(s.whisker(u, v) for s in self.steps))
+        return Path._checked(u + self.source + v,
+                             tuple(s.whisker(u, v) for s in self.steps))
 
     def zigzag(self) -> "ZigzagPath":
         return ZigzagPath._checked(self.source, self.steps)
@@ -286,13 +299,17 @@ def zigzags_equal(a: ZigzagPath, b: ZigzagPath) -> bool:
 
 
 def enumerate_steps(p: Polygraph, u: Word) -> list[RewriteStep]:
-    """All forward steps out of u, ordered by position then rule order."""
+    """All forward steps out of u, ordered by position then rule order.
+    At each position only the rules whose left-hand side starts with the
+    letter there are tried."""
     out = []
-    for pos in range(len(u) + 1):
-        for rule in p.rules:
-            k = len(rule.lhs)
-            if u[pos:pos + k] == rule.lhs and pos + k <= len(u):
-                out.append(RewriteStep(u[:pos], rule, u[pos + k:]))
+    by_first = p.rules_by_first
+    for pos, x in enumerate(u):
+        for rule in by_first.get(x, ()):
+            lhs = rule.lhs
+            end = pos + len(lhs)
+            if u[pos:end] == lhs:
+                out.append(RewriteStep(u[:pos], rule, u[end:]))
     return out
 
 
@@ -313,8 +330,9 @@ class ReductionGraph:
     ``distance`` and ``geodesic`` read one backward breadth-first search
     from their target, cached per target over a predecessor index built on
     the first such query.  ``reachable`` searches forward from its source
-    and caches nothing; callers that repeat it (``ReachabilityOrder``) keep
-    their own cache.
+    and caches nothing; ``ReachabilityOrder`` does not call it but keeps a
+    forward search per upper word that it resumes only as far as each
+    query needs.
     """
 
     def __init__(self, polygraph: Polygraph, budget: ExplorationBudget):
@@ -551,7 +569,7 @@ class ReductionGraph:
             s = next(s for s in self.out[at] if dist.get(s.target) == d)
             steps.append(s)
             at = s.target
-        return Path(u, tuple(steps))
+        return Path._checked(u, tuple(steps))
 
     def quasi_normal_forms(self, u: Word) -> set[Word]:
         """Reachable words in sink strongly connected components."""

@@ -14,11 +14,11 @@ set.  Four kinds are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
 from .core import ParseError, Polygraph, Word, parse_word, word_str
-from .engine import (ReductionGraph, RewriteStep, TruncatedRegion,
-                     Unreachable, parse_step)
+from .engine import ReductionGraph, RewriteStep, Unreachable, parse_step
 
 
 class LabellingError(ValueError):
@@ -75,23 +75,31 @@ class FinitePosetOrder(LabelOrder):
 class ReachabilityOrder(LabelOrder):
     """Words ordered by the rewriting relation of an explored graph:
     a is below b when b rewrites to a in at least one step.  The words
-    below b come from one forward search from b, kept per b."""
+    below b come from one breadth-first search from b, kept per b with its
+    queue and resumed only until a turns up or the search is done.  A word
+    that was not explored is above nothing."""
 
     def __init__(self, graph: ReductionGraph):
         self.graph = graph
-        self._below: dict[Word, dict[Word, int]] = {}
+        self._searches: dict[Word, tuple[set[Word], deque[Word]]] = {}
 
     def less(self, a, b) -> bool:
         if a == b:
             return False
-        below = self._below.get(b)
-        if below is None:
-            try:
-                below = self.graph.reachable(b)
-            except TruncatedRegion:
+        search = self._searches.get(b)
+        if search is None:
+            if b not in self.graph.vertices:
                 return False
-            self._below[b] = below
-        return a in below
+            search = self._searches[b] = {b}, deque([b])
+        seen, queue = search
+        out = self.graph.out
+        while a not in seen and queue:
+            for s in out.get(queue.popleft(), ()):
+                t = s.target
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+        return a in seen
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +124,11 @@ class Labelling:
     qnf_map: dict[Word, Word] | None = None
     table: dict[StepKey, object] | None = None
     singleton_label: object = 0
+    # the qnf labels returned so far, by forward target, and their graph
+    _memo: dict[Word, int] = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
+    _memo_graph: ReductionGraph | None = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     @classmethod
     def qnf(cls, qnf_map: dict[Word, Word]) -> "Labelling":
@@ -141,7 +154,12 @@ class Labelling:
 
 def label_step(lab: Labelling, g: ReductionGraph, f: RewriteStep):
     """The label of a forward step.  Inverse steps carry the label of their
-    forward counterpart."""
+    forward counterpart.
+
+    A qnf label depends only on the forward target, so it is memoised per
+    word for the graph it was read in; a call with another graph starts a
+    new memo.  Only labels are kept: a missing or wrong choice raises on
+    every call."""
     if lab.kind == SINGLETON:
         return lab.singleton_label
     if lab.kind == TABLE:
@@ -154,20 +172,28 @@ def label_step(lab: Labelling, g: ReductionGraph, f: RewriteStep):
     if lab.kind == NF:
         return t
     if lab.kind == QNF:
-        if lab.qnf_map is None or t not in lab.qnf_map:
-            raise MissingLabel(
-                f"no quasi-normal form chosen for {word_str(t)}")
-        qn = lab.qnf_map[t]
-        if qn not in g.vertices or g.scc_of.get(qn) not in g.scc_sinks:
-            raise NotQuasiNormalForm(
-                f"{word_str(qn)} is not a quasi-normal form "
-                f"in the explored graph")
-        try:
-            return g.distance(t, qn)
-        except Unreachable:
-            raise NotQuasiNormalForm(
-                f"{word_str(qn)} is not reachable from {word_str(t)}")
+        if lab._memo_graph is not g:
+            lab._memo_graph, lab._memo = g, {}
+        k = lab._memo.get(t)
+        if k is None:
+            k = lab._memo[t] = _qnf_distance(lab, g, t)
+        return k
     raise LabellingError(f"unknown labelling kind {lab.kind!r}")
+
+
+def _qnf_distance(lab: Labelling, g: ReductionGraph, t: Word) -> int:
+    if lab.qnf_map is None or t not in lab.qnf_map:
+        raise MissingLabel(f"no quasi-normal form chosen for {word_str(t)}")
+    qn = lab.qnf_map[t]
+    if qn not in g.vertices or g.scc_of.get(qn) not in g.scc_sinks:
+        raise NotQuasiNormalForm(
+            f"{word_str(qn)} is not a quasi-normal form "
+            f"in the explored graph")
+    try:
+        return g.distance(t, qn)
+    except Unreachable:
+        raise NotQuasiNormalForm(
+            f"{word_str(qn)} is not reachable from {word_str(t)}")
 
 
 def label_path(lab: Labelling, g: ReductionGraph, f) -> tuple:

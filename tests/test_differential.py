@@ -10,13 +10,16 @@ from polyco.branchings import PEIFFER, critical_branchings, local_branchings
 from polyco.cli import _derived_qnf_map
 from polyco.core import Polygraph, Rule, all_words
 from polyco.decreasing import (DecreasingDiagram, _paths_from, _try_splits,
-                               check_decreasing)
+                               check_decreasing, check_peiffer_decreasing)
 from polyco.completion import _overlap_closure, _peiffer_closure
-from polyco.engine import (ExplorationBudget, Path, TruncatedRegion,
-                           Unreachable, explore)
-from polyco.fixtures import braid
+from polyco.engine import (ExplorationBudget, Path, RewriteStep,
+                           TruncatedRegion, Unreachable, enumerate_steps,
+                           explore)
+from polyco.fixtures import (abstract_states, braid, convergent_braid, no_fdt,
+                             two_letters)
 from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
-                              LabellingError, QNF, step_key)
+                              LabellingError, QNF, ReachabilityOrder,
+                              step_key)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +227,113 @@ def test_derived_qnf_map_per_component_matches_per_word(name, request):
     want = _reference_qnf_map(g)
     got = _derived_qnf_map(g)
     assert list(got.items()) == list(want.items())
+
+
+# ---------------------------------------------------------------------------
+# steps through the first-letter index of the rules against a plain scan
+
+
+def _a3():
+    rules = [("r1", "aba", "bab"), ("r2", "bab", "aba"), ("r3", "bcb", "cbc"),
+             ("r4", "cbc", "bcb"), ("r5", "ac", "ca"), ("r6", "ca", "ac")]
+    return Polygraph("A3", ("a", "b", "c"),
+                     tuple(Rule(n, tuple(l), tuple(r)) for n, l, r in rules))
+
+
+def _scanned_steps(p, u):
+    """Every rule tried at every position, by position then declaration."""
+    return [RewriteStep(u[:pos], rule, u[pos + len(rule.lhs):])
+            for pos in range(len(u) + 1) for rule in p.rules
+            if u[pos:pos + len(rule.lhs)] == rule.lhs]
+
+
+@pytest.mark.parametrize("make", [braid, two_letters, convergent_braid, no_fdt,
+                                  abstract_states, _a3])
+def test_enumerate_steps_matches_scan_of_every_rule(make):
+    p = make()
+    rng = random.Random(p.name)
+    words = all_words(p, 3) + [
+        tuple(rng.choice(p.generators) for _ in range(rng.randrange(4, 11)))
+        for _ in range(300)]
+    found = 0
+    for u in words:
+        want = _scanned_steps(p, u)
+        assert enumerate_steps(p, u) == want, u
+        found += len(want)
+    assert found
+
+
+# ---------------------------------------------------------------------------
+# the Peiffer audit read from the graph against the enumerated branchings
+
+
+def _enumerated_peiffer(p, len_bound):
+    return [b for u in all_words(p, len_bound)
+            for b in local_branchings(p, u, include_aspherical=False)
+            if b.kind == PEIFFER]
+
+
+def _peiffer_rows(reports):
+    return [(r.branching.source, r.status, r.variant, r.strict, r.attempts)
+            for r in reports]
+
+
+@pytest.mark.parametrize("name,len_bound", [
+    ("braid", 6), ("two_letters", 6), ("convergent_braid", 5),
+    ("no_fdt", 4), ("no_fdt_beyond", 6), ("truncated_braid", 6)])
+def test_peiffer_audit_from_graph_matches_enumeration(name, len_bound,
+                                                      request):
+    if name == "truncated_braid":
+        # the state cap leaves explored words incomplete
+        p = braid()
+        g = explore(p, all_words(p, 6),
+                    budget=ExplorationBudget(max_word_len=6, max_states=90,
+                                             max_depth=50))
+        assert any(u not in g.complete for u in g.vertices)
+    else:
+        g = request.getfixturevalue(
+            {"braid": "braid_g", "two_letters": "ab_g",
+             "convergent_braid": "upsilon_g"}.get(name, "lafont_g"))
+    p = g.polygraph
+    if name == "convergent_braid":
+        lab = Labelling.nf(g)
+    else:
+        lab = Labelling.qnf(_derived_qnf_map(g))
+    want = check_peiffer_decreasing(lab, g, p, len_bound,
+                                    branchings=_enumerated_peiffer(
+                                        p, len_bound))
+    got = check_peiffer_decreasing(lab, g, p, len_bound)
+    assert want and _peiffer_rows(got) == _peiffer_rows(want)
+    assert [r.branching for r in got] == [r.branching for r in want]
+    if len_bound > g.budget.max_word_len:
+        beyond = [r for r in got
+                  if len(r.branching.source) > g.budget.max_word_len]
+        assert beyond and all(r.status == "UNDECIDED" for r in beyond)
+
+
+# ---------------------------------------------------------------------------
+# the resumed searches of the reachability order against full searches
+
+
+def test_reachability_order_matches_reachable():
+    p = convergent_braid()
+    g = explore(p, all_words(p, 3),
+                budget=ExplorationBudget(max_word_len=4, max_states=1000,
+                                         max_depth=50))
+    words = list(g.vertices)
+    unexplored = ("s", "t", "s", "t", "s")
+    assert unexplored not in g.vertices
+    pairs = [(a, b) for a in words + [unexplored]
+             for b in words + [unexplored]]
+    random.Random(5).shuffle(pairs)
+    order = ReachabilityOrder(g)
+    below = {b: g.reachable(b) for b in words}
+    answers = set()
+    for a, b in pairs:
+        want = b in below and a != b and a in below[b]
+        assert order.less(a, b) == want, (a, b)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------

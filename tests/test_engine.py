@@ -34,6 +34,20 @@ def test_path_composition_checks_endpoints(braid_p):
     assert p.target == a.source and len(p) == 2
     with pytest.raises(IllComposed):
         Path(a.source, (a, a))
+    with pytest.raises(IllComposed):
+        Path(a.source, (a.inverse(),))
+    with pytest.raises(IllComposed):
+        Path(a.source).compose(Path(a.target, (b,)))
+
+
+def test_composed_and_whiskered_paths_equal_checked_ones(braid_p):
+    a = parse_step(braid_p, "1|alpha|1")
+    b = parse_step(braid_p, "1|beta|1")
+    p = Path(a.source, (a,)).compose(Path(a.target, (b,)))
+    assert p == Path(a.source, (a, b))
+    w = p.whisker(("t",), ("s", "s"))
+    assert w == Path(("t",) + a.source + ("s", "s"),
+                     tuple(s.whisker(("t",), ("s", "s")) for s in p.steps))
 
 
 def test_zigzag_cancellation(braid_p):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from polyco.engine import parse_step
+from polyco.core import Polygraph, Rule
+from polyco.engine import ExplorationBudget, explore, parse_step
+from polyco.fixtures import braid_qnf_map
 from polyco.labelling import (Labelling, LabelMultiset, MissingLabel,
                               NaturalsOrder, NotQuasiNormalForm,
                               filter_word, format_qnf_map, label_step,
@@ -124,3 +126,39 @@ step: 1 | beta | 1 = high
                       label_step(lab, braid_g, b))
     with pytest.raises(MissingLabel):
         label_step(lab, braid_g, parse_step(braid_p, "s|alpha|1"))
+
+
+def test_missing_label_raises_again_after_memoised_labels(braid_p, braid_g):
+    qnf = braid_qnf_map(max_len=9)
+    missing = ("t", "s", "t")
+    del qnf[missing]
+    lab = Labelling.qnf(qnf)
+    known = parse_step(braid_p, "t|alpha|1")
+    assert label_step(lab, braid_g, known) == 2
+    assert label_step(lab, braid_g, known) == 2
+    for _ in range(2):
+        with pytest.raises(MissingLabel):
+            label_step(lab, braid_g, parse_step(braid_p, "1|alpha|1"))
+
+
+def test_wrong_choice_raises_on_every_call(braid_p, braid_g):
+    lab = Labelling.qnf({("t", "s", "t"): ("s", "s", "s")})
+    for _ in range(2):
+        with pytest.raises(NotQuasiNormalForm):
+            label_step(lab, braid_g, parse_step(braid_p, "1|alpha|1"))
+
+
+def test_one_labelling_reads_each_graph_its_own_distances():
+    # x reaches z in three steps through words of length 1, and in two
+    # through y y, which only the larger budget explores
+    p = Polygraph("detour", ("u", "x", "y", "w", "v", "z"), (
+        Rule("s", ("u",), ("x",)), Rule("dup", ("x",), ("y", "y")),
+        Rule("join", ("y", "y"), ("z",)), Rule("a", ("x",), ("w",)),
+        Rule("b", ("w",), ("v",)), Rule("c", ("v",), ("z",))))
+    short, long = (explore(p, [("u",)], ExplorationBudget(n, 100, 20))
+                   for n in (1, 2))
+    lab = Labelling.qnf({w: ("z",) for w in long.vertices})
+    step = parse_step(p, "1|s|1")
+    for g, d in [(short, 3), (long, 2), (short, 3), (long, 2)]:
+        assert g.distance(("x",), ("z",)) == d
+        assert label_step(lab, g, step) == d
