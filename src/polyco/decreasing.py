@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 from .core import Polygraph, Word, all_words, word_str
 from .branchings import (ASPHERICAL, PEIFFER, LocalBranching, Branching,
-                         classify_branching)
+                         classify_branching, local_branchings)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
-                     TruncatedRegion, Unreachable, enumerate_steps)
+                     TruncatedRegion, Unreachable)
 from .labelling import (Labelling, LabellingError, MissingLabel, NF, QNF,
                         label_path, label_step)
 
@@ -449,23 +449,6 @@ class PeifferReport:
     attempts: list = field(default_factory=list)
 
 
-def _peiffer_branchings(p: Polygraph, g: ReductionGraph, len_bound: int
-                        ) -> list[LocalBranching]:
-    """The Peiffer branchings on words up to the length bound, in the order
-    of ``local_branchings`` over ``all_words``.  The steps out of a word
-    that g, explored from p, explored completely are read from g, which
-    keeps them in the order of ``enumerate_steps``; the steps out of other
-    words are enumerated."""
-    out = []
-    for u in all_words(p, len_bound):
-        steps = g.out[u] if u in g.complete else enumerate_steps(p, u)
-        for i, f in enumerate(steps):
-            for h in steps[i + 1:]:
-                if classify_branching(f, h) == PEIFFER:
-                    out.append(LocalBranching(f, h))
-    return out
-
-
 def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
                              p: Polygraph, len_bound: int = 6,
                              branchings=None) -> list[PeifferReport]:
@@ -476,7 +459,11 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
     labelled once; a variant that fails keeps those labels in its
     ``attempts`` record."""
     if branchings is None:
-        branchings = _peiffer_branchings(p, g, len_bound)
+        branchings = []
+        for u in all_words(p, len_bound):
+            for b in local_branchings(p, u, include_aspherical=False):
+                if b.kind == PEIFFER:
+                    branchings.append(b)
     reports = []
     for b in branchings:
         report = PeifferReport(b, "UNDECIDED")

@@ -15,7 +15,7 @@ set.  Four kinds are supported:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import ParseError, Polygraph, Word, parse_word, word_str
 from .engine import ReductionGraph, RewriteStep, Unreachable, parse_step
@@ -124,11 +124,6 @@ class Labelling:
     qnf_map: dict[Word, Word] | None = None
     table: dict[StepKey, object] | None = None
     singleton_label: object = 0
-    # the qnf labels returned so far, by forward target, and their graph
-    _memo: dict[Word, int] = field(default_factory=dict, init=False,
-                                   repr=False, compare=False)
-    _memo_graph: ReductionGraph | None = field(default=None, init=False,
-                                               repr=False, compare=False)
 
     @classmethod
     def qnf(cls, qnf_map: dict[Word, Word]) -> "Labelling":
@@ -154,12 +149,7 @@ class Labelling:
 
 def label_step(lab: Labelling, g: ReductionGraph, f: RewriteStep):
     """The label of a forward step.  Inverse steps carry the label of their
-    forward counterpart.
-
-    A qnf label depends only on the forward target, so it is memoised per
-    word for the graph it was read in; a call with another graph starts a
-    new memo.  Only labels are kept: a missing or wrong choice raises on
-    every call."""
+    forward counterpart."""
     if lab.kind == SINGLETON:
         return lab.singleton_label
     if lab.kind == TABLE:
@@ -172,28 +162,20 @@ def label_step(lab: Labelling, g: ReductionGraph, f: RewriteStep):
     if lab.kind == NF:
         return t
     if lab.kind == QNF:
-        if lab._memo_graph is not g:
-            lab._memo_graph, lab._memo = g, {}
-        k = lab._memo.get(t)
-        if k is None:
-            k = lab._memo[t] = _qnf_distance(lab, g, t)
-        return k
+        if lab.qnf_map is None or t not in lab.qnf_map:
+            raise MissingLabel(
+                f"no quasi-normal form chosen for {word_str(t)}")
+        qn = lab.qnf_map[t]
+        if qn not in g.vertices or g.scc_of.get(qn) not in g.scc_sinks:
+            raise NotQuasiNormalForm(
+                f"{word_str(qn)} is not a quasi-normal form "
+                f"in the explored graph")
+        try:
+            return g.distance(t, qn)
+        except Unreachable:
+            raise NotQuasiNormalForm(
+                f"{word_str(qn)} is not reachable from {word_str(t)}")
     raise LabellingError(f"unknown labelling kind {lab.kind!r}")
-
-
-def _qnf_distance(lab: Labelling, g: ReductionGraph, t: Word) -> int:
-    if lab.qnf_map is None or t not in lab.qnf_map:
-        raise MissingLabel(f"no quasi-normal form chosen for {word_str(t)}")
-    qn = lab.qnf_map[t]
-    if qn not in g.vertices or g.scc_of.get(qn) not in g.scc_sinks:
-        raise NotQuasiNormalForm(
-            f"{word_str(qn)} is not a quasi-normal form "
-            f"in the explored graph")
-    try:
-        return g.distance(t, qn)
-    except Unreachable:
-        raise NotQuasiNormalForm(
-            f"{word_str(qn)} is not reachable from {word_str(t)}")
 
 
 def label_path(lab: Labelling, g: ReductionGraph, f) -> tuple:

@@ -2,6 +2,7 @@ import pytest
 
 from polyco.branchings import (PEIFFER, critical_branchings,
                                local_branchings)
+from polyco.cli import _derived_qnf_map
 from polyco.core import all_words
 from polyco.decreasing import (check_context_closability,
                                check_context_compatibility,
@@ -38,6 +39,16 @@ def test_peiffer_square_on_aa_needs_reversed_rules(ab_p, ab_g, ab_lab):
 def test_all_braid_peiffer_branchings_pass(braid_p, braid_g, braid_lab):
     reports = check_peiffer_decreasing(braid_lab, braid_g, braid_p, 6)
     assert reports and all(r.status == "PASS" for r in reports)
+
+
+def test_peiffer_audit_beyond_explored_words_is_undecided(lafont_g):
+    p, n = lafont_g.polygraph, lafont_g.budget.max_word_len
+    reports = check_peiffer_decreasing(
+        Labelling.qnf(_derived_qnf_map(lafont_g)), lafont_g, p, n + 1)
+    beyond = [r for r in reports if len(r.branching.source) > n]
+    assert beyond and all(r.status == "UNDECIDED" for r in beyond)
+    assert all(a.get("error") for r in beyond for a in r.attempts)
+    assert any(r.status == "PASS" for r in reports)
 
 
 def test_alternate_qnf_map_fails_in_context(ab_p, ab_g, ab_alt_lab):

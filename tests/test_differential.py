@@ -10,7 +10,7 @@ from polyco.branchings import PEIFFER, critical_branchings, local_branchings
 from polyco.cli import _derived_qnf_map
 from polyco.core import Polygraph, Rule, all_words
 from polyco.decreasing import (DecreasingDiagram, _paths_from, _try_splits,
-                               check_decreasing, check_peiffer_decreasing)
+                               check_decreasing)
 from polyco.completion import _overlap_closure, _peiffer_closure
 from polyco.engine import (ExplorationBudget, Path, RewriteStep,
                            TruncatedRegion, Unreachable, enumerate_steps,
@@ -261,54 +261,6 @@ def test_enumerate_steps_matches_scan_of_every_rule(make):
         assert enumerate_steps(p, u) == want, u
         found += len(want)
     assert found
-
-
-# ---------------------------------------------------------------------------
-# the Peiffer audit read from the graph against the enumerated branchings
-
-
-def _enumerated_peiffer(p, len_bound):
-    return [b for u in all_words(p, len_bound)
-            for b in local_branchings(p, u, include_aspherical=False)
-            if b.kind == PEIFFER]
-
-
-def _peiffer_rows(reports):
-    return [(r.branching.source, r.status, r.variant, r.strict, r.attempts)
-            for r in reports]
-
-
-@pytest.mark.parametrize("name,len_bound", [
-    ("braid", 6), ("two_letters", 6), ("convergent_braid", 5),
-    ("no_fdt", 4), ("no_fdt_beyond", 6), ("truncated_braid", 6)])
-def test_peiffer_audit_from_graph_matches_enumeration(name, len_bound,
-                                                      request):
-    if name == "truncated_braid":
-        # the state cap leaves explored words incomplete
-        p = braid()
-        g = explore(p, all_words(p, 6),
-                    budget=ExplorationBudget(max_word_len=6, max_states=90,
-                                             max_depth=50))
-        assert any(u not in g.complete for u in g.vertices)
-    else:
-        g = request.getfixturevalue(
-            {"braid": "braid_g", "two_letters": "ab_g",
-             "convergent_braid": "upsilon_g"}.get(name, "lafont_g"))
-    p = g.polygraph
-    if name == "convergent_braid":
-        lab = Labelling.nf(g)
-    else:
-        lab = Labelling.qnf(_derived_qnf_map(g))
-    want = check_peiffer_decreasing(lab, g, p, len_bound,
-                                    branchings=_enumerated_peiffer(
-                                        p, len_bound))
-    got = check_peiffer_decreasing(lab, g, p, len_bound)
-    assert want and _peiffer_rows(got) == _peiffer_rows(want)
-    assert [r.branching for r in got] == [r.branching for r in want]
-    if len_bound > g.budget.max_word_len:
-        beyond = [r for r in got
-                  if len(r.branching.source) > g.budget.max_word_len]
-        assert beyond and all(r.status == "UNDECIDED" for r in beyond)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ step: 1 | beta | 1 = high
         label_step(lab, braid_g, parse_step(braid_p, "s|alpha|1"))
 
 
-def test_missing_label_raises_again_after_memoised_labels(braid_p, braid_g):
+def test_missing_label_raises_again_after_other_labels(braid_p, braid_g):
     qnf = braid_qnf_map(max_len=9)
     missing = ("t", "s", "t")
     del qnf[missing]
