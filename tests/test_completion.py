@@ -3,17 +3,20 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyco.branchings import critical_branchings
+from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
+                               local_branchings)
 from polyco.cli import _derived_qnf_map
-from polyco.completion import (CERTIFIED, PARTIAL, build_completion,
-                               fill_parallel_sphere, fill_zigzag_sphere,
-                               format_extension, parse_extension,
-                               parse_sphere, parse_zigzag)
+from polyco.completion import (CERTIFIED, PARTIAL, _peiffer_closure,
+                               build_completion, fill_parallel_sphere,
+                               fill_zigzag_sphere, format_extension,
+                               parse_extension, parse_sphere, parse_zigzag)
 from polyco.core import all_words
-from polyco.decreasing import SearchExhausted
+from polyco.decreasing import SearchExhausted, peiffer_variants
 from polyco.engine import (ExplorationBudget, IllComposed, Path,
-                           ZigzagPath, enumerate_steps, explore, parse_step,
-                           zigzag, zigzags_equal)
+                           ZigzagPath, enumerate_steps, explore,
+                           normalize_zigzag, parse_step, zigzag,
+                           zigzags_equal)
+from polyco.fixtures import two_letters
 from polyco.expressions import ThreeCellExpression, check_boundary
 from polyco.labelling import Labelling
 
@@ -211,6 +214,33 @@ def test_fill_sphere_with_a_whiskered_loop(braid_p, braid8):
         "t s s|alpha|1 ; t s s|beta|1 ; t s s|alpha|1 ; t s|alpha|t ; "
         "1|beta|s t t"))
     fill_zigzag_sphere(c, lab, g, f, h)
+
+
+def test_peiffer_closures_pass_check_boundary(braid_p, braid8):
+    """Every Peiffer branching on words up to length 6 of the braid-8 and
+    two_letters-6 completions, in both step orders, closes with an
+    expression from f1;c_f to h1;c_h; between them the closures paste all
+    four variants."""
+    p2 = two_letters()
+    g2 = explore(p2, all_words(p2, 6), ExplorationBudget(6, 100000, 200))
+    lab2 = Labelling.qnf(_derived_qnf_map(g2))
+    systems = [(braid_p, braid8[0], braid8[1], braid8[2]),
+               (p2, g2, lab2, build_completion(p2, lab2, g2))]
+    pasted = set()
+    for p, g, lab, c in systems:
+        for u in all_words(p, 6):
+            for b in local_branchings(p, u, include_aspherical=False):
+                if b.kind != PEIFFER:
+                    continue
+                for f1, h1 in ((b.first, b.second), (b.second, b.first)):
+                    c_f, c_h, e, _ = _peiffer_closure(c, lab, g, f1, h1)
+                    src, tgt = check_boundary(e, c.cells)
+                    assert src == normalize_zigzag(zigzag(u, f1, c_f))
+                    assert tgt == normalize_zigzag(zigzag(u, h1, c_h))
+                    pasted |= {name for name, cf, ch, _ in peiffer_variants(
+                        p, LocalBranching(f1, h1)) if (cf, ch) == (c_f, c_h)}
+    assert pasted == {"peiffer", "reverse_both", "around_left",
+                      "around_right"}
 
 
 def test_zigzag_file_roundtrip(braid_p):
