@@ -9,7 +9,7 @@ from .engine import (ExplorationBudget, IllComposed, Path, ReductionGraph,
                      Unreachable, ZigzagPath, classify_termination,
                      enumerate_steps, exchange_swap, explore,
                      normalize_zigzag, parse_step, support, zigzag,
-                     zigzags_equal, INCONCLUSIVE, NOT_QUASI_TERMINATING,
+                     zigzags_equal, INCONCLUSIVE,
                      QUASI_TERMINATING_NOT_TERMINATING, TERMINATING)
 from .branchings import (ASPHERICAL, CRITICAL, OVERLAPPING, PEIFFER,
                          Branching, LocalBranching, classify_branching,
@@ -54,8 +54,8 @@ __all__ = [
     "RewriteStep", "TerminationReport", "TruncatedRegion", "Unreachable",
     "ZigzagPath", "classify_termination", "enumerate_steps", "exchange_swap",
     "explore", "normalize_zigzag", "parse_step", "support", "zigzag",
-    "zigzags_equal", "INCONCLUSIVE", "NOT_QUASI_TERMINATING",
-    "QUASI_TERMINATING_NOT_TERMINATING", "TERMINATING",
+    "zigzags_equal", "INCONCLUSIVE", "QUASI_TERMINATING_NOT_TERMINATING",
+    "TERMINATING",
     # branchings
     "ASPHERICAL", "CRITICAL", "OVERLAPPING", "PEIFFER", "Branching",
     "LocalBranching", "classify_branching", "critical_branchings",

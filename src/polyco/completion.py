@@ -19,17 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ParseError, Polygraph, Word, word_str
-from .branchings import (PEIFFER, Branching, LocalBranching,
-                         classify_branching, critical_branchings,
-                         match_critical)
-from .decreasing import (MeasureError, SearchExhausted,
-                         StrictDiagram, _branching_of, _diagram_completions,
+from .branchings import (PEIFFER, LocalBranching, classify_branching,
+                         critical_branchings, match_critical)
+from .decreasing import (MeasureError, SearchExhausted, StrictDiagram,
+                         _closes_strictly, _diagram_completions,
                          _greedy_normalize, check_context_closability,
-                         check_peiffer_decreasing, check_strict,
-                         find_decreasing, peiffer_variants)
+                         check_peiffer_decreasing, find_decreasing,
+                         peiffer_variants)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
-                     TruncatedRegion, Unreachable, ZigzagPath,
-                     exchange_swap, parse_step, zigzag)
+                     TruncatedRegion, Unreachable, ZigzagPath, parse_step,
+                     zigzag)
 from .expressions import (Atom, ThreeCell, ThreeCellExpression, concat,
                           conjugate, contract_loop, identity_expression,
                           invert, CONFLUENCE, LOOP)
@@ -138,10 +137,9 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
 
 
 def _canonical_target(lab: Labelling, g: ReductionGraph, w: Word) -> Word:
-    if lab is not None and lab.kind == QNF and lab.qnf_map \
-            and w in lab.qnf_map:
+    if lab.kind == QNF and lab.qnf_map and w in lab.qnf_map:
         return lab.qnf_map[w]
-    if lab is not None and lab.kind == NF:
+    if lab.kind == NF:
         return _greedy_normalize(g, w).target
     qnfs = g.quasi_normal_forms(w)
     if not qnfs:
@@ -169,78 +167,50 @@ def _overlap_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
         c_h = rec.f_prime.whisker(wl, wr)
         sign = -1
     strict = rec.strict
-    if strict and (wl or wr) and lab is not None:
+    if strict and (wl or wr):
         # strictness of the recorded diagram does not survive whiskering
         # in general; re-check the instance actually used
-        sd = StrictDiagram(Branching(Path(f1.source, (f1,)),
-                                     Path(h1.source, (h1,))), c_f, c_h)
-        try:
-            strict, _ = check_strict(lab, g, sd)
-        except (LabellingError, TruncatedRegion):
-            strict = False
+        strict = _reads_strict(lab, g, LocalBranching(f1, h1), c_f, c_h)
     src = zigzag(f1.source, f1, c_f)
     atom = Atom(ZigzagPath(f1.source), wl, rec.name, sign, wr,
                 ZigzagPath(c_f.target))
     return c_f, c_h, ThreeCellExpression(src, (atom,)), strict
 
 
+def _reads_strict(lab, g, b: LocalBranching, c_f: Path, c_h: Path) -> bool:
+    """Whether the completions close the branching strictly; a closure
+    whose steps cannot all be labelled is not strict."""
+    try:
+        return _closes_strictly(lab, g, b, c_f, c_h)
+    except (LabellingError, TruncatedRegion):
+        return False
+
+
 def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
                      h1: RewriteStep):
     """Close a Peiffer branching, preferring a strictly decreasing variant
-    whose equivalence with the Peiffer square is witnessed by loop cells."""
+    whose equivalence with the Peiffer square is witnessed by loop cells.
+
+    A witness loop at the source undoes f1 or h1 and is contracted, or
+    inverted when it starts with h1; a detour loop closes after the step
+    whose completion is empty and is conjugated by that step."""
     b = LocalBranching(f1, h1)
     candidates = list(peiffer_variants(c.polygraph, b))
-    chosen = None
-    for name, c_f, c_h, _ in candidates:
-        if lab is None:
-            break
-        sd = StrictDiagram(_branching_of(b), c_f, c_h)
-        try:
-            ok, _ = check_strict(lab, g, sd)
-        except (LabellingError, TruncatedRegion):
-            ok = False
-        if ok:
-            chosen = (name, c_f, c_h)
-            break
+    chosen = next((v for v in candidates
+                   if _reads_strict(lab, g, b, v[1], v[2])), None)
     strict = chosen is not None
-    if chosen is None:
-        name, c_f, c_h, _ = candidates[0]
-        chosen = (name, c_f, c_h)
-    name, c_f, c_h = chosen
+    _, c_f, c_h, witnesses = chosen or candidates[0]
+    atoms = []
+    for loop in witnesses:
+        if c_f.steps and c_h.steps:
+            e, flip = c.contract(loop), loop.steps[0] == h1
+        else:
+            step = h1 if c_f.steps else f1
+            e = conjugate(c.contract(loop), pre=zigzag(step.source, step))
+            flip = step == f1
+        atoms += (invert(e, c.cells) if flip else e).atoms
     src = zigzag(f1.source, f1, c_f)
-    if name == "peiffer":
-        return c_f, c_h, identity_expression(src), strict
-    if name == "reverse_both":
-        loop_f = Path(f1.source, (f1,) + c_f.steps)
-        loop_h = Path(h1.source, (h1,) + c_h.steps)
-        expr = concat(c.contract(loop_f),
-                      invert(c.contract(loop_h), c.cells))
-        return c_f, c_h, ThreeCellExpression(src, expr.atoms), strict
-    if name in ("around_left", "around_right"):
-        # one side detours through the Peiffer target and undoes a rule,
-        # the other side is already closed; f1 . x . y pastes as
-        # h1 . (loop) up to exchange of the disjoint redexes
-        if c_f.steps and not c_h.steps:
-            x, y = c_f.steps
-            sw = exchange_swap(f1, x)
-            if sw is None or sw[0] != h1:
-                raise SearchExhausted("unexpected Peiffer detour geometry")
-            shifted = sw[1]
-            loop = Path(h1.target, (shifted, y))
-            expr = conjugate(c.contract(loop), pre=zigzag(h1.source, h1))
-            return c_f, c_h, ThreeCellExpression(src, expr.atoms), strict
-        if c_h.steps and not c_f.steps:
-            x, y = c_h.steps
-            sw = exchange_swap(h1, x)
-            if sw is None or sw[0] != f1:
-                raise SearchExhausted("unexpected Peiffer detour geometry")
-            shifted = sw[1]
-            loop = Path(f1.target, (shifted, y))
-            expr = invert(conjugate(c.contract(loop),
-                                    pre=zigzag(f1.source, f1)), c.cells)
-            return c_f, c_h, ThreeCellExpression(src, expr.atoms), strict
-        raise SearchExhausted("unexpected Peiffer detour geometry")
-    raise SearchExhausted(f"unknown Peiffer variant {name!r}")
+    return c_f, c_h, ThreeCellExpression(src, tuple(atoms)), strict
 
 
 def _close_local(c: CoherentPresentation, lab, g, f1: RewriteStep,
@@ -287,7 +257,7 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
     hbar = g.geodesic(w, hat)
     left_b = f2.compose(k), c_f.compose(hbar)
     right_b = c_h.compose(hbar), h2.compose(k)
-    if lab is not None and strict:
+    if strict:
         outer = measure_branching(lab, g, f, h)
         for inner in (left_b, right_b):
             m = measure_branching(lab, g, inner[0], inner[1])

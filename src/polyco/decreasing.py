@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .core import Polygraph, Word, all_words, word_str
 from .branchings import (ASPHERICAL, PEIFFER, LocalBranching, Branching,
-                         classify_branching, local_branchings)
+                         local_branchings)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
                      TruncatedRegion, Unreachable)
 from .labelling import (Labelling, LabellingError, MissingLabel, NF, QNF,
@@ -305,15 +305,21 @@ def _try_splits(lab, g, b: LocalBranching, p1: Path, p2: Path):
     return _split_diagram(lab.order, b, p1, p2, _labels(lab, g, b, p1, p2))
 
 
-def _read(order, b: LocalBranching, c1: Path, c2: Path, labels):
-    """The completion pair read as a strict diagram when every label of c1
-    is below psi(f) and every label of c2 below psi(h), as check_strict
-    reads it, else as a decreasing one from the same labels; None when
-    neither reading holds."""
+def _strict(order, labels) -> bool:
+    """The strictness predicate on the labels of ``_labels``: every label
+    of c1 below psi(f) and every label of c2 below psi(h), as check_strict
+    reads a local branching."""
     psi_f, psi_h, l1, l2 = labels
     less = order.less
-    if (all(less(k, psi_f) for k in l1)
-            and all(less(k, psi_h) for k in l2)):
+    return (all(less(k, psi_f) for k in l1)
+            and all(less(k, psi_h) for k in l2))
+
+
+def _read(order, b: LocalBranching, c1: Path, c2: Path, labels):
+    """The completion pair read as a strict diagram (_strict), else as a
+    decreasing one from the same labels; None when neither reading
+    holds."""
+    if _strict(order, labels):
         return StrictDiagram(_branching_of(b), c1, c2)
     return _split_diagram(order, b, c1, c2, labels)
 
@@ -326,6 +332,15 @@ def _close(lab, g, b: LocalBranching, c1: Path, c2: Path):
     if not _meets(b, c1, c2):
         return None
     return _read(lab.order, b, c1, c2, _labels(lab, g, b, c1, c2))
+
+
+def _closes_strictly(lab, g, b: LocalBranching, c1: Path, c2: Path
+                     ) -> bool:
+    """Whether the completion pair closes the branching as a strict
+    diagram: the strict reading of _close, without the decreasing one.
+    Raises what labelling the steps raises."""
+    return _meets(b, c1, c2) and _strict(lab.order,
+                                         _labels(lab, g, b, c1, c2))
 
 
 def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
@@ -344,13 +359,11 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
     for p1, p2 in _strict_candidates(lab, g, tf, tg):
         if len(p1) > depth or len(p2) > depth:
             continue
-        sd = StrictDiagram(_branching_of(b), p1, p2)
         try:
-            ok, _ = check_strict(lab, g, sd)
+            if _closes_strictly(lab, g, b, p1, p2):
+                return StrictDiagram(_branching_of(b), p1, p2)
         except MissingLabel:
             continue
-        if ok:
-            return sd
     if strict:
         return None
     lefts = _paths_from(g, tf, depth, cap)
@@ -389,15 +402,17 @@ def peiffer_variants(p: Polygraph, b: LocalBranching):
 
     Yields (name, c_f, c_h, witness_loops) where c_f, c_h complete the two
     sides and witness_loops are the forward loops whose contractions attest
-    that the closed diagram bounds the same 2-sphere as the Peiffer square.
+    that the closed diagram bounds the same 2-sphere as the Peiffer square:
+    loops at the source, one per step and in the order of the steps, or
+    one detour loop at the target of the step whose completion is empty.
     """
     f, h = b.first, b.second
-    if classify_branching(f, h) != PEIFFER:
-        raise ValueError("not a Peiffer branching")
     swap = f.position > h.position
     if swap:
         f, h = h, f
     pf, end_f = f.position, f.position + len(f.rule.lhs)
+    if end_f > h.position:
+        raise ValueError("not a Peiffer branching")
     # the Peiffer confluence: apply the other rule on each side
     u = b.source
     h_shift = RewriteStep(h.left[:pf] + f.rule.rhs + h.left[end_f:],
@@ -410,7 +425,7 @@ def peiffer_variants(p: Polygraph, b: LocalBranching):
     def orient(cf_steps, ch_steps, witnesses):
         cf = Path._checked(tf, tuple(cf_steps))
         ch = Path._checked(th, tuple(ch_steps))
-        return (ch, cf, witnesses) if swap else (cf, ch, witnesses)
+        return (ch, cf, witnesses[::-1]) if swap else (cf, ch, witnesses)
 
     yield ("peiffer",) + orient([h_shift], [f_keep], [])
 

@@ -164,7 +164,9 @@ class ZigzagPath:
         from parts already checked, so the walk of __post_init__ is
         skipped."""
         z = object.__new__(cls)
-        z.__dict__.update(source=source, steps=steps)
+        # set as Path._checked sets them, for the same reason
+        object.__setattr__(z, "source", source)
+        object.__setattr__(z, "steps", steps)
         return z
 
     @property
@@ -608,7 +610,6 @@ def explore(p: Polygraph, seeds, budget: ExplorationBudget | None = None
 
 TERMINATING = "terminating"
 QUASI_TERMINATING_NOT_TERMINATING = "quasi_terminating_not_terminating"
-NOT_QUASI_TERMINATING = "not_quasi_terminating"
 INCONCLUSIVE = "inconclusive"
 
 

@@ -1,13 +1,14 @@
 import pytest
 
-from polyco.branchings import (PEIFFER, critical_branchings,
-                               local_branchings)
+from polyco.branchings import (OVERLAPPING, PEIFFER, LocalBranching,
+                               critical_branchings, local_branchings)
 from polyco.cli import _derived_qnf_map
 from polyco.core import all_words
 from polyco.decreasing import (check_context_closability,
                                check_context_compatibility,
                                check_decreasing, check_peiffer_decreasing,
-                               check_strict, find_decreasing, StrictDiagram)
+                               check_strict, find_decreasing,
+                               peiffer_variants, StrictDiagram)
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid_qnf_map
 from polyco.labelling import Labelling, label_path
@@ -49,6 +50,16 @@ def test_peiffer_audit_beyond_explored_words_is_undecided(lafont_g):
     assert beyond and all(r.status == "UNDECIDED" for r in beyond)
     assert all(a.get("error") for r in beyond for a in r.attempts)
     assert any(r.status == "PASS" for r in reports)
+
+
+def test_peiffer_variants_reject_other_branchings(braid_p):
+    crit = critical_branchings(braid_p)[0]
+    f, h = crit.first.whisker(("t",), ()), crit.second.whisker(("t",), ())
+    assert LocalBranching(f, h).kind == OVERLAPPING
+    for b in (LocalBranching(f, f), LocalBranching(f, h),
+              LocalBranching(h, f)):
+        with pytest.raises(ValueError, match="not a Peiffer branching"):
+            list(peiffer_variants(braid_p, b))
 
 
 def test_alternate_qnf_map_fails_in_context(ab_p, ab_g, ab_alt_lab):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import polyco
 from polyco.core import all_words, Polygraph, Rule
 from polyco.engine import (ExplorationBudget, IllComposed, Path, RewriteStep,
                            ZigzagPath, classify_termination, enumerate_steps,
@@ -48,6 +54,36 @@ def test_composed_and_whiskered_paths_equal_checked_ones(braid_p):
     w = p.whisker(("t",), ("s", "s"))
     assert w == Path(("t",) + a.source + ("s", "s"),
                      tuple(s.whisker(("t",), ("s", "s")) for s in p.steps))
+
+
+def test_checked_zigzags_cost_no_more_than_public_ones():
+    """A zigzag built from checked parts holds its fields as one from the
+    public constructor does, without a dict of its own.  Measured in a
+    fresh interpreter, public zigzags first: a per-instance dict made
+    earlier in the process also raises the cost of later public ones."""
+    code = textwrap.dedent("""
+        import tracemalloc
+        from polyco import fixtures
+        from polyco.engine import ZigzagPath, parse_step
+        a = parse_step(fixtures.braid(), "1|alpha|1")
+        u, steps = a.source, (a,)
+
+        def per_zigzag(make, n=2000):
+            kept = [make(u, steps) for _ in range(n)]
+            del kept
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [make(u, steps) for _ in range(n)]
+            return (tracemalloc.get_traced_memory()[0] - before) / n
+
+        tracemalloc.start()
+        print(per_zigzag(ZigzagPath), per_zigzag(ZigzagPath._checked))
+        """)
+    src = os.path.dirname(os.path.dirname(polyco.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    public, checked = map(float, out.stdout.split())
+    assert checked <= public, (checked, public)
 
 
 def test_zigzag_cancellation(braid_p):
