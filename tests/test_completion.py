@@ -16,8 +16,8 @@ from polyco.engine import (ExplorationBudget, IllComposed, Path,
                            ZigzagPath, enumerate_steps, explore,
                            normalize_zigzag, parse_step, zigzag,
                            zigzags_equal)
-from polyco.fixtures import two_letters
 from polyco.expressions import ThreeCellExpression, check_boundary
+from polyco.fixtures import two_letters
 from polyco.labelling import Labelling
 
 
@@ -224,7 +224,7 @@ def test_peiffer_closures_pass_check_boundary(braid_p, braid8):
     p2 = two_letters()
     g2 = explore(p2, all_words(p2, 6), ExplorationBudget(6, 100000, 200))
     lab2 = Labelling.qnf(_derived_qnf_map(g2))
-    systems = [(braid_p, braid8[0], braid8[1], braid8[2]),
+    systems = [(braid_p, *braid8[:3]),
                (p2, g2, lab2, build_completion(p2, lab2, g2))]
     pasted = set()
     for p, g, lab, c in systems:
