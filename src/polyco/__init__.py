@@ -12,7 +12,7 @@ from .engine import (ExplorationBudget, IllComposed, Path, ReductionGraph,
                      zigzags_equal, INCONCLUSIVE,
                      QUASI_TERMINATING_NOT_TERMINATING, TERMINATING)
 from .branchings import (ASPHERICAL, CRITICAL, OVERLAPPING, PEIFFER,
-                         Branching, LocalBranching, classify_branching,
+                         LocalBranching, classify_branching,
                          critical_branchings, local_branchings,
                          match_critical)
 from .labelling import (FinitePosetOrder, LabelMultiset, Labelling,
@@ -57,9 +57,9 @@ __all__ = [
     "zigzags_equal", "INCONCLUSIVE", "QUASI_TERMINATING_NOT_TERMINATING",
     "TERMINATING",
     # branchings
-    "ASPHERICAL", "CRITICAL", "OVERLAPPING", "PEIFFER", "Branching",
-    "LocalBranching", "classify_branching", "critical_branchings",
-    "local_branchings", "match_critical",
+    "ASPHERICAL", "CRITICAL", "OVERLAPPING", "PEIFFER", "LocalBranching",
+    "classify_branching", "critical_branchings", "local_branchings",
+    "match_critical",
     # labelling
     "FinitePosetOrder", "LabelMultiset", "Labelling", "LabellingError",
     "MissingLabel", "NaturalsOrder", "NotQuasiNormalForm", "ReachabilityOrder",

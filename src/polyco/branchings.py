@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Polygraph, Word
-from .engine import Path, RewriteStep, enumerate_steps
+from .engine import RewriteStep, enumerate_steps
 
 ASPHERICAL = "aspherical"
 PEIFFER = "peiffer"
@@ -37,22 +37,6 @@ class LocalBranching:
     @property
     def kind(self) -> str:
         return classify_branching(self.first, self.second)
-
-
-@dataclass(frozen=True)
-class Branching:
-    """Two forward paths out of the same word."""
-
-    left: Path
-    right: Path
-
-    def __post_init__(self):
-        if self.left.source != self.right.source:
-            raise ValueError("branching paths must share their source")
-
-    @property
-    def source(self) -> Word:
-        return self.left.source
 
 
 def _redex_span(s: RewriteStep) -> tuple[int, int]:

@@ -22,13 +22,13 @@ from .core import ParseError, Polygraph, Word, word_str
 from .branchings import (PEIFFER, LocalBranching, classify_branching,
                          critical_branchings, match_critical)
 from .decreasing import (MeasureError, SearchExhausted, StrictDiagram,
-                         _closes_strictly, _diagram_completions,
-                         _greedy_normalize, check_context_closability,
-                         check_peiffer_decreasing, find_decreasing,
-                         peiffer_variants)
+                         _closes_strictly, _decide_peiffer,
+                         _diagram_completions, _greedy_normalize,
+                         check_context_closability, check_peiffer_decreasing,
+                         find_decreasing)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
-                     TruncatedRegion, Unreachable, ZigzagPath, parse_step,
-                     zigzag)
+                     TruncatedRegion, Unreachable, ZigzagPath, exchange_swap,
+                     parse_step, zigzag)
 from .expressions import (Atom, ThreeCell, ThreeCellExpression, concat,
                           conjugate, contract_loop, identity_expression,
                           invert, CONFLUENCE, LOOP)
@@ -113,9 +113,11 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
         loops_complete = False
         loops_error = str(e)
 
-    # The certificate needs every whiskered critical branching to stay
-    # strictly closable, not a fixed completion to stay decreasing; the
-    # filling procedure re-closes each whiskered branching on its own.
+    # The certificate asks every whiskered critical branching to stay
+    # strictly closable, not a fixed completion to stay decreasing.  The
+    # filling procedure pastes the recorded completion whiskered and
+    # re-checks only its strictness, so it may close non-strictly what this
+    # audit closes strictly.
     ctx = check_context_closability(lab, g, criticals, ctx_bound,
                                     depth=depth)
     peiffer = check_peiffer_decreasing(lab, g, p, peiffer_len_bound)
@@ -188,20 +190,23 @@ def _reads_strict(lab, g, b: LocalBranching, c_f: Path, c_h: Path) -> bool:
 
 def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
                      h1: RewriteStep):
-    """Close a Peiffer branching, preferring a strictly decreasing variant
-    whose equivalence with the Peiffer square is witnessed by loop cells.
+    """Close a Peiffer branching with the variant the Peiffer audit decides
+    on (_decide_peiffer), or with the plain Peiffer square, which needs no
+    witness, when it decides none.  The variant's equivalence with the
+    square is witnessed by loop cells.
 
     A witness loop at the source undoes f1 or h1 and is contracted, or
     inverted when it starts with h1; a detour loop closes after the step
     whose completion is empty and is conjugated by that step."""
-    b = LocalBranching(f1, h1)
-    candidates = list(peiffer_variants(c.polygraph, b))
-    chosen = next((v for v in candidates
-                   if _reads_strict(lab, g, b, v[1], v[2])), None)
-    strict = chosen is not None
-    _, c_f, c_h, witnesses = chosen or candidates[0]
+    report = _decide_peiffer(lab, g, c.polygraph, LocalBranching(f1, h1))
+    if report.diagram is None:
+        # the plain square: each step exchanged past the other
+        c_f = Path._checked(f1.target, exchange_swap(f1.inverse(), h1)[:1])
+        c_h = Path._checked(h1.target, exchange_swap(h1.inverse(), f1)[:1])
+    else:
+        c_f, c_h = _diagram_completions(report.diagram)
     atoms = []
-    for loop in witnesses:
+    for loop in report.witness_loops:
         if c_f.steps and c_h.steps:
             e, flip = c.contract(loop), loop.steps[0] == h1
         else:
@@ -210,7 +215,7 @@ def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
             flip = step == f1
         atoms += (invert(e, c.cells) if flip else e).atoms
     src = zigzag(f1.source, f1, c_f)
-    return c_f, c_h, ThreeCellExpression(src, tuple(atoms)), strict
+    return c_f, c_h, ThreeCellExpression(src, tuple(atoms)), report.strict
 
 
 def _close_local(c: CoherentPresentation, lab, g, f1: RewriteStep,
@@ -340,8 +345,10 @@ def parse_zigzag(p: Polygraph, text: str, line: int | None = None
         from .core import parse_word
         return ZigzagPath(parse_word(text[2:].strip(), line))
     steps = [parse_step(p, part, line) for part in text.split(";")]
-    z = ZigzagPath(steps[0].source, tuple(steps))
-    return z
+    try:
+        return ZigzagPath(steps[0].source, tuple(steps))
+    except IllComposed as e:
+        raise ParseError(str(e), line)
 
 
 def format_extension(c: CoherentPresentation) -> str:
@@ -388,6 +395,10 @@ def parse_sphere(p: Polygraph, text: str) -> tuple[ZigzagPath, ZigzagPath]:
         if len(body) != 2 or "=>" not in body[1]:
             raise ParseError("expected: sphere : ZIGZAG => ZIGZAG", lineno)
         srctext, tgttext = body[1].split("=>", 1)
-        return (parse_zigzag(p, srctext, lineno),
-                parse_zigzag(p, tgttext, lineno))
+        f = parse_zigzag(p, srctext, lineno)
+        h = parse_zigzag(p, tgttext, lineno)
+        if f.source != h.source or f.target != h.target:
+            raise ParseError("the two sides of the sphere are not parallel",
+                             lineno)
+        return f, h
     raise ParseError("no sphere declaration found")

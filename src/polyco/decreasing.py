@@ -18,8 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import Polygraph, Word, all_words, word_str
-from .branchings import (ASPHERICAL, PEIFFER, LocalBranching, Branching,
-                         local_branchings)
+from .branchings import ASPHERICAL, PEIFFER, LocalBranching, local_branchings
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
                      TruncatedRegion, Unreachable)
 from .labelling import (Labelling, LabellingError, MissingLabel, NF, QNF,
@@ -40,20 +39,23 @@ class MeasureError(AssertionError):
 
 @dataclass(frozen=True)
 class StrictDiagram:
-    """A strict closure of a branching: completions only, every completion
-    label strictly below every label on the other side of the peak."""
+    """A strict closure of a local branching: completions only, every label
+    of f' strictly below the label of f and every label of g' below that
+    of g."""
 
-    branching: Branching
+    branching: LocalBranching
     f_prime: Path
     g_prime: Path
 
     @property
     def left_side(self) -> Path:
-        return self.branching.left.compose(self.f_prime)
+        f = self.branching.first
+        return Path(f.source, (f,)).compose(self.f_prime)
 
     @property
     def right_side(self) -> Path:
-        return self.branching.right.compose(self.g_prime)
+        g = self.branching.second
+        return Path(g.source, (g,)).compose(self.g_prime)
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,6 @@ class Violation:
     detail: str
 
 
-def _below_all(order, k, labels) -> bool:
-    return all(order.less(k, target) for target in labels)
-
-
 def _boundary_violation(d) -> Violation | None:
     """Why the two sides of a diagram do not close, None when they do."""
     try:
@@ -105,16 +103,16 @@ def check_strict(lab: Labelling, g: ReductionGraph,
     if v is not None:
         return False, [v]
     violations = []
-    lf = label_path(lab, g, d.branching.left)
-    lg = label_path(lab, g, d.branching.right)
+    psi_f = label_step(lab, g, d.branching.first)
+    psi_g = label_step(lab, g, d.branching.second)
     for k in label_path(lab, g, d.f_prime):
-        if not _below_all(lab.order, k, lf):
+        if not lab.order.less(k, psi_f):
             violations.append(Violation(
-                "i", f"completion label {k!r} not below all of {list(lf)!r}"))
+                "i", f"completion label {k!r} not below {psi_f!r}"))
     for k in label_path(lab, g, d.g_prime):
-        if not _below_all(lab.order, k, lg):
+        if not lab.order.less(k, psi_g):
             violations.append(Violation(
-                "ii", f"completion label {k!r} not below all of {list(lg)!r}"))
+                "ii", f"completion label {k!r} not below {psi_g!r}"))
     return not violations, violations
 
 
@@ -164,14 +162,6 @@ def check_decreasing(lab: Labelling, g: ReductionGraph, d
 
 # ---------------------------------------------------------------------------
 # searching for diagrams
-
-
-def _branching_of(b) -> Branching:
-    if isinstance(b, LocalBranching):
-        u = b.source
-        return Branching(Path._checked(u, (b.first,)),
-                         Path._checked(u, (b.second,)))
-    return b
 
 
 def _greedy_normalize(g: ReductionGraph, u: Word, max_steps: int = 10000
@@ -315,23 +305,17 @@ def _strict(order, labels) -> bool:
             and all(less(k, psi_h) for k in l2))
 
 
-def _read(order, b: LocalBranching, c1: Path, c2: Path, labels):
-    """The completion pair read as a strict diagram (_strict), else as a
-    decreasing one from the same labels; None when neither reading
-    holds."""
-    if _strict(order, labels):
-        return StrictDiagram(_branching_of(b), c1, c2)
-    return _split_diagram(order, b, c1, c2, labels)
-
-
 def _close(lab, g, b: LocalBranching, c1: Path, c2: Path):
-    """The completion pair read as a strict diagram, else as a decreasing
-    one (_read), labelling each step once; None when the paths do not close
-    the branching or neither reading holds.  Raises what labelling the
-    steps raises."""
+    """The completion pair read as a strict diagram (_strict), else as a
+    decreasing one from the same labels, labelling each step once; None
+    when the paths do not close the branching or neither reading holds.
+    Raises what labelling the steps raises."""
     if not _meets(b, c1, c2):
         return None
-    return _read(lab.order, b, c1, c2, _labels(lab, g, b, c1, c2))
+    labels = _labels(lab, g, b, c1, c2)
+    if _strict(lab.order, labels):
+        return StrictDiagram(b, c1, c2)
+    return _split_diagram(lab.order, b, c1, c2, labels)
 
 
 def _closes_strictly(lab, g, b: LocalBranching, c1: Path, c2: Path
@@ -352,16 +336,14 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
     shapes over bounded completion pairs.  Returns None when the bounded
     search finds nothing."""
     if b.kind == ASPHERICAL:
-        sd = StrictDiagram(_branching_of(b),
-                           Path(b.first.target), Path(b.second.target))
-        return sd
+        return StrictDiagram(b, Path(b.first.target), Path(b.second.target))
     tf, tg = b.first.target, b.second.target
     for p1, p2 in _strict_candidates(lab, g, tf, tg):
         if len(p1) > depth or len(p2) > depth:
             continue
         try:
             if _closes_strictly(lab, g, b, p1, p2):
-                return StrictDiagram(_branching_of(b), p1, p2)
+                return StrictDiagram(b, p1, p2)
         except MissingLabel:
             continue
     if strict:
@@ -464,44 +446,66 @@ class PeifferReport:
     attempts: list = field(default_factory=list)
 
 
+def _decide_peiffer(lab: Labelling, g: ReductionGraph, p: Polygraph,
+                    b: LocalBranching) -> PeifferReport:
+    """Decide a Peiffer branching: PASS with the first variant of
+    peiffer_variants that reads strict, else the first that reads
+    decreasing, else UNDECIDED.  The audit reports this decision and sphere
+    filling pastes it.  psi(f) and psi(h) are labelled once and the steps
+    of each variant once.  The variants read before the first decreasing
+    one are kept in ``attempts``: their labels, or the error when their
+    steps cannot be labelled."""
+    attempts, sides = [], None
+    variants = peiffer_variants(p, b)
+    for name, cf, ch, witnesses in variants:
+        try:
+            sides = sides or (label_step(lab, g, b.first),
+                              label_step(lab, g, b.second))
+            labels = sides + (label_path(lab, g, cf), label_path(lab, g, ch))
+        except (LabellingError, TruncatedRegion) as e:
+            attempts.append({"variant": name, "ok": False, "error": str(e)})
+            continue
+        if _strict(lab.order, labels):
+            return PeifferReport(b, "PASS", name, True,
+                                 StrictDiagram(b, cf, ch), witnesses,
+                                 attempts)
+        d = _split_diagram(lab.order, b, cf, ch, labels)
+        if d is not None:
+            break
+        attempts.append({
+            "variant": name, "ok": False,
+            "labels": {"sides": list(sides),
+                       "completions": [list(labels[2]), list(labels[3])]}})
+    else:
+        return PeifferReport(b, "UNDECIDED", attempts=attempts)
+    # a later variant may still read strict
+    for later, cf, ch, loops in variants:
+        try:
+            if _strict(lab.order, sides + (label_path(lab, g, cf),
+                                           label_path(lab, g, ch))):
+                return PeifferReport(b, "PASS", later, True,
+                                     StrictDiagram(b, cf, ch), loops,
+                                     attempts)
+        except (LabellingError, TruncatedRegion):
+            continue
+    return PeifferReport(b, "PASS", name, False, d, witnesses, attempts)
+
+
 def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
                              p: Polygraph, len_bound: int = 6,
                              branchings=None) -> list[PeifferReport]:
     """Audit every Peiffer branching on words up to the length bound: PASS
     when the Peiffer confluence or one of its reverse-rule rotations is
     decreasing (the rotations are equivalent to the square through loop
-    contractions), UNDECIDED otherwise.  The steps of each variant are
-    labelled once; a variant that fails keeps those labels in its
-    ``attempts`` record."""
+    contractions), UNDECIDED otherwise; _decide_peiffer picks the
+    variant."""
     if branchings is None:
         branchings = []
         for u in all_words(p, len_bound):
             for b in local_branchings(p, u, include_aspherical=False):
                 if b.kind == PEIFFER:
                     branchings.append(b)
-    reports = []
-    for b in branchings:
-        report = PeifferReport(b, "UNDECIDED")
-        for name, cf, ch, witnesses in peiffer_variants(p, b):
-            try:
-                labels = _labels(lab, g, b, cf, ch)
-            except (LabellingError, TruncatedRegion) as e:
-                report.attempts.append(
-                    {"variant": name, "ok": False, "error": str(e)})
-                continue
-            d = _read(lab.order, b, cf, ch, labels)
-            if d is not None:
-                report = PeifferReport(b, "PASS", name,
-                                       isinstance(d, StrictDiagram), d,
-                                       witnesses, report.attempts)
-                break
-            psi_f, psi_h, l1, l2 = labels
-            report.attempts.append({
-                "variant": name, "ok": False,
-                "labels": {"sides": [psi_f, psi_h],
-                           "completions": [list(l1), list(l2)]}})
-        reports.append(report)
-    return reports
+    return [_decide_peiffer(lab, g, p, b) for b in branchings]
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +518,6 @@ def _diagram_completions(d) -> tuple[Path, Path]:
     left = d.f_prime.compose(d.g_dprime).compose(d.h1)
     right = d.g_prime.compose(d.f_dprime).compose(d.h2)
     return left, right
-
-
-def _local_of(b) -> LocalBranching:
-    if isinstance(b, LocalBranching):
-        return b
-    if len(b.left) != 1 or len(b.right) != 1:
-        raise ValueError("context audit needs local branchings")
-    return LocalBranching(b.left.steps[0], b.right.steps[0])
 
 
 def contexts_up_to(p: Polygraph, bound: int):
@@ -587,7 +583,7 @@ def check_context_compatibility(lab: Labelling, g: ReductionGraph,
         return {} if d is None else None
 
     items = (({"diagram": idx},
-              (_local_of(d.branching), *_diagram_completions(d)))
+              (d.branching, *_diagram_completions(d)))
              for idx, d in enumerate(diagrams))
     return _context_audit(g.polygraph, items, ctx_bound, fails)
 
@@ -600,8 +596,10 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
 
     This is weaker than re-checking a fixed completion in context (see
     check_context_compatibility): the completion may be chosen anew for
-    each context, which is exactly what the sphere-filling procedure does
-    when it closes a whiskered critical branching."""
+    each context.  Sphere filling does not choose it anew: it pastes the
+    recorded completion, whiskered, and only re-checks its strictness, so
+    a whiskered branching this audit closes may still be closed
+    non-strictly there."""
 
     def fails(local, u1, u2):
         wb = LocalBranching(local.first.whisker(u1, u2),
@@ -609,7 +607,6 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
         d = find_decreasing(lab, g, wb, depth=depth, strict=True)
         return {} if d is None else None
 
-    items = (({"branching": idx}, _local_of(b))
-             for idx, b in enumerate(branchings))
+    items = (({"branching": idx}, b) for idx, b in enumerate(branchings))
     return _context_audit(g.polygraph, items, ctx_bound, fails)
 

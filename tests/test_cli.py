@@ -93,6 +93,26 @@ def test_fill_sphere(braid_file, tmp_path, capsys):
     assert "D2" in out or "E1" in out
 
 
+@pytest.mark.parametrize("sphere", [
+    "sphere : 1|alpha|t ; 1|alpha|t => s|beta|1",
+    "sphere : 1|alpha|t => 1|beta|s"], ids=["ill_composed", "not_parallel"])
+def test_fill_sphere_malformed_sphere_is_input_error(braid_file, tmp_path,
+                                                     capsys, sphere):
+    path = tmp_path / "sphere.txt"
+    path.write_text(f"# a malformed sphere\n{sphere}\n")
+    assert main(["fill-sphere", braid_file, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_homology_ill_composed_cell_is_input_error(braid_file, tmp_path,
+                                                   capsys):
+    cells = tmp_path / "cells.txt"
+    cells.write_text("cell D1 : 1|alpha|t ; 1|alpha|t => s|beta|1\n")
+    assert main(["homology", braid_file, "--cells", str(cells)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: step 1|alpha|t does not start at t s t t\n")
+
+
 def test_homology_reduced(braid_file, capsys):
     code = main(["homology", braid_file, "--format", "json"])
     assert code == 0

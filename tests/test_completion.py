@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,9 @@ from polyco.completion import (CERTIFIED, PARTIAL, _peiffer_closure,
                                build_completion, fill_parallel_sphere,
                                fill_zigzag_sphere, format_extension,
                                parse_extension, parse_sphere, parse_zigzag)
-from polyco.core import all_words
-from polyco.decreasing import SearchExhausted, peiffer_variants
+from polyco.core import ParseError, all_words, parse_polygraph
+from polyco.decreasing import (SearchExhausted, check_peiffer_decreasing,
+                               peiffer_variants)
 from polyco.engine import (ExplorationBudget, IllComposed, Path,
                            ZigzagPath, enumerate_steps, explore,
                            normalize_zigzag, parse_step, zigzag,
@@ -216,31 +219,82 @@ def test_fill_sphere_with_a_whiskered_loop(braid_p, braid8):
     fill_zigzag_sphere(c, lab, g, f, h)
 
 
-def test_peiffer_closures_pass_check_boundary(braid_p, braid8):
-    """Every Peiffer branching on words up to length 6 of the braid-8 and
-    two_letters-6 completions, in both step orders, closes with an
-    expression from f1;c_f to h1;c_h; between them the closures paste all
-    four variants."""
-    p2 = two_letters()
-    g2 = explore(p2, all_words(p2, 6), ExplorationBudget(6, 100000, 200))
-    lab2 = Labelling.qnf(_derived_qnf_map(g2))
-    systems = [(braid_p, *braid8[:3]),
-               (p2, g2, lab2, build_completion(p2, lab2, g2))]
-    pasted = set()
+A3 = """\
+polygraph A3
+gens a b c
+rule r1 : a b a => b a b
+rule r2 : b a b => a b a
+rule r3 : b c b => c b c
+rule r4 : c b c => b c b
+rule r5 : a c => c a
+rule r6 : c a => a c
+"""
+
+
+@pytest.fixture(scope="module")
+def peiffer_closures(braid_p, braid8):
+    """Every Peiffer branching on words up to length 6 of the braid-8,
+    two_letters-6 and A3-6 completions, in both step orders, with its
+    system and the closure _peiffer_closure pastes for it."""
+    systems = [(braid_p, *braid8[:3])]
+    for p in (two_letters(), parse_polygraph(A3)):
+        g = explore(p, all_words(p, 6), ExplorationBudget(6, 100000, 200))
+        lab = Labelling.qnf(_derived_qnf_map(g))
+        systems.append((p, g, lab, build_completion(p, lab, g)))
+    out = []
     for p, g, lab, c in systems:
         for u in all_words(p, 6):
             for b in local_branchings(p, u, include_aspherical=False):
                 if b.kind != PEIFFER:
                     continue
                 for f1, h1 in ((b.first, b.second), (b.second, b.first)):
-                    c_f, c_h, e, _ = _peiffer_closure(c, lab, g, f1, h1)
-                    src, tgt = check_boundary(e, c.cells)
-                    assert src == normalize_zigzag(zigzag(u, f1, c_f))
-                    assert tgt == normalize_zigzag(zigzag(u, h1, c_h))
-                    pasted |= {name for name, cf, ch, _ in peiffer_variants(
-                        p, LocalBranching(f1, h1)) if (cf, ch) == (c_f, c_h)}
+                    out.append((p, g, lab, c, LocalBranching(f1, h1),
+                                _peiffer_closure(c, lab, g, f1, h1)))
+    return out
+
+
+def _pasted_variant(p, b, c_f, c_h):
+    return next(name for name, cf, ch, _ in peiffer_variants(p, b)
+                if (cf, ch) == (c_f, c_h))
+
+
+def test_peiffer_closures_pass_check_boundary(peiffer_closures):
+    """Every Peiffer closure closes with an expression from f1;c_f to
+    h1;c_h; between them the closures paste all four variants."""
+    pasted = set()
+    for p, g, lab, c, b, (c_f, c_h, e, _) in peiffer_closures:
+        src, tgt = check_boundary(e, c.cells)
+        assert src == normalize_zigzag(zigzag(b.source, b.first, c_f))
+        assert tgt == normalize_zigzag(zigzag(b.source, b.second, c_h))
+        pasted.add(_pasted_variant(p, b, c_f, c_h))
     assert pasted == {"peiffer", "reverse_both", "around_left",
                       "around_right"}
+
+
+def test_peiffer_closures_paste_the_audited_variant(peiffer_closures):
+    """Sphere filling closes each Peiffer branching with the variant and
+    the strictness the Peiffer audit reports for it."""
+    assert len(peiffer_closures) == 8 + 2808 + 864
+    for p, g, lab, c, b, (c_f, c_h, _, strict) in peiffer_closures:
+        report = check_peiffer_decreasing(lab, g, p, branchings=[b])[0]
+        assert report.status == "PASS"
+        assert (_pasted_variant(p, b, c_f, c_h), strict) == (
+            report.variant, report.strict), (b.first, b.second)
+
+
+def test_undecided_peiffer_closures_paste_the_square(lafont_p, lafont_g):
+    """A Peiffer branching the audit leaves UNDECIDED closes with the plain
+    Peiffer square, which needs no cell, and not strictly."""
+    lab = Labelling.qnf(_derived_qnf_map(lafont_g))
+    c = build_completion(lafont_p, lab, lafont_g, peiffer_len_bound=4)
+    undecided = [r.branching for r in c.audits["peiffer"]["reports"]
+                 if r.status == "UNDECIDED"]
+    assert undecided
+    for b in undecided:
+        c_f, c_h, e, strict = _peiffer_closure(c, lab, lafont_g, b.first,
+                                               b.second)
+        assert _pasted_variant(lafont_p, b, c_f, c_h) == "peiffer"
+        assert not strict and not e.atoms
 
 
 def test_zigzag_file_roundtrip(braid_p):
@@ -265,3 +319,37 @@ def test_parse_sphere(braid_p):
     left, right = parse_sphere(braid_p, text)
     assert left.source == right.source
     assert left.target == right.target
+
+
+def test_parse_sphere_rejects_ill_composed_and_unparallel_sides(braid_p):
+    with pytest.raises(ParseError, match=re.escape(
+            "line 2: step 1|alpha|t does not start at t s t t")):
+        parse_sphere(braid_p, "# steps that do not compose\n"
+                              "sphere : 1|alpha|t ; 1|alpha|t => s|beta|1")
+    with pytest.raises(ParseError, match="line 1: .* not parallel"):
+        parse_sphere(braid_p, "sphere : 1|alpha|t => 1|beta|s")
+
+
+_braid_steps = st.builds(
+    lambda left, rule, right, forward: (
+        f"{' '.join(left) or '1'}|{rule}|{' '.join(right) or '1'}"
+        + ("" if forward else "-")),
+    st.lists(st.sampled_from("st"), max_size=3), st.sampled_from(
+        ["alpha", "beta"]), st.lists(st.sampled_from("st"), max_size=3),
+    st.booleans())
+_braid_zigzags = st.lists(_braid_steps, min_size=1, max_size=4).map(
+    " ; ".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(src=_braid_zigzags, tgt=_braid_zigzags)
+def test_sphere_and_extension_parsers_fail_only_with_parse_error(braid_p,
+                                                                 src, tgt):
+    """Zigzags of random braid steps, in either orientation and whether
+    they compose or not, parse or raise ParseError; a parsed sphere has
+    parallel sides."""
+    with contextlib.suppress(ParseError):
+        f, h = parse_sphere(braid_p, f"sphere : {src} => {tgt}")
+        assert (f.source, f.target) == (h.source, h.target)
+    with contextlib.suppress(ParseError):
+        parse_extension(braid_p, f"cell X : {src} => {tgt}")

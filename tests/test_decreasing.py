@@ -109,17 +109,12 @@ def test_strictness_does_not_survive_whiskering(braid_p, braid_g,
     """A strict closure of the tstst overlap, whiskered by s on the left,
     fails the strictness check: the whiskered completion labels are no
     longer below the whiskered branching labels."""
-    from polyco.branchings import Branching
-    from polyco.engine import Path
-
     b = [c for c in critical_branchings(braid_p)
          if c.source == ("t", "s", "t", "s", "t")][0]
     d = find_decreasing(braid_lab, braid_g, b, depth=8, strict=True)
-    sd = StrictDiagram(Branching(Path(b.source, (b.first,)),
-                                 Path(b.source, (b.second,))),
-                       d.f_prime, d.g_prime)
-    wb = Branching(sd.branching.left.whisker(("s",), ()),
-                   sd.branching.right.whisker(("s",), ()))
+    sd = StrictDiagram(b, d.f_prime, d.g_prime)
+    wb = LocalBranching(b.first.whisker(("s",), ()),
+                        b.second.whisker(("s",), ()))
     whiskered = StrictDiagram(wb, sd.f_prime.whisker(("s",), ()),
                               sd.g_prime.whisker(("s",), ()))
     ok, _ = check_strict(braid_lab, braid_g, sd)

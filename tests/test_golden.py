@@ -4,11 +4,12 @@ Each case runs the CLI in-process on a built-in presentation and compares
 the exit code and stdout, byte for byte, with a gzipped file under
 tests/data/golden.  A change that must not alter any output (a speed-up,
 a refactor) keeps these passing as they are.  A change that alters output
-on purpose regenerates them with
+on purpose regenerates the cases it alters with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
-and shows the difference in its review.
+which rewrites the named cases (keys of CASES), or every case when none is
+named, and shows the difference in its review.
 """
 
 import contextlib
@@ -104,14 +105,19 @@ def test_output_matches_golden(case, fmt, tmp_path):
                     f"{want_lines[first:first + 1]!r}")
 
 
-def write_goldens() -> None:
+def write_goldens(cases=()) -> None:
+    unknown = set(cases) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(sorted(unknown))}")
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case, fmt in RUNS:
+            if cases and case not in cases:
+                continue
             data = gzip.compress(_run(Path(tmp), case, fmt), mtime=0)
             _golden(case, fmt).write_bytes(data)
             print(f"wrote {_golden(case, fmt)}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    write_goldens()
+    write_goldens(sys.argv[1:])
