@@ -28,10 +28,9 @@ from .decreasing import (DecreasingDiagram, MeasureError, SearchExhausted,
                          check_peiffer_decreasing, check_strict,
                          contexts_up_to, find_decreasing, peiffer_variants)
 from .loops import (Loop, LoopClass, LoopEnumeration, NotALoop,
-                    OrbitCapHit, canonical_rotation,
                     enumerate_elementary_loops, is_context_minimal,
                     is_elementary, is_minimal_for_composition,
-                    rotate_conjugators, strip_whiskers)
+                    strip_whiskers)
 from .expressions import (Atom, CONFLUENCE, LOOP, MissingLoopClass,
                           ThreeCell, ThreeCellExpression, check_boundary,
                           concat, conjugate, contract_loop,
@@ -72,10 +71,9 @@ __all__ = [
     "check_decreasing", "check_peiffer_decreasing", "check_strict",
     "contexts_up_to", "find_decreasing", "peiffer_variants",
     # loops
-    "Loop", "LoopClass", "LoopEnumeration", "NotALoop", "OrbitCapHit",
-    "canonical_rotation", "enumerate_elementary_loops", "is_context_minimal",
-    "is_elementary", "is_minimal_for_composition", "rotate_conjugators",
-    "strip_whiskers",
+    "Loop", "LoopClass", "LoopEnumeration", "NotALoop",
+    "enumerate_elementary_loops", "is_context_minimal", "is_elementary",
+    "is_minimal_for_composition", "strip_whiskers",
     # expressions
     "Atom", "CONFLUENCE", "LOOP", "MissingLoopClass", "ThreeCell",
     "ThreeCellExpression", "check_boundary", "concat", "conjugate",

@@ -76,6 +76,9 @@ def parse_step(p: Polygraph, text: str, line: int | None = None) -> RewriteStep:
         raise ParseError(f"expected LCTX|RULE|RCTX, got {text!r}", line)
     left = parse_word(fields[0].strip(), line)
     right = parse_word(fields[2].strip(), line)
+    for letter in left + right:
+        if letter not in p.generators:
+            raise ParseError(f"unknown generator {letter!r}", line)
     try:
         rule = p.rule(fields[1].strip())
     except KeyError:

@@ -15,10 +15,8 @@ from dataclasses import dataclass
 from .core import Word, word_str
 from .engine import (IllComposed, Path, ReductionGraph, ZigzagPath,
                      normalize_zigzag, zigzags_equal)
-from .loops import (Loop, OrbitCapHit, canonical_rotation, class_reordering,
-                    fundamental_factors, inner_repeat_span, loop_class_key,
-                    reorder_to_expose_subloop, rotate_conjugators,
-                    strip_whiskers, word_sequence)
+from .loops import (class_of, fundamental_factors, split_loop, strip_whiskers,
+                    word_sequence)
 
 CONFLUENCE = "confluence"
 LOOP = "loop"
@@ -188,13 +186,14 @@ def contract_loop(cells, classes, f: Path, g: ReductionGraph | None = None
 
     ``cells`` maps cell names to ThreeCells; ``classes`` maps elementary
     class keys to cell names.  Sub-loops exposed by exchange reorderings
-    are peeled off until each remainder is elementary up to whiskers and,
-    up to exchange, a rotation of some class representative.  When no
-    class carries a remainder and ``g`` is the graph the classes were
-    enumerated on, the remainder is written through the fundamental loops
-    of its component, each of which peels onto the classes.  The peeling
-    keeps a worklist of sub-loops, not one frame per sub-loop, so long
-    loops do not exhaust the recursion limit.
+    (see ``split_loop``) are peeled off until each remainder is elementary
+    up to whiskers; its core is conjugate, up to exchange, to the
+    representative of its class (see ``class_of``).  When no class carries
+    a remainder and ``g`` is the graph the classes were enumerated on, the
+    remainder is written through the fundamental loops of its component,
+    each of which peels onto the classes.  The peeling keeps a worklist of
+    sub-loops, not one frame per sub-loop, so long loops do not exhaust the
+    recursion limit.
     """
     if f.source != f.target:
         raise ValueError("not a loop")
@@ -207,61 +206,39 @@ def contract_loop(cells, classes, f: Path, g: ReductionGraph | None = None
         steps, words, pre, post = work.pop()
         if not steps:
             continue
-        # a loop that revisits a word is its own first reordering that
-        # exposes a sub-loop
-        span = inner_repeat_span(words)
-        if span is None:
-            try:
-                reordered = reorder_to_expose_subloop(steps)
-            except OrbitCapHit as e:
-                raise MissingLoopClass(str(e)) from e
-            if reordered is not None:
-                steps, words = reordered, word_sequence(reordered)
-                span = inner_repeat_span(words)
-        if span is not None:
-            # the loop equals prefix * inner * suffix up to exchange;
-            # contract the inner loop in place, then what remains
-            i, j = span
-            prefix = ZigzagPath._checked(words[0], steps[:i])
-            suffix = ZigzagPath._checked(words[j], steps[j:])
-            work.append((steps[:i] + steps[j:], words[:i + 1] + words[j + 1:],
-                         pre, post))
-            work.append((steps[i:j], words[i:j + 1], pre.compose(prefix),
-                         suffix.compose(post)))
+        split = split_loop(steps, words)
+        if split is None:
+            leaf = _contract_elementary(cells, classes, steps, g)
+            atoms += conjugate(leaf, pre=pre, post=post).atoms
             continue
-        leaf = _contract_elementary(cells, classes, steps, g)
-        atoms += conjugate(leaf, pre=pre, post=post).atoms
+        # the loop equals prefix * inner * suffix up to exchange; contract
+        # the inner loop in place, then what remains
+        steps, words, (i, j) = split
+        prefix = ZigzagPath._checked(words[0], steps[:i])
+        suffix = ZigzagPath._checked(words[j], steps[j:])
+        work.append((steps[:i] + steps[j:], words[:i + 1] + words[j + 1:],
+                     pre, post))
+        work.append((steps[i:j], words[i:j + 1], pre.compose(prefix),
+                     suffix.compose(post)))
     return ThreeCellExpression(f.zigzag(), tuple(atoms))
 
 
 def _contract_elementary(cells, classes, steps, g) -> ThreeCellExpression:
     """Contract a loop that no exchange-reordering peels further: through
     the class of its core, else through the fundamental loops of g."""
-    u, core_steps, v = strip_whiskers(steps)
-    # a reordering through exchanges equals the core as a 2-cell, so its
-    # class serves
-    try:
-        found = class_reordering(core_steps, classes)
-    except OrbitCapHit as e:
-        raise MissingLoopClass(str(e)) from e
-    if found is None:
-        split = None if g is None else fundamental_factors(g, core_steps)
+    u, core, v = strip_whiskers(steps)
+    key, rep, conjugator = class_of(core)
+    if key not in classes:
+        split = None if g is None else fundamental_factors(g, core)
         if split is None:
             raise MissingLoopClass(
                 f"no extension cell for the loop class of "
-                f"({Path(core_steps[0].source, core_steps)})")
+                f"({Path(core[0].source, core)})")
         return conjugate(_contract_factors(cells, classes, *split),
                          left_word=u, right_word=v)
-    core = Loop(Path(found[0].source, found))
-    cell_name = classes[loop_class_key(core)]
-    rep_steps = canonical_rotation(core.steps)
-    rep = Loop(Path(rep_steps[0].source, rep_steps))
-    hk = rotate_conjugators(core, rep)
-    if hk is None:
-        raise MissingLoopClass("representative is not a rotation")
-    h, k = hk
-    atom = Atom(h.whisker(u, v), u, cell_name, +1, v,
-                k.zigzag().whisker(u, v))
+    k = Path(rep[0].source, conjugator).zigzag()
+    atom = Atom(k.inverse().whisker(u, v), u, classes[key], +1, v,
+                k.whisker(u, v))
     return ThreeCellExpression(ZigzagPath._checked(steps[0].source, steps),
                                (atom,))
 

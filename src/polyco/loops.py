@@ -1,11 +1,15 @@
-"""Forward rewriting loops and their elementary representatives.
+"""Forward rewriting loops and their elementary classes, read on traces.
 
-A loop is a nonempty forward path back to its source.  Two loops are
-equivalent when one is a circular permutation of the other.  A loop is
-elementary when it is minimal in two senses: no reordering of its steps
-through exchanges of disjoint redexes revisits a word (so it does not
-factor through a smaller loop), and no common whisker can be stripped
-from all its steps.
+A loop is a nonempty forward path back to its source.  Its reorderings
+through exchanges of steps with disjoint redexes are the linearizations of
+one Mazurkiewicz trace (Cartier and Foata, LNM 85, 1969; Diekert and
+Rozenberg, *The Book of Traces*, 1995).  An ideal of the trace is a set of
+steps that can be applied first, and the word it reaches does not depend
+on their order.  A loop is elementary when no two nested ideals, other
+than the empty one and the whole loop, reach the same word (no reordering
+factors it through a smaller loop) and no common whisker can be stripped
+from all its steps.  Two elementary loops are in one class when their
+cyclic traces are conjugate.
 
 The classes are found from fundamental cycles, not by enumerating every
 cycle: in each strongly connected component, every step off a
@@ -17,9 +21,9 @@ once each of them contracts onto the classes, every loop does.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import lru_cache
+from operator import attrgetter, itemgetter
 
 from .core import Word, word_str
 from .engine import (Path, ReductionGraph, RewriteStep, TruncatedRegion,
@@ -51,23 +55,6 @@ class Loop:
 
     def __str__(self):
         return str(self.path)
-
-
-def canonical_rotation(steps: tuple[RewriteStep, ...]
-                       ) -> tuple[RewriteStep, ...]:
-    """The rotation with the least serialization: the class representative
-    is deterministic."""
-    names = [str(s) for s in steps]
-    i = min(range(len(steps)), key=lambda i: names[i:] + names[:i])
-    return steps[i:] + steps[:i]
-
-
-def _class_key(steps: tuple[RewriteStep, ...]) -> tuple[str, ...]:
-    return tuple(str(s) for s in canonical_rotation(steps))
-
-
-def loop_class_key(loop: Loop) -> tuple[str, ...]:
-    return _class_key(loop.steps)
 
 
 @dataclass(frozen=True)
@@ -118,101 +105,150 @@ def word_sequence(steps) -> tuple[Word, ...]:
     return (steps[0].source,) + tuple(s.target for s in steps)
 
 
-class OrbitCapHit(Exception):
-    """The exchange orbit of a loop passed its cap before the search could
-    tell whether the loop is minimal for composition."""
+def _to_front(seq: tuple, r: int, swap=exchange_swap) -> tuple | None:
+    """``seq`` with its r-th step exchanged to the front, or None when it
+    cannot pass a step before it; ``swap(a, b)`` is the exchanged pair of
+    consecutive steps a; b, or None."""
+    x = seq[r]
+    passed = []
+    for k in range(r - 1, -1, -1):
+        pair = swap(seq[k], x)
+        if pair is None:
+            return None
+        x, y = pair
+        passed.append(y)
+    return (x, *reversed(passed), *seq[r + 1:])
 
 
-# Reorderings searched per loop before OrbitCapHit; read at call time.
-ORBIT_CAP = 4000
+def split_loop(steps: tuple, words: tuple, swap=exchange_swap,
+               target=attrgetter("target")):
+    """A reordering of the loop ``steps`` through exchanges that revisits a
+    word, as (reordering, its words, (i, j)) with words[i] == words[j]; None
+    when none does.  ``words`` is the loop's word sequence and ``target(a)``
+    the word a step reaches; steps are opaque otherwise.
 
-
-def _orbit(start: tuple, words: tuple, swap, target, cap: int):
-    """Breadth-first walk of the exchange orbit of the loop ``start``,
-    itself first: yields (reordering, revisits a word), and stops after
-    the first reordering that does.  Steps are opaque here: ``words`` is
-    the loop's word sequence, ``swap(a, b)`` the exchanged pair or None and
-    ``target(a)`` the word a step reaches.
-
-    A swap of steps i and i+1 changes only the word between them, so each
-    reordering is tested for a revisit in O(1) when it is generated."""
-    if len(set(words)) < len(start):
-        yield start, True
-        return
-    yield start, False
-    seen = {start}
-    queue = deque([(start, words)])
-    while queue:
-        cur, words = queue.popleft()
-        present = set(words)
-        for i in range(len(cur) - 1):
-            swapped = swap(cur[i], cur[i + 1])
-            if swapped is None:
-                continue
-            nxt = cur[:i] + swapped + cur[i + 2:]
-            mid = target(swapped[0])
-            if mid != words[i + 1] and mid in present:
-                yield nxt, True
-                return
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            if len(seen) > cap:
-                raise OrbitCapHit(f"has more than {cap} reorderings")
-            yield nxt, False
-            queue.append((nxt, words[:i + 1] + (mid,) + words[i + 2:]))
-
-
-def _step_orbit(steps: tuple[RewriteStep, ...], cap: int | None = None):
-    start = tuple(steps)
-    try:
-        yield from _orbit(start, word_sequence(start), exchange_swap,
-                          attrgetter("target"),
-                          ORBIT_CAP if cap is None else cap)
-    except OrbitCapHit as e:
-        raise OrbitCapHit(f"the exchange orbit of "
-                          f"({Path(start[0].source, start)}) {e}") from None
-
-
-def reorder_to_expose_subloop(steps: tuple[RewriteStep, ...],
-                              cap: int | None = None):
-    """The first exchange-reordering of the steps of a loop, in
-    breadth-first order, that revisits a word; None when no reordering
-    does, that is when the loop is minimal for composition.  Raises
-    OrbitCapHit when the orbit has more than ``cap`` (default ORBIT_CAP)
-    elements and none of them revisits a word."""
-    return next((r for r, revisits in _step_orbit(steps, cap) if revisits),
-                None)
-
-
-def class_reordering(steps: tuple[RewriteStep, ...], classes):
-    """The first exchange-reordering of the steps of an elementary loop, in
-    breadth-first order and the steps themselves first, whose class key is
-    in ``classes``; None when there is none.  Raises OrbitCapHit."""
-    return next((r for r, _ in _step_orbit(steps)
-                 if _class_key(r) in classes), None)
-
-
-def inner_repeat_span(words) -> tuple[int, int] | None:
-    """Earliest (i, j) with words[i] == words[j], excluding the first and
-    last position together (the full loop itself)."""
-    seen: dict = {}
-    for pos, w in enumerate(words):
-        if w in seen:
-            i = seen[w]
-            if not (i == 0 and pos == len(words) - 1):
-                return i, pos
-        else:
-            seen[w] = pos
+    The loop's own earliest revisit comes first.  Otherwise the ideals of
+    its trace are searched breadth-first, each a bitmask over positions
+    kept with its complement in an order that applies, until one reaches
+    the word of an ideal nested with it (the loop's prefixes are known from
+    the start).  The reordering applies the smaller ideal, then the rest of
+    the larger, then the rest of the loop."""
+    reached: dict = {}
+    for k, w in enumerate(words[:-1]):
+        if w in reached:
+            return steps, words, (reached[w][0].bit_count(), k)
+        reached[w] = [(1 << k) - 1]
+    if all(swap(a, b) is None for a, b in zip(steps, steps[1:])):
+        return None  # no two steps exchange: the loop is its only reordering
+    full = (1 << len(steps)) - 1
+    level = {0: (steps, tuple(range(len(steps))))}
+    while level:
+        grown = {}
+        for ideal, (rest, positions) in level.items():
+            for r, pos in enumerate(positions):
+                bigger = ideal | 1 << pos
+                if bigger in grown or bigger == full:
+                    continue
+                moved = _to_front(rest, r, swap)
+                if moved is None:
+                    continue
+                at = reached.setdefault(target(moved[0]), [])
+                other = next((i for i in at
+                              if i != bigger and i & bigger in (i, bigger)),
+                             None)
+                if other is not None:
+                    return _exposing(steps, words[0], other & bigger,
+                                     other | bigger, swap, target)
+                at.append(bigger)
+                grown[bigger] = (moved[1:],
+                                 positions[:r] + positions[r + 1:])
+        level = grown
     return None
 
 
-def is_minimal_for_composition(loop: Loop, cap: int | None = None) -> bool:
+def _exposing(steps, base, inner: int, outer: int, swap, target):
+    """``split_loop``'s result for two nested ideals that reach one word."""
+    seq = list(steps)
+    # 2 in inner, 1 in outer only, 0 outside both; ideals are closed under
+    # going earlier, so an insertion sort by exchanges puts them first
+    part = [(inner >> p & 1) + (outer >> p & 1) for p in range(len(seq))]
+    for k in range(1, len(seq)):
+        while k and part[k - 1] < part[k]:
+            seq[k - 1], seq[k] = swap(seq[k - 1], seq[k])
+            part[k - 1], part[k] = part[k], part[k - 1]
+            k -= 1
+    words = (base,) + tuple(map(target, seq))
+    return tuple(seq), words, (inner.bit_count(), outer.bit_count())
+
+
+def _least_linearization(steps: tuple, bound=None):
+    """(names, steps) of the least reordering of a loop through exchanges,
+    steps compared by name; None once it cannot come out below ``bound``."""
+    names, out = [], []
+    tied = bound is not None
+    while steps:
+        name, steps = min(((str(m[0]), m) for r in range(len(steps))
+                           if (m := _to_front(steps, r)) is not None),
+                          key=itemgetter(0))
+        if tied:
+            if name > bound[len(names)]:
+                return None
+            tied = name == bound[len(names)]
+        names.append(name)
+        out.append(steps[0])
+        steps = steps[1:]
+    return None if tied else (tuple(names), tuple(out))
+
+
+@lru_cache(maxsize=4096)
+def class_of(core: tuple[RewriteStep, ...]):
+    """(key, representative, conjugator) of the class of an elementary core.
+
+    The conjugates of the core's cyclic trace, each moving a step that can
+    go first to the end, are searched breadth-first and told apart by how
+    often each step has moved, less full turns; the trace of an elementary
+    core is connected, so there are finitely many.  The representative is
+    the least linearization over them and the key its step names.  The
+    conjugator k is a forward path from the representative's base to the
+    core's, with core = k⁻¹ · representative · k up to exchange.  Memoised:
+    the enumeration and the filler look up the same cores."""
+    best = None
+    start = (0,) * len(core)
+    # turns -> (a linearization, the core position of each of its steps,
+    # the conjugator)
+    conjugates = {start: (core, tuple(range(len(core))), ())}
+    queue = [start]
+    for turns in queue:
+        steps, positions, path = conjugates[turns]
+        least = _least_linearization(steps, best and best[0])
+        if least is not None:
+            best = least + (path,)
+        for r, pos in enumerate(positions):
+            moved = _to_front(steps, r)
+            if moved is None:
+                continue
+            more = turns[:pos] + (turns[pos] + 1,) + turns[pos + 1:]
+            if min(more):
+                more = tuple(t - 1 for t in more)
+            if more in conjugates:
+                continue
+            first, rest = moved[0], moved[1:]
+            # conjugating by ``rest`` moves ``first`` to the end, unless the
+            # path starts with ``first`` up to exchange: then drop it there
+            conjugates[more] = (
+                rest + (first,), positions[:r] + positions[r + 1:] + (pos,),
+                next((m[1:] for q in range(len(path))
+                      if (m := _to_front(path, q)) is not None
+                      and m[0] == first), rest + path))
+            queue.append(more)
+    return best
+
+
+def is_minimal_for_composition(loop: Loop) -> bool:
     """True when no reordering of the loop through exchanges of disjoint
     redexes revisits an intermediate word.  A revisit in any reordering
-    exhibits the loop as a composite through a smaller loop.  Raises
-    OrbitCapHit when the orbit is too large to tell."""
-    return reorder_to_expose_subloop(loop.steps, cap) is None
+    exhibits the loop as a composite through a smaller loop."""
+    return split_loop(loop.steps, word_sequence(loop.steps)) is None
 
 
 def is_elementary(loop: Loop) -> bool:
@@ -318,18 +354,15 @@ class _Component:
     def elementary_parts(self, loop: tuple[int, ...]
                          ) -> tuple[tuple[int, ...], ...]:
         """The loops that contract_loop's peeling leaves of ``loop``, before
-        their whiskers are stripped, memoised.  Raises OrbitCapHit."""
+        their whiskers are stripped, memoised."""
         parts = self._leaves.get(loop)
         if parts is None:
             words = (self.src[loop[0]],) + tuple(self.tgt[s] for s in loop)
-            r = next((r for r, revisits in _orbit(
-                loop, words, self._swap, self.tgt.__getitem__, ORBIT_CAP)
-                if revisits), None)
-            if r is None:
+            split = split_loop(loop, words, self._swap, self.tgt.__getitem__)
+            if split is None:
                 parts = (loop,)
             else:
-                i, j = inner_repeat_span(
-                    (self.src[r[0]],) + tuple(self.tgt[s] for s in r))
+                r, _, (i, j) = split
                 parts = (self.elementary_parts(r[i:j])
                          + self.elementary_parts(r[:i] + r[j:]))
             self._leaves[loop] = parts
@@ -369,27 +402,25 @@ def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
 
 
 def enumerate_elementary_loops(g: ReductionGraph) -> LoopEnumeration:
-    """Equivalence classes (up to circular permutation) of elementary loops
-    that cover every loop of the explored graph.
+    """Classes of elementary loops, up to conjugation of their traces, that
+    cover every loop of the explored graph.
 
     In each strongly connected component that carries a cycle, every
     fundamental loop (see ``_Component.fundamental_loops``) is peeled as
     ``contract_loop`` peels it, and each elementary core left over gets a
-    class unless some reordering of it through exchanges has one.  Given
-    the graph, contract_loop then contracts every loop of it (see
+    class unless a conjugate of its trace has one (see ``class_of``).
+    Given the graph, contract_loop then contracts every loop of it (see
     ``fundamental_factors``).  The fundamental loops number |E| - |V| + 1
     per component, so no cap is needed: the exploration budget bounds
     them.  A component that is a whiskered copy of an explored one is
-    skipped.  An exchange orbit too large to decide is reported as an
-    incomplete enumeration.  Raises TruncatedRegion when a component that
-    carries a cycle holds an incomplete word."""
+    skipped.  Raises TruncatedRegion when a component that carries a cycle
+    holds an incomplete word."""
     sccs = _cyclic_sccs(g)
     for members in sccs:
         for w in members:
             if w not in g.complete:
                 raise TruncatedRegion(
                     f"a cycle touches the incomplete word {word_str(w)}")
-    complete = True
     classes: dict[tuple, LoopClass] = {}
     for members in sccs:
         comp = _Component(g, members)
@@ -397,34 +428,14 @@ def enumerate_elementary_loops(g: ReductionGraph) -> LoopEnumeration:
             continue
         seen: set[tuple[int, ...]] = set()
         for loop in comp.fundamental_loops():
-            try:
-                parts = comp.elementary_parts(loop)
-                for part in parts:
-                    if part in seen:
-                        continue
-                    seen.add(part)
-                    _, core, _ = strip_whiskers(
-                        tuple(comp.steps[s] for s in part))
-                    if class_reordering(core, classes) is None:
-                        rep = canonical_rotation(core)
-                        key = _class_key(rep)
-                        classes[key] = LoopClass(
-                            Loop(Path(rep[0].source, rep)), key)
-            except OrbitCapHit:
-                complete = False
+            for part in comp.elementary_parts(loop):
+                if part in seen:
+                    continue
+                seen.add(part)
+                _, core, _ = strip_whiskers(tuple(comp.steps[s] for s in part))
+                key, rep, _ = class_of(core)
+                if key not in classes:
+                    classes[key] = LoopClass(Loop(Path(rep[0].source, rep)),
+                                             key)
     ordered = sorted(classes.values(), key=lambda c: (len(c.key), c.key))
-    return LoopEnumeration(ordered, complete)
-
-
-def rotate_conjugators(f: Loop, e: Loop):
-    """Given equivalent loops f = f1...fp and e a circular permutation of
-    f, return (h, k) with h a zigzag, k a forward path, h the inverse of k,
-    and f equal to h * e * k in the free (2,1)-category.  None when e is
-    not a rotation of f."""
-    fs = f.steps
-    for j in range(len(fs)):
-        if fs[j:] + fs[:j] == e.steps:
-            k = Path(fs[j].source, fs[j:]) if j else Path(f.base)
-            h = k.zigzag().inverse()
-            return h, k
-    return None
+    return LoopEnumeration(ordered, True)

@@ -95,7 +95,9 @@ def test_fill_sphere(braid_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("sphere", [
     "sphere : 1|alpha|t ; 1|alpha|t => s|beta|1",
-    "sphere : 1|alpha|t => 1|beta|s"], ids=["ill_composed", "not_parallel"])
+    "sphere : 1|alpha|t => 1|beta|s",
+    "sphere : x|alpha|1 => x|alpha|1 ; x|alpha|1- ; x|alpha|1"],
+    ids=["ill_composed", "not_parallel", "unknown_letter"])
 def test_fill_sphere_malformed_sphere_is_input_error(braid_file, tmp_path,
                                                      capsys, sphere):
     path = tmp_path / "sphere.txt"
@@ -111,6 +113,15 @@ def test_homology_ill_composed_cell_is_input_error(braid_file, tmp_path,
     assert main(["homology", braid_file, "--cells", str(cells)]) == 2
     assert capsys.readouterr().err == (
         "error: line 1: step 1|alpha|t does not start at t s t t\n")
+
+
+def test_homology_cell_over_an_unknown_letter_is_input_error(braid_file,
+                                                             tmp_path, capsys):
+    cells = tmp_path / "cells.txt"
+    cells.write_text("cell X : x|alpha|1 ; x|beta|1 => id x s t s\n")
+    assert main(["homology", braid_file, "--cells", str(cells)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: unknown generator 'x'\n")
 
 
 def test_homology_reduced(braid_file, capsys):

@@ -13,13 +13,16 @@ from polyco.decreasing import (DecreasingDiagram, _paths_from, _try_splits,
                                check_decreasing)
 from polyco.completion import _overlap_closure, _peiffer_closure
 from polyco.engine import (ExplorationBudget, Path, RewriteStep,
-                           TruncatedRegion, Unreachable, enumerate_steps,
-                           explore)
+                           TruncatedRegion, Unreachable, ZigzagPath,
+                           enumerate_steps, exchange_swap, explore,
+                           zigzags_equal)
 from polyco.fixtures import (abstract_states, braid, convergent_braid, no_fdt,
                              two_letters)
 from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
                               LabellingError, QNF, ReachabilityOrder,
                               step_key)
+from polyco.loops import (_Component, _cyclic_sccs, class_of, split_loop,
+                          strip_whiskers, word_sequence)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +289,74 @@ def test_reachability_order_matches_reachable():
         assert order.less(a, b) == want, (a, b)
         answers.add(want)
     assert answers == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# loop revisits and classes on the trace against a walk over reorderings
+
+_A3 = Polygraph("A3", ("a", "b", "c"), (
+    Rule("r1", ("a", "b", "a"), ("b", "a", "b")),
+    Rule("r2", ("b", "a", "b"), ("a", "b", "a")),
+    Rule("r3", ("b", "c", "b"), ("c", "b", "c")),
+    Rule("r4", ("c", "b", "c"), ("b", "c", "b")),
+    Rule("r5", ("a", "c"), ("c", "a")),
+    Rule("r6", ("c", "a"), ("a", "c"))))
+
+
+def _reorderings(steps):
+    """The reorderings of a loop through exchanges of adjacent steps,
+    breadth-first from the loop itself, up to the first that revisits a
+    word."""
+    seen = {steps}
+    queue = deque([steps])
+    while queue:
+        cur = queue.popleft()
+        yield cur
+        words = word_sequence(cur)[:-1]
+        if len(set(words)) < len(words):
+            return
+        for i in range(len(cur) - 1):
+            pair = exchange_swap(cur[i], cur[i + 1])
+            if pair is not None:
+                nxt = cur[:i] + pair + cur[i + 2:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+
+
+def _revisits(steps):
+    words = word_sequence(steps)[:-1]
+    return len(set(words)) < len(words)
+
+
+@pytest.mark.parametrize("p,length", [(braid(), 10), (_A3, 7),
+                                      (two_letters(), 6)],
+                         ids=["braid-10", "a3-7", "two_letters-6"])
+def test_trace_decisions_match_a_walk_over_reorderings(p, length):
+    g = explore(p, all_words(p, length), ExplorationBudget(length))
+    cores = set()
+    for members in _cyclic_sccs(g):
+        comp = _Component(g, members)
+        for ids in comp.fundamental_loops():
+            steps = tuple(comp.steps[s] for s in ids)
+            split = split_loop(steps, word_sequence(steps))
+            # the walk ends on its first revisit, or after the whole orbit
+            last = deque(_reorderings(steps), maxlen=1)[0]
+            assert (split is not None) == _revisits(last)
+            if split is None:
+                cores.add(strip_whiskers(steps)[1])
+                continue
+            reordered, words, (i, j) = split
+            assert words == word_sequence(reordered) and words[i] == words[j]
+            assert zigzags_equal(ZigzagPath(steps[0].source, reordered),
+                                 ZigzagPath(steps[0].source, steps))
+    assert cores
+    for core in cores:
+        # every reordering, and the conjugate that moves its first step to
+        # the end, is keyed as the core is
+        key = class_of(core)[0]
+        for r in _reorderings(core):
+            assert class_of(r)[0] == class_of(r[1:] + r[:1])[0] == key
 
 
 # ---------------------------------------------------------------------------

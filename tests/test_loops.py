@@ -9,19 +9,14 @@ from fractions import Fraction
 import pytest
 
 import polyco
-import polyco.expressions as expressions_module
-import polyco.loops as loops_module
 from polyco.core import Polygraph, Rule, all_words, parse_polygraph
 from polyco.engine import (ExplorationBudget, Path, ZigzagPath, explore,
                            parse_step, support, zigzags_equal)
-from polyco.expressions import (LOOP, MissingLoopClass, ThreeCell,
-                                check_boundary, contract_loop)
-from polyco.loops import (Loop, OrbitCapHit, canonical_rotation,
-                          enumerate_elementary_loops, fundamental_factors,
-                          is_context_minimal, is_elementary,
-                          is_minimal_for_composition,
-                          loop_class_key, reorder_to_expose_subloop,
-                          rotate_conjugators)
+from polyco.expressions import LOOP, ThreeCell, check_boundary, contract_loop
+from polyco.loops import (Loop, class_of, enumerate_elementary_loops,
+                          fundamental_factors, is_context_minimal,
+                          is_elementary, is_minimal_for_composition,
+                          split_loop, word_sequence)
 
 
 def _loop(p, *steps_text):
@@ -49,8 +44,9 @@ def test_lafont_has_one_elementary_loop_class(lafont_g):
 def test_loop_classes_identify_rotations(braid_p):
     f = _loop(braid_p, "1|alpha|1", "1|beta|1")
     e = _loop(braid_p, "1|beta|1", "1|alpha|1")
-    assert loop_class_key(f) == loop_class_key(e)
-    assert canonical_rotation(f.steps) == canonical_rotation(e.steps)
+    key, rep, _ = class_of(f.steps)
+    assert class_of(e.steps)[:2] == (key, rep)
+    assert key == ("1|alpha|1", "1|beta|1") and rep == f.steps
 
 
 def test_whiskered_loop_is_not_elementary(braid_p):
@@ -75,24 +71,25 @@ def test_enumerated_representatives_are_elementary(braid_g, lafont_g):
 
 
 def test_rotate_conjugators(braid_p):
-    f = _loop(braid_p, "1|alpha|1", "1|beta|1")
-    e = _loop(braid_p, "1|beta|1", "1|alpha|1")
-    out = rotate_conjugators(f, e)
-    assert out is not None
-    h, k = out
-    assert zigzags_equal(h, k.zigzag().inverse())
-    composite = h.compose(e.path.zigzag()).compose(k.zigzag())
+    # the conjugator k of a rotation: f = k^-1 . representative . k
+    f = _loop(braid_p, "1|beta|1", "1|alpha|1")
+    _, rep, path = class_of(f.steps)
+    assert rep == (f.steps[1], f.steps[0])
+    k = Path(rep[0].source, path)
+    assert k.target == f.base
+    e = Path(rep[0].source, rep)
+    composite = k.zigzag().inverse().compose(e.zigzag()).compose(k.zigzag())
     assert zigzags_equal(f.path.zigzag(), composite)
-    assert support(f.path) == support(e.path)
+    assert support(f.path) == support(e)
 
 
 def test_rotate_conjugators_rejects_non_rotation(braid_p):
     f = _loop(braid_p, "1|alpha|1", "1|beta|1")
     other = _loop(braid_p, "t|alpha|1", "t|beta|1")
-    assert rotate_conjugators(f, other) is None
+    assert class_of(f.steps)[0] != class_of(other.steps)[0]
 
 
-# -- loop coverage, orbit cap and determinism --------------------------------
+# -- loop coverage and determinism --------------------------------
 
 BRAID = """\
 polygraph braid
@@ -176,7 +173,7 @@ def test_cycle_search_matches_brute_force():
         enum = enumerate_elementary_loops(g)
         assert enum.complete
         assert len(enum.classes) == betti
-        vectors = [[sum(s.rule is r for s in c.representative.steps)
+        vectors = [[sum(s.rule == r for s in c.representative.steps)
                     for r in rules] for c in enum.classes]
         assert _rank(vectors) == betti
 
@@ -226,42 +223,53 @@ def _assert_contracts(cells, names, path, g=None):
     assert tgt == ZigzagPath(path.source)
 
 
-def test_orbit_cap_hit_is_reported(monkeypatch):
+def test_reorder_exposes_the_first_revisit_in_breadth_first_order(braid_p):
+    # alpha and beta on each half of sts sts, interleaved: no word repeats
+    # along the loop, but a reordering revisits one
+    loop = _loop(braid_p, "1|alpha|s t s", "t s t|alpha|1",
+                 "1|beta|t s t", "s t s|beta|1")
+    assert is_context_minimal(loop)
+    assert len(set(word_sequence(loop.steps))) == len(loop)
+    steps, words, (i, j) = split_loop(loop.steps, word_sequence(loop.steps))
+    assert words == word_sequence(steps) and words[i] == words[j]
+    assert 0 < j - i < len(loop)
+    assert zigzags_equal(ZigzagPath(loop.base, steps), loop.path.zigzag())
+    assert not is_elementary(loop)
+
+
+def test_half_twist_loop_is_elementary_and_contracts():
     p = parse_polygraph(A3)
     loop = _half_twist_loop(p)
-    assert is_minimal_for_composition(loop)
-    with pytest.raises(OrbitCapHit):
-        is_minimal_for_composition(loop, cap=1)
-    with pytest.raises(OrbitCapHit):
-        reorder_to_expose_subloop(loop.steps, cap=1)
-
+    assert is_elementary(loop)
     g = explore(p, [loop.base], ExplorationBudget(max_word_len=6))
     enum = enumerate_elementary_loops(g)
     assert enum.complete
     _assert_contracts(*_loop_cells(enum), loop.path)
-    monkeypatch.setattr(loops_module, "ORBIT_CAP", 1)
-    assert not enumerate_elementary_loops(g).complete
 
 
-def test_contract_loop_names_the_orbit_cap(monkeypatch):
-    loop = _half_twist_loop(parse_polygraph(A3))
-    reorder = expressions_module.reorder_to_expose_subloop
-    monkeypatch.setattr(expressions_module, "reorder_to_expose_subloop",
-                        lambda steps: reorder(steps, cap=1))
-    with pytest.raises(MissingLoopClass, match="more than 1 reorderings"):
-        contract_loop({}, {}, loop.path)
+# system, longest word length and the lengths of the loop classes there
+_COMPLETE = ([("braid", n) for n in range(1, 11)]
+             + [("two_letters", n) for n in range(1, 9)]
+             + [("a3", n) for n in range(1, 9)]
+             + [("no_fdt", n) for n in range(1, 6)])
+_CLASS_LENGTHS = {("two_letters", 7): [2], ("two_letters", 8): [2],
+                  ("a3", 8): [2, 2, 2, 14, 14, 20, 20, 20, 24, 24, 26, 26, 26,
+                              28]}
 
 
-def test_reorder_exposes_the_first_revisit_in_breadth_first_order(braid_p):
-    # alpha and beta on each half of sts sts, interleaved: swapping the
-    # first two steps already revisits a word
-    loop = _loop(braid_p, "1|alpha|s t s", "t s t|alpha|1",
-                 "1|beta|t s t", "s t s|beta|1")
-    assert is_context_minimal(loop)
-    out = reorder_to_expose_subloop(loop.steps)
-    assert [str(s) for s in out] == ["s t s|alpha|1", "1|alpha|t s t",
-                                     "1|beta|t s t", "s t s|beta|1"]
-    assert not is_elementary(loop)
+@pytest.mark.parametrize("name,length", _COMPLETE,
+                         ids=[f"{s}-{n}" for s, n in _COMPLETE])
+def test_loop_enumeration_is_complete_at_every_length(name, length):
+    # no budget but the word length bounds the enumeration, so raising it
+    # never leaves the loop audit incomplete
+    p = parse_polygraph(A3) if name == "a3" else getattr(polyco.fixtures,
+                                                           name)()
+    g = explore(p, all_words(p, length), ExplorationBudget(length))
+    enum = enumerate_elementary_loops(g)
+    assert enum.complete
+    want = _CLASS_LENGTHS.get((name, length))
+    if want is not None:
+        assert [len(c.key) for c in enum.classes] == want
 
 
 def _env(**extra):
