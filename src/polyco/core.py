@@ -174,7 +174,10 @@ def parse_polygraph(text: str) -> Polygraph:
         raise ParseError("missing polygraph declaration")
     if not gens:
         raise ParseError("missing gens declaration")
-    return Polygraph(name, tuple(gens), tuple(rules))
+    try:
+        return Polygraph(name, tuple(gens), tuple(rules))
+    except PresentationError as e:
+        raise ParseError(str(e)) from e
 
 
 def serialize_polygraph(p: Polygraph) -> str:

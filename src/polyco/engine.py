@@ -328,16 +328,27 @@ class ExplorationBudget:
 class ReductionGraph:
     """The explored part of the reduction graph of a presentation.
 
-    Vertices are words; edges are forward steps.  A vertex is complete when
-    every step out of it was kept; budget refusals mark the vertex
-    incomplete and set the truncated flag.
+    Vertices are words, numbered in the order exploration met them
+    (``vertices`` maps each word to its id); edges are forward steps.  A
+    vertex is complete when every step out of it was kept; budget refusals
+    mark the vertex incomplete and set the truncated flag.
+
+    Exploration reads each kept step's target once: ``out[u]`` holds the
+    steps out of u and ``_succ[i]`` the ids of their targets, in the same
+    order, for the vertex u of id i.  Every later pass over the edges reads
+    these successor rows rather than the steps.  One Tarjan pass over them
+    sets ``scc_of``, ``scc_members`` (in the order Tarjan closes the
+    components, each with its members in the order they leave its stack),
+    ``scc_sinks`` (the closed components of complete words: the quasi-normal
+    forms) and ``scc_cyclic`` (the ascending indices of the components that
+    carry a cycle: more than one member, or a step from a word to itself).
 
     ``distance`` and ``geodesic`` read one backward breadth-first search
-    from their target, cached per target over a predecessor index built on
-    the first such query.  ``reachable`` searches forward from its source
-    and caches nothing; ``ReachabilityOrder`` does not call it but keeps a
-    forward search per upper word that it resumes only as far as each
-    query needs.
+    from their target, cached per target over a predecessor index built
+    from the successor rows on the first such query.  ``reachable``
+    searches forward from its source and caches nothing;
+    ``ReachabilityOrder`` does not call it but keeps a forward search per
+    upper word that it resumes only as far as each query needs.
     """
 
     def __init__(self, polygraph: Polygraph, budget: ExplorationBudget):
@@ -350,6 +361,8 @@ class ReductionGraph:
         self.scc_of: dict[Word, int] = {}
         self.scc_members: list[tuple[Word, ...]] = []
         self.scc_sinks: set[int] = set()
+        self.scc_cyclic: list[int] = []
+        self._succ: list[tuple[int, ...]] = []
         self._pred: tuple[list[Word], array, array] | None = None
         self._dist_to: dict[Word, dict[Word, int]] = {}
 
@@ -357,123 +370,135 @@ class ReductionGraph:
 
     def _explore(self, seeds) -> None:
         budget = self.budget
+        max_len, max_states = budget.max_word_len, budget.max_states
+        p = self.polygraph
+        ids = self.vertices
+        out = self.out
+        succ = self._succ
+        complete = self.complete
         queue: deque[tuple[Word, int]] = deque()
         for w in seeds:
-            if w in self.vertices:
+            if w in ids:
                 continue
-            if len(w) > budget.max_word_len:
+            if len(w) > max_len or len(ids) >= max_states:
                 self.truncated = True
                 continue
-            if len(self.vertices) >= budget.max_states:
-                self.truncated = True
-                continue
-            self.vertices[w] = len(self.vertices)
+            ids[w] = len(ids)
             queue.append((w, 0))
+        # the queue is first in, first out, so words leave it in the order
+        # of their ids and each one's successor row is appended at its id
         while queue:
             u, d = queue.popleft()
-            steps = enumerate_steps(self.polygraph, u)
+            steps = enumerate_steps(p, u)
             if d >= budget.max_depth and steps:
-                self.out[u] = ()
+                out[u] = ()
+                succ.append(())
                 self.truncated = True
                 continue
-            kept = []
+            row = []
             ok = True
             for s in steps:
                 t = s.target
-                if len(t) > budget.max_word_len:
-                    ok = False
-                    self.truncated = True
-                    continue
-                if t not in self.vertices:
-                    if len(self.vertices) >= budget.max_states:
+                j = ids.get(t)
+                if j is None:
+                    if len(t) > max_len or len(ids) >= max_states:
                         ok = False
-                        self.truncated = True
-                        continue
-                    self.vertices[t] = len(self.vertices)
-                    queue.append((t, d + 1))
-                kept.append(s)
-            self.out[u] = tuple(kept)
+                    else:
+                        j = ids[t] = len(ids)
+                        queue.append((t, d + 1))
+                row.append(j)
             if ok:
-                self.complete.add(u)
+                complete.add(u)
+                out[u] = tuple(steps)
+                succ.append(tuple(row))
+            else:
+                # keep the steps whose target the budget let in
+                self.truncated = True
+                out[u] = tuple(s for s, j in zip(steps, row) if j is not None)
+                succ.append(tuple(j for j in row if j is not None))
         self._compute_sccs()
 
     def _compute_sccs(self) -> None:
-        # iterative Tarjan
-        index: dict[Word, int] = {}
-        low: dict[Word, int] = {}
-        on_stack: set[Word] = set()
-        stack: list[Word] = []
-        counter = [0]
-        self.scc_of = {}
+        # iterative Tarjan on vertex ids; it closes a component only after
+        # every component its steps lead to, so the steps out of a closed
+        # component's members lead into it or into components closed before
+        succ = self._succ
+        n = len(succ)
+        words = list(self.vertices)
+        complete = self.complete
+        index = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        comp = [-1] * n
+        stack: list[int] = []
+        counter = 0
         sccs: list[tuple[Word, ...]] = []
+        sinks: set[int] = set()
+        cyclic: list[int] = []
 
-        for root in self.vertices:
-            if root in index:
+        for root in range(n):
+            if index[root] >= 0:
                 continue
-            work = [(root, iter(self.out.get(root, ())))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
+            index[root] = low[root] = counter
+            counter += 1
             stack.append(root)
-            on_stack.add(root)
+            on_stack[root] = True
+            work = [(root, iter(succ[root]))]
             while work:
                 v, it = work[-1]
-                advanced = False
-                for s in it:
-                    w = s.target
-                    if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
+                for w in it:
+                    if index[w] < 0:
+                        index[w] = low[w] = counter
+                        counter += 1
                         stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(self.out.get(w, ()))))
-                        advanced = True
+                        on_stack[w] = True
+                        work.append((w, iter(succ[w])))
                         break
-                    if w in on_stack:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
-                    members = []
-                    while True:
+                    if on_stack[w] and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if work:
+                        pv = work[-1][0]
+                        if low[v] < low[pv]:
+                            low[pv] = low[v]
+                    if low[v] != index[v]:
+                        continue
+                    i = len(sccs)
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = i
+                    if w == v:
+                        # one member, the common case: its steps stay
+                        # inside when each one goes from v to v
+                        row = succ[v]
+                        loops = row.count(v)
+                        if loops:
+                            cyclic.append(i)
+                        if loops == len(row) and words[v] in complete:
+                            sinks.add(i)
+                        sccs.append((words[v],))
+                        continue
+                    members = [w]
+                    while w != v:
                         w = stack.pop()
-                        on_stack.discard(w)
+                        on_stack[w] = False
+                        comp[w] = i
                         members.append(w)
-                        if w == v:
-                            break
-                    sccs.append(tuple(members))
+                    cyclic.append(i)
+                    if (all(comp[t] == i for m in members for t in succ[m])
+                            and all(words[m] in complete for m in members)):
+                        sinks.add(i)
+                    sccs.append(tuple(words[m] for m in members))
         self.scc_members = sccs
-        for i, members in enumerate(sccs):
-            for w in members:
-                self.scc_of[w] = i
-        self.scc_sinks = set()
-        for i, members in enumerate(sccs):
-            if not all(w in self.complete for w in members):
-                continue
-            sink = True
-            for w in members:
-                for s in self.out.get(w, ()):
-                    if self.scc_of[s.target] != i:
-                        sink = False
-                        break
-                if not sink:
-                    break
-            if sink:
-                self.scc_sinks.add(i)
+        self.scc_of = dict(zip(words, comp))
+        self.scc_sinks = sinks
+        self.scc_cyclic = cyclic
 
     # -- queries -----------------------------------------------------
 
     def has_cycle(self) -> bool:
-        for members in self.scc_members:
-            if len(members) > 1:
-                return True
-            w = members[0]
-            if any(s.target == w for s in self.out.get(w, ())):
-                return True
-        return False
+        return bool(self.scc_cyclic)
 
     def steps_from(self, u: Word) -> tuple[RewriteStep, ...]:
         if u not in self.vertices:
@@ -504,23 +529,20 @@ class ReductionGraph:
         """Words by id, and the sources of the edges into each id in
         compressed rows: those of id i are ``pred[start[i]:start[i + 1]]``."""
         if self._pred is None:
-            ids = self.vertices
-            words = list(ids)
-            start = array("i", [0]) * (len(words) + 1)
-            for steps in self.out.values():
-                for s in steps:
-                    start[ids[s.target] + 1] += 1
-            for i in range(len(words)):
+            succ = self._succ
+            start = array("i", [0]) * (len(succ) + 1)
+            for row in succ:
+                for t in row:
+                    start[t + 1] += 1
+            for i in range(len(succ)):
                 start[i + 1] += start[i]
             pred = array("i", [0]) * start[-1]
             fill = start[:-1]
-            for u, steps in self.out.items():
-                uid = ids[u]
-                for s in steps:
-                    t = ids[s.target]
-                    pred[fill[t]] = uid
+            for u, row in enumerate(succ):
+                for t in row:
+                    pred[fill[t]] = u
                     fill[t] += 1
-            self._pred = words, start, pred
+            self._pred = list(self.vertices), start, pred
         return self._pred
 
     def _distances_to(self, v: Word) -> dict[Word, int]:
@@ -587,18 +609,16 @@ class ReductionGraph:
         if u not in self.vertices:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
         words, start, pred = self._predecessors()
-        seen = {u}
-        queue = deque([u])
-        while queue:
-            v = queue.popleft()
-            i = self.vertices[v]
-            nbrs = [s.target for s in self.out.get(v, ())] + [
-                words[y] for y in pred[start[i]:start[i + 1]]]
-            for w in nbrs:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
+        succ = self._succ
+        i = self.vertices[u]
+        seen = {i}
+        queue = [i]
+        for v in queue:
+            for j in (*succ[v], *pred[start[v]:start[v + 1]]):
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        return {words[j] for j in queue}
 
 
 def explore(p: Polygraph, seeds, budget: ExplorationBudget | None = None

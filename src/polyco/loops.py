@@ -260,11 +260,8 @@ def _cyclic_sccs(g: ReductionGraph) -> list[list[Word]]:
     members in exploration order; ordered by shortest word, then by first
     explored member."""
     order = g.vertices
-    out = []
-    for members in g.scc_members:
-        w = members[0]
-        if len(members) > 1 or any(s.target == w for s in g.out.get(w, ())):
-            out.append(sorted(members, key=order.__getitem__))
+    out = [sorted(g.scc_members[i], key=order.__getitem__)
+           for i in g.scc_cyclic]
     out.sort(key=lambda m: (min(map(len, m)), order[m[0]]))
     return out
 

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polyco
 from polyco.core import (ParseError, Polygraph, PresentationError, Rule,
                          all_words, parse_polygraph, parse_word,
                          serialize_polygraph, word_str)
+from polyco.engine import parse_step
+from polyco.fixtures import braid
 
 SRC = """\
 # positive braid monoid
@@ -66,3 +69,52 @@ def test_every_exported_name_resolves():
     assert len(set(polyco.__all__)) == len(polyco.__all__)
     missing = [n for n in polyco.__all__ if not hasattr(polyco, n)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# parsers fail only with ParseError, on text built from the grammar's tokens
+
+_NAMES = ["s", "t", "alpha", "beta", "x", "r", "r:", "s-", "1x"]
+_TOKENS = ["polygraph", "gens", "rule", ":", "=>", "1", "|", "-", "#",
+           *_NAMES]
+_soup = st.lists(st.sampled_from([*_TOKENS, "\n"]), max_size=10)
+_words = st.one_of(
+    st.lists(st.sampled_from(["s", "t"]), min_size=1, max_size=4),
+    st.just(["1"]),
+    st.lists(st.sampled_from(["s", "t", "1", "x", "=>", "|"]), max_size=4),
+).map(" ".join)
+_rule_names = st.one_of(st.sampled_from(["alpha", "beta"]),
+                        st.sampled_from(_NAMES))
+_rule_lines = st.builds("rule {} : {} => {}".format, _rule_names, _words,
+                        _words)
+_lines = st.one_of(_soup.map(" ".join), _rule_lines,
+                   st.sampled_from(["polygraph braid", "gens s t", "gens s s",
+                                    "# gens", ""]))
+_polygraphs = st.builds(
+    "{}{}".format, st.sampled_from(["", "polygraph braid\ngens s t\n"]),
+    st.lists(st.one_of(_rule_lines, _lines), max_size=6).map("\n".join))
+_steps = st.one_of(
+    st.builds("".join, _soup), st.builds(" ".join, _soup),
+    st.builds("{}|{}|{}{}".format, _words, _rule_names, _words,
+              st.sampled_from(["", "-", " -", "--"])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_polygraphs)
+def test_parse_polygraph_fails_only_with_parse_error(text):
+    try:
+        p = parse_polygraph(text)
+    except ParseError:
+        return
+    assert parse_polygraph(serialize_polygraph(p)) == p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_steps)
+def test_parse_step_fails_only_with_parse_error(text):
+    p = braid()
+    try:
+        s = parse_step(p, text)
+    except ParseError:
+        return
+    assert parse_step(p, str(s)) == s

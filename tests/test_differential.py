@@ -2,7 +2,7 @@
 plain reference implementations kept here."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -294,13 +294,7 @@ def test_reachability_order_matches_reachable():
 # ---------------------------------------------------------------------------
 # loop revisits and classes on the trace against a walk over reorderings
 
-_A3 = Polygraph("A3", ("a", "b", "c"), (
-    Rule("r1", ("a", "b", "a"), ("b", "a", "b")),
-    Rule("r2", ("b", "a", "b"), ("a", "b", "a")),
-    Rule("r3", ("b", "c", "b"), ("c", "b", "c")),
-    Rule("r4", ("c", "b", "c"), ("b", "c", "b")),
-    Rule("r5", ("a", "c"), ("c", "a")),
-    Rule("r6", ("c", "a"), ("a", "c"))))
+_A3 = _a3()
 
 
 def _reorderings(steps):
@@ -390,3 +384,82 @@ def test_label_order_error_propagates_from_closures(braid_p, braid_g,
     f1, h1 = crit.first.whisker(("t",), ()), crit.second.whisker(("t",), ())
     with pytest.raises(RuntimeError, match="broken order"):
         _overlap_closure(braid_completion, lab, braid_g, f1, h1)
+
+
+# ---------------------------------------------------------------------------
+# components, cycles, sinks and predecessors against mutual reachability
+
+
+def _explored(p, length, max_states=10000):
+    return explore(p, all_words(p, length),
+                   ExplorationBudget(length, max_states))
+
+
+def _self_loops_g():
+    """Steps from a word to itself, which make one-word components carry
+    a cycle."""
+    p = Polygraph("self_loops", ("a", "b"), (Rule("id", ("a",), ("a",)),
+                                             Rule("ab", ("a", "b"), ("b",)),
+                                             Rule("ba", ("b",), ("b", "b"))))
+    return explore(p, all_words(p, 3), ExplorationBudget(5))
+
+
+_SCC_GRAPHS = {
+    "braid-8": lambda: _explored(braid(), 8),
+    "a3-6": lambda: _explored(_A3, 6),
+    "two_letters-6": lambda: _explored(two_letters(), 6),
+    "no_fdt-5": lambda: _explored(no_fdt(), 5),
+    "convergent_braid-7": lambda: _explored(convergent_braid(), 7),
+    "braid-8-truncated": lambda: _explored(braid(), 8, max_states=200),
+    "self_loops-5": _self_loops_g,
+}
+
+
+@pytest.mark.parametrize("name", [*_SCC_GRAPHS, "upsilon_g"])
+def test_sccs_match_mutual_reachability(name, request):
+    g = (request.getfixturevalue(name) if name == "upsilon_g"
+         else _SCC_GRAPHS[name]())
+    reach = {u: set(_forward(g, u)) for u in g.vertices}
+    members = g.scc_members
+    assert sorted(w for m in members for w in m) == sorted(g.vertices)
+    cyclic, sinks = set(), set()
+    for i, m in enumerate(members):
+        u = m[0]
+        want = {v for v in reach[u] if u in reach[v]}
+        assert set(m) == want and len(m) == len(want), m
+        assert all(g.scc_of[w] == i for w in m)
+        if any(w in reach[s.target] for w in m for s in g.out[w]):
+            cyclic.add(i)
+        if reach[u] <= want and all(w in g.complete for w in m):
+            sinks.add(i)
+    assert g.scc_cyclic == sorted(cyclic)
+    assert g.has_cycle() == bool(cyclic)
+    assert g.scc_sinks == sinks
+    # Tarjan closes a component after every component its steps lead to
+    for u, steps in g.out.items():
+        assert all(g.scc_of[s.target] <= g.scc_of[u] for s in steps)
+    if name == "braid-8-truncated":
+        assert g.truncated and len(g.complete) < len(g.vertices)
+        assert any(not all(w in g.complete for w in members[i])
+                   and reach[members[i][0]] <= set(members[i])
+                   for i in range(len(members)))
+    else:
+        assert sinks
+
+
+@pytest.mark.parametrize("name", [*_SCC_GRAPHS, "upsilon_g"])
+def test_successor_and_predecessor_rows_match_the_steps(name, request):
+    g = (request.getfixturevalue(name) if name == "upsilon_g"
+         else _SCC_GRAPHS[name]())
+    ids = g.vertices
+    assert len(g._succ) == len(ids)
+    sources = {u: Counter() for u in ids}
+    for u, steps in g.out.items():
+        assert g._succ[ids[u]] == tuple(ids[s.target] for s in steps)
+        for s in steps:
+            sources[s.target][u] += 1
+    words, start, pred = g._predecessors()
+    assert words == list(ids)
+    for i, w in enumerate(words):
+        assert Counter(words[y] for y in pred[start[i]:start[i + 1]]) \
+            == sources[w], w

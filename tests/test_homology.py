@@ -2,8 +2,14 @@ import random
 
 import sympy
 
+from polyco.cli import _derived_qnf_map
+from polyco.completion import CERTIFIED, build_completion
+from polyco.core import all_words
+from polyco.engine import ExplorationBudget, explore
+from polyco.fixtures import braid, convergent_braid
 from polyco.homology import (abelianize, finiteness_report, homology,
                              identity, matmul, smith_normal_form, zeros)
+from polyco.labelling import Labelling
 
 
 def _random_matrix(rnd, max_dim=6, lo=-5, hi=5):
@@ -73,6 +79,25 @@ def test_convergent_braid_homology(upsilon_p, upsilon_g):
     c = build_completion(upsilon_p, Labelling.nf(upsilon_g), upsilon_g)
     res = homology(abelianize(upsilon_p, c.cell_list))
     assert res.h0.rank == 1
+
+
+def _certified_homology(p, labelling, length):
+    """Homology of the completion that ``polyco complete`` builds at this
+    word length, which must be CERTIFIED."""
+    g = explore(p, all_words(p, length), ExplorationBudget(length, 100000))
+    c = build_completion(p, labelling(g), g)
+    assert c.verdict == CERTIFIED
+    return homology(abelianize(p, c.cell_list))
+
+
+def test_braid_and_convergent_braid_have_equal_homology():
+    """Two presentations of the positive braid monoid on three strands,
+    each completed at word length 8, give the monoid's H1 and H2."""
+    a = _certified_homology(braid(),
+                            lambda g: Labelling.qnf(_derived_qnf_map(g)), 8)
+    b = _certified_homology(convergent_braid(), Labelling.nf, 8)
+    assert (a.h1, a.h2) == (b.h1, b.h2)
+    assert str(a.h1) == "Z" and str(a.h2) == "0"
 
 
 def test_finiteness_report_summary(braid_p):
