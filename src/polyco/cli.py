@@ -132,6 +132,28 @@ def _emit(args, data: dict, text: str) -> None:
         print(text)
 
 
+def _ok(ok: bool) -> str:
+    return "ok" if ok else "FAILED"
+
+
+def _peiffer_status(reports) -> str:
+    """"ok", or "FAILED" with the first UNDECIDED branching: its source, its
+    two steps and what its first attempt read, the error that labelling
+    that variant raised or its labels."""
+    r = next((r for r in reports if r.status != "PASS"), None)
+    if r is None:
+        return "ok"
+    b, first = r.branching, r.attempts[0]
+    if "error" in first:
+        read = first["error"]
+    else:
+        labels = first["labels"]
+        read = (f"sides {labels['sides']}, "
+                f"completions {labels['completions']}")
+    return (f"FAILED at {word_str(b.source)}: {b.first} || {b.second} "
+            f"({first['variant']}: {read})")
+
+
 def _budget_dict(args):
     return {"max_word_len": args.max_word_len,
             "max_states": args.max_states, "max_depth": args.max_depth,
@@ -208,11 +230,12 @@ def cmd_complete(args) -> int:
         "budget": _budget_dict(args),
     }
     text = format_extension(c) + f"\nverdict: {c.verdict}\n" + "\n".join(
-        f"audit {k}: {'ok' if v else 'FAILED'}"
-        for k, v in [("strict", c.audits["strict"]["ok"]),
-                     ("context", ctx.ok),
-                     ("peiffer", c.audits["peiffer"]["ok"]),
-                     ("loops", c.audits["loops"]["complete"])])
+        f"audit {k}: {v}"
+        for k, v in [("strict", _ok(c.audits["strict"]["ok"])),
+                     ("context", _ok(ctx.ok)),
+                     ("peiffer",
+                      _peiffer_status(c.audits["peiffer"]["reports"])),
+                     ("loops", _ok(c.audits["loops"]["complete"]))])
     _emit(args, data, text)
     return EXIT_OK if c.verdict == CERTIFIED else EXIT_INCONCLUSIVE
 
@@ -252,7 +275,7 @@ def cmd_check_decreasing(args) -> int:
                  + ("ok" if ctx.ok else
                     f"violation at {ctx.first_violation}"))
     lines.append(f"Peiffer decreasing up to length {args.peiffer_len_bound}: "
-                 + ("ok" if peiffer_ok else "FAILED"))
+                 + _peiffer_status(peiffer))
     _emit(args, data, "\n".join(lines))
     if missing:
         return EXIT_SEARCH

@@ -101,6 +101,16 @@ class Polygraph:
             groups.setdefault(r.lhs[0], []).append(r)
         return {x: tuple(rs) for x, rs in groups.items()}
 
+    @cached_property
+    def reverse_rules(self) -> dict[str, Rule | None]:
+        """Each rule's name mapped to the first declared rule undoing it
+        (its left- and right-hand sides swapped), or None; built once per
+        presentation."""
+        first: dict[tuple[Word, Word], Rule] = {}
+        for r in self.rules:
+            first.setdefault((r.lhs, r.rhs), r)
+        return {r.name: first.get((r.rhs, r.lhs)) for r in self.rules}
+
     def rule(self, name: str) -> Rule:
         for r in self.rules:
             if r.name == name:

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .core import Polygraph, Word, all_words, word_str
-from .branchings import ASPHERICAL, PEIFFER, LocalBranching, local_branchings
+from .branchings import ASPHERICAL, LocalBranching
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
-                     TruncatedRegion, Unreachable)
+                     TruncatedRegion, Unreachable, enumerate_steps)
 from .labelling import (Labelling, LabellingError, MissingLabel, NF, QNF,
-                        label_path, label_step)
+                        TABLE, label_key, label_path, label_step,
+                        label_target)
 
 
 class SearchExhausted(Exception):
@@ -263,18 +265,23 @@ def _labels(lab, g, b: LocalBranching, p1: Path, p2: Path) -> tuple:
             label_path(lab, g, p1), label_path(lab, g, p2))
 
 
-def _split_diagram(order, b: LocalBranching, p1: Path, p2: Path, labels):
-    """Read the completion pair as the parts of a decreasing diagram:
-    p1 as f' . g'' . h1 and p2 as g' . f'' . h2, from the labels of
-    ``_labels``.  The conditions on each side depend only on that side's
-    split, so the first split of each that passes gives the first diagram
-    that passes check_decreasing, which tries the splits of p1 in the outer
-    loop; None when there is none."""
+def _first_splits(order, labels):
+    """The splits ((i1, j1), (i2, j2)) reading a completion pair as the
+    parts of a decreasing diagram, from the labels of ``_labels``: p1 as
+    f' . g'' . h1 with f' its first i1 steps and g'' the next j1, and p2 as
+    g' . f'' . h2 likewise.  The conditions on each side depend only on that
+    side's split, so the first split of each that passes gives the first
+    diagram that passes check_decreasing, which tries the splits of p1 in
+    the outer loop; None when there is none."""
     psi_f, psi_g, l1, l2 = labels
     splits = (_first_split(l1, psi_f, psi_g, order),
               _first_split(l2, psi_g, psi_f, order))
-    if None in splits:
-        return None
+    return None if None in splits else splits
+
+
+def _cut(b: LocalBranching, p1: Path, p2: Path, splits) -> DecreasingDiagram:
+    """The decreasing diagram that cuts the completion pair at the splits
+    of ``_first_splits``."""
     (i1, j1), (i2, j2) = splits
     s1, s2 = p1.steps, p2.steps
     f_prime = Path._checked(p1.source, s1[:i1])
@@ -285,6 +292,13 @@ def _split_diagram(order, b: LocalBranching, p1: Path, p2: Path, labels):
                              Path._checked(g_dprime.target, s1[i1 + j1:]),
                              g_prime, f_dprime,
                              Path._checked(f_dprime.target, s2[i2 + j2:]))
+
+
+def _split_diagram(order, b: LocalBranching, p1: Path, p2: Path, labels):
+    """The completion pair read as a decreasing diagram from the labels of
+    ``_labels`` (_first_splits); None when no reading holds."""
+    splits = _first_splits(order, labels)
+    return None if splits is None else _cut(b, p1, p2, splits)
 
 
 def _try_splits(lab, g, b: LocalBranching, p1: Path, p2: Path):
@@ -369,12 +383,45 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
 # Peiffer branchings and their variants
 
 
-def reverse_rule(p: Polygraph, rule):
-    """The first declared rule undoing the given one, if any."""
-    for r in p.rules:
-        if r.lhs == rule.rhs and r.rhs == rule.lhs:
-            return r
-    return None
+def _square(p: Polygraph, b: LocalBranching):
+    """The Peiffer square of b, f ∥ h with f the step on the left: whether
+    b lists h first, f, h, the left context of h once f is applied, the
+    right context of f once h is applied, and the first declared reverse
+    rules of f and h (None when there is none).
+
+    The square has eight steps, numbered as the variants refer to them:
+    0 f and 1 h out of the source, 2 h after f and 3 f after h into the
+    word where both are applied, 4 f undone after f and 5 h undone after h
+    back into the source, and 6 f undone after 3 and 7 h undone after 2;
+    4 and 6 need the reverse rule of f, 5 and 7 that of h."""
+    f, h = b.first, b.second
+    swap = f.position > h.position
+    if swap:
+        f, h = h, f
+    pf, end_f, ph = len(f.left), len(f.left) + len(f.rule.lhs), len(h.left)
+    if end_f > ph:
+        raise ValueError("not a Peiffer branching")
+    reverse = p.reverse_rules
+    return (swap, f, h, h.left[:pf] + f.rule.rhs + h.left[end_f:],
+            f.right[:ph - end_f] + h.rule.rhs + h.right,
+            reverse[f.rule.name], reverse[h.rule.name])
+
+
+def _variant_shapes(has_rf: bool, has_rh: bool):
+    """The variants of a Peiffer square in the order they are read: the
+    Peiffer confluence itself and its three rotations through the reverse
+    rules the square has.  Each is its name, the steps of its completions
+    from f.target and from h.target and its witness loops, each step given
+    by its number in _square; a witness loop is two steps."""
+    yield "peiffer", (2,), (3,), ()
+    if has_rf and has_rh:
+        # undo each side, meeting back at the source
+        yield "reverse_both", (4,), (5,), ((0, 4), (1, 5))
+    if has_rf:
+        # go around through the Peiffer target, then undo the first rule
+        yield "around_left", (2, 6), (), ((3, 6),)
+    if has_rh:
+        yield "around_right", (), (3, 7), ((2, 7),)
 
 
 def peiffer_variants(p: Polygraph, b: LocalBranching):
@@ -388,107 +435,229 @@ def peiffer_variants(p: Polygraph, b: LocalBranching):
     loops at the source, one per step and in the order of the steps, or
     one detour loop at the target of the step whose completion is empty.
     """
-    f, h = b.first, b.second
-    swap = f.position > h.position
-    if swap:
-        f, h = h, f
-    pf, end_f = f.position, f.position + len(f.rule.lhs)
-    if end_f > h.position:
-        raise ValueError("not a Peiffer branching")
-    # the Peiffer confluence: apply the other rule on each side
-    u = b.source
-    h_shift = RewriteStep(h.left[:pf] + f.rule.rhs + h.left[end_f:],
-                          h.rule, h.right, True)
-    f_keep = RewriteStep(f.left, f.rule,
-                         f.right[:h.position - end_f] + h.rule.rhs + h.right,
-                         True)
+    swap, f, h, h_left, f_right, rf, rh = _square(p, b)
+
+    def step(left, rule, right):
+        return None if rule is None else RewriteStep(left, rule, right, True)
+
+    steps = (f, h, step(h_left, h.rule, h.right),
+             step(f.left, f.rule, f_right), step(f.left, rf, f.right),
+             step(h.left, rh, h.right), step(f.left, rf, f_right),
+             step(h_left, rh, h.right))
     tf, th = f.target, h.target
+    for name, cf, ch, loops in _variant_shapes(rf is not None,
+                                               rh is not None):
+        c_f = Path._checked(tf, tuple(steps[i] for i in cf))
+        c_h = Path._checked(th, tuple(steps[i] for i in ch))
+        witnesses = [Path._checked(steps[i].source, (steps[i], steps[j]))
+                     for i, j in loops]
+        yield ((name, c_h, c_f, witnesses[::-1]) if swap
+               else (name, c_f, c_h, witnesses))
 
-    def orient(cf_steps, ch_steps, witnesses):
-        cf = Path._checked(tf, tuple(cf_steps))
-        ch = Path._checked(th, tuple(ch_steps))
-        return (ch, cf, witnesses[::-1]) if swap else (cf, ch, witnesses)
 
-    yield ("peiffer",) + orient([h_shift], [f_keep], [])
+class _PeifferMemo:
+    """What deciding Peiffer branchings under one labelling learns once: the
+    label of each word, or of each step key under a table labelling, that a
+    square reads, and the decision on each square's labels."""
 
-    rf = reverse_rule(p, f.rule)
-    rh = reverse_rule(p, h.rule)
-    f_back = (RewriteStep(f.left, rf, f.right, True)
-              if rf is not None else None)
-    h_back = (RewriteStep(h.left, rh, h.right, True)
-              if rh is not None else None)
-    if f_back is not None and h_back is not None:
-        # undo each side, meeting back at the source
-        w1 = Path._checked(u, (f, f_back))
-        w2 = Path._checked(u, (h, h_back))
-        yield ("reverse_both",) + orient([f_back], [h_back], [w1, w2])
-    if f_back is not None:
-        # go around through the Peiffer target, then undo the first rule
-        around = [h_shift, RewriteStep(f.left, rf, f_keep.right, True)]
-        loop = Path._checked(th, (
-            f_keep, RewriteStep(f.left, rf, f_keep.right, True)))
-        yield ("around_left",) + orient(around, [], [loop])
-    if h_back is not None:
-        around = [f_keep, RewriteStep(h_shift.left, rh, h_shift.right, True)]
-        loop = Path._checked(tf, (
-            h_shift, RewriteStep(h_shift.left, rh, h_shift.right, True)))
-        yield ("around_right",) + orient([], around, [loop])
+    def __init__(self, lab: Labelling, g: ReductionGraph):
+        self.table = lab.kind == TABLE
+        self._label = (partial(label_key, lab) if self.table
+                       else partial(label_target, lab, g))
+        self.labels: dict = {}
+        self.decisions: dict = {}
+
+    def label(self, x):
+        """The label of a word or step key; raises what labelling it
+        raises."""
+        if x not in self.labels:
+            self.labels[x] = self._label(x)
+        return self.labels[x]
+
+    def label_or_error(self, x):
+        """The label of a word or step key, or the error labelling it
+        raises."""
+        try:
+            return self.label(x)
+        except (LabellingError, TruncatedRegion) as e:
+            return e
+
+
+def _square_labels(table: bool, label, u: Word, square) -> tuple:
+    """The labels of the eight steps of the square at u, in the numbering
+    of _square, without building the steps.  A table labelling labels the
+    steps' keys, and a step whose reverse rule is missing gets None.  The
+    other kinds read only the steps' targets, so ``label`` labels the four
+    words of the square, each once, and gives all eight labels whatever
+    reverse rules exist; the label of a step no variant reads is never
+    reported."""
+    _, f, h, h_left, f_right, rf, rh = square
+    if table:
+        fn, hn = f.rule.name, h.rule.name
+        rfn = None if rf is None else rf.name
+        rhn = None if rh is None else rh.name
+        keys = ((f.left, fn, f.right), (h.left, hn, h.right),
+                (h_left, hn, h.right), (f.left, fn, f_right),
+                (f.left, rfn, f.right), (h.left, rhn, h.right),
+                (f.left, rfn, f_right), (h_left, rhn, h.right))
+        return tuple(None if key[1] is None else label(key) for key in keys)
+    tf = label(f.left + f.rule.rhs + f.right)
+    th = label(h.left + h.rule.rhs + h.right)
+    both = label(h_left + h.rule.rhs + h.right)
+    back = label(u)
+    return tf, th, both, both, back, back, th, tf
+
+
+def _choose(order, candidates):
+    """Decide a Peiffer branching from the labels of its variants, read in
+    order: each candidate is (name, labels), the labels as ``_labels``
+    orders them or the error that labelling the variant raised.  Returns
+    (variant, strict, splits, attempts): the first variant that reads
+    strict, else the first that reads decreasing with its splits
+    (_first_splits), else variant None.  The candidates read before the
+    first decreasing one are kept in ``attempts``: their labels, or their
+    error."""
+    attempts = []
+    chosen = None
+    for name, labels in candidates:
+        if isinstance(labels, Exception):
+            if chosen is None:
+                attempts.append({"variant": name, "ok": False,
+                                 "error": str(labels)})
+            continue
+        if _strict(order, labels):
+            return name, True, None, attempts
+        if chosen is not None:
+            # a later variant may still read strict
+            continue
+        splits = _first_splits(order, labels)
+        if splits is not None:
+            chosen = name, False, splits, attempts
+            continue
+        attempts.append({
+            "variant": name, "ok": False,
+            "labels": {"sides": list(labels[:2]),
+                       "completions": [list(labels[2]), list(labels[3])]}})
+    return chosen or (None, False, None, attempts)
+
+
+def _variant_labels(form: tuple, labels, failed: bool = False):
+    """The candidates of _choose for a Peiffer square, from the labels of
+    its eight steps (_square_labels), oriented as the branching lists its
+    steps.  ``form`` says whether the branching lists the right step first
+    and whether f and h have reverse rules.  When some labels are errors
+    (``failed``), a variant that reads one is the first error in the order
+    _labels labels its steps."""
+    swap, has_rf, has_rh = form
+    sides = (labels[1], labels[0]) if swap else labels[:2]
+    for name, cf, ch, _ in _variant_shapes(has_rf, has_rh):
+        l1 = tuple(labels[i] for i in cf)
+        l2 = tuple(labels[i] for i in ch)
+        if swap:
+            l1, l2 = l2, l1
+        read = sides + (l1, l2)
+        if failed:
+            read = next((k for k in sides + l1 + l2
+                         if isinstance(k, Exception)), read)
+        yield name, read
 
 
 @dataclass
 class PeifferReport:
+    """The decision on one Peiffer branching (_decide_peiffer): its status,
+    the chosen variant of peiffer_variants, whether it reads strict, and
+    the variants read before it (``attempts``).
+
+    ``diagram`` and ``witness_loops`` are built on first read, from the
+    chosen variant of ``peiffer_variants(polygraph, branching)`` cut at the
+    recorded ``splits`` when it reads decreasing but not strict; both are
+    None and empty for an UNDECIDED branching."""
+
     branching: LocalBranching
     status: str                       # "PASS" or "UNDECIDED"
     variant: str | None = None
     strict: bool = False
-    diagram: object = None
-    witness_loops: list = field(default_factory=list)
     attempts: list = field(default_factory=list)
+    polygraph: Polygraph | None = field(default=None, repr=False,
+                                        compare=False)
+    splits: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _chosen(self) -> tuple:
+        if self.variant is None:
+            return None, []
+        b = self.branching
+        cf, ch, loops = next(
+            (cf, ch, loops)
+            for name, cf, ch, loops in peiffer_variants(self.polygraph, b)
+            if name == self.variant)
+        return (StrictDiagram(b, cf, ch) if self.strict
+                else _cut(b, cf, ch, self.splits)), loops
+
+    @property
+    def diagram(self):
+        return self._chosen[0]
+
+    @property
+    def witness_loops(self) -> list:
+        return self._chosen[1]
 
 
 def _decide_peiffer(lab: Labelling, g: ReductionGraph, p: Polygraph,
-                    b: LocalBranching) -> PeifferReport:
+                    b: LocalBranching, memo: _PeifferMemo | None = None
+                    ) -> PeifferReport:
     """Decide a Peiffer branching: PASS with the first variant of
     peiffer_variants that reads strict, else the first that reads
     decreasing, else UNDECIDED.  The audit reports this decision and sphere
-    filling pastes it.  psi(f) and psi(h) are labelled once and the steps
-    of each variant once.  The variants read before the first decreasing
-    one are kept in ``attempts``: their labels, or the error when their
-    steps cannot be labelled."""
-    attempts, sides = [], None
-    variants = peiffer_variants(p, b)
-    for name, cf, ch, witnesses in variants:
-        try:
-            sides = sides or (label_step(lab, g, b.first),
-                              label_step(lab, g, b.second))
-            labels = sides + (label_path(lab, g, cf), label_path(lab, g, ch))
-        except (LabellingError, TruncatedRegion) as e:
-            attempts.append({"variant": name, "ok": False, "error": str(e)})
-            continue
-        if _strict(lab.order, labels):
-            return PeifferReport(b, "PASS", name, True,
-                                 StrictDiagram(b, cf, ch), witnesses,
-                                 attempts)
-        d = _split_diagram(lab.order, b, cf, ch, labels)
-        if d is not None:
-            break
-        attempts.append({
-            "variant": name, "ok": False,
-            "labels": {"sides": list(sides),
-                       "completions": [list(labels[2]), list(labels[3])]}})
+    filling pastes it.
+
+    The decision is made on labels alone (_choose): every label of every
+    variant is that of one of the eight steps of the square, labelled once
+    each (_square_labels), and no variant's paths are built; the report
+    builds the chosen one's when they are read.  A ``memo`` shared by the
+    calls of one audit keeps each word's label and each decision, under the
+    step order, the reverse rules the square has and the eight labels,
+    which determine it under one labelling.  A square with a label error is
+    decided apart, since its attempts name the words or steps that
+    failed."""
+    if memo is None:
+        memo = _PeifferMemo(lab, g)
+    square = _square(p, b)
+    swap, *_, rf, rh = square
+    form = swap, rf is not None, rh is not None
+    try:
+        labels = _square_labels(memo.table, memo.label, b.source, square)
+    except (LabellingError, TruncatedRegion):
+        labels = _square_labels(memo.table, memo.label_or_error, b.source,
+                                square)
+        decision = _choose(lab.order, _variant_labels(form, labels, True))
     else:
-        return PeifferReport(b, "UNDECIDED", attempts=attempts)
-    # a later variant may still read strict
-    for later, cf, ch, loops in variants:
-        try:
-            if _strict(lab.order, sides + (label_path(lab, g, cf),
-                                           label_path(lab, g, ch))):
-                return PeifferReport(b, "PASS", later, True,
-                                     StrictDiagram(b, cf, ch), loops,
-                                     attempts)
-        except (LabellingError, TruncatedRegion):
-            continue
-    return PeifferReport(b, "PASS", name, False, d, witnesses, attempts)
+        key = form + (labels,)
+        decision = memo.decisions.get(key)
+        if decision is None:
+            decision = memo.decisions[key] = _choose(
+                lab.order, _variant_labels(form, labels))
+    variant, strict, splits, attempts = decision
+    return PeifferReport(b, "UNDECIDED" if variant is None else "PASS",
+                         variant, strict, list(attempts), p, splits)
+
+
+def _peiffer_branchings(p: Polygraph, g: ReductionGraph, len_bound: int
+                        ) -> list[LocalBranching]:
+    """Every Peiffer branching on words up to the length bound, in the order
+    of local_branchings: the steps of a complete explored word are read
+    from the graph, those of any other word enumerated."""
+    out = []
+    for u in all_words(p, len_bound):
+        steps = g.out[u] if u in g.complete else enumerate_steps(p, u)
+        for i, f in enumerate(steps):
+            # steps come by position, so h is right of f once its redex
+            # starts past the end of f's
+            end = len(f.left) + len(f.rule.lhs)
+            for h in steps[i + 1:]:
+                if end <= len(h.left):
+                    out.append(LocalBranching(f, h))
+    return out
 
 
 def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
@@ -497,15 +666,14 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
     """Audit every Peiffer branching on words up to the length bound: PASS
     when the Peiffer confluence or one of its reverse-rule rotations is
     decreasing (the rotations are equivalent to the square through loop
-    contractions), UNDECIDED otherwise; _decide_peiffer picks the
-    variant."""
+    contractions), UNDECIDED otherwise; _decide_peiffer picks the variant
+    from the labels of the square.  Squares with the same step order,
+    reverse rules and labels are decided once per call, and no report
+    builds its variant's paths until they are read."""
     if branchings is None:
-        branchings = []
-        for u in all_words(p, len_bound):
-            for b in local_branchings(p, u, include_aspherical=False):
-                if b.kind == PEIFFER:
-                    branchings.append(b)
-    return [_decide_peiffer(lab, g, p, b) for b in branchings]
+        branchings = _peiffer_branchings(p, g, len_bound)
+    memo = _PeifferMemo(lab, g)
+    return [_decide_peiffer(lab, g, p, b, memo) for b in branchings]
 
 
 # ---------------------------------------------------------------------------

@@ -150,15 +150,27 @@ class Labelling:
 def label_step(lab: Labelling, g: ReductionGraph, f: RewriteStep):
     """The label of a forward step.  Inverse steps carry the label of their
     forward counterpart."""
+    if lab.kind == TABLE:
+        return label_key(lab, step_key(f))
+    return label_target(lab, g, f.target if f.forward else f.source)
+
+
+def label_key(lab: Labelling, key: StepKey):
+    """The label a table labelling gives the forward step of the given key:
+    label_step without building the step."""
+    if key not in lab.table:
+        left, name, right = key
+        raise MissingLabel(f"no table entry for step "
+                           f"{word_str(left)}|{name}|{word_str(right)}")
+    return lab.table[key]
+
+
+def label_target(lab: Labelling, g: ReductionGraph, t: Word):
+    """The label a qnf, nf or singleton labelling gives every forward step
+    into t, since these read only the target: label_step without building
+    the step."""
     if lab.kind == SINGLETON:
         return lab.singleton_label
-    if lab.kind == TABLE:
-        key = step_key(f)
-        if key not in lab.table:
-            raise MissingLabel(f"no table entry for step {f}")
-        return lab.table[key]
-    # qnf and nf look at the forward target
-    t = f.target if f.forward else f.source
     if lab.kind == NF:
         return t
     if lab.kind == QNF:

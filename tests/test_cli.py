@@ -21,6 +21,23 @@ rule r4 : t a => a s
 """
 
 
+NO_FDT = """\
+polygraph no_fdt
+gens a b c d d'
+rule r1 : a b => a
+rule r2 : a c => d a
+rule r3 : d a => d' a
+rule r4 : d' a => a c
+"""
+
+TWO_LETTERS = """\
+polygraph two_letters
+gens a b
+rule alpha : a => b
+rule beta : b => a
+"""
+
+
 @pytest.fixture()
 def braid_file(tmp_path):
     f = tmp_path / "braid.poly"
@@ -81,6 +98,43 @@ def test_check_decreasing_reports_context_fragility(braid_file, capsys):
     assert all(b["status"] == "strict" for b in data["branchings"])
     assert not data["context"]["ok"]
     assert data["context"]["violations"]
+
+
+NO_FDT_UNDECIDED = ("FAILED at a c a c: 1|r2|a c || a c|r2|1 "
+                    "(peiffer: sides [2, 2], completions [[4], [4]])")
+
+
+def test_peiffer_failure_names_the_first_undecided_branching(tmp_path,
+                                                             capsys):
+    poly = tmp_path / "no_fdt.poly"
+    poly.write_text(NO_FDT)
+    assert main(["complete", str(poly), "--max-word-len", "5"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "verdict: PARTIAL" in lines
+    assert f"audit peiffer: {NO_FDT_UNDECIDED}" in lines
+    check = ["check-decreasing", str(poly), "--max-word-len", "5",
+             "--peiffer-len-bound", "5"]
+    assert main(check) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"Peiffer decreasing up to length 5: {NO_FDT_UNDECIDED}")
+    # the JSON keeps only whether every Peiffer branching passed
+    assert main(check + ["--format", "json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert set(data) == {"branchings", "context", "peiffer_ok", "budget"}
+    assert data["peiffer_ok"] is False
+
+
+def test_peiffer_failure_names_the_label_error(tmp_path, capsys):
+    """Words past the explored length have no quasi-normal form, so the
+    first variant of the first branching there cannot be labelled."""
+    poly = tmp_path / "two_letters.poly"
+    poly.write_text(TWO_LETTERS)
+    assert main(["check-decreasing", str(poly), "--max-word-len", "3",
+                 "--peiffer-len-bound", "4"]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "Peiffer decreasing up to length 4: FAILED at a a a a: "
+        "1|alpha|a a a || a|alpha|a a "
+        "(peiffer: 'no quasi-normal form chosen for b a a a')")
 
 
 def test_fill_sphere(braid_file, tmp_path, capsys):

@@ -6,11 +6,14 @@ from collections import Counter, deque
 
 import pytest
 
-from polyco.branchings import PEIFFER, critical_branchings, local_branchings
+from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
+                               local_branchings)
 from polyco.cli import _derived_qnf_map
 from polyco.core import Polygraph, Rule, all_words
-from polyco.decreasing import (DecreasingDiagram, _paths_from, _try_splits,
-                               check_decreasing)
+from polyco.decreasing import (DecreasingDiagram, StrictDiagram, _paths_from,
+                               _split_diagram, _strict, _try_splits,
+                               check_decreasing, check_peiffer_decreasing,
+                               check_strict, peiffer_variants)
 from polyco.completion import _overlap_closure, _peiffer_closure
 from polyco.engine import (ExplorationBudget, Path, RewriteStep,
                            TruncatedRegion, Unreachable, ZigzagPath,
@@ -20,7 +23,7 @@ from polyco.fixtures import (abstract_states, braid, convergent_braid, no_fdt,
                              two_letters)
 from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
                               LabellingError, QNF, ReachabilityOrder,
-                              step_key)
+                              label_path, label_step, step_key)
 from polyco.loops import (_Component, _cyclic_sccs, class_of, split_loop,
                           strip_whiskers, word_sequence)
 
@@ -463,3 +466,159 @@ def test_successor_and_predecessor_rows_match_the_steps(name, request):
     for i, w in enumerate(words):
         assert Counter(words[y] for y in pred[start[i]:start[i + 1]]) \
             == sources[w], w
+
+
+# ---------------------------------------------------------------------------
+# the Peiffer decision on labels against the decision on built paths
+
+
+def _reference_decide(lab, g, p, b):
+    """Every variant of peiffer_variants built and its steps labelled
+    through label_step, psi(f) and psi(h) once: the first variant that
+    reads strict, else the first that reads decreasing, else UNDECIDED,
+    with the variants read before the first decreasing one as attempts.
+    Returns (status, variant, strict, attempts, diagram, witness_loops)."""
+    attempts, sides = [], None
+    variants = peiffer_variants(p, b)
+    for name, cf, ch, witnesses in variants:
+        try:
+            sides = sides or (label_step(lab, g, b.first),
+                              label_step(lab, g, b.second))
+            labels = sides + (label_path(lab, g, cf), label_path(lab, g, ch))
+        except (LabellingError, TruncatedRegion) as e:
+            attempts.append({"variant": name, "ok": False, "error": str(e)})
+            continue
+        if _strict(lab.order, labels):
+            return ("PASS", name, True, attempts, StrictDiagram(b, cf, ch),
+                    witnesses)
+        d = _split_diagram(lab.order, b, cf, ch, labels)
+        if d is not None:
+            break
+        attempts.append({
+            "variant": name, "ok": False,
+            "labels": {"sides": list(sides),
+                       "completions": [list(labels[2]), list(labels[3])]}})
+    else:
+        return "UNDECIDED", None, False, attempts, None, []
+    for later, cf, ch, loops in variants:
+        try:
+            if _strict(lab.order, sides + (label_path(lab, g, cf),
+                                           label_path(lab, g, ch))):
+                return ("PASS", later, True, attempts,
+                        StrictDiagram(b, cf, ch), loops)
+        except (LabellingError, TruncatedRegion):
+            continue
+    return "PASS", name, False, attempts, d, witnesses
+
+
+def _audited(p, length, bound=None, label="qnf", max_len=None):
+    """p explored from every word up to ``length`` (words up to
+    ``max_len``, the length by default), its labelling, and the Peiffer
+    bound to audit it at (the length by default)."""
+    g = explore(p, all_words(p, length),
+                ExplorationBudget(max_len or length, 100000, 200))
+    lab = (Labelling.nf(g) if label == "nf"
+           else Labelling.qnf(_derived_qnf_map(g)))
+    return p, g, lab, bound or length
+
+
+def _tables(p, length, seed):
+    """Random table labellings of p explored up to the length, some steps
+    without a label, audited at the length."""
+    g = explore(p, all_words(p, length), ExplorationBudget(length))
+    rng = random.Random(seed)
+    return p, g, _random_labelling(rng, g, list("abc"), missing=0.05), length
+
+
+def _mixed_reverses():
+    """Two rules undoing each other and two that no rule undoes: squares
+    with the same labels but other reverse rules are decided apart."""
+    rules = [("b_a", "b", "a"), ("a_b", "a", "b"), ("ba_b", "ba", "b"),
+             ("ab_bb", "ab", "bb")]
+    return Polygraph("mixed_reverses", ("a", "b"),
+                     tuple(Rule(n, tuple(l), tuple(r)) for n, l, r in rules))
+
+
+_PEIFFER_AUDITS = {
+    "braid-8": lambda: _audited(braid(), 8),
+    "two_letters-6": lambda: _audited(two_letters(), 6),
+    "a3-6": lambda: _audited(_A3, 6),
+    "no_fdt-5": lambda: _audited(no_fdt(), 5),
+    "convergent_braid-7-nf": lambda: _audited(convergent_braid(), 7,
+                                              label="nf"),
+    # both reverse some of their rules and not others
+    "abstract_states-4": lambda: _audited(abstract_states(), 4),
+    "mixed_reverses-4": lambda: _audited(_mixed_reverses(), 4, max_len=6),
+    # the lafont graph audited one letter past its bound: label errors
+    "lafont-5-at-6": lambda: _audited(no_fdt(), 4, bound=6, max_len=5),
+    "braid-7-table": lambda: _tables(braid(), 7, 0),
+    "two_letters-5-table": lambda: _tables(two_letters(), 5, 1),
+    "abstract_states-4-table": lambda: _tables(abstract_states(), 4, 2),
+}
+
+
+def _peiffer_pairs(p, bound):
+    """Every Peiffer branching on words up to the bound, through
+    local_branchings, in both step orders."""
+    out = []
+    for u in all_words(p, bound):
+        for b in local_branchings(p, u, include_aspherical=False):
+            if b.kind == PEIFFER:
+                out += [b, LocalBranching(b.second, b.first)]
+    return out
+
+
+@pytest.fixture(scope="module", params=list(_PEIFFER_AUDITS))
+def peiffer_audit(request):
+    """A fixture of _PEIFFER_AUDITS, every Peiffer branching on it in both
+    step orders, and its reports from one audit call."""
+    p, g, lab, bound = _PEIFFER_AUDITS[request.param]()
+    pairs = _peiffer_pairs(p, bound)
+    return (request.param, p, g, lab, bound, pairs,
+            check_peiffer_decreasing(lab, g, p, branchings=pairs))
+
+
+def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
+    name, p, g, lab, bound, pairs, reports = peiffer_audit
+    assert pairs and len(reports) == len(pairs)
+    statuses, errors = Counter(), 0
+    for b, r in zip(pairs, reports):
+        want = _reference_decide(lab, g, p, b)
+        assert (r.branching, r.status, r.variant, r.strict, r.attempts) \
+            == (b, *want[:4]), (b.first, b.second)
+        assert (r.diagram, r.witness_loops) == want[4:]
+        statuses[r.status] += 1
+        errors += any("error" in a for a in r.attempts)
+    # the audit's own enumeration lists the branchings in one step order
+    audit = check_peiffer_decreasing(lab, g, p, bound)
+    assert [r.branching for r in audit] == pairs[::2]
+    assert [(r.status, r.variant, r.strict, r.attempts) for r in audit] \
+        == [(r.status, r.variant, r.strict, r.attempts)
+            for r in reports[::2]]
+    assert statuses["PASS"]
+    if name in ("no_fdt-5", "lafont-5-at-6"):
+        assert statuses["UNDECIDED"]
+    if name == "lafont-5-at-6" or name.endswith("-table"):
+        assert errors
+
+
+def test_lazily_built_peiffer_diagrams_pass_their_checks(peiffer_audit):
+    """Each PASS report builds, on first read, a diagram of its branching
+    that passes check_strict when the report reads strict and
+    check_decreasing otherwise, and witness loops that close."""
+    name, p, g, lab, bound, pairs, reports = peiffer_audit
+    strictness = set()
+    for r in reports:
+        if r.status != "PASS":
+            assert r.diagram is None and r.witness_loops == []
+            continue
+        d = r.diagram
+        assert d.branching == r.branching
+        assert isinstance(d, StrictDiagram) == r.strict
+        ok, violations = (check_strict if r.strict
+                          else check_decreasing)(lab, g, d)
+        assert ok, (r.branching.first, r.branching.second, violations)
+        for loop in r.witness_loops:
+            assert len(loop) and loop.source == loop.target
+        strictness.add(r.strict)
+    assert True in strictness
