@@ -40,8 +40,8 @@ from .completion import (CERTIFIED, CoherentPresentation, ConfluenceRecord,
                          fill_zigzag_sphere, format_extension,
                          parse_extension, parse_sphere, parse_zigzag)
 from .homology import (ChainComplexZ, HomologyGroup, HomologyResult,
-                       abelianize, finiteness_report, homology,
-                       letter_counts, rule_occurrences, smith_normal_form)
+                       abelianize, homology, letter_counts, rule_occurrences,
+                       smith_normal_form)
 from . import fixtures
 
 __all__ = [
@@ -84,8 +84,7 @@ __all__ = [
     "format_extension", "parse_extension", "parse_sphere", "parse_zigzag",
     # homology
     "ChainComplexZ", "HomologyGroup", "HomologyResult", "abelianize",
-    "finiteness_report", "homology", "letter_counts", "rule_occurrences",
-    "smith_normal_form",
+    "homology", "letter_counts", "rule_occurrences", "smith_normal_form",
     "fixtures",
 ]
 __version__ = "0.1.0"

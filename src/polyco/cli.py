@@ -17,8 +17,8 @@ from .engine import (ExplorationBudget, IllComposed, TruncatedRegion,
                      Unreachable, classify_termination, explore,
                      INCONCLUSIVE)
 from .branchings import critical_branchings
-from .labelling import (Labelling, LabellingError, parse_label_table,
-                        parse_qnf_map, validate_qnf_map)
+from .labelling import (Labelling, LabellingError, least_qnf,
+                        parse_label_table, parse_qnf_map, validate_qnf_map)
 from .decreasing import (MeasureError, SearchExhausted, StrictDiagram,
                          check_context_compatibility,
                          check_peiffer_decreasing, find_decreasing)
@@ -96,10 +96,9 @@ def _derived_qnf_map(g):
         i = g.scc_of[w]
         if i not in least:
             try:
-                qs = g.quasi_normal_forms(w)
+                least[i] = least_qnf(g, w)
             except TruncatedRegion:
-                qs = ()
-            least[i] = min(qs, key=lambda x: (len(x), x)) if qs else None
+                least[i] = None
         if least[i] is not None:
             qm[w] = least[i]
     return qm

@@ -22,8 +22,8 @@ from .core import ParseError, Polygraph, Word, word_str
 from .branchings import (PEIFFER, LocalBranching, classify_branching,
                          critical_branchings, match_critical)
 from .decreasing import (MeasureError, SearchExhausted, StrictDiagram,
-                         _closes_strictly, _decide_peiffer,
-                         _diagram_completions, _greedy_normalize,
+                         _decide_peiffer, _diagram_completions,
+                         _greedy_normalize, _read_pair, _strict,
                          check_context_closability, check_peiffer_decreasing,
                          find_decreasing)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
@@ -32,7 +32,7 @@ from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
 from .expressions import (Atom, ThreeCell, ThreeCellExpression, concat,
                           conjugate, contract_loop, identity_expression,
                           invert, CONFLUENCE, LOOP)
-from .labelling import (Labelling, LabellingError, NF, QNF,
+from .labelling import (Labelling, LabellingError, NF, QNF, least_qnf,
                         measure_branching, multiset_less)
 from .loops import enumerate_elementary_loops
 
@@ -143,11 +143,11 @@ def _canonical_target(lab: Labelling, g: ReductionGraph, w: Word) -> Word:
         return lab.qnf_map[w]
     if lab.kind == NF:
         return _greedy_normalize(g, w).target
-    qnfs = g.quasi_normal_forms(w)
-    if not qnfs:
+    hat = least_qnf(g, w)
+    if hat is None:
         raise Unreachable(f"no quasi-normal form reachable from "
                           f"{word_str(w)}")
-    return min(qnfs, key=lambda x: (len(x), x))
+    return hat
 
 
 def _overlap_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
@@ -183,9 +183,10 @@ def _reads_strict(lab, g, b: LocalBranching, c_f: Path, c_h: Path) -> bool:
     """Whether the completions close the branching strictly; a closure
     whose steps cannot all be labelled is not strict."""
     try:
-        return _closes_strictly(lab, g, b, c_f, c_h)
+        labels = _read_pair(lab, g, b, c_f, c_h)
     except (LabellingError, TruncatedRegion):
         return False
+    return labels is not None and _strict(lab.order, labels)
 
 
 def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,

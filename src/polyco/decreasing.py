@@ -7,9 +7,10 @@ g'' are at most one step carrying exactly the opposite label, and every
 label of h1, h2 sits below one of the two.  A strict diagram only has
 f' and g', each label strictly below everything on the other side.
 
-The audits share two routines: ``_close`` reads one completion pair as a
-strict diagram, else as a decreasing one, and ``_context_audit`` is the one
-loop over contexts, in which each audit is a predicate on a whiskered item.
+The search and the audits share two routines: ``_read_pair`` labels one
+completion pair, which ``_strict`` and ``_first_splits`` read as a strict
+or a decreasing diagram, and ``_context_audit`` is the one loop over
+contexts, in which each audit is a predicate on a whiskered item.
 """
 
 from __future__ import annotations
@@ -99,63 +100,56 @@ def _boundary_violation(d) -> Violation | None:
         return Violation("boundary", str(e))
 
 
-def check_strict(lab: Labelling, g: ReductionGraph,
-                 d: StrictDiagram) -> tuple[bool, list[Violation]]:
+def _side_violations(lab: Labelling, g: ReductionGraph, d, psi_f, psi_g
+                     ) -> list[Violation]:
+    """Conditions i and ii: every label of f' below psi(f) and every label
+    of g' below psi(g)."""
+    less = lab.order.less
+    return [Violation(cond, f"label {k!r} of {name} is not below {psi!r}")
+            for cond, psi, side, name in (("i", psi_f, d.f_prime, "f'"),
+                                          ("ii", psi_g, d.g_prime, "g'"))
+            for k in label_path(lab, g, side) if not less(k, psi)]
+
+
+def check_strict(lab: Labelling, g: ReductionGraph, d
+                 ) -> tuple[bool, list[Violation]]:
+    """The boundary and conditions i and ii of check_decreasing, all that a
+    StrictDiagram has to meet."""
     v = _boundary_violation(d)
     if v is not None:
         return False, [v]
-    violations = []
-    psi_f = label_step(lab, g, d.branching.first)
-    psi_g = label_step(lab, g, d.branching.second)
-    for k in label_path(lab, g, d.f_prime):
-        if not lab.order.less(k, psi_f):
-            violations.append(Violation(
-                "i", f"completion label {k!r} not below {psi_f!r}"))
-    for k in label_path(lab, g, d.g_prime):
-        if not lab.order.less(k, psi_g):
-            violations.append(Violation(
-                "ii", f"completion label {k!r} not below {psi_g!r}"))
+    b = d.branching
+    violations = _side_violations(lab, g, d, label_step(lab, g, b.first),
+                                  label_step(lab, g, b.second))
     return not violations, violations
 
 
 def check_decreasing(lab: Labelling, g: ReductionGraph, d
                      ) -> tuple[bool, list[Violation]]:
     """Check the decreasingness conditions of a diagram.  Accepts either a
-    StrictDiagram or a full DecreasingDiagram."""
+    StrictDiagram, checked by check_strict, or a full DecreasingDiagram,
+    which also has to meet conditions iii to v."""
     if isinstance(d, StrictDiagram):
         return check_strict(lab, g, d)
     v = _boundary_violation(d)
     if v is not None:
         return False, [v]
-    violations = []
-    f, h = d.branching.first, d.branching.second
-    psi_f = label_step(lab, g, f)
-    psi_g = label_step(lab, g, h)
-    order = lab.order
-    for k in label_path(lab, g, d.f_prime):
-        if not order.less(k, psi_f):
-            violations.append(Violation(
-                "i", f"label {k!r} of f' is not below {psi_f!r}"))
-    for k in label_path(lab, g, d.g_prime):
-        if not order.less(k, psi_g):
-            violations.append(Violation(
-                "ii", f"label {k!r} of g' is not below {psi_g!r}"))
-    if len(d.f_dprime) > 1:
-        violations.append(Violation("iii", "f'' has more than one step"))
-    elif len(d.f_dprime) == 1:
-        k = label_step(lab, g, d.f_dprime.steps[0])
-        if k != psi_f:
-            violations.append(Violation(
-                "iii", f"f'' carries {k!r}, expected {psi_f!r}"))
-    if len(d.g_dprime) > 1:
-        violations.append(Violation("iv", "g'' has more than one step"))
-    elif len(d.g_dprime) == 1:
-        k = label_step(lab, g, d.g_dprime.steps[0])
-        if k != psi_g:
-            violations.append(Violation(
-                "iv", f"g'' carries {k!r}, expected {psi_g!r}"))
+    psi_f = label_step(lab, g, d.branching.first)
+    psi_g = label_step(lab, g, d.branching.second)
+    violations = _side_violations(lab, g, d, psi_f, psi_g)
+    for cond, dprime, psi, name in (("iii", d.f_dprime, psi_f, "f''"),
+                                    ("iv", d.g_dprime, psi_g, "g''")):
+        if len(dprime) > 1:
+            violations.append(Violation(cond,
+                                        f"{name} has more than one step"))
+        elif dprime.steps:
+            k = label_step(lab, g, dprime.steps[0])
+            if k != psi:
+                violations.append(Violation(
+                    cond, f"{name} carries {k!r}, expected {psi!r}"))
+    less = lab.order.less
     for k in (label_path(lab, g, d.h1) + label_path(lab, g, d.h2)):
-        if not (order.less(k, psi_f) or order.less(k, psi_g)):
+        if not (less(k, psi_f) or less(k, psi_g)):
             violations.append(Violation(
                 "v", f"residual label {k!r} below neither "
                      f"{psi_f!r} nor {psi_g!r}"))
@@ -251,28 +245,27 @@ def _first_split(labels, top, other, order):
     return None
 
 
-def _meets(b: LocalBranching, p1: Path, p2: Path) -> bool:
-    """Whether p1 continues the first step, p2 the second, and both end on
-    one word."""
-    return (p1.source == b.first.target and p2.source == b.second.target
-            and p1.target == p2.target)
-
-
-def _labels(lab, g, b: LocalBranching, p1: Path, p2: Path) -> tuple:
-    """psi(f), psi(h) and the labels of p1 and p2, labelled in this order,
-    the order in which check_strict labels them."""
+def _read_pair(lab, g, b: LocalBranching, c1: Path, c2: Path):
+    """psi(f), psi(h) and the labels of c1 and c2, labelled in this order,
+    the order in which check_strict labels them; None when the pair does
+    not close the branching: c1 continues f, c2 continues h and both end
+    on one word.  Raises what labelling the steps raises."""
+    if (c1.source != b.first.target or c2.source != b.second.target
+            or c1.target != c2.target):
+        return None
     return (label_step(lab, g, b.first), label_step(lab, g, b.second),
-            label_path(lab, g, p1), label_path(lab, g, p2))
+            label_path(lab, g, c1), label_path(lab, g, c2))
 
 
 def _first_splits(order, labels):
     """The splits ((i1, j1), (i2, j2)) reading a completion pair as the
-    parts of a decreasing diagram, from the labels of ``_labels``: p1 as
-    f' . g'' . h1 with f' its first i1 steps and g'' the next j1, and p2 as
+    parts of a decreasing diagram, from the labels of ``_read_pair``: c1 as
+    f' . g'' . h1 with f' its first i1 steps and g'' the next j1, and c2 as
     g' . f'' . h2 likewise.  The conditions on each side depend only on that
     side's split, so the first split of each that passes gives the first
-    diagram that passes check_decreasing, which tries the splits of p1 in
-    the outer loop; None when there is none."""
+    diagram that passes check_decreasing, which tries the splits of c1 in
+    the outer loop; None when there is none.  A pair that reads strict
+    always has one, (0, 0) on each side."""
     psi_f, psi_g, l1, l2 = labels
     splits = (_first_split(l1, psi_f, psi_g, order),
               _first_split(l2, psi_g, psi_f, order))
@@ -294,51 +287,14 @@ def _cut(b: LocalBranching, p1: Path, p2: Path, splits) -> DecreasingDiagram:
                              Path._checked(f_dprime.target, s2[i2 + j2:]))
 
 
-def _split_diagram(order, b: LocalBranching, p1: Path, p2: Path, labels):
-    """The completion pair read as a decreasing diagram from the labels of
-    ``_labels`` (_first_splits); None when no reading holds."""
-    splits = _first_splits(order, labels)
-    return None if splits is None else _cut(b, p1, p2, splits)
-
-
-def _try_splits(lab, g, b: LocalBranching, p1: Path, p2: Path):
-    """The completion pair read as a decreasing diagram (_split_diagram);
-    None when the paths do not close the branching or no reading holds."""
-    if not _meets(b, p1, p2):
-        return None
-    return _split_diagram(lab.order, b, p1, p2, _labels(lab, g, b, p1, p2))
-
-
 def _strict(order, labels) -> bool:
-    """The strictness predicate on the labels of ``_labels``: every label
-    of c1 below psi(f) and every label of c2 below psi(h), as check_strict
-    reads a local branching."""
+    """The strictness predicate on the labels of ``_read_pair``: every
+    label of c1 below psi(f) and every label of c2 below psi(h), as
+    check_strict reads a local branching."""
     psi_f, psi_h, l1, l2 = labels
     less = order.less
     return (all(less(k, psi_f) for k in l1)
             and all(less(k, psi_h) for k in l2))
-
-
-def _close(lab, g, b: LocalBranching, c1: Path, c2: Path):
-    """The completion pair read as a strict diagram (_strict), else as a
-    decreasing one from the same labels, labelling each step once; None
-    when the paths do not close the branching or neither reading holds.
-    Raises what labelling the steps raises."""
-    if not _meets(b, c1, c2):
-        return None
-    labels = _labels(lab, g, b, c1, c2)
-    if _strict(lab.order, labels):
-        return StrictDiagram(b, c1, c2)
-    return _split_diagram(lab.order, b, c1, c2, labels)
-
-
-def _closes_strictly(lab, g, b: LocalBranching, c1: Path, c2: Path
-                     ) -> bool:
-    """Whether the completion pair closes the branching as a strict
-    diagram: the strict reading of _close, without the decreasing one.
-    Raises what labelling the steps raises."""
-    return _meets(b, c1, c2) and _strict(lab.order,
-                                         _labels(lab, g, b, c1, c2))
 
 
 def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
@@ -356,10 +312,11 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
         if len(p1) > depth or len(p2) > depth:
             continue
         try:
-            if _closes_strictly(lab, g, b, p1, p2):
-                return StrictDiagram(b, p1, p2)
+            labels = _read_pair(lab, g, b, p1, p2)
         except MissingLabel:
             continue
+        if labels is not None and _strict(lab.order, labels):
+            return StrictDiagram(b, p1, p2)
     if strict:
         return None
     lefts = _paths_from(g, tf, depth, cap)
@@ -371,11 +328,12 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
     pairs.sort(key=lambda pq: len(pq[0]) + len(pq[1]))
     for p, q in pairs:
         try:
-            d = _try_splits(lab, g, b, p, q)
+            labels = _read_pair(lab, g, b, p, q)
         except MissingLabel:
             continue
-        if d is not None:
-            return d
+        splits = labels and _first_splits(lab.order, labels)
+        if splits:
+            return _cut(b, p, q, splits)
     return None
 
 
@@ -387,13 +345,7 @@ def _square(p: Polygraph, b: LocalBranching):
     """The Peiffer square of b, f ∥ h with f the step on the left: whether
     b lists h first, f, h, the left context of h once f is applied, the
     right context of f once h is applied, and the first declared reverse
-    rules of f and h (None when there is none).
-
-    The square has eight steps, numbered as the variants refer to them:
-    0 f and 1 h out of the source, 2 h after f and 3 f after h into the
-    word where both are applied, 4 f undone after f and 5 h undone after h
-    back into the source, and 6 f undone after 3 and 7 h undone after 2;
-    4 and 6 need the reverse rule of f, 5 and 7 that of h."""
+    rules of f and h (None when there is none)."""
     f, h = b.first, b.second
     swap = f.position > h.position
     if swap:
@@ -407,12 +359,26 @@ def _square(p: Polygraph, b: LocalBranching):
             reverse[f.rule.name], reverse[h.rule.name])
 
 
+def _square_steps(square) -> tuple:
+    """The eight forward steps of a square (_square), each (left, rule,
+    right) with rule None when it needs a missing reverse rule, numbered as
+    the variants refer to them: 0 f and 1 h out of the source, 2 h after f
+    and 3 f after h into the word where both are applied, 4 f undone after
+    f and 5 h undone after h back into the source, and 6 f undone after 3
+    and 7 h undone after 2."""
+    _, f, h, h_left, f_right, rf, rh = square
+    return ((f.left, f.rule, f.right), (h.left, h.rule, h.right),
+            (h_left, h.rule, h.right), (f.left, f.rule, f_right),
+            (f.left, rf, f.right), (h.left, rh, h.right),
+            (f.left, rf, f_right), (h_left, rh, h.right))
+
+
 def _variant_shapes(has_rf: bool, has_rh: bool):
     """The variants of a Peiffer square in the order they are read: the
     Peiffer confluence itself and its three rotations through the reverse
     rules the square has.  Each is its name, the steps of its completions
     from f.target and from h.target and its witness loops, each step given
-    by its number in _square; a witness loop is two steps."""
+    by its number in _square_steps; a witness loop is two steps."""
     yield "peiffer", (2,), (3,), ()
     if has_rf and has_rh:
         # undo each side, meeting back at the source
@@ -435,15 +401,11 @@ def peiffer_variants(p: Polygraph, b: LocalBranching):
     loops at the source, one per step and in the order of the steps, or
     one detour loop at the target of the step whose completion is empty.
     """
-    swap, f, h, h_left, f_right, rf, rh = _square(p, b)
-
-    def step(left, rule, right):
-        return None if rule is None else RewriteStep(left, rule, right, True)
-
-    steps = (f, h, step(h_left, h.rule, h.right),
-             step(f.left, f.rule, f_right), step(f.left, rf, f.right),
-             step(h.left, rh, h.right), step(f.left, rf, f_right),
-             step(h_left, rh, h.right))
+    square = _square(p, b)
+    swap, f, h, *_, rf, rh = square
+    steps = [f, h] + [None if rule is None
+                      else RewriteStep(left, rule, right, True)
+                      for left, rule, right in _square_steps(square)[2:]]
     tf, th = f.target, h.target
     for name, cf, ch, loops in _variant_shapes(rf is not None,
                                                rh is not None):
@@ -458,7 +420,8 @@ def peiffer_variants(p: Polygraph, b: LocalBranching):
 class _PeifferMemo:
     """What deciding Peiffer branchings under one labelling learns once: the
     label of each word, or of each step key under a table labelling, that a
-    square reads, and the decision on each square's labels."""
+    square reads, or the error labelling it raises, and the decision on
+    each square's labels."""
 
     def __init__(self, lab: Labelling, g: ReductionGraph):
         self.table = lab.kind == TABLE
@@ -468,49 +431,40 @@ class _PeifferMemo:
         self.decisions: dict = {}
 
     def label(self, x):
-        """The label of a word or step key; raises what labelling it
-        raises."""
-        if x not in self.labels:
-            self.labels[x] = self._label(x)
-        return self.labels[x]
-
-    def label_or_error(self, x):
         """The label of a word or step key, or the error labelling it
         raises."""
-        try:
-            return self.label(x)
-        except (LabellingError, TruncatedRegion) as e:
-            return e
+        if x not in self.labels:
+            try:
+                self.labels[x] = self._label(x)
+            except (LabellingError, TruncatedRegion) as e:
+                # no traceback: its frames would hold this memo alive
+                self.labels[x] = e.with_traceback(None)
+        return self.labels[x]
 
-
-def _square_labels(table: bool, label, u: Word, square) -> tuple:
-    """The labels of the eight steps of the square at u, in the numbering
-    of _square, without building the steps.  A table labelling labels the
-    steps' keys, and a step whose reverse rule is missing gets None.  The
-    other kinds read only the steps' targets, so ``label`` labels the four
-    words of the square, each once, and gives all eight labels whatever
-    reverse rules exist; the label of a step no variant reads is never
-    reported."""
-    _, f, h, h_left, f_right, rf, rh = square
-    if table:
-        fn, hn = f.rule.name, h.rule.name
-        rfn = None if rf is None else rf.name
-        rhn = None if rh is None else rh.name
-        keys = ((f.left, fn, f.right), (h.left, hn, h.right),
-                (h_left, hn, h.right), (f.left, fn, f_right),
-                (f.left, rfn, f.right), (h.left, rhn, h.right),
-                (f.left, rfn, f_right), (h_left, rhn, h.right))
-        return tuple(None if key[1] is None else label(key) for key in keys)
-    tf = label(f.left + f.rule.rhs + f.right)
-    th = label(h.left + h.rule.rhs + h.right)
-    both = label(h_left + h.rule.rhs + h.right)
-    back = label(u)
-    return tf, th, both, both, back, back, th, tf
+    def square_labels(self, u: Word, square) -> tuple:
+        """The labels of the eight steps of the square at u (_square_steps),
+        without building the steps.  A table labelling labels the steps'
+        keys, and a step whose reverse rule is missing gets None.  The other
+        kinds read only the steps' targets, so the four words of the square
+        are labelled, each once, and give all eight labels whatever reverse
+        rules exist; the label of a step no variant reads is never
+        reported."""
+        label = self.label
+        if self.table:
+            return tuple(None if rule is None
+                         else label((left, rule.name, right))
+                         for left, rule, right in _square_steps(square))
+        _, f, h, h_left, _, _, _ = square
+        tf = label(f.left + f.rule.rhs + f.right)
+        th = label(h.left + h.rule.rhs + h.right)
+        both = label(h_left + h.rule.rhs + h.right)
+        back = label(u)
+        return tf, th, both, both, back, back, th, tf
 
 
 def _choose(order, candidates):
     """Decide a Peiffer branching from the labels of its variants, read in
-    order: each candidate is (name, labels), the labels as ``_labels``
+    order: each candidate is (name, labels), the labels as ``_read_pair``
     orders them or the error that labelling the variant raised.  Returns
     (variant, strict, splits, attempts): the first variant that reads
     strict, else the first that reads decreasing with its splits
@@ -541,14 +495,15 @@ def _choose(order, candidates):
     return chosen or (None, False, None, attempts)
 
 
-def _variant_labels(form: tuple, labels, failed: bool = False):
-    """The candidates of _choose for a Peiffer square, from the labels of
-    its eight steps (_square_labels), oriented as the branching lists its
-    steps.  ``form`` says whether the branching lists the right step first
-    and whether f and h have reverse rules.  When some labels are errors
-    (``failed``), a variant that reads one is the first error in the order
-    _labels labels its steps."""
-    swap, has_rf, has_rh = form
+def _variant_labels(key: tuple):
+    """The candidates of _choose for a Peiffer square, from its memo key:
+    whether the branching lists the right step first, whether f and h have
+    reverse rules, and the labels of the eight steps (square_labels),
+    oriented as the branching lists its steps.  A variant that reads a
+    label error gets the first error in the order _read_pair labels its
+    steps."""
+    swap, has_rf, has_rh, labels = key
+    failed = any(isinstance(k, Exception) for k in labels)
     sides = (labels[1], labels[0]) if swap else labels[:2]
     for name, cf, ch, _ in _variant_shapes(has_rf, has_rh):
         l1 = tuple(labels[i] for i in cf)
@@ -613,30 +568,23 @@ def _decide_peiffer(lab: Labelling, g: ReductionGraph, p: Polygraph,
 
     The decision is made on labels alone (_choose): every label of every
     variant is that of one of the eight steps of the square, labelled once
-    each (_square_labels), and no variant's paths are built; the report
+    each (square_labels), and no variant's paths are built; the report
     builds the chosen one's when they are read.  A ``memo`` shared by the
-    calls of one audit keeps each word's label and each decision, under the
-    step order, the reverse rules the square has and the eight labels,
-    which determine it under one labelling.  A square with a label error is
-    decided apart, since its attempts name the words or steps that
-    failed."""
+    calls of one audit keeps each word's label or label error and each
+    decision, under the step order, the reverse rules the square has and
+    the eight labels, which determine it under one labelling: an error
+    names the word or step that failed, and that word's error is one
+    object for the whole audit."""
     if memo is None:
         memo = _PeifferMemo(lab, g)
     square = _square(p, b)
     swap, *_, rf, rh = square
-    form = swap, rf is not None, rh is not None
-    try:
-        labels = _square_labels(memo.table, memo.label, b.source, square)
-    except (LabellingError, TruncatedRegion):
-        labels = _square_labels(memo.table, memo.label_or_error, b.source,
-                                square)
-        decision = _choose(lab.order, _variant_labels(form, labels, True))
-    else:
-        key = form + (labels,)
-        decision = memo.decisions.get(key)
-        if decision is None:
-            decision = memo.decisions[key] = _choose(
-                lab.order, _variant_labels(form, labels))
+    labels = memo.square_labels(b.source, square)
+    key = swap, rf is not None, rh is not None, labels
+    decision = memo.decisions.get(key)
+    if decision is None:
+        decision = memo.decisions[key] = _choose(lab.order,
+                                                 _variant_labels(key))
     variant, strict, splits, attempts = decision
     return PeifferReport(b, "UNDECIDED" if variant is None else "PASS",
                          variant, strict, list(attempts), p, splits)
@@ -747,8 +695,11 @@ def check_context_compatibility(lab: Labelling, g: ReductionGraph,
         local, c1, c2 = item
         wb = LocalBranching(local.first.whisker(u1, u2),
                             local.second.whisker(u1, u2))
-        d = _close(lab, g, wb, c1.whisker(u1, u2), c2.whisker(u1, u2))
-        return {} if d is None else None
+        labels = _read_pair(lab, g, wb, c1.whisker(u1, u2),
+                            c2.whisker(u1, u2))
+        # a strict reading has a split too, (0, 0) on each side
+        return ({} if labels is None or not _first_splits(lab.order, labels)
+                else None)
 
     items = (({"diagram": idx},
               (d.branching, *_diagram_completions(d)))

@@ -91,63 +91,9 @@ class IllComposed(ValueError):
 
 
 @dataclass(frozen=True)
-class Path:
-    """A forward rewriting path: a composable sequence of forward steps."""
-
-    source: Word
-    steps: tuple[RewriteStep, ...] = ()
-
-    def __post_init__(self):
-        at = self.source
-        for s in self.steps:
-            if not s.forward:
-                raise IllComposed(f"inverse step {s} in a forward path")
-            if s.source != at:
-                raise IllComposed(
-                    f"step {s} does not start at {word_str(at)}")
-            at = s.target
-
-    @classmethod
-    def _checked(cls, source: Word, steps: tuple[RewriteStep, ...] = ()
-                 ) -> "Path":
-        """A path whose forward steps are known to compose from ``source``:
-        cut, composed or whiskered from parts already checked, or read from
-        the explored graph, so the walk of __post_init__ is skipped."""
-        p = object.__new__(cls)
-        # set as the generated __init__ sets them: writing to p.__dict__
-        # would give each path its own dict, about twice the memory
-        object.__setattr__(p, "source", source)
-        object.__setattr__(p, "steps", steps)
-        return p
-
-    @property
-    def target(self) -> Word:
-        return self.steps[-1].target if self.steps else self.source
-
-    def __len__(self):
-        return len(self.steps)
-
-    def compose(self, other: "Path") -> "Path":
-        if other.source != self.target:
-            raise IllComposed("paths do not compose")
-        return Path._checked(self.source, self.steps + other.steps)
-
-    def whisker(self, u: Word, v: Word) -> "Path":
-        return Path._checked(u + self.source + v,
-                             tuple(s.whisker(u, v) for s in self.steps))
-
-    def zigzag(self) -> "ZigzagPath":
-        return ZigzagPath._checked(self.source, self.steps)
-
-    def __str__(self):
-        if not self.steps:
-            return f"id {word_str(self.source)}"
-        return " ; ".join(str(s) for s in self.steps)
-
-
-@dataclass(frozen=True)
 class ZigzagPath:
-    """A composable sequence of forward and inverse steps."""
+    """A composable sequence of forward and inverse steps.  Its operations
+    keep its class, so those of a Path give a Path, except ``inverse``."""
 
     source: Word
     steps: tuple[RewriteStep, ...] = ()
@@ -161,13 +107,13 @@ class ZigzagPath:
             at = s.target
 
     @classmethod
-    def _checked(cls, source: Word, steps: tuple[RewriteStep, ...]
-                 ) -> "ZigzagPath":
-        """A zigzag whose steps are known to compose from ``source``: built
-        from parts already checked, so the walk of __post_init__ is
-        skipped."""
+    def _checked(cls, source: Word, steps: tuple[RewriteStep, ...] = ()):
+        """One whose steps are known to compose from ``source``: cut,
+        composed or whiskered from parts already checked, or read from the
+        explored graph, so the walk of __post_init__ is skipped."""
         z = object.__new__(cls)
-        # set as Path._checked sets them, for the same reason
+        # set as the generated __init__ sets them: writing to z.__dict__
+        # would give each path its own dict, about twice the memory
         object.__setattr__(z, "source", source)
         object.__setattr__(z, "steps", steps)
         return z
@@ -179,26 +125,26 @@ class ZigzagPath:
     def __len__(self):
         return len(self.steps)
 
-    def prefix(self, n: int) -> "ZigzagPath":
+    def prefix(self, n: int):
         """The first n steps."""
-        return ZigzagPath._checked(self.source, self.steps[:n])
+        return self._checked(self.source, self.steps[:n])
 
-    def compose(self, other: "ZigzagPath") -> "ZigzagPath":
+    def compose(self, other: "ZigzagPath"):
         if other.source != self.target:
-            raise IllComposed("zigzags do not compose")
-        return ZigzagPath._checked(self.source, self.steps + other.steps)
+            raise IllComposed("paths do not compose")
+        return self._checked(self.source, self.steps + other.steps)
 
     def inverse(self) -> "ZigzagPath":
         return ZigzagPath._checked(
             self.target, tuple(s.inverse() for s in reversed(self.steps)))
 
-    def whisker(self, u: Word, v: Word) -> "ZigzagPath":
+    def whisker(self, u: Word, v: Word):
         if not u and not v:
             return self
-        return ZigzagPath._checked(
-            u + self.source + v, tuple(s.whisker(u, v) for s in self.steps))
+        return self._checked(u + self.source + v,
+                             tuple(s.whisker(u, v) for s in self.steps))
 
-    def forward_path(self) -> Path:
+    def forward_path(self) -> "Path":
         return Path(self.source, self.steps)
 
     def __str__(self):
@@ -207,14 +153,30 @@ class ZigzagPath:
         return " ; ".join(str(s) for s in self.steps)
 
 
+class Path(ZigzagPath):
+    """A forward rewriting path: a zigzag whose steps are all forward.  It
+    never equals a ZigzagPath, even on the same steps."""
+
+    def __post_init__(self):
+        at = self.source
+        for s in self.steps:
+            if not s.forward:
+                raise IllComposed(f"inverse step {s} in a forward path")
+            if s.source != at:
+                raise IllComposed(
+                    f"step {s} does not start at {word_str(at)}")
+            at = s.target
+
+    def zigzag(self) -> ZigzagPath:
+        return ZigzagPath._checked(self.source, self.steps)
+
+
 def zigzag(source: Word, *parts) -> ZigzagPath:
     """Compose steps, paths and zigzags into one zigzag from ``source``."""
     z = ZigzagPath(source)
     for part in parts:
         if isinstance(part, RewriteStep):
             part = ZigzagPath(part.source, (part,))
-        elif isinstance(part, Path):
-            part = part.zigzag()
         z = z.compose(part)
     return z
 

@@ -245,30 +245,3 @@ def homology(c: ChainComplexZ) -> HomologyResult:
     invx = _invariants(dx)
     h2 = HomologyGroup(kdim - len(invx), tuple(t for t in invx if t > 1))
     return HomologyResult(h0, h1, h2)
-
-
-@dataclass(frozen=True)
-class FinitenessReport:
-    generators: int
-    rules: int
-    critical_branchings: int
-    loop_classes: int | None
-    loops_complete: bool
-    cells3: int
-
-    def summary(self) -> str:
-        loops = ("unknown" if self.loop_classes is None
-                 else str(self.loop_classes)
-                 + ("" if self.loops_complete else " (incomplete)"))
-        return (f"generators: {self.generators}, rules: {self.rules}, "
-                f"critical branchings: {self.critical_branchings}, "
-                f"elementary loop classes: {loops}, "
-                f"3-cells: {self.cells3}")
-
-
-def finiteness_report(p: Polygraph, critical_count: int,
-                      loop_classes: int | None, loops_complete: bool,
-                      cells3: int) -> FinitenessReport:
-    return FinitenessReport(len(p.generators), len(p.rules),
-                            critical_count, loop_classes, loops_complete,
-                            cells3)

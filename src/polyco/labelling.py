@@ -30,7 +30,7 @@ class NotQuasiNormalForm(LabellingError):
     form of its key."""
 
 
-class MissingLabel(LabellingError, KeyError):
+class MissingLabel(LabellingError):
     pass
 
 
@@ -192,6 +192,14 @@ def label_target(lab: Labelling, g: ReductionGraph, t: Word):
 
 def label_path(lab: Labelling, g: ReductionGraph, f) -> tuple:
     return tuple(label_step(lab, g, s) for s in f.steps)
+
+
+def least_qnf(g: ReductionGraph, w: Word) -> Word | None:
+    """The quasi-normal form of w that derived maps choose: the shortest,
+    then the least; None when w reaches none.  Raises TruncatedRegion as
+    quasi_normal_forms does."""
+    qnfs = g.quasi_normal_forms(w)
+    return min(qnfs, key=lambda x: (len(x), x)) if qnfs else None
 
 
 def validate_qnf_map(lab: Labelling, g: ReductionGraph) -> None:

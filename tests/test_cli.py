@@ -134,7 +134,7 @@ def test_peiffer_failure_names_the_label_error(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == (
         "Peiffer decreasing up to length 4: FAILED at a a a a: "
         "1|alpha|a a a || a|alpha|a a "
-        "(peiffer: 'no quasi-normal form chosen for b a a a')")
+        "(peiffer: no quasi-normal form chosen for b a a a)")
 
 
 def test_fill_sphere(braid_file, tmp_path, capsys):

@@ -20,7 +20,8 @@ from polyco.engine import (ExplorationBudget, IllComposed, Path,
                            normalize_zigzag, parse_step, zigzag,
                            zigzags_equal)
 from polyco.expressions import ThreeCellExpression, check_boundary
-from polyco.fixtures import two_letters
+from polyco.fixtures import (braid, convergent_braid, no_fdt,
+                             two_letters)
 from polyco.labelling import Labelling
 
 
@@ -353,3 +354,24 @@ def test_sphere_and_extension_parsers_fail_only_with_parse_error(braid_p,
         assert (f.source, f.target) == (h.source, h.target)
     with contextlib.suppress(ParseError):
         parse_extension(braid_p, f"cell X : {src} => {tgt}")
+
+
+@pytest.mark.parametrize("p,longest", [
+    (braid(), 8), (two_letters(), 8), (convergent_braid(), 8),
+    (parse_polygraph(A3), 8),
+    (no_fdt(), 6)], ids=lambda x: getattr(x, "name", x))
+def test_certified_verdict_is_monotone_in_the_word_length(p, longest):
+    """The completion ``polyco complete`` builds, at each --max-word-len
+    from 1: once CERTIFIED, it stays CERTIFIED at every longer length.  A
+    search that gives up counts as not CERTIFIED."""
+    verdicts = []
+    for n in range(1, longest + 1):
+        g = explore(p, all_words(p, n), ExplorationBudget(n, 100000, 200))
+        lab = (Labelling.nf(g) if p.name == "convergent_braid"
+               else Labelling.qnf(_derived_qnf_map(g)))
+        try:
+            verdicts.append(build_completion(p, lab, g).verdict)
+        except SearchExhausted:
+            verdicts.append("exhausted")
+    first = verdicts.index(CERTIFIED) if CERTIFIED in verdicts else longest
+    assert all(v == CERTIFIED for v in verdicts[first:]), verdicts

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from polyco import decreasing
 from polyco.branchings import (OVERLAPPING, PEIFFER, LocalBranching,
                                critical_branchings, local_branchings)
 from polyco.cli import _derived_qnf_map
@@ -11,7 +14,8 @@ from polyco.decreasing import (check_context_closability,
                                peiffer_variants, StrictDiagram)
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid_qnf_map
-from polyco.labelling import Labelling, label_path
+from polyco.labelling import (FinitePosetOrder, Labelling, label_path,
+                              step_key)
 
 
 def _peiffer_on(p, word):
@@ -147,3 +151,27 @@ def test_context_compatibility_reports_truncation_as_unverified(braid_p,
     assert first["diagram"] == 0 and first["context"] == (("s", "s"), ())
     assert "s s t s t t s" in first["error"]
 
+
+@pytest.mark.parametrize("table", [False, True])
+def test_one_peiffer_audit_labels_each_word_or_key_once(ab_p, monkeypatch,
+                                                        table):
+    """One audit call labels each word, or each step key under a table
+    labelling, at most once, also when labelling it fails: the words past
+    the explored length have no quasi-normal form or table entry.  The
+    failures are reported as their messages, unquoted."""
+    g = explore(ab_p, all_words(ab_p, 3), ExplorationBudget(3))
+    lab = (Labelling.from_table({step_key(s): 0 for steps in g.out.values()
+                                 for s in steps}, FinitePosetOrder([0], []))
+           if table else Labelling.qnf(_derived_qnf_map(g)))
+    calls = Counter()
+    for name in ("label_key", "label_target"):
+        def counted(lab, *args, fn=getattr(decreasing, name)):
+            calls[args[-1]] += 1
+            return fn(lab, *args)
+        monkeypatch.setattr(decreasing, name, counted)
+    reports = check_peiffer_decreasing(lab, g, ab_p, 5)
+    errors = {a["error"] for r in reports for a in r.attempts if "error" in a}
+    assert calls and max(calls.values()) == 1
+    assert (("no table entry for step 1|alpha|a a a" if table
+             else "no quasi-normal form chosen for b a a a") in errors)
+    assert not any(e.startswith("'") for e in errors)

@@ -10,10 +10,11 @@ from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
                                local_branchings)
 from polyco.cli import _derived_qnf_map
 from polyco.core import Polygraph, Rule, all_words
-from polyco.decreasing import (DecreasingDiagram, StrictDiagram, _paths_from,
-                               _split_diagram, _strict, _try_splits,
-                               check_decreasing, check_peiffer_decreasing,
-                               check_strict, peiffer_variants)
+from polyco.decreasing import (DecreasingDiagram, StrictDiagram, _cut,
+                               _first_splits, _paths_from, _read_pair,
+                               _strict, check_decreasing,
+                               check_peiffer_decreasing, check_strict,
+                               peiffer_variants)
 from polyco.completion import _overlap_closure, _peiffer_closure
 from polyco.engine import (ExplorationBudget, Path, RewriteStep,
                            TruncatedRegion, Unreachable, ZigzagPath,
@@ -158,6 +159,15 @@ def _reference_splits(lab, g, b, p1, p2):
     return None
 
 
+def _split_reading(lab, g, b, p1, p2):
+    """The pair cut at the splits that _first_splits reads from the labels
+    of _read_pair, as find_decreasing cuts it; None when the pair does not
+    close the branching or has no split."""
+    labels = _read_pair(lab, g, b, p1, p2)
+    splits = labels and _first_splits(lab.order, labels)
+    return splits and _cut(b, p1, p2, splits)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -196,7 +206,7 @@ def test_try_splits_matches_exhaustive_check(seed, braid_p, braid_g,
         pairs.append((rights[0], lefts[0]))
         for p1, p2 in pairs:
             want = _outcome(_reference_splits, lab, g, b, p1, p2)
-            assert _outcome(_try_splits, lab, g, b, p1, p2) == want
+            assert _outcome(_split_reading, lab, g, b, p1, p2) == want
             outcomes.append(type(want))
     assert DecreasingDiagram in outcomes and type(None) in outcomes
     if seed % 3 == 0:
@@ -491,8 +501,9 @@ def _reference_decide(lab, g, p, b):
         if _strict(lab.order, labels):
             return ("PASS", name, True, attempts, StrictDiagram(b, cf, ch),
                     witnesses)
-        d = _split_diagram(lab.order, b, cf, ch, labels)
-        if d is not None:
+        splits = _first_splits(lab.order, labels)
+        if splits is not None:
+            d = _cut(b, cf, ch, splits)
             break
         attempts.append({
             "variant": name, "ok": False,

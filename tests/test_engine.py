@@ -56,15 +56,36 @@ def test_composed_and_whiskered_paths_equal_checked_ones(braid_p):
                      tuple(s.whisker(("t",), ("s", "s")) for s in p.steps))
 
 
+def test_path_operations_keep_the_class(braid_p):
+    """A Path is a ZigzagPath whose steps are all forward: its operations
+    give a Path, except its inverse, which is a zigzag, and it never
+    equals the zigzag on the same steps."""
+    a = parse_step(braid_p, "1|alpha|1")
+    b = parse_step(braid_p, "1|beta|1")
+    p, z = Path(a.source, (a, b)), ZigzagPath(a.source, (a, b))
+    assert isinstance(p, ZigzagPath)
+    for cls, x in ((Path, p), (ZigzagPath, z)):
+        made = (x.prefix(1), x.compose(type(x)(x.target, (a,))),
+                x.whisker(("t",), ()), x.whisker((), ()),
+                cls._checked(x.source, x.steps))
+        assert all(type(y) is cls for y in made), [type(y) for y in made]
+    assert type(p.inverse()) is ZigzagPath
+    assert p.inverse() == z.inverse()
+    assert type(p.zigzag()) is ZigzagPath and p.zigzag() == z
+    assert type(z.forward_path()) is Path and z.forward_path() == p
+    assert p != z and z != p
+    assert (str(p), len(p), p.target) == (str(z), len(z), z.target)
+
+
 def test_checked_zigzags_cost_no_more_than_public_ones():
-    """A zigzag built from checked parts holds its fields as one from the
-    public constructor does, without a dict of its own.  Measured in a
-    fresh interpreter, public zigzags first: a per-instance dict made
+    """A zigzag or path built from checked parts holds its fields as one
+    from the public constructor does, without a dict of its own.  Measured
+    in a fresh interpreter, public ones first: a per-instance dict made
     earlier in the process also raises the cost of later public ones."""
     code = textwrap.dedent("""
         import tracemalloc
         from polyco import fixtures
-        from polyco.engine import ZigzagPath, parse_step
+        from polyco.engine import Path, ZigzagPath, parse_step
         a = parse_step(fixtures.braid(), "1|alpha|1")
         u, steps = a.source, (a,)
 
@@ -76,14 +97,16 @@ def test_checked_zigzags_cost_no_more_than_public_ones():
             return (tracemalloc.get_traced_memory()[0] - before) / n
 
         tracemalloc.start()
-        print(per_zigzag(ZigzagPath), per_zigzag(ZigzagPath._checked))
+        for cls in (ZigzagPath, Path):
+            print(per_zigzag(cls), per_zigzag(cls._checked))
         """)
     src = os.path.dirname(os.path.dirname(polyco.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.returncode == 0, out.stderr
-    public, checked = map(float, out.stdout.split())
-    assert checked <= public, (checked, public)
+    for line in out.stdout.splitlines():
+        public, checked = map(float, line.split())
+        assert checked <= public, (checked, public)
 
 
 def test_zigzag_cancellation(braid_p):

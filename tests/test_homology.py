@@ -7,8 +7,8 @@ from polyco.completion import CERTIFIED, build_completion
 from polyco.core import all_words
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid, convergent_braid
-from polyco.homology import (abelianize, finiteness_report, homology,
-                             identity, matmul, smith_normal_form, zeros)
+from polyco.homology import (abelianize, homology, identity, matmul,
+                             smith_normal_form)
 from polyco.labelling import Labelling
 
 
@@ -99,9 +99,3 @@ def test_braid_and_convergent_braid_have_equal_homology():
     assert (a.h1, a.h2) == (b.h1, b.h2)
     assert str(a.h1) == "Z" and str(a.h2) == "0"
 
-
-def test_finiteness_report_summary(braid_p):
-    rep = finiteness_report(braid_p, critical_count=4, loop_classes=1,
-                            loops_complete=True, cells3=5)
-    text = rep.summary()
-    assert "5" in text
