@@ -26,9 +26,7 @@ def main():
                                          max_depth=200))
     lab = Labelling.qnf(two_letters_qnf_map(8))
 
-    bs = [b for b in local_branchings(p, ("a", "a"),
-                                      include_aspherical=False)
-          if b.kind == PEIFFER]
+    bs = [b for b in local_branchings(p, ("a", "a")) if b.kind == PEIFFER]
     rep = check_peiffer_decreasing(lab, g, p, 2, branchings=bs)[0]
     naive = [a for a in rep.attempts if a["variant"] == "peiffer"][0]
     print("Peiffer square on aa, canonical closure:")

@@ -8,20 +8,19 @@ from .engine import (ExplorationBudget, IllComposed, Path, ReductionGraph,
                      RewriteStep, TerminationReport, TruncatedRegion,
                      Unreachable, ZigzagPath, classify_termination,
                      enumerate_steps, exchange_swap, explore,
-                     normalize_zigzag, parse_step, support, zigzag,
+                     normalize_zigzag, parse_step, zigzag,
                      zigzags_equal, INCONCLUSIVE,
                      QUASI_TERMINATING_NOT_TERMINATING, TERMINATING)
 from .branchings import (ASPHERICAL, CRITICAL, OVERLAPPING, PEIFFER,
                          LocalBranching, classify_branching,
                          critical_branchings, local_branchings,
                          match_critical)
-from .labelling import (FinitePosetOrder, LabelMultiset, Labelling,
-                        LabellingError, MissingLabel, NaturalsOrder,
-                        NotQuasiNormalForm, ReachabilityOrder, filter_word,
-                        format_qnf_map, label_path, label_step,
-                        measure_branching, measure_path, measure_word,
-                        multiset_less, parse_label_table, parse_qnf_map,
-                        validate_qnf_map)
+from .labelling import (FinitePosetOrder, Labelling, LabellingError,
+                        MissingLabel, NaturalsOrder, NotQuasiNormalForm,
+                        ReachabilityOrder, filter_word, format_qnf_map,
+                        label_path, label_step, measure_branching,
+                        measure_word, multiset_less, parse_label_table,
+                        parse_qnf_map, validate_qnf_map)
 from .decreasing import (DecreasingDiagram, MeasureError, SearchExhausted,
                          StrictDiagram, Violation, check_context_closability,
                          check_context_compatibility, check_decreasing,
@@ -33,8 +32,7 @@ from .loops import (Loop, LoopClass, LoopEnumeration, NotALoop,
                     strip_whiskers)
 from .expressions import (Atom, CONFLUENCE, LOOP, MissingLoopClass,
                           ThreeCell, ThreeCellExpression, check_boundary,
-                          concat, conjugate, contract_loop,
-                          identity_expression, invert)
+                          concat, conjugate, contract_loop, invert)
 from .completion import (CERTIFIED, CoherentPresentation, ConfluenceRecord,
                          PARTIAL, build_completion, fill_parallel_sphere,
                          fill_zigzag_sphere, format_extension,
@@ -52,19 +50,18 @@ __all__ = [
     "ExplorationBudget", "IllComposed", "Path", "ReductionGraph",
     "RewriteStep", "TerminationReport", "TruncatedRegion", "Unreachable",
     "ZigzagPath", "classify_termination", "enumerate_steps", "exchange_swap",
-    "explore", "normalize_zigzag", "parse_step", "support", "zigzag",
-    "zigzags_equal", "INCONCLUSIVE", "QUASI_TERMINATING_NOT_TERMINATING",
-    "TERMINATING",
+    "explore", "normalize_zigzag", "parse_step", "zigzag", "zigzags_equal",
+    "INCONCLUSIVE", "QUASI_TERMINATING_NOT_TERMINATING", "TERMINATING",
     # branchings
     "ASPHERICAL", "CRITICAL", "OVERLAPPING", "PEIFFER", "LocalBranching",
     "classify_branching", "critical_branchings", "local_branchings",
     "match_critical",
     # labelling
-    "FinitePosetOrder", "LabelMultiset", "Labelling", "LabellingError",
-    "MissingLabel", "NaturalsOrder", "NotQuasiNormalForm", "ReachabilityOrder",
-    "filter_word", "format_qnf_map", "label_path", "label_step",
-    "measure_branching", "measure_path", "measure_word", "multiset_less",
-    "parse_label_table", "parse_qnf_map", "validate_qnf_map",
+    "FinitePosetOrder", "Labelling", "LabellingError", "MissingLabel",
+    "NaturalsOrder", "NotQuasiNormalForm", "ReachabilityOrder", "filter_word",
+    "format_qnf_map", "label_path", "label_step", "measure_branching",
+    "measure_word", "multiset_less", "parse_label_table", "parse_qnf_map",
+    "validate_qnf_map",
     # decreasing
     "DecreasingDiagram", "MeasureError", "SearchExhausted", "StrictDiagram",
     "Violation", "check_context_closability", "check_context_compatibility",
@@ -77,7 +74,7 @@ __all__ = [
     # expressions
     "Atom", "CONFLUENCE", "LOOP", "MissingLoopClass", "ThreeCell",
     "ThreeCellExpression", "check_boundary", "concat", "conjugate",
-    "contract_loop", "identity_expression", "invert",
+    "contract_loop", "invert",
     # completion
     "CERTIFIED", "CoherentPresentation", "ConfluenceRecord", "PARTIAL",
     "build_completion", "fill_parallel_sphere", "fill_zigzag_sphere",

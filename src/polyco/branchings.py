@@ -66,19 +66,13 @@ def canonical_pair(f: RewriteStep, g: RewriteStep, p: Polygraph
     return (f, g) if kf <= kg else (g, f)
 
 
-def local_branchings(p: Polygraph, u: Word,
-                     include_aspherical: bool = True) -> list[LocalBranching]:
-    """All local branchings at u.  Pairs of distinct steps are listed once,
-    ordered by position then rule order; diagonal (aspherical) pairs are
-    included unless disabled."""
+def local_branchings(p: Polygraph, u: Word) -> list[LocalBranching]:
+    """The local branchings at u of two distinct steps, each pair listed
+    once, ordered by position then rule order; the aspherical pairs of a
+    step with itself are not listed."""
     steps = enumerate_steps(p, u)
-    out = []
-    for i, f in enumerate(steps):
-        if include_aspherical:
-            out.append(LocalBranching(f, f))
-        for g in steps[i + 1:]:
-            out.append(LocalBranching(f, g))
-    return out
+    return [LocalBranching(f, g)
+            for i, f in enumerate(steps) for g in steps[i + 1:]]
 
 
 def critical_branchings(p: Polygraph) -> list[LocalBranching]:

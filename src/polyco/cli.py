@@ -153,6 +153,15 @@ def _peiffer_status(reports) -> str:
             f"({first['variant']}: {read})")
 
 
+def _context_dict(ctx, head: str) -> dict:
+    """A context audit's report as JSON: each violation is its ``head``
+    entry, the index of its branching or diagram, and its context."""
+    return {"ok": ctx.ok, "checked": ctx.checked,
+            "violations": [{head: v[head],
+                            "context": [word_str(u) for u in v["context"]]}
+                           for v in ctx.violations]}
+
+
 def _budget_dict(args):
     return {"max_word_len": args.max_word_len,
             "max_states": args.max_states, "max_depth": args.max_depth,
@@ -165,10 +174,10 @@ def cmd_analyze(args) -> int:
     report = classify_termination(g)
     crits = critical_branchings(p)
     try:
-        loops = enumerate_elementary_loops(g)
-        loop_count, loops_complete = len(loops.classes), loops.complete
+        loop_count = len(enumerate_elementary_loops(g).classes)
     except TruncatedRegion:
-        loop_count, loops_complete = None, False
+        loop_count = None
+    loops_complete = loop_count is not None
     data = {
         "generators": list(p.generators),
         "rules": [r.name for r in p.rules],
@@ -213,12 +222,7 @@ def cmd_complete(args) -> int:
         "verdict": c.verdict,
         "audits": {
             "strict": c.audits["strict"],
-            "context": {"ok": ctx.ok, "checked": ctx.checked,
-                        "violations": [
-                            {"branching": v.get("branching"),
-                             "context": [word_str(v["context"][0]),
-                                         word_str(v["context"][1])]}
-                            for v in ctx.violations]},
+            "context": _context_dict(ctx, "branching"),
             "peiffer": {"ok": c.audits["peiffer"]["ok"],
                         "reports": [
                             {"source": word_str(r.branching.source),
@@ -261,12 +265,7 @@ def cmd_check_decreasing(args) -> int:
     peiffer = check_peiffer_decreasing(lab, g, p, args.peiffer_len_bound)
     peiffer_ok = all(r.status == "PASS" for r in peiffer)
     data = {"branchings": rows,
-            "context": {"ok": ctx.ok, "checked": ctx.checked,
-                        "violations": [
-                            {"diagram": v.get("diagram"),
-                             "context": [word_str(v["context"][0]),
-                                         word_str(v["context"][1])]}
-                            for v in ctx.violations]},
+            "context": _context_dict(ctx, "diagram"),
             "peiffer_ok": peiffer_ok,
             "budget": _budget_dict(args)}
     lines = [f"{r['source']}: {r['status']}" for r in rows]

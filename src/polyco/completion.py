@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ParseError, Polygraph, Word, word_str
+from .core import (ParseError, Polygraph, Word, file_lines, parse_word,
+                   word_str)
 from .branchings import (PEIFFER, LocalBranching, classify_branching,
                          critical_branchings, match_critical)
 from .decreasing import (MeasureError, SearchExhausted, StrictDiagram,
@@ -30,8 +31,8 @@ from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
                      TruncatedRegion, Unreachable, ZigzagPath, exchange_swap,
                      parse_step, zigzag)
 from .expressions import (Atom, ThreeCell, ThreeCellExpression, concat,
-                          conjugate, contract_loop, identity_expression,
-                          invert, CONFLUENCE, LOOP)
+                          conjugate, contract_loop, invert, CONFLUENCE,
+                          LOOP)
 from .labelling import (Labelling, LabellingError, NF, QNF, least_qnf,
                         measure_branching, multiset_less)
 from .loops import enumerate_elementary_loops
@@ -70,9 +71,9 @@ CERTIFIED = "CERTIFIED"
 PARTIAL = "PARTIAL"
 
 
-def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
-                     depth: int = 8, ctx_bound: int = 2,
-                     peiffer_len_bound: int = 6) -> CoherentPresentation:
+def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
+                     ctx_bound: int = 2, peiffer_len_bound: int = 6
+                     ) -> CoherentPresentation:
     """One confluence cell per critical branching plus one extension cell
     per elementary loop class, with audits."""
     criticals = critical_branchings(p)
@@ -80,7 +81,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
     records: list[ConfluenceRecord] = []
     failures = []
     for i, cb in enumerate(criticals):
-        d = find_decreasing(lab, g, cb, depth=depth)
+        d = find_decreasing(lab, g, cb)
         if d is None:
             raise SearchExhausted(
                 f"no decreasing diagram for the critical branching at "
@@ -98,11 +99,9 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
             failures.append(name)
 
     loop_classes: dict[tuple, str] = {}
-    loops_complete = True
     loops_error = None
     try:
         enum = enumerate_elementary_loops(g)
-        loops_complete = enum.complete
         for j, cls in enumerate(enum.classes):
             name = f"E{j + 1}"
             rep = cls.representative
@@ -110,7 +109,6 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
                                     ZigzagPath(rep.base), LOOP)
             loop_classes[cls.key] = name
     except TruncatedRegion as e:
-        loops_complete = False
         loops_error = str(e)
 
     # The certificate asks every whiskered critical branching to stay
@@ -118,18 +116,17 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph,
     # filling procedure pastes the recorded completion whiskered and
     # re-checks only its strictness, so it may close non-strictly what this
     # audit closes strictly.
-    ctx = check_context_closability(lab, g, criticals, ctx_bound,
-                                    depth=depth)
+    ctx = check_context_closability(lab, g, criticals, ctx_bound)
     peiffer = check_peiffer_decreasing(lab, g, p, peiffer_len_bound)
     peiffer_ok = all(r.status == "PASS" for r in peiffer)
     audits = {
         "strict": {"ok": not failures, "non_strict_cells": failures},
         "context": ctx,
         "peiffer": {"ok": peiffer_ok, "reports": peiffer},
-        "loops": {"complete": loops_complete, "error": loops_error},
+        "loops": {"complete": loops_error is None, "error": loops_error},
     }
     verdict = CERTIFIED if (not failures and ctx.ok and peiffer_ok
-                            and loops_complete) else PARTIAL
+                            and loops_error is None) else PARTIAL
     return CoherentPresentation(p, cells, records, loop_classes,
                                 audits, verdict, g)
 
@@ -244,7 +241,7 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
     if depth < 0:
         raise SearchExhausted("sphere filling recursion depth exhausted")
     if f.steps == h.steps:
-        return identity_expression(f.zigzag())
+        return ThreeCellExpression(f.zigzag())
     if not h.steps:
         return c.contract(f)
     if not f.steps:
@@ -273,17 +270,17 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
                     f"{outer!r}")
     bexp = fill_parallel_sphere(c, lab, g, left_b[0], left_b[1], depth - 1)
     cexp = fill_parallel_sphere(c, lab, g, right_b[0], right_b[1], depth - 1)
-    k_inv = k.zigzag().inverse()
+    k_inv = k.inverse()
     e1 = conjugate(bexp, pre=zigzag(f.source, f1), post=k_inv)
-    e2 = conjugate(a_expr, post=hbar.zigzag().compose(k_inv))
+    e2 = conjugate(a_expr, post=hbar.compose(k_inv))
     e3 = conjugate(cexp, pre=zigzag(h.source, h1), post=k_inv)
     out = concat(e1, e2, e3)
     return ThreeCellExpression(f.zigzag(), out.atoms)
 
 
 def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
-                       g: ReductionGraph, f: ZigzagPath, h: ZigzagPath,
-                       depth: int = 64) -> ThreeCellExpression:
+                       g: ReductionGraph, f: ZigzagPath, h: ZigzagPath
+                       ) -> ThreeCellExpression:
     """An expression from f to h for parallel zigzags: every word along
     either side is sent to a common quasi-normal form by a chosen path,
     each zigzag is straightened against those paths segment by segment
@@ -312,14 +309,14 @@ def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
             if s.forward:
                 patch = fill_parallel_sphere(
                     c, lab, g, Path(s.source, (s,)).compose(down(s.target)),
-                    down(s.source), depth)
+                    down(s.source))
                 pre = z.prefix(i)
             else:
                 fwd = s.inverse()
                 patch = invert(fill_parallel_sphere(
                     c, lab, g,
                     Path(fwd.source, (fwd,)).compose(down(s.source)),
-                    down(fwd.source), depth), c.cells)
+                    down(fwd.source)), c.cells)
                 # s- . (s . down(source)) reduces to down(source)
                 pre = z.prefix(i + 1)
             atoms += conjugate(patch, pre=pre).atoms
@@ -328,7 +325,7 @@ def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
 
     pf = straighten(f)
     ph = straighten(h)
-    tail = down(f.target).zigzag().inverse()
+    tail = down(f.target).inverse()
     e1 = conjugate(pf, post=tail)
     e2 = conjugate(invert(ph, c.cells), post=tail)
     out = concat(e1, e2)
@@ -343,7 +340,6 @@ def parse_zigzag(p: Polygraph, text: str, line: int | None = None
                  ) -> ZigzagPath:
     text = text.strip()
     if text.startswith("id ") or text == "id":
-        from .core import parse_word
         return ZigzagPath(parse_word(text[2:].strip(), line))
     steps = [parse_step(p, part, line) for part in text.split(";")]
     try:
@@ -361,10 +357,7 @@ def format_extension(c: CoherentPresentation) -> str:
 
 def parse_extension(p: Polygraph, text: str) -> dict[str, ThreeCell]:
     cells: dict[str, ThreeCell] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in file_lines(text):
         if not line.startswith("cell "):
             raise ParseError(f"unknown extension line {line!r}", lineno)
         body = line[len("cell "):]
@@ -386,10 +379,7 @@ def parse_extension(p: Polygraph, text: str) -> dict[str, ThreeCell]:
 
 
 def parse_sphere(p: Polygraph, text: str) -> tuple[ZigzagPath, ZigzagPath]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in file_lines(text):
         if not line.startswith("sphere"):
             raise ParseError(f"unknown sphere line {line!r}", lineno)
         body = line.split(":", 1)

@@ -124,6 +124,15 @@ class Polygraph:
         raise KeyError(name)
 
 
+def file_lines(text: str):
+    """The (line number, line) of each line of a line-based file that is
+    not blank once its ``#`` comment and outer whitespace are removed."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_polygraph(text: str) -> Polygraph:
     """Parse the presentation file format.
 
@@ -140,10 +149,7 @@ def parse_polygraph(text: str) -> Polygraph:
     name = None
     gens: list[str] = []
     rules: list[Rule] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in file_lines(text):
         tokens = line.split()
         head = tokens[0]
         if head == "polygraph":

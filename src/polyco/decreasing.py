@@ -160,12 +160,17 @@ def check_decreasing(lab: Labelling, g: ReductionGraph, d
 # searching for diagrams
 
 
-def _greedy_normalize(g: ReductionGraph, u: Word, max_steps: int = 10000
-                      ) -> Path:
+# the longest normalization _greedy_normalize follows, and the most
+# completion paths _paths_from lists out of one word
+NORMALIZE_STEPS = 10000
+PATHS_CAP = 2000
+
+
+def _greedy_normalize(g: ReductionGraph, u: Word) -> Path:
     """Leftmost-redex, first-rule normalization inside the explored graph."""
     steps = []
     at = u
-    for _ in range(max_steps):
+    for _ in range(NORMALIZE_STEPS):
         if at not in g.complete:
             raise TruncatedRegion(
                 f"{word_str(at)} is incomplete in the explored graph")
@@ -175,7 +180,7 @@ def _greedy_normalize(g: ReductionGraph, u: Word, max_steps: int = 10000
         steps.append(out[0])
         at = out[0].target
     raise SearchExhausted("normalization did not terminate "
-                          f"within {max_steps} steps")
+                          f"within {NORMALIZE_STEPS} steps")
 
 
 def _strict_candidates(lab: Labelling, g: ReductionGraph, tf: Word, tg: Word):
@@ -205,9 +210,9 @@ def _strict_candidates(lab: Labelling, g: ReductionGraph, tf: Word, tg: Word):
             continue
 
 
-def _paths_from(g: ReductionGraph, u: Word, depth: int, cap: int
-                ) -> list[Path]:
-    """All forward paths from u up to the given length, BFS order."""
+def _paths_from(g: ReductionGraph, u: Word, depth: int) -> list[Path]:
+    """All forward paths from u up to the given length, BFS order, the
+    first PATHS_CAP of them."""
     out = [Path(u)]
     frontier = [Path(u)]
     for _ in range(depth):
@@ -219,7 +224,7 @@ def _paths_from(g: ReductionGraph, u: Word, depth: int, cap: int
                 q = Path._checked(u, path.steps + (s,))
                 nxt.append(q)
                 out.append(q)
-                if len(out) >= cap:
+                if len(out) >= PATHS_CAP:
                     return out
         frontier = nxt
     return out
@@ -298,8 +303,7 @@ def _strict(order, labels) -> bool:
 
 
 def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
-                    depth: int = 8, strict: bool = False,
-                    cap: int = 2000):
+                    depth: int = 8, strict: bool = False):
     """Search for a diagram closing the local branching: strict closures
     first (geodesics to the chosen quasi-normal form, or normalization for
     the normal-form labelling), then, unless ``strict``, general decreasing
@@ -319,8 +323,8 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
             return StrictDiagram(b, p1, p2)
     if strict:
         return None
-    lefts = _paths_from(g, tf, depth, cap)
-    rights = _paths_from(g, tg, depth, cap)
+    lefts = _paths_from(g, tf, depth)
+    rights = _paths_from(g, tg, depth)
     by_target: dict[Word, list[Path]] = {}
     for q in rights:
         by_target.setdefault(q.target, []).append(q)
@@ -708,8 +712,8 @@ def check_context_compatibility(lab: Labelling, g: ReductionGraph,
 
 
 def check_context_closability(lab: Labelling, g: ReductionGraph,
-                              branchings, ctx_bound: int = 2,
-                              depth: int = 8) -> ContextReport:
+                              branchings, ctx_bound: int = 2
+                              ) -> ContextReport:
     """Check that every branching, whiskered by every context of total
     length up to the bound, still admits a strictly decreasing completion.
 
@@ -723,7 +727,7 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
     def fails(local, u1, u2):
         wb = LocalBranching(local.first.whisker(u1, u2),
                             local.second.whisker(u1, u2))
-        d = find_decreasing(lab, g, wb, depth=depth, strict=True)
+        d = find_decreasing(lab, g, wb, strict=True)
         return {} if d is None else None
 
     items = (({"branching": idx}, b) for idx, b in enumerate(branchings))

@@ -10,7 +10,7 @@ on unexplored regions raise TruncatedRegion.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 from .core import Polygraph, Rule, Word, word_str
@@ -93,7 +93,8 @@ class IllComposed(ValueError):
 @dataclass(frozen=True)
 class ZigzagPath:
     """A composable sequence of forward and inverse steps.  Its operations
-    keep its class, so those of a Path give a Path, except ``inverse``."""
+    keep its class, so those of a Path give a Path, except ``inverse`` and
+    composing with a zigzag."""
 
     source: Word
     steps: tuple[RewriteStep, ...] = ()
@@ -132,7 +133,8 @@ class ZigzagPath:
     def compose(self, other: "ZigzagPath"):
         if other.source != self.target:
             raise IllComposed("paths do not compose")
-        return self._checked(self.source, self.steps + other.steps)
+        cls = type(self) if isinstance(other, type(self)) else ZigzagPath
+        return cls._checked(self.source, self.steps + other.steps)
 
     def inverse(self) -> "ZigzagPath":
         return ZigzagPath._checked(
@@ -179,11 +181,6 @@ def zigzag(source: Word, *parts) -> ZigzagPath:
             part = ZigzagPath(part.source, (part,))
         z = z.compose(part)
     return z
-
-
-def support(f) -> Counter:
-    """Multiset of rule names used by a path or zigzag (orientation blind)."""
-    return Counter(s.rule.name for s in f.steps)
 
 
 def _source_block(s: RewriteStep) -> Word:

@@ -85,10 +85,6 @@ class ThreeCellExpression:
         return "\n".join(str(a) for a in self.atoms)
 
 
-def identity_expression(z: ZigzagPath) -> ThreeCellExpression:
-    return ThreeCellExpression(z)
-
-
 def conjugate(e: ThreeCellExpression, pre: ZigzagPath | None = None,
               post: ZigzagPath | None = None,
               left_word: Word = (), right_word: Word = ()
@@ -248,8 +244,7 @@ def _contract_factors(cells, classes, pre: Path, factors
     """Contract P^-1 . F1^e1 ... Fm^em . P one factor at a time, each
     fundamental loop Fi by peeling alone (see fundamental_factors)."""
     outer = pre.zigzag()
-    sides = [F.zigzag() if e > 0 else F.zigzag().inverse()
-             for F, e in factors]
+    sides = [F.zigzag() if e > 0 else F.inverse() for F, e in factors]
     source = outer.inverse()
     for z in sides:
         source = source.compose(z)

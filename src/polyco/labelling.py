@@ -10,14 +10,19 @@ set.  Four kinds are supported:
   (v is below u when u rewrites to v in at least one step);
 * ``singleton``: every step gets the same label, nothing is strict;
 * ``table``: labels come from an explicit table over a finite poset.
+
+The measure of a path or branching is a multiset of labels, held in a
+``collections.Counter`` and compared by the multiset extension of the
+label order.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
-from .core import ParseError, Polygraph, Word, parse_word, word_str
+from .core import (ParseError, Polygraph, Word, file_lines, parse_word,
+                   word_str)
 from .engine import ReductionGraph, RewriteStep, Unreachable, parse_step
 
 
@@ -123,7 +128,6 @@ class Labelling:
     order: LabelOrder
     qnf_map: dict[Word, Word] | None = None
     table: dict[StepKey, object] | None = None
-    singleton_label: object = 0
 
     @classmethod
     def qnf(cls, qnf_map: dict[Word, Word]) -> "Labelling":
@@ -137,9 +141,8 @@ class Labelling:
         return cls(NF, ReachabilityOrder(graph))
 
     @classmethod
-    def singleton(cls, label=0) -> "Labelling":
-        return cls(SINGLETON, FinitePosetOrder([label], []),
-                   singleton_label=label)
+    def singleton(cls) -> "Labelling":
+        return cls(SINGLETON, FinitePosetOrder([0], []))
 
     @classmethod
     def from_table(cls, table: dict[StepKey, object],
@@ -168,9 +171,9 @@ def label_key(lab: Labelling, key: StepKey):
 def label_target(lab: Labelling, g: ReductionGraph, t: Word):
     """The label a qnf, nf or singleton labelling gives every forward step
     into t, since these read only the target: label_step without building
-    the step."""
+    the step.  The singleton labelling gives 0."""
     if lab.kind == SINGLETON:
-        return lab.singleton_label
+        return 0
     if lab.kind == NF:
         return t
     if lab.kind == QNF:
@@ -230,74 +233,13 @@ def validate_qnf_map(lab: Labelling, g: ReductionGraph) -> None:
 # label multisets and the lexicographic maximum measure
 
 
-class LabelMultiset:
-    """A finite multiset of labels with a canonical sorted representation."""
-
-    __slots__ = ("counts", "_key")
-
-    def __init__(self, items=()):
-        counts: dict = {}
-        if isinstance(items, dict):
-            for k, n in items.items():
-                if n < 0:
-                    raise ValueError("negative multiplicity")
-                if n:
-                    counts[k] = counts.get(k, 0) + n
-        else:
-            for k in items:
-                counts[k] = counts.get(k, 0) + 1
-        self.counts = counts
-        self._key = tuple(sorted(counts.items(), key=lambda kv: repr(kv[0])))
-
-    def union(self, other: "LabelMultiset") -> "LabelMultiset":
-        counts = dict(self.counts)
-        for k, n in other.counts.items():
-            counts[k] = counts.get(k, 0) + n
-        return LabelMultiset(counts)
-
-    __or__ = union
-    __add__ = union
-
-    def minus(self, other: "LabelMultiset") -> "LabelMultiset":
-        counts = {}
-        for k, n in self.counts.items():
-            m = n - other.counts.get(k, 0)
-            if m > 0:
-                counts[k] = m
-        return LabelMultiset(counts)
-
-    def __len__(self):
-        return sum(self.counts.values())
-
-    def __bool__(self):
-        return bool(self.counts)
-
-    def __iter__(self):
-        for k, n in self._key:
-            for _ in range(n):
-                yield k
-
-    def distinct(self):
-        return [k for k, _ in self._key]
-
-    def __eq__(self, other):
-        return isinstance(other, LabelMultiset) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        inner = ", ".join(f"{k!r}: {n}" for k, n in self._key)
-        return "{" + inner + "}"
-
-
 def filter_word(w, wp, order: LabelOrder) -> tuple:
     """Drop from w every letter strictly below some letter of wp."""
     wp = tuple(wp)
     return tuple(k for k in w if not any(order.less(k, j) for j in wp))
 
 
-def measure_word(w, order: LabelOrder) -> LabelMultiset:
+def measure_word(w, order: LabelOrder) -> Counter:
     """The lexicographic maximum measure of a label word: each letter
     contributes unless a strictly larger letter occurred before it."""
     kept = []
@@ -306,28 +248,20 @@ def measure_word(w, order: LabelOrder) -> LabelMultiset:
         head = rest[0]
         kept.append(head)
         rest = filter_word(rest[1:], (head,), order)
-    return LabelMultiset(kept)
+    return Counter(kept)
 
 
-def measure_path(lab: Labelling, g: ReductionGraph, f) -> LabelMultiset:
-    return measure_word(label_path(lab, g, f), lab.order)
+def measure_branching(lab: Labelling, g: ReductionGraph, f, h) -> Counter:
+    """The multiset sum (not the max-union) of the measures of both sides."""
+    return (measure_word(label_path(lab, g, f), lab.order)
+            + measure_word(label_path(lab, g, h), lab.order))
 
 
-def measure_branching(lab: Labelling, g: ReductionGraph, f, h
-                      ) -> LabelMultiset:
-    return measure_path(lab, g, f) | measure_path(lab, g, h)
-
-
-def multiset_less(m: LabelMultiset, n: LabelMultiset,
-                  order: LabelOrder) -> bool:
+def multiset_less(m: Counter, n: Counter, order: LabelOrder) -> bool:
     """Strict multiset order: after cancelling the common part, the rest of
     n is nonempty and dominates every leftover element of m."""
-    x = m.minus(n)
-    y = n.minus(m)
-    if not y:
-        return False
-    ys = y.distinct()
-    return all(any(order.less(a, b) for b in ys) for a in x.distinct())
+    y = n - m
+    return bool(y) and all(any(order.less(a, b) for b in y) for a in m - n)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +271,7 @@ def multiset_less(m: LabelMultiset, n: LabelMultiset,
 def parse_qnf_map(p: Polygraph, text: str) -> dict[Word, Word]:
     """Lines of the form ``WORD -> WORD``."""
     out: dict[Word, Word] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in file_lines(text):
         if "->" not in line:
             raise ParseError("expected WORD -> WORD", lineno)
         left, right = line.split("->", 1)
@@ -362,10 +293,7 @@ def parse_label_table(p: Polygraph, text: str
     table: dict[StepKey, object] = {}
     pairs = []
     labels = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in file_lines(text):
         if line.startswith("order:"):
             body = line[len("order:"):]
             if "<" not in body:

@@ -66,6 +66,7 @@ class LoopClass:
 @dataclass
 class LoopEnumeration:
     classes: list[LoopClass]
+    # always True: enumeration raises TruncatedRegion rather than stop short
     complete: bool
 
 
@@ -92,13 +93,9 @@ def strip_whiskers(steps: tuple[RewriteStep, ...]
 
 
 def is_context_minimal(loop: Loop) -> bool:
-    """True when no letter is a common left or right whisker of all the
-    loop's steps: the whiskers strip_whiskers would remove are empty."""
-    steps = loop.steps
-    first = steps[0].left[:1]
-    last = steps[0].right[-1:]
-    return (not (first and all(s.left[:1] == first for s in steps))
-            and not (last and all(s.right[-1:] == last for s in steps)))
+    """True when the whiskers strip_whiskers would remove are empty."""
+    u, _, v = strip_whiskers(loop.steps)
+    return not u and not v
 
 
 def word_sequence(steps) -> tuple[Word, ...]:

@@ -27,6 +27,18 @@ def test_branching_kinds(braid_p):
     assert classify_branching(w1, w3) == OVERLAPPING
 
 
+def test_local_branchings_pair_distinct_steps_once(braid_p, ab_p):
+    for p in (braid_p, ab_p):
+        for u in all_words(p, 6):
+            n = len(enumerate_steps(p, u))
+            bs = local_branchings(p, u)
+            assert all(b.first != b.second and b.kind != ASPHERICAL
+                       for b in bs)
+            assert len(bs) == n * (n - 1) // 2
+            assert len({(b.first, b.second) for b in bs}
+                       | {(b.second, b.first) for b in bs}) == 2 * len(bs)
+
+
 def test_critical_branching_sources():
     from polyco.fixtures import braid, convergent_braid, no_fdt
     assert sorted(word_str(b.source) for b in critical_branchings(braid())) \
@@ -45,7 +57,7 @@ def _brute_force_critical_cores(p, max_len):
     branchings."""
     cores = set()
     for u in all_words(p, max_len):
-        for b in local_branchings(p, u, include_aspherical=False):
+        for b in local_branchings(p, u):
             if b.kind not in (CRITICAL, OVERLAPPING):
                 continue
             f, g = b.first, b.second
@@ -79,7 +91,7 @@ def test_match_critical_recognizes_whiskered(braid_p):
 def test_every_overlap_is_a_whiskered_critical(braid_p):
     criticals = critical_branchings(braid_p)
     for u in all_words(braid_p, 7):
-        for b in local_branchings(braid_p, u, include_aspherical=False):
+        for b in local_branchings(braid_p, u):
             if b.kind in (CRITICAL, OVERLAPPING):
                 assert match_critical(braid_p, b.first, b.second,
                                       criticals) is not None

@@ -245,7 +245,7 @@ def peiffer_closures(braid_p, braid8):
     out = []
     for p, g, lab, c in systems:
         for u in all_words(p, 6):
-            for b in local_branchings(p, u, include_aspherical=False):
+            for b in local_branchings(p, u):
                 if b.kind != PEIFFER:
                     continue
                 for f1, h1 in ((b.first, b.second), (b.second, b.first)):

@@ -19,7 +19,7 @@ from polyco.labelling import (FinitePosetOrder, Labelling, label_path,
 
 
 def _peiffer_on(p, word):
-    return [b for b in local_branchings(p, word, include_aspherical=False)
+    return [b for b in local_branchings(p, word)
             if b.kind == PEIFFER]
 
 

@@ -194,11 +194,11 @@ def test_try_splits_matches_exhaustive_check(seed, braid_p, braid_g,
     words = [w for w in g.vertices if 2 <= len(w) <= 6]
     branchings = list(critical_branchings(p))
     for w in rng.sample(words, 4):
-        branchings += local_branchings(p, w, include_aspherical=False)
+        branchings += local_branchings(p, w)
     outcomes = []
     for b in branchings:
-        lefts = _paths_from(g, b.first.target, 3, 30)
-        rights = _paths_from(g, b.second.target, 3, 30)
+        lefts = _paths_from(g, b.first.target, 3)[:30]
+        rights = _paths_from(g, b.second.target, 3)[:30]
         meeting = [(x, y) for x in lefts for y in rights
                    if x.target == y.target]
         pairs = rng.sample(meeting, min(len(meeting), 8))
@@ -389,7 +389,7 @@ def test_label_order_error_propagates_from_closures(braid_p, braid_g,
                                                     braid_completion):
     lab = Labelling(QNF, _BrokenOrder(), qnf_map=braid_lab.qnf_map)
     w = ("s", "t", "s", "t", "s", "t")
-    b = next(b for b in local_branchings(braid_p, w, include_aspherical=False)
+    b = next(b for b in local_branchings(braid_p, w)
              if b.kind == PEIFFER)
     with pytest.raises(RuntimeError, match="broken order"):
         _peiffer_closure(braid_completion, lab, braid_g, b.first, b.second)
@@ -573,7 +573,7 @@ def _peiffer_pairs(p, bound):
     local_branchings, in both step orders."""
     out = []
     for u in all_words(p, bound):
-        for b in local_branchings(p, u, include_aspherical=False):
+        for b in local_branchings(p, u):
             if b.kind == PEIFFER:
                 out += [b, LocalBranching(b.second, b.first)]
     return out

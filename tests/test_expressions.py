@@ -6,13 +6,13 @@ from polyco.engine import (IllComposed, Path, ZigzagPath, parse_step,
                            zigzag, zigzags_equal)
 from polyco.expressions import (Atom, MissingLoopClass, ThreeCellExpression,
                                 check_boundary, concat, conjugate,
-                                contract_loop, identity_expression, invert)
+                                contract_loop, invert)
 
 
 def test_identity_expression_boundary(braid_p, braid_completion):
     f = parse_step(braid_p, "1|alpha|1")
     z = zigzag(f.source, f)
-    e = identity_expression(z)
+    e = ThreeCellExpression(z)
     src, tgt = check_boundary(e, braid_completion.cells)
     assert src == tgt
 

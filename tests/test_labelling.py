@@ -1,15 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
 from polyco.core import Polygraph, Rule
-from polyco.engine import ExplorationBudget, explore, parse_step
+from polyco.engine import ExplorationBudget, Path, explore, parse_step
 from polyco.fixtures import braid_qnf_map
-from polyco.labelling import (Labelling, LabelMultiset, MissingLabel,
-                              NaturalsOrder, NotQuasiNormalForm,
-                              filter_word, format_qnf_map, label_step,
-                              measure_word, multiset_less, parse_label_table,
-                              parse_qnf_map, validate_qnf_map)
+from polyco.labelling import (Labelling, MissingLabel, NaturalsOrder,
+                              NotQuasiNormalForm, filter_word, format_qnf_map,
+                              label_step, measure_branching, measure_word,
+                              multiset_less, parse_label_table, parse_qnf_map,
+                              validate_qnf_map)
 
 # distance from the forward target to its chosen quasi-normal form,
 # for the steps of the two braid confluence diagrams
@@ -62,9 +63,9 @@ def test_validate_qnf_map(ab_g, ab_lab, ab_alt_lab):
 
 def test_measure_discards_dominated_tail():
     order = NaturalsOrder()
-    assert measure_word((2, 1, 1, 0), order) == LabelMultiset((2,))
-    assert measure_word((1, 2, 1, 2), order) == LabelMultiset((1, 2, 2))
-    assert measure_word((), order) == LabelMultiset()
+    assert measure_word((2, 1, 1, 0), order) == Counter((2,))
+    assert measure_word((1, 2, 1, 2), order) == Counter((1, 2, 2))
+    assert measure_word((), order) == Counter()
 
 
 def test_measure_law_on_random_words():
@@ -74,29 +75,38 @@ def test_measure_law_on_random_words():
         w1 = tuple(rnd.randrange(6) for _ in range(rnd.randrange(7)))
         w2 = tuple(rnd.randrange(6) for _ in range(rnd.randrange(7)))
         joint = measure_word(w1 + w2, order)
-        split = measure_word(w1, order) | measure_word(
+        split = measure_word(w1, order) + measure_word(
             filter_word(w2, w1, order), order)
         assert joint == split
 
 
+def test_measure_branching_adds_the_two_sides(braid_p, braid_g):
+    """Both sides carrying one label count it twice: the measure of a
+    branching is the sum of its sides' measures, not their max-union."""
+    lab = Labelling.singleton()
+    f = parse_step(braid_p, "1|alpha|t s")
+    h = parse_step(braid_p, "s t|alpha|1")
+    sides = Path(f.source, (f,)), Path(h.source, (h,))
+    assert measure_branching(lab, braid_g, *sides) == Counter({0: 2})
+
+
 def test_multiset_less():
     order = NaturalsOrder()
-    a = LabelMultiset((1,))
-    b = LabelMultiset((2,))
+    a = Counter((1,))
+    b = Counter((2,))
     assert multiset_less(a, b, order)
     assert not multiset_less(b, a, order)
     assert not multiset_less(a, a, order)
-    assert multiset_less(LabelMultiset((1, 1, 0)), LabelMultiset((2,)), order)
-    assert multiset_less(LabelMultiset(()), LabelMultiset((0,)), order)
-    assert not multiset_less(LabelMultiset((2, 1)), LabelMultiset((2,)),
-                             order)
+    assert multiset_less(Counter((1, 1, 0)), Counter((2,)), order)
+    assert multiset_less(Counter(()), Counter((0,)), order)
+    assert not multiset_less(Counter((2, 1)), Counter((2,)), order)
 
 
 def test_multiset_less_transitive_on_samples():
     order = NaturalsOrder()
     rnd = random.Random(1)
-    trios = [tuple(LabelMultiset(tuple(rnd.randrange(4)
-                                       for _ in range(rnd.randrange(4))))
+    trios = [tuple(Counter(tuple(rnd.randrange(4)
+                                 for _ in range(rnd.randrange(4))))
                    for _ in range(3))
              for _ in range(500)]
     for a, b, c in trios:
