@@ -379,7 +379,13 @@ def parse_extension(p: Polygraph, text: str) -> dict[str, ThreeCell]:
 
 
 def parse_sphere(p: Polygraph, text: str) -> tuple[ZigzagPath, ZigzagPath]:
+    """The one ``sphere : ZIGZAG => ZIGZAG`` line of a sphere file; any
+    other line that is not blank or a comment is an error."""
+    sphere = None
     for lineno, line in file_lines(text):
+        if sphere is not None:
+            raise ParseError(f"unexpected line after the sphere: {line!r}",
+                             lineno)
         if not line.startswith("sphere"):
             raise ParseError(f"unknown sphere line {line!r}", lineno)
         body = line.split(":", 1)
@@ -391,5 +397,7 @@ def parse_sphere(p: Polygraph, text: str) -> tuple[ZigzagPath, ZigzagPath]:
         if f.source != h.source or f.target != h.target:
             raise ParseError("the two sides of the sphere are not parallel",
                              lineno)
-        return f, h
-    raise ParseError("no sphere declaration found")
+        sphere = f, h
+    if sphere is None:
+        raise ParseError("no sphere declaration found")
+    return sphere

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from collections.abc import ItemsView, KeysView, ValuesView
 from dataclasses import dataclass
 
 from .core import Polygraph, Rule, Word, word_str
@@ -24,7 +25,7 @@ class Unreachable(Exception):
     """No rewriting path between the two words in the explored graph."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RewriteStep:
     """One application of a rule in a context, forward or inverse.
 
@@ -36,6 +37,16 @@ class RewriteStep:
     rule: Rule
     right: Word
     forward: bool = True
+
+    def __init__(self, left: Word, rule: Rule, right: Word,
+                 forward: bool = True):
+        # through the slots' own setters, which the frozen __setattr__ does
+        # not see: the generated __init__ calls object.__setattr__ per field,
+        # and steps are built by the tens of thousands
+        _set_left(self, left)
+        _set_rule(self, rule)
+        _set_right(self, right)
+        _set_forward(self, forward)
 
     @property
     def source(self) -> Word:
@@ -62,6 +73,12 @@ class RewriteStep:
         mark = "" if self.forward else "-"
         return (f"{word_str(self.left)}|{self.rule.name}|"
                 f"{word_str(self.right)}{mark}")
+
+
+_set_left = RewriteStep.left.__set__
+_set_rule = RewriteStep.rule.__set__
+_set_right = RewriteStep.right.__set__
+_set_forward = RewriteStep.forward.__set__
 
 
 def parse_step(p: Polygraph, text: str, line: int | None = None) -> RewriteStep:
@@ -284,6 +301,48 @@ class ExplorationBudget:
     max_depth: int = 200
 
 
+class _StepRows(dict):
+    """``ReductionGraph.out``: every explored word, in id order, to the tuple
+    of steps out of it.  Iteration, ``len``, ``in``, ``get`` and the views
+    cover every explored word; the dict itself holds only the rows stored so
+    far.  Exploration stores the rows of the words a budget cut; the row of
+    a complete word is ``tuple(enumerate_steps(p, u))``, built by
+    ``__missing__`` when first read and kept, so reading a stored row stays
+    a plain dict lookup."""
+
+    def __init__(self, polygraph: Polygraph, ids: dict[Word, int]):
+        super().__init__()
+        self._polygraph = polygraph
+        self._ids = ids
+
+    def __missing__(self, u: Word) -> tuple[RewriteStep, ...]:
+        if u not in self._ids:
+            raise KeyError(u)
+        row = self[u] = tuple(enumerate_steps(self._polygraph, u))
+        return row
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self):
+        return len(self._ids)
+
+    def __contains__(self, u):
+        return u in self._ids
+
+    def get(self, u, default=None):
+        return self[u] if u in self._ids else default
+
+    def keys(self):
+        return KeysView(self)
+
+    def items(self):
+        return ItemsView(self)
+
+    def values(self):
+        return ValuesView(self)
+
+
 class ReductionGraph:
     """The explored part of the reduction graph of a presentation.
 
@@ -292,20 +351,23 @@ class ReductionGraph:
     vertex is complete when every step out of it was kept; budget refusals
     mark the vertex incomplete and set the truncated flag.
 
-    Exploration reads each kept step's target once: ``out[u]`` holds the
-    steps out of u and ``_succ[i]`` the ids of their targets, in the same
-    order, for the vertex u of id i.  Every later pass over the edges reads
-    these successor rows rather than the steps.  One Tarjan pass over them
-    sets ``scc_of``, ``scc_members`` (in the order Tarjan closes the
-    components, each with its members in the order they leave its stack),
-    ``scc_sinks`` (the closed components of complete words: the quasi-normal
-    forms) and ``scc_cyclic`` (the ascending indices of the components that
-    carry a cycle: more than one member, or a step from a word to itself).
+    Exploration computes each step's target in place and records only its
+    id: ``_succ[i]`` holds the ids of the targets of the steps out of the
+    vertex of id i, in step order.  ``out[u]`` holds those steps; it is
+    built when first read, except for the words a budget cut, whose kept
+    steps are stored as they are explored.  Every pass over the edges that
+    needs only their targets reads the successor rows.  One Tarjan pass
+    over them sets ``scc_of``, ``scc_members`` (in the order Tarjan closes
+    the components, each with its members in the order they leave its
+    stack), ``scc_sinks`` (the closed components of complete words: the
+    quasi-normal forms) and ``scc_cyclic`` (the ascending indices of the
+    components that carry a cycle: more than one member, or a step from a
+    word to itself).
 
     ``distance`` and ``geodesic`` read one backward breadth-first search
     from their target, cached per target over a predecessor index built
     from the successor rows on the first such query.  ``reachable``
-    searches forward from its source and caches nothing;
+    searches the successor rows forward from its source and caches nothing;
     ``ReachabilityOrder`` does not call it but keeps a forward search per
     upper word that it resumes only as far as each query needs.
     """
@@ -314,7 +376,7 @@ class ReductionGraph:
         self.polygraph = polygraph
         self.budget = budget
         self.vertices: dict[Word, int] = {}
-        self.out: dict[Word, tuple[RewriteStep, ...]] = {}
+        self.out = _StepRows(polygraph, self.vertices)
         self.complete: set[Word] = set()
         self.truncated = False
         self.scc_of: dict[Word, int] = {}
@@ -322,6 +384,9 @@ class ReductionGraph:
         self.scc_sinks: set[int] = set()
         self.scc_cyclic: list[int] = []
         self._succ: list[tuple[int, ...]] = []
+        self._cut: set[int] = set()
+        self._words: list[Word] = []
+        self._comp: list[int] = []
         self._pred: tuple[list[Word], array, array] | None = None
         self._dist_to: dict[Word, dict[Word, int]] = {}
 
@@ -331,9 +396,11 @@ class ReductionGraph:
         budget = self.budget
         max_len, max_states = budget.max_word_len, budget.max_states
         p = self.polygraph
+        by_first = p.rules_by_first
         ids = self.vertices
         out = self.out
         succ = self._succ
+        cut = self._cut
         complete = self.complete
         queue: deque[tuple[Word, int]] = deque()
         for w in seeds:
@@ -345,36 +412,44 @@ class ReductionGraph:
             ids[w] = len(ids)
             queue.append((w, 0))
         # the queue is first in, first out, so words leave it in the order
-        # of their ids and each one's successor row is appended at its id
+        # of their ids and each one's successor row is appended at its id;
+        # the targets come in the order of enumerate_steps, which builds the
+        # word's steps when they are read
         while queue:
             u, d = queue.popleft()
-            steps = enumerate_steps(p, u)
-            if d >= budget.max_depth and steps:
+            if d >= budget.max_depth and enumerate_steps(p, u):
                 out[u] = ()
                 succ.append(())
+                cut.add(len(succ) - 1)
                 self.truncated = True
                 continue
             row = []
             ok = True
-            for s in steps:
-                t = s.target
-                j = ids.get(t)
-                if j is None:
-                    if len(t) > max_len or len(ids) >= max_states:
-                        ok = False
-                    else:
-                        j = ids[t] = len(ids)
-                        queue.append((t, d + 1))
-                row.append(j)
+            for pos, x in enumerate(u):
+                for rule in by_first.get(x, ()):
+                    lhs = rule.lhs
+                    end = pos + len(lhs)
+                    if u[pos:end] != lhs:
+                        continue
+                    t = u[:pos] + rule.rhs + u[end:]
+                    j = ids.get(t)
+                    if j is None:
+                        if len(t) > max_len or len(ids) >= max_states:
+                            ok = False
+                        else:
+                            j = ids[t] = len(ids)
+                            queue.append((t, d + 1))
+                    row.append(j)
             if ok:
                 complete.add(u)
-                out[u] = tuple(steps)
                 succ.append(tuple(row))
             else:
                 # keep the steps whose target the budget let in
                 self.truncated = True
-                out[u] = tuple(s for s, j in zip(steps, row) if j is not None)
+                out[u] = tuple(s for s, j in zip(enumerate_steps(p, u), row)
+                               if j is not None)
                 succ.append(tuple(j for j in row if j is not None))
+                cut.add(len(succ) - 1)
         self._compute_sccs()
 
     def _compute_sccs(self) -> None:
@@ -383,8 +458,8 @@ class ReductionGraph:
         # component's members lead into it or into components closed before
         succ = self._succ
         n = len(succ)
-        words = list(self.vertices)
-        complete = self.complete
+        words = self._words = list(self.vertices)
+        cut = self._cut
         index = [-1] * n
         low = [0] * n
         on_stack = [False] * n
@@ -434,7 +509,7 @@ class ReductionGraph:
                         loops = row.count(v)
                         if loops:
                             cyclic.append(i)
-                        if loops == len(row) and words[v] in complete:
+                        if loops == len(row) and v not in cut:
                             sinks.add(i)
                         sccs.append((words[v],))
                         continue
@@ -446,11 +521,12 @@ class ReductionGraph:
                         members.append(w)
                     cyclic.append(i)
                     if (all(comp[t] == i for m in members for t in succ[m])
-                            and all(words[m] in complete for m in members)):
+                            and not any(m in cut for m in members)):
                         sinks.add(i)
                     sccs.append(tuple(words[m] for m in members))
         self.scc_members = sccs
         self.scc_of = dict(zip(words, comp))
+        self._comp = comp
         self.scc_sinks = sinks
         self.scc_cyclic = cyclic
 
@@ -462,27 +538,35 @@ class ReductionGraph:
     def steps_from(self, u: Word) -> tuple[RewriteStep, ...]:
         if u not in self.vertices:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
-        return self.out.get(u, ())
+        return self.out[u]
 
-    def reachable(self, u: Word, require_complete: bool = False
-                  ) -> dict[Word, int]:
-        """Every word reachable from u, mapped to its distance from u."""
-        if u not in self.vertices:
+    def _reach_ids(self, u: Word, require_complete: bool) -> dict[int, int]:
+        """The ids of the words reachable from u, mapped to their distance
+        from u, in breadth-first order."""
+        i = self.vertices.get(u)
+        if i is None:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            v = queue.popleft()
-            if require_complete and v not in self.complete:
-                raise TruncatedRegion(
-                    f"{word_str(v)} is incomplete in the explored graph")
+        succ = self._succ
+        cut = self._cut if require_complete else ()
+        dist = {i: 0}
+        queue = [i]
+        for v in queue:
+            if v in cut:
+                raise TruncatedRegion(f"{word_str(self._words[v])} is "
+                                      f"incomplete in the explored graph")
             d = dist[v] + 1
-            for s in self.out.get(v, ()):
-                t = s.target
+            for t in succ[v]:
                 if t not in dist:
                     dist[t] = d
                     queue.append(t)
         return dist
+
+    def reachable(self, u: Word, require_complete: bool = False
+                  ) -> dict[Word, int]:
+        """Every word reachable from u, mapped to its distance from u."""
+        words = self._words
+        return {words[v]: d
+                for v, d in self._reach_ids(u, require_complete).items()}
 
     def _predecessors(self) -> tuple[list[Word], array, array]:
         """Words by id, and the sources of the edges into each id in
@@ -501,7 +585,7 @@ class ReductionGraph:
                 for t in row:
                     pred[fill[t]] = u
                     fill[t] += 1
-            self._pred = list(self.vertices), start, pred
+            self._pred = self._words, start, pred
         return self._pred
 
     def _distances_to(self, v: Word) -> dict[Word, int]:
@@ -559,8 +643,9 @@ class ReductionGraph:
 
     def quasi_normal_forms(self, u: Word) -> set[Word]:
         """Reachable words in sink strongly connected components."""
-        reach = self.reachable(u, require_complete=True)
-        return {w for w in reach if self.scc_of[w] in self.scc_sinks}
+        words, comp, sinks = self._words, self._comp, self.scc_sinks
+        return {words[v] for v in self._reach_ids(u, True)
+                if comp[v] in sinks}
 
     def component(self, u: Word) -> set[Word]:
         """Undirected component of u: the explored part of its congruence

@@ -79,32 +79,37 @@ class FinitePosetOrder(LabelOrder):
 
 class ReachabilityOrder(LabelOrder):
     """Words ordered by the rewriting relation of an explored graph:
-    a is below b when b rewrites to a in at least one step.  The words
-    below b come from one breadth-first search from b, kept per b with its
-    queue and resumed only until a turns up or the search is done.  A word
-    that was not explored is above nothing."""
+    a is below b when b rewrites to a in at least one step.  The ids below
+    b come from one breadth-first search over the successor rows from b,
+    kept per b with its queue and resumed only until a turns up or the
+    search is done.  A word that was not explored is above nothing and
+    below nothing."""
 
     def __init__(self, graph: ReductionGraph):
         self.graph = graph
-        self._searches: dict[Word, tuple[set[Word], deque[Word]]] = {}
+        self._searches: dict[Word, tuple[set[int], deque[int]]] = {}
 
     def less(self, a, b) -> bool:
         if a == b:
             return False
+        ids = self.graph.vertices
         search = self._searches.get(b)
         if search is None:
-            if b not in self.graph.vertices:
+            i = ids.get(b)
+            if i is None:
                 return False
-            search = self._searches[b] = {b}, deque([b])
+            search = self._searches[b] = {i}, deque([i])
+        j = ids.get(a)
+        if j is None:
+            return False
         seen, queue = search
-        out = self.graph.out
-        while a not in seen and queue:
-            for s in out.get(queue.popleft(), ()):
-                t = s.target
+        succ = self.graph._succ
+        while j not in seen and queue:
+            for t in succ[queue.popleft()]:
                 if t not in seen:
                     seen.add(t)
                     queue.append(t)
-        return a in seen
+        return j in seen
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,19 @@ def test_fill_sphere_malformed_sphere_is_input_error(braid_file, tmp_path,
     assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
+def test_fill_sphere_rejects_lines_after_the_sphere(braid_file, tmp_path,
+                                                   capsys):
+    path = tmp_path / "sphere.txt"
+    path.write_text("sphere : 1|alpha|t => s|beta|1 ; s|alpha|1 ; 1|alpha|t\n"
+                    "\n# a comment\n"
+                    "sphere : garbage => more\n"
+                    "nonsense line\n")
+    assert main(["fill-sphere", braid_file, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: unexpected line after the sphere: "
+        "'sphere : garbage => more'\n")
+
+
 def test_homology_ill_composed_cell_is_input_error(braid_file, tmp_path,
                                                    capsys):
     cells = tmp_path / "cells.txt"

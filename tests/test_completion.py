@@ -207,7 +207,7 @@ def test_random_zigzag_spheres_fill(braid_loop, braid8, data):
 
 @pytest.mark.xfail(raises=SearchExhausted, strict=True,
                    reason="fill_parallel_sphere exhausts its depth when the "
-                          "two sides differ by a loop (ROADMAP item 3)")
+                          "two sides differ by a loop (ROADMAP item 4)")
 def test_fill_sphere_with_a_whiskered_loop(braid_p, braid8):
     """Loop powers spliced in whiskered, not only at s t s, break filling:
     this is the smallest such sphere, its sides differing by alpha;beta

@@ -9,7 +9,7 @@ import pytest
 from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
                                local_branchings)
 from polyco.cli import _derived_qnf_map
-from polyco.core import Polygraph, Rule, all_words
+from polyco.core import Polygraph, Rule, all_words, word_str
 from polyco.decreasing import (DecreasingDiagram, StrictDiagram, _cut,
                                _first_splits, _paths_from, _read_pair,
                                _strict, check_decreasing,
@@ -33,11 +33,14 @@ from polyco.loops import (_Component, _cyclic_sccs, class_of, split_loop,
 # distances and geodesics against a forward search from each source
 
 
-def _forward(g, u):
+def _forward(g, u, require_complete=False):
+    """A breadth-first search over the targets of the steps in g.out."""
     dist = {u: 0}
     queue = deque([u])
     while queue:
         v = queue.popleft()
+        if require_complete and v not in g.complete:
+            raise TruncatedRegion(v)
         for s in g.out[v]:
             if s.target not in dist:
                 dist[s.target] = dist[v] + 1
@@ -476,6 +479,135 @@ def test_successor_and_predecessor_rows_match_the_steps(name, request):
     for i, w in enumerate(words):
         assert Counter(words[y] for y in pred[start[i]:start[i + 1]]) \
             == sources[w], w
+
+
+# ---------------------------------------------------------------------------
+# step rows built on first read, and the searches over successor ids,
+# against the enumerated steps and searches over their targets
+
+
+def _depth_cut_g():
+    """The words two steps from the seed are cut by the depth budget."""
+    return explore(two_letters(), [("a",) * 6],
+                   ExplorationBudget(6, 10000, max_depth=2))
+
+
+_FIXTURE_GRAPHS = ["braid_g", "ab_g", "upsilon_g", "lafont_g", "states_g"]
+_ROW_GRAPHS = {**_SCC_GRAPHS, "grow": _grow_g, "depth-cut": _depth_cut_g}
+
+
+def _graph(name, request):
+    return (request.getfixturevalue(name) if name in _FIXTURE_GRAPHS
+            else _ROW_GRAPHS[name]())
+
+
+@pytest.mark.parametrize("name", [*_FIXTURE_GRAPHS, *_ROW_GRAPHS])
+def test_step_rows_are_the_enumerated_steps(name, request):
+    g = _graph(name, request)
+    p, ids = g.polygraph, g.vertices
+    assert list(g.out) == list(g.out.keys()) == list(ids)
+    assert len(g.out) == len(ids) and all(u in g.out for u in ids)
+    rows = list(g.out.items())
+    assert [u for u, _ in rows] == list(ids)
+    assert list(g.out.values()) == [row for _, row in rows]
+    for u, row in rows:
+        steps = tuple(enumerate_steps(p, u))
+        assert g.out[u] is row and g.out.get(u) is row
+        assert g.steps_from(u) is row
+        if u in g.complete:
+            assert row == steps
+        elif name == "depth-cut":
+            assert row == () and steps
+        else:
+            # the budget refused the other targets for good
+            assert row == tuple(s for s in steps if s.target in ids)
+            assert row != steps
+        assert g._succ[ids[u]] == tuple(ids[s.target] for s in row)
+    if name in ("braid-8-truncated", "grow", "depth-cut"):
+        assert g.truncated and len(g.complete) < len(ids)
+    missing = ("z",) * 9
+    assert missing not in g.out and g.out.get(missing, ()) == ()
+    with pytest.raises(KeyError):
+        g.out[missing]
+    with pytest.raises(TruncatedRegion):
+        g.steps_from(missing)
+
+
+@pytest.mark.parametrize("p, budget", [
+    (convergent_braid(), ExplorationBudget(6)),
+    (braid(), ExplorationBudget(8, max_states=200))],
+    ids=["convergent_braid-6", "braid-8-truncated"])
+def test_explore_builds_no_step_out_of_a_complete_word(monkeypatch, p,
+                                                       budget):
+    built = []
+    init = RewriteStep.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.source)
+
+    monkeypatch.setattr(RewriteStep, "__init__", counting)
+    g = explore(p, all_words(p, budget.max_word_len), budget)
+    assert not any(u in g.complete for u in built)
+    if g.truncated:
+        assert set(built) == set(g.vertices) - g.complete
+    else:
+        assert built == []
+    # a complete word's steps are built on its first read only
+    u = next(u for u, i in g.vertices.items()
+             if u in g.complete and len(g._succ[i]) > 1)
+    before = len(built)
+    row = g.out[u]
+    assert built[before:] == [u] * len(row)
+    assert g.out[u] is row and len(built) == before + len(row)
+
+
+@pytest.mark.parametrize("name", [*_FIXTURE_GRAPHS, *_ROW_GRAPHS])
+def test_reachable_matches_a_search_over_step_targets(name, request):
+    g = _graph(name, request)
+    words = list(g.vertices)
+    raised = 0
+    for u in words[::max(1, len(words) // 300)]:
+        for require_complete in (False, True):
+            try:
+                want = _forward(g, u, require_complete)
+            except TruncatedRegion as e:
+                with pytest.raises(TruncatedRegion) as got:
+                    g.reachable(u, require_complete)
+                raised += 1
+                assert str(got.value) == (f"{word_str(e.args[0])} is "
+                                          f"incomplete in the explored graph")
+                continue
+            assert list(g.reachable(u, require_complete).items()) \
+                == list(want.items())
+            if require_complete:
+                assert g.quasi_normal_forms(u) == {
+                    w for w in want if g.scc_of[w] in g.scc_sinks}
+    assert raised == 0 or g.truncated
+    if name in ("braid-8-truncated", "grow", "depth-cut"):
+        assert raised
+    for require_complete in (False, True):
+        with pytest.raises(TruncatedRegion):
+            g.reachable(("z",) * 9, require_complete)
+
+
+@pytest.mark.parametrize("name", ["convergent_braid-7", "braid-8-truncated",
+                                  "grow", "depth-cut"])
+def test_reachability_order_matches_a_search_over_step_targets(name):
+    g = _ROW_GRAPHS[name]()
+    words = list(g.vertices)[:120]
+    unexplored = ("z",) * 9
+    below = {b: _forward(g, b) for b in words}
+    pairs = [(a, b) for a in words + [unexplored]
+             for b in words + [unexplored]]
+    random.Random(7).shuffle(pairs)
+    order = ReachabilityOrder(g)
+    answers = set()
+    for a, b in pairs:
+        want = b in below and a != b and a in below[b]
+        assert order.less(a, b) == want, (a, b)
+        answers.add(want)
+    assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -32,6 +33,29 @@ def test_step_whisker_shifts_position(braid_p):
     w = s.whisker(("t", "t"), ("s",))
     assert w.position == 2
     assert w.source == ("t", "t", "s", "t", "s", "s")
+
+
+def test_step_is_a_frozen_value(braid_p):
+    alpha = braid_p.rule("alpha")
+    s = RewriteStep(("t",), alpha, ("s", "s"))
+    k = RewriteStep(left=("t",), rule=alpha, right=("s", "s"), forward=True)
+    assert s.forward is True
+    assert s == k and hash(s) == hash(k)
+    assert s != s.inverse() and s.inverse() == RewriteStep(
+        ("t",), alpha, ("s", "s"), False)
+    for field in ("left", "rule", "right", "forward"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field, getattr(s, field))
+    assert repr(s) == (
+        "RewriteStep(left=('t',), rule=Rule(name='alpha', "
+        "lhs=('s', 't', 's'), rhs=('t', 's', 't')), right=('s', 's'), "
+        "forward=True)")
+    assert repr(s.inverse()) == repr(s)[:-len("True)")] + "False)"
+    assert str(s) == "t|alpha|s s" and str(s.inverse()) == "t|alpha|s s-"
+    r = dataclasses.replace(s, forward=False, left=())
+    assert r == RewriteStep((), alpha, ("s", "s"), False)
+    assert dataclasses.replace(s) == s
+    assert not hasattr(s, "__dict__")
 
 
 def test_path_composition_checks_endpoints(braid_p):
