@@ -37,12 +37,11 @@ def main():
     lab = Labelling.qnf(_derived_qnf_map(g))
     c = build_completion(p, lab, g)
     print(f"\ncompletion verdict: {c.verdict}")
-    peiffer = c.audits["peiffer"]["reports"]
-    stuck = [r for r in peiffer if r.status != "PASS"]
-    print(f"Peiffer squares audited: {len(peiffer)}, undecided: "
-          f"{len(stuck)}")
-    if stuck:
-        b = stuck[0].branching
+    peiffer = c.audits["peiffer"]
+    print(f"Peiffer squares audited: {peiffer.checked}, undecided: "
+          f"{len(peiffer.undecided)}")
+    if peiffer.undecided:
+        b = peiffer.first_undecided.branching
         print(f"  e.g. at {' '.join(b.source)}: {b.first} || {b.second}")
 
 

@@ -12,7 +12,7 @@ the square is whiskered by one letter.
 from polyco.core import all_words
 from polyco.branchings import PEIFFER, local_branchings
 from polyco.decreasing import (check_context_compatibility,
-                               check_peiffer_decreasing, find_decreasing)
+                               decide_peiffer, find_decreasing)
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import (two_letters, two_letters_alt_qnf_map,
                              two_letters_qnf_map)
@@ -27,7 +27,7 @@ def main():
     lab = Labelling.qnf(two_letters_qnf_map(8))
 
     bs = [b for b in local_branchings(p, ("a", "a")) if b.kind == PEIFFER]
-    rep = check_peiffer_decreasing(lab, g, p, 2, branchings=bs)[0]
+    rep = decide_peiffer(lab, g, p, bs[0])
     naive = [a for a in rep.attempts if a["variant"] == "peiffer"][0]
     print("Peiffer square on aa, canonical closure:")
     print(f"  side labels        {naive['labels']['sides']}")

@@ -25,7 +25,8 @@ from .decreasing import (DecreasingDiagram, MeasureError, SearchExhausted,
                          StrictDiagram, Violation, check_context_closability,
                          check_context_compatibility, check_decreasing,
                          check_peiffer_decreasing, check_strict,
-                         contexts_up_to, find_decreasing, peiffer_variants)
+                         contexts_up_to, decide_peiffer, find_decreasing,
+                         peiffer_variants)
 from .loops import (Loop, LoopClass, LoopEnumeration, NotALoop,
                     enumerate_elementary_loops, is_context_minimal,
                     is_elementary, is_minimal_for_composition,
@@ -66,7 +67,8 @@ __all__ = [
     "DecreasingDiagram", "MeasureError", "SearchExhausted", "StrictDiagram",
     "Violation", "check_context_closability", "check_context_compatibility",
     "check_decreasing", "check_peiffer_decreasing", "check_strict",
-    "contexts_up_to", "find_decreasing", "peiffer_variants",
+    "contexts_up_to", "decide_peiffer", "find_decreasing",
+    "peiffer_variants",
     # loops
     "Loop", "LoopClass", "LoopEnumeration", "NotALoop",
     "enumerate_elementary_loops", "is_context_minimal", "is_elementary",

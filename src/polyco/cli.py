@@ -135,31 +135,48 @@ def _ok(ok: bool) -> str:
     return "ok" if ok else "FAILED"
 
 
-def _peiffer_status(reports) -> str:
-    """"ok", or "FAILED" with the first UNDECIDED branching: its source, its
-    two steps and what its first attempt read, the error that labelling
-    that variant raised or its labels."""
-    r = next((r for r in reports if r.status != "PASS"), None)
+def _first_undecided(peiffer) -> dict | None:
+    """The first UNDECIDED branching of a Peiffer audit: its source, its two
+    steps, the variant its first attempt read and what that read, the error
+    that labelling the variant raised or its labels; None when every
+    branching passed."""
+    r = peiffer.first_undecided
     if r is None:
-        return "ok"
+        return None
     b, first = r.branching, r.attempts[0]
-    if "error" in first:
-        read = first["error"]
-    else:
-        labels = first["labels"]
-        read = (f"sides {labels['sides']}, "
-                f"completions {labels['completions']}")
-    return (f"FAILED at {word_str(b.source)}: {b.first} || {b.second} "
-            f"({first['variant']}: {read})")
+    return {"source": word_str(b.source), "first": str(b.first),
+            "second": str(b.second), "variant": first["variant"],
+            "read": first["error"] if "error" in first else first["labels"]}
+
+
+def _peiffer_status(peiffer) -> str:
+    """"ok", or "FAILED" with the first UNDECIDED branching
+    (_first_undecided)."""
+    u = _first_undecided(peiffer)
+    if u is None:
+        return "ok"
+    read = u["read"]
+    if not isinstance(read, str):
+        read = f"sides {read['sides']}, completions {read['completions']}"
+    return (f"FAILED at {u['source']}: {u['first']} || {u['second']} "
+            f"({u['variant']}: {read})")
 
 
 def _context_dict(ctx, head: str) -> dict:
     """A context audit's report as JSON: each violation is its ``head``
-    entry, the index of its branching or diagram, and its context."""
+    entry, the index of its branching or diagram, and its context.  The
+    unverified contexts are counted, and the first is given in the same
+    form with the error that left it unverified."""
+    def record(v):
+        return {head: v[head], "context": [word_str(u) for u in v["context"]]}
+
+    first = ctx.unverified[0] if ctx.unverified else None
     return {"ok": ctx.ok, "checked": ctx.checked,
-            "violations": [{head: v[head],
-                            "context": [word_str(u) for u in v["context"]]}
-                           for v in ctx.violations]}
+            "violations": [record(v) for v in ctx.violations],
+            "unverified": len(ctx.unverified),
+            "first_unverified": (None if first is None
+                                 else {**record(first),
+                                       "error": first["error"]})}
 
 
 def _budget_dict(args):
@@ -214,6 +231,8 @@ def cmd_complete(args) -> int:
     c = build_completion(p, lab, g, ctx_bound=args.ctx_bound,
                          peiffer_len_bound=args.peiffer_len_bound)
     ctx = c.audits["context"]
+    peiffer = c.audits["peiffer"]
+    loops = c.audits["loops"]
     data = {
         "cells": {name: {"kind": cell.kind,
                          "source": str(cell.source),
@@ -223,12 +242,11 @@ def cmd_complete(args) -> int:
         "audits": {
             "strict": c.audits["strict"],
             "context": _context_dict(ctx, "branching"),
-            "peiffer": {"ok": c.audits["peiffer"]["ok"],
-                        "reports": [
-                            {"source": word_str(r.branching.source),
-                             "status": r.status, "variant": r.variant}
-                            for r in c.audits["peiffer"]["reports"]]},
-            "loops": c.audits["loops"],
+            "peiffer": {"ok": peiffer.ok, "checked": peiffer.checked,
+                        "variants": dict(peiffer.variants),
+                        "undecided": len(peiffer.undecided),
+                        "first_undecided": _first_undecided(peiffer)},
+            "loops": loops,
         },
         "budget": _budget_dict(args),
     }
@@ -236,9 +254,9 @@ def cmd_complete(args) -> int:
         f"audit {k}: {v}"
         for k, v in [("strict", _ok(c.audits["strict"]["ok"])),
                      ("context", _ok(ctx.ok)),
-                     ("peiffer",
-                      _peiffer_status(c.audits["peiffer"]["reports"])),
-                     ("loops", _ok(c.audits["loops"]["complete"]))])
+                     ("peiffer", _peiffer_status(peiffer)),
+                     ("loops", "ok" if loops["complete"]
+                      else f"FAILED ({loops['error']})")])
     _emit(args, data, text)
     return EXIT_OK if c.verdict == CERTIFIED else EXIT_INCONCLUSIVE
 
@@ -263,10 +281,9 @@ def cmd_check_decreasing(args) -> int:
                                 else "decreasing")})
     ctx = check_context_compatibility(lab, g, diagrams, args.ctx_bound)
     peiffer = check_peiffer_decreasing(lab, g, p, args.peiffer_len_bound)
-    peiffer_ok = all(r.status == "PASS" for r in peiffer)
     data = {"branchings": rows,
             "context": _context_dict(ctx, "diagram"),
-            "peiffer_ok": peiffer_ok,
+            "peiffer_ok": peiffer.ok,
             "budget": _budget_dict(args)}
     lines = [f"{r['source']}: {r['status']}" for r in rows]
     lines.append(f"context compatibility up to bound {args.ctx_bound}: "
@@ -277,7 +294,7 @@ def cmd_check_decreasing(args) -> int:
     _emit(args, data, "\n".join(lines))
     if missing:
         return EXIT_SEARCH
-    return EXIT_OK if ctx.ok and peiffer_ok else EXIT_INCONCLUSIVE
+    return EXIT_OK if ctx.ok and peiffer.ok else EXIT_INCONCLUSIVE
 
 
 def cmd_fill_sphere(args) -> int:

@@ -23,9 +23,9 @@ from .core import (ParseError, Polygraph, Word, file_lines, parse_word,
 from .branchings import (PEIFFER, LocalBranching, classify_branching,
                          critical_branchings, match_critical)
 from .decreasing import (MeasureError, SearchExhausted, StrictDiagram,
-                         _decide_peiffer, _diagram_completions,
-                         _greedy_normalize, _read_pair, _strict,
-                         check_context_closability, check_peiffer_decreasing,
+                         _diagram_completions, _greedy_normalize, _read_pair,
+                         _strict, check_context_closability,
+                         check_peiffer_decreasing, decide_peiffer,
                          find_decreasing)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
                      TruncatedRegion, Unreachable, ZigzagPath, exchange_swap,
@@ -118,14 +118,13 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
     # audit closes strictly.
     ctx = check_context_closability(lab, g, criticals, ctx_bound)
     peiffer = check_peiffer_decreasing(lab, g, p, peiffer_len_bound)
-    peiffer_ok = all(r.status == "PASS" for r in peiffer)
     audits = {
         "strict": {"ok": not failures, "non_strict_cells": failures},
         "context": ctx,
-        "peiffer": {"ok": peiffer_ok, "reports": peiffer},
+        "peiffer": peiffer,
         "loops": {"complete": loops_error is None, "error": loops_error},
     }
-    verdict = CERTIFIED if (not failures and ctx.ok and peiffer_ok
+    verdict = CERTIFIED if (not failures and ctx.ok and peiffer.ok
                             and loops_error is None) else PARTIAL
     return CoherentPresentation(p, cells, records, loop_classes,
                                 audits, verdict, g)
@@ -189,14 +188,14 @@ def _reads_strict(lab, g, b: LocalBranching, c_f: Path, c_h: Path) -> bool:
 def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
                      h1: RewriteStep):
     """Close a Peiffer branching with the variant the Peiffer audit decides
-    on (_decide_peiffer), or with the plain Peiffer square, which needs no
+    on (decide_peiffer), or with the plain Peiffer square, which needs no
     witness, when it decides none.  The variant's equivalence with the
     square is witnessed by loop cells.
 
     A witness loop at the source undoes f1 or h1 and is contracted, or
     inverted when it starts with h1; a detour loop closes after the step
     whose completion is empty and is conjugated by that step."""
-    report = _decide_peiffer(lab, g, c.polygraph, LocalBranching(f1, h1))
+    report = decide_peiffer(lab, g, c.polygraph, LocalBranching(f1, h1))
     if report.diagram is None:
         # the plain square: each step exchanged past the other
         c_f = Path._checked(f1.target, exchange_swap(f1.inverse(), h1)[:1])

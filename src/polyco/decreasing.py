@@ -16,13 +16,14 @@ contexts, in which each audit is a predicate on a whiskered item.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .core import Polygraph, Word, all_words, word_str
 from .branchings import ASPHERICAL, LocalBranching
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
-                     TruncatedRegion, Unreachable, enumerate_steps)
+                     TruncatedRegion, Unreachable, redexes)
 from .labelling import (Labelling, LabellingError, MissingLabel, NF, QNF,
                         TABLE, label_key, label_path, label_step,
                         label_target)
@@ -345,36 +346,39 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
 # Peiffer branchings and their variants
 
 
-def _square(p: Polygraph, b: LocalBranching):
-    """The Peiffer square of b, f ∥ h with f the step on the left: whether
-    b lists h first, f, h, the left context of h once f is applied, the
-    right context of f once h is applied, and the first declared reverse
-    rules of f and h (None when there is none)."""
+def _oriented(b: LocalBranching) -> tuple:
+    """The Peiffer square of b as the audit enumerates its squares: whether
+    b lists its right step first, then the redexes (position, end, rule) of
+    the left step f and of the right step h."""
     f, h = b.first, b.second
     swap = f.position > h.position
     if swap:
         f, h = h, f
-    pf, end_f, ph = len(f.left), len(f.left) + len(f.rule.lhs), len(h.left)
-    if end_f > ph:
+    fe = f.position + len(f.rule.lhs)
+    if fe > h.position:
         raise ValueError("not a Peiffer branching")
+    return (swap, (f.position, fe, f.rule),
+            (h.position, h.position + len(h.rule.lhs), h.rule))
+
+
+def _square(p: Polygraph, u: Word, f: tuple, h: tuple) -> tuple:
+    """The eight forward steps of the Peiffer square at u of the redexes f
+    and h (each (position, end, rule), f left of h): each (left, rule,
+    right), with rule None when it needs a missing reverse rule, numbered
+    as the variants refer to them: 0 f and 1 h out of u, 2 h after f and 3
+    f after h into the word where both are applied, 4 f undone after f and
+    5 h undone after h back into u, and 6 f undone after 3 and 7 h undone
+    after 2."""
+    (fp, fe, f_rule), (hp, he, h_rule) = f, h
     reverse = p.reverse_rules
-    return (swap, f, h, h.left[:pf] + f.rule.rhs + h.left[end_f:],
-            f.right[:ph - end_f] + h.rule.rhs + h.right,
-            reverse[f.rule.name], reverse[h.rule.name])
-
-
-def _square_steps(square) -> tuple:
-    """The eight forward steps of a square (_square), each (left, rule,
-    right) with rule None when it needs a missing reverse rule, numbered as
-    the variants refer to them: 0 f and 1 h out of the source, 2 h after f
-    and 3 f after h into the word where both are applied, 4 f undone after
-    f and 5 h undone after h back into the source, and 6 f undone after 3
-    and 7 h undone after 2."""
-    _, f, h, h_left, f_right, rf, rh = square
-    return ((f.left, f.rule, f.right), (h.left, h.rule, h.right),
-            (h_left, h.rule, h.right), (f.left, f.rule, f_right),
-            (f.left, rf, f.right), (h.left, rh, h.right),
-            (f.left, rf, f_right), (h_left, rh, h.right))
+    rf, rh = reverse[f_rule.name], reverse[h_rule.name]
+    f_left, f_right, h_left, h_right = u[:fp], u[fe:], u[:hp], u[he:]
+    h_after = f_left + f_rule.rhs + u[fe:hp]
+    f_after = u[fe:hp] + h_rule.rhs + h_right
+    return ((f_left, f_rule, f_right), (h_left, h_rule, h_right),
+            (h_after, h_rule, h_right), (f_left, f_rule, f_after),
+            (f_left, rf, f_right), (h_left, rh, h_right),
+            (f_left, rf, f_after), (h_after, rh, h_right))
 
 
 def _variant_shapes(has_rf: bool, has_rh: bool):
@@ -382,7 +386,7 @@ def _variant_shapes(has_rf: bool, has_rh: bool):
     Peiffer confluence itself and its three rotations through the reverse
     rules the square has.  Each is its name, the steps of its completions
     from f.target and from h.target and its witness loops, each step given
-    by its number in _square_steps; a witness loop is two steps."""
+    by its number in _square; a witness loop is two steps."""
     yield "peiffer", (2,), (3,), ()
     if has_rf and has_rh:
         # undo each side, meeting back at the source
@@ -405,14 +409,15 @@ def peiffer_variants(p: Polygraph, b: LocalBranching):
     loops at the source, one per step and in the order of the steps, or
     one detour loop at the target of the step whose completion is empty.
     """
-    square = _square(p, b)
-    swap, f, h, *_, rf, rh = square
+    swap, *pair = _oriented(b)
+    square = _square(p, b.source, *pair)
+    f, h = (b.second, b.first) if swap else (b.first, b.second)
     steps = [f, h] + [None if rule is None
                       else RewriteStep(left, rule, right, True)
-                      for left, rule, right in _square_steps(square)[2:]]
+                      for left, rule, right in square[2:]]
     tf, th = f.target, h.target
-    for name, cf, ch, loops in _variant_shapes(rf is not None,
-                                               rh is not None):
+    for name, cf, ch, loops in _variant_shapes(square[4][1] is not None,
+                                               square[5][1] is not None):
         c_f = Path._checked(tf, tuple(steps[i] for i in cf))
         c_h = Path._checked(th, tuple(steps[i] for i in ch))
         witnesses = [Path._checked(steps[i].source, (steps[i], steps[j]))
@@ -425,10 +430,15 @@ class _PeifferMemo:
     """What deciding Peiffer branchings under one labelling learns once: the
     label of each word, or of each step key under a table labelling, that a
     square reads, or the error labelling it raises, and the decision on
-    each square's labels."""
+    each square's labels.  Under the nf labelling a word is its own label,
+    which cannot fail, and no two squares read the same words, so neither
+    is kept."""
 
-    def __init__(self, lab: Labelling, g: ReductionGraph):
+    def __init__(self, lab: Labelling, g: ReductionGraph, p: Polygraph):
+        self.polygraph = p
+        self.order = lab.order
         self.table = lab.kind == TABLE
+        self.keep = lab.kind != NF
         self._label = (partial(label_key, lab) if self.table
                        else partial(label_target, lab, g))
         self.labels: dict = {}
@@ -445,25 +455,58 @@ class _PeifferMemo:
                 self.labels[x] = e.with_traceback(None)
         return self.labels[x]
 
-    def square_labels(self, u: Word, square) -> tuple:
-        """The labels of the eight steps of the square at u (_square_steps),
-        without building the steps.  A table labelling labels the steps'
-        keys, and a step whose reverse rule is missing gets None.  The other
-        kinds read only the steps' targets, so the four words of the square
-        are labelled, each once, and give all eight labels whatever reverse
-        rules exist; the label of a step no variant reads is never
-        reported."""
+    def decide(self, u: Word, found: list, pairs: list, swap: bool = False
+               ) -> list[tuple]:
+        """The decision of _choose on each Peiffer square at u of the pairs
+        (i, j) of redexes ``found[i]`` left of ``found[j]``, each redex
+        (position, end, rule), for branchings that list the right step
+        first when ``swap``.
+
+        It reads the labels of each square's eight steps (_square) without
+        building them.  A table labelling labels the steps' keys, and a
+        step whose reverse rule is missing gets None.  The other kinds read
+        only the steps' targets, so the four words of a square give all
+        eight labels whatever reverse rules exist, and u and the target of
+        each paired redex are labelled once for all its squares; the label
+        of a step no variant reads is never reported.  The step order, the
+        reverse rules the square has and the eight labels determine the
+        decision under one labelling, so it is kept under them."""
+        p = self.polygraph
         label = self.label
+        reverse = p.reverse_rules
+        has = [reverse[rule.name] is not None for _, _, rule in found]
         if self.table:
-            return tuple(None if rule is None
-                         else label((left, rule.name, right))
-                         for left, rule, right in _square_steps(square))
-        _, f, h, h_left, _, _, _ = square
-        tf = label(f.left + f.rule.rhs + f.right)
-        th = label(h.left + h.rule.rhs + h.right)
-        both = label(h_left + h.rule.rhs + h.right)
-        back = label(u)
-        return tf, th, both, both, back, back, th, tf
+            squares = (tuple(None if rule is None
+                             else label((left, rule.name, right))
+                             for left, rule, right in _square(
+                                 p, u, found[i], found[j]))
+                       for i, j in pairs)
+        else:
+            targets = {}
+            for k in {k for pair in pairs for k in pair}:
+                pos, end, rule = found[k]
+                t = u[:pos] + rule.rhs + u[end:]
+                targets[k] = label(t) if self.keep else t
+            back = label(u) if self.keep else u
+            squares = []
+            for i, j in pairs:
+                (fp, fe, f_rule), (hp, he, h_rule) = found[i], found[j]
+                both = u[:fp] + f_rule.rhs + u[fe:hp] + h_rule.rhs + u[he:]
+                if self.keep:
+                    both = label(both)
+                tf, th = targets[i], targets[j]
+                squares.append((tf, th, both, both, back, back, th, tf))
+        decisions = self.decisions
+        out = []
+        for (i, j), labels in zip(pairs, squares):
+            key = swap, has[i], has[j], labels
+            decision = decisions.get(key)
+            if decision is None:
+                decision = _choose(self.order, _variant_labels(key))
+                if self.keep:
+                    decisions[key] = decision
+            out.append(decision)
+        return out
 
 
 def _choose(order, candidates):
@@ -499,31 +542,39 @@ def _choose(order, candidates):
     return chosen or (None, False, None, attempts)
 
 
+@cache
+def _reads(swap: bool, has_rf: bool, has_rh: bool) -> tuple:
+    """For each variant of a square (_variant_shapes), its name, the numbers
+    of the steps (_square) whose labels it reads, in the order _read_pair
+    labels them for a branching that lists the right step first when
+    ``swap``, and the length of the first completion among them."""
+    sides = (1, 0) if swap else (0, 1)
+    out = []
+    for name, cf, ch, _ in _variant_shapes(has_rf, has_rh):
+        if swap:
+            cf, ch = ch, cf
+        out.append((name, sides + cf + ch, len(cf)))
+    return tuple(out)
+
+
 def _variant_labels(key: tuple):
     """The candidates of _choose for a Peiffer square, from its memo key:
     whether the branching lists the right step first, whether f and h have
-    reverse rules, and the labels of the eight steps (square_labels),
-    oriented as the branching lists its steps.  A variant that reads a
-    label error gets the first error in the order _read_pair labels its
-    steps."""
+    reverse rules, and the labels of the eight steps (_square).  A variant
+    that reads a label error gets the first error in the order _read_pair
+    labels its steps."""
     swap, has_rf, has_rh, labels = key
-    failed = any(isinstance(k, Exception) for k in labels)
-    sides = (labels[1], labels[0]) if swap else labels[:2]
-    for name, cf, ch, _ in _variant_shapes(has_rf, has_rh):
-        l1 = tuple(labels[i] for i in cf)
-        l2 = tuple(labels[i] for i in ch)
-        if swap:
-            l1, l2 = l2, l1
-        read = sides + (l1, l2)
-        if failed:
-            read = next((k for k in sides + l1 + l2
-                         if isinstance(k, Exception)), read)
-        yield name, read
+    for name, steps, n in _reads(swap, has_rf, has_rh):
+        read = [labels[i] for i in steps]
+        error = next((k for k in read if isinstance(k, Exception)), None)
+        yield name, (error if error is not None else
+                     (read[0], read[1], tuple(read[2:2 + n]),
+                      tuple(read[2 + n:])))
 
 
 @dataclass
 class PeifferReport:
-    """The decision on one Peiffer branching (_decide_peiffer): its status,
+    """The decision on one Peiffer branching (decide_peiffer): its status,
     the chosen variant of peiffer_variants, whether it reads strict, and
     the variants read before it (``attempts``).
 
@@ -562,70 +613,85 @@ class PeifferReport:
         return self._chosen[1]
 
 
-def _decide_peiffer(lab: Labelling, g: ReductionGraph, p: Polygraph,
-                    b: LocalBranching, memo: _PeifferMemo | None = None
-                    ) -> PeifferReport:
+def decide_peiffer(lab: Labelling, g: ReductionGraph, p: Polygraph,
+                   b: LocalBranching) -> PeifferReport:
     """Decide a Peiffer branching: PASS with the first variant of
     peiffer_variants that reads strict, else the first that reads
-    decreasing, else UNDECIDED.  The audit reports this decision and sphere
-    filling pastes it.
+    decreasing, else UNDECIDED.  The audit (check_peiffer_decreasing)
+    makes this decision for every square it enumerates, and sphere filling
+    pastes it.
 
     The decision is made on labels alone (_choose): every label of every
     variant is that of one of the eight steps of the square, labelled once
-    each (square_labels), and no variant's paths are built; the report
-    builds the chosen one's when they are read.  A ``memo`` shared by the
-    calls of one audit keeps each word's label or label error and each
-    decision, under the step order, the reverse rules the square has and
-    the eight labels, which determine it under one labelling: an error
-    names the word or step that failed, and that word's error is one
-    object for the whole audit."""
-    if memo is None:
-        memo = _PeifferMemo(lab, g)
-    square = _square(p, b)
-    swap, *_, rf, rh = square
-    labels = memo.square_labels(b.source, square)
-    key = swap, rf is not None, rh is not None, labels
-    decision = memo.decisions.get(key)
-    if decision is None:
-        decision = memo.decisions[key] = _choose(lab.order,
-                                                 _variant_labels(key))
-    variant, strict, splits, attempts = decision
+    each (_PeifferMemo.decide), and no variant's paths are built; the
+    report builds the chosen one's when they are read."""
+    swap, f, h = _oriented(b)
+    [(variant, strict, splits, attempts)] = _PeifferMemo(lab, g, p).decide(
+        b.source, [f, h], [(0, 1)], swap)
     return PeifferReport(b, "UNDECIDED" if variant is None else "PASS",
                          variant, strict, list(attempts), p, splits)
 
 
-def _peiffer_branchings(p: Polygraph, g: ReductionGraph, len_bound: int
-                        ) -> list[LocalBranching]:
-    """Every Peiffer branching on words up to the length bound, in the order
-    of local_branchings: the steps of a complete explored word are read
-    from the graph, those of any other word enumerated."""
-    out = []
-    for u in all_words(p, len_bound):
-        steps = g.out[u] if u in g.complete else enumerate_steps(p, u)
-        for i, f in enumerate(steps):
-            # steps come by position, so h is right of f once its redex
-            # starts past the end of f's
-            end = len(f.left) + len(f.rule.lhs)
-            for h in steps[i + 1:]:
-                if end <= len(h.left):
-                    out.append(LocalBranching(f, h))
-    return out
+@dataclass
+class PeifferAudit:
+    """The Peiffer audit, shaped like ContextReport: whether every Peiffer
+    branching passed, how many were checked, how many PASS branchings chose
+    each variant, and the report of every UNDECIDED one, in the order of
+    local_branchings.  Its length is the number checked."""
+
+    ok: bool
+    checked: int
+    variants: Counter
+    undecided: list[PeifferReport]
+
+    def __len__(self):
+        return self.checked
+
+    @property
+    def first_undecided(self) -> PeifferReport | None:
+        return self.undecided[0] if self.undecided else None
 
 
 def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
-                             p: Polygraph, len_bound: int = 6,
-                             branchings=None) -> list[PeifferReport]:
-    """Audit every Peiffer branching on words up to the length bound: PASS
-    when the Peiffer confluence or one of its reverse-rule rotations is
-    decreasing (the rotations are equivalent to the square through loop
-    contractions), UNDECIDED otherwise; _decide_peiffer picks the variant
-    from the labels of the square.  Squares with the same step order,
-    reverse rules and labels are decided once per call, and no report
-    builds its variant's paths until they are read."""
-    if branchings is None:
-        branchings = _peiffer_branchings(p, g, len_bound)
-    memo = _PeifferMemo(lab, g)
-    return [_decide_peiffer(lab, g, p, b, memo) for b in branchings]
+                             p: Polygraph, len_bound: int = 6
+                             ) -> PeifferAudit:
+    """Audit every Peiffer branching on words up to the length bound, in the
+    order of local_branchings: PASS when the Peiffer confluence or one of
+    its reverse-rule rotations is decreasing (the rotations are equivalent
+    to the square through loop contractions), UNDECIDED otherwise, each
+    decided as decide_peiffer decides it.
+
+    Each word's redexes are enumerated once, from the word itself, and
+    paired when disjoint: no step is built for a square, and the graph
+    stores no step row for the word.  A PASS branching is only tallied by
+    its variant; the steps and report of an UNDECIDED one are built.
+    Squares with the same step order, reverse rules and labels are decided
+    once per call."""
+    memo = _PeifferMemo(lab, g, p)
+    variants: Counter = Counter()
+    undecided = []
+    checked = 0
+    for u in all_words(p, len_bound):
+        found = redexes(p, u)
+        # redexes come by position, so the j-th is right of the i-th once
+        # it starts past the end of the i-th
+        pairs = [(i, j) for i, (_, end, _) in enumerate(found)
+                 for j in range(i + 1, len(found)) if end <= found[j][0]]
+        if not pairs:
+            continue
+        checked += len(pairs)
+        for (i, j), decision in zip(pairs, memo.decide(u, found, pairs)):
+            variant, _, _, attempts = decision
+            if variant is not None:
+                variants[variant] += 1
+                continue
+            (fp, fe, f_rule), (hp, he, h_rule) = found[i], found[j]
+            b = LocalBranching(RewriteStep(u[:fp], f_rule, u[fe:]),
+                               RewriteStep(u[:hp], h_rule, u[he:]))
+            undecided.append(PeifferReport(b, "UNDECIDED",
+                                           attempts=list(attempts),
+                                           polygraph=p))
+    return PeifferAudit(not undecided, checked, variants, undecided)
 
 
 # ---------------------------------------------------------------------------

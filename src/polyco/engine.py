@@ -279,10 +279,10 @@ def zigzags_equal(a: ZigzagPath, b: ZigzagPath) -> bool:
     return not normalize_zigzag(a.inverse().compose(b)).steps
 
 
-def enumerate_steps(p: Polygraph, u: Word) -> list[RewriteStep]:
-    """All forward steps out of u, ordered by position then rule order.
-    At each position only the rules whose left-hand side starts with the
-    letter there are tried."""
+def redexes(p: Polygraph, u: Word) -> list[tuple[int, int, Rule]]:
+    """Every redex of u as (position, end, rule), ordered by position then
+    rule order.  At each position only the rules whose left-hand side
+    starts with the letter there are tried."""
     out = []
     by_first = p.rules_by_first
     for pos, x in enumerate(u):
@@ -290,8 +290,15 @@ def enumerate_steps(p: Polygraph, u: Word) -> list[RewriteStep]:
             lhs = rule.lhs
             end = pos + len(lhs)
             if u[pos:end] == lhs:
-                out.append(RewriteStep(u[:pos], rule, u[end:]))
+                out.append((pos, end, rule))
     return out
+
+
+def enumerate_steps(p: Polygraph, u: Word) -> list[RewriteStep]:
+    """All forward steps out of u, one per redex, in the order of
+    ``redexes``."""
+    return [RewriteStep(u[:pos], rule, u[end:])
+            for pos, end, rule in redexes(p, u)]
 
 
 @dataclass(frozen=True)
@@ -368,8 +375,9 @@ class ReductionGraph:
     from their target, cached per target over a predecessor index built
     from the successor rows on the first such query.  ``reachable``
     searches the successor rows forward from its source and caches nothing;
-    ``ReachabilityOrder`` does not call it but keeps a forward search per
-    upper word that it resumes only as far as each query needs.
+    ``ReachabilityOrder`` does not call it: it reads the upper word's
+    successor row, then keeps a forward search per upper word that it
+    resumes only as far as each query needs.
     """
 
     def __init__(self, polygraph: Polygraph, budget: ExplorationBudget):
@@ -384,7 +392,7 @@ class ReductionGraph:
         self.scc_sinks: set[int] = set()
         self.scc_cyclic: list[int] = []
         self._succ: list[tuple[int, ...]] = []
-        self._cut: set[int] = set()
+        self._cut: dict[int, str] = {}
         self._words: list[Word] = []
         self._comp: list[int] = []
         self._pred: tuple[list[Word], array, array] | None = None
@@ -420,11 +428,11 @@ class ReductionGraph:
             if d >= budget.max_depth and enumerate_steps(p, u):
                 out[u] = ()
                 succ.append(())
-                cut.add(len(succ) - 1)
+                cut[len(succ) - 1] = "--max-depth"
                 self.truncated = True
                 continue
             row = []
-            ok = True
+            refused = None
             for pos, x in enumerate(u):
                 for rule in by_first.get(x, ()):
                     lhs = rule.lhs
@@ -434,13 +442,15 @@ class ReductionGraph:
                     t = u[:pos] + rule.rhs + u[end:]
                     j = ids.get(t)
                     if j is None:
-                        if len(t) > max_len or len(ids) >= max_states:
-                            ok = False
+                        if len(t) > max_len:
+                            refused = refused or "--max-word-len"
+                        elif len(ids) >= max_states:
+                            refused = refused or "--max-states"
                         else:
                             j = ids[t] = len(ids)
                             queue.append((t, d + 1))
                     row.append(j)
-            if ok:
+            if refused is None:
                 complete.add(u)
                 succ.append(tuple(row))
             else:
@@ -449,7 +459,7 @@ class ReductionGraph:
                 out[u] = tuple(s for s, j in zip(enumerate_steps(p, u), row)
                                if j is not None)
                 succ.append(tuple(j for j in row if j is not None))
-                cut.add(len(succ) - 1)
+                cut[len(succ) - 1] = refused
         self._compute_sccs()
 
     def _compute_sccs(self) -> None:
@@ -534,6 +544,13 @@ class ReductionGraph:
 
     def has_cycle(self) -> bool:
         return bool(self.scc_cyclic)
+
+    def cut_by(self, u: Word) -> str | None:
+        """The budget option that left the explored word u incomplete:
+        ``--max-depth`` when u lies at the depth bound, else the option
+        behind the first refusal among its steps' targets,
+        ``--max-word-len`` or ``--max-states``; None when u is complete."""
+        return self._cut.get(self.vertices[u])
 
     def steps_from(self, u: Word) -> tuple[RewriteStep, ...]:
         if u not in self.vertices:

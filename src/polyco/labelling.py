@@ -79,31 +79,32 @@ class FinitePosetOrder(LabelOrder):
 
 class ReachabilityOrder(LabelOrder):
     """Words ordered by the rewriting relation of an explored graph:
-    a is below b when b rewrites to a in at least one step.  The ids below
-    b come from one breadth-first search over the successor rows from b,
-    kept per b with its queue and resumed only until a turns up or the
-    search is done.  A word that was not explored is above nothing and
+    a is below b when b rewrites to a in at least one step.  A successor
+    of b, the common query, is read from b's successor row.  Otherwise the
+    ids below b come from one breadth-first search over the successor rows
+    from b, kept per b with its queue and resumed only until a turns up or
+    the search is done.  A word that was not explored is above nothing and
     below nothing."""
 
     def __init__(self, graph: ReductionGraph):
         self.graph = graph
-        self._searches: dict[Word, tuple[set[int], deque[int]]] = {}
+        self._searches: dict[int, tuple[set[int], deque[int]]] = {}
 
     def less(self, a, b) -> bool:
         if a == b:
             return False
         ids = self.graph.vertices
-        search = self._searches.get(b)
-        if search is None:
-            i = ids.get(b)
-            if i is None:
-                return False
-            search = self._searches[b] = {i}, deque([i])
+        i = ids.get(b)
         j = ids.get(a)
-        if j is None:
+        if i is None or j is None:
             return False
-        seen, queue = search
         succ = self.graph._succ
+        if j in succ[i]:
+            return True
+        search = self._searches.get(i)
+        if search is None:
+            search = self._searches[i] = {i}, deque([i])
+        seen, queue = search
         while j not in seen and queue:
             for t in succ[queue.popleft()]:
                 if t not in seen:

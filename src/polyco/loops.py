@@ -408,13 +408,14 @@ def enumerate_elementary_loops(g: ReductionGraph) -> LoopEnumeration:
     per component, so no cap is needed: the exploration budget bounds
     them.  A component that is a whiskered copy of an explored one is
     skipped.  Raises TruncatedRegion when a component that carries a cycle
-    holds an incomplete word."""
+    holds an incomplete word, naming the budget option that cut it."""
     sccs = _cyclic_sccs(g)
     for members in sccs:
         for w in members:
             if w not in g.complete:
                 raise TruncatedRegion(
-                    f"a cycle touches the incomplete word {word_str(w)}")
+                    f"a cycle touches the word {word_str(w)}, left "
+                    f"incomplete by {g.cut_by(w)}")
     classes: dict[tuple, LoopClass] = {}
     for members in sccs:
         comp = _Component(g, members)

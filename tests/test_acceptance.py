@@ -10,7 +10,7 @@ from polyco.branchings import (PEIFFER, critical_branchings,
                                local_branchings)
 from polyco.core import all_words, word_str
 from polyco.decreasing import (check_context_compatibility,
-                               check_peiffer_decreasing, find_decreasing)
+                               decide_peiffer, find_decreasing)
 from polyco.engine import (Path, enumerate_steps, exchange_swap, parse_step,
                            zigzag, zigzags_equal)
 from polyco.expressions import check_boundary
@@ -50,8 +50,7 @@ def test_03_braid_completion_certified(braid_completion):
 def test_04_peiffer_square_on_aa(ab_p, ab_g, ab_lab):
     bs = [b for b in local_branchings(ab_p, ("a", "a"))
           if b.kind == PEIFFER]
-    rep = check_peiffer_decreasing(ab_lab, ab_g, ab_p, 2,
-                                   branchings=bs)[0]
+    rep = decide_peiffer(ab_lab, ab_g, ab_p, bs[0])
     naive = [a for a in rep.attempts if a["variant"] == "peiffer"]
     assert naive[0]["labels"]["sides"] == [1, 1]
     assert naive[0]["labels"]["completions"] == [[2], [2]]

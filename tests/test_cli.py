@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from polyco import serialize_polygraph
 from polyco.cli import main
+from polyco.fixtures import abstract_states
 
 BRAID = """\
 polygraph braid
@@ -112,6 +114,15 @@ def test_peiffer_failure_names_the_first_undecided_branching(tmp_path,
     lines = capsys.readouterr().out.splitlines()
     assert "verdict: PARTIAL" in lines
     assert f"audit peiffer: {NO_FDT_UNDECIDED}" in lines
+    # the JSON of complete gives the same branching and what it read
+    assert main(["complete", str(poly), "--max-word-len", "5",
+                 "--format", "json"]) == 3
+    peiffer = json.loads(capsys.readouterr().out)["audits"]["peiffer"]
+    assert peiffer["first_undecided"] == {
+        "source": "a c a c", "first": "1|r2|a c", "second": "a c|r2|1",
+        "variant": "peiffer",
+        "read": {"sides": [2, 2], "completions": [[4], [4]]}}
+    assert (peiffer["checked"], peiffer["undecided"]) == (2656, 2266)
     check = ["check-decreasing", str(poly), "--max-word-len", "5",
              "--peiffer-len-bound", "5"]
     assert main(check) == 3
@@ -135,6 +146,55 @@ def test_peiffer_failure_names_the_label_error(tmp_path, capsys):
         "Peiffer decreasing up to length 4: FAILED at a a a a: "
         "1|alpha|a a a || a|alpha|a a "
         "(peiffer: no quasi-normal form chosen for b a a a)")
+
+
+def test_complete_json_counts_the_peiffer_branchings(tmp_path, capsys):
+    """The JSON of complete counts the Peiffer branchings rather than
+    listing them, so its size does not grow with them: 165,204 on
+    abstract_states up to length 6, 161,280 of them UNDECIDED because
+    their words were not explored."""
+    poly = tmp_path / "abstract_states.poly"
+    poly.write_text(serialize_polygraph(abstract_states()))
+    assert main(["complete", str(poly), "--max-word-len", "4",
+                 "--format", "json"]) == 3
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 10_000
+    peiffer = json.loads(out)["audits"]["peiffer"]
+    assert (peiffer["ok"], peiffer["checked"], peiffer["undecided"]) == (
+        False, 165204, 161280)
+    assert sum(peiffer["variants"].values()) == 165204 - 161280
+    assert peiffer["first_undecided"] == {
+        "source": "a a a a a", "first": "1|ab|a a a a",
+        "second": "a|ab|a a a", "variant": "peiffer",
+        "read": "no quasi-normal form chosen for b a a a a"}
+
+
+def test_check_decreasing_json_counts_unverified_contexts(braid_file,
+                                                          capsys):
+    """At length 6 some whiskered completions leave the explored words:
+    beside 3 violations, 24 contexts are unverified, and the JSON gives
+    their number and the first of them with its error."""
+    assert main(["check-decreasing", braid_file, "--max-word-len", "6",
+                 "--format", "json"]) == 3
+    ctx = json.loads(capsys.readouterr().out)["context"]
+    assert ctx["ok"] is False and len(ctx["violations"]) == 3
+    assert ctx["unverified"] == 24
+    assert ctx["first_unverified"] == {
+        "diagram": 0, "context": ["s s", "1"],
+        "error": "no quasi-normal form chosen for s s t s t t s"}
+
+
+def test_loop_audit_names_the_budget_option_it_hit(braid_file, capsys):
+    argv = ["complete", braid_file, "--max-word-len", "8",
+            "--max-states", "200"]
+    error = ("a cycle touches the word s t s t t t t, left incomplete by "
+             "--max-states")
+    assert main(argv) == 3
+    assert f"audit loops: FAILED ({error})" in \
+        capsys.readouterr().out.splitlines()
+    assert main(argv + ["--format", "json"]) == 3
+    loops = json.loads(capsys.readouterr().out)["audits"]["loops"]
+    assert loops == {"complete": False, "error": error}
 
 
 def test_fill_sphere(braid_file, tmp_path, capsys):

@@ -13,7 +13,7 @@ from polyco.completion import (CERTIFIED, PARTIAL, _peiffer_closure,
                                fill_zigzag_sphere, format_extension,
                                parse_extension, parse_sphere, parse_zigzag)
 from polyco.core import ParseError, all_words, parse_polygraph
-from polyco.decreasing import (SearchExhausted, check_peiffer_decreasing,
+from polyco.decreasing import (SearchExhausted, decide_peiffer,
                                peiffer_variants)
 from polyco.engine import (ExplorationBudget, IllComposed, Path,
                            ZigzagPath, enumerate_steps, explore,
@@ -33,7 +33,7 @@ def test_braid_completion_is_certified(braid_completion):
     assert kinds.count("confluence") == 4 and kinds.count("loop") == 1
     assert c.audits["strict"]["ok"]
     assert c.audits["context"].ok
-    assert c.audits["peiffer"]["ok"]
+    assert c.audits["peiffer"].ok
     assert c.audits["loops"]["complete"]
 
 
@@ -86,7 +86,7 @@ def test_lafont_completion_is_partial(lafont_p, lafont_g):
     lab = Labelling.qnf(_derived_qnf_map(lafont_g))
     c = build_completion(lafont_p, lab, lafont_g)
     assert c.verdict == PARTIAL
-    assert not c.audits["peiffer"]["ok"]
+    assert not c.audits["peiffer"].ok
     assert len([x for x in c.cells.values() if x.kind == "loop"]) == 1
 
 
@@ -277,7 +277,7 @@ def test_peiffer_closures_paste_the_audited_variant(peiffer_closures):
     the strictness the Peiffer audit reports for it."""
     assert len(peiffer_closures) == 8 + 2808 + 864
     for p, g, lab, c, b, (c_f, c_h, _, strict) in peiffer_closures:
-        report = check_peiffer_decreasing(lab, g, p, branchings=[b])[0]
+        report = decide_peiffer(lab, g, p, b)
         assert report.status == "PASS"
         assert (_pasted_variant(p, b, c_f, c_h), strict) == (
             report.variant, report.strict), (b.first, b.second)
@@ -288,8 +288,7 @@ def test_undecided_peiffer_closures_paste_the_square(lafont_p, lafont_g):
     Peiffer square, which needs no cell, and not strictly."""
     lab = Labelling.qnf(_derived_qnf_map(lafont_g))
     c = build_completion(lafont_p, lab, lafont_g, peiffer_len_bound=4)
-    undecided = [r.branching for r in c.audits["peiffer"]["reports"]
-                 if r.status == "UNDECIDED"]
+    undecided = [r.branching for r in c.audits["peiffer"].undecided]
     assert undecided
     for b in undecided:
         c_f, c_h, e, strict = _peiffer_closure(c, lab, lafont_g, b.first,

@@ -10,7 +10,7 @@ from polyco.core import all_words
 from polyco.decreasing import (check_context_closability,
                                check_context_compatibility,
                                check_decreasing, check_peiffer_decreasing,
-                               check_strict, find_decreasing,
+                               check_strict, decide_peiffer, find_decreasing,
                                peiffer_variants, StrictDiagram)
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid_qnf_map
@@ -30,8 +30,7 @@ def test_peiffer_square_on_aa_needs_reversed_rules(ab_p, ab_g, ab_lab):
     labels 0,0."""
     bs = _peiffer_on(ab_p, ("a", "a"))
     assert len(bs) == 1
-    reports = check_peiffer_decreasing(ab_lab, ab_g, ab_p, 2, branchings=bs)
-    rep = reports[0]
+    rep = decide_peiffer(ab_lab, ab_g, ab_p, bs[0])
     assert rep.status == "PASS"
     assert rep.variant != "peiffer" and rep.strict
     naive = [a for a in rep.attempts if a["variant"] == "peiffer"]
@@ -42,18 +41,24 @@ def test_peiffer_square_on_aa_needs_reversed_rules(ab_p, ab_g, ab_lab):
 
 
 def test_all_braid_peiffer_branchings_pass(braid_p, braid_g, braid_lab):
-    reports = check_peiffer_decreasing(braid_lab, braid_g, braid_p, 6)
-    assert reports and all(r.status == "PASS" for r in reports)
+    audit = check_peiffer_decreasing(braid_lab, braid_g, braid_p, 6)
+    assert audit.ok and audit.checked and not audit.undecided
+    assert sum(audit.variants.values()) == audit.checked == len(audit)
 
 
 def test_peiffer_audit_beyond_explored_words_is_undecided(lafont_g):
     p, n = lafont_g.polygraph, lafont_g.budget.max_word_len
-    reports = check_peiffer_decreasing(
+    audit = check_peiffer_decreasing(
         Labelling.qnf(_derived_qnf_map(lafont_g)), lafont_g, p, n + 1)
-    beyond = [r for r in reports if len(r.branching.source) > n]
-    assert beyond and all(r.status == "UNDECIDED" for r in beyond)
+    beyond = [r for r in audit.undecided if len(r.branching.source) > n]
+    assert beyond and [r.branching for r in beyond] == [
+        b for u in all_words(p, n + 1) if len(u) > n
+        for b in local_branchings(p, u) if b.kind == PEIFFER]
+    assert all(r.status == "UNDECIDED" for r in beyond)
     assert all(a.get("error") for r in beyond for a in r.attempts)
-    assert any(r.status == "PASS" for r in reports)
+    assert audit.variants and not audit.ok
+    assert sum(audit.variants.values()) + len(audit.undecided) \
+        == audit.checked
 
 
 def test_peiffer_variants_reject_other_branchings(braid_p):
@@ -84,9 +89,8 @@ def test_alternate_qnf_map_fails_in_context(ab_p, ab_g, ab_alt_lab):
 
 def test_standard_qnf_map_is_context_compatible(ab_p, ab_g, ab_lab):
     b = _peiffer_on(ab_p, ("a", "a"))[0]
-    reports = check_peiffer_decreasing(ab_lab, ab_g, ab_p, 2,
-                                       branchings=[b])
-    rep = check_context_compatibility(ab_lab, ab_g, [reports[0].diagram],
+    report = decide_peiffer(ab_lab, ab_g, ab_p, b)
+    rep = check_context_compatibility(ab_lab, ab_g, [report.diagram],
                                       ctx_bound=1)
     assert rep.ok, rep.violations
 
@@ -169,8 +173,9 @@ def test_one_peiffer_audit_labels_each_word_or_key_once(ab_p, monkeypatch,
             calls[args[-1]] += 1
             return fn(lab, *args)
         monkeypatch.setattr(decreasing, name, counted)
-    reports = check_peiffer_decreasing(lab, g, ab_p, 5)
-    errors = {a["error"] for r in reports for a in r.attempts if "error" in a}
+    audit = check_peiffer_decreasing(lab, g, ab_p, 5)
+    errors = {a["error"] for r in audit.undecided for a in r.attempts
+              if "error" in a}
     assert calls and max(calls.values()) == 1
     assert (("no table entry for step 1|alpha|a a a" if table
              else "no quasi-normal form chosen for b a a a") in errors)

@@ -10,10 +10,11 @@ from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
                                local_branchings)
 from polyco.cli import _derived_qnf_map
 from polyco.core import Polygraph, Rule, all_words, word_str
-from polyco.decreasing import (DecreasingDiagram, StrictDiagram, _cut,
-                               _first_splits, _paths_from, _read_pair,
-                               _strict, check_decreasing,
-                               check_peiffer_decreasing, check_strict,
+from polyco.decreasing import (DecreasingDiagram, PeifferReport,
+                               StrictDiagram, _cut, _first_splits,
+                               _paths_from, _read_pair, _strict,
+                               check_decreasing, check_peiffer_decreasing,
+                               check_strict, decide_peiffer,
                                peiffer_variants)
 from polyco.completion import _overlap_closure, _peiffer_closure
 from polyco.engine import (ExplorationBudget, Path, RewriteStep,
@@ -515,13 +516,18 @@ def test_step_rows_are_the_enumerated_steps(name, request):
         assert g.out[u] is row and g.out.get(u) is row
         assert g.steps_from(u) is row
         if u in g.complete:
-            assert row == steps
+            assert row == steps and g.cut_by(u) is None
         elif name == "depth-cut":
             assert row == () and steps
+            assert g.cut_by(u) == "--max-depth"
         else:
             # the budget refused the other targets for good
             assert row == tuple(s for s in steps if s.target in ids)
             assert row != steps
+            refused = next(s.target for s in steps if s.target not in ids)
+            assert g.cut_by(u) == (
+                "--max-word-len" if len(refused) > g.budget.max_word_len
+                else "--max-states")
         assert g._succ[ids[u]] == tuple(ids[s.target] for s in row)
     if name in ("braid-8-truncated", "grow", "depth-cut"):
         assert g.truncated and len(g.complete) < len(ids)
@@ -608,6 +614,35 @@ def test_reachability_order_matches_a_search_over_step_targets(name):
         assert order.less(a, b) == want, (a, b)
         answers.add(want)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("name", ["convergent_braid-7", "braid-8-truncated",
+                                  "grow", "depth-cut"])
+def test_reachability_order_answers_direct_successors_from_the_row(name):
+    """``less`` answers a word's direct successors from its successor row,
+    and agrees with a forward search there, on the words a budget cut and
+    on an unexplored word, whether each query has a fresh order or all
+    share one."""
+    g = _ROW_GRAPHS[name]()
+    words = list(g.vertices)
+    cut = [u for u in words if u not in g.complete]
+    unexplored = ("z",) * 9
+    pairs = [(s.target, u) for u in words[:200] for s in g.out[u]]
+    for c in cut[:20] + [unexplored]:
+        for x in words[:30]:
+            pairs += [(c, x), (x, c)]
+    below = {}
+    shared = ReachabilityOrder(g)
+    answers = Counter()
+    for a, b in pairs:
+        if b not in below:
+            below[b] = _forward(g, b) if b in g.vertices else {}
+        want = a != b and a in below[b]
+        assert shared.less(a, b) == want, (a, b)
+        assert ReachabilityOrder(g).less(a, b) == want, (a, b)
+        answers[want] += 1
+    assert answers[True] and answers[False]
+    assert cut or name == "convergent_braid-7"
 
 
 # ---------------------------------------------------------------------------
@@ -714,15 +749,16 @@ def _peiffer_pairs(p, bound):
 @pytest.fixture(scope="module", params=list(_PEIFFER_AUDITS))
 def peiffer_audit(request):
     """A fixture of _PEIFFER_AUDITS, every Peiffer branching on it in both
-    step orders, and its reports from one audit call."""
+    step orders, the decide_peiffer report of each, and its audit."""
     p, g, lab, bound = _PEIFFER_AUDITS[request.param]()
     pairs = _peiffer_pairs(p, bound)
     return (request.param, p, g, lab, bound, pairs,
-            check_peiffer_decreasing(lab, g, p, branchings=pairs))
+            [decide_peiffer(lab, g, p, b) for b in pairs],
+            check_peiffer_decreasing(lab, g, p, bound))
 
 
 def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
-    name, p, g, lab, bound, pairs, reports = peiffer_audit
+    name, p, g, lab, bound, pairs, reports, audit = peiffer_audit
     assert pairs and len(reports) == len(pairs)
     statuses, errors = Counter(), 0
     for b, r in zip(pairs, reports):
@@ -732,12 +768,14 @@ def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
         assert (r.diagram, r.witness_loops) == want[4:]
         statuses[r.status] += 1
         errors += any("error" in a for a in r.attempts)
-    # the audit's own enumeration lists the branchings in one step order
-    audit = check_peiffer_decreasing(lab, g, p, bound)
-    assert [r.branching for r in audit] == pairs[::2]
-    assert [(r.status, r.variant, r.strict, r.attempts) for r in audit] \
-        == [(r.status, r.variant, r.strict, r.attempts)
-            for r in reports[::2]]
+    # the audit's own enumeration lists the branchings in one step order:
+    # it tallies the variants of the PASS ones and reports the others
+    listed = reports[::2]
+    assert audit.checked == len(audit) == len(pairs) // 2
+    assert audit.variants == Counter(r.variant for r in listed
+                                     if r.status == "PASS")
+    assert audit.undecided == [r for r in listed if r.status == "UNDECIDED"]
+    assert audit.ok == (not audit.undecided)
     assert statuses["PASS"]
     if name in ("no_fdt-5", "lafont-5-at-6"):
         assert statuses["UNDECIDED"]
@@ -749,7 +787,7 @@ def test_lazily_built_peiffer_diagrams_pass_their_checks(peiffer_audit):
     """Each PASS report builds, on first read, a diagram of its branching
     that passes check_strict when the report reads strict and
     check_decreasing otherwise, and witness loops that close."""
-    name, p, g, lab, bound, pairs, reports = peiffer_audit
+    name, p, g, lab, bound, pairs, reports, audit = peiffer_audit
     strictness = set()
     for r in reports:
         if r.status != "PASS":
@@ -765,3 +803,28 @@ def test_lazily_built_peiffer_diagrams_pass_their_checks(peiffer_audit):
             assert len(loop) and loop.source == loop.target
         strictness.add(r.strict)
     assert True in strictness
+
+
+@pytest.mark.parametrize("system, length, label", [
+    (convergent_braid, 6, "nf"), (convergent_braid, 6, "qnf"),
+    (no_fdt, 5, "qnf")],
+    ids=["convergent_braid-6-nf", "convergent_braid-6-qnf", "no_fdt-5"])
+def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
+                                                        length, label):
+    """The audit builds the steps, branching and report of an UNDECIDED
+    Peiffer square only, and stores no step row in the graph."""
+    p, g, lab, bound = _audited(system(), length, label=label)
+    rows = set(dict.keys(g.out))
+    built = Counter()
+    for cls in (RewriteStep, LocalBranching, PeifferReport):
+        def counting(self, *args, init=cls.__init__, name=cls.__name__,
+                     **kwargs):
+            init(self, *args, **kwargs)
+            built[name] += 1
+        monkeypatch.setattr(cls, "__init__", counting)
+    audit = check_peiffer_decreasing(lab, g, p, bound)
+    n = len(audit.undecided)
+    assert audit.checked > n and (n > 0) == (system is no_fdt)
+    assert built == Counter({"RewriteStep": 2 * n, "LocalBranching": n,
+                             "PeifferReport": n})
+    assert set(dict.keys(g.out)) == rows
