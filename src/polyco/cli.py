@@ -179,6 +179,19 @@ def _context_dict(ctx, head: str) -> dict:
                                        "error": first["error"]})}
 
 
+def _context_status(ctx) -> str:
+    """"ok", the first violation of a context audit, or, when it has none,
+    the number of unverified contexts and the first with its error."""
+    if ctx.ok:
+        return "ok"
+    if ctx.violations:
+        return f"violation at {ctx.first_violation}"
+    first = ctx.unverified[0]
+    record = {k: v for k, v in first.items() if k != "error"}
+    return (f"{len(ctx.unverified)} unverified, first at {record} "
+            f"({first['error']})")
+
+
 def _budget_dict(args):
     return {"max_word_len": args.max_word_len,
             "max_states": args.max_states, "max_depth": args.max_depth,
@@ -253,7 +266,8 @@ def cmd_complete(args) -> int:
     text = format_extension(c) + f"\nverdict: {c.verdict}\n" + "\n".join(
         f"audit {k}: {v}"
         for k, v in [("strict", _ok(c.audits["strict"]["ok"])),
-                     ("context", _ok(ctx.ok)),
+                     ("context", ("ok" if ctx.ok else
+                                  f"FAILED, {_context_status(ctx)}")),
                      ("peiffer", _peiffer_status(peiffer)),
                      ("loops", "ok" if loops["complete"]
                       else f"FAILED ({loops['error']})")])
@@ -287,8 +301,7 @@ def cmd_check_decreasing(args) -> int:
             "budget": _budget_dict(args)}
     lines = [f"{r['source']}: {r['status']}" for r in rows]
     lines.append(f"context compatibility up to bound {args.ctx_bound}: "
-                 + ("ok" if ctx.ok else
-                    f"violation at {ctx.first_violation}"))
+                 + _context_status(ctx))
     lines.append(f"Peiffer decreasing up to length {args.peiffer_len_bound}: "
                  + _peiffer_status(peiffer))
     _emit(args, data, "\n".join(lines))

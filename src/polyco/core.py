@@ -102,6 +102,21 @@ class Polygraph:
         return {x: tuple(rs) for x, rs in groups.items()}
 
     @cached_property
+    def rules_by_last(self) -> dict[str, tuple[Rule, ...]]:
+        """The rules by the last letter of their left-hand side, each group
+        longest left-hand side first, then in declaration order: the order
+        of the redexes they make at the end of a word; built once per
+        presentation."""
+        groups: dict[str, list[Rule]] = {}
+        for r in sorted(self.rules, key=lambda r: -len(r.lhs)):
+            groups.setdefault(r.lhs[-1], []).append(r)
+        return {x: tuple(rs) for x, rs in groups.items()}
+
+    @cached_property
+    def _indices(self) -> dict[str, int]:
+        return {r.name: i for i, r in enumerate(self.rules)}
+
+    @cached_property
     def reverse_rules(self) -> dict[str, Rule | None]:
         """Each rule's name mapped to the first declared rule undoing it
         (its left- and right-hand sides swapped), or None; built once per
@@ -118,10 +133,8 @@ class Polygraph:
         raise KeyError(name)
 
     def rule_index(self, name: str) -> int:
-        for i, r in enumerate(self.rules):
-            if r.name == name:
-                return i
-        raise KeyError(name)
+        """The declaration index of the rule of that name."""
+        return self._indices[name]
 
 
 def file_lines(text: str):

@@ -661,18 +661,22 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
     to the square through loop contractions), UNDECIDED otherwise, each
     decided as decide_peiffer decides it.
 
-    Each word's redexes are enumerated once, from the word itself, and
-    paired when disjoint: no step is built for a square, and the graph
-    stores no step row for the word.  A PASS branching is only tallied by
-    its variant; the steps and report of an UNDECIDED one are built.
-    Squares with the same step order, reverse rules and labels are decided
-    once per call."""
+    Words come shortest first, so each word's redexes are read off those
+    of its prefix ``u[:-1]`` (redexes), kept for this call for the words
+    shorter than the bound, and paired when disjoint: no step is built for
+    a square, and the graph stores no step row for the word.  A PASS
+    branching is only tallied by its variant; the steps and report of an
+    UNDECIDED one are built.  Squares with the same step order, reverse
+    rules and labels are decided once per call."""
     memo = _PeifferMemo(lab, g, p)
     variants: Counter = Counter()
     undecided = []
     checked = 0
+    scanned: dict[Word, list] = {}
     for u in all_words(p, len_bound):
-        found = redexes(p, u)
+        found = redexes(p, u, scanned.get(u[:-1]))
+        if len(u) < len_bound:
+            scanned[u] = found
         # redexes come by position, so the j-th is right of the i-th once
         # it starts past the end of the i-th
         pairs = [(i, j) for i, (_, end, _) in enumerate(found)

@@ -10,7 +10,6 @@ on unexplored regions raise TruncatedRegion.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from collections.abc import ItemsView, KeysView, ValuesView
 from dataclasses import dataclass
 
@@ -279,18 +278,37 @@ def zigzags_equal(a: ZigzagPath, b: ZigzagPath) -> bool:
     return not normalize_zigzag(a.inverse().compose(b)).steps
 
 
-def redexes(p: Polygraph, u: Word) -> list[tuple[int, int, Rule]]:
+def redexes(p: Polygraph, u: Word, prefix: list | None = None
+            ) -> list[tuple[int, int, Rule]]:
     """Every redex of u as (position, end, rule), ordered by position then
-    rule order.  At each position only the rules whose left-hand side
-    starts with the letter there are tried."""
-    out = []
-    by_first = p.rules_by_first
-    for pos, x in enumerate(u):
-        for rule in by_first.get(x, ()):
-            lhs = rule.lhs
-            end = pos + len(lhs)
-            if u[pos:end] == lhs:
-                out.append((pos, end, rule))
+    rule declaration order.
+
+    Without ``prefix`` the word is scanned: at each position only the rules
+    whose left-hand side starts with the letter there are tried.  Given
+    ``prefix``, the redex list of ``u[:-1]``, only the redexes that end at
+    the last letter are looked for: those of the rules whose left-hand side
+    ends with it, longest first, appended to a copy of ``prefix``.  Such a
+    redex can start before an inherited one, or at its position, and then
+    the list is sorted by (position, declaration index)."""
+    if prefix is None:
+        out = []
+        by_first = p.rules_by_first
+        for pos, x in enumerate(u):
+            for rule in by_first.get(x, ()):
+                lhs = rule.lhs
+                end = pos + len(lhs)
+                if u[pos:end] == lhs:
+                    out.append((pos, end, rule))
+        return out
+    n = len(u)
+    out = prefix[:]
+    for rule in p.rules_by_last.get(u[-1], ()):
+        lhs = rule.lhs
+        if u[-len(lhs):] == lhs:
+            out.append((n - len(lhs), n, rule))
+    k = len(prefix)
+    if 0 < k < len(out) and out[k][0] <= prefix[-1][0]:
+        out.sort(key=lambda r: (r[0], p.rule_index(r[2].name)))
     return out
 
 
@@ -358,6 +376,14 @@ class ReductionGraph:
     vertex is complete when every step out of it was kept; budget refusals
     mark the vertex incomplete and set the truncated flag.
 
+    Exploration walks one depth level after the other, each in id order.
+    It reads a word's redexes off those of its prefix ``u[:-1]`` (redexes)
+    when the walk reached the prefix first, as it does for every word when
+    the seeds are all words shortest first, and scans the word in full
+    otherwise.  The redex lists of the words shorter than
+    ``max_word_len``, the only ones that can be a prefix, are kept in a
+    dict local to the pass and dropped with it.
+
     Exploration computes each step's target in place and records only its
     id: ``_succ[i]`` holds the ids of the targets of the steps out of the
     vertex of id i, in step order.  ``out[u]`` holds those steps; it is
@@ -404,13 +430,11 @@ class ReductionGraph:
         budget = self.budget
         max_len, max_states = budget.max_word_len, budget.max_states
         p = self.polygraph
-        by_first = p.rules_by_first
         ids = self.vertices
         out = self.out
         succ = self._succ
         cut = self._cut
-        complete = self.complete
-        queue: deque[tuple[Word, int]] = deque()
+        level = []
         for w in seeds:
             if w in ids:
                 continue
@@ -418,27 +442,26 @@ class ReductionGraph:
                 self.truncated = True
                 continue
             ids[w] = len(ids)
-            queue.append((w, 0))
-        # the queue is first in, first out, so words leave it in the order
-        # of their ids and each one's successor row is appended at its id;
-        # the targets come in the order of enumerate_steps, which builds the
-        # word's steps when they are read
-        while queue:
-            u, d = queue.popleft()
-            if d >= budget.max_depth and enumerate_steps(p, u):
-                out[u] = ()
-                succ.append(())
-                cut[len(succ) - 1] = "--max-depth"
-                self.truncated = True
-                continue
-            row = []
-            refused = None
-            for pos, x in enumerate(u):
-                for rule in by_first.get(x, ()):
-                    lhs = rule.lhs
-                    end = pos + len(lhs)
-                    if u[pos:end] != lhs:
-                        continue
+            level.append(w)
+        # the redex lists of the words that can be a prefix
+        scanned: dict[Word, list] = {}
+        depth = 0
+        # each level holds the ids that follow the level before, in order,
+        # so each word's successor row is appended at its id
+        while level:
+            following = []
+            for u in level:
+                found = redexes(p, u, scanned.get(u[:-1]))
+                if len(u) < max_len:
+                    scanned[u] = found
+                if depth >= budget.max_depth and found:
+                    out[u] = ()
+                    succ.append(())
+                    cut[len(succ) - 1] = "--max-depth"
+                    continue
+                row = []
+                refused = None
+                for pos, end, rule in found:
                     t = u[:pos] + rule.rhs + u[end:]
                     j = ids.get(t)
                     if j is None:
@@ -448,19 +471,24 @@ class ReductionGraph:
                             refused = refused or "--max-states"
                         else:
                             j = ids[t] = len(ids)
-                            queue.append((t, d + 1))
+                            following.append(t)
                     row.append(j)
-            if refused is None:
-                complete.add(u)
-                succ.append(tuple(row))
-            else:
+                if refused is None:
+                    succ.append(tuple(row))
+                    continue
                 # keep the steps whose target the budget let in
-                self.truncated = True
-                out[u] = tuple(s for s, j in zip(enumerate_steps(p, u), row)
-                               if j is not None)
+                steps = [RewriteStep(u[:pos], rule, u[end:])
+                         for pos, end, rule in found]
+                out[u] = tuple(s for s, j in zip(steps, row) if j is not None)
                 succ.append(tuple(j for j in row if j is not None))
                 cut[len(succ) - 1] = refused
+            level = following
+            depth += 1
+        if cut:
+            self.truncated = True
         self._compute_sccs()
+        self.complete.update(ids)
+        self.complete.difference_update([self._words[i] for i in cut])
 
     def _compute_sccs(self) -> None:
         # iterative Tarjan on vertex ids; it closes a component only after

@@ -184,6 +184,44 @@ def test_check_decreasing_json_counts_unverified_contexts(braid_file,
         "error": "no quasi-normal form chosen for s s t s t t s"}
 
 
+@pytest.mark.parametrize("length", [5, 6])
+def test_failed_context_audit_text_names_its_first_witness(braid_file,
+                                                           capsys, length):
+    """The text of a failed context audit names its first violation, or,
+    with none (braid at length 5: 56 unverified contexts), the number of
+    unverified contexts and the first with its error, as the JSON gives
+    them; check-decreasing and complete alike."""
+    argv = ["check-decreasing", braid_file, "--max-word-len", str(length)]
+    assert main(argv) == 3
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if x.startswith("context compatibility"))
+    assert main(argv + ["--format", "json"]) == 3
+    ctx = json.loads(capsys.readouterr().out)["context"]
+    if length == 5:
+        assert ctx["violations"] == [] and ctx["unverified"] == 56
+        error = "no quasi-normal form chosen for s t s t t s"
+        assert ctx["first_unverified"] == {
+            "diagram": 0, "context": ["s", "1"], "error": error}
+        assert line == (
+            "context compatibility up to bound 2: 56 unverified, first at "
+            f"{{'diagram': 0, 'context': (('s',), ())}} ({error})")
+    else:
+        assert ctx["violations"][0] == {"diagram": 0, "context": ["t", "1"]}
+        assert line == ("context compatibility up to bound 2: violation at "
+                        "{'diagram': 0, 'context': (('t',), ())}")
+    argv[0] = "complete"
+    assert main(argv) == 3
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if x.startswith("audit context"))
+    assert main(argv + ["--format", "json"]) == 3
+    ctx = json.loads(capsys.readouterr().out)["audits"]["context"]
+    left = {5: ("s",), 6: ("s", "s")}[length]
+    assert ctx["violations"][0] == {"branching": 0,
+                                    "context": [" ".join(left), "1"]}
+    assert line == ("audit context: FAILED, violation at {'branching': 0, "
+                    f"'context': ({left}, ())}}")
+
+
 def test_loop_audit_names_the_budget_option_it_hit(braid_file, capsys):
     argv = ["complete", braid_file, "--max-word-len", "8",
             "--max-states", "200"]

@@ -18,9 +18,9 @@ from polyco.decreasing import (DecreasingDiagram, PeifferReport,
                                peiffer_variants)
 from polyco.completion import _overlap_closure, _peiffer_closure
 from polyco.engine import (ExplorationBudget, Path, RewriteStep,
-                           TruncatedRegion, Unreachable, ZigzagPath,
-                           enumerate_steps, exchange_swap, explore,
-                           zigzags_equal)
+                           ReductionGraph, TruncatedRegion, Unreachable,
+                           ZigzagPath, enumerate_steps, exchange_swap,
+                           explore, redexes, zigzags_equal)
 from polyco.fixtures import (abstract_states, braid, convergent_braid, no_fdt,
                              two_letters)
 from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
@@ -260,6 +260,18 @@ def _a3():
                      tuple(Rule(n, tuple(l), tuple(r)) for n, l, r in rules))
 
 
+def _prefix_lhs():
+    """Left-hand sides that are prefixes of others (a b of a b a), that two
+    rules share (a b, b a), and that can start before a redex of the
+    word's prefix or at its position (a b a, b a), with rules that shorten
+    and lengthen words and pairs that undo each other."""
+    rules = [("aba_b", "aba", "b"), ("ab_ba", "ab", "ba"), ("ab_c", "ab", "c"),
+             ("c_ba", "c", "ba"), ("ba_1", "ba", ""), ("b_a", "b", "a"),
+             ("ba_ab", "ba", "ab")]
+    return Polygraph("prefix_lhs", ("a", "b", "c"),
+                     tuple(Rule(n, tuple(l), tuple(r)) for n, l, r in rules))
+
+
 def _scanned_steps(p, u):
     """Every rule tried at every position, by position then declaration."""
     return [RewriteStep(u[:pos], rule, u[pos + len(rule.lhs):])
@@ -267,8 +279,11 @@ def _scanned_steps(p, u):
             if u[pos:pos + len(rule.lhs)] == rule.lhs]
 
 
-@pytest.mark.parametrize("make", [braid, two_letters, convergent_braid, no_fdt,
-                                  abstract_states, _a3])
+_FIXTURES = [braid, two_letters, convergent_braid, no_fdt, abstract_states,
+             _a3, _prefix_lhs]
+
+
+@pytest.mark.parametrize("make", _FIXTURES)
 def test_enumerate_steps_matches_scan_of_every_rule(make):
     p = make()
     rng = random.Random(p.name)
@@ -281,6 +296,26 @@ def test_enumerate_steps_matches_scan_of_every_rule(make):
         assert enumerate_steps(p, u) == want, u
         found += len(want)
     assert found
+
+
+@pytest.mark.parametrize("make", _FIXTURES)
+def test_redexes_read_off_the_prefix_match_a_scan(make):
+    """For every word up to length 7, the redexes read off those of its
+    prefix are those of the scan, in a list of their own; on prefix_lhs
+    some new redexes start before an inherited one or at its position."""
+    p = make()
+    scanned = {}
+    merged = 0
+    for u in all_words(p, 7):
+        want = scanned[u] = redexes(p, u)
+        if not u:
+            continue
+        prefix = scanned[u[:-1]]
+        got = redexes(p, u, prefix)
+        assert got == want and got is not prefix, u
+        # a new redex goes before an inherited one
+        merged += want[:len(prefix)] != prefix
+    assert merged or make is not _prefix_lhs
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +529,102 @@ def _depth_cut_g():
 
 
 _FIXTURE_GRAPHS = ["braid_g", "ab_g", "upsilon_g", "lafont_g", "states_g"]
-_ROW_GRAPHS = {**_SCC_GRAPHS, "grow": _grow_g, "depth-cut": _depth_cut_g}
+_ROW_GRAPHS = {**_SCC_GRAPHS, "grow": _grow_g, "depth-cut": _depth_cut_g,
+               "prefix_lhs-4": lambda: explore(
+                   _prefix_lhs(), all_words(_prefix_lhs(), 4),
+                   ExplorationBudget(6))}
+_TRUNCATED = ("braid-8-truncated", "grow", "depth-cut", "prefix_lhs-4")
 
 
 def _graph(name, request):
     return (request.getfixturevalue(name) if name in _FIXTURE_GRAPHS
             else _ROW_GRAPHS[name]())
+
+
+def _reference_explore(p, seeds, budget):
+    """Exploration as a first-in first-out queue of (word, depth) that scans
+    every word in full (_scanned_steps), into a graph whose components the
+    graph's own pass then computes."""
+    g = ReductionGraph(p, budget)
+    ids, succ, cut = g.vertices, g._succ, g._cut
+    queue = deque()
+    for w in seeds:
+        if w in ids:
+            continue
+        if len(w) > budget.max_word_len or len(ids) >= budget.max_states:
+            g.truncated = True
+            continue
+        ids[w] = len(ids)
+        queue.append((w, 0))
+    while queue:
+        u, d = queue.popleft()
+        steps = _scanned_steps(p, u)
+        refused = None
+        if d >= budget.max_depth and steps:
+            steps, refused = [], "--max-depth"
+        for s in steps:
+            t = s.target
+            if t in ids:
+                continue
+            if len(t) > budget.max_word_len:
+                refused = refused or "--max-word-len"
+            elif len(ids) >= budget.max_states:
+                refused = refused or "--max-states"
+            else:
+                ids[t] = len(ids)
+                queue.append((t, d + 1))
+        kept = tuple(s for s in steps if s.target in ids)
+        succ.append(tuple(ids[s.target] for s in kept))
+        if refused is None:
+            g.complete.add(u)
+        else:
+            g.truncated = True
+            g.out[u] = kept
+            cut[ids[u]] = refused
+    g._compute_sccs()
+    return g
+
+
+def _seed_orders(p, length):
+    """Seed lists and budgets that cut exploration in each way: all words
+    up to the length, shortest first and reversed, one word, a state
+    budget that runs out in the middle of a depth level, and a depth
+    budget."""
+    words = all_words(p, length)
+    one = [max(words, key=lambda w: len(redexes(p, w)))]
+    full = len(explore(p, one, ExplorationBudget(length, 10**6)).vertices)
+    return {"all": (words, ExplorationBudget(length, 10**6)),
+            "reversed": (words[::-1], ExplorationBudget(length, 10**6)),
+            "one": (one, ExplorationBudget(length, 10**6)),
+            "one-states": (one, ExplorationBudget(length, full // 2)),
+            "all-states": (words, ExplorationBudget(length, len(words) // 2)),
+            "one-depth": (one, ExplorationBudget(length, 10**6, 1)),
+            "all-depth": (words, ExplorationBudget(length + 1, 10**6, 1))}
+
+
+@pytest.mark.parametrize("make, length", [
+    (braid, 7), (two_letters, 6), (convergent_braid, 5), (no_fdt, 4),
+    (abstract_states, 3), (_a3, 5), (_prefix_lhs, 4)],
+    ids=lambda x: getattr(x, "__name__", x))
+def test_explore_matches_a_queue_that_scans_every_word(make, length):
+    """Reading each word's redexes off its prefix's gives the graph of a
+    full scan of every word: ids, successor rows, cuts, stored rows,
+    complete words and components, whatever the seeds and the cut."""
+    p = make()
+    cuts = Counter()
+    for kind, (seeds, budget) in _seed_orders(p, length).items():
+        g = explore(p, seeds, budget)
+        ref = _reference_explore(p, seeds, budget)
+        assert list(g.vertices.items()) == list(ref.vertices.items()), kind
+        assert g._succ == ref._succ and g._cut == ref._cut, kind
+        assert dict(dict.items(g.out)) == dict(dict.items(ref.out)), kind
+        assert (g.complete, g.truncated) == (ref.complete, ref.truncated)
+        assert g.scc_members == ref.scc_members and \
+            g.scc_of == ref.scc_of, kind
+        assert (g.scc_sinks, g.scc_cyclic) == (ref.scc_sinks, ref.scc_cyclic)
+        cuts.update(g._cut.values())
+    assert cuts["--max-states"] and cuts["--max-depth"]
+    assert cuts["--max-word-len"] or make is not _prefix_lhs
 
 
 @pytest.mark.parametrize("name", [*_FIXTURE_GRAPHS, *_ROW_GRAPHS])
@@ -529,7 +654,7 @@ def test_step_rows_are_the_enumerated_steps(name, request):
                 "--max-word-len" if len(refused) > g.budget.max_word_len
                 else "--max-states")
         assert g._succ[ids[u]] == tuple(ids[s.target] for s in row)
-    if name in ("braid-8-truncated", "grow", "depth-cut"):
+    if name in _TRUNCATED:
         assert g.truncated and len(g.complete) < len(ids)
     missing = ("z",) * 9
     assert missing not in g.out and g.out.get(missing, ()) == ()
@@ -590,7 +715,7 @@ def test_reachable_matches_a_search_over_step_targets(name, request):
                 assert g.quasi_normal_forms(u) == {
                     w for w in want if g.scc_of[w] in g.scc_sinks}
     assert raised == 0 or g.truncated
-    if name in ("braid-8-truncated", "grow", "depth-cut"):
+    if name in _TRUNCATED:
         assert raised
     for require_complete in (False, True):
         with pytest.raises(TruncatedRegion):
@@ -727,6 +852,7 @@ _PEIFFER_AUDITS = {
     # both reverse some of their rules and not others
     "abstract_states-4": lambda: _audited(abstract_states(), 4),
     "mixed_reverses-4": lambda: _audited(_mixed_reverses(), 4, max_len=6),
+    "prefix_lhs-4": lambda: _audited(_prefix_lhs(), 4, max_len=6),
     # the lafont graph audited one letter past its bound: label errors
     "lafont-5-at-6": lambda: _audited(no_fdt(), 4, bound=6, max_len=5),
     "braid-7-table": lambda: _tables(braid(), 7, 0),
