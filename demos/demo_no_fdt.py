@@ -39,7 +39,7 @@ def main():
     print(f"\ncompletion verdict: {c.verdict}")
     peiffer = c.audits["peiffer"]
     print(f"Peiffer squares audited: {peiffer.checked}, undecided: "
-          f"{len(peiffer.undecided)}")
+          f"{peiffer.undecided}")
     if peiffer.undecided:
         b = peiffer.first_undecided.branching
         print(f"  e.g. at {' '.join(b.source)}: {b.first} || {b.second}")

@@ -257,7 +257,7 @@ def cmd_complete(args) -> int:
             "context": _context_dict(ctx, "branching"),
             "peiffer": {"ok": peiffer.ok, "checked": peiffer.checked,
                         "variants": dict(peiffer.variants),
-                        "undecided": len(peiffer.undecided),
+                        "undecided": peiffer.undecided,
                         "first_undecided": _first_undecided(peiffer)},
             "loops": loops,
         },

@@ -430,9 +430,12 @@ class _PeifferMemo:
     """What deciding Peiffer branchings under one labelling learns once: the
     label of each word, or of each step key under a table labelling, that a
     square reads, or the error labelling it raises, and the decision on
-    each square's labels.  Under the nf labelling a word is its own label,
-    which cannot fail, and no two squares read the same words, so neither
-    is kept."""
+    each square's labels when none is an error (decide).  Under the nf
+    labelling a word is its own label, which cannot fail, and no two
+    squares read the same words, so neither is kept; there the audit hands
+    it only the squares it cannot read off the successor rows, those at a
+    word that is not complete or with a side that leads to one
+    (check_peiffer_decreasing)."""
 
     def __init__(self, lab: Labelling, g: ReductionGraph, p: Polygraph):
         self.polygraph = p
@@ -470,7 +473,10 @@ class _PeifferMemo:
         each paired redex are labelled once for all its squares; the label
         of a step no variant reads is never reported.  The step order, the
         reverse rules the square has and the eight labels determine the
-        decision under one labelling, so it is kept under them."""
+        decision under one labelling, so it is kept under them, unless a
+        label is an error: an error is the failure of one word or key, so
+        its squares' keys do not repeat, and past the explored words nearly
+        every square would keep one."""
         p = self.polygraph
         label = self.label
         reverse = p.reverse_rules
@@ -503,7 +509,8 @@ class _PeifferMemo:
             decision = decisions.get(key)
             if decision is None:
                 decision = _choose(self.order, _variant_labels(key))
-                if self.keep:
+                if self.keep and not any(isinstance(k, Exception)
+                                         for k in labels):
                     decisions[key] = decision
             out.append(decision)
         return out
@@ -636,20 +643,19 @@ def decide_peiffer(lab: Labelling, g: ReductionGraph, p: Polygraph,
 class PeifferAudit:
     """The Peiffer audit, shaped like ContextReport: whether every Peiffer
     branching passed, how many were checked, how many PASS branchings chose
-    each variant, and the report of every UNDECIDED one, in the order of
-    local_branchings.  Its length is the number checked."""
+    each variant, how many were UNDECIDED and the report of the first of
+    these in the order of local_branchings.  The later UNDECIDED ones are
+    only counted: a presentation audited past its explored words has one
+    for nearly every square.  Its length is the number checked."""
 
     ok: bool
     checked: int
     variants: Counter
-    undecided: list[PeifferReport]
+    undecided: int
+    first_undecided: PeifferReport | None
 
     def __len__(self):
         return self.checked
-
-    @property
-    def first_undecided(self) -> PeifferReport | None:
-        return self.undecided[0] if self.undecided else None
 
 
 def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
@@ -665,12 +671,30 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
     of its prefix ``u[:-1]`` (redexes), kept for this call for the words
     shorter than the bound, and paired when disjoint: no step is built for
     a square, and the graph stores no step row for the word.  A PASS
-    branching is only tallied by its variant; the steps and report of an
-    UNDECIDED one are built.  Squares with the same step order, reverse
-    rules and labels are decided once per call."""
+    branching is only tallied by its variant; the steps and report of the
+    first UNDECIDED one are built, and the others are counted.  Squares
+    with the same step order, reverse rules and labels are decided once
+    per call.
+
+    Under the nf labelling a square whose two sides f and h lead to
+    complete words is tallied as the plain Peiffer confluence, read off
+    the successor rows (ReductionGraph.complete_targets) without building
+    its words or reading its labels.  This is the decision _choose makes:
+    the h step out of tf = f.target is in tf's successor row, since tf is
+    complete and h's redex is untouched in it, and leads to ``both``, the
+    word where f and h are both applied; likewise f's step out of th.  So
+    ``both`` is below tf and below th in the reachability order, which
+    ReachabilityOrder.less reads from those rows, and ``both`` differs from
+    each, since Labelling.nf refuses a graph with a cycle, a step from a
+    word to itself included.  The Peiffer variant, read first, is then
+    strict, and _choose returns it with no attempts.  Only the other
+    squares are labelled and decided (_PeifferMemo.decide)."""
     memo = _PeifferMemo(lab, g, p)
+    nf = lab.kind == NF
+    read_off = 0
     variants: Counter = Counter()
-    undecided = []
+    undecided = 0
+    first = None
     checked = 0
     scanned: dict[Word, list] = {}
     for u in all_words(p, len_bound):
@@ -684,18 +708,29 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
         if not pairs:
             continue
         checked += len(pairs)
+        done = nf and g.complete_targets(u)
+        if done:
+            rest = [(i, j) for i, j in pairs if not (done[i] and done[j])]
+            read_off += len(pairs) - len(rest)
+            if not rest:
+                continue
+            pairs = rest
         for (i, j), decision in zip(pairs, memo.decide(u, found, pairs)):
             variant, _, _, attempts = decision
             if variant is not None:
                 variants[variant] += 1
                 continue
+            undecided += 1
+            if first is not None:
+                continue
             (fp, fe, f_rule), (hp, he, h_rule) = found[i], found[j]
             b = LocalBranching(RewriteStep(u[:fp], f_rule, u[fe:]),
                                RewriteStep(u[:hp], h_rule, u[he:]))
-            undecided.append(PeifferReport(b, "UNDECIDED",
-                                           attempts=list(attempts),
-                                           polygraph=p))
-    return PeifferAudit(not undecided, checked, variants, undecided)
+            first = PeifferReport(b, "UNDECIDED", attempts=list(attempts),
+                                  polygraph=p)
+    if read_off:
+        variants["peiffer"] += read_off
+    return PeifferAudit(not undecided, checked, variants, undecided, first)
 
 
 # ---------------------------------------------------------------------------
@@ -792,13 +827,25 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
     each context.  Sphere filling does not choose it anew: it pastes the
     recorded completion, whiskered, and only re-checks its strictness, so
     a whiskered branching this audit closes may still be closed
-    non-strictly there."""
+    non-strictly there.
+
+    A whiskered branching with no strict closure is unverified, not a
+    violation, when its source is not a complete explored word: the budget
+    left out words its closure may need.  Its error names the word and the
+    option that left it out."""
 
     def fails(local, u1, u2):
         wb = LocalBranching(local.first.whisker(u1, u2),
                             local.second.whisker(u1, u2))
-        d = find_decreasing(lab, g, wb, strict=True)
-        return {} if d is None else None
+        if find_decreasing(lab, g, wb, strict=True) is not None:
+            return None
+        u = wb.source
+        if u not in g.complete:
+            why = (f"is left incomplete by {g.cut_by(u)}" if u in g.vertices
+                   else "is longer than --max-word-len"
+                   if len(u) > g.budget.max_word_len else "was not explored")
+            raise TruncatedRegion(f"{word_str(u)} {why}")
+        return {}
 
     items = (({"branching": idx}, b) for idx, b in enumerate(branchings))
     return _context_audit(g.polygraph, items, ctx_bound, fails)

@@ -389,9 +389,11 @@ class ReductionGraph:
     vertex of id i, in step order.  ``out[u]`` holds those steps; it is
     built when first read, except for the words a budget cut, whose kept
     steps are stored as they are explored.  Every pass over the edges that
-    needs only their targets reads the successor rows.  One Tarjan pass
-    over them sets ``scc_of``, ``scc_members`` (in the order Tarjan closes
-    the components, each with its members in the order they leave its
+    needs only their targets reads the successor rows, and so does
+    ``complete_targets``, which tells which steps out of a complete word
+    lead to complete words.  One Tarjan pass over the rows sets
+    ``scc_of``, ``scc_members`` (in the order Tarjan closes the
+    components, each with its members in the order they leave its
     stack), ``scc_sinks`` (the closed components of complete words: the
     quasi-normal forms) and ``scc_cyclic`` (the ascending indices of the
     components that carry a cycle: more than one member, or a step from a
@@ -579,6 +581,17 @@ class ReductionGraph:
         behind the first refusal among its steps' targets,
         ``--max-word-len`` or ``--max-states``; None when u is complete."""
         return self._cut.get(self.vertices[u])
+
+    def complete_targets(self, u: Word) -> list[bool] | None:
+        """Whether the target of each step out of u is complete, in the
+        order of u's steps (redexes) and of its successor row; None when u
+        is unexplored or cut.  It reads the successor rows and the cut
+        words only, so it builds no step row."""
+        i = self.vertices.get(u)
+        cut = self._cut
+        if i is None or i in cut:
+            return None
+        return [t not in cut for t in self._succ[i]]
 
     def steps_from(self, u: Word) -> tuple[RewriteStep, ...]:
         if u not in self.vertices:

@@ -190,7 +190,10 @@ def test_failed_context_audit_text_names_its_first_witness(braid_file,
     """The text of a failed context audit names its first violation, or,
     with none (braid at length 5: 56 unverified contexts), the number of
     unverified contexts and the first with its error, as the JSON gives
-    them; check-decreasing and complete alike."""
+    them; check-decreasing and complete alike.  complete reads a whiskered
+    critical branching with no strict closure at a word longer than the
+    length bound as unverified: every one of its contexts at lengths 5
+    and 6."""
     argv = ["check-decreasing", braid_file, "--max-word-len", str(length)]
     assert main(argv) == 3
     line = next(x for x in capsys.readouterr().out.splitlines()
@@ -216,10 +219,14 @@ def test_failed_context_audit_text_names_its_first_witness(braid_file,
     assert main(argv + ["--format", "json"]) == 3
     ctx = json.loads(capsys.readouterr().out)["audits"]["context"]
     left = {5: ("s",), 6: ("s", "s")}[length]
-    assert ctx["violations"][0] == {"branching": 0,
-                                    "context": [" ".join(left), "1"]}
-    assert line == ("audit context: FAILED, violation at {'branching': 0, "
-                    f"'context': ({left}, ())}}")
+    count = {5: 56, 6: 24}[length]
+    error = (f"{' '.join(left + ('s', 't', 's', 't', 's'))} is longer "
+             "than --max-word-len")
+    assert ctx["violations"] == [] and ctx["unverified"] == count
+    assert ctx["first_unverified"] == {
+        "branching": 0, "context": [" ".join(left), "1"], "error": error}
+    assert line == (f"audit context: FAILED, {count} unverified, first at "
+                    f"{{'branching': 0, 'context': ({left}, ())}} ({error})")
 
 
 def test_loop_audit_names_the_budget_option_it_hit(braid_file, capsys):

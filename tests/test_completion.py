@@ -288,8 +288,13 @@ def test_undecided_peiffer_closures_paste_the_square(lafont_p, lafont_g):
     Peiffer square, which needs no cell, and not strictly."""
     lab = Labelling.qnf(_derived_qnf_map(lafont_g))
     c = build_completion(lafont_p, lab, lafont_g, peiffer_len_bound=4)
-    undecided = [r.branching for r in c.audits["peiffer"].undecided]
-    assert undecided
+    reports = [decide_peiffer(lab, lafont_g, lafont_p, b)
+               for u in all_words(lafont_p, 4)
+               for b in local_branchings(lafont_p, u) if b.kind == PEIFFER]
+    undecided = [r.branching for r in reports if r.status == "UNDECIDED"]
+    audit = c.audits["peiffer"]
+    assert undecided and audit.undecided == len(undecided)
+    assert audit.first_undecided.branching == undecided[0]
     for b in undecided:
         c_f, c_h, e, strict = _peiffer_closure(c, lab, lafont_g, b.first,
                                                b.second)

@@ -46,19 +46,29 @@ def test_all_braid_peiffer_branchings_pass(braid_p, braid_g, braid_lab):
     assert sum(audit.variants.values()) == audit.checked == len(audit)
 
 
+def _peiffer_reports(lab, g, p, bound):
+    """decide_peiffer on every Peiffer branching on words up to the bound,
+    in the order of local_branchings, which the audit enumerates."""
+    return [decide_peiffer(lab, g, p, b) for u in all_words(p, bound)
+            for b in local_branchings(p, u) if b.kind == PEIFFER]
+
+
 def test_peiffer_audit_beyond_explored_words_is_undecided(lafont_g):
     p, n = lafont_g.polygraph, lafont_g.budget.max_word_len
-    audit = check_peiffer_decreasing(
-        Labelling.qnf(_derived_qnf_map(lafont_g)), lafont_g, p, n + 1)
-    beyond = [r for r in audit.undecided if len(r.branching.source) > n]
+    lab = Labelling.qnf(_derived_qnf_map(lafont_g))
+    audit = check_peiffer_decreasing(lab, lafont_g, p, n + 1)
+    reports = _peiffer_reports(lab, lafont_g, p, n + 1)
+    undecided = [r for r in reports if r.status == "UNDECIDED"]
+    beyond = [r for r in reports if len(r.branching.source) > n]
     assert beyond and [r.branching for r in beyond] == [
         b for u in all_words(p, n + 1) if len(u) > n
         for b in local_branchings(p, u) if b.kind == PEIFFER]
     assert all(r.status == "UNDECIDED" for r in beyond)
     assert all(a.get("error") for r in beyond for a in r.attempts)
     assert audit.variants and not audit.ok
-    assert sum(audit.variants.values()) + len(audit.undecided) \
-        == audit.checked
+    assert audit.undecided == len(undecided) and audit.checked == len(reports)
+    assert audit.first_undecided == undecided[0]
+    assert sum(audit.variants.values()) + audit.undecided == audit.checked
 
 
 def test_peiffer_variants_reject_other_branchings(braid_p):
@@ -110,6 +120,33 @@ def test_braid_criticals_stay_closable_in_context(braid_p, braid_g,
                                     ctx_bound=2)
     assert rep.ok, rep.violations or rep.unverified
     assert rep.checked > len(critical_branchings(braid_p))
+
+
+def test_context_closability_reads_truncation_as_unverified(braid_p):
+    """A whiskered critical branching with no strict closure is a violation
+    only at a complete word; elsewhere it is unverified, and its error
+    names the word and the option that left it out."""
+    g = explore(braid_p, all_words(braid_p, 7), ExplorationBudget(7, 200))
+    crits = critical_branchings(braid_p)
+    rep = check_context_closability(Labelling.qnf(_derived_qnf_map(g)), g,
+                                    crits, ctx_bound=2)
+    assert rep.violations and rep.unverified and not rep.ok
+
+    def source(record):
+        u1, u2 = record["context"]
+        return u1 + crits[record["branching"]].source + u2
+
+    assert all(source(v) in g.complete for v in rep.violations)
+    errors = Counter()
+    for record in rep.unverified:
+        u = source(record)
+        assert u not in g.complete
+        why = (f"is left incomplete by {g.cut_by(u)}" if u in g.vertices
+               else "was not explored")
+        assert record["error"] == f"{' '.join(u)} {why}"
+        errors[why] += 1
+    assert errors["is left incomplete by --max-states"] and \
+        errors["was not explored"]
 
 
 def test_strictness_does_not_survive_whiskering(braid_p, braid_g,
@@ -174,9 +211,15 @@ def test_one_peiffer_audit_labels_each_word_or_key_once(ab_p, monkeypatch,
             return fn(lab, *args)
         monkeypatch.setattr(decreasing, name, counted)
     audit = check_peiffer_decreasing(lab, g, ab_p, 5)
-    errors = {a["error"] for r in audit.undecided for a in r.attempts
-              if "error" in a}
     assert calls and max(calls.values()) == 1
+    # the audit reports its first UNDECIDED branching, and decides every
+    # other as decide_peiffer does
+    reports = [r for r in _peiffer_reports(lab, g, ab_p, 5)
+               if r.status == "UNDECIDED"]
+    assert audit.undecided == len(reports)
+    assert audit.first_undecided == reports[0]
+    errors = {a["error"] for r in reports for a in r.attempts
+              if "error" in a}
     assert (("no table entry for step 1|alpha|a a a" if table
              else "no quasi-normal form chosen for b a a a") in errors)
     assert not any(e.startswith("'") for e in errors)

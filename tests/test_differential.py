@@ -664,6 +664,33 @@ def test_step_rows_are_the_enumerated_steps(name, request):
         g.steps_from(missing)
 
 
+@pytest.mark.parametrize("name", ["convergent_braid-7", "prefix_lhs-6",
+                                  "braid-8-truncated", "grow", "depth-cut"])
+def test_complete_targets_match_the_redexes_and_complete_words(name):
+    """For a complete word, whether each redex's target is complete, in
+    the order of redexes; None for a cut or unexplored word.  No step row
+    is stored."""
+    g = (explore(_prefix_lhs(), all_words(_prefix_lhs(), 6),
+                 ExplorationBudget(6)) if name == "prefix_lhs-6"
+         else _ROW_GRAPHS[name]())
+    p = g.polygraph
+    read = Counter()
+    for u in g.vertices:
+        got = g.complete_targets(u)
+        if u not in g.complete:
+            assert got is None, u
+            read[None] += 1
+            continue
+        assert got == [u[:pos] + rule.rhs + u[end:] in g.complete
+                       for pos, end, rule in redexes(p, u)], u
+        read.update(got)
+    assert g.complete_targets(("z",) * 9) is None
+    assert not dict.keys(g.out) - (set(g.vertices) - g.complete)
+    assert read[True]
+    if name != "convergent_braid-7":
+        assert read[False] and read[None]
+
+
 @pytest.mark.parametrize("p, budget", [
     (convergent_braid(), ExplorationBudget(6)),
     (braid(), ExplorationBudget(8, max_states=200))],
@@ -814,12 +841,14 @@ def _reference_decide(lab, g, p, b):
     return "PASS", name, False, attempts, d, witnesses
 
 
-def _audited(p, length, bound=None, label="qnf", max_len=None):
+def _audited(p, length, bound=None, label="qnf", max_len=None,
+             max_states=100000):
     """p explored from every word up to ``length`` (words up to
-    ``max_len``, the length by default), its labelling, and the Peiffer
-    bound to audit it at (the length by default)."""
+    ``max_len``, the length by default, and at most ``max_states``), its
+    labelling, and the Peiffer bound to audit it at (the length by
+    default)."""
     g = explore(p, all_words(p, length),
-                ExplorationBudget(max_len or length, 100000, 200))
+                ExplorationBudget(max_len or length, max_states, 200))
     lab = (Labelling.nf(g) if label == "nf"
            else Labelling.qnf(_derived_qnf_map(g)))
     return p, g, lab, bound or length
@@ -842,6 +871,15 @@ def _mixed_reverses():
                      tuple(Rule(n, tuple(l), tuple(r)) for n, l, r in rules))
 
 
+def _lengthening():
+    """A terminating presentation whose rule lengthens words: b a rewrites
+    to a b b, so the sides of a square at the length bound are cut by it,
+    and c c vanishes."""
+    rules = [("ba_abb", "ba", "abb"), ("cc_1", "cc", "")]
+    return Polygraph("lengthening", ("a", "b", "c"),
+                     tuple(Rule(n, tuple(l), tuple(r)) for n, l, r in rules))
+
+
 _PEIFFER_AUDITS = {
     "braid-8": lambda: _audited(braid(), 8),
     "two_letters-6": lambda: _audited(two_letters(), 6),
@@ -849,6 +887,13 @@ _PEIFFER_AUDITS = {
     "no_fdt-5": lambda: _audited(no_fdt(), 5),
     "convergent_braid-7-nf": lambda: _audited(convergent_braid(), 7,
                                               label="nf"),
+    # nf squares the successor rows cannot decide: at unexplored words, at
+    # words a budget cut, and with a side the length bound cut
+    "convergent_braid-5-at-6-nf": lambda: _audited(
+        convergent_braid(), 5, bound=6, label="nf"),
+    "convergent_braid-6-states-nf": lambda: _audited(
+        convergent_braid(), 6, label="nf", max_states=400),
+    "lengthening-5-nf": lambda: _audited(_lengthening(), 5, label="nf"),
     # both reverse some of their rules and not others
     "abstract_states-4": lambda: _audited(abstract_states(), 4),
     "mixed_reverses-4": lambda: _audited(_mixed_reverses(), 4, max_len=6),
@@ -900,11 +945,21 @@ def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
     assert audit.checked == len(audit) == len(pairs) // 2
     assert audit.variants == Counter(r.variant for r in listed
                                      if r.status == "PASS")
-    assert audit.undecided == [r for r in listed if r.status == "UNDECIDED"]
-    assert audit.ok == (not audit.undecided)
+    undecided = [r for r in listed if r.status == "UNDECIDED"]
+    assert audit.undecided == len(undecided)
+    assert audit.first_undecided == (undecided[0] if undecided else None)
+    assert audit.ok == (not undecided)
     assert statuses["PASS"]
     if name in ("no_fdt-5", "lafont-5-at-6"):
         assert statuses["UNDECIDED"]
+    if name.endswith("-nf"):
+        # the nf audit reads a square off the successor rows when its
+        # source and both sides are complete, and decides the others on
+        # their labels
+        read_off = Counter(all(w in g.complete for w in (
+            b.source, b.first.target, b.second.target)) for b in pairs)
+        assert read_off[True]
+        assert read_off[False] or name == "convergent_braid-7-nf"
     if name == "lafont-5-at-6" or name.endswith("-table"):
         assert errors
 
@@ -937,8 +992,8 @@ def test_lazily_built_peiffer_diagrams_pass_their_checks(peiffer_audit):
     ids=["convergent_braid-6-nf", "convergent_braid-6-qnf", "no_fdt-5"])
 def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
                                                         length, label):
-    """The audit builds the steps, branching and report of an UNDECIDED
-    Peiffer square only, and stores no step row in the graph."""
+    """The audit builds the steps, branching and report of the first
+    UNDECIDED Peiffer square only, and stores no step row in the graph."""
     p, g, lab, bound = _audited(system(), length, label=label)
     rows = set(dict.keys(g.out))
     built = Counter()
@@ -949,8 +1004,10 @@ def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
             built[name] += 1
         monkeypatch.setattr(cls, "__init__", counting)
     audit = check_peiffer_decreasing(lab, g, p, bound)
-    n = len(audit.undecided)
+    n = audit.undecided
     assert audit.checked > n and (n > 0) == (system is no_fdt)
-    assert built == Counter({"RewriteStep": 2 * n, "LocalBranching": n,
-                             "PeifferReport": n})
+    # the first UNDECIDED square only has its report built
+    k = min(n, 1)
+    assert built == Counter({"RewriteStep": 2 * k, "LocalBranching": k,
+                             "PeifferReport": k})
     assert set(dict.keys(g.out)) == rows
