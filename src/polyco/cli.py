@@ -38,19 +38,26 @@ SKELETON_NOTE = ("homology of the 2-skeleton without 3-cells; "
                  "give the completion's cells with --cells")
 
 
-def _add_common(sp):
-    sp.add_argument("polygraph", help="presentation file (.poly)")
+def _add_exploration(sp):
     sp.add_argument("--max-word-len", type=int, default=7)
     sp.add_argument("--max-states", type=int, default=100000)
     sp.add_argument("--max-depth", type=int, default=200)
+
+
+def _add_audits(sp):
+    """The exploration budget, the audit bounds and the labelling, which
+    every subcommand that closes critical branchings reads."""
+    _add_exploration(sp)
     sp.add_argument("--ctx-bound", type=int, default=2)
     sp.add_argument("--peiffer-len-bound", type=int, default=6)
     sp.add_argument("--label", choices=["qnf", "nf", "singleton", "table"],
                     default="qnf")
     sp.add_argument("--qnf-map", metavar="FILE")
     sp.add_argument("--label-table", metavar="FILE")
+
+
+def _add_cells(sp):
     sp.add_argument("--cells", metavar="FILE")
-    sp.add_argument("--format", choices=["text", "json"], default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,14 +65,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polyco",
         description="string rewriting analysis on monoid presentations")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, doc in [
-            ("analyze", "explore the reduction graph and classify it"),
-            ("complete", "build a coherent completion with audits"),
-            ("check-decreasing", "search decreasing diagrams and audit them"),
-            ("fill-sphere", "express a parallel sphere in completion cells"),
-            ("homology", "integral homology of the presentation")]:
+    for name, doc, options in [
+            ("analyze", "explore the reduction graph and classify it",
+             (_add_exploration,)),
+            ("complete", "build a coherent completion with audits",
+             (_add_audits,)),
+            ("check-decreasing", "search decreasing diagrams and audit them",
+             (_add_audits,)),
+            ("fill-sphere", "express a parallel sphere in completion cells",
+             (_add_audits, _add_cells)),
+            ("homology", "integral homology of the presentation",
+             (_add_cells,))]:
         sp = sub.add_parser(name, help=doc)
-        _add_common(sp)
+        sp.add_argument("polygraph", help="presentation file (.poly)")
+        for add in options:
+            add(sp)
+        sp.add_argument("--format", choices=["text", "json"], default="text")
         if name == "fill-sphere":
             sp.add_argument("sphere", help="file with a 'sphere : A => B' line")
     return ap
@@ -93,7 +108,7 @@ def _derived_qnf_map(g):
     least = {}
     qm = {}
     for w in g.vertices:
-        i = g.scc_of[w]
+        i = g.component_of(w)
         if i not in least:
             try:
                 least[i] = least_qnf(g, w)
@@ -193,10 +208,10 @@ def _context_status(ctx) -> str:
 
 
 def _budget_dict(args):
-    return {"max_word_len": args.max_word_len,
-            "max_states": args.max_states, "max_depth": args.max_depth,
-            "ctx_bound": args.ctx_bound,
-            "peiffer_len_bound": args.peiffer_len_bound}
+    """The budget options the subcommand takes, with their values."""
+    return {k: getattr(args, k)
+            for k in ("max_word_len", "max_states", "max_depth", "ctx_bound",
+                      "peiffer_len_bound") if hasattr(args, k)}
 
 
 def cmd_analyze(args) -> int:

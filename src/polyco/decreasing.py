@@ -172,7 +172,7 @@ def _greedy_normalize(g: ReductionGraph, u: Word) -> Path:
     steps = []
     at = u
     for _ in range(NORMALIZE_STEPS):
-        if at not in g.complete:
+        if not g.is_complete(at):
             raise TruncatedRegion(
                 f"{word_str(at)} is incomplete in the explored graph")
         out = g.steps_from(at)
@@ -643,14 +643,16 @@ def decide_peiffer(lab: Labelling, g: ReductionGraph, p: Polygraph,
 class PeifferAudit:
     """The Peiffer audit, shaped like ContextReport: whether every Peiffer
     branching passed, how many were checked, how many PASS branchings chose
-    each variant, how many were UNDECIDED and the report of the first of
-    these in the order of local_branchings.  The later UNDECIDED ones are
-    only counted: a presentation audited past its explored words has one
-    for nearly every square.  Its length is the number checked."""
+    each variant and how many of these read strict, how many were
+    UNDECIDED and the report of the first of these in the order of
+    local_branchings.  The later UNDECIDED ones are only counted: a
+    presentation audited past its explored words has one for nearly every
+    square.  Its length is the number checked."""
 
     ok: bool
     checked: int
     variants: Counter
+    strict: int
     undecided: int
     first_undecided: PeifferReport | None
 
@@ -671,10 +673,10 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
     of its prefix ``u[:-1]`` (redexes), kept for this call for the words
     shorter than the bound, and paired when disjoint: no step is built for
     a square, and the graph stores no step row for the word.  A PASS
-    branching is only tallied by its variant; the steps and report of the
-    first UNDECIDED one are built, and the others are counted.  Squares
-    with the same step order, reverse rules and labels are decided once
-    per call.
+    branching is only tallied, by its variant and whether it reads strict;
+    the steps and report of the first UNDECIDED one are built, and the
+    others are counted.  Squares with the same step order, reverse rules
+    and labels are decided once per call.
 
     Under the nf labelling a square whose two sides f and h lead to
     complete words is tallied as the plain Peiffer confluence, read off
@@ -684,15 +686,17 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
     complete and h's redex is untouched in it, and leads to ``both``, the
     word where f and h are both applied; likewise f's step out of th.  So
     ``both`` is below tf and below th in the reachability order, which
-    ReachabilityOrder.less reads from those rows, and ``both`` differs from
+    ReductionGraph.reaches reads from those rows, and ``both`` differs from
     each, since Labelling.nf refuses a graph with a cycle, a step from a
     word to itself included.  The Peiffer variant, read first, is then
-    strict, and _choose returns it with no attempts.  Only the other
-    squares are labelled and decided (_PeifferMemo.decide)."""
+    strict, and _choose returns it with no attempts: the square is
+    tallied as strict.  Only the other squares are labelled and decided
+    (_PeifferMemo.decide)."""
     memo = _PeifferMemo(lab, g, p)
     nf = lab.kind == NF
     read_off = 0
     variants: Counter = Counter()
+    strict = 0
     undecided = 0
     first = None
     checked = 0
@@ -716,9 +720,10 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
                 continue
             pairs = rest
         for (i, j), decision in zip(pairs, memo.decide(u, found, pairs)):
-            variant, _, _, attempts = decision
+            variant, is_strict, _, attempts = decision
             if variant is not None:
                 variants[variant] += 1
+                strict += is_strict
                 continue
             undecided += 1
             if first is not None:
@@ -730,7 +735,8 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
                                   polygraph=p)
     if read_off:
         variants["peiffer"] += read_off
-    return PeifferAudit(not undecided, checked, variants, undecided, first)
+    return PeifferAudit(not undecided, checked, variants, strict + read_off,
+                        undecided, first)
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +846,7 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
         if find_decreasing(lab, g, wb, strict=True) is not None:
             return None
         u = wb.source
-        if u not in g.complete:
+        if not g.is_complete(u):
             why = (f"is left incomplete by {g.cut_by(u)}" if u in g.vertices
                    else "is longer than --max-word-len"
                    if len(u) > g.budget.max_word_len else "was not explored")

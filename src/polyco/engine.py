@@ -373,8 +373,9 @@ class ReductionGraph:
 
     Vertices are words, numbered in the order exploration met them
     (``vertices`` maps each word to its id); edges are forward steps.  A
-    vertex is complete when every step out of it was kept; budget refusals
-    mark the vertex incomplete and set the truncated flag.
+    vertex is complete (``is_complete``) when every step out of it was
+    kept; budget refusals mark the vertex incomplete, record the option
+    behind them (``cut_by``) and set the truncated flag.
 
     Exploration walks one depth level after the other, each in id order.
     It reads a word's redexes off those of its prefix ``u[:-1]`` (redexes)
@@ -391,21 +392,21 @@ class ReductionGraph:
     steps are stored as they are explored.  Every pass over the edges that
     needs only their targets reads the successor rows, and so does
     ``complete_targets``, which tells which steps out of a complete word
-    lead to complete words.  One Tarjan pass over the rows sets
-    ``scc_of``, ``scc_members`` (in the order Tarjan closes the
-    components, each with its members in the order they leave its
-    stack), ``scc_sinks`` (the closed components of complete words: the
-    quasi-normal forms) and ``scc_cyclic`` (the ascending indices of the
-    components that carry a cycle: more than one member, or a step from a
-    word to itself).
+    lead to complete words.  One Tarjan pass over the rows sets the
+    component of each id (``component_of``), ``scc_members`` (in the order
+    Tarjan closes the components, each with its members in the order they
+    leave its stack), ``scc_sinks`` (the closed components of complete
+    words: the quasi-normal forms) and ``scc_cyclic`` (the ascending
+    indices of the components that carry a cycle: more than one member, or
+    a step from a word to itself).
 
-    ``distance`` and ``geodesic`` read one backward breadth-first search
-    from their target, cached per target over a predecessor index built
-    from the successor rows on the first such query.  ``reachable``
-    searches the successor rows forward from its source and caches nothing;
-    ``ReachabilityOrder`` does not call it: it reads the upper word's
-    successor row, then keeps a forward search per upper word that it
-    resumes only as far as each query needs.
+    Every search is one breadth-first search over id rows
+    (_breadth_first).  ``distance`` and ``geodesic`` read one backward
+    search from their target, cached per target, over a predecessor index
+    built from the successor rows on the first such query; ``component``
+    searches both ways, ``reachable`` and ``quasi_normal_forms`` forward.
+    ``reaches`` reads the source's successor row, then one forward search
+    kept per source.
     """
 
     def __init__(self, polygraph: Polygraph, budget: ExplorationBudget):
@@ -413,9 +414,7 @@ class ReductionGraph:
         self.budget = budget
         self.vertices: dict[Word, int] = {}
         self.out = _StepRows(polygraph, self.vertices)
-        self.complete: set[Word] = set()
         self.truncated = False
-        self.scc_of: dict[Word, int] = {}
         self.scc_members: list[tuple[Word, ...]] = []
         self.scc_sinks: set[int] = set()
         self.scc_cyclic: list[int] = []
@@ -424,7 +423,8 @@ class ReductionGraph:
         self._words: list[Word] = []
         self._comp: list[int] = []
         self._pred: tuple[list[Word], array, array] | None = None
-        self._dist_to: dict[Word, dict[Word, int]] = {}
+        self._dist_to: dict[int, dict[int, int]] = {}
+        self._reach_from: dict[int, dict[int, int]] = {}
 
     # -- exploration -------------------------------------------------
 
@@ -489,8 +489,6 @@ class ReductionGraph:
         if cut:
             self.truncated = True
         self._compute_sccs()
-        self.complete.update(ids)
-        self.complete.difference_update([self._words[i] for i in cut])
 
     def _compute_sccs(self) -> None:
         # iterative Tarjan on vertex ids; it closes a component only after
@@ -565,7 +563,6 @@ class ReductionGraph:
                         sinks.add(i)
                     sccs.append(tuple(words[m] for m in members))
         self.scc_members = sccs
-        self.scc_of = dict(zip(words, comp))
         self._comp = comp
         self.scc_sinks = sinks
         self.scc_cyclic = cyclic
@@ -574,6 +571,17 @@ class ReductionGraph:
 
     def has_cycle(self) -> bool:
         return bool(self.scc_cyclic)
+
+    def is_complete(self, u: Word) -> bool:
+        """Whether u was explored and every step out of it kept."""
+        i = self.vertices.get(u)
+        return i is not None and i not in self._cut
+
+    def component_of(self, u: Word) -> int | None:
+        """The index in ``scc_members`` of the strongly connected component
+        of u; None when u was not explored."""
+        i = self.vertices.get(u)
+        return None if i is None else self._comp[i]
 
     def cut_by(self, u: Word) -> str | None:
         """The budget option that left the explored word u incomplete:
@@ -604,20 +612,14 @@ class ReductionGraph:
         i = self.vertices.get(u)
         if i is None:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
-        succ = self._succ
-        cut = self._cut if require_complete else ()
-        dist = {i: 0}
-        queue = [i]
-        for v in queue:
+        succ, cut = self._succ, self._cut if require_complete else ()
+
+        def row(v):
             if v in cut:
                 raise TruncatedRegion(f"{word_str(self._words[v])} is "
                                       f"incomplete in the explored graph")
-            d = dist[v] + 1
-            for t in succ[v]:
-                if t not in dist:
-                    dist[t] = d
-                    queue.append(t)
-        return dist
+            return succ[v]
+        return _breadth_first(i, row)
 
     def reachable(self, u: Word, require_complete: bool = False
                   ) -> dict[Word, int]:
@@ -625,6 +627,22 @@ class ReductionGraph:
         words = self._words
         return {words[v]: d
                 for v, d in self._reach_ids(u, require_complete).items()}
+
+    def reaches(self, u: Word, v: Word) -> bool:
+        """Whether u rewrites to v in the explored graph, in no step when
+        they are equal; False when either was not explored.  A successor
+        of u, the common query, is read from u's successor row; otherwise
+        from the ids reachable from u, found once per u and kept."""
+        ids = self.vertices
+        i, j = ids.get(u), ids.get(v)
+        if i is None or j is None:
+            return False
+        if j in self._succ[i]:
+            return True
+        below = self._reach_from.get(i)
+        if below is None:
+            below = self._reach_from[i] = self._reach_ids(u, False)
+        return j in below
 
     def _predecessors(self) -> tuple[list[Word], array, array]:
         """Words by id, and the sources of the edges into each id in
@@ -646,34 +664,24 @@ class ReductionGraph:
             self._pred = self._words, start, pred
         return self._pred
 
-    def _distances_to(self, v: Word) -> dict[Word, int]:
-        """Every word that reaches v, mapped to its distance to v."""
-        if v not in self.vertices:
+    def _distances_to(self, v: Word) -> dict[int, int]:
+        """The id of every word that reaches v, mapped to its distance to
+        v."""
+        j = self.vertices.get(v)
+        if j is None:
             return {}
-        dist = self._dist_to.get(v)
+        dist = self._dist_to.get(j)
         if dist is None:
-            words, start, pred = self._predecessors()
-            dist = {v: 0}
-            frontier = [self.vertices[v]]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for x in frontier:
-                    for y in pred[start[x]:start[x + 1]]:
-                        w = words[y]
-                        if w not in dist:
-                            dist[w] = d
-                            nxt.append(y)
-                frontier = nxt
-            self._dist_to[v] = dist
+            _, start, pred = self._predecessors()
+            dist = self._dist_to[j] = _breadth_first(
+                j, lambda x: pred[start[x]:start[x + 1]])
         return dist
 
     def distance(self, u: Word, v: Word) -> int:
         """Length of a shortest rewriting path from u to v."""
         if u not in self.vertices:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
-        d = self._distances_to(v).get(u)
+        d = self._distances_to(v).get(self.vertices[u])
         if d is None:
             raise Unreachable(
                 f"{word_str(v)} is not reachable from {word_str(u)}")
@@ -682,10 +690,11 @@ class ReductionGraph:
     def geodesic(self, u: Word, v: Word) -> Path:
         """A shortest path from u to v: from each word, the first step out
         of it that gets one step closer to v."""
-        if u not in self.vertices:
+        ids = self.vertices
+        if u not in ids:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
         dist = self._distances_to(v)
-        d = dist.get(u)
+        d = dist.get(ids[u])
         if d is None:
             raise Unreachable(
                 f"{word_str(v)} is not reachable from {word_str(u)}")
@@ -694,7 +703,7 @@ class ReductionGraph:
         while d:
             d -= 1
             # the search reached ``at`` through a step out of it
-            s = next(s for s in self.out[at] if dist.get(s.target) == d)
+            s = next(s for s in self.out[at] if dist.get(ids[s.target]) == d)
             steps.append(s)
             at = s.target
         return Path._checked(u, tuple(steps))
@@ -708,19 +717,29 @@ class ReductionGraph:
     def component(self, u: Word) -> set[Word]:
         """Undirected component of u: the explored part of its congruence
         class."""
-        if u not in self.vertices:
+        i = self.vertices.get(u)
+        if i is None:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
         words, start, pred = self._predecessors()
         succ = self._succ
-        i = self.vertices[u]
-        seen = {i}
-        queue = [i]
-        for v in queue:
-            for j in (*succ[v], *pred[start[v]:start[v + 1]]):
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return {words[j] for j in queue}
+        return {words[j] for j in _breadth_first(
+            i, lambda v: (*succ[v], *pred[start[v]:start[v + 1]]))}
+
+
+def _breadth_first(start: int, rows) -> dict[int, int]:
+    """Breadth-first search from the id ``start``: every id it reaches
+    through ``rows(v)``, the ids one edge from v, mapped to its depth, in
+    the order reached.  Every search over the explored graph's id rows is
+    one of these."""
+    depth = {start: 0}
+    queue = [start]
+    for v in queue:
+        d = depth[v] + 1
+        for t in rows(v):
+            if t not in depth:
+                depth[t] = d
+                queue.append(t)
+    return depth
 
 
 def explore(p: Polygraph, seeds, budget: ExplorationBudget | None = None

@@ -18,7 +18,7 @@ label order.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (ParseError, Polygraph, Word, file_lines, parse_word,
@@ -79,38 +79,15 @@ class FinitePosetOrder(LabelOrder):
 
 class ReachabilityOrder(LabelOrder):
     """Words ordered by the rewriting relation of an explored graph:
-    a is below b when b rewrites to a in at least one step.  A successor
-    of b, the common query, is read from b's successor row.  Otherwise the
-    ids below b come from one breadth-first search over the successor rows
-    from b, kept per b with its queue and resumed only until a turns up or
-    the search is done.  A word that was not explored is above nothing and
-    below nothing."""
+    a is below b when b rewrites to a in at least one step
+    (ReductionGraph.reaches).  A word that was not explored is above
+    nothing and below nothing."""
 
     def __init__(self, graph: ReductionGraph):
         self.graph = graph
-        self._searches: dict[int, tuple[set[int], deque[int]]] = {}
 
     def less(self, a, b) -> bool:
-        if a == b:
-            return False
-        ids = self.graph.vertices
-        i = ids.get(b)
-        j = ids.get(a)
-        if i is None or j is None:
-            return False
-        succ = self.graph._succ
-        if j in succ[i]:
-            return True
-        search = self._searches.get(i)
-        if search is None:
-            search = self._searches[i] = {i}, deque([i])
-        seen, queue = search
-        while j not in seen and queue:
-            for t in succ[queue.popleft()]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return j in seen
+        return a != b and self.graph.reaches(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +164,7 @@ def label_target(lab: Labelling, g: ReductionGraph, t: Word):
             raise MissingLabel(
                 f"no quasi-normal form chosen for {word_str(t)}")
         qn = lab.qnf_map[t]
-        if qn not in g.vertices or g.scc_of.get(qn) not in g.scc_sinks:
+        if g.component_of(qn) not in g.scc_sinks:
             raise NotQuasiNormalForm(
                 f"{word_str(qn)} is not a quasi-normal form "
                 f"in the explored graph")

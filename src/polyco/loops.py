@@ -296,7 +296,7 @@ class _Component:
         for touches, strip in ((lambda s: not s.left, lambda w: w[1:]),
                                (lambda s: not s.right, lambda w: w[:-1])):
             if (not any(map(touches, self.steps))
-                    and all(strip(w) in g.complete for w in self.members)):
+                    and all(g.is_complete(strip(w)) for w in self.members)):
                 return True
         return False
 
@@ -373,10 +373,10 @@ def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
     with e = -1, which is the fundamental loop of the first step off the
     tree along back(t), or empty.  Returns (down(w), [(F, e), ...]) as
     paths; None when a step of the loop was not explored."""
-    w = steps[0].source
-    if w not in g.scc_of:
+    i = g.component_of(steps[0].source)
+    if i is None:
         return None
-    comp = _Component(g, sorted(g.scc_members[g.scc_of[w]],
+    comp = _Component(g, sorted(g.scc_members[i],
                                 key=g.vertices.__getitem__))
     if not all(s in comp._ids for s in steps):
         return None
@@ -412,7 +412,7 @@ def enumerate_elementary_loops(g: ReductionGraph) -> LoopEnumeration:
     sccs = _cyclic_sccs(g)
     for members in sccs:
         for w in members:
-            if w not in g.complete:
+            if not g.is_complete(w):
                 raise TruncatedRegion(
                     f"a cycle touches the word {word_str(w)}, left "
                     f"incomplete by {g.cut_by(w)}")

@@ -4,7 +4,7 @@ import pytest
 
 from polyco import serialize_polygraph
 from polyco.cli import main
-from polyco.fixtures import abstract_states
+from polyco.fixtures import abstract_states, convergent_braid
 
 BRAID = """\
 polygraph braid
@@ -51,6 +51,13 @@ def braid_file(tmp_path):
 def convergent_file(tmp_path):
     f = tmp_path / "upsilon.poly"
     f.write_text(CONVERGENT)
+    return str(f)
+
+
+@pytest.fixture()
+def convergent_braid_file(tmp_path):
+    f = tmp_path / "convergent_braid.poly"
+    f.write_text(serialize_polygraph(convergent_braid()))
     return str(f)
 
 
@@ -342,3 +349,110 @@ def test_qnf_map_option(braid_file, tmp_path, capsys):
     code = main(["complete", braid_file, "--qnf-map", str(m)])
     out = capsys.readouterr().out
     assert code == 0 and "CERTIFIED" in out
+
+
+def test_complete_under_singleton_labels_lists_non_strict_cells(braid_file,
+                                                              capsys):
+    """One label makes nothing strict: every critical branching is closed
+    by a decreasing diagram, and the strictness audit fails on each."""
+    argv = ["complete", braid_file, "--label", "singleton",
+            "--max-word-len", "7"]
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "verdict: PARTIAL" in lines and "audit strict: FAILED" in lines
+    assert main(argv + ["--format", "json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "PARTIAL"
+    assert data["audits"]["strict"] == {
+        "ok": False, "non_strict_cells": ["D1", "D2", "D3", "D4"]}
+
+
+def test_label_table_without_a_table_is_input_error(braid_file, capsys):
+    assert main(["complete", braid_file, "--label", "table"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --label table needs --label-table FILE\n")
+
+
+def test_singleton_labels_leave_convergent_braid_unclosed(
+        convergent_braid_file, capsys):
+    """Under one label, no diagram within the search depth closes four of
+    the six critical branchings of convergent_braid."""
+    argv = [convergent_braid_file, "--label", "singleton",
+            "--max-word-len", "6"]
+    assert main(["check-decreasing", *argv]) == 4
+    rows = capsys.readouterr().out.splitlines()[:6]
+    assert [r for r in rows if r.endswith(": NOT FOUND")] == [
+        "s t s t s: NOT FOUND", "s t s a: NOT FOUND",
+        "t s t s t: NOT FOUND", "t s t a: NOT FOUND"]
+    assert main(["complete", *argv]) == 4
+    assert capsys.readouterr().err == (
+        "search failed: no decreasing diagram for the critical branching "
+        "at s t s t s\n")
+
+
+def test_fill_sphere_past_the_explored_words_is_inconclusive(
+        braid_file, tmp_path, capsys):
+    step = "1|alpha|t t t t t t t"
+    sphere = tmp_path / "sphere.txt"
+    sphere.write_text(f"sphere : {step} => {step} ; {step}- ; {step}\n")
+    assert main(["fill-sphere", braid_file, str(sphere),
+                 "--max-word-len", "6"]) == 3
+    assert capsys.readouterr().err == (
+        "inconclusive within budget: s t s t t t t t t t was not explored\n")
+
+
+def test_fill_sphere_cells_not_in_the_completion_is_input_error(
+        braid_file, tmp_path, capsys):
+    sphere = tmp_path / "sphere.txt"
+    sphere.write_text(
+        "sphere : 1|alpha|t => s|beta|1 ; s|alpha|1 ; 1|alpha|t\n")
+    cells = tmp_path / "cells.txt"
+    cells.write_text(
+        "cell Z9 : 1|alpha|t ; 1|beta|t => s|beta|1 ; s|alpha|1\n")
+    assert main(["fill-sphere", braid_file, str(sphere),
+                 "--cells", str(cells)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cell 'Z9' is not in the completion\n")
+
+
+def test_fill_sphere_under_nf_labels(convergent_braid_file, tmp_path,
+                                     capsys):
+    """Under the nf labelling the canonical target of a word is its normal
+    form, reached by normalizing."""
+    sphere = tmp_path / "sphere.txt"
+    sphere.write_text("sphere : 1|r1|t => s|r2|1 ; 1|r3|1\n")
+    assert main(["fill-sphere", convergent_braid_file, str(sphere),
+                 "--label", "nf"]) == 0
+    assert capsys.readouterr().out == "[id s t s t] . 1|D2|1 . [id a t]\n"
+
+
+_AUDIT_OPTIONS = [("--ctx-bound", "2"), ("--peiffer-len-bound", "6"),
+                  ("--label", "nf"), ("--qnf-map", "x"),
+                  ("--label-table", "x")]
+_BUDGET_OPTIONS = [("--max-word-len", "7"), ("--max-states", "10"),
+                   ("--max-depth", "5")]
+
+
+@pytest.mark.parametrize("command, option", [
+    *(("analyze", o) for o in _AUDIT_OPTIONS + [("--cells", "x")]),
+    ("complete", ("--cells", "x")), ("check-decreasing", ("--cells", "x")),
+    *(("homology", o) for o in _BUDGET_OPTIONS + _AUDIT_OPTIONS)],
+    ids=lambda x: x if isinstance(x, str) else x[0])
+def test_subcommands_refuse_options_they_do_not_read(braid_file, capsys,
+                                                     command, option):
+    with pytest.raises(SystemExit) as e:
+        main([command, braid_file, *option])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, budget", [
+    ("analyze", {"max_word_len": 7, "max_states": 100000, "max_depth": 200}),
+    ("check-decreasing", {"max_word_len": 7, "max_states": 100000,
+                          "max_depth": 200, "ctx_bound": 2,
+                          "peiffer_len_bound": 6}),
+    ("homology", {})])
+def test_json_budget_echoes_the_options_read(braid_file, capsys, command,
+                                             budget):
+    main([command, braid_file, "--format", "json"])
+    assert json.loads(capsys.readouterr().out)["budget"] == budget

@@ -7,7 +7,7 @@ from polyco.branchings import (OVERLAPPING, PEIFFER, LocalBranching,
                                critical_branchings, local_branchings)
 from polyco.cli import _derived_qnf_map
 from polyco.core import all_words
-from polyco.decreasing import (check_context_closability,
+from polyco.decreasing import (DecreasingDiagram, check_context_closability,
                                check_context_compatibility,
                                check_decreasing, check_peiffer_decreasing,
                                check_strict, decide_peiffer, find_decreasing,
@@ -44,6 +44,22 @@ def test_all_braid_peiffer_branchings_pass(braid_p, braid_g, braid_lab):
     audit = check_peiffer_decreasing(braid_lab, braid_g, braid_p, 6)
     assert audit.ok and audit.checked and not audit.undecided
     assert sum(audit.variants.values()) == audit.checked == len(audit)
+
+
+def test_singleton_labels_close_braid_branchings_non_strictly(braid_p,
+                                                              braid_g):
+    """Under one label nothing reads strict, so find_decreasing passes over
+    every strict candidate and cuts the first completion pair that reads
+    decreasing: a DecreasingDiagram that check_decreasing accepts."""
+    lab = Labelling.singleton()
+    crits = critical_branchings(braid_p)
+    assert len(crits) == 4
+    for b in crits:
+        assert find_decreasing(lab, braid_g, b, strict=True) is None
+        d = find_decreasing(lab, braid_g, b)
+        assert isinstance(d, DecreasingDiagram) and d.branching == b
+        ok, violations = check_decreasing(lab, braid_g, d)
+        assert ok, violations
 
 
 def _peiffer_reports(lab, g, p, bound):
@@ -136,11 +152,11 @@ def test_context_closability_reads_truncation_as_unverified(braid_p):
         u1, u2 = record["context"]
         return u1 + crits[record["branching"]].source + u2
 
-    assert all(source(v) in g.complete for v in rep.violations)
+    assert all(g.is_complete(source(v)) for v in rep.violations)
     errors = Counter()
     for record in rep.unverified:
         u = source(record)
-        assert u not in g.complete
+        assert not g.is_complete(u)
         why = (f"is left incomplete by {g.cut_by(u)}" if u in g.vertices
                else "was not explored")
         assert record["error"] == f"{' '.join(u)} {why}"

@@ -40,7 +40,7 @@ def _forward(g, u, require_complete=False):
     queue = deque([u])
     while queue:
         v = queue.popleft()
-        if require_complete and v not in g.complete:
+        if require_complete and not g.is_complete(v):
             raise TruncatedRegion(v)
         for s in g.out[v]:
             if s.target not in dist:
@@ -79,7 +79,7 @@ def test_distance_and_geodesic_match_forward_search(name, request):
         unreachable = None
         for v in g.vertices:
             want = ref[u].get(v)
-            assert g._distances_to(v).get(u) == want, (u, v)
+            assert g._distances_to(v).get(g.vertices[u]) == want, (u, v)
             if want is None:
                 if unreachable is None:
                     unreachable = v
@@ -92,7 +92,7 @@ def test_distance_and_geodesic_match_forward_search(name, request):
             with pytest.raises(Unreachable):
                 g.geodesic(u, unreachable)
     if name == "grow":
-        assert g.truncated and len(g.complete) < len(g.vertices)
+        assert g.truncated and not all(map(g.is_complete, g.vertices))
     explored = next(iter(g.vertices))
     missing = ("z",) * 9
     for u, v in ((missing, explored), (missing, missing)):
@@ -479,20 +479,21 @@ def test_sccs_match_mutual_reachability(name, request):
         u = m[0]
         want = {v for v in reach[u] if u in reach[v]}
         assert set(m) == want and len(m) == len(want), m
-        assert all(g.scc_of[w] == i for w in m)
+        assert all(g.component_of(w) == i for w in m)
         if any(w in reach[s.target] for w in m for s in g.out[w]):
             cyclic.add(i)
-        if reach[u] <= want and all(w in g.complete for w in m):
+        if reach[u] <= want and all(map(g.is_complete, m)):
             sinks.add(i)
     assert g.scc_cyclic == sorted(cyclic)
     assert g.has_cycle() == bool(cyclic)
     assert g.scc_sinks == sinks
     # Tarjan closes a component after every component its steps lead to
     for u, steps in g.out.items():
-        assert all(g.scc_of[s.target] <= g.scc_of[u] for s in steps)
+        assert all(g.component_of(s.target) <= g.component_of(u)
+                   for s in steps)
     if name == "braid-8-truncated":
-        assert g.truncated and len(g.complete) < len(g.vertices)
-        assert any(not all(w in g.complete for w in members[i])
+        assert g.truncated and not all(map(g.is_complete, g.vertices))
+        assert any(not all(map(g.is_complete, members[i]))
                    and reach[members[i][0]] <= set(members[i])
                    for i in range(len(members)))
     else:
@@ -575,9 +576,7 @@ def _reference_explore(p, seeds, budget):
                 queue.append((t, d + 1))
         kept = tuple(s for s in steps if s.target in ids)
         succ.append(tuple(ids[s.target] for s in kept))
-        if refused is None:
-            g.complete.add(u)
-        else:
+        if refused is not None:
             g.truncated = True
             g.out[u] = kept
             cut[ids[u]] = refused
@@ -618,9 +617,9 @@ def test_explore_matches_a_queue_that_scans_every_word(make, length):
         assert list(g.vertices.items()) == list(ref.vertices.items()), kind
         assert g._succ == ref._succ and g._cut == ref._cut, kind
         assert dict(dict.items(g.out)) == dict(dict.items(ref.out)), kind
-        assert (g.complete, g.truncated) == (ref.complete, ref.truncated)
+        assert g.truncated == ref.truncated
         assert g.scc_members == ref.scc_members and \
-            g.scc_of == ref.scc_of, kind
+            g._comp == ref._comp, kind
         assert (g.scc_sinks, g.scc_cyclic) == (ref.scc_sinks, ref.scc_cyclic)
         cuts.update(g._cut.values())
     assert cuts["--max-states"] and cuts["--max-depth"]
@@ -640,7 +639,7 @@ def test_step_rows_are_the_enumerated_steps(name, request):
         steps = tuple(enumerate_steps(p, u))
         assert g.out[u] is row and g.out.get(u) is row
         assert g.steps_from(u) is row
-        if u in g.complete:
+        if g.is_complete(u):
             assert row == steps and g.cut_by(u) is None
         elif name == "depth-cut":
             assert row == () and steps
@@ -655,7 +654,7 @@ def test_step_rows_are_the_enumerated_steps(name, request):
                 else "--max-states")
         assert g._succ[ids[u]] == tuple(ids[s.target] for s in row)
     if name in _TRUNCATED:
-        assert g.truncated and len(g.complete) < len(ids)
+        assert g.truncated and not all(map(g.is_complete, ids))
     missing = ("z",) * 9
     assert missing not in g.out and g.out.get(missing, ()) == ()
     with pytest.raises(KeyError):
@@ -677,15 +676,18 @@ def test_complete_targets_match_the_redexes_and_complete_words(name):
     read = Counter()
     for u in g.vertices:
         got = g.complete_targets(u)
-        if u not in g.complete:
+        if not g.is_complete(u):
             assert got is None, u
             read[None] += 1
             continue
-        assert got == [u[:pos] + rule.rhs + u[end:] in g.complete
+        assert got == [g.is_complete(u[:pos] + rule.rhs + u[end:])
                        for pos, end, rule in redexes(p, u)], u
         read.update(got)
-    assert g.complete_targets(("z",) * 9) is None
-    assert not dict.keys(g.out) - (set(g.vertices) - g.complete)
+    missing = ("z",) * 9
+    assert g.complete_targets(missing) is None
+    assert not g.is_complete(missing) and g.component_of(missing) is None
+    assert all(u in g.vertices and not g.is_complete(u)
+               for u in dict.keys(g.out))
     assert read[True]
     if name != "convergent_braid-7":
         assert read[False] and read[None]
@@ -706,14 +708,14 @@ def test_explore_builds_no_step_out_of_a_complete_word(monkeypatch, p,
 
     monkeypatch.setattr(RewriteStep, "__init__", counting)
     g = explore(p, all_words(p, budget.max_word_len), budget)
-    assert not any(u in g.complete for u in built)
+    assert not any(map(g.is_complete, built))
     if g.truncated:
-        assert set(built) == set(g.vertices) - g.complete
+        assert set(built) == {u for u in g.vertices if not g.is_complete(u)}
     else:
         assert built == []
     # a complete word's steps are built on its first read only
     u = next(u for u, i in g.vertices.items()
-             if u in g.complete and len(g._succ[i]) > 1)
+             if g.is_complete(u) and len(g._succ[i]) > 1)
     before = len(built)
     row = g.out[u]
     assert built[before:] == [u] * len(row)
@@ -740,7 +742,7 @@ def test_reachable_matches_a_search_over_step_targets(name, request):
                 == list(want.items())
             if require_complete:
                 assert g.quasi_normal_forms(u) == {
-                    w for w in want if g.scc_of[w] in g.scc_sinks}
+                    w for w in want if g.component_of(w) in g.scc_sinks}
     assert raised == 0 or g.truncated
     if name in _TRUNCATED:
         assert raised
@@ -777,7 +779,7 @@ def test_reachability_order_answers_direct_successors_from_the_row(name):
     share one."""
     g = _ROW_GRAPHS[name]()
     words = list(g.vertices)
-    cut = [u for u in words if u not in g.complete]
+    cut = [u for u in words if not g.is_complete(u)]
     unexplored = ("z",) * 9
     pairs = [(s.target, u) for u in words[:200] for s in g.out[u]]
     for c in cut[:20] + [unexplored]:
@@ -842,13 +844,13 @@ def _reference_decide(lab, g, p, b):
 
 
 def _audited(p, length, bound=None, label="qnf", max_len=None,
-             max_states=100000):
+             max_states=100000, max_depth=200):
     """p explored from every word up to ``length`` (words up to
-    ``max_len``, the length by default, and at most ``max_states``), its
-    labelling, and the Peiffer bound to audit it at (the length by
-    default)."""
+    ``max_len``, the length by default, at most ``max_states`` and
+    ``max_depth`` steps from the seeds), its labelling, and the Peiffer
+    bound to audit it at (the length by default)."""
     g = explore(p, all_words(p, length),
-                ExplorationBudget(max_len or length, max_states, 200))
+                ExplorationBudget(max_len or length, max_states, max_depth))
     lab = (Labelling.nf(g) if label == "nf"
            else Labelling.qnf(_derived_qnf_map(g)))
     return p, g, lab, bound or length
@@ -894,6 +896,10 @@ _PEIFFER_AUDITS = {
     "convergent_braid-6-states-nf": lambda: _audited(
         convergent_braid(), 6, label="nf", max_states=400),
     "lengthening-5-nf": lambda: _audited(_lengthening(), 5, label="nf"),
+    # squares at complete words with one side complete and the other cut
+    # by the depth budget, which are decreasing but not strict
+    "lengthening-4-depth-nf": lambda: _audited(
+        _lengthening(), 4, label="nf", max_len=5, max_depth=1),
     # both reverse some of their rules and not others
     "abstract_states-4": lambda: _audited(abstract_states(), 4),
     "mixed_reverses-4": lambda: _audited(_mixed_reverses(), 4, max_len=6),
@@ -945,6 +951,7 @@ def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
     assert audit.checked == len(audit) == len(pairs) // 2
     assert audit.variants == Counter(r.variant for r in listed
                                      if r.status == "PASS")
+    assert audit.strict == sum(r.strict for r in listed)
     undecided = [r for r in listed if r.status == "UNDECIDED"]
     assert audit.undecided == len(undecided)
     assert audit.first_undecided == (undecided[0] if undecided else None)
@@ -956,8 +963,8 @@ def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
         # the nf audit reads a square off the successor rows when its
         # source and both sides are complete, and decides the others on
         # their labels
-        read_off = Counter(all(w in g.complete for w in (
-            b.source, b.first.target, b.second.target)) for b in pairs)
+        read_off = Counter(all(map(g.is_complete, (
+            b.source, b.first.target, b.second.target))) for b in pairs)
         assert read_off[True]
         assert read_off[False] or name == "convergent_braid-7-nf"
     if name == "lafont-5-at-6" or name.endswith("-table"):
