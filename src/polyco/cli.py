@@ -38,18 +38,29 @@ SKELETON_NOTE = ("homology of the 2-skeleton without 3-cells; "
                  "give the completion's cells with --cells")
 
 
+def _bound(text: str) -> int:
+    """A budget or bound option's value: an integer, not negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def _add_exploration(sp):
-    sp.add_argument("--max-word-len", type=int, default=7)
-    sp.add_argument("--max-states", type=int, default=100000)
-    sp.add_argument("--max-depth", type=int, default=200)
+    sp.add_argument("--max-word-len", type=_bound, default=7)
+    sp.add_argument("--max-states", type=_bound, default=100000)
+    sp.add_argument("--max-depth", type=_bound, default=200)
 
 
 def _add_audits(sp):
     """The exploration budget, the audit bounds and the labelling, which
     every subcommand that closes critical branchings reads."""
     _add_exploration(sp)
-    sp.add_argument("--ctx-bound", type=int, default=2)
-    sp.add_argument("--peiffer-len-bound", type=int, default=6)
+    sp.add_argument("--ctx-bound", type=_bound, default=2)
+    sp.add_argument("--peiffer-len-bound", type=_bound, default=6)
     sp.add_argument("--label", choices=["qnf", "nf", "singleton", "table"],
                     default="qnf")
     sp.add_argument("--qnf-map", metavar="FILE")

@@ -207,33 +207,36 @@ def _target_block(s: RewriteStep) -> Word:
     return s.rule.rhs if s.forward else s.rule.lhs
 
 
+def exchange_positions(a: int, a_in: int, a_out: int, b: int, b_in: int,
+                       b_out: int) -> tuple[int, int] | None:
+    """For consecutive steps, the first rewriting a block of length a_in at
+    position a into one of length a_out, the second a block of length b_in
+    at b (in the word between them) into one of length b_out: when the two
+    blocks are disjoint, the positions at which the second step, then the
+    first, apply once exchanged; else None."""
+    if b + b_in <= a:
+        return b, a + b_out - b_in
+    if b >= a + a_out:
+        return b - a_out + a_in, a
+    return None
+
+
 def exchange_swap(s1: RewriteStep, s2: RewriteStep):
     """If the redexes of consecutive steps s1;s2 are disjoint, return the
     equivalent pair applying the other one first, else None."""
     if s2.source != s1.target:
         raise IllComposed("steps do not compose")
-    a = len(s1.left)
-    out1 = _target_block(s1)
-    in1 = _source_block(s1)
-    b = len(s2.left)
-    src2 = _source_block(s2)
-    tgt2 = _target_block(s2)
-    if b + len(src2) <= a:
-        # s2 rewrites inside s1.left
-        c = s1.left[:b]
-        e = s1.left[b + len(src2):]
-        s2_first = RewriteStep(c, s2.rule, e + in1 + s1.right, s2.forward)
-        s1_second = RewriteStep(c + tgt2 + e, s1.rule, s1.right, s1.forward)
-        return s2_first, s1_second
-    if b >= a + len(out1):
-        # s2 rewrites inside s1.right
-        off = b - a - len(out1)
-        s2_first = RewriteStep(s1.left + in1 + s1.right[:off], s2.rule,
-                               s2.right, s2.forward)
-        new_right = s1.right[:off] + tgt2 + s1.right[off + len(src2):]
-        s1_second = RewriteStep(s1.left, s1.rule, new_right, s1.forward)
-        return s2_first, s1_second
-    return None
+    in1, out1 = _source_block(s1), _target_block(s1)
+    src2, tgt2 = _source_block(s2), _target_block(s2)
+    at = exchange_positions(len(s1.left), len(in1), len(out1),
+                            len(s2.left), len(src2), len(tgt2))
+    if at is None:
+        return None
+    b, a = at
+    u = s1.left + in1 + s1.right
+    w = s2.left + tgt2 + s2.right
+    return (RewriteStep(u[:b], s2.rule, u[b + len(src2):], s2.forward),
+            RewriteStep(w[:a], s1.rule, w[a + len(out1):], s1.forward))
 
 
 def normalize_zigzag(z: ZigzagPath) -> ZigzagPath:
@@ -392,8 +395,9 @@ class ReductionGraph:
     steps are stored as they are explored.  Every pass over the edges that
     needs only their targets reads the successor rows, and so does
     ``complete_targets``, which tells which steps out of a complete word
-    lead to complete words.  One Tarjan pass over the rows sets the
-    component of each id (``component_of``), ``scc_members`` (in the order
+    lead to complete words, and ``successor_row``, which pairs a row with
+    its steps' redexes.  One Tarjan pass over the rows sets the component
+    of each id (``component_of``), ``scc_members`` (in the order
     Tarjan closes the components, each with its members in the order they
     leave its stack), ``scc_sinks`` (the closed components of complete
     words: the quasi-normal forms) and ``scc_cyclic`` (the ascending
@@ -600,6 +604,22 @@ class ReductionGraph:
         if i is None or i in cut:
             return None
         return [t not in cut for t in self._succ[i]]
+
+    def successor_row(self, u: Word
+                      ) -> tuple[list[tuple[int, int, Rule]], tuple[int, ...]]:
+        """The kept steps out of u as two rows in step order: their redexes
+        as (position, end, rule), and the ids of their targets.  A complete
+        word's redexes are scanned, a cut word's read off its stored steps,
+        so no step row is built."""
+        i = self.vertices.get(u)
+        if i is None:
+            raise TruncatedRegion(f"{word_str(u)} was not explored")
+        if i in self._cut:
+            found = [(len(s.left), len(s.left) + len(s.rule.lhs), s.rule)
+                     for s in self.out[u]]
+        else:
+            found = redexes(self.polygraph, u)
+        return found, self._succ[i]
 
     def steps_from(self, u: Word) -> tuple[RewriteStep, ...]:
         if u not in self.vertices:

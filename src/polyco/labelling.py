@@ -68,9 +68,10 @@ class FinitePosetOrder(LabelOrder):
                     if b == c and (a, d) not in closure:
                         closure.add((a, d))
                         changed = True
-        for (a, b) in closure:
-            if a == b:
-                raise LabellingError(f"order is not strict: {a!r} < {a!r}")
+        cyclic = sorted(a for a, b in closure if a == b)
+        if cyclic:
+            a = cyclic[0]
+            raise LabellingError(f"order is not strict: {a!r} < {a!r}")
         self.pairs = frozenset(closure)
 
     def less(self, a, b) -> bool:
@@ -252,14 +253,18 @@ def multiset_less(m: Counter, n: Counter, order: LabelOrder) -> bool:
 
 
 def parse_qnf_map(p: Polygraph, text: str) -> dict[Word, Word]:
-    """Lines of the form ``WORD -> WORD``."""
+    """Lines of the form ``WORD -> WORD``, over the generators of p."""
     out: dict[Word, Word] = {}
     for lineno, line in file_lines(text):
         if "->" not in line:
             raise ParseError("expected WORD -> WORD", lineno)
         left, right = line.split("->", 1)
-        out[parse_word(left.strip(), lineno)] = parse_word(right.strip(),
-                                                           lineno)
+        u = parse_word(left.strip(), lineno)
+        v = parse_word(right.strip(), lineno)
+        for letter in u + v:
+            if letter not in p.generators:
+                raise ParseError(f"unknown generator {letter!r}", lineno)
+        out[u] = v
     return out
 
 
@@ -282,6 +287,8 @@ def parse_label_table(p: Polygraph, text: str
             if "<" not in body:
                 raise ParseError("expected: order: a < b", lineno)
             a, b = (x.strip() for x in body.split("<", 1))
+            if not a or not b:
+                raise ParseError("expected: order: a < b", lineno)
             pairs.append((a, b))
             labels |= {a, b}
         elif line.startswith("step:"):
@@ -296,4 +303,8 @@ def parse_label_table(p: Polygraph, text: str
             labels.add(label)
         else:
             raise ParseError(f"unknown table line {line!r}", lineno)
-    return table, FinitePosetOrder(sorted(labels), pairs)
+    try:
+        return table, FinitePosetOrder(sorted(labels), pairs)
+    except LabellingError as e:
+        # the declarations close a cycle
+        raise ParseError(str(e)) from e

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
-from .core import Word, word_str
+from .core import Rule, Word, word_str
 from .engine import (Path, ReductionGraph, RewriteStep, TruncatedRegion,
-                     exchange_swap)
+                     exchange_positions, exchange_swap)
 
 
 class NotALoop(ValueError):
@@ -130,13 +130,15 @@ def split_loop(steps: tuple, words: tuple, swap=exchange_swap,
     the word of an ideal nested with it (the loop's prefixes are known from
     the start).  The reordering applies the smaller ideal, then the rest of
     the larger, then the rest of the loop."""
-    reached: dict = {}
+    first: dict = {}
     for k, w in enumerate(words[:-1]):
-        if w in reached:
-            return steps, words, (reached[w][0].bit_count(), k)
-        reached[w] = [(1 << k) - 1]
-    if all(swap(a, b) is None for a, b in zip(steps, steps[1:])):
+        i = first.setdefault(w, k)
+        if i != k:
+            return steps, words, (i, k)
+    if not any(map(swap, steps, steps[1:])):
         return None  # no two steps exchange: the loop is its only reordering
+    # each word reached, to the ideals that reach it
+    reached = {w: [(1 << k) - 1] for w, k in first.items()}
     full = (1 << len(steps)) - 1
     level = {0: (steps, tuple(range(len(steps))))}
     while level:
@@ -266,39 +268,60 @@ def _cyclic_sccs(g: ReductionGraph) -> list[list[Word]]:
 class _Component:
     """One cyclic strongly connected component on integer ids: members
     0..n-1 in exploration order, and its internal steps numbered by source,
-    then in the order of ``g.out``.  Loops are tuples of step ids."""
+    then in step order.  It is read off the members' successor rows
+    (``ReductionGraph.successor_row``) and builds no step object: step s is
+    its source and target members, its position, the length of its right
+    context, its rule and its code ``position * R + rule index``, R the
+    number of rules, so that a member and a code name one step.  Loops are
+    tuples of step ids."""
 
     def __init__(self, g: ReductionGraph, members: list[Word]):
-        index = {w: i for i, w in enumerate(members)}
         self.members = members
-        self.steps: list[RewriteStep] = []
+        self.rules = g.polygraph.rules
+        self._width = width = len(self.rules)
+        rank = g.polygraph.rule_index
+        index = {g.vertices[w]: i for i, w in enumerate(members)}
         self.src: list[int] = []
         self.tgt: list[int] = []
+        self.pos: list[int] = []
+        self.right: list[int] = []
+        self.rule: list[Rule] = []
+        self.code: list[int] = []
         self.out: list[list[int]] = []
+        # (member, code) -> id of the step out of that member
+        self._at: dict[tuple[int, int], int] = {}
         for i, u in enumerate(members):
+            found, targets = g.successor_row(u)
             row = []
-            for s in g.out[u]:
-                j = index.get(s.target)
+            for (pos, end, rule), t in zip(found, targets):
+                j = index.get(t)
                 if j is not None:
-                    row.append(len(self.steps))
-                    self.steps.append(s)
+                    code = pos * width + rank(rule.name)
+                    self._at[i, code] = len(self.src)
+                    row.append(len(self.src))
                     self.src.append(i)
                     self.tgt.append(j)
+                    self.pos.append(pos)
+                    self.right.append(len(u) - end)
+                    self.rule.append(rule)
+                    self.code.append(code)
             self.out.append(row)
-        self._ids = {s: i for i, s in enumerate(self.steps)}
         self._swaps: dict[tuple[int, int], tuple[int, int] | None] = {}
         self._leaves: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+
+    def step(self, s: int) -> RewriteStep:
+        w = self.members[self.src[s]]
+        return RewriteStep(w[:self.pos[s]], self.rule[s],
+                           w[len(w) - self.right[s]:])
 
     def whiskered_copy(self, g: ReductionGraph) -> bool:
         """True when no internal step touches the first letter (or none the
         last), and the members with that letter stripped are explored
         completely: every loop here is then a whiskered loop there."""
-        for touches, strip in ((lambda s: not s.left, lambda w: w[1:]),
-                               (lambda s: not s.right, lambda w: w[:-1])):
-            if (not any(map(touches, self.steps))
-                    and all(g.is_complete(strip(w)) for w in self.members)):
-                return True
-        return False
+        return ((0 not in self.pos
+                 and all(g.is_complete(w[1:]) for w in self.members))
+                or (0 not in self.right
+                    and all(g.is_complete(w[:-1]) for w in self.members)))
 
     def _tree_paths(self):
         """A breadth-first tree from member 0 and geodesics back to it:
@@ -337,11 +360,21 @@ class _Component:
                 yield down[u] + (s,) + back[t]
 
     def _swap(self, a: int, b: int) -> tuple[int, int] | None:
+        """exchange_swap on ids: the positions come from the redexes'
+        positions and lengths, and each new step is found by its source
+        member and code."""
         key = (a, b)
         if key not in self._swaps:
-            pair = exchange_swap(self.steps[a], self.steps[b])
+            ra, rb = self.rule[a], self.rule[b]
+            pa, pb = self.pos[a], self.pos[b]
+            pair = exchange_positions(pa, len(ra.lhs), len(ra.rhs),
+                                      pb, len(rb.lhs), len(rb.rhs))
             if pair is not None:
-                pair = (self._ids[pair[0]], self._ids[pair[1]])
+                width = self._width
+                first = self._at[self.src[a],
+                                 self.code[b] + (pair[0] - pb) * width]
+                pair = (first, self._at[self.tgt[first],
+                                        self.code[a] + (pair[1] - pa) * width])
             self._swaps[key] = pair
         return self._swaps[key]
 
@@ -351,8 +384,9 @@ class _Component:
         their whiskers are stripped, memoised."""
         parts = self._leaves.get(loop)
         if parts is None:
-            words = (self.src[loop[0]],) + tuple(self.tgt[s] for s in loop)
-            split = split_loop(loop, words, self._swap, self.tgt.__getitem__)
+            target = self.tgt.__getitem__
+            words = (self.src[loop[0]], *map(target, loop))
+            split = split_loop(loop, words, self._swap, target)
             if split is None:
                 parts = (loop,)
             else:
@@ -361,6 +395,48 @@ class _Component:
                          + self.elementary_parts(r[:i] + r[j:]))
             self._leaves[loop] = parts
         return parts
+
+    def core(self, part: tuple[int, ...]) -> tuple[Word, tuple[int, ...]]:
+        """The signature of the core that strip_whiskers leaves of the loop
+        ``part``: the core's base word and the code of each of its steps in
+        the core.  Equal signatures are equal cores (see core_steps).  No
+        step of a path rewrites a letter left of its leftmost redex or right
+        of its rightmost one, so the whiskers are as long as the shortest
+        left and right contexts."""
+        nl = min(map(self.pos.__getitem__, part))
+        nr = min(map(self.right.__getitem__, part))
+        codes = tuple(map(self.code.__getitem__, part))
+        if nl:
+            codes = tuple(c - nl * self._width for c in codes)
+        base = self.members[self.src[part[0]]]
+        return base[nl:len(base) - nr], codes
+
+    def core_steps(self, core: tuple[Word, tuple[int, ...]]
+                   ) -> tuple[RewriteStep, ...]:
+        """The steps of the core of that signature."""
+        word, codes = core
+        steps = []
+        for code in codes:
+            pos, k = divmod(code, self._width)
+            rule = self.rules[k]
+            end = pos + len(rule.lhs)
+            steps.append(RewriteStep(word[:pos], rule, word[end:]))
+            word = word[:pos] + rule.rhs + word[end:]
+        return tuple(steps)
+
+    def cores(self):
+        """The signature of every core that peeling the fundamental loops
+        leaves, each once."""
+        parts: set[tuple[int, ...]] = set()
+        cores: set[tuple[Word, tuple[int, ...]]] = set()
+        for loop in self.fundamental_loops():
+            for part in self.elementary_parts(loop):
+                if part not in parts:
+                    parts.add(part)
+                    core = self.core(part)
+                    if core not in cores:
+                        cores.add(core)
+                        yield core
 
 
 def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
@@ -378,10 +454,11 @@ def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
         return None
     comp = _Component(g, sorted(g.scc_members[i],
                                 key=g.vertices.__getitem__))
-    if not all(s in comp._ids for s in steps):
+    internal = {comp.step(k): k for k in range(len(comp.src))}
+    ids = [internal.get(s) for s in steps]
+    if None in ids:
         return None
     down, back, tree = comp._tree_paths()
-    ids = [comp._ids[s] for s in steps]
     factors = []
     for s in ids:
         t = comp.tgt[s]
@@ -391,7 +468,7 @@ def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
                 factors.append((down[t] + back[t], -1))
 
     def path(seq):
-        return Path(comp.members[0], tuple(comp.steps[i] for i in seq))
+        return Path(comp.members[0], tuple(map(comp.step, seq)))
     return path(down[comp.src[ids[0]]]), [(path(f), e) for f, e in factors]
 
 
@@ -402,8 +479,10 @@ def enumerate_elementary_loops(g: ReductionGraph) -> LoopEnumeration:
     In each strongly connected component that carries a cycle, every
     fundamental loop (see ``_Component.fundamental_loops``) is peeled as
     ``contract_loop`` peels it, and each elementary core left over gets a
-    class unless a conjugate of its trace has one (see ``class_of``).
-    Given the graph, contract_loop then contracts every loop of it (see
+    class unless a conjugate of its trace has one (see ``class_of``).  A
+    core is looked up by its signature (``_Component.core``): its steps
+    are built and its class looked up once per run.  Given the graph,
+    contract_loop then contracts every loop of it (see
     ``fundamental_factors``).  The fundamental loops number |E| - |V| + 1
     per component, so no cap is needed: the exploration budget bounds
     them.  A component that is a whiskered copy of an explored one is
@@ -417,20 +496,18 @@ def enumerate_elementary_loops(g: ReductionGraph) -> LoopEnumeration:
                     f"a cycle touches the word {word_str(w)}, left "
                     f"incomplete by {g.cut_by(w)}")
     classes: dict[tuple, LoopClass] = {}
+    seen: set[tuple[Word, tuple[int, ...]]] = set()
     for members in sccs:
         comp = _Component(g, members)
         if comp.whiskered_copy(g):
             continue
-        seen: set[tuple[int, ...]] = set()
-        for loop in comp.fundamental_loops():
-            for part in comp.elementary_parts(loop):
-                if part in seen:
-                    continue
-                seen.add(part)
-                _, core, _ = strip_whiskers(tuple(comp.steps[s] for s in part))
-                key, rep, _ = class_of(core)
-                if key not in classes:
-                    classes[key] = LoopClass(Loop(Path(rep[0].source, rep)),
-                                             key)
+        for core in comp.cores():
+            if core in seen:
+                continue
+            seen.add(core)
+            key, rep, _ = class_of(comp.core_steps(core))
+            if key not in classes:
+                classes[key] = LoopClass(Loop(Path(rep[0].source, rep)),
+                                         key)
     ordered = sorted(classes.values(), key=lambda c: (len(c.key), c.key))
     return LoopEnumeration(ordered, True)

@@ -456,3 +456,44 @@ def test_json_budget_echoes_the_options_read(braid_file, capsys, command,
                                              budget):
     main([command, braid_file, "--format", "json"])
     assert json.loads(capsys.readouterr().out)["budget"] == budget
+
+
+@pytest.mark.parametrize("command, option", [
+    ("complete", "--max-word-len"), ("complete", "--max-states"),
+    ("complete", "--max-depth"), ("complete", "--ctx-bound"),
+    ("complete", "--peiffer-len-bound"), ("analyze", "--max-word-len"),
+    ("check-decreasing", "--peiffer-len-bound")])
+def test_negative_bounds_are_refused(braid_file, capsys, command, option):
+    with pytest.raises(SystemExit) as e:
+        main([command, braid_file, option, "-1"])
+    assert e.value.code == 2
+    assert f"{option}: must not be negative: -1" in capsys.readouterr().err
+
+
+def test_zero_bounds_are_accepted(braid_file, capsys):
+    argv = ["complete", braid_file, "--ctx-bound", "0",
+            "--peiffer-len-bound", "0", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["budget"]["ctx_bound"] == 0
+
+
+def test_qnf_map_over_an_unknown_letter_is_input_error(braid_file, tmp_path,
+                                                       capsys):
+    m = tmp_path / "qnf.map"
+    m.write_text("s -> s\nx -> y\n")
+    assert main(["complete", braid_file, "--qnf-map", str(m)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 2: unknown generator 'x'\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("order:<", "line 1: expected: order: a < b"),
+    ("order: a < a", "order is not strict: 'a' < 'a'"),
+    ("order: a < b\norder: b < a", "order is not strict: 'a' < 'a'")])
+def test_malformed_label_order_is_input_error(braid_file, tmp_path, capsys,
+                                              line, message):
+    table = tmp_path / "labels.txt"
+    table.write_text(line + "\n")
+    assert main(["complete", braid_file, "--label", "table",
+                 "--label-table", str(table)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

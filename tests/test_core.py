@@ -7,6 +7,8 @@ from polyco.core import (ParseError, Polygraph, PresentationError, Rule,
                          serialize_polygraph, word_str)
 from polyco.engine import parse_step
 from polyco.fixtures import braid
+from polyco.labelling import (format_qnf_map, parse_label_table,
+                              parse_qnf_map)
 
 SRC = """\
 # positive braid monoid
@@ -118,3 +120,42 @@ def test_parse_step_fails_only_with_parse_error(text):
     except ParseError:
         return
     assert parse_step(p, str(s)) == s
+
+
+_map_lines = st.one_of(
+    st.builds("{} -> {}".format, _words, _words),
+    st.builds(" ".join, st.lists(st.sampled_from([*_TOKENS, "->"]),
+                                 max_size=6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.lists(_map_lines, max_size=4).map("\n".join))
+def test_parse_qnf_map_fails_only_with_parse_error(text):
+    p = braid()
+    try:
+        m = parse_qnf_map(p, text)
+    except ParseError:
+        return
+    assert all(x in p.generators for u, v in m.items() for x in u + v)
+    if m:
+        assert parse_qnf_map(p, format_qnf_map(m)) == m
+
+
+_labels = st.sampled_from(["", "a", "b", "c", "a b", "<", "="])
+_table_lines = st.one_of(
+    st.builds("order: {} < {}".format, _labels, _labels),
+    st.builds("order:{}".format, _labels),
+    st.builds("step: {} = {}".format, _steps, _labels),
+    st.builds("step: {}".format, _steps),
+    st.builds(" ".join, _soup))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.lists(_table_lines, max_size=5).map("\n".join))
+def test_parse_label_table_fails_only_with_parse_error(text):
+    try:
+        table, order = parse_label_table(braid(), text)
+    except ParseError:
+        return
+    assert not any(order.less(a, a) for a in order.elements)
+    assert set(table.values()) <= set(order.elements)

@@ -26,7 +26,8 @@ from polyco.fixtures import (abstract_states, braid, convergent_braid, no_fdt,
 from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
                               LabellingError, QNF, ReachabilityOrder,
                               label_path, label_step, step_key)
-from polyco.loops import (_Component, _cyclic_sccs, class_of, split_loop,
+from polyco.loops import (_Component, _cyclic_sccs, class_of,
+                          enumerate_elementary_loops, split_loop,
                           strip_whiskers, word_sequence)
 
 
@@ -384,7 +385,7 @@ def test_trace_decisions_match_a_walk_over_reorderings(p, length):
     for members in _cyclic_sccs(g):
         comp = _Component(g, members)
         for ids in comp.fundamental_loops():
-            steps = tuple(comp.steps[s] for s in ids)
+            steps = tuple(map(comp.step, ids))
             split = split_loop(steps, word_sequence(steps))
             # the walk ends on its first revisit, or after the whole orbit
             last = deque(_reorderings(steps), maxlen=1)[0]
@@ -403,6 +404,109 @@ def test_trace_decisions_match_a_walk_over_reorderings(p, length):
         key = class_of(core)[0]
         for r in _reorderings(core):
             assert class_of(r)[0] == class_of(r[1:] + r[:1])[0] == key
+
+
+def _step_component(g, members):
+    """A cyclic component on steps, read off g.out: its internal steps by
+    source, then in step order, with the ids of their source and target
+    members."""
+    index = {w: i for i, w in enumerate(members)}
+    steps, src, tgt = [], [], []
+    for i, u in enumerate(members):
+        for s in g.out[u]:
+            if s.target in index:
+                steps.append(s)
+                src.append(i)
+                tgt.append(index[s.target])
+    return steps, src, tgt
+
+
+def _reference_keys(g, members):
+    """The class keys of the cores left by peeling the fundamental loops of
+    a component, all on steps: a breadth-first tree from the first member
+    and geodesics back to it, every loop split by exchange_swap until no
+    reordering revisits a word, its whiskers stripped by strip_whiskers."""
+    steps, src, tgt = _step_component(g, members)
+    n = len(members)
+    down = [()] + [None] * (n - 1)
+    tree = set()
+    queue = [0]
+    for u in queue:
+        for k in range(len(steps)):
+            if src[k] == u and down[tgt[k]] is None:
+                down[tgt[k]] = down[u] + (k,)
+                tree.add(k)
+                queue.append(tgt[k])
+    back = [()] + [None] * (n - 1)
+    queue = [0]
+    for t in queue:
+        for k in range(len(steps)):
+            if tgt[k] == t and back[src[k]] is None:
+                back[src[k]] = (k,) + back[t]
+                queue.append(src[k])
+    keys = set()
+    work = [tuple(steps[k] for k in down[src[s]] + (s,) + back[tgt[s]])
+            for s in range(len(steps)) if s not in tree]
+    while work:
+        loop = work.pop()
+        split = split_loop(loop, word_sequence(loop))
+        if split is None:
+            keys.add(class_of(strip_whiskers(loop)[1])[0])
+            continue
+        r, _, (i, j) = split
+        work += [r[i:j], r[:i] + r[j:]]
+    return keys
+
+
+def _reference_whiskered_copy(g, members):
+    steps = _step_component(g, members)[0]
+    return any(not any(map(touches, steps))
+               and all(g.is_complete(strip(w)) for w in members)
+               for touches, strip in ((lambda s: not s.left, lambda w: w[1:]),
+                                      (lambda s: not s.right,
+                                       lambda w: w[:-1])))
+
+
+@pytest.mark.parametrize("make,length", [
+    (braid, 10), (_a3, 7), (two_letters, 6), (no_fdt, 5), (_prefix_lhs, 6)],
+    ids=["braid-10", "a3-7", "two_letters-6", "no_fdt-5", "prefix_lhs-6"])
+def test_id_component_matches_the_steps(make, length):
+    """The component on ids against the same component on steps: its
+    steps, whiskered-copy test, exchanges, core signatures and classes.
+    prefix_lhs, whose rules change the length of words, is read on its
+    cyclic components of complete words only."""
+    p = make()
+    g = explore(p, all_words(p, length), ExplorationBudget(length))
+    keys = set()
+    components = 0
+    for members in _cyclic_sccs(g):
+        if not all(map(g.is_complete, members)):
+            continue
+        components += 1
+        comp = _Component(g, members)
+        steps, src, tgt = _step_component(g, members)
+        assert (list(map(comp.step, range(len(comp.src)))), comp.src,
+                comp.tgt) == (steps, src, tgt)
+        skipped = comp.whiskered_copy(g)
+        assert skipped == _reference_whiskered_copy(g, members)
+        for a in range(len(steps)):
+            for b in comp.out[comp.tgt[a]]:
+                pair = comp._swap(a, b)
+                want = exchange_swap(steps[a], steps[b])
+                assert (pair and tuple(map(comp.step, pair))) == want
+        for loop in comp.fundamental_loops():
+            for part in comp.elementary_parts(loop):
+                core = strip_whiskers(tuple(map(comp.step, part)))[1]
+                assert comp.core_steps(comp.core(part)) == core
+        got = {class_of(comp.core_steps(c))[0] for c in comp.cores()}
+        assert got == _reference_keys(g, members)
+        if not skipped:
+            keys |= got
+    assert components
+    if make is not _prefix_lhs:
+        classes = enumerate_elementary_loops(g).classes
+        assert [c.key for c in classes] == sorted(keys,
+                                                  key=lambda k: (len(k), k))
 
 
 # ---------------------------------------------------------------------------
