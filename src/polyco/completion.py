@@ -16,7 +16,7 @@ zigzags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (ParseError, Polygraph, Word, file_lines, parse_word,
                    word_str)
@@ -58,6 +58,10 @@ class CoherentPresentation:
     # the explored graph the loop classes cover; contract_loop reads its
     # fundamental loops
     graph: ReductionGraph | None = None
+    # the parallel spheres filled so far, one table per (labelling, graph)
+    # pair of objects the filler was given (fill_parallel_sphere)
+    _fillings: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def cell_list(self) -> list[ThreeCell]:
@@ -234,24 +238,72 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
     the completion's cells.  The head local branching is closed by a
     confluence cell, a Peiffer exchange or an audited variant, and the two
     residual spheres are filled recursively; their branching measures
-    strictly decrease when the closures are strict (checked at runtime)."""
+    strictly decrease when the closures are strict (checked at runtime).
+
+    Fillings are kept on the completion, one table per labelling and graph
+    object, keyed by the two paths' values, with the height of each: the
+    number of recursion levels it used, 0 when no sphere was split.  A
+    residual sphere met again, in this filling or a later one, is a lookup.
+    Filling is deterministic, and a kept filling passed every measure check
+    of its tree, so a call with less depth than its height would walk the
+    same tree and run out at the same level: a kept sphere is returned when
+    its height is at most ``depth`` and raises SearchExhausted otherwise.
+    Only successes are kept; a sphere that raised is filled anew."""
     if f.source != h.source or f.target != h.target:
         raise IllComposed("the two paths are not parallel")
-    if depth < 0:
+    key = id(lab), id(g)
+    kept = c._fillings.get(key)
+    if kept is None:
+        # the entry holds both objects, so their ids stay theirs
+        kept = c._fillings[key] = lab, g, {}
+    return _fill(c, lab, g, kept[2], f, h, depth)[0]
+
+
+def _sphere_key(f: Path, h: Path) -> tuple:
+    """Two parallel forward paths by value: their source, then the position
+    and rule name of each step, which with the word they apply to
+    determine it.  Hashing it does not hash the steps' rules."""
+    key = [f.source]
+    for s in f.steps:
+        key += len(s.left), s.rule.name
+    key.append(None)
+    for s in h.steps:
+        key += len(s.left), s.rule.name
+    return tuple(key)
+
+
+def _fill(c: CoherentPresentation, lab: Labelling, g: ReductionGraph,
+          table: dict, f: Path, h: Path, depth: int
+          ) -> tuple[ThreeCellExpression, int]:
+    """The filling of fill_parallel_sphere and its height, read from
+    ``table`` or filled anew and added to it."""
+    key = _sphere_key(f, h)
+    kept = table.get(key)
+    if kept is None:
+        if depth < 0:
+            raise SearchExhausted("sphere filling recursion depth exhausted")
+        kept = table[key] = _fill_anew(c, lab, g, table, f, h, depth)
+    elif kept[1] > depth:
         raise SearchExhausted("sphere filling recursion depth exhausted")
+    return kept
+
+
+def _fill_anew(c: CoherentPresentation, lab: Labelling, g: ReductionGraph,
+               table: dict, f: Path, h: Path, depth: int
+               ) -> tuple[ThreeCellExpression, int]:
     if f.steps == h.steps:
-        return ThreeCellExpression(f.zigzag())
+        return ThreeCellExpression(f.zigzag()), 0
     if not h.steps:
-        return c.contract(f)
+        return c.contract(f), 0
     if not f.steps:
-        return invert(c.contract(h), c.cells)
+        return invert(c.contract(h), c.cells), 0
     f1, h1 = f.steps[0], h.steps[0]
     f2 = Path(f1.target, f.steps[1:])
     h2 = Path(h1.target, h.steps[1:])
     if f1 == h1:
-        sub = fill_parallel_sphere(c, lab, g, f2, h2, depth - 1)
+        sub, height = _fill(c, lab, g, table, f2, h2, depth - 1)
         out = conjugate(sub, pre=zigzag(f.source, f1))
-        return ThreeCellExpression(f.zigzag(), out.atoms)
+        return ThreeCellExpression(f.zigzag(), out.atoms), height + 1
     c_f, c_h, a_expr, strict = _close_local(c, lab, g, f1, h1)
     w = c_f.target
     hat = _canonical_target(lab, g, f.target)
@@ -267,14 +319,14 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
                 raise MeasureError(
                     f"residual sphere measure {m!r} is not strictly below "
                     f"{outer!r}")
-    bexp = fill_parallel_sphere(c, lab, g, left_b[0], left_b[1], depth - 1)
-    cexp = fill_parallel_sphere(c, lab, g, right_b[0], right_b[1], depth - 1)
+    bexp, bh = _fill(c, lab, g, table, left_b[0], left_b[1], depth - 1)
+    cexp, ch = _fill(c, lab, g, table, right_b[0], right_b[1], depth - 1)
     k_inv = k.inverse()
     e1 = conjugate(bexp, pre=zigzag(f.source, f1), post=k_inv)
     e2 = conjugate(a_expr, post=hbar.compose(k_inv))
     e3 = conjugate(cexp, pre=zigzag(h.source, h1), post=k_inv)
     out = concat(e1, e2, e3)
-    return ThreeCellExpression(f.zigzag(), out.atoms)
+    return ThreeCellExpression(f.zigzag(), out.atoms), max(bh, ch) + 1
 
 
 def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
@@ -290,7 +342,9 @@ def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
     each step's patch is filled once and conjugated once by the prefix of
     the side before it.  For a side of k steps that is k parallel fillings
     of one step each, and Θ(k²) steps stored in the atoms' conjugators,
-    which the ``Atom`` representation needs."""
+    which the ``Atom`` representation needs.  The patches are filled
+    through fill_parallel_sphere, so a step met again, on either side or
+    in a later sphere of the same completion, reuses its kept patch."""
     if f.source != h.source or f.target != h.target:
         raise IllComposed("the two zigzags are not parallel")
     hat = _canonical_target(lab, g, f.source)

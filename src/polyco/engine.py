@@ -407,7 +407,8 @@ class ReductionGraph:
     Every search is one breadth-first search over id rows
     (_breadth_first).  ``distance`` and ``geodesic`` read one backward
     search from their target, cached per target, over a predecessor index
-    built from the successor rows on the first such query; ``component``
+    built from the successor rows on the first such query, and each
+    geodesic found is cached per pair of ids; ``component``
     searches both ways, ``reachable`` and ``quasi_normal_forms`` forward.
     ``reaches`` reads the source's successor row, then one forward search
     kept per source.
@@ -428,6 +429,7 @@ class ReductionGraph:
         self._comp: list[int] = []
         self._pred: tuple[list[Word], array, array] | None = None
         self._dist_to: dict[int, dict[int, int]] = {}
+        self._geodesics: dict[tuple[int, int], Path] = {}
         self._reach_from: dict[int, dict[int, int]] = {}
 
     # -- exploration -------------------------------------------------
@@ -709,12 +711,18 @@ class ReductionGraph:
 
     def geodesic(self, u: Word, v: Word) -> Path:
         """A shortest path from u to v: from each word, the first step out
-        of it that gets one step closer to v."""
+        of it that gets one step closer to v.  Each is kept per pair of
+        ids; paths are frozen, so every caller may share it."""
         ids = self.vertices
-        if u not in ids:
+        i = ids.get(u)
+        if i is None:
             raise TruncatedRegion(f"{word_str(u)} was not explored")
+        key = i, ids.get(v)
+        path = self._geodesics.get(key)
+        if path is not None:
+            return path
         dist = self._distances_to(v)
-        d = dist.get(ids[u])
+        d = dist.get(i)
         if d is None:
             raise Unreachable(
                 f"{word_str(v)} is not reachable from {word_str(u)}")
@@ -726,7 +734,8 @@ class ReductionGraph:
             s = next(s for s in self.out[at] if dist.get(ids[s.target]) == d)
             steps.append(s)
             at = s.target
-        return Path._checked(u, tuple(steps))
+        path = self._geodesics[key] = Path._checked(u, tuple(steps))
+        return path
 
     def quasi_normal_forms(self, u: Word) -> set[Word]:
         """Reachable words in sink strongly connected components."""

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from polyco import serialize_polygraph
-from polyco.cli import main
+from polyco.cli import build_parser, main
 from polyco.fixtures import abstract_states, convergent_braid
 
 BRAID = """\
@@ -468,6 +468,21 @@ def test_negative_bounds_are_refused(braid_file, capsys, command, option):
         main([command, braid_file, option, "-1"])
     assert e.value.code == 2
     assert f"{option}: must not be negative: -1" in capsys.readouterr().err
+
+
+def test_a_refused_call_leaves_main_able_to_parse(braid_file, capsys):
+    """main parses with one parser per process: a call it refuses with
+    exit 2 is followed, in the same process, by a call that reads its
+    options, and build_parser still gives a fresh parser."""
+    with pytest.raises(SystemExit) as e:
+        main(["complete", braid_file, "--max-word-len", "-1"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    assert main(["complete", braid_file, "--max-word-len", "7",
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["budget"]["max_word_len"] == 7
+    assert build_parser() is not build_parser()
 
 
 def test_zero_bounds_are_accepted(braid_file, capsys):

@@ -23,6 +23,7 @@ from polyco.expressions import ThreeCellExpression, check_boundary
 from polyco.fixtures import (braid, convergent_braid, no_fdt,
                              two_letters)
 from polyco.labelling import Labelling
+from test_golden import SPHERES as GOLDEN_SPHERES
 
 
 def test_braid_completion_is_certified(braid_completion):
@@ -187,11 +188,9 @@ def _draw_side(data, braid_loop, g, hat, members, u, v) -> ZigzagPath:
     return ZigzagPath(z.source, z.steps[:i] + loop + z.steps[i:])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_random_zigzag_spheres_fill(braid_loop, braid8, data):
-    """Spheres built from geodesics, detours through members of one class
-    and loop powers fill, and the filling's boundary is the sphere."""
+def _draw_sphere(data, braid_loop, braid8) -> tuple[ZigzagPath, ZigzagPath]:
+    """Two sides drawn by _draw_side between members of one class of the
+    braid-8 completion, that of s t s or any."""
     g, lab, c, classes = braid8
     members = data.draw(st.one_of(st.just(classes[0]),
                                   st.sampled_from(classes)))
@@ -200,6 +199,16 @@ def test_random_zigzag_spheres_fill(braid_loop, braid8, data):
     hat = lab.qnf_map[u]
     f = _draw_side(data, braid_loop, g, hat, members, u, v)
     h = _draw_side(data, braid_loop, g, hat, members, u, v)
+    return f, h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_zigzag_spheres_fill(braid_loop, braid8, data):
+    """Spheres built from geodesics, detours through members of one class
+    and loop powers fill, and the filling's boundary is the sphere."""
+    g, lab, c, _ = braid8
+    f, h = _draw_sphere(data, braid_loop, braid8)
     e = fill_zigzag_sphere(c, lab, g, f, h)
     src, tgt = check_boundary(e, c.cells)
     assert zigzags_equal(src, f) and zigzags_equal(tgt, h)
@@ -207,7 +216,7 @@ def test_random_zigzag_spheres_fill(braid_loop, braid8, data):
 
 @pytest.mark.xfail(raises=SearchExhausted, strict=True,
                    reason="fill_parallel_sphere exhausts its depth when the "
-                          "two sides differ by a loop (ROADMAP item 4)")
+                          "two sides differ by a loop (ROADMAP item 2)")
 def test_fill_sphere_with_a_whiskered_loop(braid_p, braid8):
     """Loop powers spliced in whiskered, not only at s t s, break filling:
     this is the smallest such sphere, its sides differing by alpha;beta
@@ -218,6 +227,197 @@ def test_fill_sphere_with_a_whiskered_loop(braid_p, braid8):
         "t s s|alpha|1 ; t s s|beta|1 ; t s s|alpha|1 ; t s|alpha|t ; "
         "1|beta|s t t"))
     fill_zigzag_sphere(c, lab, g, f, h)
+
+
+# kept fillings: a completion keeps each parallel sphere it fills, and
+# reuses it under the same labelling and graph objects
+
+
+FAULT_SPHERE = (
+    "sphere : t s s|alpha|1 ; t s|alpha|t ; 1|beta|s t t => "
+    "t s s|alpha|1 ; t s s|beta|1 ; t s s|alpha|1 ; t s|alpha|t ; "
+    "1|beta|s t t")
+# a parallel sphere of braid 8 whose filling splits three levels deep
+DEEP_SPHERE = (
+    "sphere : 1|beta|s t s s ; s t s|alpha|s ; s|beta|s t s ; "
+    "s s t s|alpha|1 ; s s|beta|s t => t s t|alpha|s ; 1|beta|t s t s ; "
+    "s t s t|alpha|1 ; s|beta|t s t ; s s|beta|s t")
+
+
+def _fresh(c):
+    """The same completion, with no filling kept."""
+    return dataclasses.replace(c)
+
+
+def _fill(c, lab, g, f, h):
+    """Fill as ``polyco fill-sphere`` does: two forward sides through
+    fill_parallel_sphere, any other through fill_zigzag_sphere."""
+    if all(s.forward for s in f.steps + h.steps):
+        return fill_parallel_sphere(c, lab, g, f.forward_path(),
+                                    h.forward_path())
+    return fill_zigzag_sphere(c, lab, g, f, h)
+
+
+def _filled(c, lab, g, f, h):
+    e = _fill(c, lab, g, f, h)
+    return str(e), check_boundary(e, c.cells)
+
+
+@pytest.fixture(scope="module")
+def fixed_spheres(braid_p, braid_loop):
+    """The spheres of the fill-sphere goldens, then the 60-step loop
+    (alpha;beta)^30 at s t s against the identity as a zigzag sphere."""
+    spheres = [parse_sphere(braid_p, f"sphere : {text}")
+               for text in GOLDEN_SPHERES.values()]
+    loop = braid_loop(30).zigzag()
+    return spheres + [(loop, ZigzagPath(loop.source))]
+
+
+@pytest.fixture(scope="module")
+def cold_fixed(braid8, fixed_spheres):
+    """Each fixed sphere's filling and boundary, filled in a completion of
+    its own."""
+    g, lab, c, _ = braid8
+    return [_filled(_fresh(c), lab, g, f, h) for f, h in fixed_spheres]
+
+
+@pytest.fixture(scope="module")
+def warm(braid8, fixed_spheres, cold_fixed):
+    """A completion that has filled every fixed sphere, each as a
+    completion of its own fills it."""
+    g, lab, c, _ = braid8
+    c = _fresh(c)
+    assert [_filled(c, lab, g, f, h) for f, h in fixed_spheres] == cold_fixed
+    return c
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_warm_fillings_equal_cold_ones(braid_loop, braid8, fixed_spheres,
+                                       cold_fixed, warm, data):
+    """A sphere filled after others, or before them, gives the expression
+    and boundary it gets in a completion of its own, and so do they."""
+    g, lab, c, _ = braid8
+    f, h = _draw_sphere(data, braid_loop, braid8)
+    cold = _filled(_fresh(c), lab, g, f, h)
+    # after the fixed spheres and every sphere drawn before this one
+    assert _filled(warm, lab, g, f, h) == cold
+    assert _filled(warm, lab, g, f, h) == cold
+    # before the fixed spheres, each again as in a completion of its own
+    first = _fresh(c)
+    assert _filled(first, lab, g, f, h) == cold
+    assert [_filled(first, lab, g, f2, h2)
+            for f2, h2 in reversed(fixed_spheres)] == cold_fixed[::-1]
+
+
+def test_fillings_are_reused_only_under_the_same_objects(braid_p, braid8,
+                                                          fixed_spheres,
+                                                          cold_fixed,
+                                                          monkeypatch):
+    """A warm completion fills nothing anew for the labelling and graph it
+    filled with.  An equal labelling or graph built apart reuses nothing:
+    it fills as much anew as a cold completion, and to the same
+    expressions."""
+    import polyco.completion as completion
+    g, lab, c, _ = braid8
+    anew = []
+    fill_anew = completion._fill_anew
+    monkeypatch.setattr(completion, "_fill_anew",
+                        lambda *a: anew.append(a[4:6]) or fill_anew(*a))
+
+    def fill_all(c, lab, g):
+        del anew[:]
+        assert [_filled(c, lab, g, f, h)
+                for f, h in fixed_spheres] == cold_fixed
+        return list(anew)
+
+    c = _fresh(c)
+    cold = fill_all(c, lab, g)
+    assert cold and fill_all(c, lab, g) == []
+    other_lab = Labelling.qnf(dict(lab.qnf_map))
+    other_g = explore(braid_p, all_words(braid_p, 8),
+                      ExplorationBudget(8, 100000, 200))
+    assert fill_all(c, other_lab, g) == cold
+    assert fill_all(c, lab, other_g) == cold
+    assert fill_all(c, other_lab, g) == []
+
+
+def _least_depth(p, lab, g, f, h) -> int:
+    """The least depth at which a completion of its own fills the parallel
+    sphere; every smaller one raises SearchExhausted."""
+    d = 0
+    while True:
+        try:
+            fill_parallel_sphere(build_completion(p, lab, g), lab, g, f, h,
+                                 depth=d)
+            return d
+        except SearchExhausted:
+            d += 1
+
+
+def test_kept_filling_needs_the_depth_it_used(braid_p, braid8):
+    """A kept filling of height k raises SearchExhausted below depth k, as
+    a cold call does, and gives the cold expression from depth k on,
+    whether the table holds the sphere, only its residual spheres, or
+    nothing."""
+    g, lab, c, _ = braid8
+    f, h = (z.forward_path() for z in parse_sphere(braid_p, DEEP_SPHERE))
+    k = _least_depth(braid_p, lab, g, f, h)
+    assert k >= 2
+    cold = str(fill_parallel_sphere(build_completion(braid_p, lab, g), lab,
+                                    g, f, h, depth=k))
+    full = build_completion(braid_p, lab, g)
+    assert str(fill_parallel_sphere(full, lab, g, f, h)) == cold
+    # a call that ran out of depth keeps the residual spheres it filled
+    partial = build_completion(braid_p, lab, g)
+    with pytest.raises(SearchExhausted):
+        fill_parallel_sphere(partial, lab, g, f, h, depth=k - 1)
+    for warm in (full, partial):
+        for d in range(k):
+            with pytest.raises(SearchExhausted):
+                fill_parallel_sphere(warm, lab, g, f, h, depth=d)
+        for d in (k, k + 1):
+            assert str(fill_parallel_sphere(warm, lab, g, f, h,
+                                            depth=d)) == cold
+
+
+def test_fault_sphere_raises_in_a_warm_completion(braid_p, braid8,
+                                                  fixed_spheres):
+    """Failures are not kept and do not turn into successes: the fault
+    sphere raises before and after a completion has filled the fixed
+    spheres, along both of the filler's entry points."""
+    g, lab, _, _ = braid8
+    c = build_completion(braid_p, lab, g)
+    f, h = parse_sphere(braid_p, FAULT_SPHERE)
+    for _ in range(2):
+        with pytest.raises(SearchExhausted):
+            fill_zigzag_sphere(c, lab, g, f, h)
+        with pytest.raises(SearchExhausted):
+            fill_parallel_sphere(c, lab, g, f.forward_path(),
+                                 h.forward_path())
+        for f2, h2 in fixed_spheres:
+            _fill(c, lab, g, f2, h2)
+
+
+@pytest.mark.parametrize("text, n", [(None, 8), ("A3", 6)],
+                         ids=["braid-8", "A3-6"])
+def test_kept_geodesics_equal_a_fresh_graphs(braid_p, text, n):
+    """Every word's geodesic to each of its quasi-normal forms, asked of a
+    graph that keeps them, once and again, is the one a fresh graph finds
+    when asked in the other order."""
+    p = parse_polygraph(A3) if text else braid_p
+
+    def graph():
+        return explore(p, all_words(p, n), ExplorationBudget(n, 100000, 200))
+
+    kept, fresh = graph(), graph()
+    pairs = [(w, q) for w in kept.vertices
+             for q in sorted(kept.quasi_normal_forms(w))]
+    assert len(pairs) > len(kept.vertices)
+    first = [kept.geodesic(w, q) for w, q in pairs]
+    again = [kept.geodesic(w, q) for w, q in pairs]
+    assert all(a is b for a, b in zip(first, again))
+    assert first == [fresh.geodesic(w, q) for w, q in pairs[::-1]][::-1]
 
 
 A3 = """\
