@@ -13,11 +13,10 @@ failure of the search.
 
 from polyco.core import all_words
 from polyco.branchings import critical_branchings
-from polyco.cli import _derived_qnf_map
 from polyco.completion import build_completion
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import no_fdt
-from polyco.labelling import Labelling
+from polyco.labelling import Labelling, derived_qnf_map
 from polyco.loops import enumerate_elementary_loops
 
 
@@ -34,7 +33,7 @@ def main():
     for cls in enum.classes:
         print(f"  representative: {cls.representative}")
 
-    lab = Labelling.qnf(_derived_qnf_map(g))
+    lab = Labelling.qnf(derived_qnf_map(g))
     c = build_completion(p, lab, g)
     print(f"\ncompletion verdict: {c.verdict}")
     peiffer = c.audits["peiffer"]

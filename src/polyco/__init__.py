@@ -1,89 +1,53 @@
 """String rewriting on monoid presentations: reduction graphs, decreasing
-diagrams, coherent completions and low-dimensional homology."""
+diagrams, coherent completions and low-dimensional homology.
 
-from .core import (EMPTY, ParseError, Polygraph, Rule, Word, all_words,
-                   parse_polygraph, parse_word, serialize_polygraph,
-                   word_str)
+The package exports the functions a caller runs the pipeline with, from a
+presentation to its coherent completion, filled spheres and homology, and
+the types and exceptions these take, return or raise.  Every other name is
+imported from its module."""
+
+from .core import (ParseError, Polygraph, Word, all_words, parse_polygraph,
+                   serialize_polygraph)
 from .engine import (ExplorationBudget, IllComposed, Path, ReductionGraph,
-                     RewriteStep, TerminationReport, TruncatedRegion,
-                     Unreachable, ZigzagPath, classify_termination,
-                     enumerate_steps, exchange_swap, explore,
-                     normalize_zigzag, parse_step, zigzag,
-                     zigzags_equal, INCONCLUSIVE,
-                     QUASI_TERMINATING_NOT_TERMINATING, TERMINATING)
-from .branchings import (ASPHERICAL, CRITICAL, OVERLAPPING, PEIFFER,
-                         LocalBranching, classify_branching,
-                         critical_branchings, local_branchings,
-                         match_critical)
-from .labelling import (FinitePosetOrder, Labelling, LabellingError,
-                        MissingLabel, NaturalsOrder, NotQuasiNormalForm,
-                        ReachabilityOrder, filter_word, format_qnf_map,
-                        label_path, label_step, measure_branching,
-                        measure_word, multiset_less, parse_label_table,
-                        parse_qnf_map, validate_qnf_map)
-from .decreasing import (DecreasingDiagram, MeasureError, SearchExhausted,
-                         StrictDiagram, Violation, check_context_closability,
-                         check_context_compatibility, check_decreasing,
-                         check_peiffer_decreasing, check_strict,
-                         contexts_up_to, decide_peiffer, find_decreasing,
-                         peiffer_variants)
-from .loops import (Loop, LoopClass, LoopEnumeration, NotALoop,
-                    enumerate_elementary_loops, is_context_minimal,
-                    is_elementary, is_minimal_for_composition,
-                    strip_whiskers)
-from .expressions import (Atom, CONFLUENCE, LOOP, MissingLoopClass,
-                          ThreeCell, ThreeCellExpression, check_boundary,
-                          concat, conjugate, contract_loop, invert)
-from .completion import (CERTIFIED, CoherentPresentation, ConfluenceRecord,
-                         PARTIAL, build_completion, fill_parallel_sphere,
-                         fill_zigzag_sphere, format_extension,
-                         parse_extension, parse_sphere, parse_zigzag)
-from .homology import (ChainComplexZ, HomologyGroup, HomologyResult,
-                       abelianize, homology, letter_counts, rule_occurrences,
-                       smith_normal_form)
+                     RewriteStep, TruncatedRegion, Unreachable, ZigzagPath,
+                     explore, zigzags_equal)
+from .branchings import (PEIFFER, LocalBranching, critical_branchings,
+                         local_branchings)
+from .labelling import Labelling, LabellingError, derived_qnf_map
+from .decreasing import (MeasureError, PeifferAudit, PeifferReport,
+                         SearchExhausted, check_peiffer_decreasing,
+                         decide_peiffer)
+from .expressions import (CONFLUENCE, LOOP, MissingLoopClass, ThreeCell,
+                          ThreeCellExpression, check_boundary)
+from .completion import (CERTIFIED, PARTIAL, CoherentPresentation,
+                         build_completion, fill_parallel_sphere,
+                         fill_zigzag_sphere, parse_sphere)
+from .homology import ChainComplexZ, HomologyResult, abelianize, homology
 from . import fixtures
 
 __all__ = [
     # core
-    "EMPTY", "ParseError", "Polygraph", "Rule", "Word", "all_words",
-    "parse_polygraph", "parse_word", "serialize_polygraph", "word_str",
+    "ParseError", "Polygraph", "Word", "all_words", "parse_polygraph",
+    "serialize_polygraph",
     # engine
     "ExplorationBudget", "IllComposed", "Path", "ReductionGraph",
-    "RewriteStep", "TerminationReport", "TruncatedRegion", "Unreachable",
-    "ZigzagPath", "classify_termination", "enumerate_steps", "exchange_swap",
-    "explore", "normalize_zigzag", "parse_step", "zigzag", "zigzags_equal",
-    "INCONCLUSIVE", "QUASI_TERMINATING_NOT_TERMINATING", "TERMINATING",
+    "RewriteStep", "TruncatedRegion", "Unreachable", "ZigzagPath", "explore",
+    "zigzags_equal",
     # branchings
-    "ASPHERICAL", "CRITICAL", "OVERLAPPING", "PEIFFER", "LocalBranching",
-    "classify_branching", "critical_branchings", "local_branchings",
-    "match_critical",
+    "PEIFFER", "LocalBranching", "critical_branchings", "local_branchings",
     # labelling
-    "FinitePosetOrder", "Labelling", "LabellingError", "MissingLabel",
-    "NaturalsOrder", "NotQuasiNormalForm", "ReachabilityOrder", "filter_word",
-    "format_qnf_map", "label_path", "label_step", "measure_branching",
-    "measure_word", "multiset_less", "parse_label_table", "parse_qnf_map",
-    "validate_qnf_map",
+    "Labelling", "LabellingError", "derived_qnf_map",
     # decreasing
-    "DecreasingDiagram", "MeasureError", "SearchExhausted", "StrictDiagram",
-    "Violation", "check_context_closability", "check_context_compatibility",
-    "check_decreasing", "check_peiffer_decreasing", "check_strict",
-    "contexts_up_to", "decide_peiffer", "find_decreasing",
-    "peiffer_variants",
-    # loops
-    "Loop", "LoopClass", "LoopEnumeration", "NotALoop",
-    "enumerate_elementary_loops", "is_context_minimal", "is_elementary",
-    "is_minimal_for_composition", "strip_whiskers",
+    "MeasureError", "PeifferAudit", "PeifferReport", "SearchExhausted",
+    "check_peiffer_decreasing", "decide_peiffer",
     # expressions
-    "Atom", "CONFLUENCE", "LOOP", "MissingLoopClass", "ThreeCell",
-    "ThreeCellExpression", "check_boundary", "concat", "conjugate",
-    "contract_loop", "invert",
+    "CONFLUENCE", "LOOP", "MissingLoopClass", "ThreeCell",
+    "ThreeCellExpression", "check_boundary",
     # completion
-    "CERTIFIED", "CoherentPresentation", "ConfluenceRecord", "PARTIAL",
-    "build_completion", "fill_parallel_sphere", "fill_zigzag_sphere",
-    "format_extension", "parse_extension", "parse_sphere", "parse_zigzag",
+    "CERTIFIED", "PARTIAL", "CoherentPresentation", "build_completion",
+    "fill_parallel_sphere", "fill_zigzag_sphere", "parse_sphere",
     # homology
-    "ChainComplexZ", "HomologyGroup", "HomologyResult", "abelianize",
-    "homology", "letter_counts", "rule_occurrences", "smith_normal_form",
+    "ChainComplexZ", "HomologyResult", "abelianize", "homology",
     "fixtures",
 ]
 __version__ = "0.1.0"

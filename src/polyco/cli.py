@@ -18,9 +18,10 @@ from .engine import (ExplorationBudget, IllComposed, TruncatedRegion,
                      Unreachable, classify_termination, explore,
                      INCONCLUSIVE)
 from .branchings import critical_branchings
-from .labelling import (Labelling, LabellingError, least_qnf,
+from .labelling import (Labelling, LabellingError, derived_qnf_map,
                         parse_label_table, parse_qnf_map, validate_qnf_map)
-from .decreasing import (MeasureError, SearchExhausted, StrictDiagram,
+from .decreasing import (CTX_BOUND, PEIFFER_LEN_BOUND, MeasureError,
+                         SearchExhausted, StrictDiagram,
                          check_context_compatibility,
                          check_peiffer_decreasing, find_decreasing)
 from .loops import enumerate_elementary_loops
@@ -56,12 +57,17 @@ def _add_exploration(sp):
     sp.add_argument("--max-depth", type=_bound, default=200)
 
 
-def _add_audits(sp):
-    """The exploration budget, the audit bounds and the labelling, which
-    every subcommand that closes critical branchings reads."""
-    _add_exploration(sp)
-    sp.add_argument("--ctx-bound", type=_bound, default=2)
-    sp.add_argument("--peiffer-len-bound", type=_bound, default=6)
+def _add_audit_bounds(sp):
+    """The bounds of the context and Peiffer audits, which the subcommands
+    that report those audits read."""
+    sp.add_argument("--ctx-bound", type=_bound, default=CTX_BOUND)
+    sp.add_argument("--peiffer-len-bound", type=_bound,
+                    default=PEIFFER_LEN_BOUND)
+
+
+def _add_labelling(sp):
+    """The labelling, which every subcommand that closes critical
+    branchings reads."""
     sp.add_argument("--label", choices=["qnf", "nf", "singleton", "table"],
                     default="qnf")
     sp.add_argument("--qnf-map", metavar="FILE")
@@ -81,11 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
             ("analyze", "explore the reduction graph and classify it",
              (_add_exploration,)),
             ("complete", "build a coherent completion with audits",
-             (_add_audits,)),
+             (_add_exploration, _add_audit_bounds, _add_labelling)),
             ("check-decreasing", "search decreasing diagrams and audit them",
-             (_add_audits,)),
+             (_add_exploration, _add_audit_bounds, _add_labelling)),
             ("fill-sphere", "express a parallel sphere in completion cells",
-             (_add_audits, _add_cells)),
+             (_add_exploration, _add_labelling, _add_cells)),
             ("homology", "integral homology of the presentation",
              (_add_cells,))]:
         sp = sub.add_parser(name, help=doc)
@@ -114,29 +120,12 @@ def _setup(args):
     return p, g, budget
 
 
-def _derived_qnf_map(g):
-    """Each word's least quasi-normal form, found once per strongly
-    connected component: its members reach the same words."""
-    least = {}
-    qm = {}
-    for w in g.vertices:
-        i = g.component_of(w)
-        if i not in least:
-            try:
-                least[i] = least_qnf(g, w)
-            except TruncatedRegion:
-                least[i] = None
-        if least[i] is not None:
-            qm[w] = least[i]
-    return qm
-
-
 def _labelling(args, p, g) -> Labelling:
     if args.label == "qnf":
         if args.qnf_map:
             qm = parse_qnf_map(p, _read(args.qnf_map))
         else:
-            qm = _derived_qnf_map(g)
+            qm = derived_qnf_map(g)
         lab = Labelling.qnf(qm)
         if args.qnf_map:
             validate_qnf_map(lab, g)
@@ -340,8 +329,7 @@ def cmd_check_decreasing(args) -> int:
 def cmd_fill_sphere(args) -> int:
     p, g, budget = _setup(args)
     lab = _labelling(args, p, g)
-    c = build_completion(p, lab, g, ctx_bound=args.ctx_bound,
-                         peiffer_len_bound=args.peiffer_len_bound)
+    c = build_completion(p, lab, g)
     if args.cells:
         parsed = parse_extension(p, _read(args.cells))
         for name, cell in parsed.items():

@@ -22,19 +22,18 @@ from .core import (ParseError, Polygraph, Word, file_lines, parse_word,
                    word_str)
 from .branchings import (PEIFFER, LocalBranching, classify_branching,
                          critical_branchings, match_critical)
-from .decreasing import (MeasureError, SearchExhausted, StrictDiagram,
-                         _diagram_completions, _greedy_normalize, _read_pair,
-                         _strict, check_context_closability,
+from .decreasing import (CTX_BOUND, PEIFFER_LEN_BOUND, MeasureError,
+                         SearchExhausted, StrictDiagram, canonical_target,
+                         check_context_closability,
                          check_peiffer_decreasing, decide_peiffer,
-                         find_decreasing)
+                         find_decreasing, reads_strict)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
-                     TruncatedRegion, Unreachable, ZigzagPath, exchange_swap,
-                     parse_step, zigzag)
+                     TruncatedRegion, ZigzagPath, exchange_swap, parse_step,
+                     zigzag)
 from .expressions import (Atom, ThreeCell, ThreeCellExpression, concat,
                           conjugate, contract_loop, invert, CONFLUENCE,
                           LOOP)
-from .labelling import (Labelling, LabellingError, NF, QNF, least_qnf,
-                        measure_branching, multiset_less)
+from .labelling import Labelling, measure_branching, multiset_less
 from .loops import enumerate_elementary_loops
 
 
@@ -76,7 +75,8 @@ PARTIAL = "PARTIAL"
 
 
 def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
-                     ctx_bound: int = 2, peiffer_len_bound: int = 6
+                     ctx_bound: int = CTX_BOUND,
+                     peiffer_len_bound: int = PEIFFER_LEN_BOUND
                      ) -> CoherentPresentation:
     """One confluence cell per critical branching plus one extension cell
     per elementary loop class, with audits."""
@@ -91,7 +91,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
                 f"no decreasing diagram for the critical branching at "
                 f"{word_str(cb.source)}", frontier=cb)
         strict = isinstance(d, StrictDiagram)
-        c1, c2 = _diagram_completions(d)
+        c1, c2 = d.completions
         name = f"D{i + 1}"
         cell = ThreeCell(name,
                          zigzag(cb.source, cb.first, c1),
@@ -138,18 +138,6 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
 # closing one local branching with a witness expression
 
 
-def _canonical_target(lab: Labelling, g: ReductionGraph, w: Word) -> Word:
-    if lab.kind == QNF and lab.qnf_map and w in lab.qnf_map:
-        return lab.qnf_map[w]
-    if lab.kind == NF:
-        return _greedy_normalize(g, w).target
-    hat = least_qnf(g, w)
-    if hat is None:
-        raise Unreachable(f"no quasi-normal form reachable from "
-                          f"{word_str(w)}")
-    return hat
-
-
 def _overlap_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
                      h1: RewriteStep):
     criticals = [r.branching for r in c.confluences]
@@ -172,21 +160,11 @@ def _overlap_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
     if strict and (wl or wr):
         # strictness of the recorded diagram does not survive whiskering
         # in general; re-check the instance actually used
-        strict = _reads_strict(lab, g, LocalBranching(f1, h1), c_f, c_h)
+        strict = reads_strict(lab, g, LocalBranching(f1, h1), c_f, c_h)
     src = zigzag(f1.source, f1, c_f)
     atom = Atom(ZigzagPath(f1.source), wl, rec.name, sign, wr,
                 ZigzagPath(c_f.target))
     return c_f, c_h, ThreeCellExpression(src, (atom,)), strict
-
-
-def _reads_strict(lab, g, b: LocalBranching, c_f: Path, c_h: Path) -> bool:
-    """Whether the completions close the branching strictly; a closure
-    whose steps cannot all be labelled is not strict."""
-    try:
-        labels = _read_pair(lab, g, b, c_f, c_h)
-    except (LabellingError, TruncatedRegion):
-        return False
-    return labels is not None and _strict(lab.order, labels)
 
 
 def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
@@ -205,7 +183,7 @@ def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
         c_f = Path._checked(f1.target, exchange_swap(f1.inverse(), h1)[:1])
         c_h = Path._checked(h1.target, exchange_swap(h1.inverse(), f1)[:1])
     else:
-        c_f, c_h = _diagram_completions(report.diagram)
+        c_f, c_h = report.diagram.completions
     atoms = []
     for loop in report.witness_loops:
         if c_f.steps and c_h.steps:
@@ -306,7 +284,7 @@ def _fill_anew(c: CoherentPresentation, lab: Labelling, g: ReductionGraph,
         return ThreeCellExpression(f.zigzag(), out.atoms), height + 1
     c_f, c_h, a_expr, strict = _close_local(c, lab, g, f1, h1)
     w = c_f.target
-    hat = _canonical_target(lab, g, f.target)
+    hat = canonical_target(lab, g, f.target)
     k = g.geodesic(f.target, hat)
     hbar = g.geodesic(w, hat)
     left_b = f2.compose(k), c_f.compose(hbar)
@@ -347,7 +325,7 @@ def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
     in a later sphere of the same completion, reuses its kept patch."""
     if f.source != h.source or f.target != h.target:
         raise IllComposed("the two zigzags are not parallel")
-    hat = _canonical_target(lab, g, f.source)
+    hat = canonical_target(lab, g, f.source)
 
     def down(w: Word) -> Path:
         return g.geodesic(w, hat)
@@ -409,6 +387,8 @@ def format_extension(c: CoherentPresentation) -> str:
 
 
 def parse_extension(p: Polygraph, text: str) -> dict[str, ThreeCell]:
+    """The ``cell NAME : ZIGZAG => ZIGZAG`` lines of an extension file, by
+    name; each NAME is one word, given once."""
     cells: dict[str, ThreeCell] = {}
     for lineno, line in file_lines(text):
         if not line.startswith("cell "):
@@ -419,6 +399,10 @@ def parse_extension(p: Polygraph, text: str) -> dict[str, ThreeCell]:
                              lineno)
         name, rest = body.split(":", 1)
         name = name.strip()
+        if len(name.split()) != 1:
+            raise ParseError(f"a cell name is one word, not {name!r}", lineno)
+        if name in cells:
+            raise ParseError(f"cell {name!r} is declared twice", lineno)
         srctext, tgttext = rest.split("=>", 1)
         src = parse_zigzag(p, srctext, lineno)
         tgt = parse_zigzag(p, tgttext, lineno)
@@ -439,12 +423,12 @@ def parse_sphere(p: Polygraph, text: str) -> tuple[ZigzagPath, ZigzagPath]:
         if sphere is not None:
             raise ParseError(f"unexpected line after the sphere: {line!r}",
                              lineno)
-        if not line.startswith("sphere"):
+        head, colon, body = line.partition(":")
+        if head.split()[:1] != ["sphere"]:
             raise ParseError(f"unknown sphere line {line!r}", lineno)
-        body = line.split(":", 1)
-        if len(body) != 2 or "=>" not in body[1]:
+        if head.strip() != "sphere" or not colon or "=>" not in body:
             raise ParseError("expected: sphere : ZIGZAG => ZIGZAG", lineno)
-        srctext, tgttext = body[1].split("=>", 1)
+        srctext, tgttext = body.split("=>", 1)
         f = parse_zigzag(p, srctext, lineno)
         h = parse_zigzag(p, tgttext, lineno)
         if f.source != h.source or f.target != h.target:

@@ -26,7 +26,13 @@ from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
                      TruncatedRegion, Unreachable, redexes)
 from .labelling import (Labelling, LabellingError, MissingLabel, NF, QNF,
                         TABLE, label_key, label_path, label_step,
-                        label_target)
+                        label_target, least_qnf)
+
+# the default bounds of the audits: the total length of the contexts the
+# context audits whisker by, and the length of the words whose Peiffer
+# branchings the Peiffer audit decides
+CTX_BOUND = 2
+PEIFFER_LEN_BOUND = 6
 
 
 class SearchExhausted(Exception):
@@ -61,6 +67,12 @@ class StrictDiagram:
         g = self.branching.second
         return Path(g.source, (g,)).compose(self.g_prime)
 
+    @property
+    def completions(self) -> tuple[Path, Path]:
+        """The paths that close the branching after its first and after its
+        second step."""
+        return self.f_prime, self.g_prime
+
 
 @dataclass(frozen=True)
 class DecreasingDiagram:
@@ -83,6 +95,13 @@ class DecreasingDiagram:
         g = self.branching.second
         return (Path(g.source, (g,)).compose(self.g_prime)
                 .compose(self.f_dprime).compose(self.h2))
+
+    @property
+    def completions(self) -> tuple[Path, Path]:
+        """The paths that close the branching after its first and after its
+        second step: f' . g'' . h1 and g' . f'' . h2."""
+        return (self.f_prime.compose(self.g_dprime).compose(self.h1),
+                self.g_prime.compose(self.f_dprime).compose(self.h2))
 
 
 @dataclass(frozen=True)
@@ -182,6 +201,21 @@ def _greedy_normalize(g: ReductionGraph, u: Word) -> Path:
         at = out[0].target
     raise SearchExhausted("normalization did not terminate "
                           f"within {NORMALIZE_STEPS} steps")
+
+
+def canonical_target(lab: Labelling, g: ReductionGraph, w: Word) -> Word:
+    """The word sphere filling closes w onto: its chosen quasi-normal form
+    when a qnf labelling maps it, its normal form under the nf labelling,
+    else its least quasi-normal form (least_qnf)."""
+    if lab.kind == QNF and lab.qnf_map and w in lab.qnf_map:
+        return lab.qnf_map[w]
+    if lab.kind == NF:
+        return _greedy_normalize(g, w).target
+    hat = least_qnf(g, w)
+    if hat is None:
+        raise Unreachable(f"no quasi-normal form reachable from "
+                          f"{word_str(w)}")
+    return hat
 
 
 def _strict_candidates(lab: Labelling, g: ReductionGraph, tf: Word, tg: Word):
@@ -301,6 +335,17 @@ def _strict(order, labels) -> bool:
     less = order.less
     return (all(less(k, psi_f) for k in l1)
             and all(less(k, psi_h) for k in l2))
+
+
+def reads_strict(lab: Labelling, g: ReductionGraph, b: LocalBranching,
+                 c_f: Path, c_h: Path) -> bool:
+    """Whether the completions close the branching strictly; a closure
+    whose steps cannot all be labelled is not strict."""
+    try:
+        labels = _read_pair(lab, g, b, c_f, c_h)
+    except (LabellingError, TruncatedRegion):
+        return False
+    return labels is not None and _strict(lab.order, labels)
 
 
 def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
@@ -661,7 +706,7 @@ class PeifferAudit:
 
 
 def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
-                             p: Polygraph, len_bound: int = 6
+                             p: Polygraph, len_bound: int = PEIFFER_LEN_BOUND
                              ) -> PeifferAudit:
     """Audit every Peiffer branching on words up to the length bound, in the
     order of local_branchings: PASS when the Peiffer confluence or one of
@@ -743,14 +788,6 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
 # compatibility with contexts
 
 
-def _diagram_completions(d) -> tuple[Path, Path]:
-    if isinstance(d, StrictDiagram):
-        return d.f_prime, d.g_prime
-    left = d.f_prime.compose(d.g_dprime).compose(d.h1)
-    right = d.g_prime.compose(d.f_dprime).compose(d.h2)
-    return left, right
-
-
 def contexts_up_to(p: Polygraph, bound: int):
     """Pairs of context words ordered by total length, then left length,
     then generator order."""
@@ -800,7 +837,7 @@ def _context_audit(p: Polygraph, items, ctx_bound: int, fails
 
 
 def check_context_compatibility(lab: Labelling, g: ReductionGraph,
-                                diagrams, ctx_bound: int = 2
+                                diagrams, ctx_bound: int = CTX_BOUND
                                 ) -> ContextReport:
     """Re-check each diagram whiskered by every context of total length up
     to the bound.  A context under which no decreasing reading of the
@@ -816,14 +853,13 @@ def check_context_compatibility(lab: Labelling, g: ReductionGraph,
         return ({} if labels is None or not _first_splits(lab.order, labels)
                 else None)
 
-    items = (({"diagram": idx},
-              (d.branching, *_diagram_completions(d)))
+    items = (({"diagram": idx}, (d.branching, *d.completions))
              for idx, d in enumerate(diagrams))
     return _context_audit(g.polygraph, items, ctx_bound, fails)
 
 
 def check_context_closability(lab: Labelling, g: ReductionGraph,
-                              branchings, ctx_bound: int = 2
+                              branchings, ctx_bound: int = CTX_BOUND
                               ) -> ContextReport:
     """Check that every branching, whiskered by every context of total
     length up to the bound, still admits a strictly decreasing completion.

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .core import (ParseError, Polygraph, Word, file_lines, parse_word,
                    word_str)
-from .engine import ReductionGraph, RewriteStep, Unreachable, parse_step
+from .engine import (ReductionGraph, RewriteStep, TruncatedRegion,
+                     Unreachable, parse_step)
 
 
 class LabellingError(ValueError):
@@ -187,6 +188,26 @@ def least_qnf(g: ReductionGraph, w: Word) -> Word | None:
     quasi_normal_forms does."""
     qnfs = g.quasi_normal_forms(w)
     return min(qnfs, key=lambda x: (len(x), x)) if qnfs else None
+
+
+def derived_qnf_map(g: ReductionGraph) -> dict[Word, Word]:
+    """The quasi-normal-form map of the qnf labelling when none is given:
+    each explored word to its least quasi-normal form (least_qnf), found
+    once per strongly connected component, since its members reach the
+    same words.  A word whose quasi-normal forms the explored graph does
+    not settle (none, or TruncatedRegion) is left out."""
+    least = {}
+    qm = {}
+    for w in g.vertices:
+        i = g.component_of(w)
+        if i not in least:
+            try:
+                least[i] = least_qnf(g, w)
+            except TruncatedRegion:
+                least[i] = None
+        if least[i] is not None:
+            qm[w] = least[i]
+    return qm
 
 
 def validate_qnf_map(lab: Labelling, g: ReductionGraph) -> None:

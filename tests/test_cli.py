@@ -262,8 +262,11 @@ def test_fill_sphere(braid_file, tmp_path, capsys):
 @pytest.mark.parametrize("sphere", [
     "sphere : 1|alpha|t ; 1|alpha|t => s|beta|1",
     "sphere : 1|alpha|t => 1|beta|s",
-    "sphere : x|alpha|1 => x|alpha|1 ; x|alpha|1- ; x|alpha|1"],
-    ids=["ill_composed", "not_parallel", "unknown_letter"])
+    "sphere : x|alpha|1 => x|alpha|1 ; x|alpha|1- ; x|alpha|1",
+    "sphereXYZ : 1|alpha|t => s|beta|1 ; s|alpha|1 ; 1|alpha|t",
+    "sphere two : 1|alpha|t => s|beta|1 ; s|alpha|1 ; 1|alpha|t"],
+    ids=["ill_composed", "not_parallel", "unknown_letter", "head_sphereXYZ",
+         "head_of_two_words"])
 def test_fill_sphere_malformed_sphere_is_input_error(braid_file, tmp_path,
                                                      capsys, sphere):
     path = tmp_path / "sphere.txt"
@@ -283,6 +286,34 @@ def test_fill_sphere_rejects_lines_after_the_sphere(braid_file, tmp_path,
     assert capsys.readouterr().err == (
         "error: line 4: unexpected line after the sphere: "
         "'sphere : garbage => more'\n")
+
+
+@pytest.mark.parametrize("name", ["", "two words"],
+                         ids=["empty", "two_words"])
+def test_homology_cell_name_of_other_than_one_word_is_input_error(
+        braid_file, tmp_path, capsys, name):
+    cells = tmp_path / "cells.txt"
+    cells.write_text(f"cell {name} : 1|alpha|1 ; 1|beta|1 => id s t s\n")
+    assert main(["homology", braid_file, "--cells", str(cells)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1: a cell name is one word, not {name!r}\n")
+
+
+def test_homology_cell_declared_twice_is_input_error(braid_file, tmp_path,
+                                                    capsys,
+                                                    braid_completion):
+    """A name given twice would replace its first cell: here the loop
+    cell E1 by a copy of D1."""
+    from polyco.completion import format_extension
+    lines = format_extension(braid_completion).splitlines()[1:]
+    assert [line.split()[1] for line in lines] == [
+        "D1", "D2", "D3", "D4", "E1"]
+    lines.append(lines[0].replace("cell D1 ", "cell E1 "))
+    cells = tmp_path / "cells.txt"
+    cells.write_text("\n".join(lines) + "\n")
+    assert main(["homology", braid_file, "--cells", str(cells)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 6: cell 'E1' is declared twice\n")
 
 
 def test_homology_ill_composed_cell_is_input_error(braid_file, tmp_path,
@@ -426,9 +457,9 @@ def test_fill_sphere_under_nf_labels(convergent_braid_file, tmp_path,
     assert capsys.readouterr().out == "[id s t s t] . 1|D2|1 . [id a t]\n"
 
 
-_AUDIT_OPTIONS = [("--ctx-bound", "2"), ("--peiffer-len-bound", "6"),
-                  ("--label", "nf"), ("--qnf-map", "x"),
-                  ("--label-table", "x")]
+_BOUND_OPTIONS = [("--ctx-bound", "2"), ("--peiffer-len-bound", "6")]
+_AUDIT_OPTIONS = _BOUND_OPTIONS + [("--label", "nf"), ("--qnf-map", "x"),
+                                   ("--label-table", "x")]
 _BUDGET_OPTIONS = [("--max-word-len", "7"), ("--max-states", "10"),
                    ("--max-depth", "5")]
 
@@ -436,12 +467,15 @@ _BUDGET_OPTIONS = [("--max-word-len", "7"), ("--max-states", "10"),
 @pytest.mark.parametrize("command, option", [
     *(("analyze", o) for o in _AUDIT_OPTIONS + [("--cells", "x")]),
     ("complete", ("--cells", "x")), ("check-decreasing", ("--cells", "x")),
+    # fill-sphere reports no audit: the bounds change nothing it prints
+    *(("fill-sphere", o) for o in _BOUND_OPTIONS),
     *(("homology", o) for o in _BUDGET_OPTIONS + _AUDIT_OPTIONS)],
     ids=lambda x: x if isinstance(x, str) else x[0])
 def test_subcommands_refuse_options_they_do_not_read(braid_file, capsys,
                                                      command, option):
+    sphere = ["x.sphere"] if command == "fill-sphere" else []
     with pytest.raises(SystemExit) as e:
-        main([command, braid_file, *option])
+        main([command, braid_file, *sphere, *option])
     assert e.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

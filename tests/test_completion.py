@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
                                local_branchings)
-from polyco.cli import _derived_qnf_map
 from polyco.completion import (CERTIFIED, PARTIAL, _peiffer_closure,
                                build_completion, fill_parallel_sphere,
                                fill_zigzag_sphere, format_extension,
@@ -22,7 +21,7 @@ from polyco.engine import (ExplorationBudget, IllComposed, Path,
 from polyco.expressions import ThreeCellExpression, check_boundary
 from polyco.fixtures import (braid, convergent_braid, no_fdt,
                              two_letters)
-from polyco.labelling import Labelling
+from polyco.labelling import Labelling, derived_qnf_map
 from test_golden import SPHERES as GOLDEN_SPHERES
 
 
@@ -83,8 +82,7 @@ def test_convergent_completion_matches_squier_oracle(upsilon_p, upsilon_g):
 
 
 def test_lafont_completion_is_partial(lafont_p, lafont_g):
-    from polyco.cli import _derived_qnf_map
-    lab = Labelling.qnf(_derived_qnf_map(lafont_g))
+    lab = Labelling.qnf(derived_qnf_map(lafont_g))
     c = build_completion(lafont_p, lab, lafont_g)
     assert c.verdict == PARTIAL
     assert not c.audits["peiffer"].ok
@@ -142,7 +140,7 @@ def braid8(braid_p):
     classes of at least two words, that of s t s first."""
     g = explore(braid_p, all_words(braid_p, 8),
                 ExplorationBudget(8, 100000, 200))
-    lab = Labelling.qnf(_derived_qnf_map(g))
+    lab = Labelling.qnf(derived_qnf_map(g))
     c = build_completion(braid_p, lab, g)
     assert c.verdict == CERTIFIED
     classes: dict = {}
@@ -440,7 +438,7 @@ def peiffer_closures(braid_p, braid8):
     systems = [(braid_p, *braid8[:3])]
     for p in (two_letters(), parse_polygraph(A3)):
         g = explore(p, all_words(p, 6), ExplorationBudget(6, 100000, 200))
-        lab = Labelling.qnf(_derived_qnf_map(g))
+        lab = Labelling.qnf(derived_qnf_map(g))
         systems.append((p, g, lab, build_completion(p, lab, g)))
     out = []
     for p, g, lab, c in systems:
@@ -486,7 +484,7 @@ def test_peiffer_closures_paste_the_audited_variant(peiffer_closures):
 def test_undecided_peiffer_closures_paste_the_square(lafont_p, lafont_g):
     """A Peiffer branching the audit leaves UNDECIDED closes with the plain
     Peiffer square, which needs no cell, and not strictly."""
-    lab = Labelling.qnf(_derived_qnf_map(lafont_g))
+    lab = Labelling.qnf(derived_qnf_map(lafont_g))
     c = build_completion(lafont_p, lab, lafont_g, peiffer_len_bound=4)
     reports = [decide_peiffer(lab, lafont_g, lafont_p, b)
                for u in all_words(lafont_p, 4)
@@ -546,18 +544,30 @@ _braid_zigzags = st.lists(_braid_steps, min_size=1, max_size=4).map(
     " ; ".join)
 
 
+_sphere_heads = st.sampled_from(["sphere", "sphereXYZ", "spheres",
+                                 "sphere two", "", "cell X"])
+_cell_heads = st.sampled_from(["cell X", "cell E1", "cell", "cell ",
+                               "cell two words", "cellX", "sphere"])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(src=_braid_zigzags, tgt=_braid_zigzags)
-def test_sphere_and_extension_parsers_fail_only_with_parse_error(braid_p,
-                                                                 src, tgt):
+@given(src=_braid_zigzags, tgt=_braid_zigzags, sphere_head=_sphere_heads,
+       cell_heads=st.lists(_cell_heads, min_size=1, max_size=3))
+def test_sphere_and_extension_parsers_fail_only_with_parse_error(
+        braid_p, src, tgt, sphere_head, cell_heads):
     """Zigzags of random braid steps, in either orientation and whether
-    they compose or not, parse or raise ParseError; a parsed sphere has
-    parallel sides."""
+    they compose or not, under heads of either file, parse or raise
+    ParseError.  A parsed sphere has the head ``sphere`` and parallel
+    sides; parsed cells have heads ``cell NAME``, one word per name, each
+    name given once."""
     with contextlib.suppress(ParseError):
-        f, h = parse_sphere(braid_p, f"sphere : {src} => {tgt}")
+        f, h = parse_sphere(braid_p, f"{sphere_head} : {src} => {tgt}")
+        assert sphere_head == "sphere"
         assert (f.source, f.target) == (h.source, h.target)
     with contextlib.suppress(ParseError):
-        parse_extension(braid_p, f"cell X : {src} => {tgt}")
+        cells = parse_extension(braid_p, "\n".join(
+            f"{head} : {src} => {tgt}" for head in cell_heads))
+        assert [f"cell {name}" for name in cells] == cell_heads
 
 
 @pytest.mark.parametrize("p,longest", [
@@ -572,7 +582,7 @@ def test_certified_verdict_is_monotone_in_the_word_length(p, longest):
     for n in range(1, longest + 1):
         g = explore(p, all_words(p, n), ExplorationBudget(n, 100000, 200))
         lab = (Labelling.nf(g) if p.name == "convergent_braid"
-               else Labelling.qnf(_derived_qnf_map(g)))
+               else Labelling.qnf(derived_qnf_map(g)))
         try:
             verdicts.append(build_completion(p, lab, g).verdict)
         except SearchExhausted:

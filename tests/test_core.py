@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import polyco
 from polyco.core import (ParseError, Polygraph, PresentationError, Rule,
                          all_words, parse_polygraph, parse_word,
                          serialize_polygraph, word_str)
@@ -65,12 +64,6 @@ def test_all_words_shortest_first():
     ws = list(all_words(p, 2))
     assert ws == [(), ("a",), ("b",), ("a", "a"), ("a", "b"),
                   ("b", "a"), ("b", "b")]
-
-
-def test_every_exported_name_resolves():
-    assert len(set(polyco.__all__)) == len(polyco.__all__)
-    missing = [n for n in polyco.__all__ if not hasattr(polyco, n)]
-    assert missing == []
 
 
 # ---------------------------------------------------------------------------

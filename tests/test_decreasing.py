@@ -5,7 +5,6 @@ import pytest
 from polyco import decreasing
 from polyco.branchings import (OVERLAPPING, PEIFFER, LocalBranching,
                                critical_branchings, local_branchings)
-from polyco.cli import _derived_qnf_map
 from polyco.core import all_words
 from polyco.decreasing import (DecreasingDiagram, check_context_closability,
                                check_context_compatibility,
@@ -14,8 +13,8 @@ from polyco.decreasing import (DecreasingDiagram, check_context_closability,
                                peiffer_variants, StrictDiagram)
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid_qnf_map
-from polyco.labelling import (FinitePosetOrder, Labelling, label_path,
-                              step_key)
+from polyco.labelling import (FinitePosetOrder, Labelling, derived_qnf_map,
+                              label_path, step_key)
 
 
 def _peiffer_on(p, word):
@@ -71,7 +70,7 @@ def _peiffer_reports(lab, g, p, bound):
 
 def test_peiffer_audit_beyond_explored_words_is_undecided(lafont_g):
     p, n = lafont_g.polygraph, lafont_g.budget.max_word_len
-    lab = Labelling.qnf(_derived_qnf_map(lafont_g))
+    lab = Labelling.qnf(derived_qnf_map(lafont_g))
     audit = check_peiffer_decreasing(lab, lafont_g, p, n + 1)
     reports = _peiffer_reports(lab, lafont_g, p, n + 1)
     undecided = [r for r in reports if r.status == "UNDECIDED"]
@@ -144,7 +143,7 @@ def test_context_closability_reads_truncation_as_unverified(braid_p):
     names the word and the option that left it out."""
     g = explore(braid_p, all_words(braid_p, 7), ExplorationBudget(7, 200))
     crits = critical_branchings(braid_p)
-    rep = check_context_closability(Labelling.qnf(_derived_qnf_map(g)), g,
+    rep = check_context_closability(Labelling.qnf(derived_qnf_map(g)), g,
                                     crits, ctx_bound=2)
     assert rep.violations and rep.unverified and not rep.ok
 
@@ -219,7 +218,7 @@ def test_one_peiffer_audit_labels_each_word_or_key_once(ab_p, monkeypatch,
     g = explore(ab_p, all_words(ab_p, 3), ExplorationBudget(3))
     lab = (Labelling.from_table({step_key(s): 0 for steps in g.out.values()
                                  for s in steps}, FinitePosetOrder([0], []))
-           if table else Labelling.qnf(_derived_qnf_map(g)))
+           if table else Labelling.qnf(derived_qnf_map(g)))
     calls = Counter()
     for name in ("label_key", "label_target"):
         def counted(lab, *args, fn=getattr(decreasing, name)):

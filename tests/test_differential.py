@@ -8,7 +8,6 @@ import pytest
 
 from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
                                local_branchings)
-from polyco.cli import _derived_qnf_map
 from polyco.core import Polygraph, Rule, all_words, word_str
 from polyco.decreasing import (DecreasingDiagram, PeifferReport,
                                StrictDiagram, _cut, _first_splits,
@@ -24,8 +23,9 @@ from polyco.engine import (ExplorationBudget, Path, RewriteStep,
 from polyco.fixtures import (abstract_states, braid, convergent_braid, no_fdt,
                              two_letters)
 from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
-                              LabellingError, QNF, ReachabilityOrder,
-                              label_path, label_step, step_key)
+                              LabellingError, NaturalsOrder, QNF,
+                              ReachabilityOrder, derived_qnf_map, label_path,
+                              label_step, step_key)
 from polyco.loops import (_Component, _cyclic_sccs, class_of,
                           enumerate_elementary_loops, split_loop,
                           strip_whiskers, word_sequence)
@@ -246,7 +246,7 @@ def test_derived_qnf_map_per_component_matches_per_word(name, request):
     else:
         g = request.getfixturevalue(name)
     want = _reference_qnf_map(g)
-    got = _derived_qnf_map(g)
+    got = derived_qnf_map(g)
     assert list(got.items()) == list(want.items())
 
 
@@ -956,7 +956,7 @@ def _audited(p, length, bound=None, label="qnf", max_len=None,
     g = explore(p, all_words(p, length),
                 ExplorationBudget(max_len or length, max_states, max_depth))
     lab = (Labelling.nf(g) if label == "nf"
-           else Labelling.qnf(_derived_qnf_map(g)))
+           else Labelling.qnf(derived_qnf_map(g)))
     return p, g, lab, bound or length
 
 
@@ -966,6 +966,23 @@ def _tables(p, length, seed):
     g = explore(p, all_words(p, length), ExplorationBudget(length))
     rng = random.Random(seed)
     return p, g, _random_labelling(rng, g, list("abc"), missing=0.05), length
+
+
+def _undecided_at(p, length, word):
+    """p explored up to the length under a table labelling that labels each
+    step out of ``word`` 0 and every other step one more than its rule's
+    declaration index, audited at the length.  A square at another word
+    reads its plain confluence as decreasing, each completion one step at
+    or below the label of the other side, and some read strict through
+    their reverse rules; a square at ``word`` reads labels above its own in
+    every variant and is UNDECIDED.  So the audit's first UNDECIDED report
+    is the first square at ``word`` in its order.  The table covers the
+    words two letters past the length: a square reads the steps out of the
+    word where both its steps are applied."""
+    g = explore(p, all_words(p, length), ExplorationBudget(length))
+    table = {step_key(s): 0 if w == word else p.rule_index(s.rule.name) + 1
+             for w in all_words(p, length + 2) for s in enumerate_steps(p, w)}
+    return p, g, Labelling.from_table(table, NaturalsOrder()), length
 
 
 def _mixed_reverses():
@@ -1008,6 +1025,11 @@ _PEIFFER_AUDITS = {
     "abstract_states-4": lambda: _audited(abstract_states(), 4),
     "mixed_reverses-4": lambda: _audited(_mixed_reverses(), 4, max_len=6),
     "prefix_lhs-4": lambda: _audited(_prefix_lhs(), 4, max_len=6),
+    # the first square at c a b a pairs c with a b a, a redex that starts
+    # before the b and at the a b that c a b has: the squares at c a b a
+    # come in the audit's order only once its redexes are sorted by position
+    "prefix_lhs-4-undecided-at-caba": lambda: _undecided_at(
+        _prefix_lhs(), 4, tuple("caba")),
     # the lafont graph audited one letter past its bound: label errors
     "lafont-5-at-6": lambda: _audited(no_fdt(), 4, bound=6, max_len=5),
     "braid-7-table": lambda: _tables(braid(), 7, 0),
@@ -1073,6 +1095,10 @@ def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
         assert read_off[False] or name == "convergent_braid-7-nf"
     if name == "lafont-5-at-6" or name.endswith("-table"):
         assert errors
+    if name == "prefix_lhs-4-undecided-at-caba":
+        b = audit.first_undecided.branching
+        assert (str(b.first), str(b.second)) == ("1|c_ba|a b a",
+                                                 "c|aba_b|1")
 
 
 def test_lazily_built_peiffer_diagrams_pass_their_checks(peiffer_audit):

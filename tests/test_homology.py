@@ -2,14 +2,13 @@ import random
 
 import sympy
 
-from polyco.cli import _derived_qnf_map
 from polyco.completion import CERTIFIED, build_completion
 from polyco.core import all_words
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid, convergent_braid
 from polyco.homology import (abelianize, homology, identity, matmul,
                              smith_normal_form)
-from polyco.labelling import Labelling
+from polyco.labelling import Labelling, derived_qnf_map
 
 
 def _random_matrix(rnd, max_dim=6, lo=-5, hi=5):
@@ -94,7 +93,7 @@ def test_braid_and_convergent_braid_have_equal_homology():
     """Two presentations of the positive braid monoid on three strands,
     each completed at word length 8, give the monoid's H1 and H2."""
     a = _certified_homology(braid(),
-                            lambda g: Labelling.qnf(_derived_qnf_map(g)), 8)
+                            lambda g: Labelling.qnf(derived_qnf_map(g)), 8)
     b = _certified_homology(convergent_braid(), Labelling.nf, 8)
     assert (a.h1, a.h2) == (b.h1, b.h2)
     assert str(a.h1) == "Z" and str(a.h2) == "0"
