@@ -75,6 +75,7 @@ def _add_labelling(sp):
 
 
 def _add_cells(sp):
+    """The completion's cells, which homology reads."""
     sp.add_argument("--cells", metavar="FILE")
 
 
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("check-decreasing", "search decreasing diagrams and audit them",
              (_add_exploration, _add_audit_bounds, _add_labelling)),
             ("fill-sphere", "express a parallel sphere in completion cells",
-             (_add_exploration, _add_labelling, _add_cells)),
+             (_add_exploration, _add_labelling)),
             ("homology", "integral homology of the presentation",
              (_add_cells,))]:
         sp = sub.add_parser(name, help=doc)
@@ -330,11 +331,6 @@ def cmd_fill_sphere(args) -> int:
     p, g, budget = _setup(args)
     lab = _labelling(args, p, g)
     c = build_completion(p, lab, g)
-    if args.cells:
-        parsed = parse_extension(p, _read(args.cells))
-        for name, cell in parsed.items():
-            if name not in c.cells:
-                raise ParseError(f"cell {name!r} is not in the completion")
     f, h = parse_sphere(p, _read(args.sphere))
     if all(s.forward for s in f.steps) and all(s.forward for s in h.steps):
         expr = fill_parallel_sphere(c, lab, g, f.forward_path(),

@@ -30,9 +30,8 @@ from .decreasing import (CTX_BOUND, PEIFFER_LEN_BOUND, MeasureError,
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
                      TruncatedRegion, ZigzagPath, exchange_swap, parse_step,
                      zigzag)
-from .expressions import (Atom, ThreeCell, ThreeCellExpression, concat,
-                          conjugate, contract_loop, invert, CONFLUENCE,
-                          LOOP)
+from .expressions import (Atom, ThreeCell, ThreeCellExpression, conjugate,
+                          contract_loop, invert, CONFLUENCE, LOOP)
 from .labelling import Labelling, measure_branching, multiset_less
 from .loops import enumerate_elementary_loops
 
@@ -54,11 +53,13 @@ class CoherentPresentation:
     loop_classes: dict[tuple, str]
     audits: dict
     verdict: str
-    # the explored graph the loop classes cover; contract_loop reads its
-    # fundamental loops
-    graph: ReductionGraph | None = None
-    # the parallel spheres filled so far, one table per (labelling, graph)
-    # pair of objects the filler was given (fill_parallel_sphere)
+    # the labelling and explored graph the completion was built from: the
+    # filler reads both, and contract_loop reads the graph's fundamental
+    # loops
+    labelling: Labelling
+    graph: ReductionGraph
+    # the parallel spheres filled so far, by _sphere_key, with their
+    # heights (fill_parallel_sphere)
     _fillings: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -89,7 +90,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
         if d is None:
             raise SearchExhausted(
                 f"no decreasing diagram for the critical branching at "
-                f"{word_str(cb.source)}", frontier=cb)
+                f"{word_str(cb.source)}")
         strict = isinstance(d, StrictDiagram)
         c1, c2 = d.completions
         name = f"D{i + 1}"
@@ -131,14 +132,14 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
     verdict = CERTIFIED if (not failures and ctx.ok and peiffer.ok
                             and loops_error is None) else PARTIAL
     return CoherentPresentation(p, cells, records, loop_classes,
-                                audits, verdict, g)
+                                audits, verdict, lab, g)
 
 
 # ---------------------------------------------------------------------------
 # closing one local branching with a witness expression
 
 
-def _overlap_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
+def _overlap_closure(c: CoherentPresentation, f1: RewriteStep,
                      h1: RewriteStep):
     criticals = [r.branching for r in c.confluences]
     m = match_critical(c.polygraph, f1, h1, criticals)
@@ -148,26 +149,23 @@ def _overlap_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
             f"critical branching of the completion")
     idx, wl, wr, swapped = m
     rec = c.confluences[idx]
-    if not swapped:
-        c_f = rec.f_prime.whisker(wl, wr)
-        c_h = rec.g_prime.whisker(wl, wr)
-        sign = +1
-    else:
-        c_f = rec.g_prime.whisker(wl, wr)
-        c_h = rec.f_prime.whisker(wl, wr)
-        sign = -1
+    c_f = rec.f_prime.whisker(wl, wr)
+    c_h = rec.g_prime.whisker(wl, wr)
+    if swapped:
+        c_f, c_h = c_h, c_f
     strict = rec.strict
     if strict and (wl or wr):
         # strictness of the recorded diagram does not survive whiskering
         # in general; re-check the instance actually used
-        strict = reads_strict(lab, g, LocalBranching(f1, h1), c_f, c_h)
+        strict = reads_strict(c.labelling, c.graph, LocalBranching(f1, h1),
+                              c_f, c_h)
     src = zigzag(f1.source, f1, c_f)
-    atom = Atom(ZigzagPath(f1.source), wl, rec.name, sign, wr,
-                ZigzagPath(c_f.target))
+    atom = Atom(ZigzagPath(f1.source), wl, rec.name, -1 if swapped else +1,
+                wr, ZigzagPath(c_f.target))
     return c_f, c_h, ThreeCellExpression(src, (atom,)), strict
 
 
-def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
+def _peiffer_closure(c: CoherentPresentation, f1: RewriteStep,
                      h1: RewriteStep):
     """Close a Peiffer branching with the variant the Peiffer audit decides
     on (decide_peiffer), or with the plain Peiffer square, which needs no
@@ -177,7 +175,8 @@ def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
     A witness loop at the source undoes f1 or h1 and is contracted, or
     inverted when it starts with h1; a detour loop closes after the step
     whose completion is empty and is conjugated by that step."""
-    report = decide_peiffer(lab, g, c.polygraph, LocalBranching(f1, h1))
+    report = decide_peiffer(c.labelling, c.graph, c.polygraph,
+                            LocalBranching(f1, h1))
     if report.diagram is None:
         # the plain square: each step exchanged past the other
         c_f = Path._checked(f1.target, exchange_swap(f1.inverse(), h1)[:1])
@@ -197,16 +196,15 @@ def _peiffer_closure(c: CoherentPresentation, lab, g, f1: RewriteStep,
     return c_f, c_h, ThreeCellExpression(src, tuple(atoms)), report.strict
 
 
-def _close_local(c: CoherentPresentation, lab, g, f1: RewriteStep,
-                 h1: RewriteStep):
-    kind = classify_branching(f1, h1)
-    if kind == PEIFFER:
-        return _peiffer_closure(c, lab, g, f1, h1)
-    return _overlap_closure(c, lab, g, f1, h1)
-
-
 # ---------------------------------------------------------------------------
 # filling spheres
+
+
+def _check_objects(c: CoherentPresentation, lab: Labelling,
+                   g: ReductionGraph) -> None:
+    if lab is not c.labelling or g is not c.graph:
+        raise ValueError("a completion fills spheres under the labelling "
+                         "and graph it was built from")
 
 
 def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
@@ -218,23 +216,21 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
     residual spheres are filled recursively; their branching measures
     strictly decrease when the closures are strict (checked at runtime).
 
-    Fillings are kept on the completion, one table per labelling and graph
-    object, keyed by the two paths' values, with the height of each: the
-    number of recursion levels it used, 0 when no sphere was split.  A
-    residual sphere met again, in this filling or a later one, is a lookup.
-    Filling is deterministic, and a kept filling passed every measure check
-    of its tree, so a call with less depth than its height would walk the
-    same tree and run out at the same level: a kept sphere is returned when
-    its height is at most ``depth`` and raises SearchExhausted otherwise.
-    Only successes are kept; a sphere that raised is filled anew."""
+    ``lab`` and ``g`` must be the labelling and graph the completion was
+    built from (``c.labelling`` and ``c.graph``); any other object raises
+    ValueError.  Fillings are kept on the completion, keyed by the two
+    paths' values, with the height of each: the number of recursion levels
+    it used, 0 when no sphere was split.  A residual sphere met again, in
+    this filling or a later one, is a lookup.  Filling is deterministic,
+    and a kept filling passed every measure check of its tree, so a call
+    with less depth than its height would walk the same tree and run out
+    at the same level: a kept sphere is returned when its height is at
+    most ``depth`` and raises SearchExhausted otherwise.  Only successes
+    are kept; a sphere that raised is filled anew."""
+    _check_objects(c, lab, g)
     if f.source != h.source or f.target != h.target:
         raise IllComposed("the two paths are not parallel")
-    key = id(lab), id(g)
-    kept = c._fillings.get(key)
-    if kept is None:
-        # the entry holds both objects, so their ids stay theirs
-        kept = c._fillings[key] = lab, g, {}
-    return _fill(c, lab, g, kept[2], f, h, depth)[0]
+    return _fill(c, f, h, depth)[0]
 
 
 def _sphere_key(f: Path, h: Path) -> tuple:
@@ -250,39 +246,41 @@ def _sphere_key(f: Path, h: Path) -> tuple:
     return tuple(key)
 
 
-def _fill(c: CoherentPresentation, lab: Labelling, g: ReductionGraph,
-          table: dict, f: Path, h: Path, depth: int
+def _fill(c: CoherentPresentation, f: Path, h: Path, depth: int
           ) -> tuple[ThreeCellExpression, int]:
-    """The filling of fill_parallel_sphere and its height, read from
-    ``table`` or filled anew and added to it."""
+    """The filling of fill_parallel_sphere and its height, read from the
+    completion's kept fillings or filled anew and kept."""
     key = _sphere_key(f, h)
-    kept = table.get(key)
+    kept = c._fillings.get(key)
     if kept is None:
         if depth < 0:
             raise SearchExhausted("sphere filling recursion depth exhausted")
-        kept = table[key] = _fill_anew(c, lab, g, table, f, h, depth)
+        kept = c._fillings[key] = _fill_anew(c, f, h, depth)
     elif kept[1] > depth:
         raise SearchExhausted("sphere filling recursion depth exhausted")
     return kept
 
 
-def _fill_anew(c: CoherentPresentation, lab: Labelling, g: ReductionGraph,
-               table: dict, f: Path, h: Path, depth: int
+def _fill_anew(c: CoherentPresentation, f: Path, h: Path, depth: int
                ) -> tuple[ThreeCellExpression, int]:
     if f.steps == h.steps:
         return ThreeCellExpression(f.zigzag()), 0
     if not h.steps:
         return c.contract(f), 0
     if not f.steps:
-        return invert(c.contract(h), c.cells), 0
+        return ThreeCellExpression(
+            f.zigzag(), invert(c.contract(h), c.cells).atoms), 0
     f1, h1 = f.steps[0], h.steps[0]
     f2 = Path(f1.target, f.steps[1:])
     h2 = Path(h1.target, h.steps[1:])
     if f1 == h1:
-        sub, height = _fill(c, lab, g, table, f2, h2, depth - 1)
-        out = conjugate(sub, pre=zigzag(f.source, f1))
-        return ThreeCellExpression(f.zigzag(), out.atoms), height + 1
-    c_f, c_h, a_expr, strict = _close_local(c, lab, g, f1, h1)
+        sub, height = _fill(c, f2, h2, depth - 1)
+        atoms = conjugate(sub, pre=zigzag(f.source, f1)).atoms
+        return ThreeCellExpression(f.zigzag(), atoms), height + 1
+    close = (_peiffer_closure if classify_branching(f1, h1) == PEIFFER
+             else _overlap_closure)
+    c_f, c_h, a_expr, strict = close(c, f1, h1)
+    lab, g = c.labelling, c.graph
     w = c_f.target
     hat = canonical_target(lab, g, f.target)
     k = g.geodesic(f.target, hat)
@@ -297,14 +295,13 @@ def _fill_anew(c: CoherentPresentation, lab: Labelling, g: ReductionGraph,
                 raise MeasureError(
                     f"residual sphere measure {m!r} is not strictly below "
                     f"{outer!r}")
-    bexp, bh = _fill(c, lab, g, table, left_b[0], left_b[1], depth - 1)
-    cexp, ch = _fill(c, lab, g, table, right_b[0], right_b[1], depth - 1)
+    bexp, bh = _fill(c, left_b[0], left_b[1], depth - 1)
+    cexp, ch = _fill(c, right_b[0], right_b[1], depth - 1)
     k_inv = k.inverse()
-    e1 = conjugate(bexp, pre=zigzag(f.source, f1), post=k_inv)
-    e2 = conjugate(a_expr, post=hbar.compose(k_inv))
-    e3 = conjugate(cexp, pre=zigzag(h.source, h1), post=k_inv)
-    out = concat(e1, e2, e3)
-    return ThreeCellExpression(f.zigzag(), out.atoms), max(bh, ch) + 1
+    atoms = (conjugate(bexp, pre=zigzag(f.source, f1), post=k_inv).atoms
+             + conjugate(a_expr, post=hbar.compose(k_inv)).atoms
+             + conjugate(cexp, pre=zigzag(h.source, h1), post=k_inv).atoms)
+    return ThreeCellExpression(f.zigzag(), atoms), max(bh, ch) + 1
 
 
 def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
@@ -314,15 +311,18 @@ def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
     either side is sent to a common quasi-normal form by a chosen path,
     each zigzag is straightened against those paths segment by segment
     through parallel sphere fillings, and the two straightened sides are
-    glued back to back.
+    glued back to back.  ``lab`` and ``g`` must be the completion's own,
+    as for fill_parallel_sphere.
 
     Straightening is one pass over the steps of a side, last step first:
     each step's patch is filled once and conjugated once by the prefix of
-    the side before it.  For a side of k steps that is k parallel fillings
-    of one step each, and Θ(k²) steps stored in the atoms' conjugators,
-    which the ``Atom`` representation needs.  The patches are filled
-    through fill_parallel_sphere, so a step met again, on either side or
-    in a later sphere of the same completion, reuses its kept patch."""
+    the side that ends before it, or, for an inverse step, with it.  For a
+    side of k steps that is k parallel fillings of one step each, and
+    Θ(k²) steps stored in the atoms' conjugators, which the ``Atom``
+    representation needs.  The patches are filled through
+    fill_parallel_sphere, so a step met again, on either side or in a
+    later sphere of the same completion, reuses its kept patch."""
+    _check_objects(c, lab, g)
     if f.source != h.source or f.target != h.target:
         raise IllComposed("the two zigzags are not parallel")
     hat = canonical_target(lab, g, f.source)
@@ -332,35 +332,28 @@ def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
 
     def straighten(z: ZigzagPath) -> ThreeCellExpression:
         # an expression from z * down(z.target) to down(z.source): the
-        # patch of step i turns s * down(s.target) into down(s.source)
-        # under the prefix of z before s
+        # patch of a forward step s turns s * down(s.target) into
+        # down(s.source) under the prefix of z before s; an inverse step
+        # s- pastes that patch inverted under the prefix ending with s-,
+        # where s- . s . down(s.target) reduces to down(s.target)
         atoms: list[Atom] = []
         for i in range(len(z) - 1, -1, -1):
             s = z.steps[i]
-            if s.forward:
-                patch = fill_parallel_sphere(
-                    c, lab, g, Path(s.source, (s,)).compose(down(s.target)),
-                    down(s.source))
-                pre = z.prefix(i)
-            else:
-                fwd = s.inverse()
-                patch = invert(fill_parallel_sphere(
-                    c, lab, g,
-                    Path(fwd.source, (fwd,)).compose(down(s.source)),
-                    down(fwd.source)), c.cells)
-                # s- . (s . down(source)) reduces to down(source)
-                pre = z.prefix(i + 1)
-            atoms += conjugate(patch, pre=pre).atoms
+            fwd = s if s.forward else s.inverse()
+            patch = fill_parallel_sphere(
+                c, lab, g, Path(fwd.source, (fwd,)).compose(down(fwd.target)),
+                down(fwd.source))
+            end = i
+            if not s.forward:
+                patch, end = invert(patch, c.cells), i + 1
+            atoms += conjugate(patch, pre=z.prefix(end)).atoms
         return ThreeCellExpression(z.compose(down(z.target).zigzag()),
                                    tuple(atoms))
 
-    pf = straighten(f)
-    ph = straighten(h)
     tail = down(f.target).inverse()
-    e1 = conjugate(pf, post=tail)
-    e2 = conjugate(invert(ph, c.cells), post=tail)
-    out = concat(e1, e2)
-    return ThreeCellExpression(f, out.atoms)
+    atoms = (conjugate(straighten(f), post=tail).atoms
+             + conjugate(invert(straighten(h), c.cells), post=tail).atoms)
+    return ThreeCellExpression(f, atoms)
 
 
 # ---------------------------------------------------------------------------

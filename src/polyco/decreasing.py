@@ -36,11 +36,7 @@ PEIFFER_LEN_BOUND = 6
 
 
 class SearchExhausted(Exception):
-    """The bounded search failed; carries how far it looked."""
-
-    def __init__(self, message, frontier=None):
-        super().__init__(message)
-        self.frontier = frontier
+    """The bounded search failed."""
 
 
 class MeasureError(AssertionError):

@@ -789,20 +789,14 @@ INCONCLUSIVE = "inconclusive"
 @dataclass(frozen=True)
 class TerminationReport:
     classification: str
-    acyclic_on_explored: bool
-    truncated: bool
-    cycle_found: bool
 
 
 def classify_termination(g: ReductionGraph) -> TerminationReport:
     """Classify the explored graph.  Without truncation the answer is exact
     for the explored congruence classes: acyclic means terminating, a cycle
     in a finite closed graph means quasi-terminating but not terminating.
-    With truncation the answer is inconclusive; a cycle still witnesses
-    non-termination of the explored part."""
-    cyclic = g.has_cycle()
-    if not g.truncated:
-        cls = QUASI_TERMINATING_NOT_TERMINATING if cyclic else TERMINATING
-    else:
-        cls = INCONCLUSIVE
-    return TerminationReport(cls, not cyclic, g.truncated, cyclic)
+    With truncation the answer is inconclusive."""
+    if g.truncated:
+        return TerminationReport(INCONCLUSIVE)
+    return TerminationReport(QUASI_TERMINATING_NOT_TERMINATING
+                             if g.has_cycle() else TERMINATING)

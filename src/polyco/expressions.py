@@ -110,15 +110,17 @@ def conjugate(e: ThreeCellExpression, pre: ZigzagPath | None = None,
 
 
 def invert(e: ThreeCellExpression, cells) -> ThreeCellExpression:
-    src, tgt = check_boundary(e, cells)
+    """The expression read backwards.  Its 2-source is the 2-target of e's
+    last atom as pasted, not normalized, and e's own 2-source when e has no
+    atoms; e is not checked (check_boundary does that)."""
+    src = e.atoms[-1].boundary(cells)[1] if e.atoms else e.source
     atoms = tuple(Atom(a.pre, a.whisker_left, a.cell, -a.sign,
                        a.whisker_right, a.post)
                   for a in reversed(e.atoms))
-    return ThreeCellExpression(tgt, atoms)
+    return ThreeCellExpression(src, atoms)
 
 
 def concat(*exprs: ThreeCellExpression) -> ThreeCellExpression:
-    exprs = [e for e in exprs if e is not None]
     if not exprs:
         raise ValueError("nothing to compose")
     atoms = tuple(a for e in exprs for a in e.atoms)

@@ -218,30 +218,22 @@ def _invariants(d: Matrix) -> list[int]:
 
 
 def homology(c: ChainComplexZ) -> HomologyResult:
-    """H0 is always Z (one 0-cell); H1 = Z^gens / im d2;
-    H2 = ker d2 / im d3."""
-    n1, n2, n3 = len(c.generators), len(c.rules), len(c.cells3)
+    """H0 is always Z (one 0-cell); H1 = Z^gens / im d2; H2 = ker d2 / im d3.
+
+    Z^rules / ker d2 is im d2, a free group, so ker d2 is a direct summand
+    of rank n2 - r2 and H2 = Z^(n2 - r2 - r3) plus the torsion of the
+    invariant factors of d3, with r2 and r3 the ranks of d2 and d3."""
+    n1, n2 = len(c.generators), len(c.rules)
     h0 = HomologyGroup(1, ())
     if n2 == 0:
-        h1 = HomologyGroup(n1, ())
-        h2 = HomologyGroup(0, ())
-        return HomologyResult(h0, h1, h2)
-    _, d2, v2, v2inv = smith_normal_form(c.delta2)
-    inv2 = _invariants(d2)
+        return HomologyResult(h0, HomologyGroup(n1, ()), HomologyGroup(0, ()))
+    inv2 = _invariants(smith_normal_form(c.delta2)[1])
     r2 = len(inv2)
     h1 = HomologyGroup(n1 - r2, tuple(t for t in inv2 if t > 1))
-    # kernel of d2: the columns of V beyond the rank
-    kdim = n2 - r2
-    if kdim == 0:
-        return HomologyResult(h0, h1, HomologyGroup(0, ()))
-    if n3 == 0:
-        return HomologyResult(h0, h1, HomologyGroup(kdim, ()))
-    y = matmul(v2inv, c.delta3)
-    for i in range(r2):
-        if any(y[i][j] for j in range(n3)):
-            raise ValueError("image of d3 is not inside the kernel of d2")
-    x = [y[i] for i in range(r2, n2)]          # kdim x n3
-    _, dx, _, _ = smith_normal_form(x)
-    invx = _invariants(dx)
-    h2 = HomologyGroup(kdim - len(invx), tuple(t for t in invx if t > 1))
+    if not c.cells3:
+        return HomologyResult(h0, h1, HomologyGroup(n2 - r2, ()))
+    if any(x for row in matmul(c.delta2, c.delta3) for x in row):
+        raise ValueError("image of d3 is not inside the kernel of d2")
+    inv3 = _invariants(smith_normal_form(c.delta3)[1])
+    h2 = HomologyGroup(n2 - r2 - len(inv3), tuple(t for t in inv3 if t > 1))
     return HomologyResult(h0, h1, h2)

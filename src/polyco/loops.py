@@ -72,24 +72,17 @@ class LoopEnumeration:
 
 def strip_whiskers(steps: tuple[RewriteStep, ...]
                    ) -> tuple[Word, tuple[RewriteStep, ...], Word]:
-    """Largest common left and right whiskers of all steps, and the core
-    steps with those contexts removed."""
-    lefts = [s.left for s in steps]
-    rights = [s.right for s in steps]
-    nl = min(len(w) for w in lefts)
-    while nl and not all(w[:nl] == lefts[0][:nl] for w in lefts):
-        nl -= 1
-    nr = min(len(w) for w in rights)
-    while nr and not all(w[len(w) - nr:] == rights[0][len(rights[0]) - nr:]
-                         for w in rights):
-        nr -= 1
-    u = lefts[0][:nl]
-    v = rights[0][len(rights[0]) - nr:] if nr else ()
-    core = tuple(RewriteStep(s.left[nl:], s.rule,
-                             s.right[:len(s.right) - nr] if nr else s.right,
+    """Largest common left and right whiskers of the steps of a path, and
+    the core steps with those contexts removed.  No step of a path rewrites
+    a letter left of its leftmost redex or right of its rightmost one, so
+    the whiskers are as long as the shortest left and right contexts."""
+    nl = min(len(s.left) for s in steps)
+    nr = min(len(s.right) for s in steps)
+    first = steps[0]
+    core = tuple(RewriteStep(s.left[nl:], s.rule, s.right[:len(s.right) - nr],
                              s.forward)
                  for s in steps)
-    return u, core, v
+    return first.left[:nl], core, first.right[len(first.right) - nr:]
 
 
 def is_context_minimal(loop: Loop) -> bool:

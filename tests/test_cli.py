@@ -432,20 +432,6 @@ def test_fill_sphere_past_the_explored_words_is_inconclusive(
         "inconclusive within budget: s t s t t t t t t t was not explored\n")
 
 
-def test_fill_sphere_cells_not_in_the_completion_is_input_error(
-        braid_file, tmp_path, capsys):
-    sphere = tmp_path / "sphere.txt"
-    sphere.write_text(
-        "sphere : 1|alpha|t => s|beta|1 ; s|alpha|1 ; 1|alpha|t\n")
-    cells = tmp_path / "cells.txt"
-    cells.write_text(
-        "cell Z9 : 1|alpha|t ; 1|beta|t => s|beta|1 ; s|alpha|1\n")
-    assert main(["fill-sphere", braid_file, str(sphere),
-                 "--cells", str(cells)]) == 2
-    assert capsys.readouterr().err == (
-        "error: cell 'Z9' is not in the completion\n")
-
-
 def test_fill_sphere_under_nf_labels(convergent_braid_file, tmp_path,
                                      capsys):
     """Under the nf labelling the canonical target of a word is its normal
@@ -467,8 +453,9 @@ _BUDGET_OPTIONS = [("--max-word-len", "7"), ("--max-states", "10"),
 @pytest.mark.parametrize("command, option", [
     *(("analyze", o) for o in _AUDIT_OPTIONS + [("--cells", "x")]),
     ("complete", ("--cells", "x")), ("check-decreasing", ("--cells", "x")),
-    # fill-sphere reports no audit: the bounds change nothing it prints
-    *(("fill-sphere", o) for o in _BOUND_OPTIONS),
+    # fill-sphere reports no audit: the bounds change nothing it prints,
+    # and it fills in the cells of the completion it builds
+    *(("fill-sphere", o) for o in _BOUND_OPTIONS + [("--cells", "x")]),
     *(("homology", o) for o in _BUDGET_OPTIONS + _AUDIT_OPTIONS)],
     ids=lambda x: x if isinstance(x, str) else x[0])
 def test_subcommands_refuse_options_they_do_not_read(braid_file, capsys,

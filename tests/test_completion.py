@@ -308,20 +308,18 @@ def test_warm_fillings_equal_cold_ones(braid_loop, braid8, fixed_spheres,
             for f2, h2 in reversed(fixed_spheres)] == cold_fixed[::-1]
 
 
-def test_fillings_are_reused_only_under_the_same_objects(braid_p, braid8,
-                                                          fixed_spheres,
-                                                          cold_fixed,
-                                                          monkeypatch):
-    """A warm completion fills nothing anew for the labelling and graph it
-    filled with.  An equal labelling or graph built apart reuses nothing:
-    it fills as much anew as a cold completion, and to the same
-    expressions."""
+def test_fillings_are_kept_under_the_completions_own_objects(
+        braid_p, braid8, fixed_spheres, cold_fixed, monkeypatch):
+    """A completion fills under the labelling and graph it was built from:
+    a warm one fills nothing anew for them, and an equal labelling or graph
+    built apart raises ValueError along both of the filler's entry points
+    and fills nothing."""
     import polyco.completion as completion
     g, lab, c, _ = braid8
     anew = []
     fill_anew = completion._fill_anew
     monkeypatch.setattr(completion, "_fill_anew",
-                        lambda *a: anew.append(a[4:6]) or fill_anew(*a))
+                        lambda *a: anew.append(a[1:3]) or fill_anew(*a))
 
     def fill_all(c, lab, g):
         del anew[:]
@@ -330,14 +328,23 @@ def test_fillings_are_reused_only_under_the_same_objects(braid_p, braid8,
         return list(anew)
 
     c = _fresh(c)
+    assert c.labelling is lab and c.graph is g
     cold = fill_all(c, lab, g)
     assert cold and fill_all(c, lab, g) == []
     other_lab = Labelling.qnf(dict(lab.qnf_map))
     other_g = explore(braid_p, all_words(braid_p, 8),
                       ExplorationBudget(8, 100000, 200))
-    assert fill_all(c, other_lab, g) == cold
-    assert fill_all(c, lab, other_g) == cold
-    assert fill_all(c, other_lab, g) == []
+    fresh = _fresh(c)
+    f, h = fixed_spheres[0]
+    for lab2, g2 in ((other_lab, g), (lab, other_g)):
+        for c2 in (c, fresh):
+            with pytest.raises(ValueError):
+                fill_zigzag_sphere(c2, lab2, g2, f, h)
+            with pytest.raises(ValueError):
+                fill_parallel_sphere(c2, lab2, g2, f.forward_path(),
+                                     h.forward_path())
+    assert anew == [] and fresh._fillings == {}
+    assert fill_all(c, lab, g) == []
 
 
 def _least_depth(p, lab, g, f, h) -> int:
@@ -448,7 +455,7 @@ def peiffer_closures(braid_p, braid8):
                     continue
                 for f1, h1 in ((b.first, b.second), (b.second, b.first)):
                     out.append((p, g, lab, c, LocalBranching(f1, h1),
-                                _peiffer_closure(c, lab, g, f1, h1)))
+                                _peiffer_closure(c, f1, h1)))
     return out
 
 
@@ -494,8 +501,7 @@ def test_undecided_peiffer_closures_paste_the_square(lafont_p, lafont_g):
     assert undecided and audit.undecided == len(undecided)
     assert audit.first_undecided.branching == undecided[0]
     for b in undecided:
-        c_f, c_h, e, strict = _peiffer_closure(c, lab, lafont_g, b.first,
-                                               b.second)
+        c_f, c_h, e, strict = _peiffer_closure(c, b.first, b.second)
         assert _pasted_variant(lafont_p, b, c_f, c_h) == "peiffer"
         assert not strict and not e.atoms
 

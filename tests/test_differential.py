@@ -1,6 +1,7 @@
 """The fast paths of the engine, the diagram search and the CLI against
 plain reference implementations kept here."""
 
+import dataclasses
 import random
 from collections import Counter, deque
 
@@ -509,6 +510,47 @@ def test_id_component_matches_the_steps(make, length):
                                                   key=lambda k: (len(k), k))
 
 
+def _narrowed_whiskers(steps):
+    """strip_whiskers by narrowing: the longest left and right whiskers
+    that every step's context starts or ends with, shortened one letter at
+    a time from the shortest context."""
+    lefts = [s.left for s in steps]
+    rights = [s.right for s in steps]
+    nl = min(len(w) for w in lefts)
+    while nl and not all(w[:nl] == lefts[0][:nl] for w in lefts):
+        nl -= 1
+    nr = min(len(w) for w in rights)
+    while nr and not all(w[len(w) - nr:] == rights[0][len(rights[0]) - nr:]
+                         for w in rights):
+        nr -= 1
+    core = tuple(RewriteStep(s.left[nl:], s.rule,
+                             s.right[:len(s.right) - nr] if nr else s.right,
+                             s.forward)
+                 for s in steps)
+    return lefts[0][:nl], core, rights[0][len(rights[0]) - nr:] if nr else ()
+
+
+@pytest.mark.parametrize("make,length", [
+    (braid, 9), (_a3, 7), (two_letters, 6), (no_fdt, 5)],
+    ids=["braid-9", "a3-7", "two_letters-6", "no_fdt-5"])
+def test_strip_whiskers_matches_narrowing(make, length):
+    """On every fundamental loop and every part peeled off it, the
+    whiskers read off the shortest contexts are the narrowed ones, and some
+    of those loops have whiskers to strip."""
+    p = make()
+    g = explore(p, all_words(p, length), ExplorationBudget(length))
+    whiskered = 0
+    for members in _cyclic_sccs(g):
+        comp = _Component(g, members)
+        for loop in comp.fundamental_loops():
+            for part in (loop, *comp.elementary_parts(loop)):
+                steps = tuple(map(comp.step, part))
+                got = strip_whiskers(steps)
+                assert got == _narrowed_whiskers(steps)
+                whiskered += bool(got[0] or got[2])
+    assert whiskered
+
+
 # ---------------------------------------------------------------------------
 # narrow exception handlers
 
@@ -527,19 +569,19 @@ def test_ill_composed_diagram_is_a_boundary_violation(braid_p, braid_g,
     assert not ok and violations[0].condition == "boundary"
 
 
-def test_label_order_error_propagates_from_closures(braid_p, braid_g,
-                                                    braid_lab,
+def test_label_order_error_propagates_from_closures(braid_p, braid_lab,
                                                     braid_completion):
     lab = Labelling(QNF, _BrokenOrder(), qnf_map=braid_lab.qnf_map)
+    broken = dataclasses.replace(braid_completion, labelling=lab)
     w = ("s", "t", "s", "t", "s", "t")
     b = next(b for b in local_branchings(braid_p, w)
              if b.kind == PEIFFER)
     with pytest.raises(RuntimeError, match="broken order"):
-        _peiffer_closure(braid_completion, lab, braid_g, b.first, b.second)
+        _peiffer_closure(broken, b.first, b.second)
     crit = braid_completion.confluences[0].branching
     f1, h1 = crit.first.whisker(("t",), ()), crit.second.whisker(("t",), ())
     with pytest.raises(RuntimeError, match="broken order"):
-        _overlap_closure(braid_completion, lab, braid_g, f1, h1)
+        _overlap_closure(broken, f1, h1)
 
 
 # ---------------------------------------------------------------------------

@@ -189,13 +189,13 @@ def test_exchange_swap_rejects_overlap(braid_p):
 def test_braid_is_quasi_terminating_not_terminating(braid_g):
     rep = classify_termination(braid_g)
     assert rep.classification == QUASI_TERMINATING_NOT_TERMINATING
-    assert rep.cycle_found and not rep.truncated
+    assert braid_g.has_cycle() and not braid_g.truncated
 
 
 def test_convergent_presentation_terminates(upsilon_g):
     rep = classify_termination(upsilon_g)
     assert rep.classification == TERMINATING
-    assert not rep.cycle_found
+    assert not upsilon_g.has_cycle()
 
 
 def test_truncated_exploration_is_inconclusive():

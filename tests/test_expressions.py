@@ -133,3 +133,25 @@ def test_check_boundary_rejects_a_broken_long_loop_expression(
         check_boundary(_broken(e, mid), cells)
     with pytest.raises(IllComposed):
         check_boundary(_broken(e, mid, sign=-e.atoms[mid].sign), cells)
+
+
+@pytest.mark.parametrize("n", [1, 30])
+def test_invert_reads_its_source_off_the_last_atom(braid_loop,
+                                                   braid_completion, n):
+    """The inverse's 2-source is the last atom's 2-target as pasted, equal
+    to the 2-target check_boundary evaluates; inverting an expression whose
+    middle atom is flipped still leaves check_boundary to reject it."""
+    cells = braid_completion.cells
+    e = braid_completion.contract(braid_loop(n))
+    inv = invert(e, cells)
+    src, tgt = check_boundary(e, cells)
+    assert zigzags_equal(inv.source, tgt)
+    inv_src, inv_tgt = check_boundary(inv, cells)
+    assert zigzags_equal(inv_src, tgt) and zigzags_equal(inv_tgt, src)
+    identity = ThreeCellExpression(e.source)
+    assert invert(identity, cells).source == e.source
+    if n > 1:
+        mid = len(e) // 2
+        bad = invert(_broken(e, mid, sign=-e.atoms[mid].sign), cells)
+        with pytest.raises(IllComposed):
+            check_boundary(bad, cells)

@@ -1,13 +1,14 @@
 import random
 
+import pytest
 import sympy
 
 from polyco.completion import CERTIFIED, build_completion
 from polyco.core import all_words
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid, convergent_braid
-from polyco.homology import (abelianize, homology, identity, matmul,
-                             smith_normal_form)
+from polyco.homology import (ChainComplexZ, HomologyGroup, abelianize,
+                             homology, identity, matmul, smith_normal_form)
 from polyco.labelling import Labelling, derived_qnf_map
 
 
@@ -52,6 +53,61 @@ def test_smith_invariants_match_sympy():
         theirs = sorted(abs(int(x)) for x in sd.diagonal() if x)
         ours = sorted(ours)
         assert ours == theirs
+
+
+def _reference_h2(c):
+    """H2 = ker d2 / im d3 read in a basis of ker d2: the columns of V
+    beyond the rank of d2, with d3 written through V^-1."""
+    _, d2, _, v2inv = smith_normal_form(c.delta2)
+    r2 = sum(1 for i in range(min(len(d2), len(d2[0]))) if d2[i][i])
+    kdim = len(c.rules) - r2
+    if kdim == 0:
+        return HomologyGroup(0, ())
+    if not c.cells3:
+        return HomologyGroup(kdim, ())
+    y = matmul(v2inv, c.delta3)
+    assert not any(y[i][j] for i in range(r2) for j in range(len(c.cells3)))
+    _, dx, _, _ = smith_normal_form(y[r2:])
+    inv = [abs(dx[i][i]) for i in range(min(kdim, len(c.cells3)))
+           if dx[i][i]]
+    return HomologyGroup(kdim - len(inv), tuple(t for t in inv if t > 1))
+
+
+def test_h2_from_the_invariant_factors_of_d3_matches_a_kernel_basis():
+    """On random complexes with d2 . d3 = 0, H2 read off the Smith normal
+    form of d3 is the one computed in a basis of ker d2."""
+    rnd = random.Random(3)
+    torsion = 0
+    for _ in range(300):
+        d2 = _random_matrix(rnd, max_dim=4, lo=-3, hi=3)
+        n1, n2 = len(d2), len(d2[0])
+        if rnd.random() < 0.3:
+            # a d2 of smaller rank, so that ker d2 is larger
+            d2 = [d2[0]] * n1
+        _, d, v, _ = smith_normal_form(d2)
+        r2 = sum(1 for i in range(min(n1, n2)) if d[i][i])
+        kernel = [row[r2:] for row in v]            # n2 x kdim
+        n3 = rnd.randrange(1, 5)
+        if n2 == r2:
+            d3 = [[0] * n3 for _ in range(n2)]
+        else:
+            mix = [[rnd.randint(-4, 4) for _ in range(n3)]
+                   for _ in range(n2 - r2)]
+            d3 = matmul(kernel, mix)
+        c = ChainComplexZ([f"x{i}" for i in range(n1)],
+                          [f"r{i}" for i in range(n2)],
+                          [f"e{i}" for i in range(n3)], d2, d3)
+        h2 = homology(c).h2
+        assert h2 == _reference_h2(c)
+        torsion += bool(h2.torsion)
+    assert torsion
+
+
+def test_homology_rejects_d3_outside_the_kernel_of_d2():
+    """A complex built by hand is checked for d2 . d3 = 0."""
+    c = ChainComplexZ(["a"], ["r"], ["e"], [[1]], [[1]])
+    with pytest.raises(ValueError, match="kernel of d2"):
+        homology(c)
 
 
 def test_chain_complex_squares_to_zero(braid_p, braid_completion):
