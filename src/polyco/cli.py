@@ -330,7 +330,10 @@ def cmd_check_decreasing(args) -> int:
 def cmd_fill_sphere(args) -> int:
     p, g, budget = _setup(args)
     lab = _labelling(args, p, g)
-    c = build_completion(p, lab, g)
+    # fill-sphere prints no audit, so the completion audits as little as
+    # it can: at bound 0 the context audit reads only the unwhiskered
+    # critical branchings and the Peiffer audit no word
+    c = build_completion(p, lab, g, ctx_bound=0, peiffer_len_bound=0)
     f, h = parse_sphere(p, _read(args.sphere))
     if all(s.forward for s in f.steps) and all(s.forward for s in h.steps):
         expr = fill_parallel_sphere(c, lab, g, f.forward_path(),

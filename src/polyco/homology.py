@@ -8,8 +8,10 @@ abelian groups
 where d1 is zero (one 0-cell), the column of d2 at a rule counts letters
 of its left-hand side minus its right-hand side, and the column of d3 at
 a 3-cell counts signed rule occurrences of its 2-source minus its
-2-target (inverse steps count negatively).  Homology in degrees 0..2 is
-computed by exact integer Smith normal forms.
+2-target (inverse steps count negatively).  H1 and H2 are read off the
+invariant factors of d2 and d3, which one exact integer elimination
+computes without keeping its row and column transforms.  d2 . d3 = 0 is
+checked once, in ``homology``.
 
 Matrices are lists of rows of Python ints; everything is exact.
 """
@@ -18,133 +20,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Polygraph, Word
-from .engine import ZigzagPath
+from .core import Polygraph
 from .expressions import ThreeCell
 
 
 Matrix = list[list[int]]
 
 
-def zeros(n: int, m: int) -> Matrix:
-    return [[0] * m for _ in range(n)]
+def smith_normal_form(a: Matrix) -> list[int]:
+    """The nonzero invariant factors of A, each dividing the next.
 
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += x * bt[j]
-    return out
-
-
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """U, D, V, Vinv with U*A*V = D, U and V unimodular, D diagonal with
-    each invariant factor dividing the next."""
-    n = len(a)
-    m = len(a[0]) if a else 0
+    A round takes an entry of least absolute value as the pivot and
+    reduces its row and column by it; a remainder left there is a smaller
+    entry, and the next round's pivot.  Once both are clear, an entry the
+    pivot does not divide has its row added to the pivot's row, which the
+    pivot reduces again; when there is none, |pivot| is an invariant
+    factor and its row and column are dropped."""
     d = [row[:] for row in a]
-    u = identity(n)
-    v = identity(m)
-    vinv = identity(m)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def add_row(i, j, q):
-        # row_i += q * row_j
-        for t in range(m):
-            d[i][t] += q * d[j][t]
-        for t in range(n):
-            u[i][t] += q * u[j][t]
-
-    def add_col(i, j, q):
-        # col_i += q * col_j ; Vinv gets the inverse row operation
-        for row in d:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-        for t in range(m):
-            vinv[j][t] -= q * vinv[i][t]
-
-    def negate_row(i):
-        for t in range(m):
-            d[i][t] = -d[i][t]
-        for t in range(n):
-            u[i][t] = -u[i][t]
-
-    size = min(n, m)
-    t = 0
-    while t < size:
-        pi = pj = -1
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                x = abs(d[i][j])
-                if x and (best is None or x < best):
-                    best, pi, pj = x, i, j
-        if best is None:
-            break
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+    factors = []
+    while any(any(row) for row in d):
+        _, pi, pj = min((abs(x), i, j) for i, row in enumerate(d)
+                        for j, x in enumerate(row) if x)
+        prow = d[pi]
+        p = prow[pj]
         while True:
-            restart = False
-            for i in range(t + 1, n):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, m):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # the pivot must divide the rest of the submatrix
-            found = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if d[i][j] % d[t][t]:
-                        found = i
-                        break
-                if found is not None:
-                    break
-            if found is None:
+            for i, row in enumerate(d):
+                if i != pi and row[pj]:
+                    q = row[pj] // p
+                    for j, y in enumerate(prow):
+                        row[j] -= q * y
+            for j, y in enumerate(prow):
+                if j != pj and y:
+                    q = y // p
+                    for row in d:
+                        row[j] -= q * row[pj]
+            if any(prow[:pj] + prow[pj + 1:]) or any(
+                    row[pj] for row in d[:pi] + d[pi + 1:]):
                 break
-            add_row(t, found, 1)
-        if d[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return u, d, v, vinv
+            rest = next((row for row in d if any(x % p for x in row)), None)
+            if rest is None:
+                factors.append(abs(p))
+                del d[pi]
+                for row in d:
+                    del row[pj]
+                break
+            for j, x in enumerate(rest):
+                prow[j] += x
+    return factors
 
 
 @dataclass
@@ -156,40 +78,22 @@ class ChainComplexZ:
     delta3: Matrix          # len(rules) x len(cells3)
 
 
-def letter_counts(w: Word, generators: list[str]) -> list[int]:
-    return [sum(1 for x in w if x == g) for g in generators]
-
-
-def rule_occurrences(z: ZigzagPath, rules: list[str]) -> list[int]:
-    out = [0] * len(rules)
-    idx = {r: i for i, r in enumerate(rules)}
-    for s in z.steps:
-        out[idx[s.rule.name]] += 1 if s.forward else -1
-    return out
-
-
 def abelianize(p: Polygraph, cells3: list[ThreeCell]) -> ChainComplexZ:
+    """The complex of ``p`` with ``cells3``.  A 3-cell's sides are parallel
+    zigzags, so their letter counts change alike and its column of d3 lies
+    in the kernel of d2 by construction."""
     gens = list(p.generators)
     rules = [r.name for r in p.rules]
-    names = [c.name for c in cells3]
-    delta2 = zeros(len(gens), len(rules))
-    for j, r in enumerate(p.rules):
-        lc = letter_counts(r.lhs, gens)
-        rc = letter_counts(r.rhs, gens)
-        for i in range(len(gens)):
-            delta2[i][j] = lc[i] - rc[i]
-    delta3 = zeros(len(rules), len(names))
+    index = {r: i for i, r in enumerate(rules)}
+    delta2 = [[r.lhs.count(g) - r.rhs.count(g) for r in p.rules]
+              for g in gens]
+    delta3 = [[0] * len(cells3) for _ in rules]
     for j, c in enumerate(cells3):
-        sc = rule_occurrences(c.source, rules)
-        tc = rule_occurrences(c.target, rules)
-        for i in range(len(rules)):
-            delta3[i][j] = sc[i] - tc[i]
-    # the composite d2 . d3 must vanish
-    if names:
-        comp = matmul(delta2, delta3)
-        if any(x for row in comp for x in row):
-            raise ValueError("boundary of a boundary is nonzero")
-    return ChainComplexZ(gens, rules, names, delta2, delta3)
+        for side, sign in ((c.source, 1), (c.target, -1)):
+            for s in side.steps:
+                delta3[index[s.rule.name]][j] += sign if s.forward else -sign
+    return ChainComplexZ(gens, rules, [c.name for c in cells3], delta2,
+                         delta3)
 
 
 @dataclass(frozen=True)
@@ -209,31 +113,21 @@ class HomologyResult:
     h2: HomologyGroup
 
 
-def _invariants(d: Matrix) -> list[int]:
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(abs(d[i][i]))
-    return out
-
-
 def homology(c: ChainComplexZ) -> HomologyResult:
     """H0 is always Z (one 0-cell); H1 = Z^gens / im d2; H2 = ker d2 / im d3.
 
     Z^rules / ker d2 is im d2, a free group, so ker d2 is a direct summand
     of rank n2 - r2 and H2 = Z^(n2 - r2 - r3) plus the torsion of the
-    invariant factors of d3, with r2 and r3 the ranks of d2 and d3."""
+    invariant factors of d3, with r2 and r3 the ranks of d2 and d3.  A
+    complex built by hand with d3 outside the kernel of d2 raises
+    ValueError."""
     n1, n2 = len(c.generators), len(c.rules)
-    h0 = HomologyGroup(1, ())
-    if n2 == 0:
-        return HomologyResult(h0, HomologyGroup(n1, ()), HomologyGroup(0, ()))
-    inv2 = _invariants(smith_normal_form(c.delta2)[1])
+    inv2 = smith_normal_form(c.delta2)
     r2 = len(inv2)
     h1 = HomologyGroup(n1 - r2, tuple(t for t in inv2 if t > 1))
-    if not c.cells3:
-        return HomologyResult(h0, h1, HomologyGroup(n2 - r2, ()))
-    if any(x for row in matmul(c.delta2, c.delta3) for x in row):
+    if any(sum(x * row3[j] for x, row3 in zip(row2, c.delta3))
+           for row2 in c.delta2 for j in range(len(c.cells3))):
         raise ValueError("image of d3 is not inside the kernel of d2")
-    inv3 = _invariants(smith_normal_form(c.delta3)[1])
+    inv3 = smith_normal_form(c.delta3)
     h2 = HomologyGroup(n2 - r2 - len(inv3), tuple(t for t in inv3 if t > 1))
-    return HomologyResult(h0, h1, h2)
+    return HomologyResult(HomologyGroup(1, ()), h1, h2)

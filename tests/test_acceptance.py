@@ -14,11 +14,12 @@ from polyco.decreasing import (check_context_compatibility,
 from polyco.engine import (Path, enumerate_steps, exchange_swap, parse_step,
                            zigzag, zigzags_equal)
 from polyco.expressions import check_boundary
-from polyco.homology import (abelianize, homology, identity, matmul,
-                             smith_normal_form)
+from polyco.homology import (abelianize, homology,
+                             smith_normal_form as invariant_factors)
 from polyco.labelling import (Labelling, NaturalsOrder, filter_word,
                               label_step, measure_branching, measure_word,
                               multiset_less)
+from snf_reference import diagonal, identity, matmul, smith_normal_form
 
 
 def test_01_braid_critical_branchings(braid_p):
@@ -263,3 +264,4 @@ def test_10e_smith_normal_form_unimodularity():
         assert abs(int(sympy.Matrix(u).det())) == 1
         assert abs(int(sympy.Matrix(v).det())) == 1
         assert matmul(v, vinv) == identity(m)
+        assert invariant_factors(a) == diagonal(d)

@@ -8,8 +8,9 @@ from polyco.core import all_words
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid, convergent_braid
 from polyco.homology import (ChainComplexZ, HomologyGroup, abelianize,
-                             homology, identity, matmul, smith_normal_form)
+                             homology, smith_normal_form as invariant_factors)
 from polyco.labelling import Labelling, derived_qnf_map
+from snf_reference import identity, matmul, smith_normal_form
 
 
 def _random_matrix(rnd, max_dim=6, lo=-5, hi=5):
@@ -40,19 +41,45 @@ def test_smith_normal_form_factorization():
         assert all(x > 0 for x in nonzero)
         for x, y in zip(nonzero, nonzero[1:]):
             assert y % x == 0
+        assert invariant_factors(a) == nonzero
+
+
+def _edge_matrices(rnd):
+    """Matrices of the shapes an elimination gets wrong first, each with
+    its invariant factors where they are known by hand: zero matrices,
+    zero rows and columns, single rows and columns, a least pivot that does
+    not divide the rest, and scaled matrices."""
+    yield [[0, 0, 0], [0, 0, 0]], []
+    yield [[0, 0], [4, 6], [0, 0]], [2]
+    yield [[0, 3, 0], [0, 5, 0]], [1]
+    yield [[6, 10, 15]], [1]
+    yield [[4], [6], [0]], [2]
+    yield [[-7]], [7]
+    yield [[2, 0], [0, 3]], [1, 6]
+    yield [[4, 0, 0], [0, 6, 0], [0, 0, 0]], [2, 12]
+    yield [[6, 0, 0], [0, 10, 0], [0, 0, 15]], [1, 30, 30]
+    for _ in range(200):
+        n, m = rnd.randrange(1, 6), rnd.randrange(1, 6)
+        a = [[rnd.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+        k = rnd.choice([2, 3, 4, 6, 12])
+        if rnd.random() < 0.5:
+            a = [[k * x for x in row] for row in a]
+        else:
+            a = [[rnd.choice([1, k]) * x for x in row] for row in a]
+        yield a, None
 
 
 def test_smith_invariants_match_sympy():
+    from sympy.matrices.normalforms import smith_normal_form as snf
     rnd = random.Random(42)
-    for _ in range(100):
-        a = _random_matrix(rnd, max_dim=5)
-        _, d, _, _ = smith_normal_form(a)
-        ours = [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
-        from sympy.matrices.normalforms import smith_normal_form as snf
+    cases = [(_random_matrix(rnd, max_dim=5), None) for _ in range(100)]
+    for a, expected in cases + list(_edge_matrices(random.Random(5))):
+        ours = invariant_factors(a)
         sd = snf(sympy.Matrix(a))
-        theirs = sorted(abs(int(x)) for x in sd.diagonal() if x)
-        ours = sorted(ours)
-        assert ours == theirs
+        assert ours == sorted(abs(int(x)) for x in sd.diagonal() if x), a
+        assert all(y % x == 0 for x, y in zip(ours, ours[1:])), a
+        if expected is not None:
+            assert ours == expected, a
 
 
 def _reference_h2(c):
