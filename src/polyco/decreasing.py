@@ -183,18 +183,23 @@ PATHS_CAP = 2000
 
 
 def _greedy_normalize(g: ReductionGraph, u: Word) -> Path:
-    """Leftmost-redex, first-rule normalization inside the explored graph."""
+    """Leftmost-redex, first-rule normalization inside the explored graph.
+    It builds only the step it takes out of each word, not the word's step
+    row."""
+    p = g.polygraph
     steps = []
     at = u
     for _ in range(NORMALIZE_STEPS):
         if not g.is_complete(at):
             raise TruncatedRegion(
                 f"{word_str(at)} is incomplete in the explored graph")
-        out = g.steps_from(at)
-        if not out:
+        found = redexes(p, at)
+        if not found:
             return Path._checked(u, tuple(steps))
-        steps.append(out[0])
-        at = out[0].target
+        pos, end, rule = found[0]
+        s = RewriteStep(at[:pos], rule, at[end:])
+        steps.append(s)
+        at = s.target
     raise SearchExhausted("normalization did not terminate "
                           f"within {NORMALIZE_STEPS} steps")
 

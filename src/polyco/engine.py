@@ -396,13 +396,16 @@ class ReductionGraph:
     needs only their targets reads the successor rows, and so does
     ``complete_targets``, which tells which steps out of a complete word
     lead to complete words, and ``successor_row``, which pairs a row with
-    its steps' redexes.  One Tarjan pass over the rows sets the component
-    of each id (``component_of``), ``scc_members`` (in the order
-    Tarjan closes the components, each with its members in the order they
-    leave its stack), ``scc_sinks`` (the closed components of complete
-    words: the quasi-normal forms) and ``scc_cyclic`` (the ascending
-    indices of the components that carry a cycle: more than one member, or
-    a step from a word to itself).
+    its steps' redexes.  After exploration, once its prefix redex lists
+    are released, one Tarjan pass over the rows numbers the components in
+    the order it closes them and sets the component of each id, one int in
+    an array (``component_of``); ``scc_sinks`` (the closed components of
+    complete words: the quasi-normal forms) and ``scc_cyclic`` (the
+    ascending indices of the components that carry a cycle: more than one
+    member, or a step from a word to itself).  ``scc_members(i)`` gives
+    component i's words in the order they left Tarjan's stack: a tuple is
+    kept only for a component of more than one word, and a one-word
+    component is read off the id of its root.
 
     Every search is one breadth-first search over id rows
     (_breadth_first).  ``distance`` and ``geodesic`` read one backward
@@ -420,13 +423,14 @@ class ReductionGraph:
         self.vertices: dict[Word, int] = {}
         self.out = _StepRows(polygraph, self.vertices)
         self.truncated = False
-        self.scc_members: list[tuple[Word, ...]] = []
         self.scc_sinks: set[int] = set()
         self.scc_cyclic: list[int] = []
         self._succ: list[tuple[int, ...]] = []
         self._cut: dict[int, str] = {}
         self._words: list[Word] = []
-        self._comp: list[int] = []
+        self._comp = array("i")
+        self._roots = array("i")
+        self._members: dict[int, tuple[Word, ...]] = {}
         self._pred: tuple[list[Word], array, array] | None = None
         self._dist_to: dict[int, dict[int, int]] = {}
         self._geodesics: dict[tuple[int, int], Path] = {}
@@ -494,7 +498,6 @@ class ReductionGraph:
             depth += 1
         if cut:
             self.truncated = True
-        self._compute_sccs()
 
     def _compute_sccs(self) -> None:
         # iterative Tarjan on vertex ids; it closes a component only after
@@ -506,11 +509,12 @@ class ReductionGraph:
         cut = self._cut
         index = [-1] * n
         low = [0] * n
-        on_stack = [False] * n
-        comp = [-1] * n
+        on_stack = bytearray(n)
+        comp = array("i", [-1]) * n
+        roots = array("i")
         stack: list[int] = []
         counter = 0
-        sccs: list[tuple[Word, ...]] = []
+        multi: dict[int, tuple[Word, ...]] = {}
         sinks: set[int] = set()
         cyclic: list[int] = []
 
@@ -520,7 +524,7 @@ class ReductionGraph:
             index[root] = low[root] = counter
             counter += 1
             stack.append(root)
-            on_stack[root] = True
+            on_stack[root] = 1
             work = [(root, iter(succ[root]))]
             while work:
                 v, it = work[-1]
@@ -529,7 +533,7 @@ class ReductionGraph:
                         index[w] = low[w] = counter
                         counter += 1
                         stack.append(w)
-                        on_stack[w] = True
+                        on_stack[w] = 1
                         work.append((w, iter(succ[w])))
                         break
                     if on_stack[w] and index[w] < low[v]:
@@ -542,11 +546,12 @@ class ReductionGraph:
                             low[pv] = low[v]
                     if low[v] != index[v]:
                         continue
-                    i = len(sccs)
+                    i = len(roots)
+                    roots.append(v)
                     w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = i
                     if w == v:
+                        on_stack[v] = 0
+                        comp[v] = i
                         # one member, the common case: its steps stay
                         # inside when each one goes from v to v
                         row = succ[v]
@@ -555,21 +560,25 @@ class ReductionGraph:
                             cyclic.append(i)
                         if loops == len(row) and v not in cut:
                             sinks.add(i)
-                        sccs.append((words[v],))
                         continue
                     members = [w]
                     while w != v:
                         w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = i
                         members.append(w)
                     cyclic.append(i)
-                    if (all(comp[t] == i for m in members for t in succ[m])
+                    # a step out of a member stays inside exactly when its
+                    # target is still on the stack: a target below v there
+                    # would have lowered low[v]
+                    if (all(on_stack[t] for m in members for t in succ[m])
                             and not any(m in cut for m in members)):
                         sinks.add(i)
-                    sccs.append(tuple(words[m] for m in members))
-        self.scc_members = sccs
+                    for m in members:
+                        on_stack[m] = 0
+                        comp[m] = i
+                    multi[i] = tuple(words[m] for m in members)
         self._comp = comp
+        self._roots = roots
+        self._members = multi
         self.scc_sinks = sinks
         self.scc_cyclic = cyclic
 
@@ -583,9 +592,15 @@ class ReductionGraph:
         i = self.vertices.get(u)
         return i is not None and i not in self._cut
 
+    def scc_members(self, i: int) -> tuple[Word, ...]:
+        """The words of component i, in the order they left Tarjan's
+        stack.  Only a component of more than one word keeps its tuple; a
+        one-word component is answered from its root's id."""
+        return self._members.get(i) or (self._words[self._roots[i]],)
+
     def component_of(self, u: Word) -> int | None:
-        """The index in ``scc_members`` of the strongly connected component
-        of u; None when u was not explored."""
+        """The index of the strongly connected component of u, as
+        ``scc_members`` reads it; None when u was not explored."""
         i = self.vertices.get(u)
         return None if i is None else self._comp[i]
 
@@ -777,7 +792,9 @@ def explore(p: Polygraph, seeds, budget: ExplorationBudget | None = None
     budget.  Deterministic: seeds in the given order, steps by position
     then rule declaration order."""
     g = ReductionGraph(p, budget or ExplorationBudget())
-    g._explore(list(seeds))
+    g._explore(seeds)
+    # after exploration, whose prefix redex lists are gone with its frame
+    g._compute_sccs()
     return g
 
 

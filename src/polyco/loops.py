@@ -252,7 +252,7 @@ def _cyclic_sccs(g: ReductionGraph) -> list[list[Word]]:
     members in exploration order; ordered by shortest word, then by first
     explored member."""
     order = g.vertices
-    out = [sorted(g.scc_members[i], key=order.__getitem__)
+    out = [sorted(g.scc_members(i), key=order.__getitem__)
            for i in g.scc_cyclic]
     out.sort(key=lambda m: (min(map(len, m)), order[m[0]]))
     return out
@@ -445,7 +445,7 @@ def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
     i = g.component_of(steps[0].source)
     if i is None:
         return None
-    comp = _Component(g, sorted(g.scc_members[i],
+    comp = _Component(g, sorted(g.scc_members(i),
                                 key=g.vertices.__getitem__))
     internal = {comp.step(k): k for k in range(len(comp.src))}
     ids = [internal.get(s) for s in steps]

@@ -3,6 +3,7 @@ plain reference implementations kept here."""
 
 import dataclasses
 import random
+from array import array
 from collections import Counter, deque
 
 import pytest
@@ -12,7 +13,7 @@ from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
 from polyco.core import Polygraph, Rule, all_words, word_str
 from polyco.decreasing import (DecreasingDiagram, PeifferReport,
                                StrictDiagram, _cut, _first_splits,
-                               _paths_from, _read_pair, _strict,
+                               _greedy_normalize, _paths_from, _read_pair, _strict,
                                check_decreasing, check_peiffer_decreasing,
                                check_strict, decide_peiffer,
                                peiffer_variants)
@@ -618,7 +619,7 @@ def test_sccs_match_mutual_reachability(name, request):
     g = (request.getfixturevalue(name) if name == "upsilon_g"
          else _SCC_GRAPHS[name]())
     reach = {u: set(_forward(g, u)) for u in g.vertices}
-    members = g.scc_members
+    members = [g.scc_members(i) for i in range(len(g._roots))]
     assert sorted(w for m in members for w in m) == sorted(g.vertices)
     cyclic, sinks = set(), set()
     for i, m in enumerate(members):
@@ -644,6 +645,19 @@ def test_sccs_match_mutual_reachability(name, request):
                    for i in range(len(members)))
     else:
         assert sinks
+
+
+@pytest.mark.parametrize("name", _SCC_GRAPHS)
+def test_components_are_kept_as_ints_and_tuples_of_several_words(name):
+    """A word's component is one int in an array, and a tuple of member
+    words is kept for exactly the components of more than one word."""
+    g = _SCC_GRAPHS[name]()
+    assert type(g._comp) is array and g._comp.typecode == "i"
+    assert len(g._comp) == len(g.vertices)
+    sizes = Counter(g._comp)
+    assert sorted(sizes) == list(range(len(g._roots)))
+    assert {i: len(m) for i, m in g._members.items()} == \
+        {i: k for i, k in sizes.items() if k > 1}
 
 
 @pytest.mark.parametrize("name", [*_SCC_GRAPHS, "upsilon_g"])
@@ -754,22 +768,43 @@ def _seed_orders(p, length):
 def test_explore_matches_a_queue_that_scans_every_word(make, length):
     """Reading each word's redexes off its prefix's gives the graph of a
     full scan of every word: ids, successor rows, cuts, stored rows,
-    complete words and components, whatever the seeds and the cut."""
+    complete words and components, whatever the seeds and the cut, and
+    whether the seeds come as a list or as a one-shot generator."""
     p = make()
     cuts = Counter()
     for kind, (seeds, budget) in _seed_orders(p, length).items():
-        g = explore(p, seeds, budget)
         ref = _reference_explore(p, seeds, budget)
-        assert list(g.vertices.items()) == list(ref.vertices.items()), kind
-        assert g._succ == ref._succ and g._cut == ref._cut, kind
-        assert dict(dict.items(g.out)) == dict(dict.items(ref.out)), kind
-        assert g.truncated == ref.truncated
-        assert g.scc_members == ref.scc_members and \
-            g._comp == ref._comp, kind
-        assert (g.scc_sinks, g.scc_cyclic) == (ref.scc_sinks, ref.scc_cyclic)
+        once = (w for w in seeds)
+        for g in explore(p, seeds, budget), explore(p, once, budget):
+            assert list(g.vertices.items()) == list(ref.vertices.items()), \
+                kind
+            assert g._succ == ref._succ and g._cut == ref._cut, kind
+            assert dict(dict.items(g.out)) == dict(dict.items(ref.out)), kind
+            assert g.truncated == ref.truncated
+            assert g._comp == ref._comp and g._roots == ref._roots, kind
+            assert [g.scc_members(i) for i in range(len(g._roots))] == \
+                [ref.scc_members(i) for i in range(len(ref._roots))], kind
+            assert (g.scc_sinks, g.scc_cyclic) == \
+                (ref.scc_sinks, ref.scc_cyclic)
         cuts.update(g._cut.values())
     assert cuts["--max-states"] and cuts["--max-depth"]
     assert cuts["--max-word-len"] or make is not _prefix_lhs
+
+
+def test_normal_form_walk_builds_no_step_row():
+    """The leftmost-redex walk takes the first step of each word's step
+    row without building the row."""
+    p = convergent_braid()
+    g, ref = _explored(p, 7), _explored(p, 7)
+    complete = [u for u in g.vertices if g.is_complete(u)]
+    assert complete and not dict.items(g.out)
+    for u in complete:
+        steps, at = [], u
+        while ref.steps_from(at):
+            steps.append(ref.steps_from(at)[0])
+            at = steps[-1].target
+        assert _greedy_normalize(g, u) == Path(u, tuple(steps))
+    assert not dict.items(g.out)
 
 
 @pytest.mark.parametrize("name", [*_FIXTURE_GRAPHS, *_ROW_GRAPHS])
