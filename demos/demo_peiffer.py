@@ -45,7 +45,7 @@ def main():
           "still has a decreasing diagram,")
     ctx = check_context_compatibility(alt, g, [d], ctx_bound=1)
     print(f"but whiskering breaks it: ok={ctx.ok}, first violation at "
-          f"context {ctx.first_violation['context']}")
+          f"context {ctx.violations[0]['context']}")
 
 
 if __name__ == "__main__":

@@ -38,6 +38,12 @@ EXIT_SEARCH = 4
 
 SKELETON_NOTE = ("homology of the 2-skeleton without 3-cells; "
                  "give the completion's cells with --cells")
+# the lemmas the audits rest on under Labelling.whisker_stable, and why
+CONTEXT_LEMMA = "the contexts past the empty one follow by whiskering"
+PEIFFER_LEMMA = "every square closes by its plain confluence"
+LEMMA_NOTE = ("whiskering lemma: the audits follow from the empty context; "
+              "under nf labels this rests on termination, which is checked "
+              "on the explored words only")
 
 
 def _bound(text: str) -> int:
@@ -122,14 +128,15 @@ def _setup(args):
 
 
 def _labelling(args, p, g) -> Labelling:
+    for option, label in (("qnf_map", "qnf"), ("label_table", "table")):
+        if getattr(args, option) and args.label != label:
+            raise ParseError(f"--{option.replace('_', '-')} is read only "
+                             f"under --label {label}")
     if args.label == "qnf":
-        if args.qnf_map:
-            qm = parse_qnf_map(p, _read(args.qnf_map))
-        else:
-            qm = derived_qnf_map(g)
-        lab = Labelling.qnf(qm)
-        if args.qnf_map:
-            validate_qnf_map(lab, g)
+        if not args.qnf_map:
+            return Labelling.qnf(derived_qnf_map(g))
+        lab = Labelling.qnf(parse_qnf_map(p, _read(args.qnf_map)))
+        validate_qnf_map(lab, g)
         return lab
     if args.label == "nf":
         return Labelling.nf(g)
@@ -179,7 +186,7 @@ def _peiffer_status(peiffer) -> str:
             f"({u['variant']}: {read})")
 
 
-def _context_dict(ctx, head: str) -> dict:
+def _context_dict(lab, ctx, head: str) -> dict:
     """A context audit's report as JSON: each violation is its ``head``
     entry, the index of its branching or diagram, and its context.  The
     unverified contexts are counted, and the first is given in the same
@@ -193,7 +200,8 @@ def _context_dict(ctx, head: str) -> dict:
             "unverified": len(ctx.unverified),
             "first_unverified": (None if first is None
                                  else {**record(first),
-                                       "error": first["error"]})}
+                                       "error": first["error"]}),
+            **_lemma_key(lab, "lemma", CONTEXT_LEMMA)}
 
 
 def _context_status(ctx) -> str:
@@ -202,11 +210,16 @@ def _context_status(ctx) -> str:
     if ctx.ok:
         return "ok"
     if ctx.violations:
-        return f"violation at {ctx.first_violation}"
+        return f"violation at {ctx.violations[0]}"
     first = ctx.unverified[0]
     record = {k: v for k, v in first.items() if k != "error"}
     return (f"{len(ctx.unverified)} unverified, first at {record} "
             f"({first['error']})")
+
+
+def _lemma_key(lab, key: str, lemma: str) -> dict:
+    """{key: lemma} under a whisker-stable labelling, else nothing."""
+    return {key: lemma} if lab.whisker_stable else {}
 
 
 def _budget_dict(args):
@@ -271,11 +284,12 @@ def cmd_complete(args) -> int:
         "verdict": c.verdict,
         "audits": {
             "strict": c.audits["strict"],
-            "context": _context_dict(ctx, "branching"),
+            "context": _context_dict(lab, ctx, "branching"),
             "peiffer": {"ok": peiffer.ok, "checked": peiffer.checked,
                         "variants": dict(peiffer.variants),
                         "undecided": peiffer.undecided,
-                        "first_undecided": _first_undecided(peiffer)},
+                        "first_undecided": _first_undecided(peiffer),
+                        **_lemma_key(lab, "lemma", PEIFFER_LEMMA)},
             "loops": loops,
         },
         "budget": _budget_dict(args),
@@ -288,6 +302,8 @@ def cmd_complete(args) -> int:
                      ("peiffer", _peiffer_status(peiffer)),
                      ("loops", "ok" if loops["complete"]
                       else f"FAILED ({loops['error']})")])
+    if lab.whisker_stable:
+        text += f"\n{LEMMA_NOTE}"
     _emit(args, data, text)
     return EXIT_OK if c.verdict == CERTIFIED else EXIT_INCONCLUSIVE
 
@@ -313,14 +329,17 @@ def cmd_check_decreasing(args) -> int:
     ctx = check_context_compatibility(lab, g, diagrams, args.ctx_bound)
     peiffer = check_peiffer_decreasing(lab, g, p, args.peiffer_len_bound)
     data = {"branchings": rows,
-            "context": _context_dict(ctx, "diagram"),
+            "context": _context_dict(lab, ctx, "diagram"),
             "peiffer_ok": peiffer.ok,
+            **_lemma_key(lab, "peiffer_lemma", PEIFFER_LEMMA),
             "budget": _budget_dict(args)}
     lines = [f"{r['source']}: {r['status']}" for r in rows]
     lines.append(f"context compatibility up to bound {args.ctx_bound}: "
                  + _context_status(ctx))
     lines.append(f"Peiffer decreasing up to length {args.peiffer_len_bound}: "
                  + _peiffer_status(peiffer))
+    if lab.whisker_stable:
+        lines.append(LEMMA_NOTE)
     _emit(args, data, "\n".join(lines))
     if missing:
         return EXIT_SEARCH

@@ -117,10 +117,10 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
         loops_error = str(e)
 
     # The certificate asks every whiskered critical branching to stay
-    # strictly closable, not a fixed completion to stay decreasing.  The
-    # filling procedure pastes the recorded completion whiskered and
-    # re-checks only its strictness, so it may close non-strictly what this
-    # audit closes strictly.
+    # strictly closable, not a fixed completion to stay decreasing.  Under
+    # qnf and table labels the filler pastes the recorded completion
+    # whiskered and re-checks only its strictness, so it may close
+    # non-strictly what this audit closes strictly.
     ctx = check_context_closability(lab, g, criticals, ctx_bound)
     peiffer = check_peiffer_decreasing(lab, g, p, peiffer_len_bound)
     audits = {

@@ -476,18 +476,12 @@ class _PeifferMemo:
     """What deciding Peiffer branchings under one labelling learns once: the
     label of each word, or of each step key under a table labelling, that a
     square reads, or the error labelling it raises, and the decision on
-    each square's labels when none is an error (decide).  Under the nf
-    labelling a word is its own label, which cannot fail, and no two
-    squares read the same words, so neither is kept; there the audit hands
-    it only the squares it cannot read off the successor rows, those at a
-    word that is not complete or with a side that leads to one
-    (check_peiffer_decreasing)."""
+    each square's labels when none is an error (decide)."""
 
     def __init__(self, lab: Labelling, g: ReductionGraph, p: Polygraph):
         self.polygraph = p
         self.order = lab.order
         self.table = lab.kind == TABLE
-        self.keep = lab.kind != NF
         self._label = (partial(label_key, lab) if self.table
                        else partial(label_target, lab, g))
         self.labels: dict = {}
@@ -537,15 +531,13 @@ class _PeifferMemo:
             targets = {}
             for k in {k for pair in pairs for k in pair}:
                 pos, end, rule = found[k]
-                t = u[:pos] + rule.rhs + u[end:]
-                targets[k] = label(t) if self.keep else t
-            back = label(u) if self.keep else u
+                targets[k] = label(u[:pos] + rule.rhs + u[end:])
+            back = label(u)
             squares = []
             for i, j in pairs:
                 (fp, fe, f_rule), (hp, he, h_rule) = found[i], found[j]
-                both = u[:fp] + f_rule.rhs + u[fe:hp] + h_rule.rhs + u[he:]
-                if self.keep:
-                    both = label(both)
+                both = label(u[:fp] + f_rule.rhs + u[fe:hp] + h_rule.rhs
+                             + u[he:])
                 tf, th = targets[i], targets[j]
                 squares.append((tf, th, both, both, back, back, th, tf))
         decisions = self.decisions
@@ -555,8 +547,7 @@ class _PeifferMemo:
             decision = decisions.get(key)
             if decision is None:
                 decision = _choose(self.order, _variant_labels(key))
-                if self.keep and not any(isinstance(k, Exception)
-                                         for k in labels):
+                if not any(isinstance(k, Exception) for k in labels):
                     decisions[key] = decision
             out.append(decision)
         return out
@@ -715,6 +706,18 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
     to the square through loop contractions), UNDECIDED otherwise, each
     decided as decide_peiffer decides it.
 
+    Under a whisker-stable labelling (Labelling.whisker_stable) it checks
+    nothing and passes: each completion of a square's plain confluence is
+    the other side's step whiskered, so it reads decreasing."""
+    if lab.whisker_stable:
+        return PeifferAudit(True, 0, Counter(), 0, 0, None)
+    return _peiffer_audit(lab, g, p, len_bound)
+
+
+def _peiffer_audit(lab: Labelling, g: ReductionGraph, p: Polygraph,
+                   len_bound: int) -> PeifferAudit:
+    """check_peiffer_decreasing's enumeration, under any labelling.
+
     Words come shortest first, so each word's redexes are read off those
     of its prefix ``u[:-1]`` (redexes), kept for this call for the words
     shorter than the bound, and paired when disjoint: no step is built for
@@ -722,30 +725,11 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
     branching is only tallied, by its variant and whether it reads strict;
     the steps and report of the first UNDECIDED one are built, and the
     others are counted.  Squares with the same step order, reverse rules
-    and labels are decided once per call.
-
-    Under the nf labelling a square whose two sides f and h lead to
-    complete words is tallied as the plain Peiffer confluence, read off
-    the successor rows (ReductionGraph.complete_targets) without building
-    its words or reading its labels.  This is the decision _choose makes:
-    the h step out of tf = f.target is in tf's successor row, since tf is
-    complete and h's redex is untouched in it, and leads to ``both``, the
-    word where f and h are both applied; likewise f's step out of th.  So
-    ``both`` is below tf and below th in the reachability order, which
-    ReductionGraph.reaches reads from those rows, and ``both`` differs from
-    each, since Labelling.nf refuses a graph with a cycle, a step from a
-    word to itself included.  The Peiffer variant, read first, is then
-    strict, and _choose returns it with no attempts: the square is
-    tallied as strict.  Only the other squares are labelled and decided
-    (_PeifferMemo.decide)."""
+    and labels are decided once per call."""
     memo = _PeifferMemo(lab, g, p)
-    nf = lab.kind == NF
-    read_off = 0
     variants: Counter = Counter()
-    strict = 0
-    undecided = 0
+    strict = undecided = checked = 0
     first = None
-    checked = 0
     scanned: dict[Word, list] = {}
     for u in all_words(p, len_bound):
         found = redexes(p, u, scanned.get(u[:-1]))
@@ -758,13 +742,6 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
         if not pairs:
             continue
         checked += len(pairs)
-        done = nf and g.complete_targets(u)
-        if done:
-            rest = [(i, j) for i, j in pairs if not (done[i] and done[j])]
-            read_off += len(pairs) - len(rest)
-            if not rest:
-                continue
-            pairs = rest
         for (i, j), decision in zip(pairs, memo.decide(u, found, pairs)):
             variant, is_strict, _, attempts = decision
             if variant is not None:
@@ -779,10 +756,8 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
                                RewriteStep(u[:hp], h_rule, u[he:]))
             first = PeifferReport(b, "UNDECIDED", attempts=list(attempts),
                                   polygraph=p)
-    if read_off:
-        variants["peiffer"] += read_off
-    return PeifferAudit(not undecided, checked, variants, strict + read_off,
-                        undecided, first)
+    return PeifferAudit(not undecided, checked, variants, strict, undecided,
+                        first)
 
 
 # ---------------------------------------------------------------------------
@@ -806,10 +781,6 @@ class ContextReport:
     checked: int
     violations: list
     unverified: list
-
-    @property
-    def first_violation(self):
-        return self.violations[0] if self.violations else None
 
 
 def _context_audit(p: Polygraph, items, ctx_bound: int, fails
@@ -842,7 +813,16 @@ def check_context_compatibility(lab: Labelling, g: ReductionGraph,
                                 ) -> ContextReport:
     """Re-check each diagram whiskered by every context of total length up
     to the bound.  A context under which no decreasing reading of the
-    whiskered completions exists is a violation."""
+    whiskered completions exists is a violation.  Under a whisker-stable
+    labelling (Labelling.whisker_stable) it reads the empty context only:
+    a whiskered decreasing diagram is decreasing."""
+    return _compatibility(lab, g, diagrams,
+                          0 if lab.whisker_stable else ctx_bound)
+
+
+def _compatibility(lab: Labelling, g: ReductionGraph, diagrams,
+                   ctx_bound: int) -> ContextReport:
+    """check_context_compatibility's enumeration, under any labelling."""
 
     def fails(item, u1, u2):
         local, c1, c2 = item
@@ -867,15 +847,23 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
 
     This is weaker than re-checking a fixed completion in context (see
     check_context_compatibility): the completion may be chosen anew for
-    each context.  Sphere filling does not choose it anew: it pastes the
-    recorded completion, whiskered, and only re-checks its strictness, so
-    a whiskered branching this audit closes may still be closed
-    non-strictly there.
+    each context.  Under qnf and table labels sphere filling does not: it
+    pastes the recorded completion, whiskered, and may close non-strictly
+    a whiskered branching this audit closes.  Under a whisker-stable
+    labelling (Labelling.whisker_stable) it reads the empty context only:
+    a whiskered strict closure is strict.
 
     A whiskered branching with no strict closure is unverified, not a
     violation, when its source is not a complete explored word: the budget
     left out words its closure may need.  Its error names the word and the
     option that left it out."""
+    return _closability(lab, g, branchings,
+                        0 if lab.whisker_stable else ctx_bound)
+
+
+def _closability(lab: Labelling, g: ReductionGraph, branchings,
+                 ctx_bound: int) -> ContextReport:
+    """check_context_closability's enumeration, under any labelling."""
 
     def fails(local, u1, u2):
         wb = LocalBranching(local.first.whisker(u1, u2),
@@ -892,4 +880,3 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
 
     items = (({"branching": idx}, b) for idx, b in enumerate(branchings))
     return _context_audit(g.polygraph, items, ctx_bound, fails)
-

@@ -394,18 +394,17 @@ class ReductionGraph:
     built when first read, except for the words a budget cut, whose kept
     steps are stored as they are explored.  Every pass over the edges that
     needs only their targets reads the successor rows, and so does
-    ``complete_targets``, which tells which steps out of a complete word
-    lead to complete words, and ``successor_row``, which pairs a row with
-    its steps' redexes.  After exploration, once its prefix redex lists
-    are released, one Tarjan pass over the rows numbers the components in
-    the order it closes them and sets the component of each id, one int in
-    an array (``component_of``); ``scc_sinks`` (the closed components of
+    ``successor_row``, which pairs a row with its steps' redexes.  After
+    exploration, once its prefix redex lists are released, one Tarjan pass
+    over the rows numbers the components in the order it closes them and
+    sets the component of each id, one int in an array
+    (``component_of``); ``scc_sinks`` (the closed components of
     complete words: the quasi-normal forms) and ``scc_cyclic`` (the
     ascending indices of the components that carry a cycle: more than one
     member, or a step from a word to itself).  ``scc_members(i)`` gives
-    component i's words in the order they left Tarjan's stack: a tuple is
-    kept only for a component of more than one word, and a one-word
-    component is read off the id of its root.
+    component i's words in id order: a tuple is kept only for a component
+    of more than one word, and a one-word component is read off the id of
+    its root.
 
     Every search is one breadth-first search over id rows
     (_breadth_first).  ``distance`` and ``geodesic`` read one backward
@@ -575,7 +574,7 @@ class ReductionGraph:
                     for m in members:
                         on_stack[m] = 0
                         comp[m] = i
-                    multi[i] = tuple(words[m] for m in members)
+                    multi[i] = tuple(words[m] for m in sorted(members))
         self._comp = comp
         self._roots = roots
         self._members = multi
@@ -593,9 +592,9 @@ class ReductionGraph:
         return i is not None and i not in self._cut
 
     def scc_members(self, i: int) -> tuple[Word, ...]:
-        """The words of component i, in the order they left Tarjan's
-        stack.  Only a component of more than one word keeps its tuple; a
-        one-word component is answered from its root's id."""
+        """The words of component i, in id order.  Only a component of
+        more than one word keeps its tuple; a one-word component is
+        answered from its root's id."""
         return self._members.get(i) or (self._words[self._roots[i]],)
 
     def component_of(self, u: Word) -> int | None:
@@ -610,17 +609,6 @@ class ReductionGraph:
         behind the first refusal among its steps' targets,
         ``--max-word-len`` or ``--max-states``; None when u is complete."""
         return self._cut.get(self.vertices[u])
-
-    def complete_targets(self, u: Word) -> list[bool] | None:
-        """Whether the target of each step out of u is complete, in the
-        order of u's steps (redexes) and of its successor row; None when u
-        is unexplored or cut.  It reads the successor rows and the cut
-        words only, so it builds no step row."""
-        i = self.vertices.get(u)
-        cut = self._cut
-        if i is None or i in cut:
-            return None
-        return [t not in cut for t in self._succ[i]]
 
     def successor_row(self, u: Word
                       ) -> tuple[list[tuple[int, int, Rule]], tuple[int, ...]]:

@@ -134,6 +134,12 @@ class Labelling:
                    order: LabelOrder) -> "Labelling":
         return cls(TABLE, order, table=table)
 
+    @property
+    def whisker_stable(self) -> bool:
+        """Whether whiskering keeps every `<` and `=` between labels: true
+        for nf, as x ->+ y gives u x v ->+ u y v, and for singleton."""
+        return self.kind in (NF, SINGLETON)
+
 
 def label_step(lab: Labelling, g: ReductionGraph, f: RewriteStep):
     """The label of a forward step.  Inverse steps carry the label of their

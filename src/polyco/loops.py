@@ -247,15 +247,12 @@ def is_elementary(loop: Loop) -> bool:
     return is_context_minimal(loop) and is_minimal_for_composition(loop)
 
 
-def _cyclic_sccs(g: ReductionGraph) -> list[list[Word]]:
+def _cyclic_sccs(g: ReductionGraph) -> list[tuple[Word, ...]]:
     """The strongly connected components that carry a cycle, each with its
     members in exploration order; ordered by shortest word, then by first
     explored member."""
-    order = g.vertices
-    out = [sorted(g.scc_members(i), key=order.__getitem__)
-           for i in g.scc_cyclic]
-    out.sort(key=lambda m: (min(map(len, m)), order[m[0]]))
-    return out
+    return sorted((g.scc_members(i) for i in g.scc_cyclic),
+                  key=lambda m: (min(map(len, m)), g.vertices[m[0]]))
 
 
 class _Component:
@@ -268,7 +265,7 @@ class _Component:
     number of rules, so that a member and a code name one step.  Loops are
     tuples of step ids."""
 
-    def __init__(self, g: ReductionGraph, members: list[Word]):
+    def __init__(self, g: ReductionGraph, members: tuple[Word, ...]):
         self.members = members
         self.rules = g.polygraph.rules
         self._width = width = len(self.rules)
@@ -445,8 +442,7 @@ def fundamental_factors(g: ReductionGraph, steps: tuple[RewriteStep, ...]):
     i = g.component_of(steps[0].source)
     if i is None:
         return None
-    comp = _Component(g, sorted(g.scc_members(i),
-                                key=g.vertices.__getitem__))
+    comp = _Component(g, g.scc_members(i))
     internal = {comp.step(k): k for k in range(len(comp.src))}
     ids = [internal.get(s) for s in steps]
     if None in ids:

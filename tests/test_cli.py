@@ -97,6 +97,40 @@ def test_complete_convergent_with_nf_labels(convergent_file, capsys):
     assert "CERTIFIED" in out and "D6" in out
 
 
+@pytest.mark.parametrize("length", [4, 5])
+def test_nf_audits_state_the_whiskering_lemma(convergent_braid_file, capsys,
+                                              length):
+    """Under nf labels the context audits read the empty context and the
+    Peiffer audit no square; the JSON states the lemma of each audit, and
+    the text names its premise."""
+    argv = [convergent_braid_file, "--label", "nf",
+            "--max-word-len", str(length)]
+    assert main(["check-decreasing", *argv, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["context"]["checked"] == 6 and data["context"]["lemma"]
+    assert data["peiffer_ok"] and data["peiffer_lemma"]
+    assert main(["complete", *argv, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "CERTIFIED"
+    assert data["audits"]["context"]["lemma"] == (
+        "the contexts past the empty one follow by whiskering")
+    assert data["audits"]["peiffer"]["lemma"] == (
+        "every square closes by its plain confluence")
+    assert data["audits"]["peiffer"]["checked"] == 0
+    assert main(["complete", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "whiskering lemma: the audits follow from the empty context; under "
+        "nf labels this rests on termination, which is checked on the "
+        "explored words only")
+
+
+def test_qnf_audits_state_no_lemma(braid_file, capsys):
+    assert main(["complete", braid_file, "--format", "json"]) == 0
+    audits = json.loads(capsys.readouterr().out)["audits"]
+    assert "lemma" not in audits["context"]
+    assert "lemma" not in audits["peiffer"]
+
+
 def test_check_decreasing_reports_context_fragility(braid_file, capsys):
     # the fixed completion diagrams do not stay decreasing under every
     # whisker, so the literal re-check is inconclusive by design
@@ -465,6 +499,24 @@ def test_subcommands_refuse_options_they_do_not_read(braid_file, capsys,
         main([command, braid_file, *sphere, *option])
     assert e.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["complete", "check-decreasing",
+                                     "fill-sphere"])
+@pytest.mark.parametrize("label, option", [
+    ("nf", "--qnf-map"), ("singleton", "--qnf-map"), ("table", "--qnf-map"),
+    ("qnf", "--label-table"), ("nf", "--label-table"),
+    ("singleton", "--label-table")])
+def test_labels_refuse_files_they_do_not_read(braid_file, capsys, command,
+                                              label, option):
+    """A labelling file under a --label that does not read it is an input
+    error naming the option; the file is never opened."""
+    sphere = ["x.sphere"] if command == "fill-sphere" else []
+    assert main([command, braid_file, *sphere, "--label", label,
+                 option, "/nonexistent"]) == 2
+    want = "qnf" if option == "--qnf-map" else "table"
+    assert capsys.readouterr().err == (
+        f"error: {option} is read only under --label {want}\n")
 
 
 @pytest.mark.parametrize("command, budget", [

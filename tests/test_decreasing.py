@@ -6,15 +6,18 @@ from polyco import decreasing
 from polyco.branchings import (OVERLAPPING, PEIFFER, LocalBranching,
                                critical_branchings, local_branchings)
 from polyco.core import all_words
-from polyco.decreasing import (DecreasingDiagram, check_context_closability,
+from polyco.decreasing import (DecreasingDiagram, _closability,
+                               _compatibility, _peiffer_audit,
+                               check_context_closability,
                                check_context_compatibility,
                                check_decreasing, check_peiffer_decreasing,
-                               check_strict, decide_peiffer, find_decreasing,
-                               peiffer_variants, StrictDiagram)
+                               check_strict, contexts_up_to, decide_peiffer,
+                               find_decreasing, peiffer_variants,
+                               StrictDiagram)
 from polyco.engine import ExplorationBudget, explore
-from polyco.fixtures import braid_qnf_map
-from polyco.labelling import (FinitePosetOrder, Labelling, derived_qnf_map,
-                              label_path, step_key)
+from polyco.fixtures import braid, braid_qnf_map, convergent_braid
+from polyco.labelling import (FinitePosetOrder, Labelling, NaturalsOrder,
+                              derived_qnf_map, label_path, step_key)
 
 
 def _peiffer_on(p, word):
@@ -238,3 +241,64 @@ def test_one_peiffer_audit_labels_each_word_or_key_once(ab_p, monkeypatch,
     assert (("no table entry for step 1|alpha|a a a" if table
              else "no quasi-normal form chosen for b a a a") in errors)
     assert not any(e.startswith("'") for e in errors)
+
+
+def test_nf_enumerations_find_no_failure_on_convergent_braid():
+    """The whiskering lemma the audits rest on under nf labels, against the
+    enumerations they skip: on convergent_braid explored to 8, every
+    context up to 3 of every critical branching and diagram passes both
+    context audits, and every Peiffer square up to length 8 reads strict
+    by its plain confluence."""
+    p = convergent_braid()
+    g = explore(p, all_words(p, 8), ExplorationBudget(8))
+    lab = Labelling.nf(g)
+    crits = critical_branchings(p)
+    diagrams = [find_decreasing(lab, g, b) for b in crits]
+    contexts = len(list(contexts_up_to(p, 3)))
+    for rep in (_closability(lab, g, crits, 3),
+                _compatibility(lab, g, diagrams, 3)):
+        assert rep.ok and not rep.violations and not rep.unverified
+        assert rep.checked == len(crits) * contexts
+    audit = _peiffer_audit(lab, g, p, 8)
+    assert audit.ok and audit.checked and not audit.undecided
+    assert audit.variants == Counter(peiffer=audit.checked)
+    assert audit.strict == audit.checked
+
+
+@pytest.mark.parametrize("kind", ["nf", "singleton"])
+def test_whisker_stable_audits_read_the_empty_context_only(kind):
+    """Under nf and singleton labels the context audits check each item at
+    the empty context only, and the Peiffer audit enumerates nothing."""
+    p = convergent_braid()
+    g = explore(p, all_words(p, 6), ExplorationBudget(6))
+    lab = Labelling.nf(g) if kind == "nf" else Labelling.singleton()
+    assert lab.whisker_stable
+    crits = critical_branchings(p)
+    diagrams = [d for d in (find_decreasing(lab, g, b) for b in crits) if d]
+    for rep, items, enumerated in (
+            (check_context_closability(lab, g, crits, 3), crits,
+             _closability(lab, g, crits, 0)),
+            (check_context_compatibility(lab, g, diagrams, 3), diagrams,
+             _compatibility(lab, g, diagrams, 0))):
+        assert rep == enumerated and rep.checked == len(items)
+    audit = check_peiffer_decreasing(lab, g, p, 8)
+    assert (audit.ok, audit.checked, audit.variants, audit.undecided,
+            audit.first_undecided) == (True, 0, Counter(), 0, None)
+
+
+def test_qnf_and_table_labels_are_not_whisker_stable(braid_lab):
+    assert not braid_lab.whisker_stable
+    assert not Labelling.from_table({}, NaturalsOrder()).whisker_stable
+
+
+def test_singleton_context_report_lists_braid_criticals_at_empty_context():
+    """No critical branching of braid closes strictly under one label: the
+    context audit reports each of the four at the empty context, the only
+    one it reads."""
+    p = braid()
+    g = explore(p, all_words(p, 7), ExplorationBudget(7))
+    rep = check_context_closability(Labelling.singleton(), g,
+                                    critical_branchings(p), ctx_bound=2)
+    assert not rep.ok and rep.checked == 4 and not rep.unverified
+    assert rep.violations == [{"branching": i, "context": ((), ())}
+                              for i in range(4)]

@@ -13,7 +13,8 @@ from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
 from polyco.core import Polygraph, Rule, all_words, word_str
 from polyco.decreasing import (DecreasingDiagram, PeifferReport,
                                StrictDiagram, _cut, _first_splits,
-                               _greedy_normalize, _paths_from, _read_pair, _strict,
+                               _greedy_normalize, _paths_from, _peiffer_audit,
+                               _read_pair, _strict,
                                check_decreasing, check_peiffer_decreasing,
                                check_strict, decide_peiffer,
                                peiffer_variants)
@@ -660,6 +661,23 @@ def test_components_are_kept_as_ints_and_tuples_of_several_words(name):
         {i: k for i, k in sizes.items() if k > 1}
 
 
+@pytest.mark.parametrize("name", _SCC_GRAPHS)
+def test_component_members_come_in_id_order(name):
+    """scc_members lists each component's words in id order, which is the
+    order the loop enumeration numbers a component's members in."""
+    g = _SCC_GRAPHS[name]()
+    several = 0
+    for i in range(len(g._roots)):
+        members = g.scc_members(i)
+        assert list(members) == sorted(members, key=g.vertices.__getitem__)
+        several += len(members) > 1
+    # convergent_braid terminates, and self_loops cycles through one word
+    assert several or name in ("convergent_braid-7", "self_loops-5")
+    assert _cyclic_sccs(g) == sorted(
+        (g.scc_members(i) for i in g.scc_cyclic),
+        key=lambda m: (min(map(len, m)), g.vertices[m[0]]))
+
+
 @pytest.mark.parametrize("name", [*_SCC_GRAPHS, "upsilon_g"])
 def test_successor_and_predecessor_rows_match_the_steps(name, request):
     g = (request.getfixturevalue(name) if name == "upsilon_g"
@@ -846,32 +864,36 @@ def test_step_rows_are_the_enumerated_steps(name, request):
 
 @pytest.mark.parametrize("name", ["convergent_braid-7", "prefix_lhs-6",
                                   "braid-8-truncated", "grow", "depth-cut"])
-def test_complete_targets_match_the_redexes_and_complete_words(name):
-    """For a complete word, whether each redex's target is complete, in
-    the order of redexes; None for a cut or unexplored word.  No step row
-    is stored."""
+def test_successor_rows_pair_the_redexes_with_their_targets(name):
+    """A word's successor row pairs each kept step's redex with the id of
+    its target: every redex, in position order, for a complete word, and
+    only the kept ones for a cut word.  It stores no step row, and an
+    unexplored word raises TruncatedRegion."""
     g = (explore(_prefix_lhs(), all_words(_prefix_lhs(), 6),
                  ExplorationBudget(6)) if name == "prefix_lhs-6"
          else _ROW_GRAPHS[name]())
-    p = g.polygraph
+    p, words = g.polygraph, list(g.vertices)
+    rows = set(dict.keys(g.out))
     read = Counter()
     for u in g.vertices:
-        got = g.complete_targets(u)
-        if not g.is_complete(u):
-            assert got is None, u
-            read[None] += 1
-            continue
-        assert got == [g.is_complete(u[:pos] + rule.rhs + u[end:])
-                       for pos, end, rule in redexes(p, u)], u
-        read.update(got)
+        found, targets = g.successor_row(u)
+        assert [words[t] for t in targets] == [
+            u[:pos] + rule.rhs + u[end:] for pos, end, rule in found], u
+        full = redexes(p, u)
+        if g.is_complete(u):
+            assert found == full, u
+        else:
+            assert found != full and all(r in full for r in found), u
+        read[g.is_complete(u)] += 1
     missing = ("z",) * 9
-    assert g.complete_targets(missing) is None
+    with pytest.raises(TruncatedRegion):
+        g.successor_row(missing)
     assert not g.is_complete(missing) and g.component_of(missing) is None
-    assert all(u in g.vertices and not g.is_complete(u)
-               for u in dict.keys(g.out))
+    assert set(dict.keys(g.out)) == rows
+    assert all(u in g.vertices and not g.is_complete(u) for u in rows)
     assert read[True]
     if name != "convergent_braid-7":
-        assert read[False] and read[None]
+        assert read[False]
 
 
 @pytest.mark.parametrize("p, budget", [
@@ -1129,12 +1151,14 @@ def _peiffer_pairs(p, bound):
 @pytest.fixture(scope="module", params=list(_PEIFFER_AUDITS))
 def peiffer_audit(request):
     """A fixture of _PEIFFER_AUDITS, every Peiffer branching on it in both
-    step orders, the decide_peiffer report of each, and its audit."""
+    step orders, the decide_peiffer report of each, and its audit: the
+    enumeration that check_peiffer_decreasing skips under nf labels."""
     p, g, lab, bound = _PEIFFER_AUDITS[request.param]()
     pairs = _peiffer_pairs(p, bound)
+    audit = _peiffer_audit if lab.whisker_stable else check_peiffer_decreasing
     return (request.param, p, g, lab, bound, pairs,
             [decide_peiffer(lab, g, p, b) for b in pairs],
-            check_peiffer_decreasing(lab, g, p, bound))
+            audit(lab, g, p, bound))
 
 
 def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
@@ -1163,13 +1187,13 @@ def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
     if name in ("no_fdt-5", "lafont-5-at-6"):
         assert statuses["UNDECIDED"]
     if name.endswith("-nf"):
-        # the nf audit reads a square off the successor rows when its
-        # source and both sides are complete, and decides the others on
-        # their labels
-        read_off = Counter(all(map(g.is_complete, (
+        # the nf cases hold squares at complete words whose sides are
+        # complete and, but for convergent_braid-7, squares the explored
+        # words do not settle
+        settled = Counter(all(map(g.is_complete, (
             b.source, b.first.target, b.second.target))) for b in pairs)
-        assert read_off[True]
-        assert read_off[False] or name == "convergent_braid-7-nf"
+        assert settled[True]
+        assert settled[False] or name == "convergent_braid-7-nf"
     if name == "lafont-5-at-6" or name.endswith("-table"):
         assert errors
     if name == "prefix_lhs-4-undecided-at-caba":
@@ -1209,6 +1233,8 @@ def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
     """The audit builds the steps, branching and report of the first
     UNDECIDED Peiffer square only, and stores no step row in the graph."""
     p, g, lab, bound = _audited(system(), length, label=label)
+    enumerate_squares = (_peiffer_audit if label == "nf"
+                         else check_peiffer_decreasing)
     rows = set(dict.keys(g.out))
     built = Counter()
     for cls in (RewriteStep, LocalBranching, PeifferReport):
@@ -1217,7 +1243,7 @@ def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
             init(self, *args, **kwargs)
             built[name] += 1
         monkeypatch.setattr(cls, "__init__", counting)
-    audit = check_peiffer_decreasing(lab, g, p, bound)
+    audit = enumerate_squares(lab, g, p, bound)
     n = audit.undecided
     assert audit.checked > n and (n > 0) == (system is no_fdt)
     # the first UNDECIDED square only has its report built
