@@ -18,12 +18,14 @@ from .engine import (ExplorationBudget, IllComposed, TruncatedRegion,
                      Unreachable, classify_termination, explore,
                      INCONCLUSIVE)
 from .branchings import critical_branchings
-from .labelling import (Labelling, LabellingError, derived_qnf_map,
-                        parse_label_table, parse_qnf_map, validate_qnf_map)
+from .labelling import (WHISKER_STABLE, Labelling, LabellingError,
+                        derived_qnf_map, parse_label_table, parse_qnf_map,
+                        validate_qnf_map)
 from .decreasing import (CTX_BOUND, PEIFFER_LEN_BOUND, MeasureError,
-                         SearchExhausted, StrictDiagram,
+                         SearchExhausted, StrictDiagram, audit_seeds,
                          check_context_compatibility,
-                         check_peiffer_decreasing, find_decreasing)
+                         check_peiffer_decreasing, find_decreasing, left_out,
+                         peiffer_squares)
 from .loops import enumerate_elementary_loops
 from .expressions import check_boundary
 from .completion import (CERTIFIED, build_completion, fill_parallel_sphere,
@@ -58,7 +60,10 @@ def _bound(text: str) -> int:
 
 
 def _add_exploration(sp):
-    sp.add_argument("--max-word-len", type=_bound, default=7)
+    sp.add_argument("--max-word-len", type=_bound, default=7, help=(
+        "a cap on the length of the words explored (default %(default)s): "
+        "complete and check-decreasing explore from the words their audits "
+        "label, analyze and fill-sphere from every word up to it"))
     sp.add_argument("--max-states", type=_bound, default=100000)
     sp.add_argument("--max-depth", type=_bound, default=200)
 
@@ -119,12 +124,36 @@ def _read(path: str) -> str:
         raise ParseError(str(e))
 
 
+def _budget(args) -> ExplorationBudget:
+    return ExplorationBudget(args.max_word_len, args.max_states,
+                             args.max_depth)
+
+
 def _setup(args):
+    """The presentation and its graph explored from every word up to
+    --max-word-len, which analyze and fill-sphere read."""
     p = parse_polygraph(_read(args.polygraph))
-    budget = ExplorationBudget(args.max_word_len, args.max_states,
-                               args.max_depth)
-    g = explore(p, all_words(p, args.max_word_len), budget=budget)
-    return p, g, budget
+    g = explore(p, all_words(p, args.max_word_len), budget=_budget(args))
+    return p, g
+
+
+def _setup_audited(args):
+    """The presentation, its graph explored from the words the audits label
+    (audit_seeds), the sources of the Peiffer audit (peiffer_squares), and
+    the explored region: the number of seeds and of explored words.  Under
+    whisker-stable labels the audits read the critical branchings only."""
+    p = parse_polygraph(_read(args.polygraph))
+    stable = args.label in WHISKER_STABLE
+    squares = [] if stable else peiffer_squares(p, args.peiffer_len_bound)
+    seeds = audit_seeds(p, critical_branchings(p), args.max_word_len,
+                        0 if stable else args.ctx_bound, squares)
+    g = explore(p, seeds, budget=_budget(args))
+    return p, g, squares, {"seeds": len(seeds), "words": len(g.vertices)}
+
+
+def _explored_line(explored: dict) -> str:
+    return (f"explored: {explored['seeds']} seeds, "
+            f"{explored['words']} words")
 
 
 def _labelling(args, p, g) -> Labelling:
@@ -230,7 +259,7 @@ def _budget_dict(args):
 
 
 def cmd_analyze(args) -> int:
-    p, g, budget = _setup(args)
+    p, g = _setup(args)
     report = classify_termination(g)
     crits = critical_branchings(p)
     try:
@@ -269,10 +298,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    p, g, budget = _setup(args)
+    p, g, squares, explored = _setup_audited(args)
     lab = _labelling(args, p, g)
     c = build_completion(p, lab, g, ctx_bound=args.ctx_bound,
-                         peiffer_len_bound=args.peiffer_len_bound)
+                         peiffer_len_bound=args.peiffer_len_bound,
+                         squares=squares)
     ctx = c.audits["context"]
     peiffer = c.audits["peiffer"]
     loops = c.audits["loops"]
@@ -293,6 +323,7 @@ def cmd_complete(args) -> int:
             "loops": loops,
         },
         "budget": _budget_dict(args),
+        "explored": explored,
     }
     text = format_extension(c) + f"\nverdict: {c.verdict}\n" + "\n".join(
         f"audit {k}: {v}"
@@ -302,6 +333,7 @@ def cmd_complete(args) -> int:
                      ("peiffer", _peiffer_status(peiffer)),
                      ("loops", "ok" if loops["complete"]
                       else f"FAILED ({loops['error']})")])
+    text += "\n" + _explored_line(explored)
     if lab.whisker_stable:
         text += f"\n{LEMMA_NOTE}"
     _emit(args, data, text)
@@ -309,31 +341,38 @@ def cmd_complete(args) -> int:
 
 
 def cmd_check_decreasing(args) -> int:
-    p, g, budget = _setup(args)
+    p, g, squares, explored = _setup_audited(args)
     lab = _labelling(args, p, g)
-    crits = critical_branchings(p)
     rows = []
     diagrams = []
-    missing = 0
-    for b in crits:
+    missing = unverified = 0
+    for b in critical_branchings(p):
         d = find_decreasing(lab, g, b)
-        if d is None:
+        row = {"source": word_str(b.source)}
+        if d is not None:
+            diagrams.append(d)
+            row["status"] = ("strict" if isinstance(d, StrictDiagram)
+                             else "decreasing")
+        elif (why := left_out(g, b.source)) is not None:
+            # the budget left the source out: unverified, not a failure
+            unverified += 1
+            row.update(status="unverified", error=why)
+        else:
             missing += 1
-            rows.append({"source": word_str(b.first.source),
-                         "status": "NOT FOUND"})
-            continue
-        diagrams.append(d)
-        rows.append({"source": word_str(b.first.source),
-                     "status": ("strict" if isinstance(d, StrictDiagram)
-                                else "decreasing")})
+            row["status"] = "NOT FOUND"
+        rows.append(row)
     ctx = check_context_compatibility(lab, g, diagrams, args.ctx_bound)
-    peiffer = check_peiffer_decreasing(lab, g, p, args.peiffer_len_bound)
+    peiffer = check_peiffer_decreasing(lab, g, p, args.peiffer_len_bound,
+                                       squares)
     data = {"branchings": rows,
             "context": _context_dict(lab, ctx, "diagram"),
             "peiffer_ok": peiffer.ok,
             **_lemma_key(lab, "peiffer_lemma", PEIFFER_LEMMA),
-            "budget": _budget_dict(args)}
-    lines = [f"{r['source']}: {r['status']}" for r in rows]
+            "budget": _budget_dict(args),
+            "explored": explored}
+    lines = [f"{r['source']}: {r['status']}"
+             + (f" ({r['error']})" if "error" in r else "") for r in rows]
+    lines.append(_explored_line(explored))
     lines.append(f"context compatibility up to bound {args.ctx_bound}: "
                  + _context_status(ctx))
     lines.append(f"Peiffer decreasing up to length {args.peiffer_len_bound}: "
@@ -343,11 +382,12 @@ def cmd_check_decreasing(args) -> int:
     _emit(args, data, "\n".join(lines))
     if missing:
         return EXIT_SEARCH
-    return EXIT_OK if ctx.ok and peiffer.ok else EXIT_INCONCLUSIVE
+    return (EXIT_OK if ctx.ok and peiffer.ok and not unverified
+            else EXIT_INCONCLUSIVE)
 
 
 def cmd_fill_sphere(args) -> int:
-    p, g, budget = _setup(args)
+    p, g = _setup(args)
     lab = _labelling(args, p, g)
     # fill-sphere prints no audit, so the completion audits as little as
     # it can: at bound 0 the context audit reads only the unwhiskered

@@ -26,7 +26,7 @@ from .decreasing import (CTX_BOUND, PEIFFER_LEN_BOUND, MeasureError,
                          SearchExhausted, StrictDiagram, canonical_target,
                          check_context_closability,
                          check_peiffer_decreasing, decide_peiffer,
-                         find_decreasing, reads_strict)
+                         find_decreasing, left_out, reads_strict)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
                      TruncatedRegion, ZigzagPath, exchange_swap, parse_step,
                      zigzag)
@@ -77,10 +77,18 @@ PARTIAL = "PARTIAL"
 
 def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
                      ctx_bound: int = CTX_BOUND,
-                     peiffer_len_bound: int = PEIFFER_LEN_BOUND
-                     ) -> CoherentPresentation:
+                     peiffer_len_bound: int = PEIFFER_LEN_BOUND,
+                     squares: list | None = None) -> CoherentPresentation:
     """One confluence cell per critical branching plus one extension cell
-    per elementary loop class, with audits."""
+    per elementary loop class of the explored words, with audits.
+    ``squares``, when given, is ``peiffer_squares(p, peiffer_len_bound)``,
+    which the Peiffer audit then reads instead of scanning anew.
+
+    A critical branching whose source the budget left out or incomplete
+    (left_out) gets no cell, and the completion is PARTIAL: the context
+    audit, whose first context is the empty one, reports it unverified with
+    the word and the option.  One that finds no diagram from a complete
+    source raises SearchExhausted."""
     criticals = critical_branchings(p)
     cells: dict[str, ThreeCell] = {}
     records: list[ConfluenceRecord] = []
@@ -88,6 +96,8 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
     for i, cb in enumerate(criticals):
         d = find_decreasing(lab, g, cb)
         if d is None:
+            if left_out(g, cb.source) is not None:
+                continue
             raise SearchExhausted(
                 f"no decreasing diagram for the critical branching at "
                 f"{word_str(cb.source)}")
@@ -122,14 +132,15 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
     # whiskered and re-checks only its strictness, so it may close
     # non-strictly what this audit closes strictly.
     ctx = check_context_closability(lab, g, criticals, ctx_bound)
-    peiffer = check_peiffer_decreasing(lab, g, p, peiffer_len_bound)
+    peiffer = check_peiffer_decreasing(lab, g, p, peiffer_len_bound, squares)
     audits = {
         "strict": {"ok": not failures, "non_strict_cells": failures},
         "context": ctx,
         "peiffer": peiffer,
         "loops": {"complete": loops_error is None, "error": loops_error},
     }
-    verdict = CERTIFIED if (not failures and ctx.ok and peiffer.ok
+    verdict = CERTIFIED if (len(records) == len(criticals) and not failures
+                            and ctx.ok and peiffer.ok
                             and loops_error is None) else PARTIAL
     return CoherentPresentation(p, cells, records, loop_classes,
                                 audits, verdict, lab, g)

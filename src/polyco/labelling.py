@@ -99,6 +99,9 @@ QNF = "qnf"
 NF = "nf"
 SINGLETON = "singleton"
 TABLE = "table"
+# the kinds whose labels whiskering keeps in every `<` and `=`: for nf, as
+# x ->+ y gives u x v ->+ u y v, and for singleton
+WHISKER_STABLE = frozenset({NF, SINGLETON})
 
 StepKey = tuple[Word, str, Word]
 
@@ -120,6 +123,8 @@ class Labelling:
 
     @classmethod
     def nf(cls, graph: ReductionGraph) -> "Labelling":
+        """The nf labelling, whose order is reachability in ``graph``.  Its
+        premise, termination, is checked on the explored words only."""
         if graph.has_cycle():
             raise LabellingError(
                 "normal form labelling needs a terminating explored graph")
@@ -136,9 +141,9 @@ class Labelling:
 
     @property
     def whisker_stable(self) -> bool:
-        """Whether whiskering keeps every `<` and `=` between labels: true
-        for nf, as x ->+ y gives u x v ->+ u y v, and for singleton."""
-        return self.kind in (NF, SINGLETON)
+        """Whether whiskering keeps every `<` and `=` between labels
+        (WHISKER_STABLE)."""
+        return self.kind in WHISKER_STABLE
 
 
 def label_step(lab: Labelling, g: ReductionGraph, f: RewriteStep):
@@ -219,7 +224,7 @@ def derived_qnf_map(g: ReductionGraph) -> dict[Word, Word]:
 def validate_qnf_map(lab: Labelling, g: ReductionGraph) -> None:
     """Check that every mapped word explored in g is sent to one of its own
     quasi-normal forms and that the choice is constant on each explored
-    congruence class."""
+    congruence class.  A mapped word g did not explore is not read."""
     if lab.kind != QNF or not lab.qnf_map:
         raise LabellingError("not a qnf labelling")
     seen: set[Word] = set()

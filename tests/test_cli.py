@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polyco import serialize_polygraph
 from polyco.cli import build_parser, main
@@ -172,7 +175,8 @@ def test_peiffer_failure_names_the_first_undecided_branching(tmp_path,
     # the JSON keeps only whether every Peiffer branching passed
     assert main(check + ["--format", "json"]) == 3
     data = json.loads(capsys.readouterr().out)
-    assert set(data) == {"branchings", "context", "peiffer_ok", "budget"}
+    assert set(data) == {"branchings", "context", "peiffer_ok", "budget",
+                         "explored"}
     assert data["peiffer_ok"] is False
 
 
@@ -272,8 +276,8 @@ def test_failed_context_audit_text_names_its_first_witness(braid_file,
 
 def test_loop_audit_names_the_budget_option_it_hit(braid_file, capsys):
     argv = ["complete", braid_file, "--max-word-len", "8",
-            "--max-states", "200"]
-    error = ("a cycle touches the word s t s t t t t, left incomplete by "
+            "--max-states", "120"]
+    error = ("a cycle touches the word s s t s t t s, left incomplete by "
              "--max-states")
     assert main(argv) == 3
     assert f"audit loops: FAILED ({error})" in \
@@ -281,6 +285,141 @@ def test_loop_audit_names_the_budget_option_it_hit(braid_file, capsys):
     assert main(argv + ["--format", "json"]) == 3
     loops = json.loads(capsys.readouterr().out)["audits"]["loops"]
     assert loops == {"complete": False, "error": error}
+
+
+B3 = """\
+polygraph B3
+gens a b c
+rule r1 : a b a b => b a b a
+rule r2 : b a b a => a b a b
+rule r3 : b c b => c b c
+rule r4 : c b c => b c b
+rule r5 : a c => c a
+rule r6 : c a => a c
+"""
+
+I2_5 = """\
+polygraph I2_5
+gens a b
+rule r1 : a b a b a => b a b a b
+rule r2 : b a b a b => a b a b a
+"""
+
+
+@pytest.mark.parametrize("text, cells, left_out", [
+    (B3, 16, ["a b a b a b a", "b a b a b a b"]),
+    (I2_5, 2, ["a b a b a b a b a", "a b a b a b a", "a b a b a b a b",
+               "b a b a b a b a", "b a b a b a b a b", "b a b a b a b"])],
+    ids=["B3", "I2_5"])
+def test_a_critical_source_past_the_cap_is_unverified(tmp_path, capsys,
+                                                      text, cells, left_out):
+    """At --max-word-len 6, B3 and I2(5) have critical branchings on words
+    of 7 to 9 letters.  complete gives them no cell and is PARTIAL, its
+    context audit naming the word and the option; check-decreasing lists
+    them unverified.  Neither exits 4."""
+    poly = tmp_path / "p.poly"
+    poly.write_text(text)
+    argv = [str(poly), "--max-word-len", "6"]
+    assert main(["complete", *argv, "--format", "json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "PARTIAL"
+    assert sum(c["kind"] == "confluence"
+               for c in data["cells"].values()) == cells
+    context = data["audits"]["context"]
+    assert not context["ok"] and context["unverified"]
+    assert context["first_unverified"]["error"].endswith(
+        " is longer than --max-word-len")
+    assert main(["check-decreasing", *argv, "--format", "json"]) == 3
+    rows = json.loads(capsys.readouterr().out)["branchings"]
+    unverified = [r for r in rows if r["status"] == "unverified"]
+    assert [r["source"] for r in unverified] == left_out
+    assert all(r["error"] == f"{r['source']} is longer than --max-word-len"
+               for r in unverified)
+    assert len(rows) - len(unverified) == cells
+
+
+def test_a_critical_source_the_states_cap_cut_is_unverified(braid_file,
+                                                            capsys):
+    """With --max-states below the number of words the audits label, the
+    critical sources are explored first but their steps' targets are not:
+    the run is PARTIAL and names the option, rather than a failed search."""
+    argv = ["complete", braid_file, "--max-word-len", "8",
+            "--max-states", "10", "--format", "json"]
+    assert main(argv) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "PARTIAL" and not data["cells"]
+    assert data["explored"] == {"seeds": 42, "words": 10}
+    assert data["audits"]["context"]["first_unverified"] == {
+        "branching": 0, "context": ["1", "1"],
+        "error": "s t s t s is left incomplete by --max-states"}
+
+
+def test_complete_and_check_decreasing_state_their_region(braid_file,
+                                                          capsys):
+    """Both audited commands give the number of seeds and of explored
+    words, as a text line and a JSON key; braid 8 and braid 12 explore the
+    same 134 words from 42 seeds."""
+    for n in ("8", "12"):
+        for command in ("complete", "check-decreasing"):
+            argv = [command, braid_file, "--max-word-len", n]
+            main(argv)
+            assert "explored: 42 seeds, 134 words" in \
+                capsys.readouterr().out.splitlines()
+            main(argv + ["--format", "json"])
+            assert json.loads(capsys.readouterr().out)["explored"] == {
+                "seeds": 42, "words": 134}
+
+
+A3 = """\
+polygraph A3
+gens a b c
+rule r1 : a b a => b a b
+rule r2 : b a b => a b a
+rule r3 : b c b => c b c
+rule r4 : c b c => b c b
+rule r5 : a c => c a
+rule r6 : c a => a c
+"""
+# the presentations of the monotonicity test, each with its label option
+MONOTONE = {"braid": (BRAID, ()),
+            "convergent_braid": (CONVERGENT, ("--label", "nf")),
+            "two_letters": (TWO_LETTERS, ()),
+            "A3": (A3, ())}
+CAPS = ("--max-word-len", "--max-states", "--max-depth")
+
+
+@pytest.fixture(scope="module")
+def complete_at(tmp_path_factory):
+    """The exit code and text of ``complete`` on a presentation of
+    MONOTONE at a word length, each run once."""
+    workdir = tmp_path_factory.mktemp("monotone")
+    runs = {}
+
+    def run(system, n):
+        if (system, n) not in runs:
+            text, options = MONOTONE[system]
+            poly = workdir / f"{system}.poly"
+            poly.write_text(text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["complete", str(poly), *options,
+                             "--max-word-len", str(n)])
+            runs[system, n] = code, out.getvalue()
+        return runs[system, n]
+    return run
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(system=st.sampled_from(sorted(MONOTONE)), n=st.integers(1, 10),
+       more=st.integers(1, 9))
+def test_certified_stays_certified_at_a_longer_cap(complete_at, system, n,
+                                                   more):
+    """Raising --max-word-len up to 10 never turns CERTIFIED into PARTIAL,
+    unless the longer run names a cap it hit."""
+    code, _ = complete_at(system, n)
+    assume(code == 0)
+    code, text = complete_at(system, min(n + more, 10))
+    assert code == 0 or any(cap in text for cap in CAPS), text
 
 
 def test_fill_sphere(braid_file, tmp_path, capsys):

@@ -12,8 +12,8 @@ from polyco.completion import (CERTIFIED, PARTIAL, _peiffer_closure,
                                fill_zigzag_sphere, format_extension,
                                parse_extension, parse_sphere, parse_zigzag)
 from polyco.core import ParseError, all_words, parse_polygraph
-from polyco.decreasing import (SearchExhausted, decide_peiffer,
-                               peiffer_variants)
+from polyco.decreasing import (SearchExhausted, audit_seeds, decide_peiffer,
+                               peiffer_squares, peiffer_variants)
 from polyco.engine import (ExplorationBudget, IllComposed, Path,
                            ZigzagPath, enumerate_steps, explore,
                            normalize_zigzag, parse_step, zigzag,
@@ -595,3 +595,37 @@ def test_certified_verdict_is_monotone_in_the_word_length(p, longest):
             verdicts.append("exhausted")
     first = verdicts.index(CERTIFIED) if CERTIFIED in verdicts else longest
     assert all(v == CERTIFIED for v in verdicts[first:]), verdicts
+
+
+B3 = """\
+polygraph B3
+gens a b c
+rule r1 : a b a b => b a b a
+rule r2 : b a b a => a b a b
+rule r3 : b c b => c b c
+rule r4 : c b c => b c b
+rule r5 : a c => c a
+rule r6 : c a => a c
+"""
+
+
+def test_a_critical_source_past_the_cap_gets_no_cell():
+    """B3 explored from the words its audits label at length 6: the two
+    critical branchings on 7-letter words get no cell, the others keep
+    their names, and the context audit reads each of the two, in the empty
+    context, as unverified with the word and the option."""
+    p = parse_polygraph(B3)
+    crits = critical_branchings(p)
+    g = explore(p, audit_seeds(p, crits, 6, 2, peiffer_squares(p, 6)),
+                ExplorationBudget(6, 100000, 200))
+    c = build_completion(p, Labelling.qnf(derived_qnf_map(g)), g)
+    left = [i for i, b in enumerate(crits) if len(b.source) > 6]
+    assert len(left) == 2 and c.verdict == PARTIAL
+    assert [name for name in c.cells if name.startswith("D")] == [
+        f"D{i + 1}" for i in range(len(crits)) if i not in left]
+    unverified = {(r["branching"], r["context"]): r["error"]
+                  for r in c.audits["context"].unverified}
+    for i in left:
+        assert unverified[i, ((), ())] == (
+            f"{' '.join(crits[i].source)} is longer than --max-word-len")
+

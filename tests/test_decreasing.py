@@ -160,11 +160,11 @@ def test_context_closability_reads_truncation_as_unverified(braid_p):
         u = source(record)
         assert not g.is_complete(u)
         why = (f"is left incomplete by {g.cut_by(u)}" if u in g.vertices
-               else "was not explored")
+               else "was not explored within --max-states")
         assert record["error"] == f"{' '.join(u)} {why}"
         errors[why] += 1
     assert errors["is left incomplete by --max-states"] and \
-        errors["was not explored"]
+        errors["was not explored within --max-states"]
 
 
 def test_strictness_does_not_survive_whiskering(braid_p, braid_g,

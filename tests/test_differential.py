@@ -1,7 +1,10 @@
 """The fast paths of the engine, the diagram search and the CLI against
 plain reference implementations kept here."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import random
 from array import array
 from collections import Counter, deque
@@ -10,7 +13,9 @@ import pytest
 
 from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
                                local_branchings)
-from polyco.core import Polygraph, Rule, all_words, word_str
+from polyco import cli
+from polyco.core import (Polygraph, Rule, all_words, serialize_polygraph,
+                         word_str)
 from polyco.decreasing import (DecreasingDiagram, PeifferReport,
                                StrictDiagram, _cut, _first_splits,
                                _greedy_normalize, _paths_from, _peiffer_audit,
@@ -23,8 +28,8 @@ from polyco.engine import (ExplorationBudget, Path, RewriteStep,
                            ReductionGraph, TruncatedRegion, Unreachable,
                            ZigzagPath, enumerate_steps, exchange_swap,
                            explore, redexes, zigzags_equal)
-from polyco.fixtures import (abstract_states, braid, convergent_braid, no_fdt,
-                             two_letters)
+from polyco.fixtures import (BUILTIN, abstract_states, braid,
+                             convergent_braid, no_fdt, two_letters)
 from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
                               LabellingError, NaturalsOrder, QNF,
                               ReachabilityOrder, derived_qnf_map, label_path,
@@ -1251,3 +1256,109 @@ def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
     assert built == Counter({"RewriteStep": 2 * k, "LocalBranching": k,
                              "PeifferReport": k})
     assert set(dict.keys(g.out)) == rows
+
+
+# ---------------------------------------------------------------------------
+# complete and check-decreasing explored from the words their audits label
+# against the same commands explored from every word up to the cap
+
+
+A3 = """\
+polygraph A3
+gens a b c
+rule r1 : a b a => b a b
+rule r2 : b a b => a b a
+rule r3 : b c b => c b c
+rule r4 : c b c => b c b
+rule r5 : a c => c a
+rule r6 : c a => a c
+"""
+
+
+def _poly_text(system: str) -> str:
+    return A3 if system == "A3" else serialize_polygraph(BUILTIN[system]())
+
+
+def _both_seedings(monkeypatch, tmp_path, capsys, command, system, options):
+    """The exit code and JSON of the command explored from the audits'
+    words, then from every word up to --max-word-len."""
+    poly = tmp_path / f"{system}.poly"
+    poly.write_text(_poly_text(system))
+    argv = [command, str(poly), *options, "--format", "json"]
+    out = []
+    for every_word in (False, True):
+        if every_word:
+            monkeypatch.setattr(cli, "audit_seeds",
+                                lambda p, criticals, max_word_len, *_:
+                                list(all_words(p, max_word_len)))
+        code = cli.main(argv)
+        out.append((code, json.loads(capsys.readouterr().out)))
+    monkeypatch.undo()
+    return out
+
+
+SEEDED_CASES = (
+    [("complete", "braid", ("--max-word-len", str(n))) for n in range(6, 13)]
+    + [("complete", "convergent_braid", ("--label", "nf", "--max-word-len",
+                                         str(n))) for n in (4, 9)]
+    + [("complete", "two_letters", ("--max-word-len", str(n)))
+       for n in (5, 8)]
+    + [("complete", "no_fdt", ("--max-word-len", str(n))) for n in (4, 5, 6)]
+    # the option sets of the audit benchmark workload
+    + [("check-decreasing", "braid", ("--max-word-len", "9", "--ctx-bound",
+                                      "4", "--peiffer-len-bound", "9")),
+       ("check-decreasing", "convergent_braid",
+        ("--label", "nf", "--max-word-len", "8", "--ctx-bound", "3",
+         "--peiffer-len-bound", "8")),
+       ("check-decreasing", "two_letters",
+        ("--max-word-len", "8", "--peiffer-len-bound", "8")),
+       ("check-decreasing", "A3", ("--max-word-len", "7"))])
+
+
+@pytest.mark.parametrize(
+    "command, system, options", SEEDED_CASES,
+    ids=[f"{c}-{s}-{o[-1]}" for c, s, o in SEEDED_CASES])
+def test_audits_read_the_same_from_their_seeds(monkeypatch, tmp_path, capsys,
+                                               command, system, options):
+    """Every label, geodesic, reachability test and sink an audit reads
+    depends only on the words reachable from where it is read, so the
+    output is the one every word up to the cap gives, but for the region
+    it states, which is never larger."""
+    (code, seeded), (every_code, every) = _both_seedings(
+        monkeypatch, tmp_path, capsys, command, system, options)
+    region, every_region = seeded.pop("explored"), every.pop("explored")
+    assert (code, seeded) == (every_code, every)
+    assert region["words"] <= every_region["words"]
+
+
+def _homology(tmp_path, system, cells) -> str:
+    ext = tmp_path / "cells.txt"
+    ext.write_text("".join(f"cell {name} : {c['source']} => {c['target']}\n"
+                           for name, c in cells.items()))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(["homology", str(tmp_path / f"{system}.poly"),
+                  "--cells", str(ext)])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_a3_keeps_its_confluences_audits_and_homology(monkeypatch, tmp_path,
+                                                      capsys, n):
+    """On A3 only the loop cells depend on the explored region: the
+    confluence cells, the audits, the verdict and the homology of the
+    cells are those of the run over every word up to the cap."""
+    (code, seeded), (every_code, every) = _both_seedings(
+        monkeypatch, tmp_path, capsys, "complete", "A3",
+        ("--max-word-len", str(n)))
+    assert code == every_code
+    for key in ("audits", "verdict", "budget"):
+        assert seeded[key] == every[key]
+
+    def confluences(data):
+        return {name: c for name, c in data["cells"].items()
+                if c["kind"] == "confluence"}
+    assert confluences(seeded) == confluences(every)
+    assert _homology(tmp_path, "A3", seeded["cells"]) == \
+        _homology(tmp_path, "A3", every["cells"])
+
