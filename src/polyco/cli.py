@@ -24,8 +24,7 @@ from .labelling import (WHISKER_STABLE, Labelling, LabellingError,
 from .decreasing import (CTX_BOUND, PEIFFER_LEN_BOUND, MeasureError,
                          SearchExhausted, StrictDiagram, audit_seeds,
                          check_context_compatibility,
-                         check_peiffer_decreasing, find_decreasing, left_out,
-                         peiffer_squares)
+                         check_peiffer_decreasing, find_decreasing, left_out)
 from .loops import enumerate_elementary_loops
 from .expressions import check_boundary
 from .completion import (CERTIFIED, build_completion, fill_parallel_sphere,
@@ -63,7 +62,7 @@ def _add_exploration(sp):
     sp.add_argument("--max-word-len", type=_bound, default=7, help=(
         "a cap on the length of the words explored (default %(default)s): "
         "complete and check-decreasing explore from the words their audits "
-        "label, analyze and fill-sphere from every word up to it"))
+        "read, analyze and fill-sphere from every word up to it"))
     sp.add_argument("--max-states", type=_bound, default=100000)
     sp.add_argument("--max-depth", type=_bound, default=200)
 
@@ -73,7 +72,11 @@ def _add_audit_bounds(sp):
     that report those audits read."""
     sp.add_argument("--ctx-bound", type=_bound, default=CTX_BOUND)
     sp.add_argument("--peiffer-len-bound", type=_bound,
-                    default=PEIFFER_LEN_BOUND)
+                    default=PEIFFER_LEN_BOUND, help=(
+                        "the longest word the Peiffer audit reads (default "
+                        "%(default)s); complete and check-decreasing explore "
+                        "from every word up to it, so that the loop audit "
+                        "reads the cycles through them"))
 
 
 def _add_labelling(sp):
@@ -138,17 +141,16 @@ def _setup(args):
 
 
 def _setup_audited(args):
-    """The presentation, its graph explored from the words the audits label
-    (audit_seeds), the sources of the Peiffer audit (peiffer_squares), and
-    the explored region: the number of seeds and of explored words.  Under
-    whisker-stable labels the audits read the critical branchings only."""
+    """The presentation, its graph explored from the words the audits read
+    (audit_seeds), and the explored region: the number of seeds and of
+    explored words.  Under whisker-stable labels the context audit reads
+    the unwhiskered critical branchings only."""
     p = parse_polygraph(_read(args.polygraph))
-    stable = args.label in WHISKER_STABLE
-    squares = [] if stable else peiffer_squares(p, args.peiffer_len_bound)
+    ctx_bound = 0 if args.label in WHISKER_STABLE else args.ctx_bound
     seeds = audit_seeds(p, critical_branchings(p), args.max_word_len,
-                        0 if stable else args.ctx_bound, squares)
+                        ctx_bound, args.peiffer_len_bound)
     g = explore(p, seeds, budget=_budget(args))
-    return p, g, squares, {"seeds": len(seeds), "words": len(g.vertices)}
+    return p, g, {"seeds": len(seeds), "words": len(g.vertices)}
 
 
 def _explored_line(explored: dict) -> str:
@@ -298,11 +300,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_complete(args) -> int:
-    p, g, squares, explored = _setup_audited(args)
+    p, g, explored = _setup_audited(args)
     lab = _labelling(args, p, g)
     c = build_completion(p, lab, g, ctx_bound=args.ctx_bound,
-                         peiffer_len_bound=args.peiffer_len_bound,
-                         squares=squares)
+                         peiffer_len_bound=args.peiffer_len_bound)
     ctx = c.audits["context"]
     peiffer = c.audits["peiffer"]
     loops = c.audits["loops"]
@@ -341,7 +342,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_check_decreasing(args) -> int:
-    p, g, squares, explored = _setup_audited(args)
+    p, g, explored = _setup_audited(args)
     lab = _labelling(args, p, g)
     rows = []
     diagrams = []
@@ -362,8 +363,7 @@ def cmd_check_decreasing(args) -> int:
             row["status"] = "NOT FOUND"
         rows.append(row)
     ctx = check_context_compatibility(lab, g, diagrams, args.ctx_bound)
-    peiffer = check_peiffer_decreasing(lab, g, p, args.peiffer_len_bound,
-                                       squares)
+    peiffer = check_peiffer_decreasing(lab, g, p, args.peiffer_len_bound)
     data = {"branchings": rows,
             "context": _context_dict(lab, ctx, "diagram"),
             "peiffer_ok": peiffer.ok,

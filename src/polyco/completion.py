@@ -77,12 +77,10 @@ PARTIAL = "PARTIAL"
 
 def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
                      ctx_bound: int = CTX_BOUND,
-                     peiffer_len_bound: int = PEIFFER_LEN_BOUND,
-                     squares: list | None = None) -> CoherentPresentation:
+                     peiffer_len_bound: int = PEIFFER_LEN_BOUND
+                     ) -> CoherentPresentation:
     """One confluence cell per critical branching plus one extension cell
     per elementary loop class of the explored words, with audits.
-    ``squares``, when given, is ``peiffer_squares(p, peiffer_len_bound)``,
-    which the Peiffer audit then reads instead of scanning anew.
 
     A critical branching whose source the budget left out or incomplete
     (left_out) gets no cell, and the completion is PARTIAL: the context
@@ -132,7 +130,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
     # whiskered and re-checks only its strictness, so it may close
     # non-strictly what this audit closes strictly.
     ctx = check_context_closability(lab, g, criticals, ctx_bound)
-    peiffer = check_peiffer_decreasing(lab, g, p, peiffer_len_bound, squares)
+    peiffer = check_peiffer_decreasing(lab, g, p, peiffer_len_bound)
     audits = {
         "strict": {"ok": not failures, "non_strict_cells": failures},
         "context": ctx,

@@ -407,16 +407,6 @@ def _oriented(b: LocalBranching) -> tuple:
             (h.position, h.position + len(h.rule.lhs), h.rule))
 
 
-def _rewrite(u: Word, *found) -> Word:
-    """u with each of the disjoint redexes ``found`` (position, end, rule),
-    given left to right, rewritten."""
-    out, at = (), 0
-    for pos, end, rule in found:
-        out += u[at:pos] + rule.rhs
-        at = end
-    return out + u[at:]
-
-
 def _square(p: Polygraph, u: Word, f: tuple, h: tuple) -> tuple:
     """The eight forward steps of the Peiffer square at u of the redexes f
     and h (each (position, end, rule), f left of h): each (left, rule,
@@ -538,12 +528,16 @@ class _PeifferMemo:
                                  p, u, found[i], found[j]))
                        for i, j in pairs)
         else:
-            targets = {k: label(_rewrite(u, found[k]))
-                       for k in {k for pair in pairs for k in pair}}
+            targets = {}
+            for k in {k for pair in pairs for k in pair}:
+                pos, end, rule = found[k]
+                targets[k] = label(u[:pos] + rule.rhs + u[end:])
             back = label(u)
             squares = []
             for i, j in pairs:
-                both = label(_rewrite(u, found[i], found[j]))
+                (fp, fe, f_rule), (hp, he, h_rule) = found[i], found[j]
+                both = label(u[:fp] + f_rule.rhs + u[fe:hp] + h_rule.rhs
+                             + u[he:])
                 tf, th = targets[i], targets[j]
                 squares.append((tf, th, both, both, back, back, th, tf))
         decisions = self.decisions
@@ -703,17 +697,39 @@ class PeifferAudit:
         return self.checked
 
 
-def peiffer_squares(p: Polygraph, len_bound: int) -> list[tuple]:
-    """The sources of the Peiffer audit: the words up to the length bound
-    that have two disjoint redexes, shortest first (all_words), each as
-    (u, found, pairs) with its redexes (position, end, rule) in ``found``
-    and the pairs (i, j) of disjoint ones, ``found[i]`` left of
-    ``found[j]``.  The audit reads its squares from this scan, and
-    audit_seeds the words it labels.
+def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
+                             p: Polygraph, len_bound: int = PEIFFER_LEN_BOUND
+                             ) -> PeifferAudit:
+    """Audit every Peiffer branching on words up to the length bound, in the
+    order of local_branchings: PASS when the Peiffer confluence or one of
+    its reverse-rule rotations is decreasing (the rotations are equivalent
+    to the square through loop contractions), UNDECIDED otherwise, each
+    decided as decide_peiffer decides it.
 
-    Each word's redexes are read off those of its prefix ``u[:-1]``
-    (redexes), kept for the scan for the words shorter than the bound."""
-    out = []
+    Under a whisker-stable labelling (Labelling.whisker_stable) it checks
+    nothing and passes: each completion of a square's plain confluence is
+    the other side's step whiskered, so it reads decreasing."""
+    if lab.whisker_stable:
+        return PeifferAudit(True, 0, Counter(), 0, 0, None)
+    return _peiffer_audit(lab, g, p, len_bound)
+
+
+def _peiffer_audit(lab: Labelling, g: ReductionGraph, p: Polygraph,
+                   len_bound: int) -> PeifferAudit:
+    """check_peiffer_decreasing's enumeration, under any labelling.
+
+    Words come shortest first, so each word's redexes are read off those
+    of its prefix ``u[:-1]`` (redexes), kept for this call for the words
+    shorter than the bound, and paired when disjoint: no step is built for
+    a square, and the graph stores no step row for the word.  A PASS
+    branching is only tallied, by its variant and whether it reads strict;
+    the steps and report of the first UNDECIDED one are built, and the
+    others are counted.  Squares with the same step order, reverse rules
+    and labels are decided once per call."""
+    memo = _PeifferMemo(lab, g, p)
+    variants: Counter = Counter()
+    strict = undecided = checked = 0
+    first = None
     scanned: dict[Word, list] = {}
     for u in all_words(p, len_bound):
         found = redexes(p, u, scanned.get(u[:-1]))
@@ -723,48 +739,8 @@ def peiffer_squares(p: Polygraph, len_bound: int) -> list[tuple]:
         # it starts past the end of the i-th
         pairs = [(i, j) for i, (_, end, _) in enumerate(found)
                  for j in range(i + 1, len(found)) if end <= found[j][0]]
-        if pairs:
-            out.append((u, found, pairs))
-    return out
-
-
-def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
-                             p: Polygraph, len_bound: int = PEIFFER_LEN_BOUND,
-                             squares: list | None = None) -> PeifferAudit:
-    """Audit every Peiffer branching on words up to the length bound, in the
-    order of local_branchings: PASS when the Peiffer confluence or one of
-    its reverse-rule rotations is decreasing (the rotations are equivalent
-    to the square through loop contractions), UNDECIDED otherwise, each
-    decided as decide_peiffer decides it.  ``squares``, when given, is
-    ``peiffer_squares(p, len_bound)``, scanned once for the audit and the
-    seeds of the exploration it reads.
-
-    Under a whisker-stable labelling (Labelling.whisker_stable) it checks
-    nothing and passes: each completion of a square's plain confluence is
-    the other side's step whiskered, so it reads decreasing."""
-    if lab.whisker_stable:
-        return PeifferAudit(True, 0, Counter(), 0, 0, None)
-    return _peiffer_audit(lab, g, p, len_bound, squares)
-
-
-def _peiffer_audit(lab: Labelling, g: ReductionGraph, p: Polygraph,
-                   len_bound: int, squares: list | None = None
-                   ) -> PeifferAudit:
-    """check_peiffer_decreasing's enumeration, under any labelling.
-
-    The squares of each source of peiffer_squares are decided from its
-    redexes: no step is built for a square, and the graph stores no step
-    row for the word.  A PASS branching is only tallied, by its variant and
-    whether it reads strict; the steps and report of the first UNDECIDED
-    one are built, and the others are counted.  Squares with the same step
-    order, reverse rules and labels are decided once per call."""
-    memo = _PeifferMemo(lab, g, p)
-    variants: Counter = Counter()
-    strict = undecided = checked = 0
-    first = None
-    if squares is None:
-        squares = peiffer_squares(p, len_bound)
-    for u, found, pairs in squares:
+        if not pairs:
+            continue
         checked += len(pairs)
         for (i, j), decision in zip(pairs, memo.decide(u, found, pairs)):
             variant, is_strict, _, attempts = decision
@@ -924,26 +900,31 @@ def left_out(g: ReductionGraph, u: Word) -> str | None:
 
 
 def audit_seeds(p: Polygraph, criticals, max_word_len: int, ctx_bound: int,
-                squares) -> list[Word]:
-    """The words the context and Peiffer audits label, each once, in this
-    order: the sources of the critical branchings, then each of them
-    whiskered by every context up to ``ctx_bound`` (contexts_up_to), then
-    the sources of ``squares`` (peiffer_squares), shortest first.  Every
-    label, geodesic, reachability test and sink these audits read depends
-    only on the words reachable from where it is read, so exploring from
-    these words gives the audits what exploring every word up to the cap
-    gives them.  Under a whisker-stable labelling the audits read the
-    unwhiskered critical branchings only: pass ``ctx_bound`` 0 and no
-    squares.
+                len_bound: int) -> list[Word]:
+    """The words to explore from for the audits, each once, in this order:
+    the sources of the critical branchings, then each of them whiskered by
+    every context up to ``ctx_bound`` (contexts_up_to), then every word up
+    to the Peiffer length bound ``len_bound`` (all_words).  Every label,
+    geodesic, reachability test and sink the context and Peiffer audits
+    read depends only on the words reachable from where it is read, so
+    exploring from these words gives those audits what exploring every
+    word up to the cap gives them.  Under a whisker-stable labelling they
+    read the unwhiskered critical branchings only: pass ``ctx_bound`` 0.
 
-    A source longer than ``max_word_len`` is not explored, and the words
-    its steps reach are listed instead when they fit: the two targets of a
-    whiskered critical branching, and for a Peiffer square the targets of
-    its two steps and the word where both apply."""
+    The words up to the Peiffer bound are listed under every labelling:
+    the loop audit and the termination premise of nf labels read the
+    cycles of the explored words, so every cycle through a word up to the
+    bound is read, whether a critical branching reaches it or not.
+
+    A source longer than ``max_word_len`` is not explored, and the two
+    targets of its steps are listed instead when they fit.  A Peiffer
+    square on a word longer than ``max_word_len`` needs no such care: the
+    Peiffer bound then passes the cap, and every word up to the cap is
+    listed."""
     seeds: dict[Word, None] = {}
 
-    def add(u: Word, reached) -> None:
-        for w in ((u,) if len(u) <= max_word_len else reached):
+    def add(u: Word, targets) -> None:
+        for w in ((u,) if len(u) <= max_word_len else targets):
             if len(w) <= max_word_len:
                 seeds.setdefault(w)
 
@@ -953,8 +934,5 @@ def audit_seeds(p: Polygraph, criticals, max_word_len: int, ctx_bound: int,
         for u1, u2 in contexts_up_to(p, ctx_bound):
             add(u1 + b.source + u2, (u1 + b.first.target + u2,
                                      u1 + b.second.target + u2))
-    for u, found, pairs in squares:
-        add(u, (w for i, j in pairs
-                for w in (_rewrite(u, found[i]), _rewrite(u, found[j]),
-                          _rewrite(u, found[i], found[j]))))
+    seeds.update(dict.fromkeys(all_words(p, min(len_bound, max_word_len))))
     return list(seeds)

@@ -9,6 +9,30 @@ from polyco.fixtures import (abstract_states, braid, braid_qnf_map,
                              two_letters_alt_qnf_map, two_letters_qnf_map)
 from polyco.labelling import Labelling
 
+# The Artin presentations of the positive braid monoids of types A3 and B3,
+# with both orientations of each relation, which the tests read as files
+A3 = """\
+polygraph A3
+gens a b c
+rule r1 : a b a => b a b
+rule r2 : b a b => a b a
+rule r3 : b c b => c b c
+rule r4 : c b c => b c b
+rule r5 : a c => c a
+rule r6 : c a => a c
+"""
+
+B3 = """\
+polygraph B3
+gens a b c
+rule r1 : a b a b => b a b a
+rule r2 : b a b a => a b a b
+rule r3 : b c b => c b c
+rule r4 : c b c => b c b
+rule r5 : a c => c a
+rule r6 : c a => a c
+"""
+
 
 @pytest.fixture(scope="session")
 def braid_p():

@@ -9,6 +9,8 @@ from polyco import serialize_polygraph
 from polyco.cli import build_parser, main
 from polyco.fixtures import abstract_states, convergent_braid
 
+from conftest import A3, B3
+
 BRAID = """\
 polygraph braid
 gens s t
@@ -277,7 +279,7 @@ def test_failed_context_audit_text_names_its_first_witness(braid_file,
 def test_loop_audit_names_the_budget_option_it_hit(braid_file, capsys):
     argv = ["complete", braid_file, "--max-word-len", "8",
             "--max-states", "120"]
-    error = ("a cycle touches the word s s t s t t s, left incomplete by "
+    error = ("a cycle touches the word s t s t t s, left incomplete by "
              "--max-states")
     assert main(argv) == 3
     assert f"audit loops: FAILED ({error})" in \
@@ -286,17 +288,6 @@ def test_loop_audit_names_the_budget_option_it_hit(braid_file, capsys):
     loops = json.loads(capsys.readouterr().out)["audits"]["loops"]
     assert loops == {"complete": False, "error": error}
 
-
-B3 = """\
-polygraph B3
-gens a b c
-rule r1 : a b a b => b a b a
-rule r2 : b a b a => a b a b
-rule r3 : b c b => c b c
-rule r4 : c b c => b c b
-rule r5 : a c => c a
-rule r6 : c a => a c
-"""
 
 I2_5 = """\
 polygraph I2_5
@@ -348,7 +339,7 @@ def test_a_critical_source_the_states_cap_cut_is_unverified(braid_file,
     assert main(argv) == 3
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "PARTIAL" and not data["cells"]
-    assert data["explored"] == {"seeds": 42, "words": 10}
+    assert data["explored"] == {"seeds": 143, "words": 10}
     assert data["audits"]["context"]["first_unverified"] == {
         "branching": 0, "context": ["1", "1"],
         "error": "s t s t s is left incomplete by --max-states"}
@@ -358,28 +349,18 @@ def test_complete_and_check_decreasing_state_their_region(braid_file,
                                                           capsys):
     """Both audited commands give the number of seeds and of explored
     words, as a text line and a JSON key; braid 8 and braid 12 explore the
-    same 134 words from 42 seeds."""
+    same 201 words from 143 seeds."""
     for n in ("8", "12"):
         for command in ("complete", "check-decreasing"):
             argv = [command, braid_file, "--max-word-len", n]
             main(argv)
-            assert "explored: 42 seeds, 134 words" in \
+            assert "explored: 143 seeds, 201 words" in \
                 capsys.readouterr().out.splitlines()
             main(argv + ["--format", "json"])
             assert json.loads(capsys.readouterr().out)["explored"] == {
-                "seeds": 42, "words": 134}
+                "seeds": 143, "words": 201}
 
 
-A3 = """\
-polygraph A3
-gens a b c
-rule r1 : a b a => b a b
-rule r2 : b a b => a b a
-rule r3 : b c b => c b c
-rule r4 : c b c => b c b
-rule r5 : a c => c a
-rule r6 : c a => a c
-"""
 # the presentations of the monotonicity test, each with its label option
 MONOTONE = {"braid": (BRAID, ()),
             "convergent_braid": (CONVERGENT, ("--label", "nf")),

@@ -13,7 +13,7 @@ from polyco.completion import (CERTIFIED, PARTIAL, _peiffer_closure,
                                parse_extension, parse_sphere, parse_zigzag)
 from polyco.core import ParseError, all_words, parse_polygraph
 from polyco.decreasing import (SearchExhausted, audit_seeds, decide_peiffer,
-                               peiffer_squares, peiffer_variants)
+                               peiffer_variants)
 from polyco.engine import (ExplorationBudget, IllComposed, Path,
                            ZigzagPath, enumerate_steps, explore,
                            normalize_zigzag, parse_step, zigzag,
@@ -22,6 +22,7 @@ from polyco.expressions import ThreeCellExpression, check_boundary
 from polyco.fixtures import (braid, convergent_braid, no_fdt,
                              two_letters)
 from polyco.labelling import Labelling, derived_qnf_map
+from conftest import A3, B3
 from test_golden import SPHERES as GOLDEN_SPHERES
 
 
@@ -425,18 +426,6 @@ def test_kept_geodesics_equal_a_fresh_graphs(braid_p, text, n):
     assert first == [fresh.geodesic(w, q) for w, q in pairs[::-1]][::-1]
 
 
-A3 = """\
-polygraph A3
-gens a b c
-rule r1 : a b a => b a b
-rule r2 : b a b => a b a
-rule r3 : b c b => c b c
-rule r4 : c b c => b c b
-rule r5 : a c => c a
-rule r6 : c a => a c
-"""
-
-
 @pytest.fixture(scope="module")
 def peiffer_closures(braid_p, braid8):
     """Every Peiffer branching on words up to length 6 of the braid-8,
@@ -597,18 +586,6 @@ def test_certified_verdict_is_monotone_in_the_word_length(p, longest):
     assert all(v == CERTIFIED for v in verdicts[first:]), verdicts
 
 
-B3 = """\
-polygraph B3
-gens a b c
-rule r1 : a b a b => b a b a
-rule r2 : b a b a => a b a b
-rule r3 : b c b => c b c
-rule r4 : c b c => b c b
-rule r5 : a c => c a
-rule r6 : c a => a c
-"""
-
-
 def test_a_critical_source_past_the_cap_gets_no_cell():
     """B3 explored from the words its audits label at length 6: the two
     critical branchings on 7-letter words get no cell, the others keep
@@ -616,7 +593,7 @@ def test_a_critical_source_past_the_cap_gets_no_cell():
     context, as unverified with the word and the option."""
     p = parse_polygraph(B3)
     crits = critical_branchings(p)
-    g = explore(p, audit_seeds(p, crits, 6, 2, peiffer_squares(p, 6)),
+    g = explore(p, audit_seeds(p, crits, 6, 2, 6),
                 ExplorationBudget(6, 100000, 200))
     c = build_completion(p, Labelling.qnf(derived_qnf_map(g)), g)
     left = [i for i, b in enumerate(crits) if len(b.source) > 6]
@@ -628,4 +605,3 @@ def test_a_critical_source_past_the_cap_gets_no_cell():
     for i in left:
         assert unverified[i, ((), ())] == (
             f"{' '.join(crits[i].source)} is longer than --max-word-len")
-

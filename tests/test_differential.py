@@ -14,8 +14,8 @@ import pytest
 from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
                                local_branchings)
 from polyco import cli
-from polyco.core import (Polygraph, Rule, all_words, serialize_polygraph,
-                         word_str)
+from polyco.core import (Polygraph, Rule, all_words, parse_polygraph,
+                         serialize_polygraph, word_str)
 from polyco.decreasing import (DecreasingDiagram, PeifferReport,
                                StrictDiagram, _cut, _first_splits,
                                _greedy_normalize, _paths_from, _peiffer_audit,
@@ -37,6 +37,8 @@ from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
 from polyco.loops import (_Component, _cyclic_sccs, class_of,
                           enumerate_elementary_loops, split_loop,
                           strip_whiskers, word_sequence)
+
+from conftest import A3
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +265,7 @@ def test_derived_qnf_map_per_component_matches_per_word(name, request):
 
 
 def _a3():
-    rules = [("r1", "aba", "bab"), ("r2", "bab", "aba"), ("r3", "bcb", "cbc"),
-             ("r4", "cbc", "bcb"), ("r5", "ac", "ca"), ("r6", "ca", "ac")]
-    return Polygraph("A3", ("a", "b", "c"),
-                     tuple(Rule(n, tuple(l), tuple(r)) for n, l, r in rules))
+    return parse_polygraph(A3)
 
 
 def _prefix_lhs():
@@ -1263,20 +1262,40 @@ def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
 # against the same commands explored from every word up to the cap
 
 
-A3 = """\
-polygraph A3
-gens a b c
-rule r1 : a b a => b a b
-rule r2 : b a b => a b a
-rule r3 : b c b => c b c
-rule r4 : c b c => b c b
-rule r5 : a c => c a
-rule r6 : c a => a c
-"""
+# Presentations with a cycle that no critical branching reaches, only the
+# words up to the Peiffer bound: on letters, alone or beside the terminating
+# convergent_braid, and on 4-letter words, which no word of two disjoint
+# redexes up to the bound holds
+CYCLES = {
+    "cycle": """\
+polygraph cycle
+gens a b
+rule r1 : a => b
+rule r2 : b => a
+""",
+    "long_cycle": """\
+polygraph long_cycle
+gens a b c d
+rule r1 : a a a b => c c c d
+rule r2 : c c c d => a a a b
+""",
+    "convergent_braid_cycle": """\
+polygraph convergent_braid_cycle
+gens s t a x y
+rule r1 : s t s => a
+rule r2 : t s t => a
+rule r3 : s a => a t
+rule r4 : t a => a s
+rule r5 : x => y
+rule r6 : y => x
+""",
+}
 
 
 def _poly_text(system: str) -> str:
-    return A3 if system == "A3" else serialize_polygraph(BUILTIN[system]())
+    if system == "A3":
+        return A3
+    return CYCLES.get(system) or serialize_polygraph(BUILTIN[system]())
 
 
 def _both_seedings(monkeypatch, tmp_path, capsys, command, system, options):
@@ -1312,12 +1331,18 @@ SEEDED_CASES = (
          "--peiffer-len-bound", "8")),
        ("check-decreasing", "two_letters",
         ("--max-word-len", "8", "--peiffer-len-bound", "8")),
-       ("check-decreasing", "A3", ("--max-word-len", "7"))])
+       ("check-decreasing", "A3", ("--max-word-len", "7"))]
+    + [("complete", "braid", ("--label", "singleton", "--max-word-len", "9"))]
+    + [("complete", system, ("--max-word-len", "5")) for system in CYCLES]
+    # singleton labels close no critical branching of convergent_braid
+    + [("complete", system, ("--label", "singleton", "--max-word-len", "5"))
+       for system in ("cycle", "long_cycle")])
 
 
 @pytest.mark.parametrize(
     "command, system, options", SEEDED_CASES,
-    ids=[f"{c}-{s}-{o[-1]}" for c, s, o in SEEDED_CASES])
+    ids=[f"{c}-{s}-{'-'.join(o[1:-1:2])}{o[-1]}"
+         for c, s, o in SEEDED_CASES])
 def test_audits_read_the_same_from_their_seeds(monkeypatch, tmp_path, capsys,
                                                command, system, options):
     """Every label, geodesic, reachability test and sink an audit reads
@@ -1331,6 +1356,26 @@ def test_audits_read_the_same_from_their_seeds(monkeypatch, tmp_path, capsys,
     assert region["words"] <= every_region["words"]
 
 
+@pytest.mark.parametrize("system", CYCLES)
+def test_nf_refuses_a_cycle_no_critical_branching_reaches(
+        monkeypatch, tmp_path, capsys, system):
+    """nf labels rest on termination, checked on the explored words.  The
+    words up to the Peiffer bound are explored under every labelling, so
+    the seeded run meets the cycle and refuses, as the run over every
+    word does."""
+    poly = tmp_path / f"{system}.poly"
+    poly.write_text(_poly_text(system))
+    argv = ["complete", str(poly), "--label", "nf", "--max-word-len", "5"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    error = capsys.readouterr().err
+    assert "needs a terminating explored graph" in error
+    monkeypatch.setattr(cli, "audit_seeds",
+                        lambda p, criticals, max_word_len, *_:
+                        list(all_words(p, max_word_len)))
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == error
+
+
 def _homology(tmp_path, system, cells) -> str:
     ext = tmp_path / "cells.txt"
     ext.write_text("".join(f"cell {name} : {c['source']} => {c['target']}\n"
@@ -1342,15 +1387,16 @@ def _homology(tmp_path, system, cells) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("label, n", [("qnf", 6), ("qnf", 7), ("qnf", 8),
+                                      ("singleton", 7)])
 def test_a3_keeps_its_confluences_audits_and_homology(monkeypatch, tmp_path,
-                                                      capsys, n):
+                                                      capsys, label, n):
     """On A3 only the loop cells depend on the explored region: the
     confluence cells, the audits, the verdict and the homology of the
     cells are those of the run over every word up to the cap."""
     (code, seeded), (every_code, every) = _both_seedings(
         monkeypatch, tmp_path, capsys, "complete", "A3",
-        ("--max-word-len", str(n)))
+        ("--label", label, "--max-word-len", str(n)))
     assert code == every_code
     for key in ("audits", "verdict", "budget"):
         assert seeded[key] == every[key]
@@ -1361,4 +1407,3 @@ def test_a3_keeps_its_confluences_audits_and_homology(monkeypatch, tmp_path,
     assert confluences(seeded) == confluences(every)
     assert _homology(tmp_path, "A3", seeded["cells"]) == \
         _homology(tmp_path, "A3", every["cells"])
-

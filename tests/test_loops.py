@@ -19,6 +19,8 @@ from polyco.loops import (Loop, class_of, enumerate_elementary_loops,
                           is_elementary, is_minimal_for_composition,
                           split_loop, word_sequence)
 
+from conftest import A3
+
 
 def _loop(p, *steps_text):
     steps = tuple(parse_step(p, t) for t in steps_text)
@@ -99,18 +101,6 @@ gens s t
 rule alpha : s t s => t s t
 rule beta : t s t => s t s
 """
-
-A3 = """\
-polygraph A3
-gens a b c
-rule r1 : a b a => b a b
-rule r2 : b a b => a b a
-rule r3 : b c b => c b c
-rule r4 : c b c => b c b
-rule r5 : a c => c a
-rule r6 : c a => a c
-"""
-
 
 def _cyclic_components(n, mult):
     """Strongly connected components of a digraph on 0..n-1 with edge
