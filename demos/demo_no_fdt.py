@@ -28,20 +28,23 @@ def main():
     print(f"{p.name}: {len(critical_branchings(p))} critical branchings")
 
     enum = enumerate_elementary_loops(g)
-    print(f"elementary loop classes: {len(enum.classes)} "
-          f"(complete: {enum.complete})")
+    print(f"elementary loop classes: {len(enum.classes)}")
     for cls in enum.classes:
         print(f"  representative: {cls.representative}")
 
     lab = Labelling.qnf(derived_qnf_map(g))
     c = build_completion(p, lab, g)
     print(f"\ncompletion verdict: {c.verdict}")
+    for name, audit in c.audits.items():
+        print(f"audit {name}: {audit.status}, {audit.checked} checked, "
+              f"{dict(audit.counts)}")
     peiffer = c.audits["peiffer"]
-    print(f"Peiffer squares audited: {peiffer.checked}, undecided: "
-          f"{peiffer.undecided}")
-    if peiffer.undecided:
-        b = peiffer.first_undecided.branching
-        print(f"  e.g. at {' '.join(b.source)}: {b.first} || {b.second}")
+    # a violation: a square whose labels all read, yet no variant closes
+    # it decreasingly; unverified: one whose labels leave the explored words
+    if not peiffer.ok:
+        w = peiffer.witness
+        print(f"  e.g. at {w['source']}: {w['first']} || {w['second']} "
+              f"({peiffer.status})")
 
 
 if __name__ == "__main__":

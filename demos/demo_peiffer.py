@@ -44,8 +44,8 @@ def main():
     print("\nalternate map (length-3 class -> bbb): the same branching "
           "still has a decreasing diagram,")
     ctx = check_context_compatibility(alt, g, [d], ctx_bound=1)
-    print(f"but whiskering breaks it: ok={ctx.ok}, first violation at "
-          f"context {ctx.violations[0]['context']}")
+    print(f"but whiskering breaks it: {ctx.status}, first at context "
+          f"{ctx.witness['context']}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from .engine import (ExplorationBudget, IllComposed, Path, ReductionGraph,
 from .branchings import (PEIFFER, LocalBranching, critical_branchings,
                          local_branchings)
 from .labelling import Labelling, LabellingError, derived_qnf_map
-from .decreasing import (MeasureError, PeifferAudit, PeifferReport,
+from .decreasing import (Audit, MeasureError, PeifferReport,
                          SearchExhausted, check_peiffer_decreasing,
                          decide_peiffer)
 from .expressions import (CONFLUENCE, LOOP, MissingLoopClass, ThreeCell,
@@ -38,7 +38,7 @@ __all__ = [
     # labelling
     "Labelling", "LabellingError", "derived_qnf_map",
     # decreasing
-    "MeasureError", "PeifferAudit", "PeifferReport", "SearchExhausted",
+    "Audit", "MeasureError", "PeifferReport", "SearchExhausted",
     "check_peiffer_decreasing", "decide_peiffer",
     # expressions
     "CONFLUENCE", "LOOP", "MissingLoopClass", "ThreeCell",

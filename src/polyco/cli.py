@@ -1,8 +1,13 @@
 """Command line front end.
 
 Subcommands: analyze, complete, check-decreasing, fill-sphere, homology.
-Exit codes: 0 success (CERTIFIED for complete), 2 input error,
-3 inconclusive within the given budget, 4 search failure.
+``complete`` and ``check-decreasing`` print each audit in one shape: its
+status (ok, violation or unverified), its counts, its first witness and,
+when unverified, the option that governs it.
+Exit codes: 0 success (CERTIFIED for complete: every audit ok), 2 input
+error, 3 inconclusive: an audit reads a violation or is unverified within
+the given budget, 4 search failure (check-decreasing: a critical branching
+with no diagram where every word its closure may need is complete).
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from .branchings import critical_branchings
 from .labelling import (WHISKER_STABLE, Labelling, LabellingError,
                         derived_qnf_map, parse_label_table, parse_qnf_map,
                         validate_qnf_map)
-from .decreasing import (CTX_BOUND, PEIFFER_LEN_BOUND, MeasureError,
+from .decreasing import (CTX_BOUND, OK, PEIFFER_LEMMA, PEIFFER_LEN_BOUND,
+                         UNVERIFIED, VIOLATION, Audit, MeasureError,
                          SearchExhausted, StrictDiagram, audit_seeds,
-                         check_context_compatibility,
-                         check_peiffer_decreasing, find_decreasing, left_out)
+                         audit_status, check_context_compatibility,
+                         check_peiffer_decreasing, closure_cut, cut_option,
+                         find_decreasing, left_out)
 from .loops import enumerate_elementary_loops
 from .expressions import check_boundary
 from .completion import (CERTIFIED, build_completion, fill_parallel_sphere,
@@ -39,9 +46,7 @@ EXIT_SEARCH = 4
 
 SKELETON_NOTE = ("homology of the 2-skeleton without 3-cells; "
                  "give the completion's cells with --cells")
-# the lemmas the audits rest on under Labelling.whisker_stable, and why
-CONTEXT_LEMMA = "the contexts past the empty one follow by whiskering"
-PEIFFER_LEMMA = "every square closes by its plain confluence"
+# why the audits rest on lemmas under Labelling.whisker_stable
 LEMMA_NOTE = ("whiskering lemma: the audits follow from the empty context; "
               "under nf labels this rests on termination, which is checked "
               "on the explored words only")
@@ -186,71 +191,36 @@ def _emit(args, data: dict, text: str) -> None:
         print(text)
 
 
-def _ok(ok: bool) -> str:
-    return "ok" if ok else "FAILED"
+def _audit_json(a: Audit) -> dict:
+    """An audit as JSON: its status, ``ok`` (whether it reads ok), the
+    number checked and the count of each status, its first witness, the
+    option that governs it when unverified, and the audit's own keys."""
+    counts = {s: a.counts[s] for s in (VIOLATION, UNVERIFIED)}
+    return {"status": a.status, "ok": a.ok, "checked": a.checked,
+            "counts": {OK: a.checked - sum(counts.values()), **counts},
+            "witness": a.witness, "option": a.option, **a.detail}
 
 
-def _first_undecided(peiffer) -> dict | None:
-    """The first UNDECIDED branching of a Peiffer audit: its source, its two
-    steps, the variant its first attempt read and what that read, the error
-    that labelling the variant raised or its labels; None when every
-    branching passed."""
-    r = peiffer.first_undecided
-    if r is None:
-        return None
-    b, first = r.branching, r.attempts[0]
-    return {"source": word_str(b.source), "first": str(b.first),
-            "second": str(b.second), "variant": first["variant"],
-            "read": first["error"] if "error" in first else first["labels"]}
-
-
-def _peiffer_status(peiffer) -> str:
-    """"ok", or "FAILED" with the first UNDECIDED branching
-    (_first_undecided)."""
-    u = _first_undecided(peiffer)
-    if u is None:
+def _audit_text(a: Audit) -> str:
+    """An audit as one line: "ok", or its status with the option that
+    governs it, its counts and its first witness."""
+    if a.ok:
         return "ok"
-    read = u["read"]
-    if not isinstance(read, str):
-        read = f"sides {read['sides']}, completions {read['completions']}"
-    return (f"FAILED at {u['source']}: {u['first']} || {u['second']} "
-            f"({u['variant']}: {read})")
+    counts = ", ".join(f"{a.counts[s]} {s}" for s in (VIOLATION, UNVERIFIED)
+                       if a.counts[s])
+    option = f" under {a.option}" if a.option else ""
+    return (f"{a.status.upper()}{option}: {counts} of {a.checked}; "
+            f"witness: {_witness_text(a.witness)}")
 
 
-def _context_dict(lab, ctx, head: str) -> dict:
-    """A context audit's report as JSON: each violation is its ``head``
-    entry, the index of its branching or diagram, and its context.  The
-    unverified contexts are counted, and the first is given in the same
-    form with the error that left it unverified."""
-    def record(v):
-        return {head: v[head], "context": [word_str(u) for u in v["context"]]}
-
-    first = ctx.unverified[0] if ctx.unverified else None
-    return {"ok": ctx.ok, "checked": ctx.checked,
-            "violations": [record(v) for v in ctx.violations],
-            "unverified": len(ctx.unverified),
-            "first_unverified": (None if first is None
-                                 else {**record(first),
-                                       "error": first["error"]}),
-            **_lemma_key(lab, "lemma", CONTEXT_LEMMA)}
-
-
-def _context_status(ctx) -> str:
-    """"ok", the first violation of a context audit, or, when it has none,
-    the number of unverified contexts and the first with its error."""
-    if ctx.ok:
-        return "ok"
-    if ctx.violations:
-        return f"violation at {ctx.violations[0]}"
-    first = ctx.unverified[0]
-    record = {k: v for k, v in first.items() if k != "error"}
-    return (f"{len(ctx.unverified)} unverified, first at {record} "
-            f"({first['error']})")
-
-
-def _lemma_key(lab, key: str, lemma: str) -> dict:
-    """{key: lemma} under a whisker-stable labelling, else nothing."""
-    return {key: lemma} if lab.whisker_stable else {}
+def _witness_text(w: dict) -> str:
+    """A witness in JSON form as text: each key with its value, lists in
+    parentheses, then the error."""
+    def plain(v):
+        return (f"({', '.join(map(plain, v))})" if isinstance(v, list)
+                else str(v))
+    text = ", ".join(f"{k} {plain(v)}" for k, v in w.items() if k != "error")
+    return text + (f": {w['error']}" if "error" in w else "")
 
 
 def _budget_dict(args):
@@ -304,37 +274,20 @@ def cmd_complete(args) -> int:
     lab = _labelling(args, p, g)
     c = build_completion(p, lab, g, ctx_bound=args.ctx_bound,
                          peiffer_len_bound=args.peiffer_len_bound)
-    ctx = c.audits["context"]
-    peiffer = c.audits["peiffer"]
-    loops = c.audits["loops"]
     data = {
         "cells": {name: {"kind": cell.kind,
                          "source": str(cell.source),
                          "target": str(cell.target)}
                   for name, cell in c.cells.items()},
         "verdict": c.verdict,
-        "audits": {
-            "strict": c.audits["strict"],
-            "context": _context_dict(lab, ctx, "branching"),
-            "peiffer": {"ok": peiffer.ok, "checked": peiffer.checked,
-                        "variants": dict(peiffer.variants),
-                        "undecided": peiffer.undecided,
-                        "first_undecided": _first_undecided(peiffer),
-                        **_lemma_key(lab, "lemma", PEIFFER_LEMMA)},
-            "loops": loops,
-        },
+        "audits": {k: _audit_json(a) for k, a in c.audits.items()},
         "budget": _budget_dict(args),
         "explored": explored,
     }
-    text = format_extension(c) + f"\nverdict: {c.verdict}\n" + "\n".join(
-        f"audit {k}: {v}"
-        for k, v in [("strict", _ok(c.audits["strict"]["ok"])),
-                     ("context", ("ok" if ctx.ok else
-                                  f"FAILED, {_context_status(ctx)}")),
-                     ("peiffer", _peiffer_status(peiffer)),
-                     ("loops", "ok" if loops["complete"]
-                      else f"FAILED ({loops['error']})")])
-    text += "\n" + _explored_line(explored)
+    text = (format_extension(c) + f"\nverdict: {c.verdict}\n"
+            + "\n".join(f"audit {k}: {_audit_text(a)}"
+                        for k, a in c.audits.items())
+            + "\n" + _explored_line(explored))
     if lab.whisker_stable:
         text += f"\n{LEMMA_NOTE}"
     _emit(args, data, text)
@@ -344,45 +297,49 @@ def cmd_complete(args) -> int:
 def cmd_check_decreasing(args) -> int:
     p, g, explored = _setup_audited(args)
     lab = _labelling(args, p, g)
+    criticals = critical_branchings(p)
     rows = []
     diagrams = []
-    missing = unverified = 0
-    for b in critical_branchings(p):
+    # the diagram search, read as an audit: a branching with no diagram is
+    # unverified when the budget cut what its closure may need, else a
+    # violation, which fails the search (exit 4)
+    search = Audit(len(criticals))
+    for b in criticals:
         d = find_decreasing(lab, g, b)
         row = {"source": word_str(b.source)}
         if d is not None:
             diagrams.append(d)
             row["status"] = ("strict" if isinstance(d, StrictDiagram)
                              else "decreasing")
-        elif (why := left_out(g, b.source)) is not None:
-            # the budget left the source out: unverified, not a failure
-            unverified += 1
-            row.update(status="unverified", error=why)
+        elif (cut := closure_cut(g, b)) is not None:
+            row.update(status="unverified", error=left_out(g, cut))
+            search.add(UNVERIFIED, lambda: (row, cut_option(g, cut)))
         else:
-            missing += 1
             row["status"] = "NOT FOUND"
+            search.add(VIOLATION, lambda: (row, None))
         rows.append(row)
     ctx = check_context_compatibility(lab, g, diagrams, args.ctx_bound)
     peiffer = check_peiffer_decreasing(lab, g, p, args.peiffer_len_bound)
     data = {"branchings": rows,
-            "context": _context_dict(lab, ctx, "diagram"),
+            "context": _audit_json(ctx),
             "peiffer_ok": peiffer.ok,
-            **_lemma_key(lab, "peiffer_lemma", PEIFFER_LEMMA),
+            **({"peiffer_lemma": PEIFFER_LEMMA} if lab.whisker_stable
+               else {}),
             "budget": _budget_dict(args),
             "explored": explored}
     lines = [f"{r['source']}: {r['status']}"
              + (f" ({r['error']})" if "error" in r else "") for r in rows]
     lines.append(_explored_line(explored))
     lines.append(f"context compatibility up to bound {args.ctx_bound}: "
-                 + _context_status(ctx))
+                 + _audit_text(ctx))
     lines.append(f"Peiffer decreasing up to length {args.peiffer_len_bound}: "
-                 + _peiffer_status(peiffer))
+                 + _audit_text(peiffer))
     if lab.whisker_stable:
         lines.append(LEMMA_NOTE)
     _emit(args, data, "\n".join(lines))
-    if missing:
+    if search.counts[VIOLATION]:
         return EXIT_SEARCH
-    return (EXIT_OK if ctx.ok and peiffer.ok and not unverified
+    return (EXIT_OK if audit_status((search, ctx, peiffer)) == OK
             else EXIT_INCONCLUSIVE)
 
 

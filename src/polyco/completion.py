@@ -3,10 +3,12 @@
 The completion of a quasi-terminating presentation under a labelling has
 one confluence 3-cell per critical branching (closed by a decreasing
 diagram, strict when possible) and one extension 3-cell per elementary
-loop class.  Audits record strictness, compatibility with contexts up to
-a bound, and Peiffer decreasingness up to a length bound; CERTIFIED means
-every audit passed, PARTIAL completions are still produced with their
-failures attached.
+loop class.  Four audits, each an ``Audit`` that reads ok, violation or
+unverified, check strictness, compatibility with contexts up to a bound,
+Peiffer decreasingness up to a length bound and the loops of the explored
+words.  The verdict is their fold (audit_status): CERTIFIED when every
+audit reads ok, PARTIAL otherwise, and a PARTIAL completion is still
+produced with its audits attached.
 
 Sphere filling pastes those generator cells into an expression between
 two parallel 2-cells, by induction on the branching measure for parallel
@@ -17,19 +19,21 @@ zigzags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .core import (ParseError, Polygraph, Word, file_lines, parse_word,
                    word_str)
 from .branchings import (PEIFFER, LocalBranching, classify_branching,
                          critical_branchings, match_critical)
-from .decreasing import (CTX_BOUND, PEIFFER_LEN_BOUND, MeasureError,
-                         SearchExhausted, StrictDiagram, canonical_target,
+from .decreasing import (CTX_BOUND, OK, PEIFFER_LEN_BOUND, UNVERIFIED,
+                         VIOLATION, Audit, MeasureError, SearchExhausted,
+                         StrictDiagram, audit_status, canonical_target,
                          check_context_closability,
-                         check_peiffer_decreasing, decide_peiffer,
-                         find_decreasing, left_out, reads_strict)
+                         check_peiffer_decreasing, closure_cut, cut_option,
+                         decide_peiffer, find_decreasing, left_out,
+                         reads_strict)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
-                     TruncatedRegion, ZigzagPath, exchange_swap, parse_step,
-                     zigzag)
+                     ZigzagPath, exchange_swap, parse_step, zigzag)
 from .expressions import (Atom, ThreeCell, ThreeCellExpression, conjugate,
                           contract_loop, invert, CONFLUENCE, LOOP)
 from .labelling import Labelling, measure_branching, multiset_less
@@ -82,66 +86,95 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
     """One confluence cell per critical branching plus one extension cell
     per elementary loop class of the explored words, with audits.
 
-    A critical branching whose source the budget left out or incomplete
-    (left_out) gets no cell, and the completion is PARTIAL: the context
-    audit, whose first context is the empty one, reports it unverified with
-    the word and the option.  One that finds no diagram from a complete
-    source raises SearchExhausted."""
+    The strictness audit reads each critical branching: ok when its cell
+    is strict, a violation when it is not, and unverified, naming the word
+    and the option, when a word its closure may need is not complete
+    (closure_cut) and the closure found is not strict or none is.  Such a
+    branching with no closure gets no cell; one with none where every
+    word is complete raises SearchExhausted."""
     criticals = critical_branchings(p)
     cells: dict[str, ThreeCell] = {}
     records: list[ConfluenceRecord] = []
-    failures = []
+    non_strict: list[str] = []
+    strictness = Audit(len(criticals), {"non_strict_cells": non_strict})
     for i, cb in enumerate(criticals):
         d = find_decreasing(lab, g, cb)
-        if d is None:
-            if left_out(g, cb.source) is not None:
-                continue
-            raise SearchExhausted(
-                f"no decreasing diagram for the critical branching at "
-                f"{word_str(cb.source)}")
         strict = isinstance(d, StrictDiagram)
+        cut = None if strict else closure_cut(g, cb)
+        if cut is not None:
+            strictness.add(UNVERIFIED, lambda: (
+                {"branching": i, "error": left_out(g, cut)},
+                cut_option(g, cut)))
+        if d is None:
+            if cut is None:
+                raise SearchExhausted(
+                    f"no decreasing diagram for the critical branching at "
+                    f"{word_str(cb.source)}")
+            continue
         c1, c2 = d.completions
         name = f"D{i + 1}"
-        cell = ThreeCell(name,
-                         zigzag(cb.source, cb.first, c1),
-                         zigzag(cb.source, cb.second, c2),
-                         CONFLUENCE)
-        cells[name] = cell
+        cells[name] = ThreeCell(name, zigzag(cb.source, cb.first, c1),
+                                zigzag(cb.source, cb.second, c2),
+                                CONFLUENCE)
         records.append(ConfluenceRecord(name, cb, c1, c2, strict))
         if not strict:
-            failures.append(name)
+            non_strict.append(name)
+            if cut is None:
+                strictness.add(VIOLATION, lambda: ({"cell": name}, None))
 
+    classes, loops = _loop_audit(g)
     loop_classes: dict[tuple, str] = {}
-    loops_error = None
-    try:
-        enum = enumerate_elementary_loops(g)
-        for j, cls in enumerate(enum.classes):
-            name = f"E{j + 1}"
-            rep = cls.representative
-            cells[name] = ThreeCell(name, rep.path.zigzag(),
-                                    ZigzagPath(rep.base), LOOP)
-            loop_classes[cls.key] = name
-    except TruncatedRegion as e:
-        loops_error = str(e)
+    for j, cls in enumerate(classes):
+        name = f"E{j + 1}"
+        rep = cls.representative
+        cells[name] = ThreeCell(name, rep.path.zigzag(),
+                                ZigzagPath(rep.base), LOOP)
+        loop_classes[cls.key] = name
 
     # The certificate asks every whiskered critical branching to stay
     # strictly closable, not a fixed completion to stay decreasing.  Under
     # qnf and table labels the filler pastes the recorded completion
     # whiskered and re-checks only its strictness, so it may close
     # non-strictly what this audit closes strictly.
-    ctx = check_context_closability(lab, g, criticals, ctx_bound)
-    peiffer = check_peiffer_decreasing(lab, g, p, peiffer_len_bound)
     audits = {
-        "strict": {"ok": not failures, "non_strict_cells": failures},
-        "context": ctx,
-        "peiffer": peiffer,
-        "loops": {"complete": loops_error is None, "error": loops_error},
+        "strict": strictness,
+        "context": check_context_closability(lab, g, criticals, ctx_bound),
+        "peiffer": check_peiffer_decreasing(lab, g, p, peiffer_len_bound),
+        "loops": loops,
     }
-    verdict = CERTIFIED if (len(records) == len(criticals) and not failures
-                            and ctx.ok and peiffer.ok
-                            and loops_error is None) else PARTIAL
+    verdict = CERTIFIED if audit_status(audits.values()) == OK else PARTIAL
     return CoherentPresentation(p, cells, records, loop_classes,
                                 audits, verdict, lab, g)
+
+
+def _loop_audit(g: ReductionGraph) -> tuple[list, Audit]:
+    """The elementary loop classes of the explored words and the loop
+    audit, which checks each cut of the budget: an explored word it left
+    incomplete, or a seed it refused.
+
+    A cut by --max-states or --max-depth hides the cycles through the
+    words it kept out: it is unverified.  So is a word --max-word-len left
+    incomplete when a cycle touches it, and the classes are then not
+    enumerated (enumerate_elementary_loops would raise); any other cut by
+    --max-word-len keeps out only cycles that leave the words up to the
+    cap, which lie outside the region the run certifies.  The detail
+    ``complete`` is whether every cycle of that region was read."""
+    cut = [(w, g.cut_by(w)) for w in g.vertices if not g.is_complete(w)]
+    audit = Audit(len(cut) + len(g.refused))
+    cyclic = set(g.scc_cyclic)
+    on_cycle = False
+    for w, option in chain(cut, g.refused.items()):
+        cycle = g.component_of(w) in cyclic
+        on_cycle = on_cycle or cycle
+        if option != "--max-word-len" or cycle:
+            audit.add(UNVERIFIED, lambda: (
+                {"word": word_str(w),
+                 "error": ("on a cycle, " if cycle else "")
+                 + ("left incomplete by " if w in g.vertices
+                    else "not explored within ") + option}, option))
+    audit.detail["complete"] = audit.ok
+    return ([] if on_cycle else enumerate_elementary_loops(g).classes,
+            audit)
 
 
 # ---------------------------------------------------------------------------

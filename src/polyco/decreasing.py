@@ -10,7 +10,9 @@ f' and g', each label strictly below everything on the other side.
 The search and the audits share two routines: ``_read_pair`` labels one
 completion pair, which ``_strict`` and ``_first_splits`` read as a strict
 or a decreasing diagram, and ``_context_audit`` is the one loop over
-contexts, in which each audit is a predicate on a whiskered item.
+contexts, in which each audit is a predicate on a whiskered item.  Every
+audit reports an ``Audit``: ok, violation or unverified, and a check that
+missing data left open is unverified, naming the option behind it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .labelling import (Labelling, LabellingError, MissingLabel, NF, QNF,
 # branchings the Peiffer audit decides
 CTX_BOUND = 2
 PEIFFER_LEN_BOUND = 6
+# the lemmas the audits rest on under Labelling.whisker_stable
+CONTEXT_LEMMA = "the contexts past the empty one follow by whiskering"
+PEIFFER_LEMMA = "every square closes by its plain confluence"
 
 
 class SearchExhausted(Exception):
@@ -170,6 +175,122 @@ def check_decreasing(lab: Labelling, g: ReductionGraph, d
                 "v", f"residual label {k!r} below neither "
                      f"{psi_f!r} nor {psi_g!r}"))
     return not violations, violations
+
+
+# ---------------------------------------------------------------------------
+# audit results and the budget cuts behind them
+
+
+OK, VIOLATION, UNVERIFIED = "ok", "violation", "unverified"
+
+
+@dataclass
+class Audit:
+    """One audit's result, in the shape every audit reports.  ``counts``
+    holds how many of the ``checked`` checks read a violation (a check
+    that fails where every word it needs is complete) or unverified (one
+    that missing data left open: a word the budget cut, or a missing
+    label), and ``firsts`` the first (witness, option) of each: the witness
+    in JSON form, and the option that governs an unverified one.
+    ``detail`` holds the audit's own keys.  Its length is the number
+    checked."""
+
+    checked: int = 0
+    detail: dict = field(default_factory=dict)
+    counts: Counter = field(default_factory=Counter)
+    firsts: dict = field(default_factory=dict)
+
+    def add(self, status: str, first) -> None:
+        """Count a check that read ``status``; ``first()`` gives the
+        (witness, option) of the first one, and is called for it only."""
+        if status not in self.firsts:
+            self.firsts[status] = first()
+        self.counts[status] += 1
+
+    @property
+    def status(self) -> str:
+        return audit_status((self,))
+
+    @property
+    def ok(self) -> bool:
+        return self.status == OK
+
+    @property
+    def witness(self) -> dict | None:
+        return self.firsts.get(self.status, (None, None))[0]
+
+    @property
+    def option(self) -> str | None:
+        return self.firsts.get(self.status, (None, None))[1]
+
+    def __len__(self):
+        return self.checked
+
+
+def audit_status(audits) -> str:
+    """The fold of audits' counts: violation when a check reads it, else
+    unverified when one does, else ok.  It gives a completion's verdict
+    and the exit code of check-decreasing."""
+    total = sum((a.counts for a in audits), Counter())
+    return next((s for s in (VIOLATION, UNVERIFIED) if total[s]), OK)
+
+
+def cut_option(g: ReductionGraph, u: Word) -> str | None:
+    """The budget option that left the word u incomplete (cut_by), or out
+    of the explored words: too long, or past the state cap; None when no
+    cap did."""
+    if u in g.vertices:
+        return g.cut_by(u)
+    if len(u) > g.budget.max_word_len:
+        return "--max-word-len"
+    return "--max-states" if len(g.vertices) >= g.budget.max_states else None
+
+
+def left_out(g: ReductionGraph, u: Word) -> str | None:
+    """Why the budget left the word u out of the explored words, or left it
+    incomplete, naming the option (cut_option); None when u is complete."""
+    if g.is_complete(u):
+        return None
+    option = cut_option(g, u)
+    if u in g.vertices:
+        why = f"is left incomplete by {option}"
+    elif option == "--max-word-len":
+        why = "is longer than --max-word-len"
+    else:
+        why = "was not explored" + (" within --max-states" if option else "")
+    return f"{word_str(u)} {why}"
+
+
+def first_cut(g: ReductionGraph, words) -> Word | None:
+    """The first word the budget left out or incomplete that a search from
+    the words meets, breadth first from each in turn; None when every word
+    they reach is complete."""
+    try:
+        for u in words:
+            g.reachable(u, require_complete=True)
+    except TruncatedRegion as e:
+        return e.word
+    return None
+
+
+def closure_cut(g: ReductionGraph, b: LocalBranching) -> Word | None:
+    """The first word a closure of b may need that the budget cut
+    (first_cut): its source, else a word one of its targets reaches.  A
+    closure missing where this is None is missing from the whole graph."""
+    return first_cut(g, (b.source,) if not g.is_complete(b.source)
+                     else (b.first.target, b.second.target))
+
+
+def governing_option(lab: Labelling, g: ReductionGraph, error
+                     ) -> str | None:
+    """The option that governs a check ``error`` left unverified: the one
+    behind the first cut word its word needs (first_cut), else the
+    labelling's own input."""
+    word = getattr(error, "word", None)
+    cut = None if word is None else first_cut(g, (word,))
+    if cut is not None:
+        return cut_option(g, cut)
+    return {QNF: "--qnf-map", TABLE: "--label-table"}.get(lab.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -557,33 +678,36 @@ def _choose(order, candidates):
     """Decide a Peiffer branching from the labels of its variants, read in
     order: each candidate is (name, labels), the labels as ``_read_pair``
     orders them or the error that labelling the variant raised.  Returns
-    (variant, strict, splits, attempts): the first variant that reads
-    strict, else the first that reads decreasing with its splits
-    (_first_splits), else variant None.  The candidates read before the
-    first decreasing one are kept in ``attempts``: their labels, or their
+    (variant, strict, splits, attempts, error): the first variant that
+    reads strict, else the first that reads decreasing with its splits
+    (_first_splits), else variant None with the first error read, None
+    when every label read.  The candidates read before the first
+    decreasing one are kept in ``attempts``: their labels, or their
     error."""
     attempts = []
     chosen = None
+    error = None
     for name, labels in candidates:
         if isinstance(labels, Exception):
             if chosen is None:
                 attempts.append({"variant": name, "ok": False,
                                  "error": str(labels)})
+                error = error or labels
             continue
         if _strict(order, labels):
-            return name, True, None, attempts
+            return name, True, None, attempts, None
         if chosen is not None:
             # a later variant may still read strict
             continue
         splits = _first_splits(order, labels)
         if splits is not None:
-            chosen = name, False, splits, attempts
+            chosen = name, False, splits, attempts, None
             continue
         attempts.append({
             "variant": name, "ok": False,
             "labels": {"sides": list(labels[:2]),
                        "completions": [list(labels[2]), list(labels[3])]}})
-    return chosen or (None, False, None, attempts)
+    return chosen or (None, False, None, attempts, error)
 
 
 @cache
@@ -670,66 +794,53 @@ def decide_peiffer(lab: Labelling, g: ReductionGraph, p: Polygraph,
     each (_PeifferMemo.decide), and no variant's paths are built; the
     report builds the chosen one's when they are read."""
     swap, f, h = _oriented(b)
-    [(variant, strict, splits, attempts)] = _PeifferMemo(lab, g, p).decide(
+    [(variant, strict, splits, attempts, _)] = _PeifferMemo(lab, g, p).decide(
         b.source, [f, h], [(0, 1)], swap)
     return PeifferReport(b, "UNDECIDED" if variant is None else "PASS",
                          variant, strict, list(attempts), p, splits)
 
 
-@dataclass
-class PeifferAudit:
-    """The Peiffer audit, shaped like ContextReport: whether every Peiffer
-    branching passed, how many were checked, how many PASS branchings chose
-    each variant and how many of these read strict, how many were
-    UNDECIDED and the report of the first of these in the order of
-    local_branchings.  The later UNDECIDED ones are only counted: a
-    presentation audited past its explored words has one for nearly every
-    square.  Its length is the number checked."""
-
-    ok: bool
-    checked: int
-    variants: Counter
-    strict: int
-    undecided: int
-    first_undecided: PeifferReport | None
-
-    def __len__(self):
-        return self.checked
-
-
 def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
                              p: Polygraph, len_bound: int = PEIFFER_LEN_BOUND
-                             ) -> PeifferAudit:
+                             ) -> Audit:
     """Audit every Peiffer branching on words up to the length bound, in the
-    order of local_branchings: PASS when the Peiffer confluence or one of
-    its reverse-rule rotations is decreasing (the rotations are equivalent
-    to the square through loop contractions), UNDECIDED otherwise, each
-    decided as decide_peiffer decides it.
+    order of local_branchings, each decided as decide_peiffer decides it:
+    ok when it PASSes with the Peiffer confluence or one of its
+    reverse-rule rotations (the rotations are equivalent to the square
+    through loop contractions).  An UNDECIDED one is a violation when every
+    label its variants read was read, and unverified otherwise, governed by
+    the option behind its first label error (governing_option).
+
+    The detail tallies the PASS branchings by chosen variant
+    (``variants``).  A witness gives the branching's source and two steps,
+    and the variant its first attempt read with the labels it read, or,
+    when unverified, the first variant whose labels failed with the
+    error.
 
     Under a whisker-stable labelling (Labelling.whisker_stable) it checks
-    nothing and passes: each completion of a square's plain confluence is
-    the other side's step whiskered, so it reads decreasing."""
+    nothing and passes, stating the lemma (``lemma``): each completion of
+    a square's plain confluence is the other side's step whiskered, so it
+    reads decreasing."""
     if lab.whisker_stable:
-        return PeifferAudit(True, 0, Counter(), 0, 0, None)
+        return Audit(detail={"variants": Counter(), "lemma": PEIFFER_LEMMA})
     return _peiffer_audit(lab, g, p, len_bound)
 
 
 def _peiffer_audit(lab: Labelling, g: ReductionGraph, p: Polygraph,
-                   len_bound: int) -> PeifferAudit:
+                   len_bound: int) -> Audit:
     """check_peiffer_decreasing's enumeration, under any labelling.
 
     Words come shortest first, so each word's redexes are read off those
     of its prefix ``u[:-1]`` (redexes), kept for this call for the words
     shorter than the bound, and paired when disjoint: no step is built for
     a square, and the graph stores no step row for the word.  A PASS
-    branching is only tallied, by its variant and whether it reads strict;
-    the steps and report of the first UNDECIDED one are built, and the
-    others are counted.  Squares with the same step order, reverse rules
-    and labels are decided once per call."""
+    branching is only tallied, by its variant; the steps of the first
+    violation and of the first unverified one are built for their
+    witnesses, and the others are counted.  Squares with the same step
+    order, reverse rules and labels are decided once per call."""
     memo = _PeifferMemo(lab, g, p)
     variants: Counter = Counter()
-    strict = undecided = checked = 0
-    first = None
+    audit = Audit(detail={"variants": variants})
     scanned: dict[Word, list] = {}
     for u in all_words(p, len_bound):
         found = redexes(p, u, scanned.get(u[:-1]))
@@ -741,23 +852,31 @@ def _peiffer_audit(lab: Labelling, g: ReductionGraph, p: Polygraph,
                  for j in range(i + 1, len(found)) if end <= found[j][0]]
         if not pairs:
             continue
-        checked += len(pairs)
+        audit.checked += len(pairs)
         for (i, j), decision in zip(pairs, memo.decide(u, found, pairs)):
-            variant, is_strict, _, attempts = decision
+            variant, _, _, attempts, error = decision
             if variant is not None:
                 variants[variant] += 1
-                strict += is_strict
                 continue
-            undecided += 1
-            if first is not None:
-                continue
-            (fp, fe, f_rule), (hp, he, h_rule) = found[i], found[j]
-            b = LocalBranching(RewriteStep(u[:fp], f_rule, u[fe:]),
-                               RewriteStep(u[:hp], h_rule, u[he:]))
-            first = PeifferReport(b, "UNDECIDED", attempts=list(attempts),
-                                  polygraph=p)
-    return PeifferAudit(not undecided, checked, variants, strict, undecided,
-                        first)
+            audit.add(VIOLATION if error is None else UNVERIFIED,
+                      lambda: _square_witness(lab, g, u, found[i], found[j],
+                                              attempts, error))
+    return audit
+
+
+def _square_witness(lab: Labelling, g: ReductionGraph, u: Word, f: tuple,
+                    h: tuple, attempts: list, error) -> tuple[dict, str]:
+    """The (witness, option) of an UNDECIDED Peiffer square at u of the
+    redexes f left of h, from the attempts and first error of _choose."""
+    (fp, fe, f_rule), (hp, he, h_rule) = f, h
+    read = next(a for a in attempts if error is None or "error" in a)
+    return ({"source": word_str(u),
+             "first": str(RewriteStep(u[:fp], f_rule, u[fe:])),
+             "second": str(RewriteStep(u[:hp], h_rule, u[he:])),
+             "variant": read["variant"],
+             **(read["labels"] if error is None
+                else {"error": read["error"]})},
+            error and governing_option(lab, g, error))
 
 
 # ---------------------------------------------------------------------------
@@ -775,42 +894,39 @@ def contexts_up_to(p: Polygraph, bound: int):
                     yield u1, u2
 
 
-@dataclass
-class ContextReport:
-    ok: bool
-    checked: int
-    violations: list
-    unverified: list
-
-
-def _context_audit(p: Polygraph, items, ctx_bound: int, fails
-                   ) -> ContextReport:
+def _context_audit(lab: Labelling, g: ReductionGraph, items,
+                   ctx_bound: int, fails) -> Audit:
     """Run ``fails(item, u1, u2)`` for each (head, item) of ``items`` in
-    every context up to the bound.  It returns None when the item holds in
-    the context, else the extra entries of the violation record; a context
-    where it raises LabellingError or TruncatedRegion is unverified.  Each
-    record starts with ``head`` and the context."""
-    checked = 0
-    violations = []
-    unverified = []
+    every context up to the bound.  A context where it returns True is a
+    violation, and one where it raises LabellingError or TruncatedRegion
+    is unverified, governed by the option behind the error
+    (governing_option).  A witness is ``head`` with the context, as two
+    words, and the error of an unverified one; every violation is listed
+    in the detail ``violations``, and under a whisker-stable labelling the
+    detail states the lemma (``lemma``)."""
+    violations: list[dict] = []
+    audit = Audit(detail={"violations": violations})
+    if lab.whisker_stable:
+        audit.detail["lemma"] = CONTEXT_LEMMA
     for head, item in items:
-        for u1, u2 in contexts_up_to(p, ctx_bound):
-            checked += 1
-            record = {**head, "context": (u1, u2)}
+        for u1, u2 in contexts_up_to(g.polygraph, ctx_bound):
+            audit.checked += 1
+            record = {**head, "context": [word_str(u1), word_str(u2)]}
             try:
-                extra = fails(item, u1, u2)
+                failed = fails(item, u1, u2)
             except (LabellingError, TruncatedRegion) as e:
-                unverified.append({**record, "error": str(e)})
+                audit.add(UNVERIFIED, lambda: ({**record, "error": str(e)},
+                                               governing_option(lab, g, e)))
                 continue
-            if extra is not None:
-                violations.append({**record, **extra})
-    return ContextReport(not violations and not unverified,
-                         checked, violations, unverified)
+            if failed:
+                violations.append(record)
+                audit.add(VIOLATION, lambda: (record, None))
+    return audit
 
 
 def check_context_compatibility(lab: Labelling, g: ReductionGraph,
                                 diagrams, ctx_bound: int = CTX_BOUND
-                                ) -> ContextReport:
+                                ) -> Audit:
     """Re-check each diagram whiskered by every context of total length up
     to the bound.  A context under which no decreasing reading of the
     whiskered completions exists is a violation.  Under a whisker-stable
@@ -821,7 +937,7 @@ def check_context_compatibility(lab: Labelling, g: ReductionGraph,
 
 
 def _compatibility(lab: Labelling, g: ReductionGraph, diagrams,
-                   ctx_bound: int) -> ContextReport:
+                   ctx_bound: int) -> Audit:
     """check_context_compatibility's enumeration, under any labelling."""
 
     def fails(item, u1, u2):
@@ -831,17 +947,16 @@ def _compatibility(lab: Labelling, g: ReductionGraph, diagrams,
         labels = _read_pair(lab, g, wb, c1.whisker(u1, u2),
                             c2.whisker(u1, u2))
         # a strict reading has a split too, (0, 0) on each side
-        return ({} if labels is None or not _first_splits(lab.order, labels)
-                else None)
+        return labels is None or not _first_splits(lab.order, labels)
 
     items = (({"diagram": idx}, (d.branching, *d.completions))
              for idx, d in enumerate(diagrams))
-    return _context_audit(g.polygraph, items, ctx_bound, fails)
+    return _context_audit(lab, g, items, ctx_bound, fails)
 
 
 def check_context_closability(lab: Labelling, g: ReductionGraph,
                               branchings, ctx_bound: int = CTX_BOUND
-                              ) -> ContextReport:
+                              ) -> Audit:
     """Check that every branching, whiskered by every context of total
     length up to the bound, still admits a strictly decreasing completion.
 
@@ -854,45 +969,30 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
     a whiskered strict closure is strict.
 
     A whiskered branching with no strict closure is unverified, not a
-    violation, when its source is not a complete explored word: the budget
-    left out words its closure may need.  Its error names the word and the
-    option that left it out."""
+    violation, when a word its closure may need is not complete
+    (closure_cut): its source, or a word one of its targets reaches.  The
+    budget may have left out the closure, and the error names the word and
+    the option that cut it."""
     return _closability(lab, g, branchings,
                         0 if lab.whisker_stable else ctx_bound)
 
 
 def _closability(lab: Labelling, g: ReductionGraph, branchings,
-                 ctx_bound: int) -> ContextReport:
+                 ctx_bound: int) -> Audit:
     """check_context_closability's enumeration, under any labelling."""
 
     def fails(local, u1, u2):
         wb = LocalBranching(local.first.whisker(u1, u2),
                             local.second.whisker(u1, u2))
         if find_decreasing(lab, g, wb, strict=True) is not None:
-            return None
-        why = left_out(g, wb.source)
-        if why is not None:
-            raise TruncatedRegion(why)
-        return {}
+            return False
+        cut = closure_cut(g, wb)
+        if cut is not None:
+            raise TruncatedRegion(left_out(g, cut), cut)
+        return True
 
     items = (({"branching": idx}, b) for idx, b in enumerate(branchings))
-    return _context_audit(g.polygraph, items, ctx_bound, fails)
-
-
-def left_out(g: ReductionGraph, u: Word) -> str | None:
-    """Why the budget left the word u out of the explored words, or left it
-    incomplete, naming the option; None when u is complete."""
-    if g.is_complete(u):
-        return None
-    if u in g.vertices:
-        why = f"is left incomplete by {g.cut_by(u)}"
-    elif len(u) > g.budget.max_word_len:
-        why = "is longer than --max-word-len"
-    elif len(g.vertices) >= g.budget.max_states:
-        why = "was not explored within --max-states"
-    else:
-        why = "was not explored"
-    return f"{word_str(u)} {why}"
+    return _context_audit(lab, g, items, ctx_bound, fails)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,12 @@ from .core import Polygraph, Rule, Word, word_str
 
 
 class TruncatedRegion(Exception):
-    """The query needs vertices or edges beyond the explored region."""
+    """The query needs vertices or edges beyond the explored region;
+    ``word``, when given, is the word the budget left out or incomplete."""
+
+    def __init__(self, message: str = "", word: Word | None = None):
+        super().__init__(message)
+        self.word = word
 
 
 class Unreachable(Exception):
@@ -378,7 +383,8 @@ class ReductionGraph:
     (``vertices`` maps each word to its id); edges are forward steps.  A
     vertex is complete (``is_complete``) when every step out of it was
     kept; budget refusals mark the vertex incomplete, record the option
-    behind them (``cut_by``) and set the truncated flag.
+    behind them (``cut_by``) and set the truncated flag.  A seed the
+    budget refused is kept in ``refused`` with its option.
 
     Exploration walks one depth level after the other, each in id order.
     It reads a word's redexes off those of its prefix ``u[:-1]`` (redexes)
@@ -422,6 +428,7 @@ class ReductionGraph:
         self.vertices: dict[Word, int] = {}
         self.out = _StepRows(polygraph, self.vertices)
         self.truncated = False
+        self.refused: dict[Word, str] = {}
         self.scc_sinks: set[int] = set()
         self.scc_cyclic: list[int] = []
         self._succ: list[tuple[int, ...]] = []
@@ -450,6 +457,8 @@ class ReductionGraph:
             if w in ids:
                 continue
             if len(w) > max_len or len(ids) >= max_states:
+                self.refused[w] = ("--max-word-len" if len(w) > max_len
+                                   else "--max-states")
                 self.truncated = True
                 continue
             ids[w] = len(ids)
@@ -636,13 +645,14 @@ class ReductionGraph:
         from u, in breadth-first order."""
         i = self.vertices.get(u)
         if i is None:
-            raise TruncatedRegion(f"{word_str(u)} was not explored")
+            raise TruncatedRegion(f"{word_str(u)} was not explored", u)
         succ, cut = self._succ, self._cut if require_complete else ()
 
         def row(v):
             if v in cut:
-                raise TruncatedRegion(f"{word_str(self._words[v])} is "
-                                      f"incomplete in the explored graph")
+                w = self._words[v]
+                raise TruncatedRegion(
+                    f"{word_str(w)} is incomplete in the explored graph", w)
             return succ[v]
         return _breadth_first(i, row)
 

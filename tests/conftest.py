@@ -34,6 +34,24 @@ rule r6 : c a => a c
 """
 
 
+def peiffer_witness(report) -> dict:
+    """The witness the Peiffer audit gives for an UNDECIDED branching: its
+    source and steps, and the first variant whose labels failed with the
+    error, or, when every label read, the first variant with its labels."""
+    b = report.branching
+    first = next((a for a in report.attempts if "error" in a),
+                 report.attempts[0])
+    read = {"error": first["error"]} if "error" in first else first["labels"]
+    return {"source": " ".join(b.source), "first": str(b.first),
+            "second": str(b.second), "variant": first["variant"], **read}
+
+
+def read_a_label_error(report) -> bool:
+    """Whether an UNDECIDED Peiffer branching failed to read a label: the
+    audit reads it unverified, and a violation otherwise."""
+    return any("error" in a for a in report.attempts)
+
+
 @pytest.fixture(scope="session")
 def braid_p():
     return braid()

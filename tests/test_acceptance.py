@@ -66,9 +66,10 @@ def test_05_alternate_qnf_map_context_violation(ab_p, ab_g, ab_alt_lab):
          if x.kind == PEIFFER][0]
     d = find_decreasing(ab_alt_lab, ab_g, b, depth=6)
     rep = check_context_compatibility(ab_alt_lab, ab_g, [d], ctx_bound=1)
-    assert not rep.ok
-    assert any(sum(len(u) for u in v["context"]) == 1
-               for v in rep.violations)
+    assert rep.status == "violation"
+    # a context of one letter, its words in JSON form ("1" is empty)
+    assert any(sum(len(u.split()) for u in v["context"] if u != "1") == 1
+               for v in rep.detail["violations"])
 
 
 def test_06_quasi_normal_forms_of_abstract_system(states_g):

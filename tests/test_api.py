@@ -12,10 +12,10 @@ import polyco
 ROOT = Path(__file__).resolve().parent.parent
 
 API = sorted("""
-    CERTIFIED CONFLUENCE ChainComplexZ CoherentPresentation ExplorationBudget
-    HomologyResult IllComposed LOOP Labelling LabellingError LocalBranching
-    MeasureError MissingLoopClass PARTIAL PEIFFER ParseError Path
-    PeifferAudit PeifferReport Polygraph ReductionGraph RewriteStep
+    Audit CERTIFIED CONFLUENCE ChainComplexZ CoherentPresentation
+    ExplorationBudget HomologyResult IllComposed LOOP Labelling
+    LabellingError LocalBranching MeasureError MissingLoopClass PARTIAL
+    PEIFFER ParseError Path PeifferReport Polygraph ReductionGraph RewriteStep
     SearchExhausted ThreeCell ThreeCellExpression TruncatedRegion Unreachable
     Word ZigzagPath abelianize all_words build_completion check_boundary
     check_peiffer_decreasing critical_branchings decide_peiffer

@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyco import serialize_polygraph
 from polyco.cli import build_parser, main
@@ -148,8 +148,9 @@ def test_check_decreasing_reports_context_fragility(braid_file, capsys):
     assert data["context"]["violations"]
 
 
-NO_FDT_UNDECIDED = ("FAILED at a c a c: 1|r2|a c || a c|r2|1 "
-                    "(peiffer: sides [2, 2], completions [[4], [4]])")
+NO_FDT_WITNESS = ("witness: source a c a c, first 1|r2|a c, second "
+                  "a c|r2|1, variant peiffer, sides (2, 2), completions "
+                  "((4), (4))")
 
 
 def test_peiffer_failure_names_the_first_undecided_branching(tmp_path,
@@ -159,21 +160,26 @@ def test_peiffer_failure_names_the_first_undecided_branching(tmp_path,
     assert main(["complete", str(poly), "--max-word-len", "5"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert "verdict: PARTIAL" in lines
-    assert f"audit peiffer: {NO_FDT_UNDECIDED}" in lines
+    # of its 2,266 UNDECIDED squares, 2,250 read a label error past the
+    # explored words and are unverified; the other 16 are violations
+    assert ("audit peiffer: VIOLATION: 16 violation, 2250 unverified of "
+            f"2656; {NO_FDT_WITNESS}") in lines
     # the JSON of complete gives the same branching and what it read
     assert main(["complete", str(poly), "--max-word-len", "5",
                  "--format", "json"]) == 3
     peiffer = json.loads(capsys.readouterr().out)["audits"]["peiffer"]
-    assert peiffer["first_undecided"] == {
+    assert peiffer["witness"] == {
         "source": "a c a c", "first": "1|r2|a c", "second": "a c|r2|1",
-        "variant": "peiffer",
-        "read": {"sides": [2, 2], "completions": [[4], [4]]}}
-    assert (peiffer["checked"], peiffer["undecided"]) == (2656, 2266)
+        "variant": "peiffer", "sides": [2, 2], "completions": [[4], [4]]}
+    assert (peiffer["status"], peiffer["option"]) == ("violation", None)
+    assert (peiffer["checked"], peiffer["counts"]) == (
+        2656, {"ok": 390, "violation": 16, "unverified": 2250})
     check = ["check-decreasing", str(poly), "--max-word-len", "5",
              "--peiffer-len-bound", "5"]
     assert main(check) == 3
     assert capsys.readouterr().out.splitlines()[-1] == (
-        f"Peiffer decreasing up to length 5: {NO_FDT_UNDECIDED}")
+        "Peiffer decreasing up to length 5: VIOLATION: 16 violation of "
+        f"256; {NO_FDT_WITNESS}")
     # the JSON keeps only whether every Peiffer branching passed
     assert main(check + ["--format", "json"]) == 3
     data = json.loads(capsys.readouterr().out)
@@ -190,9 +196,10 @@ def test_peiffer_failure_names_the_label_error(tmp_path, capsys):
     assert main(["check-decreasing", str(poly), "--max-word-len", "3",
                  "--peiffer-len-bound", "4"]) == 3
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "Peiffer decreasing up to length 4: FAILED at a a a a: "
-        "1|alpha|a a a || a|alpha|a a "
-        "(peiffer: no quasi-normal form chosen for b a a a)")
+        "Peiffer decreasing up to length 4: UNVERIFIED under --max-word-len: "
+        "96 unverified of 124; witness: source a a a a, first "
+        "1|alpha|a a a, second a|alpha|a a, variant peiffer: "
+        "no quasi-normal form chosen for b a a a")
 
 
 def test_complete_json_counts_the_peiffer_branchings(tmp_path, capsys):
@@ -207,40 +214,47 @@ def test_complete_json_counts_the_peiffer_branchings(tmp_path, capsys):
     out = capsys.readouterr().out
     assert len(out.encode()) < 10_000
     peiffer = json.loads(out)["audits"]["peiffer"]
-    assert (peiffer["ok"], peiffer["checked"], peiffer["undecided"]) == (
-        False, 165204, 161280)
+    # every UNDECIDED one read a label error: unverified, not a violation
+    assert (peiffer["ok"], peiffer["checked"]) == (False, 165204)
+    assert peiffer["counts"] == {"ok": 165204 - 161280, "violation": 0,
+                                 "unverified": 161280}
     assert sum(peiffer["variants"].values()) == 165204 - 161280
-    assert peiffer["first_undecided"] == {
+    assert (peiffer["status"], peiffer["option"]) == ("unverified",
+                                                      "--max-word-len")
+    assert peiffer["witness"] == {
         "source": "a a a a a", "first": "1|ab|a a a a",
         "second": "a|ab|a a a", "variant": "peiffer",
-        "read": "no quasi-normal form chosen for b a a a a"}
+        "error": "no quasi-normal form chosen for b a a a a"}
 
 
 def test_check_decreasing_json_counts_unverified_contexts(braid_file,
                                                           capsys):
     """At length 6 some whiskered completions leave the explored words:
-    beside 3 violations, 24 contexts are unverified, and the JSON gives
-    their number and the first of them with its error."""
+    beside 3 violations, 24 contexts are unverified, and the JSON counts
+    both, lists the violations and gives the first as the witness of the
+    audit, a violation."""
     assert main(["check-decreasing", braid_file, "--max-word-len", "6",
                  "--format", "json"]) == 3
     ctx = json.loads(capsys.readouterr().out)["context"]
     assert ctx["ok"] is False and len(ctx["violations"]) == 3
-    assert ctx["unverified"] == 24
-    assert ctx["first_unverified"] == {
-        "diagram": 0, "context": ["s s", "1"],
-        "error": "no quasi-normal form chosen for s s t s t t s"}
+    assert (ctx["status"], ctx["checked"], ctx["counts"]) == (
+        "violation", 68, {"ok": 41, "violation": 3, "unverified": 24})
+    assert ctx["witness"] == ctx["violations"][0] == {
+        "diagram": 0, "context": ["t", "1"]}
+    assert ctx["option"] is None
 
 
 @pytest.mark.parametrize("length", [5, 6])
 def test_failed_context_audit_text_names_its_first_witness(braid_file,
                                                            capsys, length):
-    """The text of a failed context audit names its first violation, or,
-    with none (braid at length 5: 56 unverified contexts), the number of
-    unverified contexts and the first with its error, as the JSON gives
-    them; check-decreasing and complete alike.  complete reads a whiskered
-    critical branching with no strict closure at a word longer than the
-    length bound as unverified: every one of its contexts at lengths 5
-    and 6."""
+    """The text of a failed context audit names its status, the option
+    that governs it when unverified, its counts and its first witness, as
+    the JSON gives them; check-decreasing and complete alike.  With no
+    violation (braid at length 5: 56 unverified contexts) the witness is
+    the first unverified context with its error.  complete reads a
+    whiskered critical branching with no strict closure at a word longer
+    than the length bound as unverified: every one of its contexts at
+    lengths 5 and 6."""
     argv = ["check-decreasing", braid_file, "--max-word-len", str(length)]
     assert main(argv) == 3
     line = next(x for x in capsys.readouterr().out.splitlines()
@@ -248,45 +262,55 @@ def test_failed_context_audit_text_names_its_first_witness(braid_file,
     assert main(argv + ["--format", "json"]) == 3
     ctx = json.loads(capsys.readouterr().out)["context"]
     if length == 5:
-        assert ctx["violations"] == [] and ctx["unverified"] == 56
+        assert ctx["violations"] == [] and ctx["counts"]["unverified"] == 56
         error = "no quasi-normal form chosen for s t s t t s"
-        assert ctx["first_unverified"] == {
+        assert ctx["witness"] == {
             "diagram": 0, "context": ["s", "1"], "error": error}
         assert line == (
-            "context compatibility up to bound 2: 56 unverified, first at "
-            f"{{'diagram': 0, 'context': (('s',), ())}} ({error})")
+            "context compatibility up to bound 2: UNVERIFIED under "
+            "--max-word-len: 56 unverified of 68; witness: diagram 0, "
+            f"context (s, 1): {error}")
     else:
-        assert ctx["violations"][0] == {"diagram": 0, "context": ["t", "1"]}
-        assert line == ("context compatibility up to bound 2: violation at "
-                        "{'diagram': 0, 'context': (('t',), ())}")
+        assert ctx["witness"] == {"diagram": 0, "context": ["t", "1"]}
+        assert line == ("context compatibility up to bound 2: VIOLATION: "
+                        "3 violation, 24 unverified of 68; witness: "
+                        "diagram 0, context (t, 1)")
     argv[0] = "complete"
     assert main(argv) == 3
     line = next(x for x in capsys.readouterr().out.splitlines()
                 if x.startswith("audit context"))
     assert main(argv + ["--format", "json"]) == 3
     ctx = json.loads(capsys.readouterr().out)["audits"]["context"]
-    left = {5: ("s",), 6: ("s", "s")}[length]
+    left = {5: "s", 6: "s s"}[length]
     count = {5: 56, 6: 24}[length]
-    error = (f"{' '.join(left + ('s', 't', 's', 't', 's'))} is longer "
-             "than --max-word-len")
-    assert ctx["violations"] == [] and ctx["unverified"] == count
-    assert ctx["first_unverified"] == {
-        "branching": 0, "context": [" ".join(left), "1"], "error": error}
-    assert line == (f"audit context: FAILED, {count} unverified, first at "
-                    f"{{'branching': 0, 'context': ({left}, ())}} ({error})")
+    error = f"{left} s t s t s is longer than --max-word-len"
+    assert ctx["violations"] == [] and ctx["counts"]["unverified"] == count
+    assert (ctx["status"], ctx["option"]) == ("unverified", "--max-word-len")
+    assert ctx["witness"] == {
+        "branching": 0, "context": [left, "1"], "error": error}
+    assert line == (f"audit context: UNVERIFIED under --max-word-len: "
+                    f"{count} unverified of 68; witness: branching 0, "
+                    f"context ({left}, 1): {error}")
 
 
 def test_loop_audit_names_the_budget_option_it_hit(braid_file, capsys):
+    """A word the state cap left incomplete hides the cycles through the
+    words it kept out: the loop audit is unverified and names the word
+    and the option, in text and in JSON."""
     argv = ["complete", braid_file, "--max-word-len", "8",
             "--max-states", "120"]
-    error = ("a cycle touches the word s t s t t s, left incomplete by "
-             "--max-states")
     assert main(argv) == 3
-    assert f"audit loops: FAILED ({error})" in \
-        capsys.readouterr().out.splitlines()
+    assert ("audit loops: UNVERIFIED under --max-states: 48 unverified of "
+            "48; witness: word t s t s t s: on a cycle, left incomplete by "
+            "--max-states") in capsys.readouterr().out.splitlines()
     assert main(argv + ["--format", "json"]) == 3
     loops = json.loads(capsys.readouterr().out)["audits"]["loops"]
-    assert loops == {"complete": False, "error": error}
+    assert loops == {
+        "status": "unverified", "ok": False, "checked": 48,
+        "counts": {"ok": 0, "violation": 0, "unverified": 48},
+        "witness": {"word": "t s t s t s",
+                    "error": "on a cycle, left incomplete by --max-states"},
+        "option": "--max-states", "complete": False}
 
 
 I2_5 = """\
@@ -306,8 +330,8 @@ def test_a_critical_source_past_the_cap_is_unverified(tmp_path, capsys,
                                                       text, cells, left_out):
     """At --max-word-len 6, B3 and I2(5) have critical branchings on words
     of 7 to 9 letters.  complete gives them no cell and is PARTIAL, its
-    context audit naming the word and the option; check-decreasing lists
-    them unverified.  Neither exits 4."""
+    strictness and context audits naming the word and the option;
+    check-decreasing lists them unverified.  Neither exits 4."""
     poly = tmp_path / "p.poly"
     poly.write_text(text)
     argv = [str(poly), "--max-word-len", "6"]
@@ -316,9 +340,16 @@ def test_a_critical_source_past_the_cap_is_unverified(tmp_path, capsys,
     assert data["verdict"] == "PARTIAL"
     assert sum(c["kind"] == "confluence"
                for c in data["cells"].values()) == cells
+    strict = data["audits"]["strict"]
+    assert (strict["status"], strict["option"]) == ("unverified",
+                                                    "--max-word-len")
+    assert strict["counts"]["unverified"] == len(left_out)
+    assert strict["witness"]["error"] == (
+        f"{left_out[0]} is longer than --max-word-len")
     context = data["audits"]["context"]
-    assert not context["ok"] and context["unverified"]
-    assert context["first_unverified"]["error"].endswith(
+    assert (context["status"], context["option"]) == ("unverified",
+                                                      "--max-word-len")
+    assert context["witness"]["error"].endswith(
         " is longer than --max-word-len")
     assert main(["check-decreasing", *argv, "--format", "json"]) == 3
     rows = json.loads(capsys.readouterr().out)["branchings"]
@@ -340,9 +371,63 @@ def test_a_critical_source_the_states_cap_cut_is_unverified(braid_file,
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "PARTIAL" and not data["cells"]
     assert data["explored"] == {"seeds": 143, "words": 10}
-    assert data["audits"]["context"]["first_unverified"] == {
+    assert data["audits"]["context"]["witness"] == {
         "branching": 0, "context": ["1", "1"],
         "error": "s t s t s is left incomplete by --max-states"}
+    assert {a["status"] for a in data["audits"].values()} == {"unverified"}
+    assert {a["option"] for a in data["audits"].values()} == {"--max-states"}
+
+
+@pytest.mark.parametrize("text, states", [
+    (BRAID, 50), (BRAID, 100), (BRAID, 200), (A3, 1500)],
+    ids=["braid-50", "braid-100", "braid-200", "A3-1500"])
+def test_a_state_cap_reads_as_no_context_violation(tmp_path, capsys, text,
+                                                   states):
+    """A whiskered critical branching whose strict closure needs a word
+    the state cap cut is unverified, not a violation: braid and A3 at
+    length 8 close every one strictly at the default budget, and under
+    these caps each run is PARTIAL, exits 3 and names --max-states."""
+    poly = tmp_path / "p.poly"
+    poly.write_text(text)
+    argv = ["complete", str(poly), "--max-word-len", "8",
+            "--max-states", str(states), "--format", "json"]
+    assert main(argv) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "PARTIAL"
+    ctx = data["audits"]["context"]
+    assert ctx["violations"] == [] and ctx["counts"]["violation"] == 0
+    assert (ctx["status"], ctx["option"]) == ("unverified", "--max-states")
+
+
+CTXCYC = """\
+polygraph ctxcyc
+gens x a b y
+rule r1 : x x x x a => x x x x b
+rule r2 : b y y y y => a y y y y
+"""
+
+
+@pytest.mark.parametrize("text, options", [
+    (BRAID, ("--max-word-len", "8", "--max-states", "10")),
+    (CTXCYC, ("--max-states", "100"))], ids=["braid-8", "ctxcyc"])
+def test_a_state_cap_that_cut_the_loop_audit_is_named(tmp_path, capsys,
+                                                      text, options):
+    """The loop audit is unverified when the state cap cut an explored
+    word or refused a seed: braid 8 at 10 states has none of its 10 words
+    complete, and ctxcyc at 100 states explores 100 of its 5,461 seeds.
+    Both are PARTIAL, exit 3 and name --max-states."""
+    poly = tmp_path / "p.poly"
+    poly.write_text(text)
+    argv = ["complete", str(poly), *options]
+    assert main(argv) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "verdict: PARTIAL" in lines
+    assert any(line.startswith("audit loops: UNVERIFIED under --max-states: ")
+               for line in lines)
+    assert main(argv + ["--format", "json"]) == 3
+    loops = json.loads(capsys.readouterr().out)["audits"]["loops"]
+    assert (loops["status"], loops["option"], loops["complete"]) == (
+        "unverified", "--max-states", False)
 
 
 def test_complete_and_check_decreasing_state_their_region(braid_file,
@@ -401,6 +486,63 @@ def test_certified_stays_certified_at_a_longer_cap(complete_at, system, n,
     assume(code == 0)
     code, text = complete_at(system, min(n + more, 10))
     assert code == 0 or any(cap in text for cap in CAPS), text
+
+
+@pytest.fixture(scope="module")
+def complete_json(tmp_path_factory):
+    """The exit code and JSON of ``complete`` on a presentation of
+    MONOTONE with budget options, each run once."""
+    workdir = tmp_path_factory.mktemp("budgets")
+    runs = {}
+
+    def run(system, budget):
+        if (system, budget) not in runs:
+            text, options = MONOTONE[system]
+            poly = workdir / f"{system}.poly"
+            poly.write_text(text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["complete", str(poly), *options, *budget,
+                             "--format", "json"])
+            runs[system, budget] = code, json.loads(out.getvalue())
+        return runs[system, budget]
+    return run
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=st.sampled_from(sorted(MONOTONE)),
+       # most state caps that cut a run lie below the 2,000 words or so
+       # that these presentations explore at length 8
+       states=st.integers(1, 2000) | st.integers(1, 100000),
+       length=st.integers(1, 8),
+       ctx_bound=st.integers(0, 2), peiffer_len_bound=st.integers(0, 6))
+# state caps that cut each presentation partway at length 8
+@example("braid", 50, 8, 2, 6)
+@example("braid", 200, 8, 2, 6)
+@example("A3", 1500, 8, 2, 6)
+@example("two_letters", 40, 8, 2, 6)
+@example("convergent_braid", 300, 8, 2, 6)
+def test_a_smaller_budget_reads_ok_or_unverified(complete_json, system,
+                                                 states, length, ctx_bound,
+                                                 peiffer_len_bound):
+    """Missing data is unverified, never a violation.  The audit bounds
+    here are at most their defaults, so a run checks part of what the run
+    at the default budget checks, on the words the caps let in: whenever
+    that run has no violation, every audit reads ok, or unverified naming
+    the option that governs it, and the run exits 3 unless all read ok."""
+    _, default = complete_json(system, ())
+    assume(all(a["counts"]["violation"] == 0
+               for a in default["audits"].values()))
+    code, data = complete_json(system, (
+        "--max-states", str(states), "--max-word-len", str(length),
+        "--ctx-bound", str(ctx_bound),
+        "--peiffer-len-bound", str(peiffer_len_bound)))
+    for name, audit in data["audits"].items():
+        assert audit["status"] in ("ok", "unverified"), (name, audit)
+        assert audit["status"] == "ok" or audit["option"], (name, audit)
+    certified = all(a["ok"] for a in data["audits"].values())
+    assert (code, data["verdict"]) == ((0, "CERTIFIED") if certified
+                                       else (3, "PARTIAL"))
 
 
 def test_fill_sphere(braid_file, tmp_path, capsys):
@@ -544,12 +686,17 @@ def test_complete_under_singleton_labels_lists_non_strict_cells(braid_file,
             "--max-word-len", "7"]
     assert main(argv) == 3
     lines = capsys.readouterr().out.splitlines()
-    assert "verdict: PARTIAL" in lines and "audit strict: FAILED" in lines
+    assert "verdict: PARTIAL" in lines
+    assert ("audit strict: VIOLATION: 4 violation of 4; witness: cell D1"
+            in lines)
     assert main(argv + ["--format", "json"]) == 3
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "PARTIAL"
     assert data["audits"]["strict"] == {
-        "ok": False, "non_strict_cells": ["D1", "D2", "D3", "D4"]}
+        "status": "violation", "ok": False, "checked": 4,
+        "counts": {"ok": 0, "violation": 4, "unverified": 0},
+        "witness": {"cell": "D1"}, "option": None,
+        "non_strict_cells": ["D1", "D2", "D3", "D4"]}
 
 
 def test_label_table_without_a_table_is_input_error(braid_file, capsys):

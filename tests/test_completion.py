@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from polyco.completion import (CERTIFIED, PARTIAL, _peiffer_closure,
                                fill_zigzag_sphere, format_extension,
                                parse_extension, parse_sphere, parse_zigzag)
 from polyco.core import ParseError, all_words, parse_polygraph
-from polyco.decreasing import (SearchExhausted, audit_seeds, decide_peiffer,
+from polyco.decreasing import (SearchExhausted, audit_seeds,
+                               check_context_closability, decide_peiffer,
                                peiffer_variants)
 from polyco.engine import (ExplorationBudget, IllComposed, Path,
                            ZigzagPath, enumerate_steps, explore,
@@ -22,7 +24,7 @@ from polyco.expressions import ThreeCellExpression, check_boundary
 from polyco.fixtures import (braid, convergent_braid, no_fdt,
                              two_letters)
 from polyco.labelling import Labelling, derived_qnf_map
-from conftest import A3, B3
+from conftest import A3, B3, peiffer_witness, read_a_label_error
 from test_golden import SPHERES as GOLDEN_SPHERES
 
 
@@ -32,10 +34,9 @@ def test_braid_completion_is_certified(braid_completion):
     assert sorted(c.cells) == ["D1", "D2", "D3", "D4", "E1"]
     kinds = [cell.kind for cell in c.cell_list]
     assert kinds.count("confluence") == 4 and kinds.count("loop") == 1
-    assert c.audits["strict"]["ok"]
-    assert c.audits["context"].ok
-    assert c.audits["peiffer"].ok
-    assert c.audits["loops"]["complete"]
+    assert sorted(c.audits) == ["context", "loops", "peiffer", "strict"]
+    assert all(a.status == "ok" and not a.counts for a in c.audits.values())
+    assert c.audits["loops"].detail["complete"]
 
 
 def test_completion_cells_are_parallel_confluences(braid_completion,
@@ -487,8 +488,10 @@ def test_undecided_peiffer_closures_paste_the_square(lafont_p, lafont_g):
                for b in local_branchings(lafont_p, u) if b.kind == PEIFFER]
     undecided = [r.branching for r in reports if r.status == "UNDECIDED"]
     audit = c.audits["peiffer"]
-    assert undecided and audit.undecided == len(undecided)
-    assert audit.first_undecided.branching == undecided[0]
+    reports = [r for r in reports if r.status == "UNDECIDED"]
+    assert undecided and sum(audit.counts.values()) == len(undecided)
+    assert audit.firsts["violation"][0] == peiffer_witness(
+        next(r for r in reports if not read_a_label_error(r)))
     for b in undecided:
         c_f, c_h, e, strict = _peiffer_closure(c, b.first, b.second)
         assert _pasted_variant(lafont_p, b, c_f, c_h) == "peiffer"
@@ -600,8 +603,19 @@ def test_a_critical_source_past_the_cap_gets_no_cell():
     assert len(left) == 2 and c.verdict == PARTIAL
     assert [name for name in c.cells if name.startswith("D")] == [
         f"D{i + 1}" for i in range(len(crits)) if i not in left]
-    unverified = {(r["branching"], r["context"]): r["error"]
-                  for r in c.audits["context"].unverified}
+    strict = c.audits["strict"]
+    assert strict.counts == Counter(unverified=len(left))
+    assert (strict.witness, strict.option) == (
+        {"branching": left[0], "error": f"{' '.join(crits[left[0]].source)}"
+                                        " is longer than --max-word-len"},
+        "--max-word-len")
+    assert c.audits["context"].status == "unverified"
     for i in left:
-        assert unverified[i, ((), ())] == (
-            f"{' '.join(crits[i].source)} is longer than --max-word-len")
+        # the context audit of that branching alone, at the empty context
+        ctx = check_context_closability(c.labelling, g, [crits[i]], 0)
+        assert (ctx.counts, ctx.option) == (Counter(unverified=1),
+                                            "--max-word-len")
+        assert ctx.witness == {
+            "branching": 0, "context": ["1", "1"],
+            "error": f"{' '.join(crits[i].source)} is longer than "
+                     "--max-word-len"}

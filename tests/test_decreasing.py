@@ -6,18 +6,21 @@ from polyco import decreasing
 from polyco.branchings import (OVERLAPPING, PEIFFER, LocalBranching,
                                critical_branchings, local_branchings)
 from polyco.core import all_words
-from polyco.decreasing import (DecreasingDiagram, _closability,
-                               _compatibility, _peiffer_audit,
+from polyco.core import word_str
+from polyco.decreasing import (PEIFFER_LEMMA, DecreasingDiagram,
+                               _closability, _compatibility, _peiffer_audit,
                                check_context_closability,
                                check_context_compatibility,
                                check_decreasing, check_peiffer_decreasing,
-                               check_strict, contexts_up_to, decide_peiffer,
-                               find_decreasing, peiffer_variants,
-                               StrictDiagram)
+                               check_strict, closure_cut, contexts_up_to,
+                               decide_peiffer, find_decreasing, left_out,
+                               peiffer_variants, StrictDiagram)
 from polyco.engine import ExplorationBudget, explore
 from polyco.fixtures import braid, braid_qnf_map, convergent_braid
 from polyco.labelling import (FinitePosetOrder, Labelling, NaturalsOrder,
                               derived_qnf_map, label_path, step_key)
+
+from conftest import peiffer_witness, read_a_label_error
 
 
 def _peiffer_on(p, word):
@@ -44,8 +47,9 @@ def test_peiffer_square_on_aa_needs_reversed_rules(ab_p, ab_g, ab_lab):
 
 def test_all_braid_peiffer_branchings_pass(braid_p, braid_g, braid_lab):
     audit = check_peiffer_decreasing(braid_lab, braid_g, braid_p, 6)
-    assert audit.ok and audit.checked and not audit.undecided
-    assert sum(audit.variants.values()) == audit.checked == len(audit)
+    assert audit.ok and audit.checked and not audit.counts
+    assert sum(audit.detail["variants"].values()) == audit.checked == \
+        len(audit)
 
 
 def test_singleton_labels_close_braid_branchings_non_strictly(braid_p,
@@ -83,10 +87,21 @@ def test_peiffer_audit_beyond_explored_words_is_undecided(lafont_g):
         for b in local_branchings(p, u) if b.kind == PEIFFER]
     assert all(r.status == "UNDECIDED" for r in beyond)
     assert all(a.get("error") for r in beyond for a in r.attempts)
-    assert audit.variants and not audit.ok
-    assert audit.undecided == len(undecided) and audit.checked == len(reports)
-    assert audit.first_undecided == undecided[0]
-    assert sum(audit.variants.values()) + audit.undecided == audit.checked
+    # a square that read a label error is unverified, any other UNDECIDED
+    # one a violation
+    unread = [r for r in undecided if read_a_label_error(r)]
+    read = [r for r in undecided if not read_a_label_error(r)]
+    assert audit.detail["variants"] and not audit.ok
+    assert audit.counts == Counter(violation=len(read),
+                                   unverified=len(unread))
+    assert audit.checked == len(reports)
+    # its first label error is at a five-letter word that no seed of four
+    # letters reaches: no budget option left it out
+    assert audit.firsts["unverified"] == (peiffer_witness(unread[0]), None)
+    if read:
+        assert audit.firsts["violation"] == (peiffer_witness(read[0]), None)
+    assert sum(audit.detail["variants"].values()) + len(undecided) == \
+        audit.checked
 
 
 def test_peiffer_variants_reject_other_branchings(braid_p):
@@ -109,10 +124,11 @@ def test_alternate_qnf_map_fails_in_context(ab_p, ab_g, ab_alt_lab):
     ok, _ = check_decreasing(ab_alt_lab, ab_g, d)
     assert ok
     rep = check_context_compatibility(ab_alt_lab, ab_g, [d], ctx_bound=1)
-    assert not rep.ok
-    assert any(sum(len(u) for u in v["context"]) == 1
-               for v in rep.violations)
-    assert {"diagram": 0, "context": (("b",), ())} in rep.violations
+    assert rep.status == "violation"
+    # each context's words in JSON form, "1" the empty one
+    assert any(sum(len(u.split()) for u in v["context"] if u != "1") == 1
+               for v in rep.detail["violations"])
+    assert {"diagram": 0, "context": ["b", "1"]} in rep.detail["violations"]
 
 
 def test_standard_qnf_map_is_context_compatible(ab_p, ab_g, ab_lab):
@@ -120,7 +136,7 @@ def test_standard_qnf_map_is_context_compatible(ab_p, ab_g, ab_lab):
     report = decide_peiffer(ab_lab, ab_g, ab_p, b)
     rep = check_context_compatibility(ab_lab, ab_g, [report.diagram],
                                       ctx_bound=1)
-    assert rep.ok, rep.violations
+    assert rep.ok, rep.witness
 
 
 def test_braid_criticals_close_strictly(braid_p, braid_g, braid_lab):
@@ -136,35 +152,43 @@ def test_braid_criticals_stay_closable_in_context(braid_p, braid_g,
     rep = check_context_closability(braid_lab, braid_g,
                                     critical_branchings(braid_p),
                                     ctx_bound=2)
-    assert rep.ok, rep.violations or rep.unverified
+    assert rep.ok, rep.witness
     assert rep.checked > len(critical_branchings(braid_p))
 
 
 def test_context_closability_reads_truncation_as_unverified(braid_p):
     """A whiskered critical branching with no strict closure is a violation
-    only at a complete word; elsewhere it is unverified, and its error
-    names the word and the option that left it out."""
+    only where every word its closure may need is complete (closure_cut);
+    elsewhere it is unverified, and its error names the first such word
+    and the option that cut it.  Braid's whiskered criticals all close
+    strictly in a complete region, so under a state cap each one left open
+    meets a cut word: at its source, or past it."""
     g = explore(braid_p, all_words(braid_p, 7), ExplorationBudget(7, 200))
     crits = critical_branchings(braid_p)
-    rep = check_context_closability(Labelling.qnf(derived_qnf_map(g)), g,
-                                    crits, ctx_bound=2)
-    assert rep.violations and rep.unverified and not rep.ok
-
-    def source(record):
-        u1, u2 = record["context"]
-        return u1 + crits[record["branching"]].source + u2
-
-    assert all(g.is_complete(source(v)) for v in rep.violations)
-    errors = Counter()
-    for record in rep.unverified:
-        u = source(record)
-        assert not g.is_complete(u)
-        why = (f"is left incomplete by {g.cut_by(u)}" if u in g.vertices
-               else "was not explored within --max-states")
-        assert record["error"] == f"{' '.join(u)} {why}"
-        errors[why] += 1
-    assert errors["is left incomplete by --max-states"] and \
-        errors["was not explored within --max-states"]
+    lab = Labelling.qnf(derived_qnf_map(g))
+    rep = check_context_closability(lab, g, crits, ctx_bound=2)
+    left_open = []
+    for i, b in enumerate(crits):
+        for u1, u2 in contexts_up_to(braid_p, 2):
+            wb = LocalBranching(b.first.whisker(u1, u2),
+                                b.second.whisker(u1, u2))
+            if find_decreasing(lab, g, wb, strict=True) is None:
+                left_open.append((i, u1, u2, wb.source, closure_cut(g, wb)))
+    assert left_open and all(cut is not None for *_, cut in left_open)
+    assert rep.counts == Counter(unverified=len(left_open))
+    i, u1, u2, _, cut = left_open[0]
+    assert (rep.status, rep.option) == ("unverified", "--max-states")
+    assert rep.witness == {"branching": i,
+                           "context": [word_str(u1), word_str(u2)],
+                           "error": left_out(g, cut)}
+    assert rep.detail["violations"] == []
+    whys = Counter(left_out(g, cut).split(" by ")[0].split(" is ")[-1]
+                   if cut in g.vertices else "not explored"
+                   for *_, cut in left_open)
+    assert whys["left incomplete"] and whys["not explored"]
+    # the cut lies at the whiskered source, or past it at a word one of
+    # its targets reaches
+    assert {cut == source for *_, source, cut in left_open} == {True, False}
 
 
 def test_strictness_does_not_survive_whiskering(braid_p, braid_g,
@@ -202,13 +226,14 @@ def test_context_compatibility_reports_truncation_as_unverified(braid_p,
     diagrams = [find_decreasing(lab, g, b)
                 for b in critical_branchings(braid_p)]
     rep = check_context_compatibility(lab, g, diagrams, ctx_bound=2)
-    assert not rep.ok
+    assert rep.status == "violation"
     assert rep.checked == 68
-    assert len(rep.violations) == 1 and len(rep.unverified) == 24
-    first = rep.unverified[0]
+    assert rep.counts == Counter(violation=1, unverified=24)
+    first, option = rep.firsts["unverified"]
     assert set(first) == {"diagram", "context", "error"}
-    assert first["diagram"] == 0 and first["context"] == (("s", "s"), ())
+    assert first["diagram"] == 0 and first["context"] == ["s s", "1"]
     assert "s s t s t t s" in first["error"]
+    assert option == "--max-word-len"
 
 
 @pytest.mark.parametrize("table", [False, True])
@@ -234,8 +259,12 @@ def test_one_peiffer_audit_labels_each_word_or_key_once(ab_p, monkeypatch,
     # other as decide_peiffer does
     reports = [r for r in _peiffer_reports(lab, g, ab_p, 5)
                if r.status == "UNDECIDED"]
-    assert audit.undecided == len(reports)
-    assert audit.first_undecided == reports[0]
+    assert sum(audit.counts.values()) == len(reports)
+    unread = [r for r in reports if read_a_label_error(r)]
+    assert audit.counts["unverified"] == len(unread)
+    assert audit.firsts["unverified"] == (
+        peiffer_witness(unread[0]),
+        "--label-table" if table else "--max-word-len")
     errors = {a["error"] for r in reports for a in r.attempts
               if "error" in a}
     assert (("no table entry for step 1|alpha|a a a" if table
@@ -257,12 +286,14 @@ def test_nf_enumerations_find_no_failure_on_convergent_braid():
     contexts = len(list(contexts_up_to(p, 3)))
     for rep in (_closability(lab, g, crits, 3),
                 _compatibility(lab, g, diagrams, 3)):
-        assert rep.ok and not rep.violations and not rep.unverified
+        assert rep.ok and not rep.counts and not rep.detail["violations"]
         assert rep.checked == len(crits) * contexts
     audit = _peiffer_audit(lab, g, p, 8)
-    assert audit.ok and audit.checked and not audit.undecided
-    assert audit.variants == Counter(peiffer=audit.checked)
-    assert audit.strict == audit.checked
+    assert audit.ok and audit.checked and not audit.counts
+    assert audit.detail == {"variants": Counter(peiffer=audit.checked)}
+    # every square reads strict by its plain confluence
+    reports = _peiffer_reports(lab, g, p, 8)
+    assert all(r.strict and r.variant == "peiffer" for r in reports)
 
 
 @pytest.mark.parametrize("kind", ["nf", "singleton"])
@@ -282,8 +313,10 @@ def test_whisker_stable_audits_read_the_empty_context_only(kind):
              _compatibility(lab, g, diagrams, 0))):
         assert rep == enumerated and rep.checked == len(items)
     audit = check_peiffer_decreasing(lab, g, p, 8)
-    assert (audit.ok, audit.checked, audit.variants, audit.undecided,
-            audit.first_undecided) == (True, 0, Counter(), 0, None)
+    assert (audit.status, audit.checked, audit.counts, audit.witness,
+            audit.detail) == ("ok", 0, Counter(), None,
+                              {"variants": Counter(),
+                               "lemma": PEIFFER_LEMMA})
 
 
 def test_qnf_and_table_labels_are_not_whisker_stable(braid_lab):
@@ -299,6 +332,7 @@ def test_singleton_context_report_lists_braid_criticals_at_empty_context():
     g = explore(p, all_words(p, 7), ExplorationBudget(7))
     rep = check_context_closability(Labelling.singleton(), g,
                                     critical_branchings(p), ctx_bound=2)
-    assert not rep.ok and rep.checked == 4 and not rep.unverified
-    assert rep.violations == [{"branching": i, "context": ((), ())}
-                              for i in range(4)]
+    assert rep.status == "violation" and rep.checked == 4
+    assert rep.counts == Counter(violation=4)
+    assert rep.detail["violations"] == [
+        {"branching": i, "context": ["1", "1"]} for i in range(4)]

@@ -38,7 +38,7 @@ from polyco.loops import (_Component, _cyclic_sccs, class_of,
                           enumerate_elementary_loops, split_loop,
                           strip_whiskers, word_sequence)
 
-from conftest import A3
+from conftest import A3, peiffer_witness, read_a_label_error
 
 
 # ---------------------------------------------------------------------------
@@ -1180,13 +1180,22 @@ def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
     # it tallies the variants of the PASS ones and reports the others
     listed = reports[::2]
     assert audit.checked == len(audit) == len(pairs) // 2
-    assert audit.variants == Counter(r.variant for r in listed
-                                     if r.status == "PASS")
-    assert audit.strict == sum(r.strict for r in listed)
+    assert audit.detail == {
+        "variants": Counter(r.variant for r in listed if r.status == "PASS")}
+    # an UNDECIDED branching is unverified when it read a label error, a
+    # violation otherwise, and the audit gives the first of each
     undecided = [r for r in listed if r.status == "UNDECIDED"]
-    assert audit.undecided == len(undecided)
-    assert audit.first_undecided == (undecided[0] if undecided else None)
+    by_status = {"violation": [r for r in undecided
+                               if not read_a_label_error(r)],
+                 "unverified": [r for r in undecided
+                                if read_a_label_error(r)]}
+    assert audit.counts == Counter({s: len(rs) for s, rs in by_status.items()
+                                    if rs})
+    assert {s: w for s, (w, _) in audit.firsts.items()} == {
+        s: peiffer_witness(rs[0]) for s, rs in by_status.items() if rs}
     assert audit.ok == (not undecided)
+    assert audit.status == ("violation" if by_status["violation"]
+                            else "unverified" if undecided else "ok")
     assert statuses["PASS"]
     if name in ("no_fdt-5", "lafont-5-at-6"):
         assert statuses["UNDECIDED"]
@@ -1201,9 +1210,8 @@ def test_peiffer_decision_on_labels_matches_decision_on_paths(peiffer_audit):
     if name == "lafont-5-at-6" or name.endswith("-table"):
         assert errors
     if name == "prefix_lhs-4-undecided-at-caba":
-        b = audit.first_undecided.branching
-        assert (str(b.first), str(b.second)) == ("1|c_ba|a b a",
-                                                 "c|aba_b|1")
+        w = audit.witness
+        assert (w["first"], w["second"]) == ("1|c_ba|a b a", "c|aba_b|1")
 
 
 def test_lazily_built_peiffer_diagrams_pass_their_checks(peiffer_audit):
@@ -1234,8 +1242,9 @@ def test_lazily_built_peiffer_diagrams_pass_their_checks(peiffer_audit):
     ids=["convergent_braid-6-nf", "convergent_braid-6-qnf", "no_fdt-5"])
 def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
                                                         length, label):
-    """The audit builds the steps, branching and report of the first
-    UNDECIDED Peiffer square only, and stores no step row in the graph."""
+    """The audit builds the two steps of the first UNDECIDED Peiffer square
+    of each status for its witness, and no branching or report, and it
+    stores no step row in the graph."""
     p, g, lab, bound = _audited(system(), length, label=label)
     enumerate_squares = (_peiffer_audit if label == "nf"
                          else check_peiffer_decreasing)
@@ -1248,12 +1257,11 @@ def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
             built[name] += 1
         monkeypatch.setattr(cls, "__init__", counting)
     audit = enumerate_squares(lab, g, p, bound)
-    n = audit.undecided
+    n = sum(audit.counts.values())
     assert audit.checked > n and (n > 0) == (system is no_fdt)
-    # the first UNDECIDED square only has its report built
-    k = min(n, 1)
-    assert built == Counter({"RewriteStep": 2 * k, "LocalBranching": k,
-                             "PeifferReport": k})
+    # the first UNDECIDED square of each status only has its steps built
+    k = len(audit.counts)
+    assert built == Counter({"RewriteStep": 2 * k} if k else {})
     assert set(dict.keys(g.out)) == rows
 
 
