@@ -1,13 +1,10 @@
 """Command line front end.
 
 Subcommands: analyze, complete, check-decreasing, fill-sphere, homology.
-``complete`` and ``check-decreasing`` print each audit in one shape: its
-status (ok, violation or unverified), its counts, its first witness and,
-when unverified, the option that governs it.
 Exit codes: 0 success (CERTIFIED for complete: every audit ok), 2 input
-error, 3 inconclusive: an audit reads a violation or is unverified within
-the given budget, 4 search failure (check-decreasing: a critical branching
-with no diagram where every word its closure may need is complete).
+error, 3 inconclusive: an audit reads a violation or unverified, 4 search
+failure (check-decreasing: a critical branching with no diagram where the
+budget cut no word its closure may need).
 """
 
 from __future__ import annotations
@@ -30,12 +27,11 @@ from .decreasing import (CTX_BOUND, OK, PEIFFER_LEMMA, PEIFFER_LEN_BOUND,
                          UNVERIFIED, VIOLATION, Audit, MeasureError,
                          SearchExhausted, StrictDiagram, audit_seeds,
                          audit_status, check_context_compatibility,
-                         check_peiffer_decreasing, closure_cut, cut_option,
-                         find_decreasing, left_out)
-from .loops import enumerate_elementary_loops
+                         check_peiffer_decreasing, closure_cut,
+                         find_decreasing)
 from .expressions import check_boundary
 from .completion import (CERTIFIED, build_completion, fill_parallel_sphere,
-                         fill_zigzag_sphere, format_extension,
+                         fill_zigzag_sphere, format_extension, loop_audit,
                          parse_extension, parse_sphere)
 from .homology import abelianize, homology
 
@@ -192,9 +188,8 @@ def _emit(args, data: dict, text: str) -> None:
 
 
 def _audit_json(a: Audit) -> dict:
-    """An audit as JSON: its status, ``ok`` (whether it reads ok), the
-    number checked and the count of each status, its first witness, the
-    option that governs it when unverified, and the audit's own keys."""
+    """An audit as JSON: its status, ``ok``, the number checked and the
+    count of each status, its first witness and option, and its own keys."""
     counts = {s: a.counts[s] for s in (VIOLATION, UNVERIFIED)}
     return {"status": a.status, "ok": a.ok, "checked": a.checked,
             "counts": {OK: a.checked - sum(counts.values()), **counts},
@@ -214,8 +209,7 @@ def _audit_text(a: Audit) -> str:
 
 
 def _witness_text(w: dict) -> str:
-    """A witness in JSON form as text: each key with its value, lists in
-    parentheses, then the error."""
+    """A witness as text: each key with its value, then the error."""
     def plain(v):
         return (f"({', '.join(map(plain, v))})" if isinstance(v, list)
                 else str(v))
@@ -234,11 +228,9 @@ def cmd_analyze(args) -> int:
     p, g = _setup(args)
     report = classify_termination(g)
     crits = critical_branchings(p)
-    try:
-        loop_count = len(enumerate_elementary_loops(g).classes)
-    except TruncatedRegion:
-        loop_count = None
-    loops_complete = loop_count is not None
+    classes, loops = loop_audit(g)
+    loops_complete = loops.ok
+    loop_count = len(classes) if loops_complete else None
     data = {
         "generators": list(p.generators),
         "rules": [r.name for r in p.rules],
@@ -300,9 +292,8 @@ def cmd_check_decreasing(args) -> int:
     criticals = critical_branchings(p)
     rows = []
     diagrams = []
-    # the diagram search, read as an audit: a branching with no diagram is
-    # unverified when the budget cut what its closure may need, else a
-    # violation, which fails the search (exit 4)
+    # a branching with no diagram is unverified when the budget cut what
+    # its closure may need, else a violation, which fails the search
     search = Audit(len(criticals))
     for b in criticals:
         d = find_decreasing(lab, g, b)
@@ -312,8 +303,8 @@ def cmd_check_decreasing(args) -> int:
             row["status"] = ("strict" if isinstance(d, StrictDiagram)
                              else "decreasing")
         elif (cut := closure_cut(g, b)) is not None:
-            row.update(status="unverified", error=left_out(g, cut))
-            search.add(UNVERIFIED, lambda: (row, cut_option(g, cut)))
+            row.update(status="unverified", error=cut[0])
+            search.add(UNVERIFIED, lambda: (row, cut[1]))
         else:
             row["status"] = "NOT FOUND"
             search.add(VIOLATION, lambda: (row, None))

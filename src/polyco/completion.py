@@ -3,12 +3,10 @@
 The completion of a quasi-terminating presentation under a labelling has
 one confluence 3-cell per critical branching (closed by a decreasing
 diagram, strict when possible) and one extension 3-cell per elementary
-loop class.  Four audits, each an ``Audit`` that reads ok, violation or
-unverified, check strictness, compatibility with contexts up to a bound,
-Peiffer decreasingness up to a length bound and the loops of the explored
-words.  The verdict is their fold (audit_status): CERTIFIED when every
-audit reads ok, PARTIAL otherwise, and a PARTIAL completion is still
-produced with its audits attached.
+loop class.  Audits record strictness, compatibility with contexts up to
+a bound, Peiffer decreasingness up to a length bound and the loops;
+CERTIFIED means every audit reads ok (audit_status), PARTIAL completions
+are still produced with their audits attached.
 
 Sphere filling pastes those generator cells into an expression between
 two parallel 2-cells, by induction on the branching measure for parallel
@@ -19,7 +17,6 @@ zigzags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .core import (ParseError, Polygraph, Word, file_lines, parse_word,
                    word_str)
@@ -29,9 +26,8 @@ from .decreasing import (CTX_BOUND, OK, PEIFFER_LEN_BOUND, UNVERIFIED,
                          VIOLATION, Audit, MeasureError, SearchExhausted,
                          StrictDiagram, audit_status, canonical_target,
                          check_context_closability,
-                         check_peiffer_decreasing, closure_cut, cut_option,
-                         decide_peiffer, find_decreasing, left_out,
-                         reads_strict)
+                         check_peiffer_decreasing, closure_cut,
+                         decide_peiffer, find_decreasing, reads_strict)
 from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
                      ZigzagPath, exchange_swap, parse_step, zigzag)
 from .expressions import (Atom, ThreeCell, ThreeCellExpression, conjugate,
@@ -86,12 +82,10 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
     """One confluence cell per critical branching plus one extension cell
     per elementary loop class of the explored words, with audits.
 
-    The strictness audit reads each critical branching: ok when its cell
-    is strict, a violation when it is not, and unverified, naming the word
-    and the option, when a word its closure may need is not complete
-    (closure_cut) and the closure found is not strict or none is.  Such a
-    branching with no closure gets no cell; one with none where every
-    word is complete raises SearchExhausted."""
+    A critical branching with no strict closure is unverified in the
+    strictness audit when the budget cut a word its closure may need
+    (closure_cut), and a violation otherwise.  One with no closure gets no
+    cell, and raises SearchExhausted when the budget cut no such word."""
     criticals = critical_branchings(p)
     cells: dict[str, ThreeCell] = {}
     records: list[ConfluenceRecord] = []
@@ -103,8 +97,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
         cut = None if strict else closure_cut(g, cb)
         if cut is not None:
             strictness.add(UNVERIFIED, lambda: (
-                {"branching": i, "error": left_out(g, cut)},
-                cut_option(g, cut)))
+                {"branching": i, "error": cut[0]}, cut[1]))
         if d is None:
             if cut is None:
                 raise SearchExhausted(
@@ -122,7 +115,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
             if cut is None:
                 strictness.add(VIOLATION, lambda: ({"cell": name}, None))
 
-    classes, loops = _loop_audit(g)
+    classes, loops = loop_audit(g)
     loop_classes: dict[tuple, str] = {}
     for j, cls in enumerate(classes):
         name = f"E{j + 1}"
@@ -147,31 +140,30 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
                                 audits, verdict, lab, g)
 
 
-def _loop_audit(g: ReductionGraph) -> tuple[list, Audit]:
+def loop_audit(g: ReductionGraph) -> tuple[list, Audit]:
     """The elementary loop classes of the explored words and the loop
-    audit, which checks each cut of the budget: an explored word it left
-    incomplete, or a seed it refused.
-
-    A cut by --max-states or --max-depth hides the cycles through the
-    words it kept out: it is unverified.  So is a word --max-word-len left
-    incomplete when a cycle touches it, and the classes are then not
-    enumerated (enumerate_elementary_loops would raise); any other cut by
-    --max-word-len keeps out only cycles that leave the words up to the
-    cap, which lie outside the region the run certifies.  The detail
-    ``complete`` is whether every cycle of that region was read."""
-    cut = [(w, g.cut_by(w)) for w in g.vertices if not g.is_complete(w)]
-    audit = Audit(len(cut) + len(g.refused))
+    audit, which checks each word the budget left incomplete and, as one
+    check, the seeds --max-states refused.  A cut by --max-states or
+    --max-depth hides the cycles through the words it kept out, and so
+    does a cut by --max-word-len on a cycle, where enumeration would raise;
+    each is unverified.  Any other cut by --max-word-len keeps out only
+    cycles past the cap.  ``complete`` is whether no check is unverified."""
+    cut = [w for w in g.vertices if not g.is_complete(w)]
+    audit = Audit(len(cut) + bool(g.refused))
     cyclic = set(g.scc_cyclic)
     on_cycle = False
-    for w, option in chain(cut, g.refused.items()):
-        cycle = g.component_of(w) in cyclic
+    for w in cut:
+        option, cycle = g.cut_by(w), g.component_of(w) in cyclic
         on_cycle = on_cycle or cycle
         if option != "--max-word-len" or cycle:
-            audit.add(UNVERIFIED, lambda: (
-                {"word": word_str(w),
-                 "error": ("on a cycle, " if cycle else "")
-                 + ("left incomplete by " if w in g.vertices
-                    else "not explored within ") + option}, option))
+            audit.add(UNVERIFIED, lambda: ({"word": word_str(w), "error": (
+                "on a cycle, " if cycle else "")
+                + f"left incomplete by {option}"}, option))
+    if g.refused:
+        audit.add(UNVERIFIED, lambda: ({
+            "word": word_str(g.first_refused),
+            "error": f"{g.refused} seeds not explored within --max-states"},
+            "--max-states"))
     audit.detail["complete"] = audit.ok
     return ([] if on_cycle else enumerate_elementary_loops(g).classes,
             audit)

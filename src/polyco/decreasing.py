@@ -11,8 +11,7 @@ The search and the audits share two routines: ``_read_pair`` labels one
 completion pair, which ``_strict`` and ``_first_splits`` read as a strict
 or a decreasing diagram, and ``_context_audit`` is the one loop over
 contexts, in which each audit is a predicate on a whiskered item.  Every
-audit reports an ``Audit``: ok, violation or unverified, and a check that
-missing data left open is unverified, naming the option behind it.
+audit reports an ``Audit``.
 """
 
 from __future__ import annotations
@@ -186,14 +185,10 @@ OK, VIOLATION, UNVERIFIED = "ok", "violation", "unverified"
 
 @dataclass
 class Audit:
-    """One audit's result, in the shape every audit reports.  ``counts``
-    holds how many of the ``checked`` checks read a violation (a check
-    that fails where every word it needs is complete) or unverified (one
-    that missing data left open: a word the budget cut, or a missing
-    label), and ``firsts`` the first (witness, option) of each: the witness
-    in JSON form, and the option that governs an unverified one.
-    ``detail`` holds the audit's own keys.  Its length is the number
-    checked."""
+    """One audit's result.  Of the ``checked`` checks, ``counts`` holds how
+    many read a violation or unverified (missing data left them open), and
+    ``firsts`` the first (witness in JSON form, governing option) of each.
+    ``detail`` holds the audit's own keys."""
 
     checked: int = 0
     detail: dict = field(default_factory=dict)
@@ -229,68 +224,49 @@ class Audit:
 
 def audit_status(audits) -> str:
     """The fold of audits' counts: violation when a check reads it, else
-    unverified when one does, else ok.  It gives a completion's verdict
-    and the exit code of check-decreasing."""
+    unverified when one does, else ok."""
     total = sum((a.counts for a in audits), Counter())
     return next((s for s in (VIOLATION, UNVERIFIED) if total[s]), OK)
 
 
-def cut_option(g: ReductionGraph, u: Word) -> str | None:
-    """The budget option that left the word u incomplete (cut_by), or out
-    of the explored words: too long, or past the state cap; None when no
-    cap did."""
-    if u in g.vertices:
-        return g.cut_by(u)
-    if len(u) > g.budget.max_word_len:
-        return "--max-word-len"
-    return "--max-states" if len(g.vertices) >= g.budget.max_states else None
-
-
-def left_out(g: ReductionGraph, u: Word) -> str | None:
+def left_out(g: ReductionGraph, u: Word) -> tuple[str, str | None] | None:
     """Why the budget left the word u out of the explored words, or left it
-    incomplete, naming the option (cut_option); None when u is complete."""
+    incomplete, and the option behind it; None when u is complete."""
     if g.is_complete(u):
         return None
-    option = cut_option(g, u)
     if u in g.vertices:
-        why = f"is left incomplete by {option}"
-    elif option == "--max-word-len":
-        why = "is longer than --max-word-len"
-    else:
-        why = "was not explored" + (" within --max-states" if option else "")
-    return f"{word_str(u)} {why}"
+        option = g.cut_by(u)
+        return f"{word_str(u)} is left incomplete by {option}", option
+    if len(u) > g.budget.max_word_len:
+        return f"{word_str(u)} is longer than --max-word-len", "--max-word-len"
+    option = ("--max-states" if len(g.vertices) >= g.budget.max_states
+              else None)
+    return (f"{word_str(u)} was not explored"
+            + (f" within {option}" if option else "")), option
 
 
-def first_cut(g: ReductionGraph, words) -> Word | None:
-    """The first word the budget left out or incomplete that a search from
-    the words meets, breadth first from each in turn; None when every word
-    they reach is complete."""
-    try:
-        for u in words:
-            g.reachable(u, require_complete=True)
-    except TruncatedRegion as e:
-        return e.word
+def closure_cut(g: ReductionGraph, b: LocalBranching
+                ) -> tuple[str, str | None] | None:
+    """Why a closure of b may be missing (left_out): the budget cut its
+    source, or a word one of its targets reaches; None when it cut none."""
+    for u in ((b.source,) if not g.is_complete(b.source)
+              else (b.first.target, b.second.target)):
+        cut = g.first_cut(u)
+        if cut is not None:
+            return left_out(g, cut)
     return None
 
 
-def closure_cut(g: ReductionGraph, b: LocalBranching) -> Word | None:
-    """The first word a closure of b may need that the budget cut
-    (first_cut): its source, else a word one of its targets reaches.  A
-    closure missing where this is None is missing from the whole graph."""
-    return first_cut(g, (b.source,) if not g.is_complete(b.source)
-                     else (b.first.target, b.second.target))
-
-
-def governing_option(lab: Labelling, g: ReductionGraph, error
-                     ) -> str | None:
-    """The option that governs a check ``error`` left unverified: the one
-    behind the first cut word its word needs (first_cut), else the
-    labelling's own input."""
-    word = getattr(error, "word", None)
-    cut = None if word is None else first_cut(g, (word,))
-    if cut is not None:
-        return cut_option(g, cut)
-    return {QNF: "--qnf-map", TABLE: "--label-table"}.get(lab.kind)
+def governing_option(lab: Labelling, g: ReductionGraph, b: LocalBranching,
+                     error) -> str | None:
+    """The option that governs a check of b that ``error`` left
+    unverified: --label-table for a table's label error, else the one
+    behind the first word a closure of b may need that the budget cut
+    (closure_cut), else --qnf-map under qnf labels."""
+    if lab.kind == TABLE and not isinstance(error, TruncatedRegion):
+        return "--label-table"
+    cut = closure_cut(g, b)
+    return cut[1] if cut else ("--qnf-map" if lab.kind == QNF else None)
 
 
 # ---------------------------------------------------------------------------
@@ -678,36 +654,33 @@ def _choose(order, candidates):
     """Decide a Peiffer branching from the labels of its variants, read in
     order: each candidate is (name, labels), the labels as ``_read_pair``
     orders them or the error that labelling the variant raised.  Returns
-    (variant, strict, splits, attempts, error): the first variant that
-    reads strict, else the first that reads decreasing with its splits
-    (_first_splits), else variant None with the first error read, None
-    when every label read.  The candidates read before the first
-    decreasing one are kept in ``attempts``: their labels, or their
+    (variant, strict, splits, attempts): the first variant that reads
+    strict, else the first that reads decreasing with its splits
+    (_first_splits), else variant None.  The candidates read before the
+    first decreasing one are kept in ``attempts``: their labels, or their
     error."""
     attempts = []
     chosen = None
-    error = None
     for name, labels in candidates:
         if isinstance(labels, Exception):
             if chosen is None:
                 attempts.append({"variant": name, "ok": False,
                                  "error": str(labels)})
-                error = error or labels
             continue
         if _strict(order, labels):
-            return name, True, None, attempts, None
+            return name, True, None, attempts
         if chosen is not None:
             # a later variant may still read strict
             continue
         splits = _first_splits(order, labels)
         if splits is not None:
-            chosen = name, False, splits, attempts, None
+            chosen = name, False, splits, attempts
             continue
         attempts.append({
             "variant": name, "ok": False,
             "labels": {"sides": list(labels[:2]),
                        "completions": [list(labels[2]), list(labels[3])]}})
-    return chosen or (None, False, None, attempts, error)
+    return chosen or (None, False, None, attempts)
 
 
 @cache
@@ -794,7 +767,7 @@ def decide_peiffer(lab: Labelling, g: ReductionGraph, p: Polygraph,
     each (_PeifferMemo.decide), and no variant's paths are built; the
     report builds the chosen one's when they are read."""
     swap, f, h = _oriented(b)
-    [(variant, strict, splits, attempts, _)] = _PeifferMemo(lab, g, p).decide(
+    [(variant, strict, splits, attempts)] = _PeifferMemo(lab, g, p).decide(
         b.source, [f, h], [(0, 1)], swap)
     return PeifferReport(b, "UNDECIDED" if variant is None else "PASS",
                          variant, strict, list(attempts), p, splits)
@@ -804,18 +777,11 @@ def check_peiffer_decreasing(lab: Labelling, g: ReductionGraph,
                              p: Polygraph, len_bound: int = PEIFFER_LEN_BOUND
                              ) -> Audit:
     """Audit every Peiffer branching on words up to the length bound, in the
-    order of local_branchings, each decided as decide_peiffer decides it:
-    ok when it PASSes with the Peiffer confluence or one of its
-    reverse-rule rotations (the rotations are equivalent to the square
-    through loop contractions).  An UNDECIDED one is a violation when every
-    label its variants read was read, and unverified otherwise, governed by
-    the option behind its first label error (governing_option).
-
-    The detail tallies the PASS branchings by chosen variant
-    (``variants``).  A witness gives the branching's source and two steps,
-    and the variant its first attempt read with the labels it read, or,
-    when unverified, the first variant whose labels failed with the
-    error.
+    order of local_branchings: ok when the Peiffer confluence or one of
+    its reverse-rule rotations is decreasing (the rotations are equivalent
+    to the square through loop contractions), else a violation, or
+    unverified when a label failed to read; each decided as decide_peiffer
+    decides it.  The detail tallies the passes by variant (``variants``).
 
     Under a whisker-stable labelling (Labelling.whisker_stable) it checks
     nothing and passes, stating the lemma (``lemma``): each completion of
@@ -834,10 +800,9 @@ def _peiffer_audit(lab: Labelling, g: ReductionGraph, p: Polygraph,
     of its prefix ``u[:-1]`` (redexes), kept for this call for the words
     shorter than the bound, and paired when disjoint: no step is built for
     a square, and the graph stores no step row for the word.  A PASS
-    branching is only tallied, by its variant; the steps of the first
-    violation and of the first unverified one are built for their
-    witnesses, and the others are counted.  Squares with the same step
-    order, reverse rules and labels are decided once per call."""
+    branching is only tallied, by its variant; only the first square of
+    each status builds its steps, for its witness.  Squares with the same
+    step order, reverse rules and labels are decided once per call."""
     memo = _PeifferMemo(lab, g, p)
     variants: Counter = Counter()
     audit = Audit(detail={"variants": variants})
@@ -854,10 +819,11 @@ def _peiffer_audit(lab: Labelling, g: ReductionGraph, p: Polygraph,
             continue
         audit.checked += len(pairs)
         for (i, j), decision in zip(pairs, memo.decide(u, found, pairs)):
-            variant, _, _, attempts, error = decision
+            variant, _, _, attempts = decision
             if variant is not None:
                 variants[variant] += 1
                 continue
+            error = next((a["error"] for a in attempts if "error" in a), None)
             audit.add(VIOLATION if error is None else UNVERIFIED,
                       lambda: _square_witness(lab, g, u, found[i], found[j],
                                               attempts, error))
@@ -867,16 +833,16 @@ def _peiffer_audit(lab: Labelling, g: ReductionGraph, p: Polygraph,
 def _square_witness(lab: Labelling, g: ReductionGraph, u: Word, f: tuple,
                     h: tuple, attempts: list, error) -> tuple[dict, str]:
     """The (witness, option) of an UNDECIDED Peiffer square at u of the
-    redexes f left of h, from the attempts and first error of _choose."""
+    redexes f left of h, from the attempts of _choose and the first error
+    they read."""
     (fp, fe, f_rule), (hp, he, h_rule) = f, h
+    b = LocalBranching(RewriteStep(u[:fp], f_rule, u[fe:]),
+                       RewriteStep(u[:hp], h_rule, u[he:]))
     read = next(a for a in attempts if error is None or "error" in a)
-    return ({"source": word_str(u),
-             "first": str(RewriteStep(u[:fp], f_rule, u[fe:])),
-             "second": str(RewriteStep(u[:hp], h_rule, u[he:])),
-             "variant": read["variant"],
-             **(read["labels"] if error is None
-                else {"error": read["error"]})},
-            error and governing_option(lab, g, error))
+    return ({"source": word_str(u), "first": str(b.first),
+             "second": str(b.second), "variant": read["variant"],
+             **(read["labels"] if error is None else {"error": error})},
+            error and governing_option(lab, g, b, error))
 
 
 # ---------------------------------------------------------------------------
@@ -896,27 +862,26 @@ def contexts_up_to(p: Polygraph, bound: int):
 
 def _context_audit(lab: Labelling, g: ReductionGraph, items,
                    ctx_bound: int, fails) -> Audit:
-    """Run ``fails(item, u1, u2)`` for each (head, item) of ``items`` in
-    every context up to the bound.  A context where it returns True is a
-    violation, and one where it raises LabellingError or TruncatedRegion
-    is unverified, governed by the option behind the error
-    (governing_option).  A witness is ``head`` with the context, as two
-    words, and the error of an unverified one; every violation is listed
-    in the detail ``violations``, and under a whisker-stable labelling the
-    detail states the lemma (``lemma``)."""
+    """Run ``fails(wb, item, u1, u2)`` for each (head, b, item) of ``items``
+    in every context (u1, u2) up to the bound, wb being b whiskered by it.
+    A context where it returns True is a violation, listed in the detail
+    ``violations``; one where it raises LabellingError or TruncatedRegion
+    is unverified (governing_option).  A witness is ``head`` with the
+    context, and the error of an unverified one."""
     violations: list[dict] = []
-    audit = Audit(detail={"violations": violations})
-    if lab.whisker_stable:
-        audit.detail["lemma"] = CONTEXT_LEMMA
-    for head, item in items:
+    audit = Audit(detail={"violations": violations, **(
+        {"lemma": CONTEXT_LEMMA} if lab.whisker_stable else {})})
+    for head, b, item in items:
         for u1, u2 in contexts_up_to(g.polygraph, ctx_bound):
             audit.checked += 1
+            wb = LocalBranching(b.first.whisker(u1, u2),
+                                b.second.whisker(u1, u2))
             record = {**head, "context": [word_str(u1), word_str(u2)]}
             try:
-                failed = fails(item, u1, u2)
+                failed = fails(wb, item, u1, u2)
             except (LabellingError, TruncatedRegion) as e:
                 audit.add(UNVERIFIED, lambda: ({**record, "error": str(e)},
-                                               governing_option(lab, g, e)))
+                                               governing_option(lab, g, wb, e)))
                 continue
             if failed:
                 violations.append(record)
@@ -940,16 +905,14 @@ def _compatibility(lab: Labelling, g: ReductionGraph, diagrams,
                    ctx_bound: int) -> Audit:
     """check_context_compatibility's enumeration, under any labelling."""
 
-    def fails(item, u1, u2):
-        local, c1, c2 = item
-        wb = LocalBranching(local.first.whisker(u1, u2),
-                            local.second.whisker(u1, u2))
+    def fails(wb, completions, u1, u2):
+        c1, c2 = completions
         labels = _read_pair(lab, g, wb, c1.whisker(u1, u2),
                             c2.whisker(u1, u2))
         # a strict reading has a split too, (0, 0) on each side
         return labels is None or not _first_splits(lab.order, labels)
 
-    items = (({"diagram": idx}, (d.branching, *d.completions))
+    items = (({"diagram": idx}, d.branching, d.completions)
              for idx, d in enumerate(diagrams))
     return _context_audit(lab, g, items, ctx_bound, fails)
 
@@ -969,10 +932,8 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
     a whiskered strict closure is strict.
 
     A whiskered branching with no strict closure is unverified, not a
-    violation, when a word its closure may need is not complete
-    (closure_cut): its source, or a word one of its targets reaches.  The
-    budget may have left out the closure, and the error names the word and
-    the option that cut it."""
+    violation, when the budget cut a word its closure may need
+    (closure_cut)."""
     return _closability(lab, g, branchings,
                         0 if lab.whisker_stable else ctx_bound)
 
@@ -981,17 +942,16 @@ def _closability(lab: Labelling, g: ReductionGraph, branchings,
                  ctx_bound: int) -> Audit:
     """check_context_closability's enumeration, under any labelling."""
 
-    def fails(local, u1, u2):
-        wb = LocalBranching(local.first.whisker(u1, u2),
-                            local.second.whisker(u1, u2))
+    def fails(wb, _, u1, u2):
         if find_decreasing(lab, g, wb, strict=True) is not None:
             return False
         cut = closure_cut(g, wb)
         if cut is not None:
-            raise TruncatedRegion(left_out(g, cut), cut)
+            raise TruncatedRegion(cut[0])
         return True
 
-    items = (({"branching": idx}, b) for idx, b in enumerate(branchings))
+    items = (({"branching": idx}, b, None)
+             for idx, b in enumerate(branchings))
     return _context_audit(lab, g, items, ctx_bound, fails)
 
 

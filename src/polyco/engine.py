@@ -17,12 +17,7 @@ from .core import Polygraph, Rule, Word, word_str
 
 
 class TruncatedRegion(Exception):
-    """The query needs vertices or edges beyond the explored region;
-    ``word``, when given, is the word the budget left out or incomplete."""
-
-    def __init__(self, message: str = "", word: Word | None = None):
-        super().__init__(message)
-        self.word = word
+    """The query needs vertices or edges beyond the explored region."""
 
 
 class Unreachable(Exception):
@@ -383,8 +378,9 @@ class ReductionGraph:
     (``vertices`` maps each word to its id); edges are forward steps.  A
     vertex is complete (``is_complete``) when every step out of it was
     kept; budget refusals mark the vertex incomplete, record the option
-    behind them (``cut_by``) and set the truncated flag.  A seed the
-    budget refused is kept in ``refused`` with its option.
+    behind them (``cut_by``) and set the truncated flag.  ``refused``
+    counts the seeds --max-states refused, the first of them
+    ``first_refused``.
 
     Exploration walks one depth level after the other, each in id order.
     It reads a word's redexes off those of its prefix ``u[:-1]`` (redexes)
@@ -428,7 +424,8 @@ class ReductionGraph:
         self.vertices: dict[Word, int] = {}
         self.out = _StepRows(polygraph, self.vertices)
         self.truncated = False
-        self.refused: dict[Word, str] = {}
+        self.refused = 0
+        self.first_refused: Word | None = None
         self.scc_sinks: set[int] = set()
         self.scc_cyclic: list[int] = []
         self._succ: list[tuple[int, ...]] = []
@@ -457,8 +454,10 @@ class ReductionGraph:
             if w in ids:
                 continue
             if len(w) > max_len or len(ids) >= max_states:
-                self.refused[w] = ("--max-word-len" if len(w) > max_len
-                                   else "--max-states")
+                if len(w) <= max_len:
+                    if not self.refused:
+                        self.first_refused = w
+                    self.refused += 1
                 self.truncated = True
                 continue
             ids[w] = len(ids)
@@ -645,16 +644,26 @@ class ReductionGraph:
         from u, in breadth-first order."""
         i = self.vertices.get(u)
         if i is None:
-            raise TruncatedRegion(f"{word_str(u)} was not explored", u)
+            raise TruncatedRegion(f"{word_str(u)} was not explored")
         succ, cut = self._succ, self._cut if require_complete else ()
 
         def row(v):
             if v in cut:
-                w = self._words[v]
-                raise TruncatedRegion(
-                    f"{word_str(w)} is incomplete in the explored graph", w)
+                raise TruncatedRegion(f"{word_str(self._words[v])} is "
+                                      f"incomplete in the explored graph")
             return succ[v]
         return _breadth_first(i, row)
+
+    def first_cut(self, u: Word) -> Word | None:
+        """The first word that a breadth-first search from u meets and the
+        budget left out or incomplete; None when every word u reaches is
+        complete."""
+        i = self.vertices.get(u)
+        if i is None:
+            return u
+        succ, cut = self._succ, self._cut
+        reach = _breadth_first(i, lambda v: () if v in cut else succ[v])
+        return next((self._words[v] for v in reach if v in cut), None)
 
     def reachable(self, u: Word, require_complete: bool = False
                   ) -> dict[Word, int]:

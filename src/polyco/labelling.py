@@ -37,12 +37,7 @@ class NotQuasiNormalForm(LabellingError):
 
 
 class MissingLabel(LabellingError):
-    """A step the labelling gives no label; ``word`` is the target that a
-    qnf labelling has no quasi-normal form for, None for a table's step."""
-
-    def __init__(self, message: str, word: Word | None = None):
-        super().__init__(message)
-        self.word = word
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +175,7 @@ def label_target(lab: Labelling, g: ReductionGraph, t: Word):
     if lab.kind == QNF:
         if lab.qnf_map is None or t not in lab.qnf_map:
             raise MissingLabel(
-                f"no quasi-normal form chosen for {word_str(t)}", t)
+                f"no quasi-normal form chosen for {word_str(t)}")
         qn = lab.qnf_map[t]
         if g.component_of(qn) not in g.scc_sinks:
             raise NotQuasiNormalForm(

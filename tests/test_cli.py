@@ -87,6 +87,20 @@ def test_analyze_truncated_budget_is_inconclusive(braid_file, capsys):
     assert code == 3
 
 
+def test_analyze_reads_the_loops_of_a_state_cut_graph_as_incomplete(
+        braid_file, capsys):
+    """analyze reads the loop audit: braid 8 cut at 10 states, none of its
+    words complete, has no loop count and its loops are incomplete."""
+    argv = ["analyze", braid_file, "--max-word-len", "8", "--max-states", "10"]
+    assert main(argv + ["--format", "json"]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert (data["elementary_loop_classes"], data["loops_complete"]) == (
+        None, False)
+    assert main(argv) == 3
+    assert "elementary loop classes: None (incomplete)" in \
+        capsys.readouterr().out.splitlines()
+
+
 def test_complete_certifies_braid(braid_file, capsys):
     code = main(["complete", braid_file, "--format", "json"])
     assert code == 0
@@ -296,18 +310,19 @@ def test_failed_context_audit_text_names_its_first_witness(braid_file,
 def test_loop_audit_names_the_budget_option_it_hit(braid_file, capsys):
     """A word the state cap left incomplete hides the cycles through the
     words it kept out: the loop audit is unverified and names the word
-    and the option, in text and in JSON."""
+    and the option, in text and in JSON.  It checks each of the 25 cut
+    words, and the 23 seeds the cap refused as one check."""
     argv = ["complete", braid_file, "--max-word-len", "8",
             "--max-states", "120"]
     assert main(argv) == 3
-    assert ("audit loops: UNVERIFIED under --max-states: 48 unverified of "
-            "48; witness: word t s t s t s: on a cycle, left incomplete by "
+    assert ("audit loops: UNVERIFIED under --max-states: 26 unverified of "
+            "26; witness: word t s t s t s: on a cycle, left incomplete by "
             "--max-states") in capsys.readouterr().out.splitlines()
     assert main(argv + ["--format", "json"]) == 3
     loops = json.loads(capsys.readouterr().out)["audits"]["loops"]
     assert loops == {
-        "status": "unverified", "ok": False, "checked": 48,
-        "counts": {"ok": 0, "violation": 0, "unverified": 48},
+        "status": "unverified", "ok": False, "checked": 26,
+        "counts": {"ok": 0, "violation": 0, "unverified": 26},
         "witness": {"word": "t s t s t s",
                     "error": "on a cycle, left incomplete by --max-states"},
         "option": "--max-states", "complete": False}
@@ -428,6 +443,11 @@ def test_a_state_cap_that_cut_the_loop_audit_is_named(tmp_path, capsys,
     loops = json.loads(capsys.readouterr().out)["audits"]["loops"]
     assert (loops["status"], loops["option"], loops["complete"]) == (
         "unverified", "--max-states", False)
+    if text == CTXCYC:
+        # the refused seeds are one check, witnessed by the first of them
+        assert (loops["checked"], loops["witness"]) == (1, {
+            "word": "x x y y",
+            "error": "5361 seeds not explored within --max-states"})
 
 
 def test_complete_and_check_decreasing_state_their_region(braid_file,

@@ -1242,9 +1242,9 @@ def test_lazily_built_peiffer_diagrams_pass_their_checks(peiffer_audit):
     ids=["convergent_braid-6-nf", "convergent_braid-6-qnf", "no_fdt-5"])
 def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
                                                         length, label):
-    """The audit builds the two steps of the first UNDECIDED Peiffer square
-    of each status for its witness, and no branching or report, and it
-    stores no step row in the graph."""
+    """The audit builds the two steps and the branching of the first
+    UNDECIDED Peiffer square of each status for its witness, and no report,
+    and it stores no step row in the graph."""
     p, g, lab, bound = _audited(system(), length, label=label)
     enumerate_squares = (_peiffer_audit if label == "nf"
                          else check_peiffer_decreasing)
@@ -1259,9 +1259,11 @@ def test_peiffer_audit_builds_nothing_for_a_pass_square(monkeypatch, system,
     audit = enumerate_squares(lab, g, p, bound)
     n = sum(audit.counts.values())
     assert audit.checked > n and (n > 0) == (system is no_fdt)
-    # the first UNDECIDED square of each status only has its steps built
+    # the first UNDECIDED square of each status only has its steps and
+    # branching built
     k = len(audit.counts)
-    assert built == Counter({"RewriteStep": 2 * k} if k else {})
+    assert built == Counter({"RewriteStep": 2 * k, "LocalBranching": k}
+                            if k else {})
     assert set(dict.keys(g.out)) == rows
 
 
