@@ -880,8 +880,9 @@ def _context_audit(lab: Labelling, g: ReductionGraph, items,
             try:
                 failed = fails(wb, item, u1, u2)
             except (LabellingError, TruncatedRegion) as e:
-                audit.add(UNVERIFIED, lambda: ({**record, "error": str(e)},
-                                               governing_option(lab, g, wb, e)))
+                audit.add(UNVERIFIED, lambda: (
+                    {**record, "error": str(e)},
+                    governing_option(lab, g, wb, e)))
                 continue
             if failed:
                 violations.append(record)

@@ -160,9 +160,9 @@ def test_context_closability_reads_truncation_as_unverified(braid_p):
     """A whiskered critical branching with no strict closure is a violation
     only where every word its closure may need is complete (closure_cut);
     elsewhere it is unverified, and its error names the first such word
-    and the option that cut it (left_out).  Braid's whiskered criticals all close
-    strictly in a complete region, so under a state cap each one left open
-    meets a cut word: at its source, or past it."""
+    and the option that cut it (left_out).  Braid's whiskered criticals
+    all close strictly in a complete region, so under a state cap each one
+    left open meets a cut word: at its source, or past it."""
     g = explore(braid_p, all_words(braid_p, 7), ExplorationBudget(7, 200))
     crits = critical_branchings(braid_p)
     lab = Labelling.qnf(derived_qnf_map(g))
