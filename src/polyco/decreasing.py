@@ -8,10 +8,15 @@ label of h1, h2 sits below one of the two.  A strict diagram only has
 f' and g', each label strictly below everything on the other side.
 
 The search and the audits share two routines: ``_read_pair`` labels one
-completion pair, which ``_strict`` and ``_first_splits`` read as a strict
-or a decreasing diagram, and ``_context_audit`` is the one loop over
-contexts, in which each audit is a predicate on a whiskered item.  Every
-audit reports an ``Audit``.
+completion pair, whiskered by a context without building it when asked,
+which ``_strict`` and ``_first_splits`` read as a strict or a decreasing
+diagram, and ``_context_audit`` is the one loop over contexts, in which
+each audit is a predicate on an unwhiskered item and a context.  Under qnf
+labels the context audit of ``complete`` rests on the qnf geodesic lemma
+(``_qnf_closes``): a branching whose two targets are mapped to one
+quasi-normal form, as is every word on their geodesics to it (the
+premise, which a derived map meets), closes strictly by those geodesics,
+however long.  Every audit reports an ``Audit``.
 """
 
 from __future__ import annotations
@@ -383,16 +388,27 @@ def _first_split(labels, top, other, order):
     return None
 
 
-def _read_pair(lab, g, b: LocalBranching, c1: Path, c2: Path):
-    """psi(f), psi(h) and the labels of c1 and c2, labelled in this order,
-    the order in which check_strict labels them; None when the pair does
-    not close the branching: c1 continues f, c2 continues h and both end
-    on one word.  Raises what labelling the steps raises."""
+def _read_pair(lab, g, b: LocalBranching, c1: Path, c2: Path,
+               u1: Word = (), u2: Word = ()):
+    """psi(f), psi(h) and the labels of c1 and c2, each whiskered by the
+    context (u1, u2), labelled in this order, the order in which
+    check_strict labels them; None when the pair does not close the
+    branching: c1 continues f, c2 continues h and both end on one word.
+    Each step is labelled as label_step labels it whiskered, from its key
+    under a table and else from its target, without building it.  Raises
+    what labelling the steps raises."""
     if (c1.source != b.first.target or c2.source != b.second.target
             or c1.target != c2.target):
         return None
-    return (label_step(lab, g, b.first), label_step(lab, g, b.second),
-            label_path(lab, g, c1), label_path(lab, g, c2))
+    if lab.kind == TABLE:
+        def label(s):
+            return label_key(lab, (u1 + s.left, s.rule.name, s.right + u2))
+    else:
+        def label(s):
+            return label_target(lab, g, u1 + (s.target if s.forward
+                                              else s.source) + u2)
+    return (label(b.first), label(b.second), tuple(map(label, c1.steps)),
+            tuple(map(label, c2.steps)))
 
 
 def _first_splits(order, labels):
@@ -452,7 +468,12 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
     first (geodesics to the chosen quasi-normal form, or normalization for
     the normal-form labelling), then, unless ``strict``, general decreasing
     shapes over bounded completion pairs.  Returns None when the bounded
-    search finds nothing."""
+    search finds nothing.  A strict candidate longer than ``depth`` is
+    skipped, although under qnf labels the first one reads strict at any
+    length when the premise of the qnf geodesic lemma holds (_qnf_closes):
+    the context audit of ``complete`` decides those branchings from labels
+    and not here, but the confluence cells and ``check-decreasing`` still
+    meet the depth."""
     if b.kind == ASPHERICAL:
         return StrictDiagram(b, Path(b.first.target), Path(b.second.target))
     tf, tg = b.first.target, b.second.target
@@ -860,33 +881,44 @@ def contexts_up_to(p: Polygraph, bound: int):
                     yield u1, u2
 
 
+def _whiskered(b: LocalBranching, u1: Word, u2: Word) -> LocalBranching:
+    return LocalBranching(b.first.whisker(u1, u2), b.second.whisker(u1, u2))
+
+
 def _context_audit(lab: Labelling, g: ReductionGraph, items,
                    ctx_bound: int, fails) -> Audit:
-    """Run ``fails(wb, item, u1, u2)`` for each (head, b, item) of ``items``
-    in every context (u1, u2) up to the bound, wb being b whiskered by it.
-    A context where it returns True is a violation, listed in the detail
-    ``violations``; one where it raises LabellingError or TruncatedRegion
-    is unverified (governing_option).  A witness is ``head`` with the
-    context, and the error of an unverified one."""
+    """Run ``fails(b, item, u1, u2)``, whether b whiskered by the context
+    (u1, u2) fails, for each (head, b, item) of ``items`` in every context
+    up to the bound.  A context where it returns True is a violation,
+    listed in the detail ``violations``; one where it raises LabellingError
+    or TruncatedRegion is unverified (governing_option).  A witness is
+    ``head`` with the context, and the error of an unverified one; only a
+    witness builds its record and whiskered branching.  Under qnf labels
+    the closability predicate reads only labels and words where the qnf
+    geodesic lemma applies (_qnf_closes: both targets, and every word on
+    their geodesics to the chosen quasi-normal form, mapped to that form),
+    so a context that passes there builds no step or path."""
     violations: list[dict] = []
     audit = Audit(detail={"violations": violations, **(
         {"lemma": CONTEXT_LEMMA} if lab.whisker_stable else {})})
+    contexts = list(contexts_up_to(g.polygraph, ctx_bound))
+
+    def record(head, u1, u2):
+        return {**head, "context": [word_str(u1), word_str(u2)]}
+
     for head, b, item in items:
-        for u1, u2 in contexts_up_to(g.polygraph, ctx_bound):
-            audit.checked += 1
-            wb = LocalBranching(b.first.whisker(u1, u2),
-                                b.second.whisker(u1, u2))
-            record = {**head, "context": [word_str(u1), word_str(u2)]}
+        audit.checked += len(contexts)
+        for u1, u2 in contexts:
             try:
-                failed = fails(wb, item, u1, u2)
+                failed = fails(b, item, u1, u2)
             except (LabellingError, TruncatedRegion) as e:
                 audit.add(UNVERIFIED, lambda: (
-                    {**record, "error": str(e)},
-                    governing_option(lab, g, wb, e)))
+                    {**record(head, u1, u2), "error": str(e)},
+                    governing_option(lab, g, _whiskered(b, u1, u2), e)))
                 continue
             if failed:
-                violations.append(record)
-                audit.add(VIOLATION, lambda: (record, None))
+                violations.append(record(head, u1, u2))
+                audit.add(VIOLATION, lambda: (violations[-1], None))
     return audit
 
 
@@ -904,12 +936,11 @@ def check_context_compatibility(lab: Labelling, g: ReductionGraph,
 
 def _compatibility(lab: Labelling, g: ReductionGraph, diagrams,
                    ctx_bound: int) -> Audit:
-    """check_context_compatibility's enumeration, under any labelling."""
+    """check_context_compatibility's enumeration, under any labelling.  It
+    labels the completions whiskered without building them (_read_pair)."""
 
-    def fails(wb, completions, u1, u2):
-        c1, c2 = completions
-        labels = _read_pair(lab, g, wb, c1.whisker(u1, u2),
-                            c2.whisker(u1, u2))
+    def fails(b, completions, u1, u2):
+        labels = _read_pair(lab, g, b, *completions, u1, u2)
         # a strict reading has a split too, (0, 0) on each side
         return labels is None or not _first_splits(lab.order, labels)
 
@@ -932,6 +963,13 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
     labelling (Labelling.whisker_stable) it reads the empty context only:
     a whiskered strict closure is strict.
 
+    Under qnf labels a whiskered branching whose two targets are mapped to
+    one quasi-normal form, as is every word on their geodesics to it,
+    closes strictly by those geodesics at any length (the qnf geodesic
+    lemma, _qnf_closes), and is decided from labels.  The derived map
+    meets this premise; a --qnf-map file may not.  Every other whiskered
+    branching is searched (find_decreasing, strict).
+
     A whiskered branching with no strict closure is unverified, not a
     violation, when the budget cut a word its closure may need
     (closure_cut)."""
@@ -942,8 +980,13 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
 def _closability(lab: Labelling, g: ReductionGraph, branchings,
                  ctx_bound: int) -> Audit:
     """check_context_closability's enumeration, under any labelling."""
+    mapped: dict[Word, bool] = {}
 
-    def fails(wb, _, u1, u2):
+    def fails(b, _, u1, u2):
+        if lab.kind == QNF and _qnf_closes(lab, g, u1 + b.first.target + u2,
+                                           u1 + b.second.target + u2, mapped):
+            return False
+        wb = _whiskered(b, u1, u2)
         if find_decreasing(lab, g, wb, strict=True) is not None:
             return False
         cut = closure_cut(g, wb)
@@ -954,6 +997,60 @@ def _closability(lab: Labelling, g: ReductionGraph, branchings,
     items = (({"branching": idx}, b, None)
              for idx, b in enumerate(branchings))
     return _context_audit(lab, g, items, ctx_bound, fails)
+
+
+def _qnf_closes(lab: Labelling, g: ReductionGraph, tf: Word, tg: Word,
+                mapped: dict) -> bool:
+    """Whether a branching with targets tf and tg closes strictly by their
+    geodesics to the chosen quasi-normal form hat of tf, read from labels;
+    False when a label does not read, tg is mapped to another form or the
+    premise fails.
+
+    The qnf geodesic lemma: a qnf label is its step target's distance to
+    the target's chosen quasi-normal form.  When tf and tg are mapped to
+    hat, as is every word on g.geodesic(tf, hat) and g.geodesic(tg, hat)
+    (the premise), the labels along each geodesic fall by one per step
+    down to 0, below psi(f) = d(tf, hat) and psi(h) = d(tg, hat): the pair
+    reads strict at any length.  A derived map (derived_qnf_map) meets the
+    premise: a word reached from a settled word is settled, and its
+    quasi-normal forms are among those of the settled word, so a word on
+    the way to hat has hat as its least one too.  A map read from a file
+    may not, so the geodesics' words are read (_geodesic_mapped)."""
+    try:
+        psi_f, psi_h = label_target(lab, g, tf), label_target(lab, g, tg)
+    except (LabellingError, TruncatedRegion):
+        return False
+    qm = lab.qnf_map
+    return (qm[tf] == qm[tg] and _geodesic_mapped(g, qm, tf, psi_f, mapped)
+            and _geodesic_mapped(g, qm, tg, psi_h, mapped))
+
+
+def _geodesic_mapped(g: ReductionGraph, qm: dict, w: Word, d: int,
+                     mapped: dict) -> bool:
+    """Whether every word of g.geodesic(w, qm[w]) is mapped to qm[w], for a
+    word w at distance d from it.  The geodesic's words are read as it
+    takes them, the first successor of each word one step closer, off the
+    redexes of ReductionGraph.successor_row and without building a step;
+    ``mapped`` keeps the answer of each word walked."""
+    hat, walked = qm[w], []
+    while d and w not in mapped:
+        walked.append(w)
+        d -= 1
+        w = next(t for t in (w[:pos] + rule.rhs + w[end:]
+                             for pos, end, rule in g.successor_row(w)[0])
+                 if _distance(g, t, hat) == d)
+        if qm.get(w) != hat:
+            break
+    ok = qm.get(w) == hat and mapped.get(w, True)
+    mapped.update(dict.fromkeys(walked, ok))
+    return ok
+
+
+def _distance(g: ReductionGraph, u: Word, v: Word) -> int | None:
+    try:
+        return g.distance(u, v)
+    except Unreachable:
+        return None
 
 
 # ---------------------------------------------------------------------------

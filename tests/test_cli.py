@@ -508,6 +508,28 @@ def test_certified_stays_certified_at_a_longer_cap(complete_at, system, n,
     assert code == 0 or any(cap in text for cap in CAPS), text
 
 
+def test_a_strict_closure_past_the_search_depth_certifies_a3(tmp_path,
+                                                            capsys):
+    """At --ctx-bound 3 the whiskered critical branchings of A3 include
+    branching 12 in context (c c b, 1), whose targets lie 9 steps from
+    their chosen quasi-normal form: its geodesics close it strictly, past
+    the 8 steps that find_decreasing searches, and the run is CERTIFIED
+    with the homology of the braid group B4."""
+    poly, cells = tmp_path / "A3.poly", tmp_path / "cells.txt"
+    poly.write_text(A3)
+    code = main(["complete", str(poly), "--max-word-len", "8",
+                 "--ctx-bound", "3", "--peiffer-len-bound", "7",
+                 "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert (code, data["verdict"]) == (0, "CERTIFIED")
+    assert data["audits"]["context"]["checked"] == 2272
+    cells.write_text("".join(f"cell {name} : {c['source']} => "
+                             f"{c['target']}\n"
+                             for name, c in data["cells"].items()))
+    assert main(["homology", str(poly), "--cells", str(cells)]) == 0
+    assert "H2 = Z/2" in capsys.readouterr().out.splitlines()
+
+
 @pytest.fixture(scope="module")
 def complete_json(tmp_path_factory):
     """The exit code and JSON of ``complete`` on a presentation of

@@ -9,13 +9,13 @@ from polyco.core import all_words
 from polyco.core import word_str
 from polyco.decreasing import (PEIFFER_LEMMA, DecreasingDiagram,
                                _closability, _compatibility, _peiffer_audit,
-                               check_context_closability,
+                               audit_seeds, check_context_closability,
                                check_context_compatibility,
                                check_decreasing, check_peiffer_decreasing,
                                check_strict, closure_cut, contexts_up_to,
                                decide_peiffer, find_decreasing, left_out,
                                peiffer_variants, StrictDiagram)
-from polyco.engine import ExplorationBudget, explore
+from polyco.engine import ExplorationBudget, ReductionGraph, explore
 from polyco.fixtures import braid, braid_qnf_map, convergent_braid
 from polyco.labelling import (FinitePosetOrder, Labelling, NaturalsOrder,
                               derived_qnf_map, label_path, step_key)
@@ -154,6 +154,24 @@ def test_braid_criticals_stay_closable_in_context(braid_p, braid_g,
                                     ctx_bound=2)
     assert rep.ok, rep.witness
     assert rep.checked > len(critical_branchings(braid_p))
+
+
+def test_context_closability_builds_no_geodesic_or_step_row(monkeypatch):
+    """Under the derived map every whiskered critical branching of braid 8
+    closes by the qnf geodesic lemma, decided from labels: the audit asks
+    for no geodesic and stores no step row in the graph."""
+    p = braid()
+    crits = critical_branchings(p)
+    g = explore(p, audit_seeds(p, crits, 8, 2, 6), ExplorationBudget(8))
+    lab = Labelling.qnf(derived_qnf_map(g))
+    calls = []
+    geodesic = ReductionGraph.geodesic
+    monkeypatch.setattr(ReductionGraph, "geodesic", lambda self, u, v: (
+        calls.append((u, v)) or geodesic(self, u, v)))
+    rows = set(dict.keys(g.out))
+    audit = check_context_closability(lab, g, crits, ctx_bound=2)
+    assert audit.ok and audit.checked == 68
+    assert calls == [] and set(dict.keys(g.out)) == rows
 
 
 def test_context_closability_reads_truncation_as_unverified(braid_p):

@@ -16,13 +16,16 @@ from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
 from polyco import cli
 from polyco.core import (Polygraph, Rule, all_words, parse_polygraph,
                          serialize_polygraph, word_str)
-from polyco.decreasing import (DecreasingDiagram, PeifferReport,
-                               StrictDiagram, _cut, _first_splits,
-                               _greedy_normalize, _paths_from, _peiffer_audit,
-                               _read_pair, _strict,
+from polyco.decreasing import (UNVERIFIED, VIOLATION, Audit,
+                               DecreasingDiagram, PeifferReport,
+                               StrictDiagram, _closability, _compatibility,
+                               _cut, _first_splits, _greedy_normalize,
+                               _paths_from, _peiffer_audit, _qnf_closes,
+                               _read_pair, _strict, audit_seeds,
                                check_decreasing, check_peiffer_decreasing,
-                               check_strict, decide_peiffer,
-                               peiffer_variants)
+                               check_strict, closure_cut, contexts_up_to,
+                               decide_peiffer, find_decreasing,
+                               governing_option, peiffer_variants)
 from polyco.completion import _overlap_closure, _peiffer_closure
 from polyco.engine import (ExplorationBudget, Path, RewriteStep,
                            ReductionGraph, TruncatedRegion, Unreachable,
@@ -33,7 +36,8 @@ from polyco.fixtures import (BUILTIN, abstract_states, braid,
 from polyco.labelling import (FinitePosetOrder, LabelOrder, Labelling,
                               LabellingError, NaturalsOrder, QNF,
                               ReachabilityOrder, derived_qnf_map, label_path,
-                              label_step, step_key)
+                              label_step, label_target, step_key,
+                              validate_qnf_map)
 from polyco.loops import (_Component, _cyclic_sccs, class_of,
                           enumerate_elementary_loops, split_loop,
                           strip_whiskers, word_sequence)
@@ -1417,3 +1421,179 @@ def test_a3_keeps_its_confluences_audits_and_homology(monkeypatch, tmp_path,
     assert confluences(seeded) == confluences(every)
     assert _homology(tmp_path, "A3", seeded["cells"]) == \
         _homology(tmp_path, "A3", every["cells"])
+
+
+# ---------------------------------------------------------------------------
+# the context audits decided from labels against the audits that build each
+# whiskered branching, whiskered path and record
+
+
+def _reference_context_audit(lab, g, items, ctx_bound, fails):
+    """The loop over contexts that builds, in every context, the whiskered
+    branching wb and the record, then reads ``fails(wb, item, u1, u2)``."""
+    violations = []
+    audit = Audit(detail={"violations": violations})
+    for head, b, item in items:
+        for u1, u2 in contexts_up_to(g.polygraph, ctx_bound):
+            audit.checked += 1
+            wb = LocalBranching(b.first.whisker(u1, u2),
+                                b.second.whisker(u1, u2))
+            record = {**head, "context": [word_str(u1), word_str(u2)]}
+            try:
+                failed = fails(wb, item, u1, u2)
+            except (LabellingError, TruncatedRegion) as e:
+                audit.add(UNVERIFIED, lambda: (
+                    {**record, "error": str(e)},
+                    governing_option(lab, g, wb, e)))
+                continue
+            if failed:
+                violations.append(record)
+                audit.add(VIOLATION, lambda: (record, None))
+    return audit
+
+
+def _searched_closability(lab, g, branchings, ctx_bound):
+    """The context audit of complete searching every whiskered branching:
+    find_decreasing(strict=True), else closure_cut."""
+
+    def fails(wb, _, u1, u2):
+        if find_decreasing(lab, g, wb, strict=True) is not None:
+            return False
+        cut = closure_cut(g, wb)
+        if cut is not None:
+            raise TruncatedRegion(cut[0])
+        return True
+
+    return _reference_context_audit(
+        lab, g, (({"branching": i}, b, None)
+                 for i, b in enumerate(branchings)), ctx_bound, fails)
+
+
+def _whiskered_compatibility(lab, g, diagrams, ctx_bound):
+    """The context audit of check-decreasing reading the whiskered
+    completions, built with Path.whisker."""
+
+    def fails(wb, completions, u1, u2):
+        c1, c2 = (c.whisker(u1, u2) for c in completions)
+        labels = _read_pair(lab, g, wb, c1, c2)
+        return labels is None or not _first_splits(lab.order, labels)
+
+    return _reference_context_audit(
+        lab, g, (({"diagram": i}, d.branching, d.completions)
+                 for i, d in enumerate(diagrams)), ctx_bound, fails)
+
+
+def _read_or_error(read):
+    try:
+        return read()
+    except (LabellingError, TruncatedRegion) as e:
+        return type(e), str(e)
+
+
+# each (system, --max-word-len, --max-states) explored as complete explores
+# it at --ctx-bound 2; two_letters has no critical branching, so its
+# branchings at the words of length 2 stand in
+CONTEXT_CASES = {"braid-8": (braid, 8, 10000), "A3-7": (None, 7, 10000),
+                 "two_letters-6": (two_letters, 6, 10000),
+                 "braid-7-200": (braid, 7, 200)}
+
+
+def _context_case(name, drop):
+    """The presentation, its branchings, its graph and its qnf labelling:
+    the derived map, or when ``drop`` the derived map without the second
+    word of the first geodesic of two steps or more from a whiskered
+    target, a map validate_qnf_map accepts as it accepts a --qnf-map
+    file."""
+    make, length, states = CONTEXT_CASES[name]
+    p = make() if make else parse_polygraph(A3)
+    branchings = (critical_branchings(p) if make is not two_letters
+                  else [b for w in all_words(p, 2)
+                        for b in local_branchings(p, w)])
+    g = explore(p, audit_seeds(p, critical_branchings(p), length, 2, 6),
+                ExplorationBudget(length, states))
+    qm = derived_qnf_map(g)
+    if drop:
+        qm = dict(qm)
+        targets = (u1 + t + u2 for b in branchings
+                   for u1, u2 in contexts_up_to(p, 2)
+                   for t in (b.first.target, b.second.target))
+        path = next(path for path in (g.geodesic(t, qm[t])
+                                      for t in targets if t in qm)
+                    if len(path) > 1)
+        del qm[path.steps[0].target]
+    lab = Labelling.qnf(qm)
+    validate_qnf_map(lab, g)
+    return p, branchings, g, lab
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["derived", "dropped"])
+@pytest.mark.parametrize("name", CONTEXT_CASES)
+def test_context_closability_from_labels_matches_the_search(name, drop):
+    """Each whiskered branching reads the status, witness and option that
+    searching it gives (find_decreasing, strict, then closure_cut)
+    wherever both targets lie at most 8 steps, find_decreasing's depth,
+    from their chosen quasi-normal form, and reads ok past it (A3 7 has
+    such targets 9 and 10 steps away).  The audit over every context up to
+    2 is the searching audit when the search closes those too.  A map
+    without a word on a geodesic falls back to the search where the
+    premise of the qnf geodesic lemma fails."""
+    p, branchings, g, lab = _context_case(name, drop)
+    far_open = fell_back = 0
+    for b in branchings:
+        for u1, u2 in contexts_up_to(p, 2):
+            wb = LocalBranching(b.first.whisker(u1, u2),
+                                b.second.whisker(u1, u2))
+            try:
+                psi = [label_target(lab, g, s.target)
+                       for s in (wb.first, wb.second)]
+            except (LabellingError, TruncatedRegion):
+                psi = []
+            fell_back += (len(psi) == 2
+                          and lab.qnf_map[wb.first.target]
+                          == lab.qnf_map[wb.second.target]
+                          and not _qnf_closes(lab, g, wb.first.target,
+                                              wb.second.target, {}))
+            audit = _closability(lab, g, [wb], 0)
+            searched = _searched_closability(lab, g, [wb], 0)
+            if max(psi, default=0) > 8:
+                assert audit.ok
+                far_open += not searched.ok
+                continue
+            assert audit == searched
+    assert (fell_back > 0) == drop
+    audit = _closability(lab, g, branchings, 2)
+    assert audit.checked == len(branchings) * len(list(contexts_up_to(p, 2)))
+    if not far_open:
+        assert audit == _searched_closability(lab, g, branchings, 2)
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["derived", "dropped"])
+@pytest.mark.parametrize("name", CONTEXT_CASES)
+def test_compatibility_labels_from_whiskered_words(name, drop):
+    """The labels of a diagram read in a context from its steps' whiskered
+    targets, or keys under a table, are those of the diagram whiskered with
+    Path.whisker, errors included, and the audit over every context up to
+    2 is the one that whiskers the paths: under qnf labels and under a
+    table that labels 95 % of the explored steps."""
+    p, branchings, g, qnf = _context_case(name, drop)
+    diagrams = [d for d in (find_decreasing(qnf, g, b) for b in branchings)
+                if d is not None]
+    assert diagrams
+    table = _random_labelling(random.Random(len(g.vertices)), g,
+                              list("abc"), missing=0.05)
+    for lab in (qnf, table):
+        read = Counter()
+        for d in diagrams:
+            b, (c1, c2) = d.branching, d.completions
+            for u1, u2 in contexts_up_to(p, 2):
+                labels = _read_or_error(
+                    lambda: _read_pair(lab, g, b, c1, c2, u1, u2))
+                read[isinstance(labels, tuple) and not
+                     isinstance(labels[0], type)] += 1
+                assert labels == _read_or_error(lambda: _read_pair(
+                    lab, g, LocalBranching(b.first.whisker(u1, u2),
+                                           b.second.whisker(u1, u2)),
+                    c1.whisker(u1, u2), c2.whisker(u1, u2)))
+        assert read[True]
+        assert (_compatibility(lab, g, diagrams, 2)
+                == _whiskered_compatibility(lab, g, diagrams, 2))
