@@ -15,8 +15,9 @@ each audit is a predicate on an unwhiskered item and a context.  Under qnf
 labels the context audit of ``complete`` rests on the qnf geodesic lemma
 (``_qnf_closes``): a branching whose two targets are mapped to one
 quasi-normal form, as is every word on their geodesics to it (the
-premise, which a derived map meets), closes strictly by those geodesics,
-however long.  Every audit reports an ``Audit``.
+premise, shown by mapping the form's whole explored class to it), closes
+strictly by those geodesics, however long.  Every audit reports an
+``Audit``.
 """
 
 from __future__ import annotations
@@ -470,10 +471,11 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
     shapes over bounded completion pairs.  Returns None when the bounded
     search finds nothing.  A strict candidate longer than ``depth`` is
     skipped, although under qnf labels the first one reads strict at any
-    length when the premise of the qnf geodesic lemma holds (_qnf_closes):
-    the context audit of ``complete`` decides those branchings from labels
-    and not here, but the confluence cells and ``check-decreasing`` still
-    meet the depth."""
+    length when both targets, and every word on their geodesics to the
+    chosen quasi-normal form, are mapped to that form (the qnf geodesic
+    lemma, _qnf_closes): the context audit of ``complete`` decides those
+    branchings from labels, but the confluence cells and
+    ``check-decreasing`` still meet the depth."""
     if b.kind == ASPHERICAL:
         return StrictDiagram(b, Path(b.first.target), Path(b.second.target))
     tf, tg = b.first.target, b.second.target
@@ -894,10 +896,10 @@ def _context_audit(lab: Labelling, g: ReductionGraph, items,
     or TruncatedRegion is unverified (governing_option).  A witness is
     ``head`` with the context, and the error of an unverified one; only a
     witness builds its record and whiskered branching.  Under qnf labels
-    the closability predicate reads only labels and words where the qnf
-    geodesic lemma applies (_qnf_closes: both targets, and every word on
-    their geodesics to the chosen quasi-normal form, mapped to that form),
-    so a context that passes there builds no step or path."""
+    the closability predicate reads only labels where the qnf geodesic
+    lemma applies (_qnf_closes: both targets, and every word on their
+    geodesics to the chosen quasi-normal form, mapped to that form), so a
+    context that passes there builds no step or path."""
     violations: list[dict] = []
     audit = Audit(detail={"violations": violations, **(
         {"lemma": CONTEXT_LEMMA} if lab.whisker_stable else {})})
@@ -966,9 +968,9 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
     Under qnf labels a whiskered branching whose two targets are mapped to
     one quasi-normal form, as is every word on their geodesics to it,
     closes strictly by those geodesics at any length (the qnf geodesic
-    lemma, _qnf_closes), and is decided from labels.  The derived map
-    meets this premise; a --qnf-map file may not.  Every other whiskered
-    branching is searched (find_decreasing, strict).
+    lemma, _qnf_closes), and is decided from labels when the form's
+    explored class is mapped to it whole.  Every other whiskered branching
+    is searched (find_decreasing, strict).
 
     A whiskered branching with no strict closure is unverified, not a
     violation, when the budget cut a word its closure may need
@@ -980,11 +982,12 @@ def check_context_closability(lab: Labelling, g: ReductionGraph,
 def _closability(lab: Labelling, g: ReductionGraph, branchings,
                  ctx_bound: int) -> Audit:
     """check_context_closability's enumeration, under any labelling."""
-    mapped: dict[Word, bool] = {}
+    constant: dict[Word, bool] = {}
 
     def fails(b, _, u1, u2):
         if lab.kind == QNF and _qnf_closes(lab, g, u1 + b.first.target + u2,
-                                           u1 + b.second.target + u2, mapped):
+                                           u1 + b.second.target + u2,
+                                           constant):
             return False
         wb = _whiskered(b, u1, u2)
         if find_decreasing(lab, g, wb, strict=True) is not None:
@@ -1000,57 +1003,36 @@ def _closability(lab: Labelling, g: ReductionGraph, branchings,
 
 
 def _qnf_closes(lab: Labelling, g: ReductionGraph, tf: Word, tg: Word,
-                mapped: dict) -> bool:
+                constant: dict) -> bool:
     """Whether a branching with targets tf and tg closes strictly by their
     geodesics to the chosen quasi-normal form hat of tf, read from labels;
     False when a label does not read, tg is mapped to another form or the
-    premise fails.
+    premise is not shown.
 
     The qnf geodesic lemma: a qnf label is its step target's distance to
     the target's chosen quasi-normal form.  When tf and tg are mapped to
     hat, as is every word on g.geodesic(tf, hat) and g.geodesic(tg, hat)
     (the premise), the labels along each geodesic fall by one per step
     down to 0, below psi(f) = d(tf, hat) and psi(h) = d(tg, hat): the pair
-    reads strict at any length.  A derived map (derived_qnf_map) meets the
-    premise: a word reached from a settled word is settled, and its
-    quasi-normal forms are among those of the settled word, so a word on
-    the way to hat has hat as its least one too.  A map read from a file
-    may not, so the geodesics' words are read (_geodesic_mapped)."""
+    reads strict at any length.  A geodesic to hat stays in the explored
+    class of hat (ReductionGraph.component), so the premise holds when
+    every word of that class is mapped to hat; this is checked once per
+    form, ``constant`` keeping the answer.  A derived map (derived_qnf_map)
+    passes the check on every class whose explored words are settled and
+    reach one quasi-normal form; a map read from a file, or a class with
+    several forms, may not, and is searched."""
     try:
-        psi_f, psi_h = label_target(lab, g, tf), label_target(lab, g, tg)
+        label_target(lab, g, tf)
+        label_target(lab, g, tg)
     except (LabellingError, TruncatedRegion):
         return False
     qm = lab.qnf_map
-    return (qm[tf] == qm[tg] and _geodesic_mapped(g, qm, tf, psi_f, mapped)
-            and _geodesic_mapped(g, qm, tg, psi_h, mapped))
-
-
-def _geodesic_mapped(g: ReductionGraph, qm: dict, w: Word, d: int,
-                     mapped: dict) -> bool:
-    """Whether every word of g.geodesic(w, qm[w]) is mapped to qm[w], for a
-    word w at distance d from it.  The geodesic's words are read as it
-    takes them, the first successor of each word one step closer, off the
-    redexes of ReductionGraph.successor_row and without building a step;
-    ``mapped`` keeps the answer of each word walked."""
-    hat, walked = qm[w], []
-    while d and w not in mapped:
-        walked.append(w)
-        d -= 1
-        w = next(t for t in (w[:pos] + rule.rhs + w[end:]
-                             for pos, end, rule in g.successor_row(w)[0])
-                 if _distance(g, t, hat) == d)
-        if qm.get(w) != hat:
-            break
-    ok = qm.get(w) == hat and mapped.get(w, True)
-    mapped.update(dict.fromkeys(walked, ok))
-    return ok
-
-
-def _distance(g: ReductionGraph, u: Word, v: Word) -> int | None:
-    try:
-        return g.distance(u, v)
-    except Unreachable:
-        return None
+    hat = qm[tf]
+    if qm[tg] != hat:
+        return False
+    if hat not in constant:
+        constant[hat] = all(qm.get(v) == hat for v in g.component(hat))
+    return constant[hat]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from polyco import decreasing
 from polyco.branchings import (OVERLAPPING, PEIFFER, LocalBranching,
                                critical_branchings, local_branchings)
-from polyco.core import all_words
+from polyco.core import Polygraph, Rule, all_words
 from polyco.core import word_str
 from polyco.decreasing import (PEIFFER_LEMMA, DecreasingDiagram,
                                _closability, _compatibility, _peiffer_audit,
@@ -172,6 +172,24 @@ def test_context_closability_builds_no_geodesic_or_step_row(monkeypatch):
     audit = check_context_closability(lab, g, crits, ctx_bound=2)
     assert audit.ok and audit.checked == 68
     assert calls == [] and set(dict.keys(g.out)) == rows
+
+
+@pytest.mark.parametrize("seeds, status", [("a", "violation"),
+                                           ("bc", "unverified")])
+def test_targets_mapped_to_two_forms_are_searched(seeds, status):
+    """a => b and a => c leave a with two normal forms, each its own chosen
+    form.  Explored from a, the class of b holds c, mapped elsewhere, and
+    the search finds no closure; explored from b and c only, each class is
+    mapped whole to its form, yet the targets' forms differ, so the
+    branching is searched too, and a, never explored, leaves it
+    unverified."""
+    p = Polygraph("two_forms", ("a", "b", "c"),
+                  (Rule("ab", ("a",), ("b",)), Rule("ac", ("a",), ("c",))))
+    [b] = critical_branchings(p)
+    g = explore(p, [(x,) for x in seeds], ExplorationBudget(1))
+    rep = check_context_closability(Labelling.qnf(derived_qnf_map(g)), g,
+                                    [b], ctx_bound=0)
+    assert (rep.status, rep.checked) == (status, 1)
 
 
 def test_context_closability_reads_truncation_as_unverified(braid_p):

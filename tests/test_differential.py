@@ -1535,8 +1535,9 @@ def test_context_closability_from_labels_matches_the_search(name, drop):
     from their chosen quasi-normal form, and reads ok past it (A3 7 has
     such targets 9 and 10 steps away).  The audit over every context up to
     2 is the searching audit when the search closes those too.  A map
-    without a word on a geodesic falls back to the search where the
-    premise of the qnf geodesic lemma fails."""
+    without a word on a geodesic falls back to the search for the form
+    whose class it leaves partly unmapped; the derived map never does
+    here."""
     p, branchings, g, lab = _context_case(name, drop)
     far_open = fell_back = 0
     for b in branchings:
