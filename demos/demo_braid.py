@@ -25,8 +25,7 @@ def main():
     g = explore(p, all_words(p, 7),
                 budget=ExplorationBudget(max_word_len=9, max_states=500000,
                                          max_depth=400))
-    rep = classify_termination(g)
-    print(f"\nexplored {len(g.vertices)} words: {rep.classification}")
+    print(f"\nexplored {len(g.vertices)} words: {classify_termination(g)}")
 
     print("\ncritical branchings:")
     for b in critical_branchings(p):

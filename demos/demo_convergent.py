@@ -20,7 +20,7 @@ def main():
     g = explore(p, all_words(p, 6),
                 budget=ExplorationBudget(max_word_len=7, max_states=300000,
                                          max_depth=200))
-    print(f"{p.name}: {classify_termination(g).classification}")
+    print(f"{p.name}: {classify_termination(g)}")
     print(f"critical branchings: {len(critical_branchings(p))}")
 
     c = build_completion(p, Labelling.nf(g), g)

@@ -25,8 +25,8 @@ from .labelling import (WHISKER_STABLE, Labelling, LabellingError,
                         validate_qnf_map)
 from .decreasing import (CTX_BOUND, OK, PEIFFER_LEMMA, PEIFFER_LEN_BOUND,
                          UNVERIFIED, VIOLATION, Audit, MeasureError,
-                         SearchExhausted, StrictDiagram, audit_seeds,
-                         audit_status, check_context_compatibility,
+                         SearchExhausted, audit_seeds, audit_status,
+                         check_context_compatibility,
                          check_peiffer_decreasing, closure_cut,
                          find_decreasing)
 from .expressions import check_boundary
@@ -226,7 +226,7 @@ def _budget_dict(args):
 
 def cmd_analyze(args) -> int:
     p, g = _setup(args)
-    report = classify_termination(g)
+    classification = classify_termination(g)
     crits = critical_branchings(p)
     classes, loops = loop_audit(g)
     loops_complete = loops.ok
@@ -236,7 +236,7 @@ def cmd_analyze(args) -> int:
         "rules": [r.name for r in p.rules],
         "vertices": len(g.vertices),
         "truncated": g.truncated,
-        "classification": report.classification,
+        "classification": classification,
         "critical_branchings": [
             {"source": word_str(b.first.source),
              "first": str(b.first), "second": str(b.second)}
@@ -249,14 +249,14 @@ def cmd_analyze(args) -> int:
              f"rules: {len(p.rules)}",
              f"explored words: {len(g.vertices)}"
              + (" (truncated)" if g.truncated else ""),
-             f"classification: {report.classification}",
+             f"classification: {classification}",
              f"critical branchings: {len(crits)}"]
     lines += [f"  {word_str(b.first.source)}: {b.first} || {b.second}"
               for b in crits]
     lines.append(f"elementary loop classes: {loop_count}"
                  + ("" if loops_complete else " (incomplete)"))
     _emit(args, data, "\n".join(lines))
-    if report.classification == INCONCLUSIVE or not loops_complete:
+    if classification == INCONCLUSIVE or not loops_complete:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
@@ -300,8 +300,7 @@ def cmd_check_decreasing(args) -> int:
         row = {"source": word_str(b.source)}
         if d is not None:
             diagrams.append(d)
-            row["status"] = ("strict" if isinstance(d, StrictDiagram)
-                             else "decreasing")
+            row["status"] = "strict" if d.strict else "decreasing"
         elif (cut := closure_cut(g, b)) is not None:
             row.update(status="unverified", error=cut[0])
             search.add(UNVERIFIED, lambda: (row, cut[1]))

@@ -24,7 +24,7 @@ from .branchings import (PEIFFER, LocalBranching, classify_branching,
                          critical_branchings, match_critical)
 from .decreasing import (CTX_BOUND, OK, PEIFFER_LEN_BOUND, UNVERIFIED,
                          VIOLATION, Audit, MeasureError, SearchExhausted,
-                         StrictDiagram, audit_status, canonical_target,
+                         DecreasingDiagram, audit_status, canonical_target,
                          check_context_closability,
                          check_peiffer_decreasing, closure_cut,
                          decide_peiffer, find_decreasing, reads_strict)
@@ -39,10 +39,7 @@ from .loops import enumerate_elementary_loops
 @dataclass
 class ConfluenceRecord:
     name: str
-    branching: LocalBranching
-    f_prime: Path
-    g_prime: Path
-    strict: bool
+    diagram: DecreasingDiagram
 
 
 @dataclass
@@ -93,7 +90,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
     strictness = Audit(len(criticals), {"non_strict_cells": non_strict})
     for i, cb in enumerate(criticals):
         d = find_decreasing(lab, g, cb)
-        strict = isinstance(d, StrictDiagram)
+        strict = d is not None and d.strict
         cut = None if strict else closure_cut(g, cb)
         if cut is not None:
             strictness.add(UNVERIFIED, lambda: (
@@ -109,7 +106,7 @@ def build_completion(p: Polygraph, lab: Labelling, g: ReductionGraph, *,
         cells[name] = ThreeCell(name, zigzag(cb.source, cb.first, c1),
                                 zigzag(cb.source, cb.second, c2),
                                 CONFLUENCE)
-        records.append(ConfluenceRecord(name, cb, c1, c2, strict))
+        records.append(ConfluenceRecord(name, d))
         if not strict:
             non_strict.append(name)
             if cut is None:
@@ -175,7 +172,7 @@ def loop_audit(g: ReductionGraph) -> tuple[list, Audit]:
 
 def _overlap_closure(c: CoherentPresentation, f1: RewriteStep,
                      h1: RewriteStep):
-    criticals = [r.branching for r in c.confluences]
+    criticals = [r.diagram.branching for r in c.confluences]
     m = match_critical(c.polygraph, f1, h1, criticals)
     if m is None:
         raise SearchExhausted(
@@ -183,11 +180,10 @@ def _overlap_closure(c: CoherentPresentation, f1: RewriteStep,
             f"critical branching of the completion")
     idx, wl, wr, swapped = m
     rec = c.confluences[idx]
-    c_f = rec.f_prime.whisker(wl, wr)
-    c_h = rec.g_prime.whisker(wl, wr)
+    c_f, c_h = (side.whisker(wl, wr) for side in rec.diagram.completions)
     if swapped:
         c_f, c_h = c_h, c_f
-    strict = rec.strict
+    strict = rec.diagram.strict
     if strict and (wl or wr):
         # strictness of the recorded diagram does not survive whiskering
         # in general; re-check the instance actually used

@@ -127,10 +127,7 @@ class Polygraph:
         return {r.name: first.get((r.rhs, r.lhs)) for r in self.rules}
 
     def rule(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        return self.rules[self._indices[name]]
 
     def rule_index(self, name: str) -> int:
         """The declaration index of the rule of that name."""

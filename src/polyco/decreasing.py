@@ -4,8 +4,9 @@ A decreasing diagram for a local branching (f, g) closes it with
 ``f . f' . g'' . h1 = g . g' . f'' . h2`` where the labels of f' sit
 strictly below the label of f, those of g' below the label of g, f'' and
 g'' are at most one step carrying exactly the opposite label, and every
-label of h1, h2 sits below one of the two.  A strict diagram only has
-f' and g', each label strictly below everything on the other side.
+label of h1, h2 sits below one of the two.  A diagram with its
+``strict`` field set has only f' and g', every label of f' strictly below
+the label of f and every label of g' below that of g.
 
 The search and the audits share two routines: ``_read_pair`` labels one
 completion pair, whiskered by a context without building it when asked,
@@ -54,34 +55,12 @@ class MeasureError(AssertionError):
 
 
 @dataclass(frozen=True)
-class StrictDiagram:
-    """A strict closure of a local branching: completions only, every label
-    of f' strictly below the label of f and every label of g' below that
-    of g."""
-
-    branching: LocalBranching
-    f_prime: Path
-    g_prime: Path
-
-    @property
-    def left_side(self) -> Path:
-        f = self.branching.first
-        return Path(f.source, (f,)).compose(self.f_prime)
-
-    @property
-    def right_side(self) -> Path:
-        g = self.branching.second
-        return Path(g.source, (g,)).compose(self.g_prime)
-
-    @property
-    def completions(self) -> tuple[Path, Path]:
-        """The paths that close the branching after its first and after its
-        second step."""
-        return self.f_prime, self.g_prime
-
-
-@dataclass(frozen=True)
 class DecreasingDiagram:
+    """A closure of a local branching (f, g) cut into the parts of a
+    decreasing diagram (_cut).  A ``strict`` one has g'', h1, f'' and h2
+    empty, and is found with every label of f' strictly below the label of
+    f and every label of g' below that of g."""
+
     branching: LocalBranching
     f_prime: Path
     g_dprime: Path
@@ -89,6 +68,7 @@ class DecreasingDiagram:
     g_prime: Path
     f_dprime: Path
     h2: Path
+    strict: bool = False
 
     @property
     def left_side(self) -> Path:
@@ -106,6 +86,8 @@ class DecreasingDiagram:
     def completions(self) -> tuple[Path, Path]:
         """The paths that close the branching after its first and after its
         second step: f' . g'' . h1 and g' . f'' . h2."""
+        if self.strict:
+            return self.f_prime, self.g_prime
         return (self.f_prime.compose(self.g_dprime).compose(self.h1),
                 self.g_prime.compose(self.f_dprime).compose(self.h2))
 
@@ -140,7 +122,7 @@ def _side_violations(lab: Labelling, g: ReductionGraph, d, psi_f, psi_g
 def check_strict(lab: Labelling, g: ReductionGraph, d
                  ) -> tuple[bool, list[Violation]]:
     """The boundary and conditions i and ii of check_decreasing, all that a
-    StrictDiagram has to meet."""
+    diagram with its ``strict`` field set has to meet."""
     v = _boundary_violation(d)
     if v is not None:
         return False, [v]
@@ -152,11 +134,10 @@ def check_strict(lab: Labelling, g: ReductionGraph, d
 
 def check_decreasing(lab: Labelling, g: ReductionGraph, d
                      ) -> tuple[bool, list[Violation]]:
-    """Check the decreasingness conditions of a diagram.  Accepts either a
-    StrictDiagram, checked by check_strict, or a full DecreasingDiagram,
-    which also has to meet conditions iii to v."""
-    if isinstance(d, StrictDiagram):
-        return check_strict(lab, g, d)
+    """Check the decreasingness conditions of a diagram: the boundary,
+    conditions i and ii (check_strict) and iii to v.  Those three hold
+    trivially on empty parts, so on a diagram with its ``strict`` field set
+    it returns what check_strict returns."""
     v = _boundary_violation(d)
     if v is not None:
         return False, [v]
@@ -427,9 +408,14 @@ def _first_splits(order, labels):
     return None if None in splits else splits
 
 
-def _cut(b: LocalBranching, p1: Path, p2: Path, splits) -> DecreasingDiagram:
+def _cut(b: LocalBranching, p1: Path, p2: Path, splits=None
+         ) -> DecreasingDiagram:
     """The decreasing diagram that cuts the completion pair at the splits
-    of ``_first_splits``."""
+    of ``_first_splits``; with no splits, the strict diagram whose f' is p1
+    and g' is p2."""
+    if splits is None:
+        end1, end2 = Path._checked(p1.target), Path._checked(p2.target)
+        return DecreasingDiagram(b, p1, end1, end1, p2, end2, end2, True)
     (i1, j1), (i2, j2) = splits
     s1, s2 = p1.steps, p2.steps
     f_prime = Path._checked(p1.source, s1[:i1])
@@ -469,25 +455,18 @@ def find_decreasing(lab: Labelling, g: ReductionGraph, b: LocalBranching,
     first (geodesics to the chosen quasi-normal form, or normalization for
     the normal-form labelling), then, unless ``strict``, general decreasing
     shapes over bounded completion pairs.  Returns None when the bounded
-    search finds nothing.  A strict candidate longer than ``depth`` is
-    skipped, although under qnf labels the first one reads strict at any
-    length when both targets, and every word on their geodesics to the
-    chosen quasi-normal form, are mapped to that form (the qnf geodesic
-    lemma, _qnf_closes): the context audit of ``complete`` decides those
-    branchings from labels, but the confluence cells and
-    ``check-decreasing`` still meet the depth."""
+    search finds nothing.  Strict candidates are read at any length;
+    ``depth`` bounds the completion paths of the general search only."""
     if b.kind == ASPHERICAL:
-        return StrictDiagram(b, Path(b.first.target), Path(b.second.target))
+        return _cut(b, Path(b.first.target), Path(b.second.target))
     tf, tg = b.first.target, b.second.target
     for p1, p2 in _strict_candidates(lab, g, tf, tg):
-        if len(p1) > depth or len(p2) > depth:
-            continue
         try:
             labels = _read_pair(lab, g, b, p1, p2)
         except MissingLabel:
             continue
         if labels is not None and _strict(lab.order, labels):
-            return StrictDiagram(b, p1, p2)
+            return _cut(b, p1, p2)
     if strict:
         return None
     lefts = _paths_from(g, tf, depth)
@@ -765,8 +744,7 @@ class PeifferReport:
             (cf, ch, loops)
             for name, cf, ch, loops in peiffer_variants(self.polygraph, b)
             if name == self.variant)
-        return (StrictDiagram(b, cf, ch) if self.strict
-                else _cut(b, cf, ch, self.splits)), loops
+        return _cut(b, cf, ch, self.splits), loops
 
     @property
     def diagram(self):

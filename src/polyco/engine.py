@@ -810,17 +810,12 @@ QUASI_TERMINATING_NOT_TERMINATING = "quasi_terminating_not_terminating"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class TerminationReport:
-    classification: str
-
-
-def classify_termination(g: ReductionGraph) -> TerminationReport:
+def classify_termination(g: ReductionGraph) -> str:
     """Classify the explored graph.  Without truncation the answer is exact
     for the explored congruence classes: acyclic means terminating, a cycle
     in a finite closed graph means quasi-terminating but not terminating.
     With truncation the answer is inconclusive."""
     if g.truncated:
-        return TerminationReport(INCONCLUSIVE)
-    return TerminationReport(QUASI_TERMINATING_NOT_TERMINATING
-                             if g.has_cycle() else TERMINATING)
+        return INCONCLUSIVE
+    return (QUASI_TERMINATING_NOT_TERMINATING if g.has_cycle()
+            else TERMINATING)

@@ -120,13 +120,6 @@ def invert(e: ThreeCellExpression, cells) -> ThreeCellExpression:
     return ThreeCellExpression(src, atoms)
 
 
-def concat(*exprs: ThreeCellExpression) -> ThreeCellExpression:
-    if not exprs:
-        raise ValueError("nothing to compose")
-    atoms = tuple(a for e in exprs for a in e.atoms)
-    return ThreeCellExpression(exprs[0].source, atoms)
-
-
 def check_boundary(e: ThreeCellExpression, cells
                    ) -> tuple[ZigzagPath, ZigzagPath]:
     """Evaluate the 2-source and 2-target of the expression, verifying that

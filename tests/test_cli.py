@@ -530,6 +530,42 @@ def test_a_strict_closure_past_the_search_depth_certifies_a3(tmp_path,
     assert "H2 = Z/2" in capsys.readouterr().out.splitlines()
 
 
+# confluent and terminating: x y z closes only by x y z -> A z -> p1 -> ...
+# -> p9 -> q against x y z -> x B -> q, a strict closure of 10 steps
+LONGJOIN = ("polygraph longjoin\n"
+            "gens x y z A B p1 p2 p3 p4 p5 p6 p7 p8 p9 q\n"
+            "rule r1 : x y => A\nrule r2 : y z => B\nrule r3 : A z => p1\n"
+            + "".join(f"rule s{i} : p{i} => p{i + 1}\n" for i in range(1, 9))
+            + "rule s9 : p9 => q\nrule rb : x B => q\n")
+
+
+@pytest.mark.parametrize("label", ["qnf", "nf"])
+def test_a_strict_closure_past_the_search_depth_certifies_longjoin(
+        tmp_path, capsys, label):
+    """The one critical branching of longjoin closes only strictly, by a
+    completion of 10 steps, past the depth of 8 that bounds the general
+    diagram search: complete is CERTIFIED with one confluence cell whose
+    first side has 11 steps, H1 = Z^3 and H2 = 0, and check-decreasing
+    reads the branching strict."""
+    poly, cells = tmp_path / "longjoin.poly", tmp_path / "cells.txt"
+    poly.write_text(LONGJOIN)
+    bounds = ["--label", label, "--max-word-len", "4",
+              "--peiffer-len-bound", "2", "--ctx-bound", "1"]
+    code = main(["complete", str(poly), *bounds, "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert (code, data["verdict"]) == (0, "CERTIFIED")
+    assert [(c["kind"], len(c["source"].split(" ; ")))
+            for c in data["cells"].values()] == [("confluence", 11)]
+    cells.write_text("".join(f"cell {name} : {c['source']} => "
+                             f"{c['target']}\n"
+                             for name, c in data["cells"].items()))
+    assert main(["homology", str(poly), "--cells", str(cells)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "H1 = Z + Z + Z" in lines and "H2 = 0" in lines
+    assert main(["check-decreasing", str(poly), *bounds]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "x y z: strict"
+
+
 @pytest.fixture(scope="module")
 def complete_json(tmp_path_factory):
     """The exit code and JSON of ``complete`` on a presentation of

@@ -46,7 +46,7 @@ def test_completion_cells_are_parallel_confluences(braid_completion,
         cell = braid_completion.cells[rec.name]
         assert cell.source.source in sources
         assert cell.source.target == cell.target.target
-        assert rec.strict
+        assert rec.diagram.strict
 
 
 def _leftmost_normalize(p, w):

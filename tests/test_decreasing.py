@@ -5,22 +5,24 @@ import pytest
 from polyco import decreasing
 from polyco.branchings import (OVERLAPPING, PEIFFER, LocalBranching,
                                critical_branchings, local_branchings)
-from polyco.core import Polygraph, Rule, all_words
+from polyco.core import Polygraph, Rule, all_words, parse_polygraph
 from polyco.core import word_str
 from polyco.decreasing import (PEIFFER_LEMMA, DecreasingDiagram,
-                               _closability, _compatibility, _peiffer_audit,
-                               audit_seeds, check_context_closability,
+                               _closability, _compatibility, _cut,
+                               _peiffer_audit, audit_seeds,
+                               check_context_closability,
                                check_context_compatibility,
                                check_decreasing, check_peiffer_decreasing,
                                check_strict, closure_cut, contexts_up_to,
                                decide_peiffer, find_decreasing, left_out,
-                               peiffer_variants, StrictDiagram)
+                               peiffer_variants)
 from polyco.engine import ExplorationBudget, ReductionGraph, explore
-from polyco.fixtures import braid, braid_qnf_map, convergent_braid
+from polyco.fixtures import (braid, braid_qnf_map, convergent_braid,
+                             two_letters)
 from polyco.labelling import (FinitePosetOrder, Labelling, NaturalsOrder,
                               derived_qnf_map, label_path, step_key)
 
-from conftest import peiffer_witness, read_a_label_error
+from conftest import A3, peiffer_witness, read_a_label_error
 
 
 def _peiffer_on(p, word):
@@ -147,6 +149,28 @@ def test_braid_criticals_close_strictly(braid_p, braid_g, braid_lab):
         assert ok, violations
 
 
+@pytest.mark.parametrize("system, length, label", [
+    (braid, 8, "qnf"), (lambda: parse_polygraph(A3), 7, "qnf"),
+    (two_letters, 6, "qnf"), (convergent_braid, 7, "nf")],
+    ids=["braid-8", "A3-7", "two_letters-6", "convergent_braid-7-nf"])
+def test_found_diagrams_pass_check_decreasing(system, length, label):
+    """Every diagram find_decreasing returns for a critical branching passes
+    check_decreasing; one with its strict field set passes check_strict,
+    and check_decreasing reads it exactly as check_strict does."""
+    p = system()
+    g = explore(p, all_words(p, length), ExplorationBudget(length))
+    lab = (Labelling.nf(g) if label == "nf"
+           else Labelling.qnf(derived_qnf_map(g)))
+    for b in critical_branchings(p):
+        d = find_decreasing(lab, g, b)
+        assert d is not None and d.branching == b
+        result = check_decreasing(lab, g, d)
+        assert result[0], (b.first, b.second, result[1])
+        if d.strict:
+            assert result == check_strict(lab, g, d) == (True, [])
+            assert not (d.g_dprime or d.h1 or d.f_dprime or d.h2)
+
+
 def test_braid_criticals_stay_closable_in_context(braid_p, braid_g,
                                                   braid_lab):
     rep = check_context_closability(braid_lab, braid_g,
@@ -236,15 +260,18 @@ def test_strictness_does_not_survive_whiskering(braid_p, braid_g,
     b = [c for c in critical_branchings(braid_p)
          if c.source == ("t", "s", "t", "s", "t")][0]
     d = find_decreasing(braid_lab, braid_g, b, depth=8, strict=True)
-    sd = StrictDiagram(b, d.f_prime, d.g_prime)
+    sd = _cut(b, d.f_prime, d.g_prime)
     wb = LocalBranching(b.first.whisker(("s",), ()),
                         b.second.whisker(("s",), ()))
-    whiskered = StrictDiagram(wb, sd.f_prime.whisker(("s",), ()),
-                              sd.g_prime.whisker(("s",), ()))
+    whiskered = _cut(wb, sd.f_prime.whisker(("s",), ()),
+                     sd.g_prime.whisker(("s",), ()))
     ok, _ = check_strict(braid_lab, braid_g, sd)
     assert ok
     ok_w, violations = check_strict(braid_lab, braid_g, whiskered)
     assert not ok_w and violations
+    # conditions iii to v hold on its empty parts
+    assert check_decreasing(braid_lab, braid_g, whiskered) == (
+        ok_w, violations)
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from polyco.core import (Polygraph, Rule, all_words, parse_polygraph,
                          serialize_polygraph, word_str)
 from polyco.decreasing import (UNVERIFIED, VIOLATION, Audit,
                                DecreasingDiagram, PeifferReport,
-                               StrictDiagram, _closability, _compatibility,
+                               _closability, _compatibility,
                                _cut, _first_splits, _greedy_normalize,
                                _paths_from, _peiffer_audit, _qnf_closes,
                                _read_pair, _strict, audit_seeds,
@@ -588,7 +588,7 @@ def test_label_order_error_propagates_from_closures(braid_p, braid_lab,
              if b.kind == PEIFFER)
     with pytest.raises(RuntimeError, match="broken order"):
         _peiffer_closure(broken, b.first, b.second)
-    crit = braid_completion.confluences[0].branching
+    crit = braid_completion.confluences[0].diagram.branching
     f1, h1 = crit.first.whisker(("t",), ()), crit.second.whisker(("t",), ())
     with pytest.raises(RuntimeError, match="broken order"):
         _overlap_closure(broken, f1, h1)
@@ -1031,7 +1031,7 @@ def _reference_decide(lab, g, p, b):
             attempts.append({"variant": name, "ok": False, "error": str(e)})
             continue
         if _strict(lab.order, labels):
-            return ("PASS", name, True, attempts, StrictDiagram(b, cf, ch),
+            return ("PASS", name, True, attempts, _cut(b, cf, ch),
                     witnesses)
         splits = _first_splits(lab.order, labels)
         if splits is not None:
@@ -1047,8 +1047,8 @@ def _reference_decide(lab, g, p, b):
         try:
             if _strict(lab.order, sides + (label_path(lab, g, cf),
                                            label_path(lab, g, ch))):
-                return ("PASS", later, True, attempts,
-                        StrictDiagram(b, cf, ch), loops)
+                return ("PASS", later, True, attempts, _cut(b, cf, ch),
+                        loops)
         except (LabellingError, TruncatedRegion):
             continue
     return "PASS", name, False, attempts, d, witnesses
@@ -1230,7 +1230,7 @@ def test_lazily_built_peiffer_diagrams_pass_their_checks(peiffer_audit):
             continue
         d = r.diagram
         assert d.branching == r.branching
-        assert isinstance(d, StrictDiagram) == r.strict
+        assert d.strict == r.strict
         ok, violations = (check_strict if r.strict
                           else check_decreasing)(lab, g, d)
         assert ok, (r.branching.first, r.branching.second, violations)

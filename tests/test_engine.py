@@ -187,14 +187,12 @@ def test_exchange_swap_rejects_overlap(braid_p):
 
 
 def test_braid_is_quasi_terminating_not_terminating(braid_g):
-    rep = classify_termination(braid_g)
-    assert rep.classification == QUASI_TERMINATING_NOT_TERMINATING
+    assert classify_termination(braid_g) == QUASI_TERMINATING_NOT_TERMINATING
     assert braid_g.has_cycle() and not braid_g.truncated
 
 
 def test_convergent_presentation_terminates(upsilon_g):
-    rep = classify_termination(upsilon_g)
-    assert rep.classification == TERMINATING
+    assert classify_termination(upsilon_g) == TERMINATING
     assert not upsilon_g.has_cycle()
 
 
@@ -204,7 +202,7 @@ def test_truncated_exploration_is_inconclusive():
                 budget=ExplorationBudget(max_word_len=4, max_states=100,
                                          max_depth=20))
     assert g.truncated
-    assert classify_termination(g).classification == INCONCLUSIVE
+    assert classify_termination(g) == INCONCLUSIVE
 
 
 def test_quasi_normal_forms_of_abstract_states(states_g):

@@ -5,8 +5,16 @@ import pytest
 from polyco.engine import (IllComposed, Path, ZigzagPath, parse_step,
                            zigzag, zigzags_equal)
 from polyco.expressions import (Atom, MissingLoopClass, ThreeCellExpression,
-                                check_boundary, concat, conjugate,
-                                contract_loop, invert)
+                                check_boundary, conjugate, contract_loop,
+                                invert)
+
+
+def concat(*exprs: ThreeCellExpression) -> ThreeCellExpression:
+    """The expressions pasted one after the other, unchecked."""
+    if not exprs:
+        raise ValueError("nothing to compose")
+    atoms = tuple(a for e in exprs for a in e.atoms)
+    return ThreeCellExpression(exprs[0].source, atoms)
 
 
 def test_identity_expression_boundary(braid_p, braid_completion):
