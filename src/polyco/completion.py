@@ -33,7 +33,7 @@ from .engine import (IllComposed, Path, ReductionGraph, RewriteStep,
 from .expressions import (Atom, ThreeCell, ThreeCellExpression, conjugate,
                           contract_loop, invert, CONFLUENCE, LOOP)
 from .labelling import Labelling, measure_branching, multiset_less
-from .loops import enumerate_elementary_loops
+from .loops import enumerate_elementary_loops, word_sequence
 
 
 @dataclass
@@ -245,6 +245,10 @@ def fill_parallel_sphere(c: CoherentPresentation, lab: Labelling,
     confluence cell, a Peiffer exchange or an audited variant, and the two
     residual spheres are filled recursively; their branching measures
     strictly decrease when the closures are strict (checked at runtime).
+    Where the head closure is not strict and f, or else h, revisits a
+    word, its first loop is cut out instead: the loop is contracted
+    (``CoherentPresentation.contract``) under the side's prefix and
+    suffix, and the sphere without it is filled one level deeper.
 
     ``lab`` and ``g`` must be the labelling and graph the completion was
     built from (``c.labelling`` and ``c.graph``); any other object raises
@@ -301,8 +305,8 @@ def _fill_anew(c: CoherentPresentation, f: Path, h: Path, depth: int
         return ThreeCellExpression(
             f.zigzag(), invert(c.contract(h), c.cells).atoms), 0
     f1, h1 = f.steps[0], h.steps[0]
-    f2 = Path(f1.target, f.steps[1:])
-    h2 = Path(h1.target, h.steps[1:])
+    f2 = Path._checked(f1.target, f.steps[1:])
+    h2 = Path._checked(h1.target, h.steps[1:])
     if f1 == h1:
         sub, height = _fill(c, f2, h2, depth - 1)
         atoms = conjugate(sub, pre=zigzag(f.source, f1)).atoms
@@ -310,6 +314,10 @@ def _fill_anew(c: CoherentPresentation, f: Path, h: Path, depth: int
     close = (_peiffer_closure if classify_branching(f1, h1) == PEIFFER
              else _overlap_closure)
     c_f, c_h, a_expr, strict = close(c, f1, h1)
+    if not strict:
+        cut = _cut_loop(c, f, h, depth)
+        if cut is not None:
+            return cut
     lab, g = c.labelling, c.graph
     w = c_f.target
     hat = canonical_target(lab, g, f.target)
@@ -332,6 +340,32 @@ def _fill_anew(c: CoherentPresentation, f: Path, h: Path, depth: int
              + conjugate(a_expr, post=hbar.compose(k_inv)).atoms
              + conjugate(cexp, pre=zigzag(h.source, h1), post=k_inv).atoms)
     return ThreeCellExpression(f.zigzag(), atoms), max(bh, ch) + 1
+
+
+def _cut_loop(c: CoherentPresentation, f: Path, h: Path, depth: int
+              ) -> tuple[ThreeCellExpression, int] | None:
+    """The filling of f and h through the first loop f revisits, or else
+    h: the loop's contraction under the side's prefix and suffix, glued to
+    the filling of the sphere with that loop cut out, one level deeper.
+    None when neither side revisits a word."""
+    for side in (f, h):
+        steps, seen = side.steps, {}
+        for j, w in enumerate(word_sequence(steps)):
+            i = seen.setdefault(w, j)
+            if i == j:
+                continue
+            loop = conjugate(c.contract(Path._checked(w, steps[i:j])),
+                             pre=side.prefix(i),
+                             post=ZigzagPath._checked(w, steps[j:]))
+            rest = Path._checked(side.source, steps[:i] + steps[j:])
+            if side is f:
+                sub, height = _fill(c, rest, h, depth - 1)
+                atoms = loop.atoms + sub.atoms
+            else:
+                sub, height = _fill(c, f, rest, depth - 1)
+                atoms = sub.atoms + invert(loop, c.cells).atoms
+            return ThreeCellExpression(f.zigzag(), atoms), height + 1
+    return None
 
 
 def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
@@ -371,7 +405,8 @@ def fill_zigzag_sphere(c: CoherentPresentation, lab: Labelling,
             s = z.steps[i]
             fwd = s if s.forward else s.inverse()
             patch = fill_parallel_sphere(
-                c, lab, g, Path(fwd.source, (fwd,)).compose(down(fwd.target)),
+                c, lab, g,
+                Path._checked(fwd.source, (fwd,)).compose(down(fwd.target)),
                 down(fwd.source))
             end = i
             if not s.forward:

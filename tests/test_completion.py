@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from polyco.branchings import (PEIFFER, LocalBranching, critical_branchings,
                                local_branchings)
 from polyco.completion import (CERTIFIED, PARTIAL, _peiffer_closure,
-                               build_completion, fill_parallel_sphere,
-                               fill_zigzag_sphere, format_extension,
-                               parse_extension, parse_sphere, parse_zigzag)
+                               _sphere_key, build_completion,
+                               fill_parallel_sphere, fill_zigzag_sphere,
+                               format_extension, parse_extension,
+                               parse_sphere, parse_zigzag)
 from polyco.core import ParseError, all_words, parse_polygraph
 from polyco.decreasing import (SearchExhausted, audit_seeds,
                                check_context_closability, decide_peiffer,
@@ -135,16 +136,21 @@ def test_fill_long_loop_sphere(braid_loop, braid_g, braid_lab,
                            braid_completion.cells)
 
 
+def _certified(p, n):
+    """The completion of p over all words up to length n, labelled by each
+    word's least quasi-normal form, as the CLI derives it."""
+    g = explore(p, all_words(p, n), ExplorationBudget(n, 100000, 200))
+    lab = Labelling.qnf(derived_qnf_map(g))
+    c = build_completion(p, lab, g)
+    assert c.verdict == CERTIFIED
+    return g, lab, c
+
+
 @pytest.fixture(scope="module")
 def braid8(braid_p):
-    """The braid completion over all words up to length 8, labelled by
-    each word's least quasi-normal form, as the CLI derives it; and its
-    classes of at least two words, that of s t s first."""
-    g = explore(braid_p, all_words(braid_p, 8),
-                ExplorationBudget(8, 100000, 200))
-    lab = Labelling.qnf(derived_qnf_map(g))
-    c = build_completion(braid_p, lab, g)
-    assert c.verdict == CERTIFIED
+    """The braid completion at length 8 (_certified), and its classes of
+    at least two words, that of s t s first."""
+    g, lab, c = _certified(braid_p, 8)
     classes: dict = {}
     for w in g.vertices:
         classes.setdefault(lab.qnf_map[w], []).append(w)
@@ -171,21 +177,23 @@ def _draw_geodesic(data, g, w, hat) -> ZigzagPath:
 
 def _draw_side(data, braid_loop, g, hat, members, u, v) -> ZigzagPath:
     """A zigzag from u to v: down to hat, detours up to members of the
-    class and back, up to v, with a loop power (alpha;beta)^j spliced in
-    where it passes through s t s."""
+    class and back, up to v, with a loop power (alpha;beta)^j spliced in,
+    whiskered, where it passes through a word that holds s t s."""
     z = _draw_geodesic(data, g, u, hat)
     for x in data.draw(st.lists(st.sampled_from(members), max_size=2)):
         z = z.compose(_draw_geodesic(data, g, x, hat).inverse())
         z = z.compose(_draw_geodesic(data, g, x, hat))
     z = z.compose(_draw_geodesic(data, g, v, hat).inverse())
-    at = [i for i, s in enumerate(z.steps) if s.source == STS]
-    if z.target == STS:
-        at.append(len(z))
+    words = [z.source] + [s.target for s in z.steps]
+    at = [(i, o) for i, w in enumerate(words) for o in range(len(w) - 2)
+          if w[o:o + 3] == STS]
     if not at:
         return z
-    i = data.draw(st.sampled_from(at))
-    loop = braid_loop(data.draw(st.integers(0, 40))).steps
-    return ZigzagPath(z.source, z.steps[:i] + loop + z.steps[i:])
+    i, o = data.draw(st.sampled_from(at))
+    w = words[i]
+    loop = braid_loop(data.draw(st.integers(0, 40)))
+    loop = loop.whisker(w[:o], w[o + 3:])
+    return ZigzagPath(z.source, z.steps[:i] + loop.steps + z.steps[i:])
 
 
 def _draw_sphere(data, braid_loop, braid8) -> tuple[ZigzagPath, ZigzagPath]:
@@ -202,7 +210,7 @@ def _draw_sphere(data, braid_loop, braid8) -> tuple[ZigzagPath, ZigzagPath]:
     return f, h
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_random_zigzag_spheres_fill(braid_loop, braid8, data):
     """Spheres built from geodesics, detours through members of one class
@@ -214,29 +222,91 @@ def test_random_zigzag_spheres_fill(braid_loop, braid8, data):
     assert zigzags_equal(src, f) and zigzags_equal(tgt, h)
 
 
-@pytest.mark.xfail(raises=SearchExhausted, strict=True,
-                   reason="fill_parallel_sphere exhausts its depth when the "
-                          "two sides differ by a loop (ROADMAP item 2)")
+# a parallel sphere of braid 8 whose sides differ by the loop alpha;beta
+# whiskered by t s s
+FAULT_SPHERE = (
+    "sphere : t s s|alpha|1 ; t s|alpha|t ; 1|beta|s t t => "
+    "t s s|alpha|1 ; t s s|beta|1 ; t s s|alpha|1 ; t s|alpha|t ; "
+    "1|beta|s t t")
+
+
 def test_fill_sphere_with_a_whiskered_loop(braid_p, braid8):
-    """Loop powers spliced in whiskered, not only at s t s, break filling:
-    this is the smallest such sphere, its sides differing by alpha;beta
-    whiskered by t s s."""
+    """Loop powers spliced in whiskered fill: this is the smallest such
+    sphere, its sides differing by alpha;beta whiskered by t s s, which
+    the filler cuts out and contracts."""
     g, lab, c, _ = braid8
-    f, h = parse_sphere(braid_p, (
-        "sphere : t s s|alpha|1 ; t s|alpha|t ; 1|beta|s t t => "
-        "t s s|alpha|1 ; t s s|beta|1 ; t s s|alpha|1 ; t s|alpha|t ; "
-        "1|beta|s t t"))
-    fill_zigzag_sphere(c, lab, g, f, h)
+    f, h = parse_sphere(braid_p, FAULT_SPHERE)
+    src, tgt = check_boundary(fill_zigzag_sphere(c, lab, g, f, h), c.cells)
+    assert zigzags_equal(src, f) and zigzags_equal(tgt, h)
+
+
+@pytest.fixture(scope="module")
+def a3_7():
+    """The CERTIFIED completion of A3 at length 7."""
+    return _certified(parse_polygraph(A3), 7)
+
+
+@pytest.fixture(scope="module", params=["braid-8", "two_letters-8", "A3-7"])
+def walk_completion(request, braid8, a3_7):
+    """A CERTIFIED fixture completion and its words in order."""
+    if request.param == "braid-8":
+        g, lab, c = braid8[:3]
+    elif request.param == "A3-7":
+        g, lab, c = a3_7
+    else:
+        g, lab, c = _certified(two_letters(), 8)
+    return g, lab, c, sorted(g.vertices)
+
+
+def _draw_walk(data, g, lab, w) -> Path:
+    """A forward random walk from w, then the geodesic from where it ends
+    to that word's chosen quasi-normal form."""
+    steps = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        if not g.out[w]:
+            break
+        steps.append(data.draw(st.sampled_from(g.out[w])))
+        w = steps[-1].target
+    return Path._checked(steps[0].source if steps else w,
+                         tuple(steps)).compose(g.geodesic(w, lab.qnf_map[w]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_walk_spheres_fill(walk_completion, data):
+    """Two random walks from one word, each sent on to its quasi-normal
+    form, fill as a parallel sphere whose boundary is the sphere."""
+    g, lab, c, words = walk_completion
+    w = data.draw(st.sampled_from(words))
+    f, h = _draw_walk(data, g, lab, w), _draw_walk(data, g, lab, w)
+    e = fill_parallel_sphere(c, lab, g, f, h)
+    src, tgt = check_boundary(e, c.cells)
+    assert zigzags_equal(src, f.zigzag()) and zigzags_equal(tgt, h.zigzag())
+
+
+@pytest.mark.xfail(raises=SearchExhausted, strict=True,
+                   reason="a whiskered critical branching is closed by its "
+                          "recorded diagram, which reads non-strict here "
+                          "(ROADMAP item 1)")
+def test_fill_sphere_through_a_non_strict_whiskered_closure(a3_7):
+    """A random-walk sphere of A3 at length 7 whose sides revisit no word.
+    A residual sphere meets the branching c b a|r4|b, c b|r5|b c b, whose
+    recorded closure, whiskered, reads non-strict: its second side undoes
+    c b|r5|b c b and then takes c b a|r4|b, and the filling of what is
+    left comes back to a sphere it is filling."""
+    g, lab, c = a3_7
+    f, h = parse_sphere(parse_polygraph(A3), (
+        "sphere : 1|r6|b a c b b ; a c b|r5|b b ; a|r4|a b b ; "
+        "a b c|r2|b ; a b|r6|b a b => c|r1|c b b ; c b a|r3|b ; "
+        "c b|r5|b c b ; 1|r4|a b c b ; b c|r2|c b ; b|r6|b a c b ; "
+        "b a c b|r5|b ; b a|r4|a b ; 1|r2|c b a b"))
+    fill_parallel_sphere(c, lab, g, f.forward_path(), h.forward_path())
 
 
 # kept fillings: a completion keeps each parallel sphere it fills, and
 # reuses it under the same labelling and graph objects
 
 
-FAULT_SPHERE = (
-    "sphere : t s s|alpha|1 ; t s|alpha|t ; 1|beta|s t t => "
-    "t s s|alpha|1 ; t s s|beta|1 ; t s s|alpha|1 ; t s|alpha|t ; "
-    "1|beta|s t t")
 # a parallel sphere of braid 8 whose filling splits three levels deep
 DEEP_SPHERE = (
     "sphere : 1|beta|s t s s ; s t s|alpha|s ; s|beta|s t s ; "
@@ -388,22 +458,49 @@ def test_kept_filling_needs_the_depth_it_used(braid_p, braid8):
                                             depth=d)) == cold
 
 
-def test_fault_sphere_raises_in_a_warm_completion(braid_p, braid8,
-                                                  fixed_spheres):
-    """Failures are not kept and do not turn into successes: the fault
-    sphere raises before and after a completion has filled the fixed
-    spheres, along both of the filler's entry points."""
-    g, lab, _, _ = braid8
-    c = build_completion(braid_p, lab, g)
+def test_fault_sphere_fills_the_same_cold_and_warm(braid_p, braid8,
+                                                   fixed_spheres, cold_fixed):
+    """The fault sphere fills along each of the filler's entry points, its
+    boundary the sphere, to the expression it gets in a completion of its
+    own, before and after a completion has filled the fixed spheres; and
+    they fill as before after it."""
+    g, lab, c, _ = braid8
     f, h = parse_sphere(braid_p, FAULT_SPHERE)
+    entries = (lambda c: fill_zigzag_sphere(c, lab, g, f, h),
+               lambda c: fill_parallel_sphere(c, lab, g, f.forward_path(),
+                                              h.forward_path()))
+
+    def filled(c, fill):
+        e = fill(c)
+        return str(e), check_boundary(e, c.cells)
+
+    sphere = normalize_zigzag(f), normalize_zigzag(h)
+    cold = [filled(_fresh(c), fill) for fill in entries]
+    assert [boundary for _, boundary in cold] == [sphere, sphere]
+    warm = _fresh(c)
     for _ in range(2):
+        assert [filled(warm, fill) for fill in entries] == cold
+        assert [_filled(warm, lab, g, f2, h2)
+                for f2, h2 in fixed_spheres] == cold_fixed
+
+
+def test_kept_fault_sphere_has_the_height_of_its_cut(braid_p, braid8):
+    """The fault sphere's two sides share their first step, and after it
+    one side is the other with a loop put in: its kept filling has height
+    2, one level for the shared step and one for the cut, whose rest is
+    the identity; a call with less depth raises SearchExhausted, cold or
+    warm."""
+    g, lab, c, _ = braid8
+    f, h = (z.forward_path() for z in parse_sphere(braid_p, FAULT_SPHERE))
+    assert _least_depth(braid_p, lab, g, f, h) == 2
+    warm = _fresh(c)
+    e = fill_parallel_sphere(warm, lab, g, f, h)
+    assert warm._fillings[_sphere_key(f, h)] == (e, 2)
+    assert [a.cell for a in e.atoms] == ["E1"] and e.atoms[0].sign < 0
+    for d in (0, 1):
         with pytest.raises(SearchExhausted):
-            fill_zigzag_sphere(c, lab, g, f, h)
-        with pytest.raises(SearchExhausted):
-            fill_parallel_sphere(c, lab, g, f.forward_path(),
-                                 h.forward_path())
-        for f2, h2 in fixed_spheres:
-            _fill(c, lab, g, f2, h2)
+            fill_parallel_sphere(warm, lab, g, f, h, depth=d)
+    assert fill_parallel_sphere(warm, lab, g, f, h, depth=2) == e
 
 
 @pytest.mark.parametrize("text, n", [(None, 8), ("A3", 6)],
